@@ -31,9 +31,7 @@ from .lattice import (
     kernel_basis,
     mat,
     mat_identity,
-    mat_inverse_int,
     mat_mul,
-    mat_transpose,
     mat_vec,
     solve_integer,
     solve_rational,
@@ -78,7 +76,7 @@ class EndoscopicDatum:
                 if (dot(c, q)) % 1 == 0]
         keep_roots = tuple(datum.roots[i] for i in keep)
         keep_coroots = tuple(datum.coroots[i] for i in keep)
-        positives = set(datum.positive_root_indices())
+        positives = datum.positive_root_set
         pos_kept = [i for i in keep if i in positives]
         simple = []
         pos_set = {datum.roots[i] for i in pos_kept}
@@ -179,7 +177,7 @@ def transporter_condition(group: ReductiveGroup, endo: EndoscopicDatum,
     """The Galois condition cutting out W(L, H): for every Galois element
     some element of the endoscopic Weyl group corrects it to centralize
     the pulled-back parameter center."""
-    winv = mat_inverse_int(w)
+    winv = group.weyl.inverse[w]
     basis = tuple(mat_vec(winv, u) for u in param.center_basis)
     wh = endo.weyl_h_elements()
     for g in group.galois.char_elements():
@@ -292,7 +290,8 @@ def parameter_on_h(param: Parameter, endo: EndoscopicDatum):
 
 def _build_param_h(param: Parameter, endo: EndoscopicDatum,
                    subset: FrozenSet[int], h: Matrix) -> Parameter:
-    bh = mat_transpose(mat_inverse_int(h))   # action on the dual side
+    H = endo.H
+    bh = H.relative.contragredient[h]   # action on the dual side
     sphi_h = []
     pos_h = []
     for r in param.roots:
@@ -308,12 +307,12 @@ def _build_param_h(param: Parameter, endo: EndoscopicDatum,
                 pos_h.extend(moved)
     r_words = []
     for relt in param.r_generators:
-        moved = mat_mul(mat_mul(h, relt), mat_inverse_int(h))
-        if moved not in endo.H.relative.words:
+        moved = mat_mul(mat_mul(h, relt), H.relative.inverse[h])
+        if moved not in H.relative.words:
             raise EndoscopyError("component generator does not descend to "
                                  "the endoscopic group")
-        r_words.append(endo.H.relative.word(moved))
-    return Parameter(endo.H, subset, tuple(sphi_h), tuple(pos_h),
+        r_words.append(H.relative.word(moved))
+    return Parameter(H, subset, tuple(sphi_h), tuple(pos_h),
                      tuple(r_words),
                      label="%s|%s" % (param.label, endo.label),
                      tempered=param.tempered)
@@ -512,16 +511,17 @@ def indexing_forward(param: Parameter, levi, endo: EndoscopicDatum,
     corresponding transporter coset on the group side: the unique class
     whose inverse restricts to the composite center map."""
     group = param.group
+    h_inverse = endo.H.relative.inverse
     ctx_l = group.levi_context(frozenset(levi))
     # the standardized embedding is Int(w_rep) . eta . Int(h_std)^{-1}; its
     # inverse followed by v^{-1} and the de-standardization h^{-1} composes
     # to a map from the Levi center into the parameter center
     composite = mat_mul(
-        mat_mul(mat_inverse_int(h), mat_inverse_int(v)),
-        mat_mul(emb.h_std, mat_inverse_int(emb.w_rep)))
+        mat_mul(h_inverse[h], h_inverse[v]),
+        mat_mul(emb.h_std, group.weyl.inverse[emb.w_rep]))
     targets = []
     for cand in transporter_set(group, param.minimal_levi, frozenset(levi)):
-        cinv = mat_inverse_int(cand)
+        cinv = group.relative.inverse[cand]
         if all(mat_vec(cinv, u) == mat_vec(composite, u)
                for u in ctx_l.dual_split_center_basis):
             targets.append(cand)
@@ -551,7 +551,7 @@ def indexing_backward(param: Parameter, levi, endo: EndoscopicDatum,
     levi = frozenset(levi)
     levi_root_set = {group.datum.roots[i]
                      for i in group.levi_context(levi).root_indices()}
-    u = mat_mul(w, mat_inverse_int(h))
+    u = mat_mul(w, H.relative.inverse[h])
     if not transporter_condition(group, endo, param, u):
         raise AssertionError("backward twist fails the Galois condition")
     cut_roots = {r for r in endo.h_root_set
@@ -568,13 +568,14 @@ def indexing_backward(param: Parameter, levi, endo: EndoscopicDatum,
         raise AssertionError("backward twist does not meet any embedded class")
     h_l_roots = {H.datum.roots[i]
                  for i in H.levi_context(target_emb.levi_h).root_indices()}
+    # hp must transport the endoscopic minimal center over the cut one
+    transporters = set(transporter_set(H, param_h.minimal_levi,
+                                       target_emb.levi_h))
     candidates = []
     for hp in H.relative.elements:
         if {mat_vec(hp, r) for r in cut_roots} != h_l_roots:
             continue
-        # hp must transport the endoscopic minimal center over the cut one
-        if hp not in set(transporter_set(H, param_h.minimal_levi,
-                                         target_emb.levi_h)):
+        if hp not in transporters:
             continue
         candidates.append(hp)
     if not candidates:

@@ -81,7 +81,6 @@ def canonical_rho(param: Parameter, rho: HighestWeightPair) -> HighestWeightPair
     lam_star, r = best
     if lam_star == lam:
         return rho
-    rinv = mat_inverse_int(r)
     d_r = param.char_action(r)
     d_rinv = mat_inverse_int(d_r)
     # transported module: chi*(a) = chi(r^-1 a r) on the stabilizer of lam*

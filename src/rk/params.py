@@ -27,7 +27,6 @@ from .lattice import (
     mat,
     mat_contragredient,
     mat_identity,
-    mat_inverse_int,
     mat_mul,
     mat_transpose,
     mat_vec,
@@ -168,7 +167,7 @@ class Parameter:
         span = self.center_basis
         mpos = [datum.roots[i]
                 for i in group.levi_context(self.minimal_levi).root_indices()
-                if i in set(datum.positive_root_indices())]
+                if i in datum.positive_root_set]
         out = {}
         for m in group.relative.elements:
             if not all(in_span(span, mat_vec(m, u)) for u in span):
@@ -254,8 +253,9 @@ class Parameter:
     def r_component(self, g: Matrix) -> Matrix:
         """The R_phi part of an element of W_phi (unique decomposition)."""
         o = set(self.wphi_o_elements)
+        inverse = self.group.relative.inverse
         for r in self.r_elements:
-            if mat_mul(g, mat_inverse_int(r)) in o:
+            if mat_mul(g, inverse[r]) in o:
                 return r
         raise ParameterError("element is not in W_phi")
 
@@ -319,7 +319,7 @@ class LeviCut:
                            if all(dot(r, c) == 0 for c in coords))
         self.positives = tuple(p for p in param.positives if p in set(self.roots))
         rel_levi = set(group.levi_weyl_elements(levi))
-        self.w_inv = mat_inverse_int(self.w)
+        self.w_inv = group.relative.inverse[self.w]
         self.weyl_elements = tuple(
             g for g in param.wphi_elements
             if mat_mul(mat_mul(self.w, g), self.w_inv) in rel_levi)

@@ -46,6 +46,7 @@ from .lattice import (
     mat_contragredient,
     mat_identity,
     mat_inverse,
+    mat_inverse_int,
     mat_mul,
     mat_transpose,
     mat_vec,
@@ -137,6 +138,7 @@ class BasedRootDatum:
         elif self.roots:
             raise DatumError("roots present but no simple roots given")
         # signs: every root is a +/- N-combination of simples
+        positives = []
         for i, r in enumerate(self.roots):
             sol = solve_rational([self.roots[s] for s in self.simple_indices], r)
             if sol is None:
@@ -145,7 +147,11 @@ class BasedRootDatum:
             neg = all(c <= 0 for c in sol)
             if not (pos or neg):
                 raise DatumError("root has mixed signs in the simple basis")
+            if pos:
+                positives.append(i)
         object.__setattr__(self, "_root_index", idx)
+        object.__setattr__(self, "_positive_indices", tuple(positives))
+        object.__setattr__(self, "_positive_set", frozenset(positives))
 
     # -- basic queries ----------------------------------------------------
 
@@ -164,13 +170,11 @@ class BasedRootDatum:
         return tuple(self.coroots[i] for i in self.simple_indices)
 
     def positive_root_indices(self) -> Tuple[int, ...]:
-        out = []
-        simples = list(self.simple_roots)
-        for i, r in enumerate(self.roots):
-            sol = solve_rational(simples, r)
-            if all(c >= 0 for c in sol):
-                out.append(i)
-        return tuple(out)
+        return self._positive_indices
+
+    @property
+    def positive_root_set(self) -> FrozenSet[int]:
+        return self._positive_set
 
     def cartan_matrix(self) -> Matrix:
         return mat([[dot(self.roots[i], self.coroots[j])
@@ -253,7 +257,11 @@ def dual_datum(datum: BasedRootDatum, action: GaloisAction):
 
 
 class WeylGroup:
-    """A finite matrix group with one reduced word per element."""
+    """A finite matrix group with one reduced word per element.
+
+    `inverse[m]` and `contragredient[m]` (the action on the dual lattice)
+    are tabulated for every element at construction.
+    """
 
     def __init__(self, generators: Sequence[Matrix], rank: int,
                  cap: int = DEFAULT_CLOSURE_CAP):
@@ -266,6 +274,21 @@ class WeylGroup:
         self.elements: Tuple[Matrix, ...] = tuple(sorted(order))
         self.words: Dict[Matrix, Tuple[int, ...]] = words
         self.identity: Matrix = mat_identity(rank)
+        # inv(g.s) = s^-1.inv(g) along the closure order, which lists every
+        # element after the prefix of its word; tabulated matrices that are
+        # elements share the element's object
+        gen_inv = [mat_inverse_int(s) for s in self.generators]
+        by_word = {w: m for m, w in words.items()}
+        canonical = {m: m for m in order}
+        self.inverse: Dict[Matrix, Matrix] = {}
+        for m in order:
+            w = words[m]
+            self.inverse[m] = canonical[mat_mul(
+                gen_inv[w[-1]], self.inverse[by_word[w[:-1]]])] if w else m
+        self.contragredient: Dict[Matrix, Matrix] = {}
+        for m, inv in self.inverse.items():
+            dual = mat_transpose(inv)
+            self.contragredient[m] = canonical.get(dual, dual)
 
     def __len__(self):
         return len(self.elements)
@@ -417,7 +440,12 @@ class ReductiveGroup:
         self.galois = galois if galois is not None else GaloisAction(datum)
         self.name = name or datum.name
         self._levi_cache: Dict[FrozenSet[int], LeviContext] = {}
+        self._levi_weyl: Dict[FrozenSet[int], Tuple[Matrix, ...]] = {}
+        # filled by weyl.transporter_set, keyed by (levi1, levi2)
+        self._transporters: Dict[Tuple[FrozenSet[int], FrozenSet[int]],
+                                 Tuple[Matrix, ...]] = {}
         self._weyl: Optional[WeylGroup] = None
+        self._restricted: Optional[Tuple[Matrix, ...]] = None
         self._relative: Optional[WeylGroup] = None
         self._orbits: Optional[Tuple[Tuple[int, ...], ...]] = None
 
@@ -472,17 +500,20 @@ class ReductiveGroup:
     def restricted_reflections(self) -> Tuple[Matrix, ...]:
         """One generator per Galois orbit of simples: the longest element of
         the parabolic subgroup the orbit generates."""
-        out = []
-        for orb in self.simple_orbits:
-            gens = [reflection_matrix(self.datum.simple_roots[p],
-                                      self.datum.simple_coroots[p]) for p in orb]
-            sub = WeylGroup(gens, self.datum.rank)
-            longest = max(sub.elements, key=lambda m: (len(sub.word(m)), m))
-            if mat_mul(longest, longest) != sub.identity:
-                raise AssertionError("longest element of an orbit parabolic "
-                                     "must be an involution")
-            out.append(longest)
-        return tuple(out)
+        if self._restricted is None:
+            out = []
+            for orb in self.simple_orbits:
+                gens = [reflection_matrix(self.datum.simple_roots[p],
+                                          self.datum.simple_coroots[p])
+                        for p in orb]
+                sub = WeylGroup(gens, self.datum.rank)
+                longest = max(sub.elements, key=lambda m: (len(sub.word(m)), m))
+                if mat_mul(longest, longest) != sub.identity:
+                    raise AssertionError("longest element of an orbit "
+                                         "parabolic must be an involution")
+                out.append(longest)
+            self._restricted = tuple(out)
+        return self._restricted
 
     @property
     def relative(self) -> WeylGroup:
@@ -503,7 +534,7 @@ class ReductiveGroup:
 
     def cochar_matrix(self, m: Matrix) -> Matrix:
         """Action of a Weyl element on the cocharacter lattice."""
-        return mat_contragredient(m)
+        return self.weyl.contragredient[m]
 
     # -- fixed subspace and chambers ------------------------------------------
 
@@ -556,10 +587,14 @@ class ReductiveGroup:
 
     def levi_weyl_elements(self, subset) -> Tuple[Matrix, ...]:
         """W^rel_L: relative Weyl elements fixing fraktur-A_L pointwise."""
-        ctx = self.levi_context(subset)
-        basis = ctx.split_center_basis
-        return tuple(m for m in self.relative.elements
-                     if all(mat_vec(mat_contragredient(m), y) == y for y in basis))
+        key = frozenset(subset)
+        if key not in self._levi_weyl:
+            basis = self.levi_context(key).split_center_basis
+            rel = self.relative
+            self._levi_weyl[key] = tuple(
+                m for m in rel.elements
+                if all(mat_vec(rel.contragredient[m], y) == y for y in basis))
+        return self._levi_weyl[key]
 
     def full_subset(self) -> FrozenSet[int]:
         return frozenset(range(len(self.datum.simple_indices)))

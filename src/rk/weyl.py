@@ -17,7 +17,6 @@ from .lattice import (
     Matrix,
     dot,
     in_span,
-    mat_contragredient,
     mat_mul,
     mat_vec,
 )
@@ -60,7 +59,7 @@ def chamber_locate(group: ReductiveGroup, x: Sequence) -> ChamberWitness:
         if violated is None:
             break
         r = refl[violated]
-        current = mat_vec(mat_contragredient(r), current)
+        current = mat_vec(rel.contragredient[r], current)
         matrix = mat_mul(r, matrix)
         word = (violated,) + word
         if len(word) > 4 * len(rel.elements):
@@ -78,21 +77,26 @@ def stratum_of(group: ReductiveGroup, x: Sequence) -> Optional[FrozenSet[int]]:
 
 
 def transporter_set(group: ReductiveGroup, levi1, levi2) -> Tuple[Matrix, ...]:
-    """{w in W^rel : w(A_{L1}) contains A_{L2}}, by exact subspace containment."""
-    b1 = group.levi_context(levi1).split_center_basis
-    b2 = group.levi_context(levi2).split_center_basis
-    out = []
-    for m in group.relative.elements:
-        md = mat_contragredient(m)
-        image = [mat_vec(md, y) for y in b1]
-        if all(in_span(image, y) for y in b2):
-            out.append(m)
-    return tuple(out)
+    """{w in W^rel : w(A_{L1}) contains A_{L2}}, by exact subspace containment;
+    computed once per group and pair of Levis."""
+    key = (frozenset(levi1), frozenset(levi2))
+    if key not in group._transporters:
+        b1 = group.levi_context(key[0]).split_center_basis
+        b2 = group.levi_context(key[1]).split_center_basis
+        rel = group.relative
+        out = []
+        for m in rel.elements:
+            md = rel.contragredient[m]
+            image = [mat_vec(md, y) for y in b1]
+            if all(in_span(image, y) for y in b2):
+                out.append(m)
+        group._transporters[key] = tuple(out)
+    return group._transporters[key]
 
 
 def _positive_root_system(group: ReductiveGroup, levi) -> Tuple[Tuple[int, ...], ...]:
     datum = group.datum
-    positives = set(datum.positive_root_indices())
+    positives = datum.positive_root_set
     return tuple(datum.roots[i] for i in group.levi_context(levi).root_indices()
                  if i in positives)
 
@@ -100,7 +104,7 @@ def _positive_root_system(group: ReductiveGroup, levi) -> Tuple[Tuple[int, ...],
 def _sends_positively(group: ReductiveGroup, m: Matrix,
                       roots: Sequence[Tuple[int, ...]]) -> bool:
     datum = group.datum
-    positives = set(datum.positive_root_indices())
+    positives = datum.positive_root_set
     for r in roots:
         img = mat_vec(m, r)
         if datum.root_index(img) not in positives:
@@ -114,11 +118,11 @@ def double_coset_reps(group: ReductiveGroup, levi1, levi2) -> Tuple[Matrix, ...]
     representatives of W^rel_{L2} \\ W^rel(L1, L2)."""
     pos1 = _positive_root_system(group, levi1)
     pos2 = _positive_root_system(group, levi2)
-    from .lattice import mat_inverse_int
+    inverse = group.relative.inverse
     out = []
     for m in transporter_set(group, levi1, levi2):
         if _sends_positively(group, m, pos1) and \
-           _sends_positively(group, mat_inverse_int(m), pos2):
+           _sends_positively(group, inverse[m], pos2):
             out.append(m)
     return tuple(out)
 
@@ -130,15 +134,15 @@ def geometric_lemma_index(group: ReductiveGroup, levi1, levi2):
     Returns a list of (matrix, roots of L1 cap w^-1(L2), roots of
     w(L1) cap L2).
     """
-    from .lattice import mat_inverse_int
     datum = group.datum
+    rel = group.relative
     pos1 = _positive_root_system(group, levi1)
     pos2 = _positive_root_system(group, levi2)
     idx1 = set(group.levi_context(levi1).root_indices())
     idx2 = set(group.levi_context(levi2).root_indices())
     out = []
-    for m in group.relative.elements:
-        minv = mat_inverse_int(m)
+    for m in rel.elements:
+        minv = rel.inverse[m]
         if _sends_positively(group, m, pos1) and _sends_positively(group, minv, pos2):
             left = tuple(i for i in sorted(idx1)
                          if datum.root_index(mat_vec(m, datum.roots[i])) in idx2)
@@ -152,8 +156,9 @@ def stabilizer(group: ReductiveGroup, x: Sequence):
     """(full stabilizer of x in W^rel, Levi subset it equals when x is
     dominant, else None)."""
     x = tuple(Fraction(v) for v in x)
-    elems = tuple(m for m in group.relative.elements
-                  if mat_vec(mat_contragredient(m), x) == x)
+    rel = group.relative
+    elems = tuple(m for m in rel.elements
+                  if mat_vec(rel.contragredient[m], x) == x)
     levi = None
     if group.dominant(x):
         levi = group.facet_levi(x)

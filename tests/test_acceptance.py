@@ -149,6 +149,8 @@ def test_criterion_4_chamber_stabilizer_suite():
             assert levi == witness.levi
             assert set(elems) == set(group.levi_weyl_elements(levi))
             checked += 1
+    took = time.time() - started
+    assert took < 20.0, "criterion 4 exceeded its time budget: %.2fs" % took
     _report("criterion 4: chamber/stabilizer", started, "%d points" % checked)
 
 

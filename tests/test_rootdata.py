@@ -8,11 +8,14 @@ from rk import presets
 from rk.lattice import (
     FgaElement,
     mat,
+    mat_contragredient,
     mat_identity,
+    mat_inverse_int,
     mat_mul,
     mat_transpose,
     mat_vec,
     dot,
+    solve_rational,
 )
 from rk.rootdata import (
     BasedRootDatum,
@@ -93,6 +96,46 @@ def test_weyl_reduced_words():
     for m in w.elements:
         word = w.word(m)
         assert w.from_word(word) == m
+
+
+@pytest.mark.parametrize("name", presets.GROUP_NAMES)
+def test_weyl_tables_match_fraction_inverse(name):
+    # oracle: the Fraction Gauss-Jordan inverse of every element
+    g = presets.group(name)
+    for w in (g.weyl, g.relative):
+        assert set(w.inverse) == set(w.contragredient) == set(w.elements)
+        for m in w.elements:
+            inv = w.inverse[m]
+            assert inv == mat_inverse_int(m)
+            assert mat_mul(m, inv) == w.identity
+            assert w.contragredient[m] == mat_contragredient(m)
+        for m in g.relative.elements:
+            assert g.cochar_matrix(m) == mat_contragredient(m)
+
+
+@pytest.mark.parametrize("name", presets.GROUP_NAMES)
+def test_levi_weyl_elements_match_definition(name):
+    # oracle: relative elements fixing the split center pointwise, with the
+    # cocharacter action recomputed by Fraction inversion
+    g = presets.group(name)
+    dual = {m: mat_contragredient(m) for m in g.relative.elements}
+    for subset in g.standard_levi_subsets():
+        basis = g.levi_context(subset).split_center_basis
+        brute = tuple(m for m in g.relative.elements
+                      if all(mat_vec(dual[m], y) == y for y in basis))
+        assert g.levi_weyl_elements(subset) == brute
+
+
+@pytest.mark.parametrize("name", presets.GROUP_NAMES)
+def test_positive_roots_match_sign_solve(name):
+    datum = presets.group(name).datum
+    simples = list(datum.simple_roots)
+    brute = tuple(i for i, r in enumerate(datum.roots)
+                  if all(c >= 0 for c in solve_rational(simples, r)))
+    assert datum.positive_root_indices() == brute
+    assert datum.positive_root_set == frozenset(brute)
+    dual = datum.dual()
+    assert dual.positive_root_indices() == brute
 
 
 def test_relative_trivial_galois_is_full():

@@ -72,6 +72,78 @@ def test_transporter_gl4_22_brute_oracle():
     assert len(mine) == len(brute) == 8
 
 
+def _brute_transporter_scan(g, levi1, levi2):
+    # the span-containment definition, with Fraction inverses and the
+    # elimination above instead of the group's tables and in_span
+    b1 = g.levi_context(levi1).split_center_basis
+    b2 = g.levi_context(levi2).split_center_basis
+    out = []
+    for m in g.relative.elements:
+        image = [mat_vec(mat_contragredient(m), y) for y in b1]
+        if all(_span_contains(image, y) for y in b2):
+            out.append(m)
+    return tuple(out)
+
+
+def _levi_pairs(g):
+    subsets = g.standard_levi_subsets()
+    pairs = list(itertools.product(subsets, subsets))
+    # every pair up to gl4; the brute scan of all pairs takes half a
+    # minute on gl5 and several on gl6, so those get a fixed sample
+    budget = max(4, 2000 // len(g.relative))
+    if len(pairs) > budget:
+        pairs = random.Random(len(pairs)).sample(pairs, budget)
+    return pairs
+
+
+@pytest.mark.parametrize("name", presets.GROUP_NAMES)
+def test_transporter_set_matches_brute_scan(name):
+    g = presets.group(name)
+    for levi1, levi2 in _levi_pairs(g):
+        assert transporter_set(g, levi1, levi2) == \
+            _brute_transporter_scan(g, levi1, levi2)
+
+
+def _cached_values(g):
+    out = {}
+    for l1 in g.standard_levi_subsets():
+        out[("W_L", l1)] = g.levi_weyl_elements(l1)
+        for l2 in g.standard_levi_subsets():
+            out[("T", l1, l2)] = transporter_set(g, l1, l2)
+    return out
+
+
+def test_group_caches_are_per_instance_and_order_free():
+    gl3, u3 = presets.group("gl3"), presets.group("u3")
+    forward = _cached_values(gl3)
+    u3_values = _cached_values(u3)
+    # the other group's calls leave each instance's results alone
+    assert _cached_values(gl3) == forward
+    # both groups have the Levis {} and {0, 1}, with different answers
+    assert gl3.full_subset() == u3.full_subset()
+    for g, values in ((gl3, forward), (u3, u3_values)):
+        full = g.full_subset()
+        assert values[("W_L", full)] == values[("T", full, full)] == \
+            g.relative.elements
+        assert all(set(v) <= set(g.relative.elements) for v in values.values())
+    # a fresh instance filled in the reverse order agrees
+    fresh = presets.group("gl3")
+    for key in reversed(list(forward)):
+        if key[0] == "W_L":
+            assert fresh.levi_weyl_elements(key[1]) == forward[key]
+        else:
+            assert transporter_set(fresh, key[1], key[2]) == forward[key]
+    # repeated calls hand back the cached object; every value is immutable
+    for g in (gl3, u3, fresh):
+        full = g.full_subset()
+        assert g.levi_weyl_elements(full) is g.levi_weyl_elements(full)
+        assert transporter_set(g, full, full) is transporter_set(g, full, full)
+        for value in _cached_values(g).values():
+            assert type(value) is tuple
+            assert all(type(m) is tuple and all(type(row) is tuple for row in m)
+                       for m in value)
+
+
 def test_transporter_torus_to_full_is_everything():
     g = presets.group("gl2")
     assert len(transporter_set(g, frozenset(), g.full_subset())) == 2
