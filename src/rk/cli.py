@@ -44,13 +44,33 @@ def _emit(report: Dict, out: Optional[str]) -> None:
         print(text)
 
 
-def _parse_subset(text: str):
+def _parse_levi(group, text: str, flag: str):
+    """A Levi subset of simple positions ("" or "-" for none, "G" for all),
+    checked to be in range and Galois stable."""
     text = (text or "").strip()
+    full = group.full_subset()
     if text in ("", "-"):
         return frozenset()
     if text.upper() == "G":
-        return None  # caller substitutes the full subset
-    return frozenset(int(x) for x in text.replace(";", ",").split(","))
+        return full
+    try:
+        subset = frozenset(int(x) for x in text.replace(";", ",").split(","))
+    except ValueError:
+        raise ValueError("%s: %r is not a comma-separated list of simple "
+                         "positions" % (flag, text)) from None
+    valid = ("valid positions are 0..%d" % (len(full) - 1) if full
+             else "%s has no simple positions" % group.name)
+    outside = sorted(subset - full)
+    if outside:
+        raise ValueError("%s: simple position %d is out of range; %s"
+                         % (flag, outside[0], valid))
+    for pos in sorted(subset):
+        orbit = group.simple_orbit_of(pos)
+        if not subset.issuperset(orbit):
+            raise ValueError("%s: the subset is not Galois stable: position "
+                             "%d lies in the orbit %s"
+                             % (flag, pos, list(orbit)))
+    return subset
 
 
 def _parse_ints(text: str):
@@ -66,11 +86,9 @@ def _word(group, m):
 
 def cmd_weyl(args) -> Dict:
     group = resolve_group(args.group)
-    levi1 = _parse_subset(args.levi1)
-    levi2 = _parse_subset(args.levi2 if args.levi2 is not None else args.levi1)
-    full = group.full_subset()
-    levi1 = full if levi1 is None else levi1
-    levi2 = full if levi2 is None else levi2
+    levi1 = _parse_levi(group, args.levi1, "--levi1")
+    levi2 = levi1 if args.levi2 is None else \
+        _parse_levi(group, args.levi2, "--levi2")
     if args.kind == "transporter":
         elems = [{"word": _word(group, m), "matrix": [list(r) for r in m]}
                  for m in transporter_set(group, levi1, levi2)]
@@ -96,8 +114,7 @@ def cmd_bset(args) -> Dict:
             from .kottwitz import decode
             b = decode(group, json.load(fh))
     else:
-        levi = _parse_subset(args.levi)
-        levi = group.full_subset() if levi is None else levi
+        levi = _parse_levi(group, args.levi, "--levi")
         ctx = group.levi_context(levi)
         if args.kappa_ambient:
             kappa = ctx.dual_center_characters.element_from_ambient(

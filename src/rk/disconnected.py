@@ -23,7 +23,8 @@ from .lattice import (
     Matrix,
     Vector,
     dot,
-    in_span,
+    kernel_basis,
+    mat,
     mat_identity,
     mat_mul,
     mat_vec,
@@ -84,14 +85,20 @@ class DisconnectedGroupDatum:
         d = self.component
         gens = [reflection_matrix(d.roots[i], d.coroots[i])
                 for i in d.simple_indices]
-        return WeylGroup(gens, d.rank)
+        return WeylGroup(gens, d.rank, d.roots)
 
     def full_weyl(self) -> WeylGroup:
         d = self.component
         gens = [reflection_matrix(d.roots[i], d.coroots[i])
                 for i in d.simple_indices]
         gens += [g for g in self.pi0.elements if g != self.pi0.identity]
-        return WeylGroup(gens, d.rank)
+        # components may act trivially on the roots; the Weyl group fixes
+        # the coroot annihilator, and its component orbit spans it, so the
+        # group acts faithfully on the roots together with that orbit
+        fixed = kernel_basis(mat(d.coroots)) if d.coroots \
+            else mat_identity(d.rank)
+        orbit = {mat_vec(g, v): None for g in self.pi0.elements for v in fixed}
+        return WeylGroup(gens, d.rank, tuple(d.roots) + tuple(orbit))
 
     # -- weights -------------------------------------------------------------
 

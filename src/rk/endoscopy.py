@@ -34,11 +34,11 @@ from .lattice import (
     mat_mul,
     mat_vec,
     solve_integer,
-    solve_rational,
 )
 from .packets import (
     PacketMember,
     _component_stabilizer,
+    _left_orbit,
     build_packet_member,
     canonical_rho,
     dominantize,
@@ -203,6 +203,7 @@ def enumerate_embedded(param: Parameter, levi,
     wh = endo.weyl_h_elements()
     admissible = [w for w in group.weyl.elements
                   if transporter_condition(group, endo, param, w)]
+    mul = group.weyl.mul
     seen = set()
     out = []
     levi_root_set = {group.datum.roots[i]
@@ -210,7 +211,7 @@ def enumerate_embedded(param: Parameter, levi,
     for w in sorted(admissible):
         if w in seen:
             continue
-        orbit = {mat_mul(mat_mul(l, w), h) for l in wl for h in wh}
+        orbit = {mul(mul(l, w), h) for l in wl for h in wh}
         seen |= orbit
         rep = min(orbit)
         emb = _standardize_embedded(param, endo, levi, levi_root_set, rep)
@@ -306,8 +307,9 @@ def _build_param_h(param: Parameter, endo: EndoscopicDatum,
             if r in set(param.positives):
                 pos_h.extend(moved)
     r_words = []
+    mul = endo.group.weyl.mul
     for relt in param.r_generators:
-        moved = mat_mul(mat_mul(h, relt), H.relative.inverse[h])
+        moved = mul(mul(h, relt), H.relative.inverse[h])
         if moved not in H.relative.words:
             raise EndoscopyError("component generator does not descend to "
                                  "the endoscopic group")
@@ -399,7 +401,8 @@ def _jsonable(x):
 def _phi_tag(param_h: Parameter, w: Matrix) -> Tuple:
     """Canonical label of the twisted parameter: twists agree exactly when
     they differ by the centralizer Weyl group on the right."""
-    return min(mat_mul(w, f) for f in param_h.wphi_elements)
+    mul = param_h.group.relative.mul
+    return min(mul(w, f) for f in param_h.wphi_elements)
 
 
 def jacquet_geometric_terms(endo: EndoscopicDatum, emb: EmbeddedDatum,
@@ -459,13 +462,14 @@ def _trace_on_levi_module(param: Parameter, levi, w: Matrix, lam_w: Vector,
             if mat_vec(param.char_action(g), lam_w) == lam_w]
     stab_set = set(stab)
     # left coset representatives of the stabilizer inside the cut components
+    mul = param.group.relative.mul
     reps = []
     covered = set()
     for g in comp:
         if g in covered:
             continue
         reps.append(g)
-        covered |= {mat_mul(g, s) for s in stab_set}
+        covered |= {mul(g, s) for s in stab_set}
     total = Cyclo.zero()
     for g in reps:
         mu = mat_vec(param.char_action(g), lam_w)
@@ -485,17 +489,18 @@ def regular_pairing(param: Parameter, member: PacketMember,
         raise AssertionError("member weight is not integral on its own coset")
     cut = param.levi_cut(member.levi, w)
     sub = set(cut.weyl_elements)
+    mul = param.group.relative.mul
     reps = []
     covered = set()
     for g in param.wphi_elements:
         if g in covered:
             continue
         reps.append(g)
-        covered |= {mat_mul(s, g) for s in sub}
+        covered |= {mul(s, g) for s in sub}
     dim = member.rho_module_label[0]
     total = Cyclo.zero()
     for g in reps:
-        conj = mat_mul(w, g)
+        conj = mul(w, g)
         total = total + _trace_on_levi_module(
             param, member.levi, w, lam_w, dim, conj, endo.s)
     return total
@@ -516,9 +521,9 @@ def indexing_forward(param: Parameter, levi, endo: EndoscopicDatum,
     # the standardized embedding is Int(w_rep) . eta . Int(h_std)^{-1}; its
     # inverse followed by v^{-1} and the de-standardization h^{-1} composes
     # to a map from the Levi center into the parameter center
-    composite = mat_mul(
-        mat_mul(h_inverse[h], h_inverse[v]),
-        mat_mul(emb.h_std, group.weyl.inverse[emb.w_rep]))
+    mul = group.weyl.mul
+    composite = mul(mul(h_inverse[h], h_inverse[v]),
+                    mul(emb.h_std, group.weyl.inverse[emb.w_rep]))
     targets = []
     for cand in transporter_set(group, param.minimal_levi, frozenset(levi)):
         cinv = group.relative.inverse[cand]
@@ -536,7 +541,7 @@ def indexing_forward(param: Parameter, levi, endo: EndoscopicDatum,
 
 
 def _left_coset_rep(group: ReductiveGroup, levi, w: Matrix) -> Matrix:
-    return min(mat_mul(l, w) for l in group.levi_weyl_elements(frozenset(levi)))
+    return min(_left_orbit(group, frozenset(levi), w))
 
 
 def indexing_backward(param: Parameter, levi, endo: EndoscopicDatum,
@@ -551,14 +556,16 @@ def indexing_backward(param: Parameter, levi, endo: EndoscopicDatum,
     levi = frozenset(levi)
     levi_root_set = {group.datum.roots[i]
                      for i in group.levi_context(levi).root_indices()}
-    u = mat_mul(w, H.relative.inverse[h])
+    # w and h^-1 lie in W^rel and W^rel_H, both inside the absolute W
+    mul = group.weyl.mul
+    u = mul(w, H.relative.inverse[h])
     if not transporter_condition(group, endo, param, u):
         raise AssertionError("backward twist fails the Galois condition")
     cut_roots = {r for r in endo.h_root_set
                  if mat_vec(u, r) in levi_root_set}
     wl = _full_levi_weyl(group, levi)
     wh = endo.weyl_h_elements()
-    u_orbit = {mat_mul(mat_mul(l, u), x) for l in wl for x in wh}
+    u_orbit = {mul(mul(l, u), x) for l in wl for x in wh}
     target_emb = None
     for emb in embedded:
         if emb.w_rep in u_orbit:
@@ -735,12 +742,14 @@ def eci_both_sides(param: Parameter, b: BElement,
 
 def _verify_counting(param: Parameter, levi) -> None:
     group = param.group
-    left = group.levi_weyl_elements(frozenset(levi))
-    for w in transporter_set(group, param.minimal_levi, frozenset(levi)):
-        orbit = {mat_mul(mat_mul(l, w), f)
-                 for l in left for f in param.wphi_elements}
-        cosets = {frozenset(mat_mul(x, f) for f in param.wphi_elements)
+    levi = frozenset(levi)
+    mul = group.relative.mul
+    left = group.levi_weyl_elements(levi)
+    for w in transporter_set(group, param.minimal_levi, levi):
+        orbit = {mul(lw, f) for lw in _left_orbit(group, levi, w)
+                 for f in param.wphi_elements}
+        cosets = {frozenset(mul(x, f) for f in param.wphi_elements)
                   for x in orbit}
-        cut = param.levi_cut(frozenset(levi), w)
+        cut = param.levi_cut(levi, w)
         if len(cosets) * len(cut.weyl_elements) != len(left):
             raise AssertionError("coset counting identity fails")

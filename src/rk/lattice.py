@@ -176,10 +176,6 @@ def in_span(basis: Sequence[Sequence], v: Sequence) -> bool:
     return solve_rational(basis, v) is not None
 
 
-def span_contains_span(big: Sequence[Sequence], small: Sequence[Sequence]) -> bool:
-    return all(in_span(big, v) for v in small)
-
-
 # ---------------------------------------------------------------------------
 # IntegerMatrix
 
@@ -222,9 +218,6 @@ class IntegerMatrix:
         if self.rows != self.cols:
             raise ValueError("determinant of a non-square matrix")
         return mat_det(self.entries)
-
-    def is_unimodular(self) -> bool:
-        return self.rows == self.cols and abs(self.det()) == 1
 
     def diagonal(self) -> Vector:
         return tuple(self.entries[i][i] for i in range(min(self.rows, self.cols)))

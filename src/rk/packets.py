@@ -15,16 +15,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, FrozenSet, Optional, Tuple
 
-from .disconnected import (
-    DisconnectedGroupDatum,
-    HighestWeightPair,
-    natural_quotient_rep,
-    stabilizer_A_lambda,
-)
+from .disconnected import HighestWeightPair
 from .finite_reps import FiniteGroup, Module, simple_modules
 from .kottwitz import BElement, WallRejection, basic_plus_lift, encode, kappa_push
 from .lattice import (
-    FgaElement,
     Matrix,
     Vector,
     dot,
@@ -35,11 +29,10 @@ from .lattice import (
     mat_mul,
     mat_transpose,
     mat_vec,
-    solve_integer,
     solve_rational,
-    vsub,
 )
 from .params import Parameter
+from .rootdata import ReductiveGroup
 from .weyl import chamber_locate
 
 
@@ -182,11 +175,16 @@ def _derived_intersection(param: Parameter, cut) -> Tuple[Vector, ...]:
     return kernel_basis(mat(stacked))
 
 
+def _left_orbit(group: ReductiveGroup, levi, w: Matrix) -> Tuple[Matrix, ...]:
+    """W^rel_L . w, as products in the relative Weyl group."""
+    mul = group.relative.mul
+    return tuple(mul(l, w) for l in group.levi_weyl_elements(levi))
+
+
 def _canonical_double_coset(param: Parameter, levi, w: Matrix) -> Matrix:
-    group = param.group
-    left = group.levi_weyl_elements(levi)
-    return min(mat_mul(mat_mul(l, w), f)
-               for l in left for f in param.wphi_elements)
+    mul = param.group.relative.mul
+    return min(mul(lw, f) for lw in _left_orbit(param.group, levi, w)
+               for f in param.wphi_elements)
 
 
 # ---------------------------------------------------------------------------
@@ -197,21 +195,21 @@ def transporter_double_cosets(param: Parameter, levi) -> Tuple[Matrix, ...]:
     from .weyl import transporter_set
     group = param.group
     trans = transporter_set(group, param.minimal_levi, levi)
+    mul = group.relative.mul
     # right stability under W_phi (the transporter is stable by construction)
     tset = set(trans)
     for t in trans:
         for f in param.wphi_elements:
-            if mat_mul(t, f) not in tset:
+            if mul(t, f) not in tset:
                 raise AssertionError("transporter set is not right-stable "
                                      "under W_phi")
-    left = group.levi_weyl_elements(levi)
     seen = set()
     reps = []
     for t in trans:
         if t in seen:
             continue
-        orbit = {mat_mul(mat_mul(l, t), f)
-                 for l in left for f in param.wphi_elements}
+        orbit = {mul(lt, f) for lt in _left_orbit(group, levi, t)
+                 for f in param.wphi_elements}
         seen |= orbit
         reps.append(min(orbit))
     return tuple(sorted(reps))

@@ -50,6 +50,18 @@ def _is_reflection(d: Matrix) -> bool:
     return len(kernel_basis(mat_transpose(mat(diff)))) == n - 1
 
 
+def _simple_positions(roots: Sequence[Vector],
+                      positives: Sequence[Vector]) -> Tuple[int, ...]:
+    """Indices (into roots) of the indecomposable positives."""
+    pos = set(positives)
+    simple = []
+    for p in positives:
+        if not any(tuple(a - b for a, b in zip(p, q)) in pos
+                   for q in pos if q != p):
+            simple.append(roots.index(p))
+    return tuple(simple)
+
+
 class Parameter:
     """Validated parameter datum with its centralizer machinery."""
 
@@ -105,7 +117,8 @@ class Parameter:
         ordered = self.roots
         self.s_datum = BasedRootDatum(
             self.dim, ordered, tuple(self.coroots[r] for r in ordered),
-            self._simple_positions(), (label or "sphi") + ":S")
+            _simple_positions(ordered, self.positives),
+            (label or "sphi") + ":S")
 
         # component group from relative-Weyl words
         rel = group.relative
@@ -227,18 +240,6 @@ class Parameter:
             cor.append(int(c))
         return m, tuple(cor)
 
-    def _simple_positions(self) -> Tuple[int, ...]:
-        """Indices (into self.roots) of the indecomposable positives."""
-        pos = set(self.positives)
-        simple = []
-        for p in self.positives:
-            decomposable = any(
-                tuple(a - b for a, b in zip(p, q)) in pos
-                for q in pos if q != p)
-            if not decomposable:
-                simple.append(self.roots.index(p))
-        return tuple(simple)
-
     def _soft_minimality_check(self) -> None:
         k = self.dim
         for subset in self.group.standard_levi_subsets():
@@ -253,9 +254,9 @@ class Parameter:
     def r_component(self, g: Matrix) -> Matrix:
         """The R_phi part of an element of W_phi (unique decomposition)."""
         o = set(self.wphi_o_elements)
-        inverse = self.group.relative.inverse
+        rel = self.group.relative
         for r in self.r_elements:
-            if mat_mul(g, inverse[r]) in o:
+            if rel.mul(g, rel.inverse[r]) in o:
                 return r
         raise ParameterError("element is not in W_phi")
 
@@ -263,12 +264,6 @@ class Parameter:
         """pi0 of the centralizer as a matrix group on the center characters."""
         mats = tuple(sorted({self.char_action(r) for r in self.r_elements}))
         return FiniteGroup(mats, mat_mul, mat_identity(self.dim))
-
-    def s_group_datum(self) -> DisconnectedGroupDatum:
-        """The full centralizer as a disconnected group datum."""
-        gens = tuple(self.char_action(r) for r in self.r_generators)
-        return DisconnectedGroupDatum(self.s_datum, gens,
-                                      name=(self.label or "sphi"))
 
     def is_dominant(self, lam: Sequence[int]) -> bool:
         return all(dot(lam, self.coroots[p]) >= 0 for p in self.positives)
@@ -319,10 +314,11 @@ class LeviCut:
                            if all(dot(r, c) == 0 for c in coords))
         self.positives = tuple(p for p in param.positives if p in set(self.roots))
         rel_levi = set(group.levi_weyl_elements(levi))
+        mul = group.relative.mul
         self.w_inv = group.relative.inverse[self.w]
         self.weyl_elements = tuple(
             g for g in param.wphi_elements
-            if mat_mul(mat_mul(self.w, g), self.w_inv) in rel_levi)
+            if mul(mul(self.w, g), self.w_inv) in rel_levi)
         pos_set = set(self.positives)
         comp = []
         for g in self.weyl_elements:
@@ -349,22 +345,8 @@ class LeviCut:
         datum = BasedRootDatum(
             param.dim, ordered,
             tuple(param.coroots[r] for r in ordered),
-            self._simple_positions(),
+            _simple_positions(ordered, self.positives),
             "%s|levi%s" % (param.label or "sphi", sorted(self.levi)))
         gens = tuple(param.char_action(g) for g in self.component_elements
                      if g != param.group.relative.identity)
         return DisconnectedGroupDatum(datum, gens)
-
-    def _simple_positions(self) -> Tuple[int, ...]:
-        pos = set(self.positives)
-        simple = []
-        for p in self.positives:
-            if not any(tuple(a - b for a, b in zip(p, q)) in pos
-                       for q in pos if q != p):
-                simple.append(self.roots.index(p))
-        return tuple(simple)
-
-    def component_projection(self, g: Matrix) -> Matrix:
-        """Project an element of the cut's Weyl group to its component part
-        inside the ambient component group R_phi."""
-        return self.param.r_component(g)

@@ -50,7 +50,7 @@ def _pgl2_datum() -> BasedRootDatum:
 
 def _datum_from_simples(rank, simple_roots, simple_coroots, name) -> BasedRootDatum:
     """Close the simple roots under their reflections to build the full list."""
-    from .lattice import mat_vec, vsub, dot as _dot
+    from .lattice import vsub, dot as _dot
     pairs = {tuple(r): tuple(c) for r, c in zip(simple_roots, simple_coroots)}
     frontier = list(pairs)
     while frontier:

@@ -35,25 +35,21 @@ from .lattice import (
     LatticeAction,
     Matrix,
     Vector,
-    closure,
     coinvariants,
     dot,
     in_span,
     invariants_saturated,
-    is_saturated,
     kernel_basis,
     mat,
     mat_contragredient,
     mat_identity,
     mat_inverse,
-    mat_inverse_int,
     mat_mul,
     mat_transpose,
     mat_vec,
     solve_integer,
     solve_rational,
     vadd,
-    vneg,
     vsub,
 )
 
@@ -257,38 +253,67 @@ def dual_datum(datum: BasedRootDatum, action: GaloisAction):
 
 
 class WeylGroup:
-    """A finite matrix group with one reduced word per element.
+    """A finite matrix group interned by its permutation of the roots, with
+    one reduced word per element.
 
-    `inverse[m]` and `contragredient[m]` (the action on the dual lattice)
-    are tabulated for every element at construction.
+    Elements are matrices on the character lattice; `perm[m]` sends index
+    i to the index of m(roots[i]).  The group must permute `roots` and act
+    on them faithfully.  Every group of Weyl elements of a datum does so
+    on its roots: an element fixing every root also fixes the annihilator
+    of the coroots, and the two span the lattice.  The closure composes
+    generator permutations and multiplies matrices only for new elements.
+    `mul` composes two permutations and looks the product up; `inverse[m]`
+    and `contragredient[m]` (the action on the dual lattice) are tabulated.
     """
 
     def __init__(self, generators: Sequence[Matrix], rank: int,
-                 cap: int = DEFAULT_CLOSURE_CAP):
+                 roots: Sequence[Vector], cap: int = DEFAULT_CLOSURE_CAP):
         self.rank = rank
         self.generators = tuple(generators)
-        if self.generators:
-            order, words = closure(self.generators, cap)
-        else:
-            order, words = [mat_identity(rank)], {mat_identity(rank): ()}
-        self.elements: Tuple[Matrix, ...] = tuple(sorted(order))
-        self.words: Dict[Matrix, Tuple[int, ...]] = words
         self.identity: Matrix = mat_identity(rank)
-        # inv(g.s) = s^-1.inv(g) along the closure order, which lists every
-        # element after the prefix of its word; tabulated matrices that are
-        # elements share the element's object
-        gen_inv = [mat_inverse_int(s) for s in self.generators]
-        by_word = {w: m for m, w in words.items()}
-        canonical = {m: m for m in order}
+        index = {tuple(r): i for i, r in enumerate(roots)}
+        try:
+            gen_perms = [tuple(index[mat_vec(s, r)] for r in roots)
+                         for s in self.generators]
+        except KeyError:
+            raise DatumError("Weyl generator does not permute the roots") \
+                from None
+        # breadth-first, so every element comes after the prefix of its word
+        # and words come out reduced
+        self.perm: Dict[Matrix, Tuple[int, ...]] = {
+            self.identity: tuple(range(len(roots)))}
+        self._by_perm: Dict[Tuple[int, ...], Matrix] = {
+            p: m for m, p in self.perm.items()}
+        self.words: Dict[Matrix, Tuple[int, ...]] = {self.identity: ()}
+        frontier = [self.identity]
+        while frontier:
+            new = []
+            for g in frontier:
+                pg = self.perm[g]
+                for i, (s, ps) in enumerate(zip(self.generators, gen_perms)):
+                    p = tuple([pg[j] for j in ps])
+                    if p not in self._by_perm:
+                        h = mat_mul(g, s)
+                        self.perm[h] = p
+                        self._by_perm[p] = h
+                        self.words[h] = self.words[g] + (i,)
+                        new.append(h)
+                        if len(self.words) > cap:
+                            raise ValueError("group closure exceeded cap of "
+                                             "%d elements" % cap)
+            frontier = new
+        self.elements: Tuple[Matrix, ...] = tuple(sorted(self.words))
         self.inverse: Dict[Matrix, Matrix] = {}
-        for m in order:
-            w = words[m]
-            self.inverse[m] = canonical[mat_mul(
-                gen_inv[w[-1]], self.inverse[by_word[w[:-1]]])] if w else m
         self.contragredient: Dict[Matrix, Matrix] = {}
-        for m, inv in self.inverse.items():
-            dual = mat_transpose(inv)
-            self.contragredient[m] = canonical.get(dual, dual)
+        for m, p in self.perm.items():
+            q = [0] * len(p)
+            for i, j in enumerate(p):
+                q[j] = i
+            self.inverse[m] = self._by_perm[tuple(q)]
+            # tabulated matrices that are elements share the element's object
+            dual = mat_transpose(self.inverse[m])
+            self.contragredient[m] = self._by_perm[self.perm[dual]] \
+                if dual in self.perm else dual
 
     def __len__(self):
         return len(self.elements)
@@ -296,13 +321,18 @@ class WeylGroup:
     def __contains__(self, m: Matrix):
         return m in self.words
 
+    def mul(self, a: Matrix, b: Matrix) -> Matrix:
+        """The product a.b of two elements, as a lookup."""
+        pa, pb = self.perm[a], self.perm[b]
+        return self._by_perm[tuple([pa[j] for j in pb])]
+
     def word(self, m: Matrix) -> Tuple[int, ...]:
         return self.words[m]
 
     def from_word(self, word: Sequence[int]) -> Matrix:
         m = self.identity
         for i in word:
-            m = mat_mul(m, self.generators[i])
+            m = self.mul(m, self.generators[i])
         return m
 
     def subgroup(self, predicate) -> Tuple[Matrix, ...]:
@@ -405,8 +435,6 @@ class LeviContext:
         Torsion coordinates are normalized to zero (they are not
         determined by a functional).
         """
-        cols = mat_transpose(mat(self.dual_split_center_basis)) \
-            if self.dim else mat([[ ] for _ in range(0)])
         if self.dim:
             v = solve_integer(mat(self.dual_split_center_basis), tuple(f))
         else:
@@ -456,7 +484,7 @@ class ReductiveGroup:
         if self._weyl is None:
             gens = [reflection_matrix(self.datum.roots[i], self.datum.coroots[i])
                     for i in self.datum.simple_indices]
-            self._weyl = WeylGroup(gens, self.datum.rank)
+            self._weyl = WeylGroup(gens, self.datum.rank, self.datum.roots)
         return self._weyl
 
     # -- Galois orbit structure on simple positions -------------------------
@@ -506,9 +534,9 @@ class ReductiveGroup:
                 gens = [reflection_matrix(self.datum.simple_roots[p],
                                           self.datum.simple_coroots[p])
                         for p in orb]
-                sub = WeylGroup(gens, self.datum.rank)
+                sub = WeylGroup(gens, self.datum.rank, self.datum.roots)
                 longest = max(sub.elements, key=lambda m: (len(sub.word(m)), m))
-                if mat_mul(longest, longest) != sub.identity:
+                if sub.mul(longest, longest) != sub.identity:
                     raise AssertionError("longest element of an orbit "
                                          "parabolic must be an involution")
                 out.append(longest)
@@ -520,7 +548,8 @@ class ReductiveGroup:
         """W^rel = Gamma-fixed Weyl elements, generated by the restricted
         simple reflections (verified against the brute-force fixed set)."""
         if self._relative is None:
-            rel = WeylGroup(self.restricted_reflections, self.datum.rank)
+            rel = WeylGroup(self.restricted_reflections, self.datum.rank,
+                            self.datum.roots)
             fixed = set(self.weyl.subgroup(self._commutes_with_galois))
             if set(rel.elements) != fixed:
                 raise AssertionError("restricted reflections do not generate "
@@ -612,7 +641,7 @@ def weyl_group(datum: BasedRootDatum) -> WeylGroup:
     word each."""
     gens = [reflection_matrix(datum.roots[i], datum.coroots[i])
             for i in datum.simple_indices]
-    return WeylGroup(gens, datum.rank)
+    return WeylGroup(gens, datum.rank, datum.roots)
 
 
 def relative_weyl(group: ReductiveGroup) -> WeylGroup:

@@ -17,7 +17,7 @@ from .lattice import (
     Matrix,
     dot,
     in_span,
-    mat_mul,
+    mat_mul,  # noqa: F401 -- perfbench's self-test reads rk.weyl.mat_mul
     mat_vec,
 )
 from .rootdata import ReductiveGroup
@@ -60,7 +60,7 @@ def chamber_locate(group: ReductiveGroup, x: Sequence) -> ChamberWitness:
             break
         r = refl[violated]
         current = mat_vec(rel.contragredient[r], current)
-        matrix = mat_mul(r, matrix)
+        matrix = rel.mul(r, matrix)
         word = (violated,) + word
         if len(word) > 4 * len(rel.elements):
             raise AssertionError("chamber ascent failed to terminate")
@@ -94,22 +94,17 @@ def transporter_set(group: ReductiveGroup, levi1, levi2) -> Tuple[Matrix, ...]:
     return group._transporters[key]
 
 
-def _positive_root_system(group: ReductiveGroup, levi) -> Tuple[Tuple[int, ...], ...]:
-    datum = group.datum
-    positives = datum.positive_root_set
-    return tuple(datum.roots[i] for i in group.levi_context(levi).root_indices()
+def _positive_root_system(group: ReductiveGroup, levi) -> Tuple[int, ...]:
+    positives = group.datum.positive_root_set
+    return tuple(i for i in group.levi_context(levi).root_indices()
                  if i in positives)
 
 
 def _sends_positively(group: ReductiveGroup, m: Matrix,
-                      roots: Sequence[Tuple[int, ...]]) -> bool:
-    datum = group.datum
-    positives = datum.positive_root_set
-    for r in roots:
-        img = mat_vec(m, r)
-        if datum.root_index(img) not in positives:
-            return False
-    return True
+                      roots: Sequence[int]) -> bool:
+    perm = group.relative.perm[m]
+    positives = group.datum.positive_root_set
+    return all(perm[i] in positives for i in roots)
 
 
 def double_coset_reps(group: ReductiveGroup, levi1, levi2) -> Tuple[Matrix, ...]:
@@ -134,7 +129,6 @@ def geometric_lemma_index(group: ReductiveGroup, levi1, levi2):
     Returns a list of (matrix, roots of L1 cap w^-1(L2), roots of
     w(L1) cap L2).
     """
-    datum = group.datum
     rel = group.relative
     pos1 = _positive_root_system(group, levi1)
     pos2 = _positive_root_system(group, levi2)
@@ -144,10 +138,8 @@ def geometric_lemma_index(group: ReductiveGroup, levi1, levi2):
     for m in rel.elements:
         minv = rel.inverse[m]
         if _sends_positively(group, m, pos1) and _sends_positively(group, minv, pos2):
-            left = tuple(i for i in sorted(idx1)
-                         if datum.root_index(mat_vec(m, datum.roots[i])) in idx2)
-            right = tuple(i for i in sorted(idx2)
-                          if datum.root_index(mat_vec(minv, datum.roots[i])) in idx1)
+            left = tuple(i for i in sorted(idx1) if rel.perm[m][i] in idx2)
+            right = tuple(i for i in sorted(idx2) if rel.perm[minv][i] in idx1)
             out.append((m, left, right))
     return tuple(out)
 
@@ -157,8 +149,13 @@ def stabilizer(group: ReductiveGroup, x: Sequence):
     dominant, else None)."""
     x = tuple(Fraction(v) for v in x)
     rel = group.relative
+    datum = group.datum
+    # w.x - x lies in the coroot span, where the simple roots pair
+    # non-degenerately: w fixes x iff <w(a), x> = <a, x> for every simple a
+    pairing = [dot(r, x) for r in datum.roots]
+    simple = datum.simple_indices
     elems = tuple(m for m in rel.elements
-                  if mat_vec(rel.contragredient[m], x) == x)
+                  if all(pairing[rel.perm[m][i]] == pairing[i] for i in simple))
     levi = None
     if group.dominant(x):
         levi = group.facet_levi(x)

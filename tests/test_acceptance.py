@@ -116,7 +116,7 @@ def test_criterion_3_bijectivity_suite():
         assert rep["pass"], (name, rep)
         total_pairs += rep["pairs"]
     took = time.time() - started
-    assert took < 10.0, "criterion 3 exceeded its time budget: %.2fs" % took
+    assert took < 3.0, "criterion 3 exceeded its time budget: %.2fs" % took
     _report("criterion 3: bijectivity suite", started,
             "%d pairs" % total_pairs)
 
@@ -150,7 +150,7 @@ def test_criterion_4_chamber_stabilizer_suite():
             assert set(elems) == set(group.levi_weyl_elements(levi))
             checked += 1
     took = time.time() - started
-    assert took < 20.0, "criterion 4 exceeded its time budget: %.2fs" % took
+    assert took < 10.0, "criterion 4 exceeded its time budget: %.2fs" % took
     _report("criterion 4: chamber/stabilizer", started, "%d points" % checked)
 
 

@@ -22,7 +22,7 @@ from rk.disconnected import (
     weight_multiplicities,
     weyl_dimension,
 )
-from rk.lattice import mat, mat_vec
+from rk.lattice import closure, mat, mat_vec
 from rk.rootdata import DatumError
 
 
@@ -49,6 +49,15 @@ def test_pi0_split_connected():
 def test_pi0_split_swap():
     _wc, _comp, report = pi0_weyl_split(SWAP)
     assert report["connected_order"] == 1 and report["component_order"] == 2
+
+
+@pytest.mark.parametrize("name", presets.DISCONNECTED_NAMES)
+def test_full_weyl_matches_matrix_closure(name):
+    # the components may act trivially on the roots (o2 has none); oracle:
+    # the matrix-keyed closure of the same generators
+    w = presets.disconnected(name).full_weyl()
+    words = closure(w.generators)[1] if w.generators else {w.identity: ()}
+    assert w.words == words
 
 
 def test_pi0_rejects_base_breaking():

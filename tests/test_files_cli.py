@@ -187,3 +187,25 @@ def test_cli_group_from_file(tmp_path):
     data = _json_out(_run("weyl", "--group", str(path), "--levi1", "0",
                           "--kind", "double-coset"))
     assert data["count"] >= 1
+
+
+@pytest.mark.parametrize("argv,message", [
+    (("weyl", "--group", "gl4", "--levi1", "9", "--kind", "transporter"),
+     "--levi1: simple position 9 is out of range; valid positions are 0..2"),
+    (("weyl", "--group", "gl4", "--levi1", "0", "--levi2", "-1"),
+     "--levi2: simple position -1 is out of range; valid positions are 0..2"),
+    (("weyl", "--group", "u3", "--levi1", "0"),
+     "--levi1: the subset is not Galois stable: position 0 lies in the "
+     "orbit [0, 1]"),
+    (("bset", "--group", "gl1", "--levi", "0", "--kappa", "1"),
+     "--levi: simple position 0 is out of range; gl1 has no simple "
+     "positions"),
+    (("bset", "--group", "gl2", "--levi", "0,x", "--kappa", "1"),
+     "--levi: '0,x' is not a comma-separated list of simple positions"),
+], ids=["out-of-range", "negative", "not-galois-stable", "no-simple-roots",
+        "not-integers"])
+def test_cli_rejects_bad_levi(argv, message):
+    proc = _run(*argv)
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert proc.stderr == "error: %s\n" % message

@@ -1,5 +1,7 @@
 """Based root data, duality, Weyl groups, relative structure, Levi data."""
 
+import itertools
+import random
 from fractions import Fraction
 
 import pytest
@@ -7,6 +9,7 @@ import pytest
 from rk import presets
 from rk.lattice import (
     FgaElement,
+    closure,
     mat,
     mat_contragredient,
     mat_identity,
@@ -22,6 +25,7 @@ from rk.rootdata import (
     DatumError,
     GaloisAction,
     ReductiveGroup,
+    WeylGroup,
     dual_datum,
     levi_data,
     relative_weyl,
@@ -111,6 +115,46 @@ def test_weyl_tables_match_fraction_inverse(name):
             assert w.contragredient[m] == mat_contragredient(m)
         for m in g.relative.elements:
             assert g.cochar_matrix(m) == mat_contragredient(m)
+
+
+@pytest.mark.parametrize("name", presets.GROUP_NAMES)
+def test_weyl_mul_matches_mat_mul(name):
+    # oracle: the matrix product, on every pair (a seeded sample for gl6)
+    g = presets.group(name)
+    for w in (g.weyl, g.relative):
+        pairs = list(itertools.product(w.elements, repeat=2))
+        if len(pairs) > 20000:
+            pairs = random.Random(len(pairs)).sample(pairs, 3000)
+        for a, b in pairs:
+            assert w.mul(a, b) == mat_mul(a, b)
+
+
+@pytest.mark.parametrize("name", presets.GROUP_NAMES)
+def test_weyl_permutations_are_root_images(name):
+    g = presets.group(name)
+    d = g.datum
+    for w in (g.weyl, g.relative):
+        assert set(w.perm) == set(w.elements)
+        for m in w.elements:
+            assert w.perm[m] == tuple(d.root_index(mat_vec(m, r))
+                                      for r in d.roots)
+
+
+@pytest.mark.parametrize("name", presets.GROUP_NAMES)
+def test_weyl_closure_matches_matrix_closure(name):
+    # oracle: the matrix-keyed breadth-first closure, which fixes both the
+    # elements and the reduced words the reports print
+    g = presets.group(name)
+    for w in (g.weyl, g.relative):
+        words = closure(w.generators)[1] if w.generators else {w.identity: ()}
+        assert w.words == words
+        assert all(w.from_word(word) == m for m, word in words.items())
+
+
+def test_weyl_group_rejects_generator_off_the_roots():
+    roots = presets.group("gl2").datum.roots
+    with pytest.raises(DatumError):
+        WeylGroup([((2, 0), (0, 1))], 2, roots)
 
 
 @pytest.mark.parametrize("name", presets.GROUP_NAMES)

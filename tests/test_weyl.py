@@ -323,3 +323,23 @@ def test_stabilizer_matches_facet_levi():
             elems, levi = stabilizer(g, w.image)
             assert levi == w.levi
             assert set(elems) == set(g.levi_weyl_elements(levi))
+
+
+@pytest.mark.parametrize("name", presets.GROUP_NAMES)
+def test_stabilizer_matches_contragredient_scan(name):
+    # oracle: w.x == x under the Fraction contragredient, on seeded random
+    # relative points with small coordinates (so stabilizers are often
+    # nontrivial), both as drawn and moved into the dominant chamber
+    g = presets.group(name)
+    dual = {m: mat_contragredient(m) for m in g.relative.elements}
+    rng = random.Random(len(name))
+    basis = g.fixed_cochar_basis
+    for _ in range(6):
+        x = tuple(Fraction(0) for _ in range(g.datum.rank))
+        for y in basis:
+            c = Fraction(rng.randint(-2, 2), rng.choice((1, 2)))
+            x = tuple(p + c * v for p, v in zip(x, y))
+        for point in (x, chamber_locate(g, x).image):
+            brute = tuple(m for m in g.relative.elements
+                          if mat_vec(dual[m], point) == point)
+            assert stabilizer(g, point)[0] == brute
