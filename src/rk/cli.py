@@ -73,6 +73,37 @@ def _parse_levi(group, text: str, flag: str):
     return subset
 
 
+def _parse_rho(param, text: str):
+    """A (weight, module) pair from "l1,...,ln[:k]": a dominant weight with
+    one entry per parameter-center coordinate, and the index k (default 0)
+    of a simple module of its component stabilizer."""
+    from .disconnected import HighestWeightPair
+    from .finite_reps import simple_modules
+    from .packets import _component_stabilizer
+    weight_text, colon, pick_text = text.partition(":")
+    try:
+        weight = _parse_ints(weight_text)
+    except ValueError:
+        raise ValueError("--rho: %r is not a comma-separated list of %d "
+                         "integers" % (weight_text, param.dim)) from None
+    if len(weight) != param.dim:
+        raise ValueError("--rho: the weight needs %d entries, got %d"
+                         % (param.dim, len(weight)))
+    if not param.is_dominant(weight):
+        raise ValueError("--rho: the weight %s is not dominant"
+                         % ",".join(map(str, weight)))
+    mods = simple_modules(_component_stabilizer(param, weight))
+    try:
+        pick = int(pick_text) if colon else 0
+    except ValueError:
+        raise ValueError("--rho: module index %r is not an integer"
+                         % pick_text) from None
+    if not 0 <= pick < len(mods):
+        raise ValueError("--rho: module index %d is out of range; valid "
+                         "indices are 0..%d" % (pick, len(mods) - 1))
+    return HighestWeightPair(weight, mods[pick])
+
+
 def _parse_ints(text: str):
     text = (text or "").strip()
     if not text:
@@ -164,20 +195,13 @@ def _member_report(param, member) -> Dict:
 
 
 def cmd_packet(args) -> Dict:
-    from .disconnected import HighestWeightPair
-    from .finite_reps import simple_modules
-    from .packets import (_component_stabilizer, build_packet_member,
-                          enumerate_fiber, enumerate_rhos, round_trip_check)
+    from .packets import (build_packet_member, enumerate_fiber,
+                          enumerate_rhos, round_trip_check)
     param = resolve_parameter(args.param)
     report: Dict = {"command": "packet", "group": param.group.name,
                     "param": param.label}
     if args.rho:
-        parts = args.rho.split(":")
-        weight = _parse_ints(parts[0])
-        pick = int(parts[1]) if len(parts) > 1 else 0
-        mods = simple_modules(_component_stabilizer(param, weight))
-        member = build_packet_member(
-            param, HighestWeightPair(weight, mods[pick]))
+        member = build_packet_member(param, _parse_rho(param, args.rho))
         report["member"] = _member_report(param, member)
         if args.fiber:
             fiber = enumerate_fiber(param, member.b)
@@ -197,10 +221,8 @@ def cmd_packet(args) -> Dict:
 
 
 def cmd_eci(args) -> Dict:
-    from .disconnected import HighestWeightPair
-    from .finite_reps import simple_modules
     from .endoscopy import eci_both_sides, indexing_bijection_check
-    from .packets import _component_stabilizer, build_packet_member
+    from .packets import build_packet_member
     param = resolve_parameter(args.param)
     endo = resolve_endoscopy(args.endo)
     if args.b:
@@ -208,13 +230,8 @@ def cmd_eci(args) -> Dict:
             from .kottwitz import decode
             b = decode(param.group, json.load(fh))
     else:
-        rho_text = args.rho or "1,0"
-        parts = rho_text.split(":")
-        weight = _parse_ints(parts[0])
-        pick = int(parts[1]) if len(parts) > 1 else 0
-        mods = simple_modules(_component_stabilizer(param, weight))
-        b = build_packet_member(
-            param, HighestWeightPair(weight, mods[pick])).b
+        b = build_packet_member(param,
+                                _parse_rho(param, args.rho or "1,0")).b
     result = eci_both_sides(param, b, endo)
     indexing = indexing_bijection_check(param, b.levi, endo)
     if not result["equal"]:

@@ -421,7 +421,14 @@ def closure(generators: Sequence[Matrix], cap: int = DEFAULT_CLOSURE_CAP):
 
 @dataclass(frozen=True)
 class LatticeAction:
-    """A finite group acting on Z^rank by unimodular matrices."""
+    """A finite group acting on Z^rank by unimodular matrices.
+
+    Finiteness is certified through the orbits of the standard basis
+    vectors: G in GL_n(Z) is finite iff every orbit G.e_i is finite (G
+    embeds in the product of the permutation groups of the orbits), so an
+    orbit longer than the cap rejects the action.  The elements are
+    closed lazily, once.
+    """
 
     generators: Tuple[Matrix, ...]
     cap: int = DEFAULT_CLOSURE_CAP
@@ -432,17 +439,35 @@ class LatticeAction:
                 raise ValueError("action matrices must be square of equal size")
             if abs(mat_det(g)) != 1:
                 raise ValueError("action matrices must have determinant +/-1")
-        self.elements()  # force finiteness check
+        for e in mat_identity(self.rank):
+            orbit = {e}
+            frontier = [e]
+            while frontier:
+                new = []
+                for v in frontier:
+                    for g in self.generators:
+                        img = mat_vec(g, v)
+                        if img not in orbit:
+                            orbit.add(img)
+                            new.append(img)
+                            if len(orbit) > self.cap:
+                                raise ValueError(
+                                    "orbit of a basis vector exceeded cap of "
+                                    "%d; the group is infinite or too large"
+                                    % self.cap)
+                frontier = new
+        object.__setattr__(self, "_elements", None)
 
     @property
     def rank(self) -> int:
         return len(self.generators[0]) if self.generators else 0
 
     def elements(self) -> Tuple[Matrix, ...]:
-        if not self.generators:
-            return ()
-        order, _ = closure(self.generators, self.cap)
-        return tuple(order)
+        if self._elements is None:
+            order = closure(self.generators, self.cap)[0] \
+                if self.generators else ()
+            object.__setattr__(self, "_elements", tuple(order))
+        return self._elements
 
     def dual(self) -> "LatticeAction":
         """The contragredient action on the dual lattice."""

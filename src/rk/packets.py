@@ -22,8 +22,6 @@ from .lattice import (
     Matrix,
     Vector,
     dot,
-    kernel_basis,
-    mat,
     mat_identity,
     mat_inverse_int,
     mat_mul,
@@ -137,11 +135,7 @@ def _certify_descent(param: Parameter, cut, lam: Vector,
             raise DescentError("weight pairs nontrivially with a Levi-cut "
                                "root; the Levi representation is not a "
                                "character")
-    kill = _derived_intersection(param, cut)
-    for v in kill:
-        sol = solve_rational(cut.twisted_center_basis, v)
-        if sol is None:
-            raise AssertionError("intersection vector escaped the center")
+    for sol in cut.descent_coords():
         if sum(Fraction(lam[i]) * sol[i] for i in range(param.dim)) != 0:
             raise DescentError("weight does not kill the derived-intersection "
                                "sublattice")
@@ -158,23 +152,6 @@ def _certify_descent(param: Parameter, cut, lam: Vector,
                            "stabilizer of the weight")
 
 
-def _derived_intersection(param: Parameter, cut) -> Tuple[Vector, ...]:
-    """Basis of (twisted parameter center) cap (saturated span of the
-    Levi's coroot lattice on the dual side), i.e. the cocharacters of the
-    part of the center meeting the derived subgroup of the dual Levi."""
-    group = param.group
-    datum = group.datum
-    levi_roots = [datum.roots[i]
-                  for i in group.levi_context(cut.levi).root_indices()]
-    if not levi_roots:
-        return ()
-    n = datum.rank
-    perp_center = kernel_basis(mat(cut.twisted_center_basis))
-    perp_levi = kernel_basis(mat(levi_roots))
-    stacked = list(perp_center) + list(perp_levi)
-    return kernel_basis(mat(stacked))
-
-
 def _left_orbit(group: ReductiveGroup, levi, w: Matrix) -> Tuple[Matrix, ...]:
     """W^rel_L . w, as products in the relative Weyl group."""
     mul = group.relative.mul
@@ -182,17 +159,26 @@ def _left_orbit(group: ReductiveGroup, levi, w: Matrix) -> Tuple[Matrix, ...]:
 
 
 def _canonical_double_coset(param: Parameter, levi, w: Matrix) -> Matrix:
-    mul = param.group.relative.mul
-    return min(mul(lw, f) for lw in _left_orbit(param.group, levi, w)
-               for f in param.wphi_elements)
+    """min of W^rel_L . w . W_phi (computed once per (param, levi, w))."""
+    key = (frozenset(levi), w)
+    if key not in param._canonical_cosets:
+        mul = param.group.relative.mul
+        param._canonical_cosets[key] = min(
+            mul(lw, f) for lw in _left_orbit(param.group, levi, w)
+            for f in param.wphi_elements)
+    return param._canonical_cosets[key]
 
 
 # ---------------------------------------------------------------------------
 # fibers
 
 def transporter_double_cosets(param: Parameter, levi) -> Tuple[Matrix, ...]:
-    """Canonical representatives of W^rel_L \\ W^rel(M, L) / W_phi."""
+    """Canonical representatives of W^rel_L \\ W^rel(M, L) / W_phi
+    (computed once per (param, levi))."""
     from .weyl import transporter_set
+    levi = frozenset(levi)
+    if levi in param._double_cosets:
+        return param._double_cosets[levi]
     group = param.group
     trans = transporter_set(group, param.minimal_levi, levi)
     mul = group.relative.mul
@@ -212,7 +198,8 @@ def transporter_double_cosets(param: Parameter, levi) -> Tuple[Matrix, ...]:
                  for f in param.wphi_elements}
         seen |= orbit
         reps.append(min(orbit))
-    return tuple(sorted(reps))
+    param._double_cosets[levi] = tuple(sorted(reps))
+    return param._double_cosets[levi]
 
 
 def fiber_weight(param: Parameter, b: BElement, w: Matrix) -> Optional[Vector]:
@@ -356,13 +343,16 @@ def central_character_square(param: Parameter, rho: HighestWeightPair) -> Dict:
     member = build_packet_member(param, rho)
     pushed = kappa_push(group, member.b)
     ctx_G = group.levi_context(group.full_subset())
-    coords = []
-    for u in ctx_G.dual_split_center_basis:
-        sol = solve_rational(param.center_basis, u)
-        if sol is None:
-            raise AssertionError("global dual center escapes the parameter "
-                                 "center")
-        coords.append(tuple(int(Fraction(x)) for x in sol))
+    if param._global_center_coords is None:
+        coords = []
+        for u in ctx_G.dual_split_center_basis:
+            sol = solve_rational(param.center_basis, u)
+            if sol is None:
+                raise AssertionError("global dual center escapes the "
+                                     "parameter center")
+            coords.append(tuple(int(Fraction(x)) for x in sol))
+        param._global_center_coords = tuple(coords)
+    coords = param._global_center_coords
     lam = canonical_rho(param, rho).weight
     functional = tuple(dot(lam, c) for c in coords)
     omega = ctx_G.kappa_from_functional(functional)

@@ -24,6 +24,7 @@ from .lattice import (
     closure,
     dot,
     in_span,
+    kernel_basis,
     mat,
     mat_contragredient,
     mat_identity,
@@ -46,7 +47,6 @@ def _is_reflection(d: Matrix) -> bool:
     if mat_mul(d, d) != mat_identity(n):
         return False
     diff = [vsub(row, ident) for row, ident in zip(d, mat_identity(n))]
-    from .lattice import kernel_basis
     return len(kernel_basis(mat_transpose(mat(diff)))) == n - 1
 
 
@@ -74,6 +74,15 @@ class Parameter:
         self.minimal_levi = frozenset(minimal_levi)
         self.label = label
         self.tempered = tempered
+        self._cuts: Dict[Tuple[FrozenSet[int], Matrix], LeviCut] = {}
+        self._component_group: Optional[FiniteGroup] = None
+        # filled by packets.transporter_double_cosets, keyed by Levi
+        self._double_cosets: Dict[FrozenSet[int], Tuple[Matrix, ...]] = {}
+        # filled by packets._canonical_double_coset, keyed by (Levi, w)
+        self._canonical_cosets: Dict[Tuple[FrozenSet[int], Matrix],
+                                     Matrix] = {}
+        # filled by packets.central_character_square
+        self._global_center_coords: Optional[Tuple[Vector, ...]] = None
         self.ctx_M = group.levi_context(self.minimal_levi)
         self.center_basis = self.ctx_M.dual_split_center_basis
         self.dim = len(self.center_basis)
@@ -261,9 +270,13 @@ class Parameter:
         raise ParameterError("element is not in W_phi")
 
     def component_group(self) -> FiniteGroup:
-        """pi0 of the centralizer as a matrix group on the center characters."""
-        mats = tuple(sorted({self.char_action(r) for r in self.r_elements}))
-        return FiniteGroup(mats, mat_mul, mat_identity(self.dim))
+        """pi0 of the centralizer as a matrix group on the center characters
+        (built once; shared by every caller)."""
+        if self._component_group is None:
+            mats = tuple(sorted({self.char_action(r) for r in self.r_elements}))
+            self._component_group = FiniteGroup(mats, mat_mul,
+                                                mat_identity(self.dim))
+        return self._component_group
 
     def is_dominant(self, lam: Sequence[int]) -> bool:
         return all(dot(lam, self.coroots[p]) >= 0 for p in self.positives)
@@ -275,9 +288,16 @@ class Parameter:
         parameter by w (default identity): the surviving roots, the
         Weyl elements of the cut, and its component structure.
 
-        Returns a LeviCut; requires the Levi to contain w(M).
+        Returns a LeviCut; requires the Levi to contain w(M).  The cut is
+        built once per (Levi, w) and shared by every caller, so it must not
+        be mutated; a cut that fails validation is not stored, and raises
+        the same ParameterError on every call.
         """
-        return LeviCut(self, frozenset(levi), w)
+        levi = frozenset(levi)
+        key = (levi, w if w is not None else self.group.relative.identity)
+        if key not in self._cuts:
+            self._cuts[key] = LeviCut(self, levi, w)
+        return self._cuts[key]
 
     def s_group_levi(self, levi) -> DisconnectedGroupDatum:
         """The centralizer cut to a Levi, as a disconnected group datum."""
@@ -338,6 +358,33 @@ class LeviCut:
                 len(self.connected_weyl_elements) * len(self.component_elements):
             raise ParameterError("Levi cut does not decompose as a semidirect "
                                  "product")
+        self._descent: Optional[Tuple[Tuple[Fraction, ...], ...]] = None
+
+    def descent_coords(self) -> Tuple[Tuple[Fraction, ...], ...]:
+        """Coordinates, in the twisted center basis, of a basis of (twisted
+        parameter center) cap (saturated span of the Levi's coroot lattice
+        on the dual side), i.e. of the cocharacters of the part of the
+        center meeting the derived subgroup of the dual Levi.  A weight
+        descends to a character of the Levi iff it pairs to zero with each.
+        Computed once per cut."""
+        if self._descent is None:
+            group = self.param.group
+            levi_roots = [group.datum.roots[i] for i in
+                          group.levi_context(self.levi).root_indices()]
+            kill: Tuple[Vector, ...] = ()
+            if levi_roots:
+                perp_center = kernel_basis(mat(self.twisted_center_basis))
+                perp_levi = kernel_basis(mat(levi_roots))
+                kill = kernel_basis(mat(list(perp_center) + list(perp_levi)))
+            coords = []
+            for v in kill:
+                sol = solve_rational(self.twisted_center_basis, v)
+                if sol is None:
+                    raise AssertionError("intersection vector escaped the "
+                                         "center")
+                coords.append(sol)
+            self._descent = tuple(coords)
+        return self._descent
 
     def disconnected_datum(self) -> DisconnectedGroupDatum:
         param = self.param

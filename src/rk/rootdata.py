@@ -26,6 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
+from math import lcm
 from typing import Dict, FrozenSet, Optional, Sequence, Tuple
 
 from .lattice import (
@@ -49,7 +50,6 @@ from .lattice import (
     mat_vec,
     solve_integer,
     solve_rational,
-    vadd,
     vsub,
 )
 
@@ -392,11 +392,20 @@ class LeviContext:
         self.dual_center_characters: FgAbelianGroup = coinvariants(
             n, action, extra_relations=simple_coroots)
 
-        # pairing matrix P[i][j] = <y_j, u_i> and its inverse
+        # pairing matrix P[i][j] = <y_j, u_i>; alpha_L = Y^T P^-1, kept as
+        # an integer numerator matrix over one common denominator
         Y = self.split_center_basis
         U = self.dual_split_center_basis
         self._P = mat([[dot(y, u) for y in Y] for u in U])
-        self._Pinv = mat_inverse(self._P) if self.dim else ()
+        alpha_q = mat_mul(mat_transpose(Y), mat_inverse(self._P)) \
+            if self.dim else tuple(() for _ in range(n))
+        self._alpha_den = 1
+        for row in alpha_q:
+            for x in row:
+                self._alpha_den = lcm(self._alpha_den, x.denominator)
+        self._alpha_num = tuple(tuple(int(x * self._alpha_den) for x in row)
+                                for row in alpha_q)
+        self._root_indices: Optional[Tuple[int, ...]] = None
 
     # -- coordinate maps ---------------------------------------------------
 
@@ -412,13 +421,12 @@ class LeviContext:
         """X*(A_L^)_Q -> fraktur-A_L: the inverse of the restriction map."""
         if len(c) != self.dim:
             raise ValueError("functional of wrong length")
-        if self.dim == 0:
-            return (Fraction(0),) * self.group.datum.rank
-        coeffs = mat_vec(self._Pinv, tuple(Fraction(x) for x in c))
-        out = (Fraction(0),) * self.group.datum.rank
-        for cf, y in zip(coeffs, self.split_center_basis):
-            out = vadd(out, tuple(cf * yy for yy in y))
-        return out
+        if all(type(x) is int for x in c):
+            return tuple(Fraction(dot(row, c), self._alpha_den)
+                         for row in self._alpha_num)
+        c = tuple(Fraction(x) for x in c)
+        return tuple(Fraction(dot(row, c)) / self._alpha_den
+                     for row in self._alpha_num)
 
     def alpha_inv(self, point: Sequence) -> Tuple:
         """fraktur-A_L -> X*(A_L^)_Q, exact; raises if point not in the space."""
@@ -449,14 +457,15 @@ class LeviContext:
         return self.alpha(self.functional_of_kappa(kappa))
 
     def root_indices(self) -> Tuple[int, ...]:
-        """Indices of the ambient roots belonging to this Levi."""
-        datum = self.group.datum
-        simples = [datum.simple_roots[pos] for pos in sorted(self.subset)]
-        out = []
-        for i, r in enumerate(datum.roots):
-            if simples and in_span(simples, r):
-                out.append(i)
-        return tuple(out)
+        """Indices of the ambient roots belonging to this Levi (computed
+        once)."""
+        if self._root_indices is None:
+            datum = self.group.datum
+            simples = [datum.simple_roots[pos] for pos in sorted(self.subset)]
+            self._root_indices = tuple(
+                i for i, r in enumerate(datum.roots)
+                if simples and in_span(simples, r))
+        return self._root_indices
 
 
 class ReductiveGroup:
@@ -550,16 +559,24 @@ class ReductiveGroup:
         if self._relative is None:
             rel = WeylGroup(self.restricted_reflections, self.datum.rank,
                             self.datum.roots)
-            fixed = set(self.weyl.subgroup(self._commutes_with_galois))
+            # g.m.g^-1 lies in W, which acts faithfully on the roots, so m
+            # commutes with g iff their root permutations commute
+            gperms = [tuple(self.datum.root_index(mat_vec(g, r))
+                            for r in self.datum.roots)
+                      for g in self.galois.char_generators]
+            perm = self.weyl.perm
+
+            def commutes_with_galois(m: Matrix) -> bool:
+                pm = perm[m]
+                return all(pg[pm[i]] == pm[pg[i]]
+                           for pg in gperms for i in range(len(pm)))
+
+            fixed = set(self.weyl.subgroup(commutes_with_galois))
             if set(rel.elements) != fixed:
                 raise AssertionError("restricted reflections do not generate "
                                      "the Galois-fixed Weyl subgroup")
             self._relative = rel
         return self._relative
-
-    def _commutes_with_galois(self, m: Matrix) -> bool:
-        return all(mat_mul(g, m) == mat_mul(m, g)
-                   for g in self.galois.char_generators)
 
     def cochar_matrix(self, m: Matrix) -> Matrix:
         """Action of a Weyl element on the cocharacter lattice."""

@@ -209,3 +209,23 @@ def test_cli_rejects_bad_levi(argv, message):
     assert proc.returncode == 1
     assert proc.stdout == ""
     assert proc.stderr == "error: %s\n" % message
+
+
+@pytest.mark.parametrize("argv,message", [
+    (("packet", "--param", "gl2-triv", "--rho", "1,0,0"),
+     "--rho: the weight needs 2 entries, got 3"),
+    (("packet", "--param", "gl2-triv", "--rho", "1,0:5"),
+     "--rho: module index 5 is out of range; valid indices are 0..0"),
+    (("packet", "--param", "gl2-triv", "--rho=1,a"),
+     "--rho: '1,a' is not a comma-separated list of 2 integers"),
+    (("packet", "--param", "gl2-triv", "--rho=-1,3"),
+     "--rho: the weight -1,3 is not dominant"),
+    (("eci", "--param", "gl2-triv", "--endo", "gl2-s1", "--rho", "1"),
+     "--rho: the weight needs 2 entries, got 1"),
+], ids=["wrong-length", "module-out-of-range", "not-integers",
+        "not-dominant", "eci-wrong-length"])
+def test_cli_rejects_bad_rho(argv, message):
+    proc = _run(*argv)
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert proc.stderr == "error: %s\n" % message

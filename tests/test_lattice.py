@@ -13,6 +13,7 @@ from rk.lattice import (
     FgAbelianGroup,
     IntegerMatrix,
     LatticeAction,
+    closure,
     coinvariants,
     invariants_saturated,
     is_saturated,
@@ -201,3 +202,12 @@ def test_lattice_action_rejects_infinite():
 def test_lattice_action_rejects_nonunimodular():
     with pytest.raises(ValueError):
         LatticeAction((mat([[2]]),))
+
+
+def test_lattice_action_elements_match_closure():
+    rng = random.Random(11)
+    for _ in range(20):
+        action = _random_finite_action(rng, rng.randint(1, 4))
+        elems = action.elements()
+        assert elems == tuple(closure(action.generators)[0])
+        assert action.elements() is elems

@@ -9,7 +9,9 @@ from rk import presets
 from rk.disconnected import HighestWeightPair
 from rk.finite_reps import simple_modules
 from rk.kottwitz import WallRejection, basic_plus_lift, encode, newton
+from rk.lattice import mat_mul
 from rk.packets import (
+    _canonical_double_coset,
     _component_stabilizer,
     build_packet_member,
     canonical_rho,
@@ -21,7 +23,8 @@ from rk.packets import (
     round_trip_check,
     transporter_double_cosets,
 )
-from rk.params import Parameter, ParameterError
+from rk.params import LeviCut, Parameter, ParameterError
+from rk.weyl import transporter_set
 
 
 GL2 = presets.parameter("gl2-triv")
@@ -56,6 +59,69 @@ def test_s_group_levi_gl4_block_cut():
     assert cut.roots == ()
     full = GL4ST.levi_cut(GL4ST.group.full_subset())
     assert set(full.roots) == set(GL4ST.roots)
+
+
+_CUT_FIELDS = ("roots", "positives", "weyl_elements", "component_elements",
+               "connected_weyl_elements", "levi_center_coords")
+
+
+@pytest.mark.parametrize("name", presets.PARAM_NAMES)
+def test_cached_cuts_match_fresh_cuts(name):
+    # every cut the forward map and the fiber enumeration reach, against a
+    # freshly built LeviCut
+    param = presets.parameter(name)
+    for rho in enumerate_rhos(param, 3):
+        enumerate_fiber(param, build_packet_member(param, rho).b)
+    assert param._cuts
+    for (levi, w), cut in param._cuts.items():
+        fresh = LeviCut(param, levi, w)
+        for field in _CUT_FIELDS:
+            assert getattr(cut, field) == getattr(fresh, field), field
+        assert cut.descent_coords() == fresh.descent_coords()
+        assert param.levi_cut(levi, w) is cut
+
+
+def test_levi_cut_cache_is_per_instance():
+    p1 = presets.parameter("gl4-st2")
+    p2 = presets.parameter("gl4-st2")
+    full = p1.group.full_subset()
+    c1 = p1.levi_cut(full)
+    assert p1.levi_cut(set(full), p1.group.relative.identity) is c1
+    c2 = p2.levi_cut(full)
+    assert c2 is not c1 and c2.param is p2
+    assert p1.component_group() is p1.component_group()
+    assert p1.component_group() is not p2.component_group()
+    assert not any(a is b for a in p1._cuts.values()
+                   for b in p2._cuts.values())
+
+
+def test_failed_levi_cut_is_not_stored():
+    # the torus does not contain the minimal Levi {0, 2}
+    messages = []
+    for _ in range(2):
+        with pytest.raises(ParameterError) as err:
+            GL4ST.levi_cut(frozenset())
+        messages.append(str(err.value))
+    assert messages[0] == messages[1]
+    assert all(levi != frozenset() for levi, _w in GL4ST._cuts)
+
+
+@pytest.mark.parametrize("name", presets.PARAM_NAMES)
+def test_cached_double_cosets_match_matrix_orbits(name):
+    # oracle: the orbits W^rel_L . t . W_phi built from matrix products
+    param = presets.parameter(name)
+    group = param.group
+    for levi in group.standard_levi_subsets():
+        left = group.levi_weyl_elements(levi)
+        trans = transporter_set(group, param.minimal_levi, levi)
+        brute = {t: min(mat_mul(mat_mul(l, t), f) for l in left
+                        for f in param.wphi_elements) for t in trans}
+        reps = transporter_double_cosets(param, levi)
+        assert reps == tuple(sorted(set(brute.values())))
+        assert transporter_double_cosets(param, levi) is reps
+        for t in trans:
+            assert _canonical_double_coset(param, levi, t) == brute[t]
+            assert param._canonical_cosets[(levi, t)] == brute[t]
 
 
 def test_parameter_rejects_zero_restriction():

@@ -13,6 +13,7 @@ from rk.lattice import (
     mat,
     mat_contragredient,
     mat_identity,
+    mat_inverse,
     mat_inverse_int,
     mat_mul,
     mat_transpose,
@@ -205,6 +206,17 @@ def test_relative_u3_brute_oracle():
     assert len(relative_weyl(g)) == len(fixed) == 2
 
 
+@pytest.mark.parametrize("name", presets.GROUP_NAMES)
+def test_relative_matches_commutation_scan(name):
+    # oracle: absolute Weyl elements whose matrix commutes with every
+    # Galois generator
+    g = presets.group(name)
+    fixed = {m for m in g.weyl.elements
+             if all(mat_mul(s, m) == mat_mul(m, s)
+                    for s in g.galois.char_generators)}
+    assert set(g.relative.elements) == fixed
+
+
 def test_relative_faithful_on_fixed_space():
     for name in ("gl3", "gl2x2-swap", "u3", "sp4"):
         g = presets.group(name)
@@ -253,6 +265,43 @@ def test_alpha_section_identity():
                           for i in range(ctx.dim))
                 point = ctx.alpha(c)
                 assert ctx.alpha_inv(point) == c
+
+
+@pytest.mark.parametrize("name", presets.GROUP_NAMES)
+def test_alpha_matches_rational_inverse(name):
+    # oracle: coefficients P^-1 c by Fraction Gauss-Jordan, summed against
+    # the split-center basis, on seeded integer and Fraction functionals
+    g = presets.group(name)
+    rng = random.Random(len(name))
+    for subset in g.standard_levi_subsets():
+        ctx = g.levi_context(subset)
+        pinv = mat_inverse(ctx._P) if ctx.dim else ()
+        for _ in range(20):
+            ints = tuple(rng.randint(-9, 9) for _ in range(ctx.dim))
+            fracs = tuple(Fraction(rng.randint(-9, 9), rng.randint(1, 6))
+                          for _ in range(ctx.dim))
+            for c in (ints, fracs):
+                coeffs = mat_vec(pinv, c) if ctx.dim else ()
+                old = tuple(sum((cf * y[i] for cf, y in
+                                 zip(coeffs, ctx.split_center_basis)),
+                                Fraction(0))
+                            for i in range(g.datum.rank))
+                new = ctx.alpha(c)
+                assert new == old
+                assert all(type(x) is Fraction for x in new)
+
+
+@pytest.mark.parametrize("name", presets.GROUP_NAMES)
+def test_root_indices_match_span_scan(name):
+    g = presets.group(name)
+    d = g.datum
+    for subset in g.standard_levi_subsets():
+        ctx = g.levi_context(subset)
+        simples = [d.simple_roots[pos] for pos in sorted(subset)]
+        brute = tuple(i for i, r in enumerate(d.roots)
+                      if simples and solve_rational(simples, r) is not None)
+        assert ctx.root_indices() == brute
+        assert ctx.root_indices() is ctx.root_indices()
 
 
 def test_levi_functoriality_nested():
