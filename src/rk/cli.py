@@ -229,9 +229,12 @@ def cmd_eci(args) -> Dict:
         with open(args.b, "r", encoding="utf-8") as fh:
             from .kottwitz import decode
             b = decode(param.group, json.load(fh))
-    else:
+    elif args.rho or param.dim == 2:
         b = build_packet_member(param,
                                 _parse_rho(param, args.rho or "1,0")).b
+    else:
+        raise ValueError("eci needs --rho or --b: the default weight 1,0 "
+                         "has 2 entries, this parameter needs %d" % param.dim)
     result = eci_both_sides(param, b, endo)
     indexing = indexing_bijection_check(param, b.levi, endo)
     if not result["equal"]:

@@ -427,7 +427,8 @@ class LatticeAction:
     vectors: G in GL_n(Z) is finite iff every orbit G.e_i is finite (G
     embeds in the product of the permutation groups of the orbits), so an
     orbit longer than the cap rejects the action.  The elements are
-    closed lazily, once.
+    closed lazily, once; a finite group with more than cap elements but
+    no orbit that long is rejected there, by the closure.
     """
 
     generators: Tuple[Matrix, ...]
@@ -451,10 +452,10 @@ class LatticeAction:
                             orbit.add(img)
                             new.append(img)
                             if len(orbit) > self.cap:
+                                # |G| >= |G.e|: the closure would exceed it too
                                 raise ValueError(
-                                    "orbit of a basis vector exceeded cap of "
-                                    "%d; the group is infinite or too large"
-                                    % self.cap)
+                                    "group closure exceeded cap of %d "
+                                    "elements" % self.cap)
                 frontier = new
         object.__setattr__(self, "_elements", None)
 

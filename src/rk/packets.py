@@ -158,15 +158,21 @@ def _left_orbit(group: ReductiveGroup, levi, w: Matrix) -> Tuple[Matrix, ...]:
     return tuple(mul(l, w) for l in group.levi_weyl_elements(levi))
 
 
+def _memo(param: Parameter) -> Dict:
+    """This module's per-parameter cache, made on first use; keys are
+    ("cosets", L), ("canonical", L, w) and "center"."""
+    return vars(param).setdefault("_packets_memo", {})
+
+
 def _canonical_double_coset(param: Parameter, levi, w: Matrix) -> Matrix:
     """min of W^rel_L . w . W_phi (computed once per (param, levi, w))."""
-    key = (frozenset(levi), w)
-    if key not in param._canonical_cosets:
+    memo = _memo(param)
+    key = ("canonical", frozenset(levi), w)
+    if key not in memo:
         mul = param.group.relative.mul
-        param._canonical_cosets[key] = min(
-            mul(lw, f) for lw in _left_orbit(param.group, levi, w)
-            for f in param.wphi_elements)
-    return param._canonical_cosets[key]
+        memo[key] = min(mul(lw, f) for lw in _left_orbit(param.group, levi, w)
+                        for f in param.wphi_elements)
+    return memo[key]
 
 
 # ---------------------------------------------------------------------------
@@ -177,8 +183,9 @@ def transporter_double_cosets(param: Parameter, levi) -> Tuple[Matrix, ...]:
     (computed once per (param, levi))."""
     from .weyl import transporter_set
     levi = frozenset(levi)
-    if levi in param._double_cosets:
-        return param._double_cosets[levi]
+    memo = _memo(param)
+    if ("cosets", levi) in memo:
+        return memo["cosets", levi]
     group = param.group
     trans = transporter_set(group, param.minimal_levi, levi)
     mul = group.relative.mul
@@ -198,8 +205,8 @@ def transporter_double_cosets(param: Parameter, levi) -> Tuple[Matrix, ...]:
                  for f in param.wphi_elements}
         seen |= orbit
         reps.append(min(orbit))
-    param._double_cosets[levi] = tuple(sorted(reps))
-    return param._double_cosets[levi]
+    memo["cosets", levi] = tuple(sorted(reps))
+    return memo["cosets", levi]
 
 
 def fiber_weight(param: Parameter, b: BElement, w: Matrix) -> Optional[Vector]:
@@ -343,7 +350,8 @@ def central_character_square(param: Parameter, rho: HighestWeightPair) -> Dict:
     member = build_packet_member(param, rho)
     pushed = kappa_push(group, member.b)
     ctx_G = group.levi_context(group.full_subset())
-    if param._global_center_coords is None:
+    memo = _memo(param)
+    if "center" not in memo:
         coords = []
         for u in ctx_G.dual_split_center_basis:
             sol = solve_rational(param.center_basis, u)
@@ -351,8 +359,8 @@ def central_character_square(param: Parameter, rho: HighestWeightPair) -> Dict:
                 raise AssertionError("global dual center escapes the "
                                      "parameter center")
             coords.append(tuple(int(Fraction(x)) for x in sol))
-        param._global_center_coords = tuple(coords)
-    coords = param._global_center_coords
+        memo["center"] = tuple(coords)
+    coords = memo["center"]
     lam = canonical_rho(param, rho).weight
     functional = tuple(dot(lam, c) for c in coords)
     omega = ctx_G.kappa_from_functional(functional)

@@ -76,13 +76,6 @@ class Parameter:
         self.tempered = tempered
         self._cuts: Dict[Tuple[FrozenSet[int], Matrix], LeviCut] = {}
         self._component_group: Optional[FiniteGroup] = None
-        # filled by packets.transporter_double_cosets, keyed by Levi
-        self._double_cosets: Dict[FrozenSet[int], Tuple[Matrix, ...]] = {}
-        # filled by packets._canonical_double_coset, keyed by (Levi, w)
-        self._canonical_cosets: Dict[Tuple[FrozenSet[int], Matrix],
-                                     Matrix] = {}
-        # filled by packets.central_character_square
-        self._global_center_coords: Optional[Tuple[Vector, ...]] = None
         self.ctx_M = group.levi_context(self.minimal_levi)
         self.center_basis = self.ctx_M.dual_split_center_basis
         self.dim = len(self.center_basis)

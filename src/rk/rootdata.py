@@ -421,11 +421,7 @@ class LeviContext:
         """X*(A_L^)_Q -> fraktur-A_L: the inverse of the restriction map."""
         if len(c) != self.dim:
             raise ValueError("functional of wrong length")
-        if all(type(x) is int for x in c):
-            return tuple(Fraction(dot(row, c), self._alpha_den)
-                         for row in self._alpha_num)
-        c = tuple(Fraction(x) for x in c)
-        return tuple(Fraction(dot(row, c)) / self._alpha_den
+        return tuple(Fraction(dot(row, c), self._alpha_den)
                      for row in self._alpha_num)
 
     def alpha_inv(self, point: Sequence) -> Tuple:

@@ -222,8 +222,11 @@ def test_cli_rejects_bad_levi(argv, message):
      "--rho: the weight -1,3 is not dominant"),
     (("eci", "--param", "gl2-triv", "--endo", "gl2-s1", "--rho", "1"),
      "--rho: the weight needs 2 entries, got 1"),
+    (("eci", "--param", "gl3-triv", "--endo", "gl3-s1"),
+     "eci needs --rho or --b: the default weight 1,0 has 2 entries, this "
+     "parameter needs 3"),
 ], ids=["wrong-length", "module-out-of-range", "not-integers",
-        "not-dominant", "eci-wrong-length"])
+        "not-dominant", "eci-wrong-length", "eci-default-wrong-length"])
 def test_cli_rejects_bad_rho(argv, message):
     proc = _run(*argv)
     assert proc.returncode == 1

@@ -199,6 +199,24 @@ def test_lattice_action_rejects_infinite():
         LatticeAction((mat([[1, 1], [0, 1]]),), cap=100).elements()
 
 
+def test_lattice_action_rejects_infinite_at_construction():
+    # the orbit certificate, without closing the group
+    with pytest.raises(ValueError, match="exceeded cap of 100"):
+        LatticeAction((mat([[1, 1], [0, 1]]),), cap=100)
+
+
+def test_lattice_action_cap_bounds_orbits_then_closure():
+    # the hyperoctahedral group of rank 3 (48 elements, orbits of size 6)
+    # fits a cap of 10 orbit-wise and is rejected when closed
+    swap = mat([[0, 1, 0], [1, 0, 0], [0, 0, 1]])
+    cycle = mat([[0, 0, 1], [1, 0, 0], [0, 1, 0]])
+    sign = mat([[-1, 0, 0], [0, 1, 0], [0, 0, 1]])
+    action = LatticeAction((swap, cycle, sign), cap=10)
+    with pytest.raises(ValueError, match="exceeded cap of 10"):
+        action.elements()
+    assert len(LatticeAction((swap, cycle, sign), cap=48).elements()) == 48
+
+
 def test_lattice_action_rejects_nonunimodular():
     with pytest.raises(ValueError):
         LatticeAction((mat([[2]]),))

@@ -13,6 +13,7 @@ from rk.lattice import mat_mul
 from rk.packets import (
     _canonical_double_coset,
     _component_stabilizer,
+    _memo,
     build_packet_member,
     canonical_rho,
     central_character_square,
@@ -93,6 +94,9 @@ def test_levi_cut_cache_is_per_instance():
     assert p1.component_group() is not p2.component_group()
     assert not any(a is b for a in p1._cuts.values()
                    for b in p2._cuts.values())
+    assert transporter_double_cosets(p1, full) is not \
+        transporter_double_cosets(p2, full)
+    assert _memo(p1) is not _memo(p2)
 
 
 def test_failed_levi_cut_is_not_stored():
@@ -121,7 +125,7 @@ def test_cached_double_cosets_match_matrix_orbits(name):
         assert transporter_double_cosets(param, levi) is reps
         for t in trans:
             assert _canonical_double_coset(param, levi, t) == brute[t]
-            assert param._canonical_cosets[(levi, t)] == brute[t]
+            assert _memo(param)["canonical", levi, t] == brute[t]
 
 
 def test_parameter_rejects_zero_restriction():
