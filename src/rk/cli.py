@@ -220,11 +220,25 @@ def cmd_packet(args) -> Dict:
     return report
 
 
+def _group_shape(group):
+    """What two groups must share for a parameter of one and an endoscopic
+    datum of the other to be used together: the rank, the roots with
+    their coroots and the Galois generators."""
+    datum = group.datum
+    return (datum.rank, frozenset(zip(datum.roots, datum.coroots)),
+            frozenset(group.galois.char_generators))
+
+
 def cmd_eci(args) -> Dict:
     from .endoscopy import eci_both_sides, indexing_bijection_check
     from .packets import build_packet_member
     param = resolve_parameter(args.param)
     endo = resolve_endoscopy(args.endo)
+    if _group_shape(endo.group) != _group_shape(param.group):
+        raise ValueError("--param %s is a parameter of %s, but --endo %s is "
+                         "an endoscopic datum of %s"
+                         % (args.param, param.group.name, args.endo,
+                            endo.group.name))
     if args.b:
         with open(args.b, "r", encoding="utf-8") as fh:
             from .kottwitz import decode

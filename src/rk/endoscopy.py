@@ -25,12 +25,10 @@ from .kottwitz import BElement
 from .lattice import (
     Matrix,
     Vector,
-    closure,
     dot,
     in_span,
     kernel_basis,
     mat,
-    mat_identity,
     mat_mul,
     mat_vec,
     solve_integer,
@@ -161,54 +159,72 @@ class EmbeddedDatum:
         return (tuple(sorted(self.levi_h)), self.w_rep)
 
 
-def _full_levi_weyl(group: ReductiveGroup, levi) -> Tuple[Matrix, ...]:
-    from .rootdata import reflection_matrix
-    datum = group.datum
-    gens = [reflection_matrix(datum.simple_roots[pos], datum.simple_coroots[pos])
-            for pos in sorted(levi)]
-    if not gens:
-        return (mat_identity(datum.rank),)
-    order, _ = closure(tuple(gens), 10**6)
-    return tuple(sorted(order))
+def _memo(param: Parameter, endo: EndoscopicDatum) -> Dict:
+    """This module's cache for one (parameter, datum) pair, made on first
+    use and kept on the parameter.  Keys: "h" (`parameter_on_h`),
+    "admissible", and per Levi L ("wl", L), ("embedded", L), ("forward",
+    L) and ("cosets", G or H, L).  A computation that raises stores
+    nothing."""
+    return vars(param).setdefault("_endoscopy_memo", {}).setdefault(endo, {})
 
 
-def transporter_condition(group: ReductiveGroup, endo: EndoscopicDatum,
-                          param: Parameter, w: Matrix) -> bool:
-    """The Galois condition cutting out W(L, H): for every Galois element
-    some element of the endoscopic Weyl group corrects it to centralize
-    the pulled-back parameter center."""
-    winv = group.weyl.inverse[w]
-    basis = tuple(mat_vec(winv, u) for u in param.center_basis)
-    wh = endo.weyl_h_elements()
-    for g in group.galois.char_elements():
-        ok = False
-        for h in wh:
-            hg = mat_mul(h, g)
-            if all(mat_vec(hg, v) == v for v in basis):
-                ok = True
-                break
-        if not ok:
-            return False
-    return True
+def _cached(param: Parameter, endo: EndoscopicDatum, key, compute):
+    memo = _memo(param, endo)
+    if key not in memo:
+        memo[key] = compute()
+    return memo[key]
+
+
+def _full_levi_weyl(param: Parameter, endo: EndoscopicDatum,
+                    levi: FrozenSet[int]) -> Tuple[Matrix, ...]:
+    """W_L inside the absolute Weyl group, from the Levi's simple
+    reflections."""
+    weyl = param.group.weyl
+    return _cached(param, endo, ("wl", levi), lambda: weyl.generated(
+        [weyl.generators[pos] for pos in sorted(levi)]))
+
+
+def _admissible(param: Parameter, endo: EndoscopicDatum) -> FrozenSet[Matrix]:
+    """W(L, H), the twists w in W satisfying the Galois condition: for
+    every Galois element g some h in W_H makes h.g fix the pulled-back
+    parameter center w^-1(X_*(A_M^)).  The products h.g are formed once
+    per Galois element."""
+    def scan():
+        weyl = param.group.weyl
+        corrections = [[mat_mul(h, g) for h in endo.weyl_h_elements()]
+                       for g in param.group.galois.char_elements()]
+        out = set()
+        for w in weyl.elements:
+            basis = [mat_vec(weyl.inverse[w], u) for u in param.center_basis]
+            if all(any(all(mat_vec(hg, v) == v for v in basis) for hg in row)
+                   for row in corrections):
+                out.add(w)
+        return frozenset(out)
+    return _cached(param, endo, "admissible", scan)
 
 
 def enumerate_embedded(param: Parameter, levi,
                        endo: EndoscopicDatum) -> Tuple[EmbeddedDatum, ...]:
     """Inner-class representatives of embedded data for the given Levi:
     double cosets of the condition set by the Levi and endoscopic Weyl
-    groups, each standardized inside the endoscopic group."""
-    group = param.group
+    groups, each standardized inside the endoscopic group (computed once
+    per parameter, datum and Levi)."""
     levi = frozenset(levi)
-    wl = _full_levi_weyl(group, levi)
+    return _cached(param, endo, ("embedded", levi),
+                   lambda: _embedded(param, levi, endo))
+
+
+def _embedded(param: Parameter, levi: FrozenSet[int],
+              endo: EndoscopicDatum) -> Tuple[EmbeddedDatum, ...]:
+    group = param.group
+    wl = _full_levi_weyl(param, endo, levi)
     wh = endo.weyl_h_elements()
-    admissible = [w for w in group.weyl.elements
-                  if transporter_condition(group, endo, param, w)]
     mul = group.weyl.mul
     seen = set()
     out = []
     levi_root_set = {group.datum.roots[i]
                      for i in group.levi_context(levi).root_indices()}
-    for w in sorted(admissible):
+    for w in sorted(_admissible(param, endo)):
         if w in seen:
             continue
         orbit = {mul(mul(l, w), h) for l in wl for h in wh}
@@ -270,9 +286,13 @@ def parameter_on_h(param: Parameter, endo: EndoscopicDatum):
     goes to a standard Levi of H by an endoscopic Weyl element, and the
     surviving centralizer roots come along.
 
-    Returns (param_H, h) with h the standardizing element.  Raises when
-    the parameter does not factor through the endoscopic group at this
-    combinatorial level."""
+    Returns (param_H, h) with h the standardizing element, computed once
+    per parameter and datum.  Raises when the parameter does not factor
+    through the endoscopic group at this combinatorial level."""
+    return _cached(param, endo, "h", lambda: _find_parameter_on_h(param, endo))
+
+
+def _find_parameter_on_h(param: Parameter, endo: EndoscopicDatum):
     H = endo.H
     center_span = param.center_basis
     for subset in H.standard_levi_subsets():
@@ -516,32 +536,55 @@ def indexing_forward(param: Parameter, levi, endo: EndoscopicDatum,
     corresponding transporter coset on the group side: the unique class
     whose inverse restricts to the composite center map."""
     group = param.group
+    levi = frozenset(levi)
     h_inverse = endo.H.relative.inverse
-    ctx_l = group.levi_context(frozenset(levi))
     # the standardized embedding is Int(w_rep) . eta . Int(h_std)^{-1}; its
     # inverse followed by v^{-1} and the de-standardization h^{-1} composes
     # to a map from the Levi center into the parameter center
     mul = group.weyl.mul
     composite = mul(mul(h_inverse[h], h_inverse[v]),
                     mul(emb.h_std, group.weyl.inverse[emb.w_rep]))
-    targets = []
-    for cand in transporter_set(group, param.minimal_levi, frozenset(levi)):
-        cinv = group.relative.inverse[cand]
-        if all(mat_vec(cinv, u) == mat_vec(composite, u)
-               for u in ctx_l.dual_split_center_basis):
-            targets.append(cand)
-    if not targets:
+    basis = group.levi_context(levi).dual_split_center_basis
+    reps = _forward_table(param, endo, levi).get(
+        tuple(mat_vec(composite, u) for u in basis))
+    if not reps:
         raise AssertionError("indexing construction missed the transporter "
                              "set")
-    reps = {_left_coset_rep(group, levi, t) for t in targets}
     if len(reps) != 1:
         raise AssertionError("indexing construction produced an ambiguous "
                              "coset")
-    return reps.pop()
+    return next(iter(reps))
+
+
+def _forward_table(param: Parameter, endo: EndoscopicDatum,
+                   levi: FrozenSet[int]) -> Dict[Tuple, FrozenSet[Matrix]]:
+    """The restriction of cand^-1 to X_*(A_L^) -> the left W^rel_L coset
+    representatives of the transporter elements cand with that
+    restriction."""
+    def build():
+        group = param.group
+        basis = group.levi_context(levi).dual_split_center_basis
+        table: Dict[Tuple, set] = {}
+        for cand in transporter_set(group, param.minimal_levi, levi):
+            cinv = group.relative.inverse[cand]
+            table.setdefault(tuple(mat_vec(cinv, u) for u in basis),
+                             set()).add(_left_coset_rep(group, levi, cand))
+        return {key: frozenset(reps) for key, reps in table.items()}
+    return _cached(param, endo, ("forward", levi), build)
 
 
 def _left_coset_rep(group: ReductiveGroup, levi, w: Matrix) -> Matrix:
     return min(_left_orbit(group, frozenset(levi), w))
+
+
+def _coset_reps(param: Parameter, endo: EndoscopicDatum,
+                group: ReductiveGroup, minimal: FrozenSet[int],
+                levi: FrozenSet[int]) -> Tuple[Matrix, ...]:
+    """Sorted left W^rel_L coset representatives of W^rel(M, L) in the
+    group or in the endoscopic group of the pair."""
+    return _cached(param, endo, ("cosets", group, levi), lambda: tuple(sorted(
+        {_left_coset_rep(group, levi, t)
+         for t in transporter_set(group, minimal, levi)})))
 
 
 def indexing_backward(param: Parameter, levi, endo: EndoscopicDatum,
@@ -559,11 +602,11 @@ def indexing_backward(param: Parameter, levi, endo: EndoscopicDatum,
     # w and h^-1 lie in W^rel and W^rel_H, both inside the absolute W
     mul = group.weyl.mul
     u = mul(w, H.relative.inverse[h])
-    if not transporter_condition(group, endo, param, u):
+    if u not in _admissible(param, endo):
         raise AssertionError("backward twist fails the Galois condition")
     cut_roots = {r for r in endo.h_root_set
                  if mat_vec(u, r) in levi_root_set}
-    wl = _full_levi_weyl(group, levi)
+    wl = _full_levi_weyl(param, endo, levi)
     wh = endo.weyl_h_elements()
     u_orbit = {mul(mul(l, u), x) for l in wl for x in wh}
     target_emb = None
@@ -609,16 +652,10 @@ def indexing_bijection_check(param: Parameter, levi,
     levi = frozenset(levi)
     param_h, h = parameter_on_h(param, endo)
     embedded = enumerate_embedded(param, levi, endo)
-    rhs = sorted({_left_coset_rep(group, levi, t)
-                  for t in transporter_set(group, param.minimal_levi, levi)})
-    lhs = []
-    for emb in embedded:
-        cosets = sorted({_left_coset_rep(endo.H, emb.levi_h, t)
-                         for t in transporter_set(endo.H,
-                                                  param_h.minimal_levi,
-                                                  emb.levi_h)})
-        for v in cosets:
-            lhs.append((emb, v))
+    rhs = list(_coset_reps(param, endo, group, param.minimal_levi, levi))
+    lhs = [(emb, v) for emb in embedded
+           for v in _coset_reps(param, endo, endo.H, param_h.minimal_levi,
+                                emb.levi_h)]
     image = []
     table = []
     for emb, v in lhs:
@@ -704,9 +741,8 @@ def eci_both_sides(param: Parameter, b: BElement,
         # regular stable labels are indexed by transporter double cosets of
         # the endoscopic side; rewrite each through the basic identity and
         # the indexing map, then expand
-        h_cosets = sorted({_left_coset_rep(endo.H, emb.levi_h, t)
-                           for t in transporter_set(
-                               endo.H, param_h.minimal_levi, emb.levi_h)})
+        h_cosets = _coset_reps(param, endo, endo.H, param_h.minimal_levi,
+                               emb.levi_h)
         if len(reg) and not h_cosets:
             raise AssertionError("regular terms without endoscopic cosets")
         count = 0

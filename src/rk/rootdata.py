@@ -338,6 +338,17 @@ class WeylGroup:
     def subgroup(self, predicate) -> Tuple[Matrix, ...]:
         return tuple(m for m in self.elements if predicate(m))
 
+    def generated(self, gens: Sequence[Matrix]) -> Tuple[Matrix, ...]:
+        """The subgroup generated by some elements, sorted; closed by
+        products (`mul`) inside this group."""
+        out = {self.identity}
+        frontier = [self.identity]
+        while frontier:
+            frontier = [h for h in {self.mul(g, s) for g in frontier
+                                    for s in gens} if h not in out]
+            out.update(frontier)
+        return tuple(sorted(out))
+
 
 class LeviContext:
     """All per-Levi data derived from a Gamma-stable simple subset.

@@ -156,7 +156,7 @@ def test_criterion_4_chamber_stabilizer_suite():
 
 def test_criterion_5_kottwitz_newton_box():
     """Newton equals the center isomorphism applied to the invariant on
-    every basic class in a box of radius 3, exactly."""
+    every basic class in a box of radius 3, exactly.  Budget: 1 s."""
     started = time.time()
     checked = 0
     for name in ("gl2", "gl3", "gl4", "sl2", "pgl2", "gl2x2-swap",
@@ -175,6 +175,8 @@ def test_criterion_5_kottwitz_newton_box():
             for target, u in zip(f, ctx.dual_split_center_basis):
                 assert sum(a * b_ for a, b_ in zip(nu, u)) == target
             checked += 1
+    took = time.time() - started
+    assert took < 1.0, "criterion 5 exceeded its time budget: %.2fs" % took
     _report("criterion 5: Kottwitz-Newton box", started,
             "%d elements" % checked)
 
@@ -183,7 +185,7 @@ def test_criterion_6_representation_suite():
     """Squared dimensions, Freudenthal totals against the dimension
     formula for rank <= 3 and height <= 4, the classical rank-one
     classification, and the stabilizer identification on every weight of
-    the bijectivity suite."""
+    the bijectivity suite.  Budget: 6 s."""
     started = time.time()
     # sum of squared dimensions over the component groups in use
     for name in ("o2", "gl1x1-swap"):
@@ -215,13 +217,15 @@ def test_criterion_6_representation_suite():
         param = presets.parameter(name)
         for rho in enumerate_rhos(param, 4):
             build_packet_member(param, rho)
+    took = time.time() - started
+    assert took < 6.0, "criterion 6 exceeded its time budget: %.2fs" % took
     _report("criterion 6: representation suite", started)
 
 
 def test_criterion_7_indexing_bijection():
     """The two-sided index identification for the rank-4 endoscopy pair
     at both torus elements and every standard Levi, with cardinalities
-    matching the double-coset counts."""
+    matching the double-coset counts.  Budget: 1 s."""
     started = time.time()
     param = presets.parameter("gl4-st2")
     for ename in ("gl4-s1", "gl4-splus"):
@@ -232,13 +236,15 @@ def test_criterion_7_indexing_bijection():
             rep = indexing_bijection_check(param, levi, endo)
             assert rep["pass"], (ename, sorted(levi), rep)
             assert rep["lhs_size"] == rep["rhs_size"]
+    took = time.time() - started
+    assert took < 1.0, "criterion 7 exceeded its time budget: %.2fs" % took
     _report("criterion 7: indexing bijection", started)
 
 
 def test_criterion_8_central_character_square():
     """The central character of every pair in the bijectivity suite equals
     the pushed invariant of its element (all these groups have free dual
-    center character groups, so the comparison is total)."""
+    center character groups, so the comparison is total).  Budget: 1.5 s."""
     started = time.time()
     checked = 0
     for name in ("gl2-triv", "gl3-triv", "gl4-triv", "gl4-st2",
@@ -249,4 +255,6 @@ def test_criterion_8_central_character_square():
             assert not out["torsion_undetermined"]
             assert out["equal"], (name, rho.weight)
             checked += 1
+    took = time.time() - started
+    assert took < 1.5, "criterion 8 exceeded its time budget: %.2fs" % took
     _report("criterion 8: central characters", started, "%d pairs" % checked)

@@ -400,3 +400,166 @@ def test_formal_distribution_merging():
     assert _total(d) == 2
     d.add(t, -2)
     assert len(d) == 0
+
+
+# ---------------------------------------------------------------------------
+# the per-(parameter, datum) memo against uncached computations
+
+ECI_PAIRS = (("gl2-triv", "gl2-s1"), ("gl2-triv", "gl2-sreg"),
+             ("sl2-triv", "sl2-s1"), ("gl2x2-swap-triv", "gl2x2-swap-s1"),
+             ("gl3-triv", "gl3-s1"), ("gl4-st2", "gl4-s1"),
+             ("gl4-st2", "gl4-splus"))
+
+
+def _pair_levis(pname, ename):
+    param, endo = presets.parameter(pname), presets.endoscopy(ename)
+    return param, endo, [levi for levi in param.group.standard_levi_subsets()
+                         if param.minimal_levi <= levi]
+
+
+def _closure_levi_weyl(group, levi):
+    from rk.lattice import closure
+    from rk.rootdata import reflection_matrix
+    datum = group.datum
+    gens = [reflection_matrix(datum.simple_roots[pos], datum.simple_coroots[pos])
+            for pos in sorted(levi)] or [group.weyl.identity]
+    return set(closure(tuple(gens), 10**6)[0])
+
+
+def _brute_embedded(param, levi, endo):
+    """The twist classes by matrix products: the Galois condition per w,
+    W_L by `closure`, the double-coset orbits by `mat_mul`."""
+    from rk.endoscopy import _standardize_embedded
+    from rk.lattice import mat_mul, mat_vec
+    group = param.group
+    wh = endo.weyl_h_elements()
+
+    def condition(w):
+        winv = group.weyl.inverse[w]
+        basis = [mat_vec(winv, u) for u in param.center_basis]
+        return all(any(all(mat_vec(mat_mul(h, g), v) == v for v in basis)
+                       for h in wh)
+                   for g in group.galois.char_elements())
+
+    wl = _closure_levi_weyl(group, levi)
+    levi_root_set = {group.datum.roots[i]
+                     for i in group.levi_context(levi).root_indices()}
+    seen, out = set(), []
+    for w in sorted(w for w in group.weyl.elements if condition(w)):
+        if w not in seen:
+            orbit = {mat_mul(mat_mul(l, w), h) for l in wl for h in wh}
+            seen |= orbit
+            out.append(_standardize_embedded(param, endo, levi,
+                                             levi_root_set, min(orbit)))
+    return sorted(out, key=lambda e: e.key())
+
+
+def _scan_forward(param, levi, endo, h, emb, v):
+    """The transporter-set scan the forward table replaces."""
+    from rk.endoscopy import _left_coset_rep
+    from rk.lattice import mat_mul, mat_vec
+    from rk.weyl import transporter_set
+    group = param.group
+    inv = endo.H.relative.inverse
+    composite = mat_mul(mat_mul(inv[h], inv[v]),
+                        mat_mul(emb.h_std, group.weyl.inverse[emb.w_rep]))
+    basis = group.levi_context(levi).dual_split_center_basis
+    targets = [c for c in transporter_set(group, param.minimal_levi, levi)
+               if all(mat_vec(group.relative.inverse[c], u)
+                      == mat_vec(composite, u) for u in basis)]
+    if not targets:
+        raise AssertionError("indexing construction missed the transporter "
+                             "set")
+    reps = {_left_coset_rep(group, levi, t) for t in targets}
+    if len(reps) != 1:
+        raise AssertionError("indexing construction produced an ambiguous "
+                             "coset")
+    return reps.pop()
+
+
+def _outcome(f, *args):
+    try:
+        return f(*args)
+    except AssertionError as exc:
+        return ("raised", str(exc))
+
+
+@pytest.mark.parametrize("pname,ename", ECI_PAIRS)
+def test_memo_parameter_on_h_matches_fresh(pname, ename):
+    from rk.endoscopy import _find_parameter_on_h
+    param, endo = presets.parameter(pname), presets.endoscopy(ename)
+    param_h, h = parameter_on_h(param, endo)
+    fresh_param_h, fresh_h = _find_parameter_on_h(param, endo)
+    assert fresh_param_h is not param_h and fresh_h == h
+    for field in ("minimal_levi", "roots", "positives", "coroots",
+                  "r_generators", "center_basis", "label", "tempered"):
+        assert getattr(param_h, field) == getattr(fresh_param_h, field), field
+    assert parameter_on_h(param, endo)[0] is param_h
+
+
+@pytest.mark.parametrize("pname,ename", ECI_PAIRS)
+def test_memo_embedded_data_match_brute_force(pname, ename):
+    from rk.endoscopy import _full_levi_weyl
+    param, endo, levis = _pair_levis(pname, ename)
+    for levi in levis:
+        embs = enumerate_embedded(param, levi, endo)
+        assert list(embs) == _brute_embedded(param, levi, endo)
+        assert enumerate_embedded(param, set(levi), endo) is embs
+        wl = _full_levi_weyl(param, endo, levi)
+        assert set(wl) == _closure_levi_weyl(param.group, levi)
+        assert _full_levi_weyl(param, endo, levi) is wl
+
+
+@pytest.mark.parametrize("pname,ename", ECI_PAIRS)
+def test_memo_forward_table_matches_transporter_scan(pname, ename):
+    from rk.endoscopy import indexing_forward
+    param, endo, levis = _pair_levis(pname, ename)
+    param_h, h = parameter_on_h(param, endo)
+    checked = 0
+    for levi in levis:
+        for emb in enumerate_embedded(param, levi, endo):
+            for v in endo.H.relative.elements:
+                got = _outcome(indexing_forward, param, levi, endo, param_h,
+                               h, emb, v)
+                assert got == _outcome(_scan_forward, param, levi, endo, h,
+                                       emb, v)
+                checked += got[0] != "raised"
+    assert checked
+
+
+def test_memo_not_shared_between_objects():
+    from rk.endoscopy import _memo
+    p1, p2 = presets.parameter("gl4-st2"), presets.parameter("gl4-st2")
+    e1, e2 = presets.endoscopy("gl4-s1"), presets.endoscopy("gl4-s1")
+    levi = frozenset({0, 2})
+    memos = [_memo(p, e) for p in (p1, p2) for e in (e1, e2)]
+    assert len({id(m) for m in memos}) == 4
+    ons = [parameter_on_h(p, e)[0] for p in (p1, p2) for e in (e1, e2)]
+    assert len({id(x) for x in ons}) == 4
+    embs = [enumerate_embedded(p, levi, e) for p in (p1, p2) for e in (e1, e2)]
+    assert len({id(x) for x in embs}) == 4
+    assert all(x == embs[0] for x in embs)
+
+
+def test_memo_stores_no_failed_parameter_on_h():
+    from rk.endoscopy import _memo
+    param = presets.parameter("gl4-st2")
+    endo = presets.endoscopy("gl2x2-swap-s1")
+    messages = []
+    for _ in range(2):
+        with pytest.raises(EndoscopyError) as info:
+            parameter_on_h(param, endo)
+        messages.append(str(info.value))
+    assert messages[0] == messages[1]
+    assert "does not factor through" in messages[0]
+    assert _memo(param, endo) == {}
+
+
+@pytest.mark.parametrize("name", presets.GROUP_NAMES)
+def test_generated_levi_weyl_matches_closure(name):
+    group = presets.group(name)
+    for levi in group.standard_levi_subsets():
+        got = group.weyl.generated([group.weyl.generators[pos]
+                                    for pos in sorted(levi)])
+        assert list(got) == sorted(got)
+        assert set(got) == _closure_levi_weyl(group, levi)

@@ -232,3 +232,21 @@ def test_cli_rejects_bad_rho(argv, message):
     assert proc.returncode == 1
     assert proc.stdout == ""
     assert proc.stderr == "error: %s\n" % message
+
+
+@pytest.mark.parametrize("param,endo,message", [
+    ("gl2-triv", "gl4-s1",
+     "--param gl2-triv is a parameter of gl2, but --endo gl4-s1 is an "
+     "endoscopic datum of gl4"),
+    ("gl2x2-swap-triv", "gl4-s1",
+     "--param gl2x2-swap-triv is a parameter of gl2x2-swap, but --endo "
+     "gl4-s1 is an endoscopic datum of gl4"),
+    ("gl4-st2", "gl2x2-swap-s1",
+     "--param gl4-st2 is a parameter of gl4, but --endo gl2x2-swap-s1 is "
+     "an endoscopic datum of gl2x2-swap"),
+], ids=["other-rank", "other-roots", "param-of-gl4"])
+def test_cli_eci_rejects_mismatched_groups(param, endo, message):
+    proc = _run("eci", "--param", param, "--endo", endo)
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert proc.stderr == "error: %s\n" % message
