@@ -82,7 +82,7 @@ def _parse_rho(param, text: str):
     from .packets import _component_stabilizer
     weight_text, colon, pick_text = text.partition(":")
     try:
-        weight = _parse_ints(weight_text)
+        weight = _parse_ints(weight_text, "--rho")
     except ValueError:
         raise ValueError("--rho: %r is not a comma-separated list of %d "
                          "integers" % (weight_text, param.dim)) from None
@@ -104,11 +104,17 @@ def _parse_rho(param, text: str):
     return HighestWeightPair(weight, mods[pick])
 
 
-def _parse_ints(text: str):
+def _parse_ints(text: str, flag: str):
+    """Comma-separated integers ("" for none); a bad entry is an error that
+    names the flag."""
     text = (text or "").strip()
     if not text:
         return ()
-    return tuple(int(x) for x in text.split(","))
+    try:
+        return tuple(int(x) for x in text.split(","))
+    except ValueError:
+        raise ValueError("%s: %r is not a comma-separated list of integers"
+                         % (flag, text)) from None
 
 
 def _word(group, m):
@@ -149,11 +155,11 @@ def cmd_bset(args) -> Dict:
         ctx = group.levi_context(levi)
         if args.kappa_ambient:
             kappa = ctx.dual_center_characters.element_from_ambient(
-                _parse_ints(args.kappa_ambient))
+                _parse_ints(args.kappa_ambient, "--kappa-ambient"))
         else:
             parts = (args.kappa or "").split(";")
-            free = _parse_ints(parts[0])
-            torsion = _parse_ints(parts[1]) if len(parts) > 1 else ()
+            free = _parse_ints(parts[0], "--kappa")
+            torsion = _parse_ints(parts[1], "--kappa") if len(parts) > 1 else ()
             kappa = ctx.dual_center_characters.element(free, torsion)
         b = basic_plus_lift(group, levi, kappa)
     nu = newton(group, b)

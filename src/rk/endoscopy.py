@@ -87,7 +87,8 @@ class EndoscopicDatum:
                                  "H(%s)" % self.label)
         h_galois = GaloisAction(h_datum, group.galois.char_generators)
         self.H = ReductiveGroup(h_datum, h_galois, name=h_datum.name)
-        self.h_root_set = set(keep_roots)
+        # the G root index of each H root
+        self.keep: Tuple[int, ...] = tuple(keep)
 
     def is_trivial(self) -> bool:
         return all(x == 0 for x in self.s)
@@ -222,58 +223,63 @@ def _embedded(param: Parameter, levi: FrozenSet[int],
     mul = group.weyl.mul
     seen = set()
     out = []
-    levi_root_set = {group.datum.roots[i]
-                     for i in group.levi_context(levi).root_indices()}
     for w in sorted(_admissible(param, endo)):
         if w in seen:
             continue
         orbit = {mul(mul(l, w), h) for l in wl for h in wh}
         seen |= orbit
         rep = min(orbit)
-        emb = _standardize_embedded(param, endo, levi, levi_root_set, rep)
+        emb = _standardize_embedded(param, endo, levi, rep)
         if emb is not None:
             out.append(emb)
     return tuple(sorted(out, key=lambda e: e.key()))
 
 
+def _cut(group: ReductiveGroup, endo: EndoscopicDatum, levi: FrozenSet[int],
+         u: Matrix) -> FrozenSet[int]:
+    """The H roots, as H root indices, that u in the Weyl group of G sends
+    into the Levi."""
+    inside = set(group.levi_context(levi).root_indices())
+    perm = group.weyl.perm[u]
+    return frozenset(j for j, i in enumerate(endo.keep) if perm[i] in inside)
+
+
 def _standardize_embedded(param: Parameter, endo: EndoscopicDatum,
-                          levi: FrozenSet[int], levi_root_set,
+                          levi: FrozenSet[int],
                           w: Matrix) -> Optional[EmbeddedDatum]:
     """Cut the endoscopic group by the twisted Levi and conjugate the cut
     to a standard Levi of H; None when the cut cannot be an endoscopic
     datum of the Levi (never happens for admissible twists, asserted)."""
     H = endo.H
-    cut_roots = {r for r in endo.h_root_set
-                 if mat_vec(w, r) in levi_root_set}
+    cut = _cut(param.group, endo, levi, w)
     for h in H.weyl.elements:
-        image = {mat_vec(h, r) for r in cut_roots}
-        subset = _standard_levi_with_roots(H, image)
+        perm = H.weyl.perm[h]
+        subset = _standard_levi_with_roots(H, {perm[j] for j in cut})
         if subset is None:
             continue
-        _assert_endoscopic_cut(param.group, endo, levi, w, cut_roots)
+        _assert_endoscopic_cut(param.group, endo, levi, w, cut)
         return EmbeddedDatum(w, h, subset)
     raise AssertionError("endoscopic Levi cut is not conjugate to a "
                          "standard Levi")
 
 
-def _standard_levi_with_roots(H: ReductiveGroup, root_set) -> Optional[FrozenSet[int]]:
+def _standard_levi_with_roots(H: ReductiveGroup,
+                              roots: FrozenSet[int]) -> Optional[FrozenSet[int]]:
     for subset in H.standard_levi_subsets():
-        idx = H.levi_context(subset).root_indices()
-        if {H.datum.roots[i] for i in idx} == root_set:
+        if set(H.levi_context(subset).root_indices()) == roots:
             return subset
     return None
 
 
-def _assert_endoscopic_cut(group, endo, levi, w, cut_roots) -> None:
+def _assert_endoscopic_cut(group, endo, levi, w, cut) -> None:
     """The twisted cut must equal the integral-pairing sub-system of the
     Levi at the twisted torus element."""
     q_w = endo.s_conjugate(w)
     datum = group.datum
-    levi_indices = group.levi_context(levi).root_indices()
-    expected = {datum.roots[i] for i in levi_indices
+    expected = {i for i in group.levi_context(levi).root_indices()
                 if dot(datum.coroots[i], q_w) % 1 == 0}
-    image = {mat_vec(w, r) for r in cut_roots}
-    if image != expected:
+    perm = group.weyl.perm[w]
+    if {perm[endo.keep[j]] for j in cut} != expected:
         raise AssertionError("twisted endoscopic cut does not match the "
                              "Levi centralizer of the twisted element")
 
@@ -460,10 +466,6 @@ def regular_part(dist: FormalDistribution) -> FormalDistribution:
 # ---------------------------------------------------------------------------
 # regular pairing
 
-def _twisted_center_basis(param: Parameter, w: Matrix) -> Tuple[Vector, ...]:
-    return tuple(mat_vec(w, u) for u in param.center_basis)
-
-
 def _trace_on_levi_module(param: Parameter, levi, w: Matrix, lam_w: Vector,
                           module_dim: int, conj: Matrix,
                           q: Sequence[Fraction]) -> Cyclo:
@@ -597,15 +599,12 @@ def indexing_backward(param: Parameter, levi, endo: EndoscopicDatum,
     group = param.group
     H = endo.H
     levi = frozenset(levi)
-    levi_root_set = {group.datum.roots[i]
-                     for i in group.levi_context(levi).root_indices()}
     # w and h^-1 lie in W^rel and W^rel_H, both inside the absolute W
     mul = group.weyl.mul
     u = mul(w, H.relative.inverse[h])
     if u not in _admissible(param, endo):
         raise AssertionError("backward twist fails the Galois condition")
-    cut_roots = {r for r in endo.h_root_set
-                 if mat_vec(u, r) in levi_root_set}
+    cut = _cut(group, endo, levi, u)
     wl = _full_levi_weyl(param, endo, levi)
     wh = endo.weyl_h_elements()
     u_orbit = {mul(mul(l, u), x) for l in wl for x in wh}
@@ -616,18 +615,12 @@ def indexing_backward(param: Parameter, levi, endo: EndoscopicDatum,
             break
     if target_emb is None:
         raise AssertionError("backward twist does not meet any embedded class")
-    h_l_roots = {H.datum.roots[i]
-                 for i in H.levi_context(target_emb.levi_h).root_indices()}
+    h_l_roots = set(H.levi_context(target_emb.levi_h).root_indices())
     # hp must transport the endoscopic minimal center over the cut one
-    transporters = set(transporter_set(H, param_h.minimal_levi,
-                                       target_emb.levi_h))
-    candidates = []
-    for hp in H.relative.elements:
-        if {mat_vec(hp, r) for r in cut_roots} != h_l_roots:
-            continue
-        if hp not in transporters:
-            continue
-        candidates.append(hp)
+    perm = H.relative.perm
+    candidates = [hp for hp in transporter_set(H, param_h.minimal_levi,
+                                               target_emb.levi_h)
+                  if {perm[hp][j] for j in cut} == h_l_roots]
     if not candidates:
         raise AssertionError("no restandardizing element found on the "
                              "endoscopic side")

@@ -396,7 +396,6 @@ def closure(generators: Sequence[Matrix], cap: int = DEFAULT_CLOSURE_CAP):
     ordered list and `words[g]` is one shortest word in generator indices.
     """
     if not generators:
-        n = 0
         raise ValueError("closure needs at least the lattice rank; pass identity")
     n = len(generators[0])
     ident = mat_identity(n)

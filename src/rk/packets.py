@@ -23,7 +23,6 @@ from .lattice import (
     Vector,
     dot,
     mat_identity,
-    mat_inverse_int,
     mat_mul,
     mat_transpose,
     mat_vec,
@@ -73,7 +72,7 @@ def canonical_rho(param: Parameter, rho: HighestWeightPair) -> HighestWeightPair
     if lam_star == lam:
         return rho
     d_r = param.char_action(r)
-    d_rinv = mat_inverse_int(d_r)
+    d_rinv = param.char_action(param.group.relative.inverse[r])
     # transported module: chi*(a) = chi(r^-1 a r) on the stabilizer of lam*
     stab_star = [a for a in param.component_group().elements
                  if mat_vec(a, lam_star) == lam_star]

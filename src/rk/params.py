@@ -21,9 +21,7 @@ from .finite_reps import FiniteGroup
 from .lattice import (
     Matrix,
     Vector,
-    closure,
     dot,
-    in_span,
     kernel_basis,
     mat,
     mat_contragredient,
@@ -143,26 +141,15 @@ class Parameter:
 
         # the full W_phi inside the relative Weyl group
         refl = [self.reflection_realization[a] for a in self.positives]
-        gens = tuple(refl) + self.r_generators
-        if gens:
-            order, _ = closure(gens, 10**6)
-        else:
-            order = [rel.identity]
-        self.wphi_elements: Tuple[Matrix, ...] = tuple(sorted(order))
+        self.wphi_elements: Tuple[Matrix, ...] = rel.generated(
+            refl + list(self.r_generators))
         for m in self.wphi_elements:
             if m not in self._embedded:
                 raise ParameterError("centralizer Weyl group escapes the "
                                      "embedded normalizer image")
-        if refl:
-            order_o, _ = closure(tuple(refl), 10**6)
-        else:
-            order_o = [rel.identity]
-        self.wphi_o_elements: Tuple[Matrix, ...] = tuple(sorted(order_o))
-        if self.r_generators:
-            order_r, _ = closure(self.r_generators, 10**6)
-        else:
-            order_r = [rel.identity]
-        self.r_elements: Tuple[Matrix, ...] = tuple(sorted(order_r))
+        self.wphi_o_elements: Tuple[Matrix, ...] = rel.generated(refl)
+        self.r_elements: Tuple[Matrix, ...] = rel.generated(
+            self.r_generators)
         if len(self.wphi_elements) != \
                 len(self.wphi_o_elements) * len(self.r_elements):
             raise ParameterError("W_phi does not decompose as a semidirect "
@@ -175,27 +162,25 @@ class Parameter:
 
     def _embedded_center_weyl(self) -> Dict[Matrix, Matrix]:
         """Image of the center-normalizer Weyl group inside W^rel: elements
-        stabilizing the center lattice and permuting the Levi positives;
-        values are the induced actions on the center character lattice."""
-        group = self.group
-        datum = group.datum
-        span = self.center_basis
-        mpos = [datum.roots[i]
-                for i in group.levi_context(self.minimal_levi).root_indices()
-                if i in datum.positive_root_set]
-        out = {}
-        for m in group.relative.elements:
-            if not all(in_span(span, mat_vec(m, u)) for u in span):
-                continue
-            if {mat_vec(m, r) for r in mpos} != set(mpos):
-                continue
-            out[m] = self._char_action_raw(m)
-        return out
+        permuting the positive roots of M; values are the induced actions on
+        the center character lattice.
+
+        Such an element also stabilizes the center span: it commutes with
+        Gamma and permutes M's coroots, so it preserves the Gamma-fixed
+        annihilator of those coroots (`_char_action_raw` asserts this)."""
+        rel = self.group.relative
+        positives = self.group.datum.positive_root_set
+        mpos = {i for i in self.ctx_M.root_indices() if i in positives}
+        return {m: self._char_action_raw(m) for m in rel.elements
+                if {rel.perm[m][i] for i in mpos} == mpos}
 
     def _char_action_raw(self, m: Matrix) -> Matrix:
         cols = []
         for u in self.center_basis:
             sol = solve_rational(self.center_basis, mat_vec(m, u))
+            if sol is None:
+                raise AssertionError("an element permuting the positive roots "
+                                     "of M moved the center span")
             col = []
             for x in sol:
                 if Fraction(x).denominator != 1:
@@ -339,12 +324,8 @@ class LeviCut:
             if {mat_vec(d, p) for p in self.positives} == pos_set:
                 comp.append(g)
         self.component_elements = tuple(sorted(comp))
-        refl = [param.reflection_realization[p] for p in self.positives]
-        if refl:
-            order, _ = closure(tuple(refl), 10**6)
-        else:
-            order = [group.relative.identity]
-        self.connected_weyl_elements = tuple(sorted(order))
+        self.connected_weyl_elements = group.relative.generated(
+            [param.reflection_realization[p] for p in self.positives])
         if set(self.connected_weyl_elements) - set(self.weyl_elements):
             raise ParameterError("Levi-cut reflections escape the Levi")
         if len(self.weyl_elements) != \

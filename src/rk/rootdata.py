@@ -38,7 +38,6 @@ from .lattice import (
     Vector,
     coinvariants,
     dot,
-    in_span,
     invariants_saturated,
     kernel_basis,
     mat,
@@ -135,6 +134,7 @@ class BasedRootDatum:
             raise DatumError("roots present but no simple roots given")
         # signs: every root is a +/- N-combination of simples
         positives = []
+        supports = []
         for i, r in enumerate(self.roots):
             sol = solve_rational([self.roots[s] for s in self.simple_indices], r)
             if sol is None:
@@ -145,7 +145,9 @@ class BasedRootDatum:
                 raise DatumError("root has mixed signs in the simple basis")
             if pos:
                 positives.append(i)
+            supports.append(frozenset(p for p, c in enumerate(sol) if c != 0))
         object.__setattr__(self, "_root_index", idx)
+        object.__setattr__(self, "_supports", tuple(supports))
         object.__setattr__(self, "_positive_indices", tuple(positives))
         object.__setattr__(self, "_positive_set", frozenset(positives))
 
@@ -164,6 +166,10 @@ class BasedRootDatum:
     @property
     def simple_coroots(self) -> Tuple[Vector, ...]:
         return tuple(self.coroots[i] for i in self.simple_indices)
+
+    def support(self, i: int) -> FrozenSet[int]:
+        """Simple positions with a nonzero coefficient in root i."""
+        return self._supports[i]
 
     def positive_root_indices(self) -> Tuple[int, ...]:
         return self._positive_indices
@@ -206,7 +212,9 @@ class GaloisAction:
         object.__setattr__(self, "_dual_gens",
                            tuple(mat_contragredient(g) for g in action.generators))
         simple_set = set(self.datum.simple_indices)
+        perms = []
         for g, gd in zip(action.generators, self._dual_gens):
+            perm = []
             for i, r in enumerate(self.datum.roots):
                 img = mat_vec(g, r)
                 if not self.datum.is_root(img):
@@ -214,10 +222,11 @@ class GaloisAction:
                 j = self.datum.root_index(img)
                 if mat_vec(gd, self.datum.coroots[i]) != self.datum.coroots[j]:
                     raise DatumError("Galois generator breaks root/coroot pairing")
-            for i in self.datum.simple_indices:
-                img = mat_vec(g, self.datum.roots[i])
-                if self.datum.root_index(img) not in simple_set:
-                    raise DatumError("Galois generator does not permute simples")
+                perm.append(j)
+            if any(perm[i] not in simple_set for i in self.datum.simple_indices):
+                raise DatumError("Galois generator does not permute simples")
+            perms.append(tuple(perm))
+        object.__setattr__(self, "_root_perms", tuple(perms))
 
     @property
     def char_generators(self) -> Tuple[Matrix, ...]:
@@ -233,13 +242,10 @@ class GaloisAction:
     def is_trivial(self) -> bool:
         return all(g == mat_identity(self.datum.rank) for g in self.char_generators)
 
-    def simple_permutation(self, g: Matrix) -> Dict[int, int]:
-        """Permutation induced on positions within simple_indices."""
-        out = {}
-        for pos, i in enumerate(self.datum.simple_indices):
-            img = self.datum.root_index(mat_vec(g, self.datum.roots[i]))
-            out[pos] = self.datum.simple_indices.index(img)
-        return out
+    @property
+    def root_permutations(self) -> Tuple[Tuple[int, ...], ...]:
+        """Per character generator: root index i -> index of g(roots[i])."""
+        return self._root_perms
 
     def dual(self, dual_datum: BasedRootDatum) -> "GaloisAction":
         """Transport to the dual datum (contragredient matrices)."""
@@ -416,7 +422,8 @@ class LeviContext:
                 self._alpha_den = lcm(self._alpha_den, x.denominator)
         self._alpha_num = tuple(tuple(int(x * self._alpha_den) for x in row)
                                 for row in alpha_q)
-        self._root_indices: Optional[Tuple[int, ...]] = None
+        self._root_indices = tuple(i for i in range(len(datum.roots))
+                                   if datum.support(i) <= self.subset)
 
     # -- coordinate maps ---------------------------------------------------
 
@@ -464,14 +471,8 @@ class LeviContext:
         return self.alpha(self.functional_of_kappa(kappa))
 
     def root_indices(self) -> Tuple[int, ...]:
-        """Indices of the ambient roots belonging to this Levi (computed
-        once)."""
-        if self._root_indices is None:
-            datum = self.group.datum
-            simples = [datum.simple_roots[pos] for pos in sorted(self.subset)]
-            self._root_indices = tuple(
-                i for i, r in enumerate(datum.roots)
-                if simples and in_span(simples, r))
+        """Indices of the ambient roots belonging to this Levi: those whose
+        support lies in the Levi's simple subset."""
         return self._root_indices
 
 
@@ -509,10 +510,13 @@ class ReductiveGroup:
     def simple_orbits(self) -> Tuple[Tuple[int, ...], ...]:
         """Galois orbits on positions 0..(#simples-1), sorted by least member."""
         if self._orbits is None:
-            k = len(self.datum.simple_indices)
+            simple = self.datum.simple_indices
+            # each Galois generator's permutation of the simple positions
+            perms = [[simple.index(p[i]) for i in simple]
+                     for p in self.galois.root_permutations]
             seen = set()
             orbits = []
-            for pos in range(k):
+            for pos in range(len(simple)):
                 if pos in seen:
                     continue
                 orbit = {pos}
@@ -520,8 +524,7 @@ class ReductiveGroup:
                 while frontier:
                     new = []
                     for p in frontier:
-                        for g in self.galois.char_generators:
-                            perm = self.galois.simple_permutation(g)
+                        for perm in perms:
                             q = perm[p]
                             if q not in orbit:
                                 orbit.add(q)
@@ -568,9 +571,7 @@ class ReductiveGroup:
                             self.datum.roots)
             # g.m.g^-1 lies in W, which acts faithfully on the roots, so m
             # commutes with g iff their root permutations commute
-            gperms = [tuple(self.datum.root_index(mat_vec(g, r))
-                            for r in self.datum.roots)
-                      for g in self.galois.char_generators]
+            gperms = self.galois.root_permutations
             perm = self.weyl.perm
 
             def commutes_with_galois(m: Matrix) -> bool:

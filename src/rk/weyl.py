@@ -16,7 +16,6 @@ from typing import FrozenSet, Optional, Sequence, Tuple
 from .lattice import (
     Matrix,
     dot,
-    in_span,
     mat_mul,  # noqa: F401 -- perfbench's self-test reads rk.weyl.mat_mul
     mat_vec,
 )
@@ -77,20 +76,20 @@ def stratum_of(group: ReductiveGroup, x: Sequence) -> Optional[FrozenSet[int]]:
 
 
 def transporter_set(group: ReductiveGroup, levi1, levi2) -> Tuple[Matrix, ...]:
-    """{w in W^rel : w(A_{L1}) contains A_{L2}}, by exact subspace containment;
-    computed once per group and pair of Levis."""
+    """{w in W^rel : w(A_{L1}) contains A_{L2}}; computed once per group and
+    pair of Levis.
+
+    w(A_{L1}) is the split center of w L1 w^-1, and it contains A_{L2}
+    exactly when w L1 w^-1 lies in the centralizer L2 of A_{L2}, that is,
+    when w sends every root of L1 to a root of L2."""
     key = (frozenset(levi1), frozenset(levi2))
     if key not in group._transporters:
-        b1 = group.levi_context(key[0]).split_center_basis
-        b2 = group.levi_context(key[1]).split_center_basis
+        roots1 = group.levi_context(key[0]).root_indices()
+        roots2 = set(group.levi_context(key[1]).root_indices())
         rel = group.relative
-        out = []
-        for m in rel.elements:
-            md = rel.contragredient[m]
-            image = [mat_vec(md, y) for y in b1]
-            if all(in_span(image, y) for y in b2):
-                out.append(m)
-        group._transporters[key] = tuple(out)
+        group._transporters[key] = tuple(
+            m for m in rel.elements
+            if all(rel.perm[m][i] in roots2 for i in roots1))
     return group._transporters[key]
 
 

@@ -442,15 +442,12 @@ def _brute_embedded(param, levi, endo):
                    for g in group.galois.char_elements())
 
     wl = _closure_levi_weyl(group, levi)
-    levi_root_set = {group.datum.roots[i]
-                     for i in group.levi_context(levi).root_indices()}
     seen, out = set(), []
     for w in sorted(w for w in group.weyl.elements if condition(w)):
         if w not in seen:
             orbit = {mat_mul(mat_mul(l, w), h) for l in wl for h in wh}
             seen |= orbit
-            out.append(_standardize_embedded(param, endo, levi,
-                                             levi_root_set, min(orbit)))
+            out.append(_standardize_embedded(param, endo, levi, min(orbit)))
     return sorted(out, key=lambda e: e.key())
 
 
@@ -563,3 +560,93 @@ def test_generated_levi_weyl_matches_closure(name):
                                     for pos in sorted(levi)])
         assert list(got) == sorted(got)
         assert set(got) == _closure_levi_weyl(group, levi)
+
+
+# ---------------------------------------------------------------------------
+# root-index tests against the vector definitions they replace
+
+def _two_filter_embedded(param):
+    """The embedded normalizer by Fraction span containment of the moved
+    center basis, then the permutation of M's positive root vectors."""
+    from rk.lattice import in_span, mat_vec
+    group, datum = param.group, param.group.datum
+    span = param.center_basis
+    simples = [datum.simple_roots[pos] for pos in sorted(param.minimal_levi)]
+    mpos = {r for i, r in enumerate(datum.roots)
+            if i in datum.positive_root_set and simples
+            and in_span(simples, r)}
+    return [m for m in group.relative.elements
+            if all(in_span(span, mat_vec(m, u)) for u in span)
+            and {mat_vec(m, r) for r in mpos} == mpos]
+
+
+@pytest.mark.parametrize("pname", presets.PARAM_NAMES)
+def test_embedded_normalizer_matches_two_filter_scan(pname):
+    # the preset and its transport to every endoscopic datum of its group
+    param = presets.parameter(pname)
+    checked = [param]
+    for ename in presets.ENDO_NAMES:
+        endo = presets.endoscopy(ename)
+        if endo.group.name == param.group.name:
+            checked.append(parameter_on_h(param, endo)[0])
+    for p in checked:
+        assert list(p._embedded) == _two_filter_embedded(p)
+    assert len(checked) > 1
+
+
+def _scan_backward(param, levi, endo, param_h, h, embedded, w):
+    """`indexing_backward` with the cut roots as vectors and the
+    restandardizing elements found by matrix images over all of W^rel_H."""
+    from rk.endoscopy import (_admissible, _full_levi_weyl, _left_coset_rep,
+                              indexing_forward)
+    from rk.lattice import in_span, mat_vec
+    from rk.weyl import transporter_set
+    group, H = param.group, endo.H
+    datum = group.datum
+    simples = [datum.simple_roots[pos] for pos in sorted(levi)]
+    levi_roots = {r for r in datum.roots if simples and in_span(simples, r)}
+    mul = group.weyl.mul
+    u = mul(w, H.relative.inverse[h])
+    if u not in _admissible(param, endo):
+        raise AssertionError("backward twist fails the Galois condition")
+    cut_roots = {r for r in H.datum.roots if mat_vec(u, r) in levi_roots}
+    wl = _full_levi_weyl(param, endo, levi)
+    u_orbit = {mul(mul(l, u), x) for l in wl for x in endo.weyl_h_elements()}
+    target = next((e for e in embedded if e.w_rep in u_orbit), None)
+    if target is None:
+        raise AssertionError("backward twist does not meet any embedded class")
+    h_simples = [H.datum.simple_roots[pos] for pos in sorted(target.levi_h)]
+    h_l_roots = {r for r in H.datum.roots
+                 if h_simples and in_span(h_simples, r)}
+    transporters = set(transporter_set(H, param_h.minimal_levi,
+                                       target.levi_h))
+    candidates = [hp for hp in H.relative.elements
+                  if {mat_vec(hp, r) for r in cut_roots} == h_l_roots
+                  and hp in transporters]
+    if not candidates:
+        raise AssertionError("no restandardizing element found on the "
+                             "endoscopic side")
+    matching = [v for v in {_left_coset_rep(H, target.levi_h, c)
+                            for c in candidates}
+                if indexing_forward(param, levi, endo, param_h, h, target, v)
+                == _left_coset_rep(group, levi, w)]
+    if not matching:
+        raise AssertionError("backward construction does not invert forward")
+    return target, min(matching)
+
+
+@pytest.mark.parametrize("pname,ename", ECI_PAIRS)
+def test_indexing_backward_matches_vector_scan(pname, ename):
+    from rk.endoscopy import indexing_backward
+    param, endo, levis = _pair_levis(pname, ename)
+    param_h, h = parameter_on_h(param, endo)
+    checked = 0
+    for levi in levis:
+        embedded = enumerate_embedded(param, levi, endo)
+        for w in param.group.relative.elements:
+            got = _outcome(indexing_backward, param, levi, endo, param_h, h,
+                           embedded, w)
+            assert got == _outcome(_scan_backward, param, levi, endo,
+                                   param_h, h, embedded, w)
+            checked += got[0] != "raised"
+    assert checked

@@ -225,8 +225,13 @@ def test_cli_rejects_bad_levi(argv, message):
     (("eci", "--param", "gl3-triv", "--endo", "gl3-s1"),
      "eci needs --rho or --b: the default weight 1,0 has 2 entries, this "
      "parameter needs 3"),
+    (("bset", "--group", "gl2", "--levi", "", "--kappa", "x"),
+     "--kappa: 'x' is not a comma-separated list of integers"),
+    (("bset", "--group", "gl2", "--levi", "", "--kappa-ambient", "1,y"),
+     "--kappa-ambient: '1,y' is not a comma-separated list of integers"),
 ], ids=["wrong-length", "module-out-of-range", "not-integers",
-        "not-dominant", "eci-wrong-length", "eci-default-wrong-length"])
+        "not-dominant", "eci-wrong-length", "eci-default-wrong-length",
+        "kappa-not-integers", "kappa-ambient-not-integers"])
 def test_cli_rejects_bad_rho(argv, message):
     proc = _run(*argv)
     assert proc.returncode == 1

@@ -141,6 +141,15 @@ def test_parameter_rejects_open_positive_system():
                   (g.datum.roots[g.datum.simple_indices[0]],))
 
 
+def test_char_action_asserts_the_center_span_is_kept():
+    # an element outside the embedded normalizer moves the center span of
+    # M = {0, 2}; the action refuses it instead of reading no solution
+    s1 = GL4ST.group.relative.generators[1]
+    assert s1 not in GL4ST._embedded
+    with pytest.raises(AssertionError, match="moved the center span"):
+        GL4ST._char_action_raw(s1)
+
+
 # ---------------------------------------------------------------------------
 # the forward construction
 

@@ -88,11 +88,11 @@ def _brute_transporter_scan(g, levi1, levi2):
 def _levi_pairs(g):
     subsets = g.standard_levi_subsets()
     pairs = list(itertools.product(subsets, subsets))
-    # every pair up to gl4; the brute scan of all pairs takes half a
-    # minute on gl5 and several on gl6, so those get a fixed sample
-    budget = max(4, 2000 // len(g.relative))
-    if len(pairs) > budget:
-        pairs = random.Random(len(pairs)).sample(pairs, budget)
+    # every pair when |W^rel| <= 48; the brute scan of all pairs takes half
+    # a minute on gl5 and several on gl6, so those get a seeded sample
+    if len(g.relative) > 48:
+        pairs = random.Random(len(pairs)).sample(
+            pairs, max(4, 2000 // len(g.relative)))
     return pairs
 
 
@@ -102,6 +102,31 @@ def test_transporter_set_matches_brute_scan(name):
     for levi1, levi2 in _levi_pairs(g):
         assert transporter_set(g, levi1, levi2) == \
             _brute_transporter_scan(g, levi1, levi2)
+
+
+def test_benchmark_tracer_installs_on_every_target():
+    # the benchmark's tracer wraps rk functions by their paths, and its
+    # self-test reads rk.weyl.mat_mul: every path must still resolve
+    import importlib.util
+    import pathlib
+    import rk.weyl
+    path = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / \
+        "tracer.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    plain = rk.weyl.transporter_set
+    tr = tracer.Tracer()
+    try:
+        tr.install()
+        saved = [(ns, attr) for ns, attr, _original in tr._saved]
+    finally:
+        tr.restore()
+    assert {p.split(".")[-1] for _layer, p, _fn in tracer.TARGETS} <= \
+        {attr for _ns, attr in saved}
+    assert (rk.weyl, "transporter_set") in saved
+    assert (rk.weyl, "mat_mul") in saved
+    assert rk.weyl.transporter_set is plain
 
 
 def _cached_values(g):
