@@ -158,6 +158,10 @@ def cmd_bset(args) -> Dict:
                 _parse_ints(args.kappa_ambient, "--kappa-ambient"))
         else:
             parts = (args.kappa or "").split(";")
+            if len(parts) > 2:
+                raise ValueError("--kappa: %r has %d ';'-separated parts; "
+                                 "expected FREE or FREE;TORSION"
+                                 % (args.kappa, len(parts)))
             free = _parse_ints(parts[0], "--kappa")
             torsion = _parse_ints(parts[1], "--kappa") if len(parts) > 1 else ()
             kappa = ctx.dual_center_characters.element(free, torsion)

@@ -66,9 +66,9 @@ def classify(group: ReductiveGroup, b: BElement) -> FrozenSet[int]:
     """The unique parabolic stratum containing b; always equals b.levi for
     a well-formed element (asserted)."""
     nu = newton(group, b)
-    if not group.dominant(nu):
+    stratum = group.facet_of_pairings(group.scaled_simple_pairing(nu))
+    if stratum is None:
         raise ValueError("inconsistent element: Newton point not dominant")
-    stratum = group.facet_levi(nu)
     if stratum != b.levi:
         raise ValueError("inconsistent element: Newton stratum %s != levi %s"
                          % (sorted(stratum), sorted(b.levi)))
@@ -83,10 +83,9 @@ def basic_plus_lift(group: ReductiveGroup, levi, kappa: FgaElement) -> BElement:
     ctx = group.levi_context(levi)
     nu = ctx.newton_point(kappa)
     zero, negative = [], []
-    for pos in range(len(group.datum.simple_indices)):
+    for pos, p in enumerate(group.scaled_simple_pairing(nu)):
         if pos in levi:
             continue
-        p = sum(a * x for a, x in zip(group.datum.simple_roots[pos], nu))
         if p == 0:
             zero.append(pos)
         elif p < 0:

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from math import lcm
-from typing import Dict, FrozenSet, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from .lattice import (
     DEFAULT_CLOSURE_CAP,
@@ -147,6 +147,8 @@ class BasedRootDatum:
                 positives.append(i)
             supports.append(frozenset(p for p, c in enumerate(sol) if c != 0))
         object.__setattr__(self, "_root_index", idx)
+        object.__setattr__(self, "_simple_roots", tuple(simples))
+        object.__setattr__(self, "_simple_coroots", tuple(scoroots))
         object.__setattr__(self, "_supports", tuple(supports))
         object.__setattr__(self, "_positive_indices", tuple(positives))
         object.__setattr__(self, "_positive_set", frozenset(positives))
@@ -161,11 +163,11 @@ class BasedRootDatum:
 
     @property
     def simple_roots(self) -> Tuple[Vector, ...]:
-        return tuple(self.roots[i] for i in self.simple_indices)
+        return self._simple_roots
 
     @property
     def simple_coroots(self) -> Tuple[Vector, ...]:
-        return tuple(self.coroots[i] for i in self.simple_indices)
+        return self._simple_coroots
 
     def support(self, i: int) -> FrozenSet[int]:
         """Simple positions with a nonzero coefficient in root i."""
@@ -493,6 +495,7 @@ class ReductiveGroup:
         self._restricted: Optional[Tuple[Matrix, ...]] = None
         self._relative: Optional[WeylGroup] = None
         self._orbits: Optional[Tuple[Tuple[int, ...], ...]] = None
+        self._standard_levis: Optional[Tuple[FrozenSet[int], ...]] = None
 
     # -- absolute Weyl group ------------------------------------------------
 
@@ -608,16 +611,47 @@ class ReductiveGroup:
         return tuple(dot(self.datum.simple_roots[pos], x)
                      for pos in range(len(self.datum.simple_indices)))
 
+    # -- the integer chamber kernel -------------------------------------------
+    #
+    # Scaling a rational point by d > 0 keeps the sign of every pairing and
+    # every equality between pairings, so chambers, facets and stabilizers
+    # are read from d.x and its integer pairings with the roots.
+
+    @staticmethod
+    def integer_point(x: Sequence) -> Tuple[int, Vector]:
+        """(d, d.x) for d the lcm of the denominators of a rational point."""
+        x = [Fraction(v) for v in x]
+        d = lcm(*(v.denominator for v in x))
+        return d, tuple(v.numerator * (d // v.denominator) for v in x)
+
+    def root_pairings(self, xi: Vector) -> List[int]:
+        """<root_i, xi> for every root i of the datum."""
+        return [dot(r, xi) for r in self.datum.roots]
+
+    def scaled_simple_pairing(self, x: Sequence) -> List[int]:
+        """simple_pairing(x) scaled by integer_point's d: the same signs and
+        zeros, in integers."""
+        xi = self.integer_point(x)[1]
+        return [dot(a, xi) for a in self.datum.simple_roots]
+
+    @staticmethod
+    def facet_of_pairings(simple: Sequence[int]) -> Optional[FrozenSet[int]]:
+        """The facet Levi (positions pairing to zero) from the simple
+        pairings of a point, or None when the point is not dominant."""
+        if any(p < 0 for p in simple):
+            return None
+        return frozenset(pos for pos, p in enumerate(simple) if p == 0)
+
     def dominant(self, x: Sequence) -> bool:
-        return all(p >= 0 for p in self.simple_pairing(x))
+        return self.facet_of_pairings(self.scaled_simple_pairing(x)) is not None
 
     def facet_levi(self, x: Sequence) -> FrozenSet[int]:
         """For dominant x: the simple positions pairing to zero (the Levi of
         the unique open facet containing x)."""
-        pairing = self.simple_pairing(x)
-        if any(p < 0 for p in pairing):
+        levi = self.facet_of_pairings(self.scaled_simple_pairing(x))
+        if levi is None:
             raise ValueError("facet_levi needs a dominant point")
-        return frozenset(pos for pos, p in enumerate(pairing) if p == 0)
+        return levi
 
     # -- Levis and parabolics ---------------------------------------------------
 
@@ -630,24 +664,25 @@ class ReductiveGroup:
     def standard_levi_subsets(self) -> Tuple[FrozenSet[int], ...]:
         """All Gamma-stable simple subsets (unions of orbits), ordered by
         size then lexicographically; contains the minimal Levi and G."""
-        orbits = self.simple_orbits
-        subsets = []
-        for k in range(len(orbits) + 1):
-            for combo in combinations(range(len(orbits)), k):
-                s = frozenset().union(*[set(orbits[i]) for i in combo]) \
-                    if combo else frozenset()
-                subsets.append(s)
-        return tuple(sorted(set(subsets), key=lambda s: (len(s), sorted(s))))
+        if self._standard_levis is None:
+            orbits = self.simple_orbits
+            subsets = set()
+            for k in range(len(orbits) + 1):
+                for combo in combinations(orbits, k):
+                    subsets.add(frozenset().union(*combo))
+            self._standard_levis = tuple(
+                sorted(subsets, key=lambda s: (len(s), sorted(s))))
+        return self._standard_levis
 
     def levi_weyl_elements(self, subset) -> Tuple[Matrix, ...]:
-        """W^rel_L: relative Weyl elements fixing fraktur-A_L pointwise."""
+        """W^rel_L: relative Weyl elements fixing fraktur-A_L pointwise,
+        generated by the restricted reflections of the orbits inside L."""
         key = frozenset(subset)
         if key not in self._levi_weyl:
-            basis = self.levi_context(key).split_center_basis
-            rel = self.relative
-            self._levi_weyl[key] = tuple(
-                m for m in rel.elements
-                if all(mat_vec(rel.contragredient[m], y) == y for y in basis))
+            self.levi_context(key)   # rejects a subset that is not a Levi
+            self._levi_weyl[key] = self.relative.generated(
+                [r for r, orb in zip(self.restricted_reflections,
+                                     self.simple_orbits) if key.issuperset(orb)])
         return self._levi_weyl[key]
 
     def full_subset(self) -> FrozenSet[int]:

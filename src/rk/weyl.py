@@ -15,7 +15,6 @@ from typing import FrozenSet, Optional, Sequence, Tuple
 
 from .lattice import (
     Matrix,
-    dot,
     mat_mul,  # noqa: F401 -- perfbench's self-test reads rk.weyl.mat_mul
     mat_vec,
 )
@@ -39,40 +38,40 @@ def chamber_locate(group: ReductiveGroup, x: Sequence) -> ChamberWitness:
     Greedy ascent: while some restricted simple pairing is negative,
     apply the lowest-index violated restricted reflection.  The facet
     Levi is independent of the witness; the witness is deterministic.
+    The ascent runs on the integer kernel: reflecting by r permutes the
+    root-pairing table, since <a, r.x> = <r^-1 a, x>, and the image is
+    formed once at the end.
     """
-    x = tuple(Fraction(v) for v in x)
-    if not group.is_relative_point(x):
+    d, xi = group.integer_point(x)
+    if not group.is_relative_point(xi):
         raise ValueError("chamber_locate needs a Galois-fixed point")
     rel = group.relative
     refl = group.restricted_reflections
-    orbits = group.simple_orbits
-    current = x
+    simple = group.datum.simple_indices
+    heads = [simple[orb[0]] for orb in group.simple_orbits]
+    p = group.root_pairings(xi)
     word: Tuple[int, ...] = ()
     matrix = rel.identity
     while True:
-        violated = None
-        for oi, orb in enumerate(orbits):
-            if dot(group.datum.simple_roots[orb[0]], current) < 0:
-                violated = oi
-                break
+        violated = next((oi for oi, h in enumerate(heads) if p[h] < 0), None)
         if violated is None:
             break
         r = refl[violated]
-        current = mat_vec(rel.contragredient[r], current)
+        p = [p[j] for j in rel.perm[rel.inverse[r]]]
         matrix = rel.mul(r, matrix)
         word = (violated,) + word
         if len(word) > 4 * len(rel.elements):
             raise AssertionError("chamber ascent failed to terminate")
-    levi = group.facet_levi(current)
-    return ChamberWitness(rel.word(matrix), matrix, levi, current)
+    levi = group.facet_of_pairings([p[i] for i in simple])
+    image = tuple(Fraction(v, d)
+                  for v in mat_vec(rel.contragredient[matrix], xi))
+    return ChamberWitness(rel.word(matrix), matrix, levi, image)
 
 
 def stratum_of(group: ReductiveGroup, x: Sequence) -> Optional[FrozenSet[int]]:
     """The unique parabolic stratum containing a dominant point, or None
     when the point is not dominant."""
-    if not group.dominant(x):
-        return None
-    return group.facet_levi(x)
+    return group.facet_of_pairings(group.scaled_simple_pairing(x))
 
 
 def transporter_set(group: ReductiveGroup, levi1, levi2) -> Tuple[Matrix, ...]:
@@ -146,18 +145,16 @@ def geometric_lemma_index(group: ReductiveGroup, levi1, levi2):
 def stabilizer(group: ReductiveGroup, x: Sequence):
     """(full stabilizer of x in W^rel, Levi subset it equals when x is
     dominant, else None)."""
-    x = tuple(Fraction(v) for v in x)
     rel = group.relative
-    datum = group.datum
+    simple = group.datum.simple_indices
     # w.x - x lies in the coroot span, where the simple roots pair
-    # non-degenerately: w fixes x iff <w(a), x> = <a, x> for every simple a
-    pairing = [dot(r, x) for r in datum.roots]
-    simple = datum.simple_indices
+    # non-degenerately: w fixes x iff <w(a), x> = <a, x> for every simple a;
+    # the integer kernel's table holds those pairings scaled by d > 0
+    p = group.root_pairings(group.integer_point(x)[1])
     elems = tuple(m for m in rel.elements
-                  if all(pairing[rel.perm[m][i]] == pairing[i] for i in simple))
-    levi = None
-    if group.dominant(x):
-        levi = group.facet_levi(x)
+                  if all(p[rel.perm[m][i]] == p[i] for i in simple))
+    levi = group.facet_of_pairings([p[i] for i in simple])
+    if levi is not None:
         expected = set(group.levi_weyl_elements(levi))
         if set(elems) != expected:
             raise AssertionError("stabilizer of a dominant point must be the "

@@ -124,7 +124,7 @@ def test_criterion_3_bijectivity_suite():
 def test_criterion_4_chamber_stabilizer_suite():
     """1000 random rational points per preset land in exactly one open
     facet; the stabilizer of each dominant image is the Weyl group of its
-    facet Levi."""
+    facet Levi.  Budget: 5 s."""
     started = time.time()
     checked = 0
     for name in ("gl2", "gl3", "gl4", "sl2", "gl2x2-swap", "sp4", "u3"):
@@ -150,7 +150,7 @@ def test_criterion_4_chamber_stabilizer_suite():
             assert set(elems) == set(group.levi_weyl_elements(levi))
             checked += 1
     took = time.time() - started
-    assert took < 10.0, "criterion 4 exceeded its time budget: %.2fs" % took
+    assert took < 5.0, "criterion 4 exceeded its time budget: %.2fs" % took
     _report("criterion 4: chamber/stabilizer", started, "%d points" % checked)
 
 

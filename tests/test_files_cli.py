@@ -229,9 +229,13 @@ def test_cli_rejects_bad_levi(argv, message):
      "--kappa: 'x' is not a comma-separated list of integers"),
     (("bset", "--group", "gl2", "--levi", "", "--kappa-ambient", "1,y"),
      "--kappa-ambient: '1,y' is not a comma-separated list of integers"),
+    (("bset", "--group", "gl2", "--levi", "", "--kappa", "1,0;;5"),
+     "--kappa: '1,0;;5' has 3 ';'-separated parts; expected FREE or "
+     "FREE;TORSION"),
 ], ids=["wrong-length", "module-out-of-range", "not-integers",
         "not-dominant", "eci-wrong-length", "eci-default-wrong-length",
-        "kappa-not-integers", "kappa-ambient-not-integers"])
+        "kappa-not-integers", "kappa-ambient-not-integers",
+        "kappa-extra-part"])
 def test_cli_rejects_bad_rho(argv, message):
     proc = _run(*argv)
     assert proc.returncode == 1

@@ -340,6 +340,8 @@ def test_levi_rejects_non_stable_subset():
     g = presets.group("gl2x2-swap")
     with pytest.raises(DatumError):
         g.levi_context(frozenset({0}))
+    with pytest.raises(DatumError):
+        g.levi_weyl_elements(frozenset({0}))
 
 
 # ---------------------------------------------------------------------------
@@ -372,6 +374,27 @@ def test_parabolics_swap_direct_enumeration_oracle():
             stable.append(frozenset(subset))
     assert sorted(map(sorted, stable)) == [[], [0, 1]]
     assert sorted(map(sorted, standard_parabolics(g))) == [[], [0, 1]]
+
+
+@pytest.mark.parametrize("name", presets.GROUP_NAMES)
+def test_per_group_data_computed_once(name):
+    # repeat calls return one immutable object, equal to the definitions
+    g = presets.group(name)
+    d = g.datum
+    subsets = g.standard_levi_subsets()
+    assert g.standard_levi_subsets() is subsets
+    assert type(subsets) is tuple
+    assert all(type(s) is frozenset for s in subsets)
+    orbits = g.simple_orbits
+    brute = set()
+    for bits in range(2 ** len(orbits)):
+        brute.add(frozenset(p for k, orb in enumerate(orbits)
+                            if bits >> k & 1 for p in orb))
+    assert subsets == tuple(sorted(brute, key=lambda s: (len(s), sorted(s))))
+    assert d.simple_roots is d.simple_roots
+    assert d.simple_coroots is d.simple_coroots
+    assert d.simple_roots == tuple(d.roots[i] for i in d.simple_indices)
+    assert d.simple_coroots == tuple(d.coroots[i] for i in d.simple_indices)
 
 
 def test_parabolics_include_extremes():

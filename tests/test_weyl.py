@@ -9,7 +9,7 @@ from fractions import Fraction
 import pytest
 
 from rk import presets
-from rk.lattice import mat_contragredient, mat_vec
+from rk.lattice import dot, mat_contragredient, mat_mul, mat_vec
 from rk.weyl import (
     chamber_locate,
     double_coset_reps,
@@ -368,3 +368,107 @@ def test_stabilizer_matches_contragredient_scan(name):
             brute = tuple(m for m in g.relative.elements
                           if mat_vec(dual[m], point) == point)
             assert stabilizer(g, point)[0] == brute
+
+
+# ---------------------------------------------------------------------------
+# the integer chamber kernel against the Fraction path it replaced
+
+def _fraction_pairing(g, x):
+    return tuple(dot(a, x) for a in g.datum.simple_roots)
+
+
+def _fraction_facet(g, x):
+    pairing = _fraction_pairing(g, x)
+    if any(p < 0 for p in pairing):
+        return None
+    return frozenset(pos for pos, p in enumerate(pairing) if p == 0)
+
+
+def _fraction_chamber_locate(g, x):
+    # the Fraction ascent: one contragredient image per step
+    x = tuple(Fraction(v) for v in x)
+    if any(mat_vec(h, x) != x for h in g.galois.cochar_generators):
+        raise ValueError("chamber_locate needs a Galois-fixed point")
+    rel = g.relative
+    current, word, matrix = x, (), rel.identity
+    while True:
+        violated = next((oi for oi, orb in enumerate(g.simple_orbits)
+                         if dot(g.datum.simple_roots[orb[0]], current) < 0),
+                        None)
+        if violated is None:
+            break
+        r = g.restricted_reflections[violated]
+        current = mat_vec(mat_contragredient(r), current)
+        matrix = mat_mul(r, matrix)
+        word = (violated,) + word
+    return rel.word(matrix), matrix, _fraction_facet(g, current), current
+
+
+def _fraction_stabilizer(g, x):
+    x = tuple(Fraction(v) for v in x)
+    rel = g.relative
+    pairing = [dot(r, x) for r in g.datum.roots]
+    elems = tuple(m for m in rel.elements
+                  if all(pairing[rel.perm[m][i]] == pairing[i]
+                         for i in g.datum.simple_indices))
+    return elems, _fraction_facet(g, x)
+
+
+def _kernel_points(g, rng):
+    """Seeded relative points: as drawn (denominators up to 12), their
+    dominant images, generic points of A_L for every standard Levi (on
+    walls), the zero point and integer tuples."""
+    def combo(basis, den):
+        x = tuple(Fraction(0) for _ in range(g.datum.rank))
+        for y in basis:
+            c = Fraction(rng.randint(-24, 24), rng.randint(1, den))
+            x = tuple(p + c * v for p, v in zip(x, y))
+        return x
+
+    basis = g.fixed_cochar_basis
+    drawn = [combo(basis, 12) for _ in range(12)]
+    dominant = [_fraction_chamber_locate(g, x)[3] for x in drawn]
+    walls = [combo(g.levi_context(levi).split_center_basis, 12)
+             for levi in g.standard_levi_subsets()]
+    integral = [tuple(int(v) for v in combo(basis, 1)) for _ in range(3)]
+    zero = [(0,) * g.datum.rank, tuple(Fraction(0) for _ in range(g.datum.rank))]
+    return drawn + dominant + walls + integral + zero
+
+
+@pytest.mark.parametrize("name", presets.GROUP_NAMES)
+def test_chamber_kernel_matches_fraction_path(name):
+    g = presets.group(name)
+    rng = random.Random(7000 + len(name))
+    for x in _kernel_points(g, rng):
+        word, matrix, levi, image = _fraction_chamber_locate(g, x)
+        w = chamber_locate(g, x)
+        assert (w.word, w.matrix, w.levi, w.image) == \
+            (word, matrix, levi, image)
+        assert all(type(v) is Fraction for v in w.image)
+        assert stabilizer(g, x) == _fraction_stabilizer(g, x)
+        facet = _fraction_facet(g, x)
+        assert g.dominant(x) == (facet is not None)
+        assert stratum_of(g, x) == facet
+        if facet is None:
+            with pytest.raises(ValueError, match="needs a dominant point"):
+                g.facet_levi(x)
+        else:
+            assert g.facet_levi(x) == facet
+
+
+@pytest.mark.parametrize("name", ["gl2x2-swap", "u3", "res-quad-torus"])
+def test_chamber_kernel_rejects_non_fixed_point(name):
+    g = presets.group(name)
+    n = g.datum.rank
+    for j in range(n):
+        x = tuple(Fraction(1 if i == j else 0, 3) for i in range(n))
+        if g.is_relative_point(x):
+            continue
+        with pytest.raises(ValueError) as old:
+            _fraction_chamber_locate(g, x)
+        with pytest.raises(ValueError) as new:
+            chamber_locate(g, x)
+        assert str(new.value) == str(old.value)
+        break
+    else:
+        pytest.fail("no unit vector of %s is moved by Galois" % name)
