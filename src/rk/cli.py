@@ -336,8 +336,27 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+#: flags whose value may start with '-' (a negative first entry)
+SIGNED_FLAGS = ("--kappa", "--kappa-ambient", "--rho")
+
+
+def _join_signed(argv):
+    """Join a signed flag with a following value that starts with '-' but
+    not '--' ("--kappa -1,0" -> "--kappa=-1,0"): argparse would read that
+    value as an option."""
+    out = []
+    for arg in argv:
+        if out and out[-1] in SIGNED_FLAGS and arg[:1] == "-" \
+                and arg[:2] != "--":
+            out[-1] += "=" + arg
+        else:
+            out.append(arg)
+    return out
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = build_parser().parse_args(
+        _join_signed(sys.argv[1:] if argv is None else argv))
     handlers = {
         "weyl": cmd_weyl,
         "bset": cmd_bset,

@@ -24,14 +24,13 @@ from .finite_reps import simple_modules
 from .kottwitz import BElement
 from .lattice import (
     Matrix,
+    SmithSolver,
     Vector,
     dot,
     in_span,
-    kernel_basis,
     mat,
     mat_mul,
     mat_vec,
-    solve_integer,
 )
 from .packets import (
     PacketMember,
@@ -54,7 +53,8 @@ class EndoscopyError(ValueError):
 
 class EndoscopicDatum:
     """(H, s, eta) with eta the inclusion of a sub-root-datum sharing the
-    maximal torus; s is a rational exponent vector modulo 1."""
+    maximal torus; s is a rational exponent vector modulo 1, also kept as
+    the integer numerators `s_num` over its one denominator `s_den`."""
 
     def __init__(self, group: ReductiveGroup, s_exponents: Sequence,
                  label: str = ""):
@@ -64,6 +64,7 @@ class EndoscopicDatum:
         if len(q) != n:
             raise EndoscopyError("exponent vector of wrong length")
         self.s = q
+        self.s_den, self.s_num = ReductiveGroup.integer_point(q)
         self.label = label or ("s=" + ",".join(str(x) for x in q))
         for g in group.galois.char_generators:
             moved = mat_vec(g, q)
@@ -114,11 +115,21 @@ def weight_exponent(center_basis: Sequence[Vector], q: Sequence[Fraction],
                     weight: Sequence[int]) -> Fraction:
     """Exponent of the evaluation of a center-lattice weight at the torus
     point with exponents q: extend the weight to the full character
-    lattice and pair."""
-    ext = solve_integer(mat(list(center_basis)), tuple(weight))
+    lattice and pair.  The pairing runs on q's integer numerators over
+    one denominator d and is reduced mod d."""
+    den, q_num = ReductiveGroup.integer_point(q)
+    return _weight_exponent(SmithSolver(mat(list(center_basis))), q_num, den,
+                            weight)
+
+
+def _weight_exponent(solver: SmithSolver, q_num: Vector, den: int,
+                     weight: Sequence[int]) -> Fraction:
+    """`weight_exponent` through a kept factorization of the center basis,
+    for the exponents q_num / den: one integer pairing, reduced mod den."""
+    ext = solver.solve(tuple(weight))
     if ext is None:
         raise EndoscopyError("weight does not extend integrally")
-    return sum(Fraction(e) * x for e, x in zip(ext, q)) % 1
+    return Fraction(dot(ext, q_num) % den, den)
 
 
 def s_in_levi_check(param: Parameter, endo: EndoscopicDatum, levi) -> Dict:
@@ -127,16 +138,17 @@ def s_in_levi_check(param: Parameter, endo: EndoscopicDatum, levi) -> Dict:
     levi = frozenset(levi)
     if not param.minimal_levi <= levi:
         raise EndoscopyError("the parameter does not factor through the Levi")
-    q = endo.s
-    ann = kernel_basis(mat(list(param.center_basis)))
-    for z in ann:
-        if dot(z, q) % 1 != 0:
+    den, q = endo.s_den, endo.s_num
+    # the parameter center basis is the minimal Levi's dual split center
+    solver = param.ctx_M.dual_center_solver
+    for z in solver.kernel:
+        if dot(z, q) % den != 0:
             raise EndoscopyError("the torus element does not lie in the "
                                  "split center of the minimal dual Levi")
     sample = {}
     for j in range(param.dim):
         e = tuple(1 if i == j else 0 for i in range(param.dim))
-        sample[e] = weight_exponent(param.center_basis, q, e)
+        sample[e] = _weight_exponent(solver, q, den, e)
     return {
         "levi": sorted(levi),
         "component": "identity",
@@ -163,9 +175,9 @@ class EmbeddedDatum:
 def _memo(param: Parameter, endo: EndoscopicDatum) -> Dict:
     """This module's cache for one (parameter, datum) pair, made on first
     use and kept on the parameter.  Keys: "h" (`parameter_on_h`),
-    "admissible", and per Levi L ("wl", L), ("embedded", L), ("forward",
-    L) and ("cosets", G or H, L).  A computation that raises stores
-    nothing."""
+    "admissible", per Levi L ("wl", L), ("embedded", L), ("forward", L)
+    and ("cosets", G or H, L), and per Levi and backward twist u
+    ("backward", L, u).  A computation that raises stores nothing."""
     return vars(param).setdefault("_endoscopy_memo", {}).setdefault(endo, {})
 
 
@@ -468,15 +480,18 @@ def regular_part(dist: FormalDistribution) -> FormalDistribution:
 
 def _trace_on_levi_module(param: Parameter, levi, w: Matrix, lam_w: Vector,
                           module_dim: int, conj: Matrix,
-                          q: Sequence[Fraction]) -> Cyclo:
-    """Trace of the torus element with exponents (conj . q) on the induced
-    Levi module with one-dimensional highest-weight part lam_w."""
+                          endo: EndoscopicDatum) -> Cyclo:
+    """Trace of the torus element conj . s on the induced Levi module with
+    one-dimensional highest-weight part lam_w.  conj . s runs as integer
+    numerators mod the one denominator of s, and each weight's root of
+    unity comes from one integer exponent over that denominator."""
     cut = param.levi_cut(levi, w)
-    basis = cut.twisted_center_basis
-    q_c = tuple(Fraction(x) % 1 for x in mat_vec(conj, q))
+    solver = cut.twisted_center_solver
+    den = endo.s_den
+    q_c = tuple(x % den for x in mat_vec(conj, endo.s_num))
     # the element must lie in the twisted parameter center
-    for z in kernel_basis(mat(list(basis))):
-        if dot(z, q_c) % 1 != 0:
+    for z in solver.kernel:
+        if dot(z, q_c) % den != 0:
             raise EndoscopyError("conjugated torus element left the twisted "
                                  "parameter center")
     comp = cut.component_elements
@@ -496,7 +511,7 @@ def _trace_on_levi_module(param: Parameter, levi, w: Matrix, lam_w: Vector,
     for g in reps:
         mu = mat_vec(param.char_action(g), lam_w)
         total = total + Cyclo.root_of_unity(
-            weight_exponent(basis, q_c, mu))
+            _weight_exponent(solver, q_c, den, mu))
     return total * module_dim if module_dim != 1 else total
 
 
@@ -524,7 +539,7 @@ def regular_pairing(param: Parameter, member: PacketMember,
     for g in reps:
         conj = mul(w, g)
         total = total + _trace_on_levi_module(
-            param, member.levi, w, lam_w, dim, conj, endo.s)
+            param, member.levi, w, lam_w, dim, conj, endo)
     return total
 
 
@@ -595,26 +610,41 @@ def indexing_backward(param: Parameter, levi, endo: EndoscopicDatum,
                       w: Matrix):
     """Map a transporter coset back to (embedded class, endoscopic coset):
     twist the inclusion by w against the standardizer, restandardize, and
-    read off the correcting element."""
+    read off the correcting element.  `embedded` is
+    `enumerate_embedded(param, levi, endo)`; the restandardizing data of
+    the twist are built once per (Levi, twist), and the Galois condition
+    and the forward check run on every call."""
     group = param.group
-    H = endo.H
     levi = frozenset(levi)
     # w and h^-1 lie in W^rel and W^rel_H, both inside the absolute W
-    mul = group.weyl.mul
-    u = mul(w, H.relative.inverse[h])
+    u = group.weyl.mul(w, endo.H.relative.inverse[h])
     if u not in _admissible(param, endo):
         raise AssertionError("backward twist fails the Galois condition")
-    cut = _cut(group, endo, levi, u)
+    target_emb, reps = _cached(
+        param, endo, ("backward", levi, u),
+        lambda: _backward_table(param, levi, endo, param_h, embedded, u))
+    target = _left_coset_rep(group, levi, w)
+    matching = [v for v in reps if indexing_forward(
+        param, levi, endo, param_h, h, target_emb, v) == target]
+    if not matching:
+        raise AssertionError("backward construction does not invert forward")
+    return target_emb, min(matching)
+
+
+def _backward_table(param: Parameter, levi: FrozenSet[int],
+                    endo: EndoscopicDatum, param_h: Parameter,
+                    embedded: Sequence[EmbeddedDatum], u: Matrix):
+    """The embedded class that W_L . u . W_H meets, and the left W^rel_H
+    coset representatives of the elements restandardizing the cut of u."""
+    group = param.group
+    H = endo.H
+    mul = group.weyl.mul
     wl = _full_levi_weyl(param, endo, levi)
-    wh = endo.weyl_h_elements()
-    u_orbit = {mul(mul(l, u), x) for l in wl for x in wh}
-    target_emb = None
-    for emb in embedded:
-        if emb.w_rep in u_orbit:
-            target_emb = emb
-            break
+    u_orbit = {mul(mul(l, u), x) for l in wl for x in endo.weyl_h_elements()}
+    target_emb = next((e for e in embedded if e.w_rep in u_orbit), None)
     if target_emb is None:
         raise AssertionError("backward twist does not meet any embedded class")
+    cut = _cut(group, endo, levi, u)
     h_l_roots = set(H.levi_context(target_emb.levi_h).root_indices())
     # hp must transport the endoscopic minimal center over the cut one
     perm = H.relative.perm
@@ -624,16 +654,8 @@ def indexing_backward(param: Parameter, levi, endo: EndoscopicDatum,
     if not candidates:
         raise AssertionError("no restandardizing element found on the "
                              "endoscopic side")
-    reps = {_left_coset_rep(H, target_emb.levi_h, c) for c in candidates}
-    forward_hits = set()
-    for v in reps:
-        got = indexing_forward(param, levi, endo, param_h, h, target_emb, v)
-        forward_hits.add((got, v))
-    matching = [v for got, v in forward_hits
-                if got == _left_coset_rep(group, levi, w)]
-    if not matching:
-        raise AssertionError("backward construction does not invert forward")
-    return target_emb, min(matching)
+    return target_emb, tuple(sorted(
+        {_left_coset_rep(H, target_emb.levi_h, c) for c in candidates}))
 
 
 def indexing_bijection_check(param: Parameter, levi,
@@ -695,7 +717,7 @@ def _expand_levi_token(param: Parameter, b: BElement, w: Matrix,
         rho = canonical_rho(param, HighestWeightPair(lam, module))
         member = build_packet_member(param, rho)
         coeff = _trace_on_levi_module(param, member.levi, w, lam_raw,
-                                      module.dim, w, endo.s)
+                                      module.dim, w, endo)
         dist.add(Term("member", tuple(sorted(member.levi)), member.key(),
                       endo.label, Fraction(1, 2), sign_token), coeff)
 

@@ -337,43 +337,52 @@ def smith_normal_form(a: IntegerMatrix):
     return Um, Dm, Vm
 
 
+class SmithSolver:
+    """One Smith factorization U*A*V = D of an integer matrix A, kept for
+    many right-hand sides (Cohen, GTM 138, ch. 2).
+
+    `solve(b)` is x = V*D^-1*U*b with the divisibility test on every call;
+    `kernel` is the saturated basis of the integer kernel of x -> A*x, read
+    from the columns of V past the rank.
+    """
+
+    def __init__(self, a: Matrix):
+        m = len(a)
+        n = len(a[0]) if m else 0
+        D, self._U, self._V = _snf_raw(a)
+        self._diag = tuple(D[i][i] if i < n else 0 for i in range(m))
+        self._cols = n
+        rank = sum(1 for d in self._diag if d != 0)
+        self.kernel: Tuple[Vector, ...] = tuple(
+            tuple(row[j] for row in self._V) for j in range(rank, n))
+
+    def solve(self, b: Sequence[int]):
+        """One integer solution x of A*x = b, or None."""
+        y = [0] * self._cols
+        for i, (d, x) in enumerate(zip(self._diag, mat_vec(self._U, b))):
+            if d == 0:
+                if x != 0:
+                    return None
+            elif x % d:
+                return None
+            else:
+                y[i] = x // d
+        return mat_vec(self._V, y) if self._cols else ()
+
+
 def kernel_basis(a: Matrix) -> Tuple[Vector, ...]:
     """Basis of the integer kernel of the column action x -> a*x.
 
     The returned basis is saturated (the quotient by its span is free).
     """
-    m = len(a)
-    n = len(a[0]) if m else 0
-    if n == 0:
+    if not a or not a[0]:
         return ()
-    if m == 0:
-        return tuple(mat_identity(n))
-    D, _U, V = _snf_raw(a)
-    rank = sum(1 for i in range(min(m, n)) if D[i][i] != 0)
-    cols = []
-    for j in range(rank, n):
-        cols.append(tuple(V[i][j] for i in range(n)))
-    return tuple(cols)
+    return SmithSolver(a).kernel
 
 
 def solve_integer(a: Matrix, b: Sequence[int]):
     """One integer solution x of a*x = b, or None."""
-    m = len(a)
-    n = len(a[0]) if m else 0
-    D, U, V = _snf_raw(a)
-    ub = mat_vec(U, b)
-    y = [0] * n
-    for i in range(m):
-        d = D[i][i] if i < min(m, n) else 0
-        if d == 0:
-            if ub[i] != 0:
-                return None
-        else:
-            if ub[i] % d:
-                return None
-            if i < n:
-                y[i] = ub[i] // d
-    return mat_vec(V, y) if n else ()
+    return SmithSolver(a).solve(b)
 
 
 def is_saturated(basis: Sequence[Vector], ambient_rank: int) -> bool:

@@ -210,21 +210,21 @@ def transporter_double_cosets(param: Parameter, levi) -> Tuple[Matrix, ...]:
 
 def fiber_weight(param: Parameter, b: BElement, w: Matrix) -> Optional[Vector]:
     """The weight alpha_M^{-1}(w^{-1} . nu(b)) when it is integral, else
-    None (that coset contributes no members)."""
-    group = param.group
-    ctx_L = group.levi_context(b.levi)
-    point = ctx_L.newton_point(b.kappa)
-    moved = mat_vec(mat_transpose(w), point)  # cochar action of w^{-1}
-    try:
-        c = param.ctx_M.alpha_inv(moved)
-    except ValueError:
+    None (that coset contributes no members).
+
+    Computed in integers: nu(b) as alpha_L's numerators over its one
+    denominator d_L, moved by w^T, then alpha_M^{-1}'s integer matrix over
+    its one denominator d_M, with a single division by d_L * d_M."""
+    nu, den_l = param.group.levi_context(b.levi).newton_scaled(b.kappa)
+    moved = mat_vec(mat_transpose(w), nu)  # cochar action of w^{-1}
+    image = param.ctx_M.alpha_inv_scaled(moved)
+    if image is None:
         return None
-    out = []
-    for x in c:
-        if Fraction(x).denominator != 1:
-            return None
-        out.append(int(x))
-    return tuple(out)
+    num, den_m = image
+    den = den_l * den_m
+    if any(x % den for x in num):
+        return None
+    return tuple(x // den for x in num)
 
 
 def dominantize(param: Parameter, lam: Vector) -> Vector:

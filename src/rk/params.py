@@ -14,12 +14,14 @@ as words in the restricted simple reflections.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cached_property
 from typing import Dict, FrozenSet, Optional, Sequence, Tuple
 
 from .disconnected import DisconnectedGroupDatum
 from .finite_reps import FiniteGroup
 from .lattice import (
     Matrix,
+    SmithSolver,
     Vector,
     dot,
     kernel_basis,
@@ -334,6 +336,13 @@ class LeviCut:
                                  "product")
         self._descent: Optional[Tuple[Tuple[Fraction, ...], ...]] = None
 
+    @cached_property
+    def twisted_center_solver(self) -> SmithSolver:
+        """The Smith factorization of the twisted center basis (as rows),
+        made on first use: integer extensions of center weights and the
+        basis's annihilator."""
+        return SmithSolver(mat(self.twisted_center_basis))
+
     def descent_coords(self) -> Tuple[Tuple[Fraction, ...], ...]:
         """Coordinates, in the twisted center basis, of a basis of (twisted
         parameter center) cap (saturated span of the Levi's coroot lattice
@@ -347,7 +356,7 @@ class LeviCut:
                           group.levi_context(self.levi).root_indices()]
             kill: Tuple[Vector, ...] = ()
             if levi_roots:
-                perp_center = kernel_basis(mat(self.twisted_center_basis))
+                perp_center = self.twisted_center_solver.kernel
                 perp_levi = kernel_basis(mat(levi_roots))
                 kill = kernel_basis(mat(list(perp_center) + list(perp_levi)))
             coords = []

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import combinations
 from math import lcm
 from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
@@ -35,6 +36,7 @@ from .lattice import (
     FgaElement,
     LatticeAction,
     Matrix,
+    SmithSolver,
     Vector,
     coinvariants,
     dot,
@@ -47,7 +49,6 @@ from .lattice import (
     mat_mul,
     mat_transpose,
     mat_vec,
-    solve_integer,
     solve_rational,
     vsub,
 )
@@ -444,12 +445,45 @@ class LeviContext:
         return tuple(Fraction(dot(row, c), self._alpha_den)
                      for row in self._alpha_num)
 
+    @cached_property
+    def _alpha_inv_int(self) -> Tuple[Tuple[Vector, ...], Matrix, int]:
+        """(annihilator of Y, N, d) for Y the split-center basis: a point p
+        lies in the split-center space iff z.p = 0 for every annihilator
+        vector z, and then alpha_inv(p) = N.p / d, where the integer matrix
+        N over the one denominator d > 0 is P.(Y^T Y)^-1.Y^T.  Derived on
+        first use."""
+        Y = self.split_center_basis
+        if not Y:
+            return mat_identity(self.group.datum.rank), (), 1
+        gram = mat([[dot(a, b) for b in Y] for a in Y])
+        q = mat_mul(mat_mul(self._P, mat_inverse(gram)), Y)
+        d = lcm(*(x.denominator for row in q for x in row))
+        return (kernel_basis(mat(Y)), tuple(tuple(
+            x.numerator * (d // x.denominator) for x in row) for row in q), d)
+
+    def alpha_inv_scaled(self, point: Sequence) -> Optional[Tuple[Tuple, int]]:
+        """alpha_inv(point) as (N.point, d), integers for an integer point,
+        or None when the point does not lie in the split-center space."""
+        ann, num, den = self._alpha_inv_int
+        if any(dot(z, point) for z in ann):
+            return None
+        return mat_vec(num, point), den
+
     def alpha_inv(self, point: Sequence) -> Tuple:
-        """fraktur-A_L -> X*(A_L^)_Q, exact; raises if point not in the space."""
-        sol = solve_rational(self.split_center_basis, point)
-        if sol is None:
+        """fraktur-A_L -> X*(A_L^)_Q, exact; raises if point not in the space.
+        The values are the Fractions N.point / d of `alpha_inv_scaled`."""
+        scaled = self.alpha_inv_scaled(point)
+        if scaled is None:
             raise ValueError("point does not lie in the split-center space")
-        return mat_vec(self._P, sol)
+        num, den = scaled
+        return tuple(Fraction(x, den) for x in num)
+
+    @cached_property
+    def dual_center_solver(self) -> SmithSolver:
+        """The Smith factorization of the dual split-center basis (as rows),
+        made on first use: integer extensions of functionals and the
+        basis's annihilator."""
+        return SmithSolver(mat(self.dual_split_center_basis))
 
     def kappa_from_functional(self, f: Sequence[int]) -> FgaElement:
         """The dual-center character with given free functional (torsion 0).
@@ -460,13 +494,19 @@ class LeviContext:
         determined by a functional).
         """
         if self.dim:
-            v = solve_integer(mat(self.dual_split_center_basis), tuple(f))
+            v = self.dual_center_solver.solve(tuple(f))
         else:
             v = (0,) * self.group.datum.rank
         if v is None:
             raise ValueError("functional is not integral on X_*(A_L^)")
         e = self.dual_center_characters.element_from_ambient(v)
         return FgaElement(e.free, (0,) * len(e.torsion))
+
+    def newton_scaled(self, kappa: FgaElement) -> Tuple[Vector, int]:
+        """newton_point(kappa) as integer numerators over alpha_L's one
+        denominator."""
+        return (mat_vec(self._alpha_num, self.functional_of_kappa(kappa)),
+                self._alpha_den)
 
     def newton_point(self, kappa: FgaElement) -> Tuple:
         """alpha_L of (the rational restriction of) a dual-center character."""

@@ -3,6 +3,7 @@ the indexing bijection, geometric-lemma terms, regular parts and
 pairings, and the two-sided identity."""
 
 import itertools
+import random
 from fractions import Fraction
 
 import pytest
@@ -311,7 +312,7 @@ def test_pairing_representative_independence():
                     continue
                 covered |= {mat_mul(s, g) for s in sub}
                 total = total + _trace_on_levi_module(
-                    GL4ST, m.levi, w, lam_w, 1, mat_mul(w, g), endo.s)
+                    GL4ST, m.levi, w, lam_w, 1, mat_mul(w, g), endo)
             assert total == base
 
 
@@ -477,8 +478,8 @@ def _scan_forward(param, levi, endo, h, emb, v):
 def _outcome(f, *args):
     try:
         return f(*args)
-    except AssertionError as exc:
-        return ("raised", str(exc))
+    except (AssertionError, EndoscopyError) as exc:
+        return ("raised", type(exc).__name__, str(exc))
 
 
 @pytest.mark.parametrize("pname,ename", ECI_PAIRS)
@@ -650,3 +651,211 @@ def test_indexing_backward_matches_vector_scan(pname, ename):
                                    param_h, h, embedded, w)
             checked += got[0] != "raised"
     assert checked
+
+
+# ---------------------------------------------------------------------------
+# the integer per-weight layer against the Fraction formulas
+
+# the height bound of each pair in the eci benchmark workload
+ECI_HEIGHTS = {("gl2-triv", "gl2-s1"): 6, ("gl2-triv", "gl2-sreg"): 6,
+               ("sl2-triv", "sl2-s1"): 5,
+               ("gl2x2-swap-triv", "gl2x2-swap-s1"): 3,
+               ("gl3-triv", "gl3-s1"): 3, ("gl4-st2", "gl4-s1"): 2,
+               ("gl4-st2", "gl4-splus"): 2}
+
+
+def _weight_exponent_fraction(basis, q, weight):
+    """weight_exponent's Fraction formula: a fresh integer extension of the
+    weight, paired with the Fraction exponents mod 1."""
+    from rk.lattice import mat, solve_integer
+    ext = solve_integer(mat(list(basis)), tuple(weight))
+    if ext is None:
+        raise EndoscopyError("weight does not extend integrally")
+    return sum(Fraction(e) * x for e, x in zip(ext, q)) % 1
+
+
+def _trace_fraction(param, levi, w, lam_w, module_dim, conj, q):
+    """_trace_on_levi_module's Fraction formula, on the exponents q."""
+    from rk.lattice import dot, kernel_basis, mat, mat_vec
+    cut = param.levi_cut(levi, w)
+    basis = cut.twisted_center_basis
+    q_c = tuple(Fraction(x) % 1 for x in mat_vec(conj, q))
+    for z in kernel_basis(mat(list(basis))):
+        if dot(z, q_c) % 1 != 0:
+            raise EndoscopyError("conjugated torus element left the twisted "
+                                 "parameter center")
+    mul = param.group.relative.mul
+    stab = {g for g in cut.component_elements
+            if mat_vec(param.char_action(g), lam_w) == lam_w}
+    total = Cyclo.zero()
+    covered = set()
+    for g in cut.component_elements:
+        if g in covered:
+            continue
+        covered |= {mul(g, s) for s in stab}
+        mu = mat_vec(param.char_action(g), lam_w)
+        total = total + Cyclo.root_of_unity(
+            _weight_exponent_fraction(basis, q_c, mu))
+    return total * module_dim if module_dim != 1 else total
+
+
+@pytest.mark.parametrize("pname,ename", ECI_PAIRS)
+def test_trace_and_weight_exponent_match_fraction_formulas(pname, ename):
+    from rk.endoscopy import _trace_on_levi_module, weight_exponent
+    from rk.lattice import mat_vec
+    from rk.packets import fiber_weight, transporter_double_cosets
+    param, endo = presets.parameter(pname), presets.endoscopy(ename)
+    mul = param.group.relative.mul
+    rng = random.Random(pname + ename)
+    traces = exponents = 0
+    for rho in enumerate_rhos(param, ECI_HEIGHTS[pname, ename]):
+        b = build_packet_member(param, rho).b
+        check = s_in_levi_check(param, endo, b.levi)
+        for e, x in check["coordinate_exponents"].items():
+            assert x == _weight_exponent_fraction(param.center_basis,
+                                                  endo.s, e)
+        for w in transporter_double_cosets(param, b.levi):
+            lam = fiber_weight(param, b, w)
+            if lam is None:
+                continue
+            basis = param.levi_cut(b.levi, w).twisted_center_basis
+            for g in param.wphi_elements:
+                conj = mul(w, g)
+                for dim in (1, 2):
+                    got = _outcome(_trace_on_levi_module, param, b.levi, w,
+                                   lam, dim, conj, endo)
+                    assert got == _outcome(_trace_fraction, param, b.levi, w,
+                                           lam, dim, conj, endo.s)
+                    traces += 1
+                q_c = tuple(Fraction(x) % 1 for x in mat_vec(conj, endo.s))
+                weights = [mat_vec(param.char_action(c), lam)
+                           for c in param.r_elements]
+                weights.append(tuple(rng.randint(-3, 3) for _ in lam))
+                for mu in weights:
+                    got = _outcome(weight_exponent, basis, q_c, mu)
+                    assert got == _outcome(_weight_exponent_fraction, basis,
+                                           q_c, mu)
+                    exponents += 1
+    assert traces and exponents
+
+
+def test_center_tests_reject_element_off_the_center():
+    # s = (1/2, 0, 0, 0) pairs to 1/2 with (1, -1, 0, 0), which kills the
+    # center of the minimal Levi {0, 2} of gl4-st2
+    from rk.endoscopy import _trace_on_levi_module
+    from rk.packets import fiber_weight
+    endo = EndoscopicDatum(GL4ST.group, (Fraction(1, 2), 0, 0, 0))
+    m = build_packet_member(GL4ST, rho_of(GL4ST, (1, 0)))
+    w = m.w_class
+    args = (GL4ST, m.levi, w, fiber_weight(GL4ST, m.b, w), 1, w)
+    want = _outcome(_trace_fraction, *args, endo.s)
+    assert want == ("raised", "EndoscopyError", "conjugated torus element "
+                    "left the twisted parameter center")
+    assert _outcome(_trace_on_levi_module, *args, endo) == want
+    with pytest.raises(EndoscopyError, match="split center of the minimal"):
+        s_in_levi_check(GL4ST, endo, m.levi)
+
+
+def test_weight_exponent_rejects_non_extendable_weight():
+    from rk.endoscopy import weight_exponent
+    with pytest.raises(EndoscopyError, match="does not extend integrally"):
+        weight_exponent([(2, 0), (0, 1)], (Fraction(1, 3), Fraction(1, 2)),
+                        (1, 0))
+    assert weight_exponent([(2, 0), (0, 1)], (Fraction(1, 3), Fraction(1, 2)),
+                           (4, 3)) == Fraction(1, 6)
+
+
+# ---------------------------------------------------------------------------
+# the backward table
+
+def _admissible_twists(param, endo, levi, w_list):
+    from rk.endoscopy import _admissible
+    param_h, h = parameter_on_h(param, endo)
+    mul = param.group.weyl.mul
+    for w in w_list:
+        u = mul(w, endo.H.relative.inverse[h])
+        if u in _admissible(param, endo):
+            yield w, u
+
+
+@pytest.mark.parametrize("pname,ename", ECI_PAIRS)
+def test_backward_table_built_once_per_twist(pname, ename):
+    from rk.endoscopy import _memo, indexing_backward
+    param, endo, levis = _pair_levis(pname, ename)
+    param_h, h = parameter_on_h(param, endo)
+    checked = 0
+    for levi in levis:
+        embedded = enumerate_embedded(param, levi, endo)
+        for w, u in _admissible_twists(param, endo, levi,
+                                       param.group.relative.elements):
+            first = _outcome(indexing_backward, param, levi, endo, param_h,
+                             h, embedded, w)
+            if first[0] == "raised":
+                continue
+            table = _memo(param, endo)[("backward", levi, u)]
+            again = indexing_backward(param, levi, endo, param_h, h,
+                                      embedded, w)
+            assert again == first and again[0] is table[0]
+            assert _memo(param, endo)[("backward", levi, u)] is table
+            checked += 1
+    assert checked
+
+
+def test_backward_table_failed_build_stores_nothing():
+    from rk.endoscopy import _memo, indexing_backward
+    param, endo, levis = _pair_levis("gl4-st2", "gl4-splus")
+    param_h, h = parameter_on_h(param, endo)
+    levi = levis[0]
+    w, u = next(_admissible_twists(param, endo, levi,
+                                   param.group.relative.elements))
+    for _ in range(2):
+        with pytest.raises(AssertionError,
+                           match="backward twist does not meet any embedded "
+                                 "class"):
+            indexing_backward(param, levi, endo, param_h, h, (), w)
+        assert ("backward", levi, u) not in _memo(param, endo)
+
+
+# ---------------------------------------------------------------------------
+# a warm identity runs no Smith form and no rational solve
+
+# gl4-splus's traces are roots of unity of order 2, whose canonical form
+# (`Cyclo._canonical`) runs a rational solve of its own
+@pytest.mark.parametrize("ename,names", [
+    ("gl4-s1", ("_snf_raw", "solve_rational")),
+    ("gl4-splus", ("_snf_raw",))])
+def test_warm_eci_runs_no_smith_form_or_rational_solve(ename, names,
+                                                       monkeypatch):
+    import importlib
+    import pkgutil
+
+    import rk
+    from rk import lattice
+    param, endo = presets.parameter("gl4-st2"), presets.endoscopy(ename)
+    bs = [build_packet_member(param, rho).b
+          for rho in enumerate_rhos(param, 2)]
+
+    def run():
+        for b in bs:
+            assert eci_both_sides(param, b, endo)["equal"]
+            assert indexing_bijection_check(param, b.levi, endo)["pass"]
+
+    run()
+    calls = []
+    modules = [importlib.import_module("rk." + m.name)
+               for m in pkgutil.iter_modules(rk.__path__)]
+    for name in names:
+        orig = getattr(lattice, name)
+
+        def counted(*args, _orig=orig, _name=name):
+            calls.append(_name)
+            return _orig(*args)
+        for module in modules:
+            if getattr(module, name, None) is orig:
+                monkeypatch.setattr(module, name, counted)
+    lattice.solve_integer(((1,),), (1,))   # the counters are live
+    lattice.in_span(((1,),), (1,))
+    assert calls == list(names)
+    del calls[:]
+    run()
+    assert calls == []

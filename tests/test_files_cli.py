@@ -259,3 +259,27 @@ def test_cli_eci_rejects_mismatched_groups(param, endo, message):
     assert proc.returncode == 1
     assert proc.stdout == ""
     assert proc.stderr == "error: %s\n" % message
+
+
+def _report(proc):
+    """(exit code, stdout without its timestamp, stderr)."""
+    out = json.loads(proc.stdout) if proc.stdout else None
+    if out:
+        out.pop("generated_at")
+    return proc.returncode, out, proc.stderr
+
+
+@pytest.mark.parametrize("argv,code", [
+    (("bset", "--group", "gl2", "--levi", "", "--kappa", "-1,0"), 2),
+    (("bset", "--group", "gl2", "--levi", "", "--kappa", "-1,-2"), 0),
+    (("bset", "--group", "gl2", "--levi", "", "--kappa-ambient", "-1,-2"),
+     0),
+    (("packet", "--param", "gl2-triv", "--rho", "-1,-2"), 0),
+    (("packet", "--param", "gl2-triv", "--rho", "-1,3"), 1),
+], ids=["kappa-wall", "kappa", "kappa-ambient", "rho", "rho-not-dominant"])
+def test_cli_accepts_negative_values(argv, code):
+    # "--flag -1,0" reads the value as "--flag=-1,0" does
+    joined = argv[:-2] + ("%s=%s" % argv[-2:],)
+    got = _report(_run(*argv))
+    assert got[0] == code
+    assert got == _report(_run(*joined))

@@ -9,10 +9,12 @@ from math import gcd
 import pytest
 
 import rk.lattice as lattice
+from rk import presets
 from rk.lattice import (
     FgAbelianGroup,
     IntegerMatrix,
     LatticeAction,
+    SmithSolver,
     closure,
     coinvariants,
     invariants_saturated,
@@ -93,6 +95,95 @@ def test_kernel_and_solve():
     sol = solve_integer(mat([[2, 0], [0, 3]]), (4, 9))
     assert sol == (2, 3)
     assert solve_integer(mat([[2]]), (3,)) is None
+
+
+def _solve_reference(a, b):
+    """The definition of solve_integer: a fresh Smith form per call, then
+    x = V.D^-1.U.b with the divisibility test."""
+    m = len(a)
+    n = len(a[0]) if m else 0
+    D, U, V = lattice._snf_raw(a)
+    ub = mat_vec(U, b)
+    y = [0] * n
+    for i in range(m):
+        d = D[i][i] if i < min(m, n) else 0
+        if d == 0:
+            if ub[i] != 0:
+                return None
+        else:
+            if ub[i] % d:
+                return None
+            y[i] = ub[i] // d
+    return mat_vec(V, y) if n else ()
+
+
+def _kernel_reference(a):
+    """The definition of kernel_basis: the columns of V past the rank."""
+    n = len(a[0]) if a else 0
+    if n == 0:
+        return ()
+    D, _U, V = lattice._snf_raw(a)
+    rank = sum(1 for i in range(min(len(a), n)) if D[i][i] != 0)
+    return tuple(tuple(V[i][j] for i in range(n)) for j in range(rank, n))
+
+
+def _check_solver(solver, a, rng, count=12):
+    """A kept factorization gives the reference kernel, and for seeded
+    right-hand sides (arbitrary ones and images a.x) the reference x or
+    None."""
+    assert solver.kernel == _kernel_reference(a)
+    assert kernel_basis(a) == solver.kernel
+    n = len(a[0]) if a else 0
+    outcomes = set()
+    for _ in range(count):
+        x = tuple(rng.randint(-5, 5) for _ in range(n))
+        for b in (tuple(rng.randint(-5, 5) for _ in a), mat_vec(a, x)):
+            got = solver.solve(b)
+            assert got == _solve_reference(a, b)
+            assert solve_integer(a, b) == got
+            outcomes.add(got is None)
+    return outcomes
+
+
+def test_smith_solver_matches_reference_random():
+    rng = random.Random(8)
+    outcomes = set()
+    for _ in range(150):
+        m, n = rng.randint(1, 4), rng.randint(1, 4)
+        a = mat([[rng.randint(-4, 4) for _ in range(n)] for _ in range(m)])
+        outcomes |= _check_solver(SmithSolver(a), a, rng, 4)
+    assert outcomes == {True, False}
+
+
+@pytest.mark.parametrize("name", presets.GROUP_NAMES)
+def test_kept_dual_center_solver_matches_reference(name):
+    # the factorization each LeviContext keeps of its dual split-center basis
+    g = presets.group(name)
+    rng = random.Random(name)
+    for subset in g.standard_levi_subsets():
+        ctx = g.levi_context(subset)
+        solver = ctx.dual_center_solver
+        assert ctx.dual_center_solver is solver
+        _check_solver(solver, mat(ctx.dual_split_center_basis), rng)
+
+
+@pytest.mark.parametrize("pname", presets.PARAM_NAMES)
+def test_kept_twisted_center_solver_matches_reference(pname):
+    # the factorization each LeviCut keeps of its twisted center basis, on
+    # every cut of every transporter element
+    from rk.weyl import transporter_set
+    param = presets.parameter(pname)
+    group = param.group
+    rng = random.Random(pname)
+    cuts = 0
+    for levi in group.standard_levi_subsets():
+        for w in transporter_set(group, param.minimal_levi, levi):
+            cut = param.levi_cut(levi, w)
+            solver = cut.twisted_center_solver
+            assert cut.twisted_center_solver is solver
+            _check_solver(solver, mat(cut.twisted_center_basis), rng, 4)
+            cuts += 1
+    assert cuts
 
 
 # ---------------------------------------------------------------------------

@@ -8,8 +8,14 @@ import pytest
 from rk import presets
 from rk.disconnected import HighestWeightPair
 from rk.finite_reps import simple_modules
-from rk.kottwitz import WallRejection, basic_plus_lift, encode, newton
-from rk.lattice import mat_mul
+from rk.kottwitz import (
+    BElement,
+    WallRejection,
+    basic_plus_lift,
+    encode,
+    newton,
+)
+from rk.lattice import mat_mul, mat_transpose, mat_vec, solve_rational
 from rk.packets import (
     _canonical_double_coset,
     _component_stabilizer,
@@ -193,6 +199,59 @@ def test_member_determines_chamber_witness_class():
     lam = fiber_weight(GL2, m.b, m.w_class)
     assert lam is not None
     assert dominantize(GL2, lam) in ((2, 1), (1, 2))
+
+
+def _fiber_weight_fraction(param, b, w):
+    """The Fraction definition of fiber_weight: alpha_M^-1 as
+    P . solve_rational(Y, .) on the moved Newton point.  Returns the weight,
+    "off" (the point leaves the split-center space) or "fraction"."""
+    point = param.group.levi_context(b.levi).newton_point(b.kappa)
+    moved = mat_vec(mat_transpose(w), point)
+    sol = solve_rational(param.ctx_M.split_center_basis, moved)
+    if sol is None:
+        return "off"
+    c = mat_vec(param.ctx_M._P, sol)
+    if any(Fraction(x).denominator != 1 for x in c):
+        return "fraction"
+    return tuple(int(x) for x in c)
+
+
+@pytest.mark.parametrize("pname", presets.PARAM_NAMES)
+def test_fiber_weight_matches_fraction_definition(pname):
+    # every kappa with entries in -1..1 on every standard Levi, at every
+    # relative Weyl element: the transporter cosets and the elements that
+    # move the Newton point off the parameter center
+    param = presets.parameter(pname)
+    group = param.group
+    seen = set()
+    for levi in group.standard_levi_subsets():
+        trans = set(transporter_set(group, param.minimal_levi, levi))
+        chars = group.levi_context(levi).dual_center_characters
+        for kappa in chars.elements_in_box(1):
+            b = BElement(levi, kappa)
+            for w in group.relative.elements:
+                want = _fiber_weight_fraction(param, b, w)
+                got = fiber_weight(param, b, w)
+                assert got == (None if want in ("off", "fraction") else want)
+                seen.add(want if isinstance(want, str) else
+                         "transporter" if w in trans else "weight")
+                if w in trans:
+                    assert want != "off"
+    assert "transporter" in seen
+    # Newton points are relative points: only a minimal Levi bigger than
+    # the torus leaves room to move off its center
+    assert ("off" in seen) == bool(param.minimal_levi)
+
+
+def test_fiber_weight_fraction_cases():
+    # the non-integral case of fiber_weight occurs on the presets
+    param = presets.parameter("gl4-st2")
+    full = param.group.full_subset()
+    chars = param.group.levi_context(full).dual_center_characters
+    b = BElement(full, chars.element((1,)))
+    assert _fiber_weight_fraction(param, b, param.group.relative.identity) \
+        == "fraction"
+    assert fiber_weight(param, b, param.group.relative.identity) is None
 
 
 # ---------------------------------------------------------------------------

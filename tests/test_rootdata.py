@@ -292,6 +292,50 @@ def test_alpha_matches_rational_inverse(name):
 
 
 @pytest.mark.parametrize("name", presets.GROUP_NAMES)
+def test_alpha_inv_matches_rational_solve(name):
+    # oracle: P . solve_rational(Y, p), the Fraction definition, on seeded
+    # integer and Fraction points of the split-center space and on points
+    # moved off it, which raise
+    g = presets.group(name)
+    n = g.datum.rank
+    rng = random.Random(name)
+    off = 0
+    for subset in g.standard_levi_subsets():
+        ctx = g.levi_context(subset)
+        Y = ctx.split_center_basis
+        for _ in range(20):
+            ints = tuple(rng.randint(-9, 9) for _ in Y)
+            fracs = tuple(Fraction(rng.randint(-9, 9), rng.randint(1, 6))
+                          for _ in Y)
+            for coeffs in (ints, fracs):
+                inside = tuple(sum(c * y[i] for c, y in zip(coeffs, Y))
+                               for i in range(n))
+                moved = tuple(x + rng.randint(-2, 2) for x in inside)
+                for point in (inside, moved):
+                    sol = solve_rational(Y, point)
+                    if sol is None:
+                        off += 1
+                        with pytest.raises(ValueError, match="does not lie"):
+                            ctx.alpha_inv(point)
+                        assert ctx.alpha_inv_scaled(point) is None
+                        continue
+                    got = ctx.alpha_inv(point)
+                    assert got == mat_vec(ctx._P, sol)
+                    assert all(type(x) is Fraction for x in got)
+    assert off or all(len(g.levi_context(s).split_center_basis) == n
+                      for s in g.standard_levi_subsets())
+
+
+def test_alpha_inv_derived_on_first_use():
+    g = presets.group("gl3")
+    ctx = g.levi_context(frozenset({0}))
+    assert "_alpha_inv_int" not in vars(ctx)
+    assert "dual_center_solver" not in vars(ctx)
+    ctx.alpha_inv((1, 1, 0))
+    assert "_alpha_inv_int" in vars(ctx)
+
+
+@pytest.mark.parametrize("name", presets.GROUP_NAMES)
 def test_root_indices_match_span_scan(name):
     g = presets.group(name)
     d = g.datum
