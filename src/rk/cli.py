@@ -78,8 +78,6 @@ def _parse_rho(param, text: str):
     one entry per parameter-center coordinate, and the index k (default 0)
     of a simple module of its component stabilizer."""
     from .disconnected import HighestWeightPair
-    from .finite_reps import simple_modules
-    from .packets import _component_stabilizer
     weight_text, colon, pick_text = text.partition(":")
     try:
         weight = _parse_ints(weight_text, "--rho")
@@ -92,7 +90,7 @@ def _parse_rho(param, text: str):
     if not param.is_dominant(weight):
         raise ValueError("--rho: the weight %s is not dominant"
                          % ",".join(map(str, weight)))
-    mods = simple_modules(_component_stabilizer(param, weight))
+    mods = param.centralizer.stabilizer_modules(weight)
     try:
         pick = int(pick_text) if colon else 0
     except ValueError:

@@ -92,9 +92,14 @@ class Cyclo:
         den //= g
         if den == 1:
             return cls.from_rational(1)
+        # a primitive den-th root of unity has conductor den, except for
+        # den = 2 (mod 4): zeta_den^num = -zeta_{den/2}^{(num + den/2)/2}
+        sign = 1
+        if den % 4 == 2:
+            num, den, sign = (num + den // 2) // 2 % (den // 2), den // 2, -1
         coeffs = [Fraction(0)] * den
-        coeffs[num] = Fraction(1)
-        return cls(den, coeffs)._canonical()
+        coeffs[num] = Fraction(sign)
+        return cls(den, coeffs)
 
     # -- ring structure ------------------------------------------------------
 

@@ -12,7 +12,7 @@ values in cyclotomic fields.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product as iproduct
 from typing import Callable, Dict, Optional, Sequence, Tuple
@@ -31,7 +31,13 @@ from .lattice import (
     vadd,
     vsub,
 )
-from .rootdata import BasedRootDatum, DatumError, WeylGroup, reflection_matrix
+from .rootdata import (
+    BasedRootDatum,
+    DatumError,
+    WeylGroup,
+    reflection_matrix,
+    weyl_group,
+)
 
 
 class UnsupportedTraceError(NotImplementedError):
@@ -78,14 +84,12 @@ class DisconnectedGroupDatum:
         if self.cocycle:
             from .finite_reps import validate_cocycle
             validate_cocycle(self.pi0, self.cocycle)
+        self._modules: Dict[Tuple, Tuple[Module, ...]] = {}
 
     # -- Weyl structure -----------------------------------------------------
 
     def connected_weyl(self) -> WeylGroup:
-        d = self.component
-        gens = [reflection_matrix(d.roots[i], d.coroots[i])
-                for i in d.simple_indices]
-        return WeylGroup(gens, d.rank, d.roots)
+        return weyl_group(self.component)
 
     def full_weyl(self) -> WeylGroup:
         d = self.component
@@ -120,6 +124,16 @@ class DisconnectedGroupDatum:
         keep = set(subgroup.elements)
         return {(a, b): v for (a, b), v in self.cocycle.items()
                 if a in keep and b in keep}
+
+    def stabilizer_modules(self, weight: Sequence[int]) -> Tuple[Module, ...]:
+        """Simple modules of the twisted algebra of the stabilizer of a
+        dominant weight, computed once per stabilizer subgroup."""
+        a_lam = stabilizer_A_lambda(self, weight)
+        mods = self._modules.get(a_lam.elements)
+        if mods is None:
+            mods = simple_modules(a_lam, self.restricted_cocycle(a_lam))
+            self._modules[a_lam.elements] = mods
+        return mods
 
 
 def pi0_weyl_split(datum: DisconnectedGroupDatum):
@@ -309,9 +323,7 @@ def classify_irr(datum: DisconnectedGroupDatum, height_bound: int):
         if rep in seen:
             continue
         seen.add(rep)
-        a_lam = stabilizer_A_lambda(datum, rep)
-        mods = simple_modules(a_lam, datum.restricted_cocycle(a_lam))
-        for m in mods:
+        for m in datum.stabilizer_modules(rep):
             out.append(HighestWeightPair(rep, m))
     return sorted(out, key=lambda p: (p.weight, p.label()))
 
@@ -358,7 +370,7 @@ def char_eval(datum: DisconnectedGroupDatum, pair: HighestWeightPair,
             "twisted trace along a nontrivial component needs explicit data")
     total = None
     for x in cosets:
-        xinv = _group_inv(datum.pi0, x)
+        xinv = datum.pi0.inv(x)
         conj = mat_mul(mat_mul(xinv, component), x)
         if conj not in stab:
             continue
@@ -380,10 +392,6 @@ def _coset_reps(group: FiniteGroup, subgroup_elements: set):
         reps.append(g)
         covered |= {group.mul(g, h) for h in subgroup_elements}
     return reps
-
-
-def _group_inv(group: FiniteGroup, g):
-    return group.inv(g)
 
 
 # ---------------------------------------------------------------------------

@@ -20,7 +20,6 @@ from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from .cyclotomic import Cyclo
 from .disconnected import HighestWeightPair
-from .finite_reps import simple_modules
 from .kottwitz import BElement
 from .lattice import (
     Matrix,
@@ -34,7 +33,6 @@ from .lattice import (
 )
 from .packets import (
     PacketMember,
-    _component_stabilizer,
     _left_orbit,
     build_packet_member,
     canonical_rho,
@@ -42,7 +40,7 @@ from .packets import (
     enumerate_fiber,
     fiber_weight,
 )
-from .params import Parameter
+from .params import Parameter, _simple_positions
 from .rootdata import BasedRootDatum, GaloisAction, ReductiveGroup
 from .weyl import geometric_lemma_index, transporter_set
 
@@ -76,15 +74,9 @@ class EndoscopicDatum:
         keep_roots = tuple(datum.roots[i] for i in keep)
         keep_coroots = tuple(datum.coroots[i] for i in keep)
         positives = datum.positive_root_set
-        pos_kept = [i for i in keep if i in positives]
-        simple = []
-        pos_set = {datum.roots[i] for i in pos_kept}
-        for i in pos_kept:
-            r = datum.roots[i]
-            if not any(tuple(a - b for a, b in zip(r, s)) in pos_set
-                       for s in pos_set if s != r):
-                simple.append(keep.index(i))
-        h_datum = BasedRootDatum(n, keep_roots, keep_coroots, tuple(simple),
+        simple = _simple_positions(
+            keep_roots, [datum.roots[i] for i in keep if i in positives])
+        h_datum = BasedRootDatum(n, keep_roots, keep_coroots, simple,
                                  "H(%s)" % self.label)
         h_galois = GaloisAction(h_datum, group.galois.char_generators)
         self.H = ReductiveGroup(h_datum, h_galois, name=h_datum.name)
@@ -494,22 +486,12 @@ def _trace_on_levi_module(param: Parameter, levi, w: Matrix, lam_w: Vector,
         if dot(z, q_c) % den != 0:
             raise EndoscopyError("conjugated torus element left the twisted "
                                  "parameter center")
-    comp = cut.component_elements
-    stab = [g for g in comp
-            if mat_vec(param.char_action(g), lam_w) == lam_w]
-    stab_set = set(stab)
-    # left coset representatives of the stabilizer inside the cut components
-    mul = param.group.relative.mul
-    reps = []
-    covered = set()
-    for g in comp:
-        if g in covered:
-            continue
-        reps.append(g)
-        covered |= {mul(g, s) for s in stab_set}
+    # one term per left coset of the stabilizer of lam_w in the cut
+    # components, i.e. per point of the orbit of lam_w
+    orbit = {mat_vec(param.char_action(g), lam_w)
+             for g in cut.component_elements}
     total = Cyclo.zero()
-    for g in reps:
-        mu = mat_vec(param.char_action(g), lam_w)
+    for mu in orbit:
         total = total + Cyclo.root_of_unity(
             _weight_exponent(solver, q_c, den, mu))
     return total * module_dim if module_dim != 1 else total
@@ -712,8 +694,7 @@ def _expand_levi_token(param: Parameter, b: BElement, w: Matrix,
     if lam_raw is None:
         return
     lam = dominantize(param, lam_raw)
-    a_lam = _component_stabilizer(param, lam)
-    for module in simple_modules(a_lam):
+    for module in param.centralizer.stabilizer_modules(lam):
         rho = canonical_rho(param, HighestWeightPair(lam, module))
         member = build_packet_member(param, rho)
         coeff = _trace_on_levi_module(param, member.levi, w, lam_raw,

@@ -15,14 +15,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, FrozenSet, Optional, Tuple
 
-from .disconnected import HighestWeightPair
-from .finite_reps import FiniteGroup, Module, simple_modules
+from .disconnected import HighestWeightPair, classify_irr, stabilizer_A_lambda
+from .finite_reps import Module
 from .kottwitz import BElement, WallRejection, basic_plus_lift, encode, kappa_push
 from .lattice import (
     Matrix,
     Vector,
     dot,
-    mat_identity,
     mat_mul,
     mat_transpose,
     mat_vec,
@@ -62,33 +61,18 @@ def canonical_rho(param: Parameter, rho: HighestWeightPair) -> HighestWeightPair
     lam = rho.weight
     if not param.is_dominant(lam):
         raise ValueError("canonical_rho needs a dominant weight")
-    best = None
-    for r in param.r_elements:
-        d = param.char_action(r)
-        cand = mat_vec(d, lam)
-        if best is None or cand > best[0]:
-            best = (cand, r)
-    lam_star, r = best
+    datum = param.centralizer
+    lam_star = datum.canonical_weight(lam)
     if lam_star == lam:
         return rho
-    d_r = param.char_action(r)
-    d_rinv = param.char_action(param.group.relative.inverse[r])
+    d_r = next(d for d in datum.pi0.elements if mat_vec(d, lam) == lam_star)
+    d_rinv = datum.pi0.inv(d_r)
     # transported module: chi*(a) = chi(r^-1 a r) on the stabilizer of lam*
-    stab_star = [a for a in param.component_group().elements
-                 if mat_vec(a, lam_star) == lam_star]
+    stab_star = stabilizer_A_lambda(datum, lam_star).elements
     old = rho.module.char_dict()
     char = tuple((a, old[mat_mul(mat_mul(d_rinv, a), d_r)]) for a in stab_star)
-    mod = Module(rho.module.dim, char,
-                 rho.module.matrices and tuple(
-                     (a, old[mat_mul(mat_mul(d_rinv, a), d_r)])
-                     for a in stab_star))
+    mod = Module(rho.module.dim, char, rho.module.matrices and char)
     return HighestWeightPair(lam_star, mod)
-
-
-def _component_stabilizer(param: Parameter, lam: Vector) -> FiniteGroup:
-    mats = sorted({param.char_action(r) for r in param.r_elements
-                   if mat_vec(param.char_action(r), lam) == lam})
-    return FiniteGroup(tuple(mats), mat_mul, mat_identity(param.dim))
 
 
 def build_packet_member(param: Parameter, rho: HighestWeightPair) -> PacketMember:
@@ -139,8 +123,7 @@ def _certify_descent(param: Parameter, cut, lam: Vector,
             raise DescentError("weight does not kill the derived-intersection "
                                "sublattice")
     # stabilizer comparison (the cut component group equals the ambient one)
-    amb = {a for a in param.component_group().elements
-           if mat_vec(a, lam) == lam}
+    amb = set(stabilizer_A_lambda(param.centralizer, lam).elements)
     cut_stab = set()
     for g in cut.component_elements:
         d = param.char_action(g)
@@ -249,8 +232,7 @@ def enumerate_fiber(param: Parameter, b: BElement) -> Tuple[PacketMember, ...]:
         if lam_raw is None:
             continue
         lam = dominantize(param, lam_raw)
-        a_lam = _component_stabilizer(param, lam)
-        for module in simple_modules(a_lam):
+        for module in param.centralizer.stabilizer_modules(lam):
             rho = canonical_rho(param, HighestWeightPair(lam, module))
             member = build_packet_member(param, rho)
             if encode(param.group, member.b) != bkey:
@@ -271,22 +253,9 @@ def enumerate_fiber(param: Parameter, b: BElement) -> Tuple[PacketMember, ...]:
 def enumerate_rhos(param: Parameter, height_bound: int
                    ) -> Tuple[HighestWeightPair, ...]:
     """Canonical (weight, module) pairs with weight coordinates in
-    [0, height_bound]."""
-    from itertools import product as iproduct
-    seen = set()
-    out = []
-    for coords in iproduct(range(height_bound + 1), repeat=param.dim):
-        lam = tuple(coords)
-        if not param.is_dominant(lam):
-            continue
-        canon = max(mat_vec(param.char_action(r), lam)
-                    for r in param.r_elements)
-        if canon in seen:
-            continue
-        seen.add(canon)
-        for module in simple_modules(_component_stabilizer(param, canon)):
-            out.append(HighestWeightPair(canon, module))
-    return tuple(sorted(out, key=lambda p: p.label()))
+    [0, height_bound]: the classification of the centralizer's
+    irreducibles."""
+    return tuple(classify_irr(param.centralizer, height_bound))
 
 
 def round_trip_check(param: Parameter, height_bound: int) -> Dict:

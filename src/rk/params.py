@@ -75,7 +75,6 @@ class Parameter:
         self.label = label
         self.tempered = tempered
         self._cuts: Dict[Tuple[FrozenSet[int], Matrix], LeviCut] = {}
-        self._component_group: Optional[FiniteGroup] = None
         self.ctx_M = group.levi_context(self.minimal_levi)
         self.center_basis = self.ctx_M.dual_split_center_basis
         self.dim = len(self.center_basis)
@@ -249,14 +248,19 @@ class Parameter:
                 return r
         raise ParameterError("element is not in W_phi")
 
+    @cached_property
+    def centralizer(self) -> DisconnectedGroupDatum:
+        """S_phi as a disconnected group on the center characters: the
+        identity-component datum with R_phi acting through char_action.
+        Built once; its stabilizer module tables are shared by every
+        caller."""
+        return DisconnectedGroupDatum(
+            self.s_datum,
+            tuple(self.char_action(r) for r in self.r_generators))
+
     def component_group(self) -> FiniteGroup:
-        """pi0 of the centralizer as a matrix group on the center characters
-        (built once; shared by every caller)."""
-        if self._component_group is None:
-            mats = tuple(sorted({self.char_action(r) for r in self.r_elements}))
-            self._component_group = FiniteGroup(mats, mat_mul,
-                                                mat_identity(self.dim))
-        return self._component_group
+        """pi0 of the centralizer as a matrix group on the center characters."""
+        return self.centralizer.pi0
 
     def is_dominant(self, lam: Sequence[int]) -> bool:
         return all(dot(lam, self.coroots[p]) >= 0 for p in self.positives)

@@ -542,9 +542,7 @@ class ReductiveGroup:
     @property
     def weyl(self) -> WeylGroup:
         if self._weyl is None:
-            gens = [reflection_matrix(self.datum.roots[i], self.datum.coroots[i])
-                    for i in self.datum.simple_indices]
-            self._weyl = WeylGroup(gens, self.datum.rank, self.datum.roots)
+            self._weyl = weyl_group(self.datum)
         return self._weyl
 
     # -- Galois orbit structure on simple positions -------------------------

@@ -31,7 +31,6 @@ from rk.endoscopy import (
 from rk.finite_reps import simple_modules
 from rk.kottwitz import BElement, newton
 from rk.packets import (
-    _component_stabilizer,
     build_packet_member,
     central_character_square,
     enumerate_fiber,
@@ -47,7 +46,7 @@ def _report(name, started, note=""):
 
 
 def _rho(param, weight, index=0):
-    mods = simple_modules(_component_stabilizer(param, tuple(weight)))
+    mods = param.centralizer.stabilizer_modules(tuple(weight))
     return HighestWeightPair(tuple(weight), mods[index])
 
 

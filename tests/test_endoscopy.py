@@ -26,9 +26,7 @@ from rk.endoscopy import (
     regular_part,
     s_in_levi_check,
 )
-from rk.finite_reps import simple_modules
 from rk.packets import (
-    _component_stabilizer,
     build_packet_member,
     enumerate_fiber,
     enumerate_rhos,
@@ -41,7 +39,7 @@ SWAP = presets.parameter("gl2x2-swap-triv")
 
 
 def rho_of(param, weight, index=0):
-    mods = simple_modules(_component_stabilizer(param, weight))
+    mods = param.centralizer.stabilizer_modules(weight)
     return HighestWeightPair(tuple(weight), mods[index])
 
 
@@ -699,6 +697,34 @@ def _trace_fraction(param, levi, w, lam_w, module_dim, conj, q):
     return total * module_dim if module_dim != 1 else total
 
 
+@pytest.mark.parametrize("ename", ["gl4-s1", "gl4-splus"])
+def test_trace_over_orbit_matches_coset_representatives(ename):
+    # the preset cuts never move their own weight, so the orbit sum is
+    # checked on a centralizer with a component flip, cut to the whole
+    # group, where weights with unequal last entries have two-point orbits
+    from rk.endoscopy import _trace_on_levi_module
+    from rk.lattice import mat_vec
+    from rk.params import Parameter
+    param = Parameter(presets.group("gl4"), frozenset(),
+                      ((1, -1, 0, 0), (-1, 1, 0, 0)), ((1, -1, 0, 0),),
+                      r_phi_words=((2,),), label="gl4 block+flip")
+    endo = presets.endoscopy(ename)
+    full = param.group.full_subset()
+    cut = param.levi_cut(full)
+    moved = 0
+    for lam in itertools.product(range(-1, 3), repeat=param.dim):
+        orbit = {mat_vec(param.char_action(g), lam)
+                 for g in cut.component_elements}
+        moved += len(orbit) > 1
+        for conj in param.wphi_elements:
+            for dim in (1, 2):
+                got = _trace_on_levi_module(param, full, cut.w, lam, dim,
+                                            conj, endo)
+                assert got == _trace_fraction(param, full, cut.w, lam, dim,
+                                              conj, endo.s)
+    assert moved
+
+
 @pytest.mark.parametrize("pname,ename", ECI_PAIRS)
 def test_trace_and_weight_exponent_match_fraction_formulas(pname, ename):
     from rk.endoscopy import _trace_on_levi_module, weight_exponent
@@ -819,13 +845,8 @@ def test_backward_table_failed_build_stores_nothing():
 # ---------------------------------------------------------------------------
 # a warm identity runs no Smith form and no rational solve
 
-# gl4-splus's traces are roots of unity of order 2, whose canonical form
-# (`Cyclo._canonical`) runs a rational solve of its own
-@pytest.mark.parametrize("ename,names", [
-    ("gl4-s1", ("_snf_raw", "solve_rational")),
-    ("gl4-splus", ("_snf_raw",))])
-def test_warm_eci_runs_no_smith_form_or_rational_solve(ename, names,
-                                                       monkeypatch):
+@pytest.mark.parametrize("ename", ["gl4-s1", "gl4-splus"])
+def test_warm_eci_runs_no_smith_form_or_rational_solve(ename, monkeypatch):
     import importlib
     import pkgutil
 
@@ -842,6 +863,7 @@ def test_warm_eci_runs_no_smith_form_or_rational_solve(ename, names,
 
     run()
     calls = []
+    names = ("_snf_raw", "solve_rational")
     modules = [importlib.import_module("rk." + m.name)
                for m in pkgutil.iter_modules(rk.__path__)]
     for name in names:

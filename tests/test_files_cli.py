@@ -243,6 +243,17 @@ def test_cli_rejects_bad_rho(argv, message):
     assert proc.stderr == "error: %s\n" % message
 
 
+@pytest.mark.parametrize("argv", [
+    ("packet", "--param", "gl2-triv", "--enumerate", "--height", "-1"),
+    ("irr", "--group", "o2", "--height", "-1"),
+], ids=["packet", "irr"])
+def test_cli_rejects_negative_height(argv):
+    proc = _run(*argv)
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert proc.stderr == "error: height bound must be >= 0\n"
+
+
 @pytest.mark.parametrize("param,endo,message", [
     ("gl2-triv", "gl4-s1",
      "--param gl2-triv is a parameter of gl2, but --endo gl4-s1 is an "

@@ -150,3 +150,14 @@ def test_conjugacy_classes_s3():
     classes = S3.conjugacy_classes()
     assert sorted(len(c) for c in classes) == [1, 2, 3]
     assert classes[0][0] == S3.identity
+
+
+def test_root_of_unity_is_canonical():
+    # the direct minimal-conductor form against the conductor reduction,
+    # which solves once per proper divisor; orders up to 96 cost twenty
+    # times as much as orders up to 48
+    for d in range(1, 49):
+        for a in range(d):
+            got = Cyclo.root_of_unity(Fraction(a, d))
+            want = Cyclo(d, [1 if i == a else 0 for i in range(d)])._canonical()
+            assert (got.n, got.coeffs) == (want.n, want.coeffs), (a, d)

@@ -1,13 +1,14 @@
 """The forward construction, fibers, round trips, independence of
 choices, and the central-character square."""
 
+import itertools
 from fractions import Fraction
 
 import pytest
 
 from rk import presets
 from rk.disconnected import HighestWeightPair
-from rk.finite_reps import simple_modules
+from rk.finite_reps import FiniteGroup, simple_modules
 from rk.kottwitz import (
     BElement,
     WallRejection,
@@ -15,10 +16,15 @@ from rk.kottwitz import (
     encode,
     newton,
 )
-from rk.lattice import mat_mul, mat_transpose, mat_vec, solve_rational
+from rk.lattice import (
+    mat_identity,
+    mat_mul,
+    mat_transpose,
+    mat_vec,
+    solve_rational,
+)
 from rk.packets import (
     _canonical_double_coset,
-    _component_stabilizer,
     _memo,
     build_packet_member,
     canonical_rho,
@@ -41,7 +47,7 @@ SWAP = presets.parameter("gl2x2-swap-triv")
 
 
 def rho_of(param, weight, index=0):
-    mods = simple_modules(_component_stabilizer(param, weight))
+    mods = param.centralizer.stabilizer_modules(weight)
     return HighestWeightPair(tuple(weight), mods[index])
 
 
@@ -332,7 +338,7 @@ def test_independence_component_conjugate():
     m2 = build_packet_member(p, rho_of(p, (1, 0, 3, 2)))
     assert m1.key() == m2.key()
     # and a weight fixed by the component group carries two modules
-    mods = simple_modules(_component_stabilizer(p, (1, 0, 2, 2)))
+    mods = p.centralizer.stabilizer_modules((1, 0, 2, 2))
     keys = {build_packet_member(
         p, HighestWeightPair((1, 0, 2, 2), m)).key() for m in mods}
     assert len(keys) == 2
@@ -371,6 +377,84 @@ def test_stabilizer_comparison_runs_on_every_member():
     # the construction; a full enumeration exercises it
     for rho in enumerate_rhos(SWAP, 3):
         build_packet_member(SWAP, rho)
+
+
+# ---------------------------------------------------------------------------
+# the centralizer as a disconnected group, against the R_phi loops it
+# replaced
+
+ORACLE_PARAMS = presets.PARAM_NAMES + ("block+flip",)
+
+
+def _oracle_parameter(name):
+    return _component_parameter() if name == "block+flip" \
+        else presets.parameter(name)
+
+
+def _r_phi_stabilizer(param, lam):
+    """A fresh stabilizer group of lam, filtered from the R_phi images."""
+    mats = sorted({param.char_action(r) for r in param.r_elements
+                   if mat_vec(param.char_action(r), lam) == lam})
+    return FiniteGroup(tuple(mats), mat_mul, mat_identity(param.dim))
+
+
+def _box_scan_rhos(param, height_bound):
+    """The weight box, the orbit maximum over R_phi and a fresh stabilizer
+    module table per weight."""
+    seen = set()
+    out = []
+    for lam in itertools.product(range(height_bound + 1), repeat=param.dim):
+        if not param.is_dominant(lam):
+            continue
+        canon = max(mat_vec(param.char_action(r), lam)
+                    for r in param.r_elements)
+        if canon in seen:
+            continue
+        seen.add(canon)
+        for module in simple_modules(_r_phi_stabilizer(param, canon)):
+            out.append(HighestWeightPair(canon, module))
+    return tuple(sorted(out, key=lambda p: p.label()))
+
+
+@pytest.mark.parametrize("name", ORACLE_PARAMS)
+def test_centralizer_component_group_is_the_r_phi_image(name):
+    param = _oracle_parameter(name)
+    assert param.centralizer.component is param.s_datum
+    assert param.centralizer.pi0.elements == tuple(
+        sorted({param.char_action(r) for r in param.r_elements}))
+    assert param.component_group() is param.centralizer.pi0
+
+
+@pytest.mark.parametrize("name", ORACLE_PARAMS)
+def test_enumerate_rhos_matches_box_scan(name):
+    param = _oracle_parameter(name)
+    for height in range(4):
+        got = enumerate_rhos(param, height)
+        want = _box_scan_rhos(param, height)
+        assert [p.label() for p in got] == [p.label() for p in want]
+        assert got == want
+
+
+@pytest.mark.parametrize("name", ORACLE_PARAMS)
+def test_stabilizer_modules_once_per_subgroup(name, monkeypatch):
+    import rk.disconnected
+    param = _oracle_parameter(name)
+    calls = []
+
+    def counted(group, cocycle=None):
+        calls.append(group.elements)
+        return simple_modules(group, cocycle)
+    monkeypatch.setattr(rk.disconnected, "simple_modules", counted)
+    datum = param.centralizer
+    by_stabilizer = {}
+    for lam in itertools.product(range(3), repeat=param.dim):
+        if not param.is_dominant(lam):
+            continue
+        mods = datum.stabilizer_modules(lam)
+        stab = _r_phi_stabilizer(param, lam)
+        assert mods is by_stabilizer.setdefault(stab.elements, mods)
+        assert mods == simple_modules(stab)
+    assert sorted(calls) == sorted(by_stabilizer)
 
 
 # ---------------------------------------------------------------------------
