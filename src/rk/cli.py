@@ -313,7 +313,6 @@ def build_parser() -> argparse.ArgumentParser:
     i.add_argument("--height", type=int, default=1)
 
     p = sub.add_parser("packet", help="packet members and fibers")
-    p.add_argument("--group", default="")
     p.add_argument("--param", required=True)
     p.add_argument("--rho", default="")
     p.add_argument("--fiber", action="store_true")
@@ -321,7 +320,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--height", type=int, default=2)
 
     e = sub.add_parser("eci", help="two-sided regular character identity")
-    e.add_argument("--group", default="")
     e.add_argument("--param", required=True)
     e.add_argument("--endo", required=True)
     e.add_argument("--rho", default="")

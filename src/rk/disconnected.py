@@ -302,6 +302,10 @@ def _dominates(lam, mu, simples):
 # ---------------------------------------------------------------------------
 # classification
 
+#: most weights `classify_irr` walks in its box of (height_bound+1)^rank
+MAX_WEIGHT_BOX = 10**6
+
+
 def classify_irr(datum: DisconnectedGroupDatum, height_bound: int):
     """Representatives (lambda, E) of the irreducible classes whose weight
     has all coordinates in [0, height_bound].
@@ -313,6 +317,10 @@ def classify_irr(datum: DisconnectedGroupDatum, height_bound: int):
     if height_bound < 0:
         raise ValueError("height bound must be >= 0")
     n = datum.component.rank
+    if (height_bound + 1) ** n > MAX_WEIGHT_BOX:
+        raise ValueError(
+            "height bound %d gives a box of (%d+1)^%d weights, over the "
+            "limit of %d" % (height_bound, height_bound, n, MAX_WEIGHT_BOX))
     seen = set()
     out = []
     for coords in iproduct(range(height_bound + 1), repeat=n):

@@ -26,7 +26,6 @@ from .lattice import (
     SmithSolver,
     Vector,
     dot,
-    in_span,
     mat,
     mat_mul,
     mat_vec,
@@ -306,13 +305,15 @@ def _find_parameter_on_h(param: Parameter, endo: EndoscopicDatum):
     H = endo.H
     center_span = param.center_basis
     for subset in H.standard_levi_subsets():
-        target = H.levi_context(subset).dual_split_center_basis
-        if len(target) != len(center_span):
+        ctx = H.levi_context(subset)
+        if len(ctx.dual_split_center_basis) != len(center_span):
             continue
+        # h.(center) lies in the target's span when it is orthogonal to
+        # the annihilator; equal lengths of independent bases give equality
+        annihilator = ctx.dual_center_solver.kernel
         for h in H.relative.elements:
-            image = tuple(mat_vec(h, u) for u in center_span)
-            if all(in_span(target, v) for v in image) and \
-               all(in_span(image, v) for v in target):
+            if all(dot(mat_vec(h, u), k) == 0
+                   for u in center_span for k in annihilator):
                 return _build_param_h(param, endo, subset, h), h
     raise EndoscopyError("the parameter center is not conjugate to the "
                          "split center of a standard Levi of the endoscopic "

@@ -22,10 +22,13 @@ from typing import Callable, Dict, Optional, Sequence, Tuple
 
 from .cyclotomic import Cyclo
 from .lattice import (
+    gauss_jordan,
     mat,
+    mat_det,
     mat_identity,
     mat_mul,
     mat_transpose,
+    orbit,
     smith_normal_form,
     IntegerMatrix,
     solve_integer,
@@ -146,23 +149,21 @@ def _abelian_characters(group: FiniteGroup) -> Tuple[Dict, ...]:
     gens = _small_generating_set(group)
     if not gens:
         return ({group.identity: Cyclo.one()},)
-    # word map Z^g -> group and Schreier generators of the relation lattice
+    # word map Z^g -> group and Schreier generators of the relation lattice:
+    # one relation per edge a -> a.g_i off the breadth-first tree, in the
+    # order the tree was grown
+    maps = [lambda a, g=g: group.mul(a, g) for g in gens]
+    tree = orbit((group.identity,), maps)
     words = {group.identity: (0,) * len(gens)}
-    frontier = [group.identity]
     relations = []
-    while frontier:
-        new = []
-        for a in frontier:
-            for i, g in enumerate(gens):
-                b = group.mul(a, g)
-                w = tuple(x + (1 if j == i else 0)
-                          for j, x in enumerate(words[a]))
-                if b not in words:
-                    words[b] = w
-                    new.append(b)
-                else:
-                    relations.append(tuple(x - y for x, y in zip(w, words[b])))
-        frontier = new
+    for a in tree:
+        for i, f in enumerate(maps):
+            b = f(a)
+            w = tuple(x + (1 if j == i else 0) for j, x in enumerate(words[a]))
+            if tree[b] == (a, i):
+                words[b] = w
+            else:
+                relations.append(tuple(x - y for x, y in zip(w, words[b])))
     cols = mat_transpose(mat(relations)) if relations else \
         tuple(() for _ in gens)
     pres = IntegerMatrix(len(gens), len(relations), cols)
@@ -194,19 +195,8 @@ def _small_generating_set(group: FiniteGroup):
         if a in generated:
             continue
         gens.append(a)
-        frontier = list(generated)
-        generated = set(generated)
-        new = [a]
-        generated.add(a)
-        while new:
-            nxt = []
-            for x in list(generated):
-                for y in new:
-                    for z in (group.mul(x, y), group.mul(y, x)):
-                        if z not in generated:
-                            generated.add(z)
-                            nxt.append(z)
-            new = nxt
+        generated = orbit((group.identity,), [
+            lambda x, g=g: group.mul(x, g) for g in gens]).keys()
         if len(generated) == len(group):
             break
     return gens
@@ -234,32 +224,21 @@ def _is_prime(n: int) -> bool:
     return True
 
 
+def _gauss_jordan_mod(rows, ncols, p):
+    return gauss_jordan(rows, ncols, lambda x: pow(x, -1, p), lambda x: x % p)
+
+
 def _nullspace_mod(rows, p):
     """Basis of the right nullspace of a square matrix mod p."""
     n = len(rows)
-    m = [list(r) for r in rows]
-    pivots = {}
-    r = 0
-    for c in range(n):
-        piv = next((i for i in range(r, n) if m[i][c] % p), None)
-        if piv is None:
-            continue
-        m[r], m[piv] = m[piv], m[r]
-        inv = pow(m[r][c], -1, p)
-        m[r] = [(x * inv) % p for x in m[r]]
-        for i in range(n):
-            if i != r and m[i][c] % p:
-                f = m[i][c]
-                m[i] = [(x - f * y) % p for x, y in zip(m[i], m[r])]
-        pivots[c] = r
-        r += 1
+    m, pivots = _gauss_jordan_mod(rows, n, p)
     basis = []
     for c in range(n):
         if c in pivots:
             continue
         v = [0] * n
         v[c] = 1
-        for pc, pr in pivots.items():
+        for pr, pc in enumerate(pivots):
             v[pc] = (-m[pr][c]) % p
         basis.append(tuple(v))
     return basis
@@ -291,23 +270,7 @@ def _charpoly_roots(rows, p):
 
 
 def _det_mod(m, p):
-    n = len(m)
-    m = [row[:] for row in m]
-    det = 1
-    for c in range(n):
-        piv = next((i for i in range(c, n) if m[i][c] % p), None)
-        if piv is None:
-            return 0
-        if piv != c:
-            m[c], m[piv] = m[piv], m[c]
-            det = -det
-        det = (det * m[c][c]) % p
-        inv = pow(m[c][c], -1, p)
-        for i in range(c + 1, n):
-            if m[i][c]:
-                f = (m[i][c] * inv) % p
-                m[i] = [(x - f * y) % p for x, y in zip(m[i], m[c])]
-    return det % p
+    return mat_det(m) % p
 
 
 def _dixon_characters(group: FiniteGroup) -> Tuple[Dict, ...]:
@@ -431,29 +394,12 @@ def _coords_mod(basis, vectors, p):
 
 
 def _solve_mod(aug, k, p):
-    n = len(aug)
-    m = [row[:] for row in aug]
-    pivots = []
-    r = 0
-    for c in range(k):
-        piv = next((i for i in range(r, n) if m[i][c] % p), None)
-        if piv is None:
-            continue
-        m[r], m[piv] = m[piv], m[r]
-        inv = pow(m[r][c], -1, p)
-        m[r] = [(x * inv) % p for x in m[r]]
-        for i in range(n):
-            if i != r and m[i][c] % p:
-                f = m[i][c]
-                m[i] = [(x - f * y) % p for x, y in zip(m[i], m[r])]
-        pivots.append(c)
-        r += 1
-    for i in range(r, n):
-        if m[i][k] % p:
-            return None
+    m, pivots = _gauss_jordan_mod(aug, k, p)
+    if any(row[k] for row in m[len(pivots):]):
+        return None
     x = [0] * k
-    for row_idx, c in enumerate(pivots):
-        x[c] = m[row_idx][k]
+    for row, c in zip(m, pivots):
+        x[c] = row[k]
     return x
 
 

@@ -18,8 +18,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from itertools import product
-from typing import Iterable, Sequence, Tuple
+from typing import Callable, Dict, Iterable, Optional, Sequence, Tuple
 
 Vector = Tuple[int, ...]
 Matrix = Tuple[Tuple[int, ...], ...]
@@ -30,10 +31,6 @@ DEFAULT_CLOSURE_CAP = 10**6
 
 # ---------------------------------------------------------------------------
 # raw tuple-matrix helpers (used pervasively; IntegerMatrix wraps these)
-
-def vec(entries: Iterable) -> tuple:
-    return tuple(entries)
-
 
 def dot(u: Sequence, v: Sequence):
     if len(u) != len(v):
@@ -102,37 +99,65 @@ def mat_det(a: Matrix) -> int:
     return sign * m[n - 1][n - 1]
 
 
+def gauss_jordan(rows: Sequence[Sequence], ncols: int, inv: Callable,
+                 red: Callable):
+    """Reduced row echelon form over a field, pivoting on the first `ncols`
+    columns; any further columns are carried along (augmented systems).
+
+    `red` maps an entry to its normal form in the field (zero exactly when
+    the entry is zero) and `inv` inverts a nonzero normal form: `_q_red`
+    and `_q_inv` over Q, `x % p` and `pow(x, -1, p)` over F_p.  Returns
+    (m, pivots): row k of m has its leading 1 in column pivots[k], and the
+    rows past len(pivots) vanish on the first `ncols` columns.
+    """
+    m = [[red(x) for x in row] for row in rows]
+    pivots = []
+    for c in range(ncols):
+        r = len(pivots)
+        piv = next((i for i in range(r, len(m)) if m[i][c]), None)
+        if piv is None:
+            continue
+        m[r], m[piv] = m[piv], m[r]
+        f = inv(m[r][c])
+        m[r] = [red(x * f) for x in m[r]]
+        for i in range(len(m)):
+            if i != r and m[i][c]:
+                f = m[i][c]
+                m[i] = [red(x - f * y) for x, y in zip(m[i], m[r])]
+        pivots.append(c)
+        if len(pivots) == len(m):
+            break
+    return m, pivots
+
+
+# over Q every int or Fraction is in normal form; pivot rows become Fractions
+_q_inv = Fraction(1).__truediv__
+
+
+def _q_red(x):
+    return x
+
+
 def mat_inverse(a: Matrix) -> tuple:
     """Exact inverse over the rationals (rows of Fractions)."""
     n = len(a)
-    aug = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
-           for i, row in enumerate(a)]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if aug[r][col] != 0), None)
-        if piv is None:
-            raise ValueError("matrix is singular")
-        aug[col], aug[piv] = aug[piv], aug[col]
-        p = aug[col][col]
-        aug[col] = [x / p for x in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col] != 0:
-                f = aug[r][col]
-                aug[r] = [x - f * y for x, y in zip(aug[r], aug[col])]
-    return tuple(tuple(row[n:]) for row in aug)
+    m, pivots = gauss_jordan(
+        [tuple(row) + tuple(int(i == j) for j in range(n))
+         for i, row in enumerate(a)], n, _q_inv, _q_red)
+    if len(pivots) < n:
+        raise ValueError("matrix is singular")
+    return tuple(tuple(row[n:]) for row in m)
 
 
 def mat_inverse_int(a: Matrix) -> Matrix:
-    """Inverse of a unimodular integer matrix, as an integer matrix."""
-    inv = mat_inverse(a)
-    out = []
-    for row in inv:
-        irow = []
-        for x in row:
-            if x.denominator != 1:
-                raise ValueError("matrix is not unimodular")
-            irow.append(int(x))
-        out.append(tuple(irow))
-    return tuple(out)
+    """Inverse of a unimodular integer matrix, as an integer matrix: with
+    U*A*V = 1 in Smith form, A^-1 = V*U."""
+    D, U, V = _snf_raw(a)
+    diag = {D[i][i] for i in range(len(D))}
+    if diag - {1}:
+        raise ValueError("matrix is singular" if 0 in diag
+                         else "matrix is not unimodular")
+    return mat_mul(V, U)
 
 
 def mat_contragredient(a: Matrix) -> Matrix:
@@ -142,33 +167,15 @@ def mat_contragredient(a: Matrix) -> Matrix:
 
 def solve_rational(a_cols: Sequence[Sequence], b: Sequence):
     """Solve sum_j x_j * a_cols[j] = b over Q; None if inconsistent."""
-    nrows = len(b)
     ncols = len(a_cols)
-    aug = [[Fraction(a_cols[j][i]) for j in range(ncols)] + [Fraction(b[i])]
-           for i in range(nrows)]
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        piv = next((i for i in range(r, nrows) if aug[i][c] != 0), None)
-        if piv is None:
-            continue
-        aug[r], aug[piv] = aug[piv], aug[r]
-        p = aug[r][c]
-        aug[r] = [x / p for x in aug[r]]
-        for i in range(nrows):
-            if i != r and aug[i][c] != 0:
-                f = aug[i][c]
-                aug[i] = [x - f * y for x, y in zip(aug[i], aug[r])]
-        pivots.append(c)
-        r += 1
-        if r == nrows:
-            break
-    for i in range(r, nrows):
-        if aug[i][ncols] != 0:
-            return None
+    m, pivots = gauss_jordan(
+        [tuple(col[i] for col in a_cols) + (b[i],) for i in range(len(b))],
+        ncols, _q_inv, _q_red)
+    if any(row[ncols] for row in m[len(pivots):]):
+        return None
     x = [Fraction(0)] * ncols
-    for row_idx, c in enumerate(pivots):
-        x[c] = aug[row_idx][ncols]
+    for row, c in zip(m, pivots):
+        x[c] = row[ncols]
     return tuple(x)
 
 
@@ -427,6 +434,29 @@ def closure(generators: Sequence[Matrix], cap: int = DEFAULT_CLOSURE_CAP):
     return order, words
 
 
+def orbit(seeds: Iterable, maps: Sequence[Callable],
+          cap: int = DEFAULT_CLOSURE_CAP) -> Dict[object, Optional[tuple]]:
+    """Breadth-first orbit of `seeds` under `maps`.
+
+    Returns a dict in discovery order that maps each point to (q, i), the
+    point q and map index i with maps[i](q) the first image reaching it;
+    seeds map to None, so every point's parent comes before it.  An orbit
+    of more than `cap` points raises ValueError.
+    """
+    tree: Dict[object, Optional[tuple]] = dict.fromkeys(seeds)
+    points = list(tree)
+    for q in points:  # the list grows while it is read: a queue
+        for i, f in enumerate(maps):
+            x = f(q)
+            if x not in tree:
+                tree[x] = (q, i)
+                points.append(x)
+                if len(tree) > cap:
+                    raise ValueError(
+                        "group closure exceeded cap of %d elements" % cap)
+    return tree
+
+
 @dataclass(frozen=True)
 class LatticeAction:
     """A finite group acting on Z^rank by unimodular matrices.
@@ -449,22 +479,9 @@ class LatticeAction:
             if abs(mat_det(g)) != 1:
                 raise ValueError("action matrices must have determinant +/-1")
         for e in mat_identity(self.rank):
-            orbit = {e}
-            frontier = [e]
-            while frontier:
-                new = []
-                for v in frontier:
-                    for g in self.generators:
-                        img = mat_vec(g, v)
-                        if img not in orbit:
-                            orbit.add(img)
-                            new.append(img)
-                            if len(orbit) > self.cap:
-                                # |G| >= |G.e|: the closure would exceed it too
-                                raise ValueError(
-                                    "group closure exceeded cap of %d "
-                                    "elements" % self.cap)
-                frontier = new
+            # |G| >= |G.e|: an orbit over the cap rejects the closure too
+            orbit((e,), [partial(mat_vec, g) for g in self.generators],
+                  self.cap)
         object.__setattr__(self, "_elements", None)
 
     @property

@@ -9,9 +9,10 @@ worked examples shipped with the command line tool.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import partial
 from typing import Tuple
 
-from .lattice import mat
+from .lattice import dot, mat, orbit, vscale, vsub
 from .rootdata import BasedRootDatum, GaloisAction, ReductiveGroup
 
 
@@ -50,22 +51,16 @@ def _pgl2_datum() -> BasedRootDatum:
 
 def _datum_from_simples(rank, simple_roots, simple_coroots, name) -> BasedRootDatum:
     """Close the simple roots under their reflections to build the full list."""
-    from .lattice import vsub, dot as _dot
-    pairs = {tuple(r): tuple(c) for r, c in zip(simple_roots, simple_coroots)}
-    frontier = list(pairs)
-    while frontier:
-        new = []
-        for r in frontier:
-            c = pairs[r]
-            for sr, sc in zip(simple_roots, simple_coroots):
-                img_r = vsub(r, tuple(_dot(r, sc) * x for x in sr))
-                img_c = vsub(c, tuple(_dot(sr, c) * x for x in sc))
-                if img_r not in pairs:
-                    pairs[img_r] = img_c
-                    new.append(img_r)
-        frontier = new
-    roots = sorted(pairs)
-    coroots = [pairs[r] for r in roots]
+    def reflect(i, pair):
+        (r, c), sr, sc = pair, simple_roots[i], simple_coroots[i]
+        return vsub(r, vscale(dot(r, sc), sr)), vsub(c, vscale(dot(sr, c), sc))
+
+    # the orbit's points are (root, coroot) pairs
+    coroot = dict(orbit(
+        zip(map(tuple, simple_roots), map(tuple, simple_coroots)),
+        [partial(reflect, i) for i in range(len(simple_roots))]).keys())
+    roots = sorted(coroot)
+    coroots = [coroot[r] for r in roots]
     simple = [roots.index(tuple(r)) for r in simple_roots]
     return BasedRootDatum(rank, tuple(roots), tuple(coroots), tuple(simple), name)
 

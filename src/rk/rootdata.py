@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, partial
 from itertools import combinations
 from math import lcm
 from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
@@ -49,6 +49,7 @@ from .lattice import (
     mat_mul,
     mat_transpose,
     mat_vec,
+    orbit,
     solve_rational,
     vsub,
 )
@@ -113,22 +114,13 @@ class BasedRootDatum:
         gens = [reflection_matrix(self.roots[i], self.coroots[i])
                 for i in self.simple_indices]
         if gens:
-            orbit = set()
-            frontier = list(simples)
-            orbit.update(frontier)
-            while frontier:
-                new = []
-                for r in frontier:
-                    for g in gens:
-                        img = mat_vec(g, r)
-                        if img not in orbit:
-                            orbit.add(img)
-                            new.append(img)
-                            if len(orbit) > 10000:
-                                raise DatumError("root closure exploded; datum "
-                                                 "is not of finite type")
-                frontier = new
-            if orbit != set(self.roots):
+            try:
+                roots = orbit(simples, [partial(mat_vec, g) for g in gens],
+                              10000)
+            except ValueError:
+                raise DatumError("root closure exploded; datum "
+                                 "is not of finite type") from None
+            if roots.keys() != set(self.roots):
                 raise DatumError("roots are not exactly the Weyl orbit of the "
                                  "simple roots")
         elif self.roots:
@@ -289,28 +281,20 @@ class WeylGroup:
                 from None
         # breadth-first, so every element comes after the prefix of its word
         # and words come out reduced
+        tree = orbit((tuple(range(len(roots))),),
+                     [lambda pg, ps=ps: tuple([pg[j] for j in ps])
+                      for ps in gen_perms], cap)
+        self._by_perm: Dict[Tuple[int, ...], Matrix] = {}
+        self.words: Dict[Matrix, Tuple[int, ...]] = {}
+        for p, parent in tree.items():
+            h, word = self.identity, ()
+            if parent is not None:
+                g, i = self._by_perm[parent[0]], parent[1]
+                h, word = mat_mul(g, self.generators[i]), self.words[g] + (i,)
+            self._by_perm[p] = h
+            self.words[h] = word
         self.perm: Dict[Matrix, Tuple[int, ...]] = {
-            self.identity: tuple(range(len(roots)))}
-        self._by_perm: Dict[Tuple[int, ...], Matrix] = {
-            p: m for m, p in self.perm.items()}
-        self.words: Dict[Matrix, Tuple[int, ...]] = {self.identity: ()}
-        frontier = [self.identity]
-        while frontier:
-            new = []
-            for g in frontier:
-                pg = self.perm[g]
-                for i, (s, ps) in enumerate(zip(self.generators, gen_perms)):
-                    p = tuple([pg[j] for j in ps])
-                    if p not in self._by_perm:
-                        h = mat_mul(g, s)
-                        self.perm[h] = p
-                        self._by_perm[p] = h
-                        self.words[h] = self.words[g] + (i,)
-                        new.append(h)
-                        if len(self.words) > cap:
-                            raise ValueError("group closure exceeded cap of "
-                                             "%d elements" % cap)
-            frontier = new
+            m: p for p, m in self._by_perm.items()}
         self.elements: Tuple[Matrix, ...] = tuple(sorted(self.words))
         self.inverse: Dict[Matrix, Matrix] = {}
         self.contragredient: Dict[Matrix, Matrix] = {}
@@ -350,13 +334,8 @@ class WeylGroup:
     def generated(self, gens: Sequence[Matrix]) -> Tuple[Matrix, ...]:
         """The subgroup generated by some elements, sorted; closed by
         products (`mul`) inside this group."""
-        out = {self.identity}
-        frontier = [self.identity]
-        while frontier:
-            frontier = [h for h in {self.mul(g, s) for g in frontier
-                                    for s in gens} if h not in out]
-            out.update(frontier)
-        return tuple(sorted(out))
+        return tuple(sorted(orbit((self.identity,),
+                                  [partial(self.mul, b=s) for s in gens])))
 
 
 class LeviContext:
@@ -553,27 +532,10 @@ class ReductiveGroup:
         if self._orbits is None:
             simple = self.datum.simple_indices
             # each Galois generator's permutation of the simple positions
-            perms = [[simple.index(p[i]) for i in simple]
-                     for p in self.galois.root_permutations]
-            seen = set()
-            orbits = []
-            for pos in range(len(simple)):
-                if pos in seen:
-                    continue
-                orbit = {pos}
-                frontier = [pos]
-                while frontier:
-                    new = []
-                    for p in frontier:
-                        for perm in perms:
-                            q = perm[p]
-                            if q not in orbit:
-                                orbit.add(q)
-                                new.append(q)
-                    frontier = new
-                seen |= orbit
-                orbits.append(tuple(sorted(orbit)))
-            self._orbits = tuple(sorted(orbits))
+            maps = [[simple.index(p[i]) for i in simple].__getitem__
+                    for p in self.galois.root_permutations]
+            self._orbits = tuple(sorted({tuple(sorted(orbit((pos,), maps)))
+                                         for pos in range(len(simple))}))
         return self._orbits
 
     def simple_orbit_of(self, pos: int) -> Tuple[int, ...]:

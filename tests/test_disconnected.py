@@ -10,6 +10,7 @@ import pytest
 
 from rk import presets
 from rk.cyclotomic import Cyclo
+from rk import disconnected
 from rk.disconnected import (
     DisconnectedGroupDatum,
     HighestWeightPair,
@@ -276,3 +277,15 @@ def test_classify_is_bijective_onto_range():
                 continue
             orbit = {mat_vec(g, lam) for g in holder.pi0.elements}
             assert orbit & reps, lam
+
+
+def test_classify_irr_rejects_a_weight_box_over_budget(monkeypatch):
+    assert disconnected.MAX_WEIGHT_BOX == 10**6
+    with pytest.raises(ValueError, match=r"^height bound 1000 gives a box of "
+                       r"\(1000\+1\)\^2 weights, over the limit of 1000000$"):
+        classify_irr(SL3C, 1000)
+    # the bound is inclusive: a box of exactly the limit is walked
+    monkeypatch.setattr(disconnected, "MAX_WEIGHT_BOX", 9)
+    assert classify_irr(SL3C, 2) == classify_irr(SL3C, 2)
+    with pytest.raises(ValueError, match="^height bound 3 gives a box"):
+        classify_irr(SL3C, 3)

@@ -254,6 +254,26 @@ def test_cli_rejects_negative_height(argv):
     assert proc.stderr == "error: height bound must be >= 0\n"
 
 
+@pytest.mark.parametrize("argv", [
+    ("packet", "--group", "gl3", "--param", "gl4-st2", "--rho", "1,0"),
+    ("eci", "--group", "gl3", "--param", "gl4-st2", "--endo", "gl4-s1"),
+], ids=["packet", "eci"])
+def test_cli_rejects_group_flag(argv):
+    # the parameter names its group; a --group beside it was never read
+    proc = _run(*argv)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert "error: unrecognized arguments: --group gl3" in proc.stderr
+
+
+def test_cli_rejects_a_weight_box_over_budget():
+    proc = _run("irr", "--group", "sl3-conn", "--height", "5000")
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert proc.stderr == ("error: height bound 5000 gives a box of "
+                           "(5000+1)^2 weights, over the limit of 1000000\n")
+
+
 @pytest.mark.parametrize("param,endo,message", [
     ("gl2-triv", "gl4-s1",
      "--param gl2-triv is a parameter of gl2, but --endo gl4-s1 is an "

@@ -1,0 +1,259 @@
+"""Property tests of the two shared routines, `orbit` and `gauss_jordan`,
+and of the code that reads its answers from them, each against a
+brute-force definition.
+
+The examples are derandomized and no example database is kept, so the
+suite is deterministic and writes nothing into the checkout.
+"""
+
+import tempfile
+from fractions import Fraction
+from itertools import combinations, permutations, product
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.configuration import set_hypothesis_home_dir
+
+from rk.finite_reps import _det_mod, _nullspace_mod, _solve_mod
+from rk.lattice import (
+    _snf_raw,
+    mat_det,
+    mat_identity,
+    mat_inverse,
+    mat_inverse_int,
+    mat_mul,
+    mat_transpose,
+    orbit,
+    solve_rational,
+)
+
+# Hypothesis caches the literals of the source it imports under its home
+# directory even without an example database; keep that out of the checkout
+_HOME = tempfile.TemporaryDirectory(prefix="rk-hypothesis-")
+set_hypothesis_home_dir(_HOME.name)
+
+PROPERTY = settings(derandomize=True, database=None, deadline=None,
+                    max_examples=50)
+
+ENTRY = st.integers(-4, 4)
+
+
+def matrices(rows, cols, entries=ENTRY):
+    return st.lists(st.lists(entries, min_size=cols, max_size=cols)
+                    .map(tuple), min_size=rows, max_size=rows).map(tuple)
+
+
+@st.composite
+def shaped(draw, max_rows=4, max_cols=4):
+    return draw(matrices(draw(st.integers(1, max_rows)),
+                         draw(st.integers(1, max_cols))))
+
+
+@st.composite
+def square(draw, max_n=4):
+    n = draw(st.integers(1, max_n))
+    return draw(matrices(n, n))
+
+
+def rank(m):
+    """The size of the largest nonzero minor (Bareiss determinants)."""
+    rows, cols = len(m), len(m[0]) if m else 0
+    for k in range(min(rows, cols), 0, -1):
+        for ri in combinations(range(rows), k):
+            for ci in combinations(range(cols), k):
+                if mat_det(tuple(tuple(m[i][j] for j in ci) for i in ri)):
+                    return k
+    return 0
+
+
+# ---------------------------------------------------------------------------
+# elimination over Q
+
+@PROPERTY
+@given(a=shaped(), x=st.lists(ENTRY, min_size=4, max_size=4))
+def test_solve_rational_solves_systems_with_a_solution(a, x):
+    cols = mat_transpose(a)
+    b = tuple(sum(c * col[i] for c, col in zip(x, cols))
+              for i in range(len(a)))
+    sol = solve_rational(cols, b)
+    assert sol is not None
+    assert all(isinstance(c, Fraction) for c in sol)
+    assert tuple(sum(c * col[i] for c, col in zip(sol, cols))
+                 for i in range(len(a))) == b
+
+
+@PROPERTY
+@given(a=shaped(), data=st.data())
+def test_solve_rational_is_none_only_off_the_column_span(a, data):
+    b = data.draw(st.lists(ENTRY, min_size=len(a), max_size=len(a)))
+    cols = mat_transpose(a)
+    sol = solve_rational(cols, b)
+    augmented = tuple(row + (bi,) for row, bi in zip(a, b))
+    assert (sol is None) == (rank(augmented) > rank(a))
+    if sol is not None:
+        assert [sum(c * col[i] for c, col in zip(sol, cols))
+                for i in range(len(a))] == b
+
+
+@PROPERTY
+@given(a=square())
+def test_mat_inverse_is_a_left_inverse(a):
+    if mat_det(a) == 0:
+        with pytest.raises(ValueError, match="^matrix is singular$"):
+            mat_inverse(a)
+    else:
+        assert mat_mul(mat_inverse(a), a) == mat_identity(len(a))
+
+
+@st.composite
+def unimodular(draw, max_n=4):
+    """A product of elementary matrices: transvections, swaps, sign flips."""
+    n = draw(st.integers(1, max_n))
+    m = [list(r) for r in mat_identity(n)]
+    for kind, i, j, c in draw(st.lists(st.tuples(
+            st.sampled_from("tsf"), st.integers(0, n - 1),
+            st.integers(0, n - 1), st.integers(-3, 3)), max_size=8)):
+        if kind == "t" and i != j:
+            m[i] = [x + c * y for x, y in zip(m[i], m[j])]
+        elif kind == "s":
+            m[i], m[j] = m[j], m[i]
+        elif kind == "f":
+            m[i] = [-x for x in m[i]]
+    return tuple(tuple(r) for r in m)
+
+
+@PROPERTY
+@given(a=unimodular())
+def test_mat_inverse_int_agrees_with_mat_inverse(a):
+    q = mat_inverse(a)
+    assert all(x.denominator == 1 for row in q for x in row)
+    assert mat_inverse_int(a) == tuple(tuple(int(x) for x in row) for row in q)
+
+
+@PROPERTY
+@given(a=square())
+def test_mat_inverse_int_rejects_what_it_cannot_invert(a):
+    det = mat_det(a)
+    if det == 0:
+        message = "^matrix is singular$"
+    elif abs(det) != 1:
+        message = "^matrix is not unimodular$"
+    else:
+        assert mat_mul(mat_inverse_int(a), a) == mat_identity(len(a))
+        return
+    with pytest.raises(ValueError, match=message):
+        mat_inverse_int(a)
+
+
+@PROPERTY
+@given(a=shaped())
+def test_snf_raw_is_a_smith_form(a):
+    D, U, V = _snf_raw(a)
+    assert mat_mul(mat_mul(U, a), V) == D
+    assert abs(mat_det(U)) == 1 and abs(mat_det(V)) == 1
+    assert all(D[i][j] == 0 for i in range(len(D)) for j in range(len(D[0]))
+               if i != j)
+    diag = [D[i][i] for i in range(min(len(D), len(D[0])))]
+    assert all(d >= 0 for d in diag)
+    for d, e in zip(diag, diag[1:]):
+        assert (e % d == 0) if d else e == 0
+
+
+# ---------------------------------------------------------------------------
+# elimination over F_p
+
+def field_square(p):
+    return st.integers(2, 3).flatmap(
+        lambda n: matrices(n, n, st.integers(0, p - 1)))
+
+
+def apply_mod(m, v, p):
+    return tuple(sum(x * y for x, y in zip(row, v)) % p for row in m)
+
+
+def leibniz_det(m):
+    n = len(m)
+    total = 0
+    for perm in permutations(range(n)):
+        sign = (-1) ** sum(1 for i, j in combinations(range(n), 2)
+                           if perm[i] > perm[j])
+        term = sign
+        for i, j in enumerate(perm):
+            term *= m[i][j]
+        total += term
+    return total
+
+
+@pytest.mark.parametrize("p", [5, 7])
+@PROPERTY
+@given(data=st.data())
+def test_det_mod_is_the_leibniz_determinant(p, data):
+    m = data.draw(field_square(p))
+    assert _det_mod([list(r) for r in m], p) == leibniz_det(m) % p
+
+
+@pytest.mark.parametrize("p", [5, 7])
+@PROPERTY
+@given(data=st.data())
+def test_nullspace_mod_spans_the_kernel(p, data):
+    m = data.draw(field_square(p))
+    n = len(m)
+    basis = _nullspace_mod([list(r) for r in m], p)
+    kernel = {v for v in product(range(p), repeat=n)
+              if not any(apply_mod(m, v, p))}
+    spanned = {tuple(sum(c * b[i] for c, b in zip(cs, basis)) % p
+                     for i in range(n))
+               for cs in product(range(p), repeat=len(basis))}
+    assert len(spanned) == p ** len(basis)  # the basis is independent
+    assert spanned == kernel
+
+
+@pytest.mark.parametrize("p", [5, 7])
+@PROPERTY
+@given(data=st.data())
+def test_solve_mod_finds_a_solution_when_one_exists(p, data):
+    m = data.draw(field_square(p))
+    n = len(m)
+    k = data.draw(st.integers(1, n))
+    b = data.draw(st.tuples(*[st.integers(0, p - 1)] * n))
+    a = tuple(row[:k] for row in m)
+    aug = [list(row) + [bi] for row, bi in zip(a, b)]
+    x = _solve_mod(aug, k, p)
+    solvable = any(apply_mod(a, v, p) == b
+                   for v in product(range(p), repeat=k))
+    assert (x is not None) == solvable
+    if x is not None:
+        assert apply_mod(a, x, p) == b
+
+
+# ---------------------------------------------------------------------------
+# breadth-first orbits
+
+@PROPERTY
+@given(n=st.integers(1, 40),
+       coeffs=st.lists(st.tuples(st.integers(0, 39), st.integers(0, 39)),
+                       max_size=3),
+       seeds=st.lists(st.integers(0, 39), min_size=1, max_size=3))
+def test_orbit_is_the_fixed_point_with_parents_first(n, coeffs, seeds):
+    maps = [lambda x, a=a, b=b: (a * x + b) % n for a, b in coeffs]
+    seeds = [s % n for s in seeds]
+    naive = set(seeds)
+    while True:
+        grown = naive | {f(x) for x in naive for f in maps}
+        if grown == naive:
+            break
+        naive = grown
+    tree = orbit(seeds, maps)
+    assert set(tree) == naive
+    position = {x: i for i, x in enumerate(tree)}
+    for x, parent in tree.items():
+        if parent is None:
+            assert x in seeds
+        else:
+            q, i = parent
+            assert maps[i](q) == x and position[q] < position[x]
+    if len(naive) > len(set(seeds)):  # the cap counts points as they are found
+        with pytest.raises(ValueError, match="exceeded cap of %d elements"
+                           % (len(naive) - 1)):
+            orbit(seeds, maps, len(naive) - 1)

@@ -1,10 +1,12 @@
-"""Names the benchmark's tracer wraps must keep resolving in `rk`, so a
-change that deletes or renames one fails here and not only in traced
-benchmark runs."""
+"""Names the benchmark's tracer wraps must keep resolving in `rk`, as a
+kind of object the tracer knows how to wrap, so a change that deletes,
+renames or re-kinds one fails here and not only in traced benchmark
+runs."""
 
 import ast
 import importlib
 from pathlib import Path
+from types import FunctionType
 
 import pytest
 
@@ -28,3 +30,7 @@ def test_traced_name_resolves(layer, path):
     for part in cls_path:
         owner = getattr(owner, part)
     assert attr in vars(owner)
+    # the tracer wraps a plain function, a property's getter or a
+    # classmethod's function; anything else (a cached_property, say) it
+    # would wrap as a plain function and break
+    assert isinstance(vars(owner)[attr], (FunctionType, property, classmethod))
