@@ -4,21 +4,25 @@ Every loader has a matching serializer and the composition
 parse -> serialize -> parse is the identity on the data it carries.
 Group references inside parameter and endoscopy files accept either a
 preset name or a path to a group file.
+
+PyYAML and the parameter, endoscopy and disconnected-group layers are
+imported by the functions that need them, so a command that names only
+presets loads none of them.
 """
 
 from __future__ import annotations
 
 import os
 from fractions import Fraction
-from typing import Dict, Optional
+from typing import TYPE_CHECKING, Dict, Optional
 
-import yaml
-
-from .disconnected import DisconnectedGroupDatum
-from .endoscopy import EndoscopicDatum
 from .lattice import mat
-from .params import Parameter
 from .rootdata import BasedRootDatum, GaloisAction, ReductiveGroup
+
+if TYPE_CHECKING:
+    from .disconnected import DisconnectedGroupDatum
+    from .endoscopy import EndoscopicDatum
+    from .params import Parameter
 
 
 def _as_matrix(rows):
@@ -30,6 +34,7 @@ def _as_vectors(rows):
 
 
 def load_tree(path: str) -> Dict:
+    import yaml
     with open(path, "r", encoding="utf-8") as fh:
         data = yaml.safe_load(fh)
     if not isinstance(data, dict) or "kind" not in data:
@@ -38,6 +43,7 @@ def load_tree(path: str) -> Dict:
 
 
 def dump_tree(tree: Dict, path: Optional[str] = None) -> str:
+    import yaml
     text = yaml.safe_dump(tree, sort_keys=True, default_flow_style=None)
     if path:
         with open(path, "w", encoding="utf-8") as fh:
@@ -95,6 +101,7 @@ def resolve_group(ref: str) -> ReductiveGroup:
 # parameters
 
 def parameter_from_tree(tree: Dict) -> Parameter:
+    from .params import Parameter
     if tree.get("kind") != "parameter":
         raise ValueError("not a parameter description")
     group = resolve_group(str(tree["group"]))
@@ -145,6 +152,7 @@ def resolve_parameter(ref: str):
 # endoscopic data
 
 def endoscopy_from_tree(tree: Dict) -> EndoscopicDatum:
+    from .endoscopy import EndoscopicDatum
     if tree.get("kind") != "endoscopy":
         raise ValueError("not an endoscopy description")
     group = resolve_group(str(tree["group"]))
@@ -177,6 +185,7 @@ def resolve_endoscopy(ref: str):
 # disconnected groups
 
 def disconnected_from_tree(tree: Dict) -> DisconnectedGroupDatum:
+    from .disconnected import DisconnectedGroupDatum
     if tree.get("kind") != "disconnected":
         raise ValueError("not a disconnected-group description")
     datum = BasedRootDatum(

@@ -42,7 +42,8 @@ class CocycleError(ValueError):
 class FiniteGroup:
     """A finite group on hashable element tokens with explicit multiplication."""
 
-    def __init__(self, elements: Sequence, mul: Callable, identity):
+    def __init__(self, elements: Sequence, mul: Callable, identity,
+                 _inverses: Optional[Dict] = None):
         self.elements = tuple(elements)
         self.index = {e: i for i, e in enumerate(self.elements)}
         if len(self.index) != len(self.elements):
@@ -52,13 +53,27 @@ class FiniteGroup:
         self.mul = mul
         self.identity = identity
         self._inv: Dict = {}
+        if _inverses is not None:
+            for a in self.elements:
+                b = _inverses.get(a)
+                if b not in self.index:
+                    raise ValueError("element without inverse; not a group?")
+                self._inv[a] = b
+            return
+        # the powers a, a^2, ..., a^o = 1 form a cycle on which the inverse
+        # of a^k is a^(o-k)
         for a in self.elements:
-            for b in self.elements:
-                if mul(a, b) == identity:
-                    self._inv[a] = b
-                    break
-            else:
-                raise ValueError("element without inverse; not a group?")
+            if a in self._inv:
+                continue
+            powers = [identity]
+            x = a
+            while x != identity:
+                if x not in self.index or len(powers) == len(self.elements):
+                    raise ValueError("element without inverse; not a group?")
+                powers.append(self.elements[self.index[x]])
+                x = mul(x, a)
+            for k, p in enumerate(powers):
+                self._inv[p] = powers[-k]
 
     @classmethod
     def from_matrices(cls, generators: Sequence, cap: int = 10**6) -> "FiniteGroup":
@@ -116,7 +131,9 @@ class FiniteGroup:
         return repr(a)
 
     def subgroup(self, elements: Sequence) -> "FiniteGroup":
-        return FiniteGroup(tuple(elements), self.mul, self.identity)
+        """The subgroup on some of the elements, with this group's inverses."""
+        return FiniteGroup(tuple(elements), self.mul, self.identity,
+                           _inverses=self._inv)
 
 
 @dataclass(frozen=True)

@@ -568,10 +568,13 @@ class ReductiveGroup:
     @property
     def relative(self) -> WeylGroup:
         """W^rel = Gamma-fixed Weyl elements, generated by the restricted
-        simple reflections (verified against the brute-force fixed set)."""
+        simple reflections (verified against the brute-force fixed set).
+        When every simple Galois orbit is a singleton these are the simple
+        reflections in order, and the group is `weyl` itself."""
         if self._relative is None:
-            rel = WeylGroup(self.restricted_reflections, self.datum.rank,
-                            self.datum.roots)
+            gens = self.restricted_reflections
+            rel = self.weyl if gens == self.weyl.generators else \
+                WeylGroup(gens, self.datum.rank, self.datum.roots)
             # g.m.g^-1 lies in W, which acts faithfully on the roots, so m
             # commutes with g iff their root permutations commute
             gperms = self.galois.root_permutations

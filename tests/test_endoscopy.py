@@ -493,6 +493,56 @@ def test_memo_parameter_on_h_matches_fresh(pname, ename):
     assert parameter_on_h(param, endo)[0] is param_h
 
 
+def _scan_parameter_on_h(param, endo):
+    """The two-sided `in_span` scan `_find_parameter_on_h` replaces: the
+    first (Levi, h) for which h maps the parameter center onto the Levi's
+    split center."""
+    from rk.lattice import in_span, mat_vec
+    H = endo.H
+    center = param.center_basis
+    for subset in H.standard_levi_subsets():
+        target = H.levi_context(subset).dual_split_center_basis
+        if len(target) != len(center):
+            continue
+        for h in H.relative.elements:
+            image = tuple(mat_vec(h, u) for u in center)
+            if all(in_span(target, v) for v in image) and \
+               all(in_span(image, v) for v in target):
+                return subset, h
+    return None
+
+
+def _gl3_center_with_a_central_vector():
+    """A gl3 parameter on the Levi GL2 x GL1, its center given by the basis
+    (1,1,1), (0,0,1) of the same lattice: every h sends the central first
+    vector into every split center, and only h fixing the third coordinate
+    line sends the second into that of the Levi {0}."""
+    from rk.params import Parameter
+    param = Parameter(group=presets.group("gl3"),
+                      minimal_levi=frozenset({0}), sphi_ambient=(),
+                      positive_ambient=(), r_phi_words=(), label="gl3: 2+1")
+    assert param.center_basis == ((1, 1, 0), (0, 0, 1))
+    param.center_basis = ((1, 1, 1), (0, 0, 1))
+    return param, presets.endoscopy("gl3-s1")
+
+
+@pytest.mark.parametrize("case", ECI_PAIRS + ("gl3-central-first",))
+def test_find_parameter_on_h_matches_in_span_scan(case, monkeypatch):
+    from rk import endoscopy
+    if case == "gl3-central-first":
+        param, endo = _gl3_center_with_a_central_vector()
+    else:
+        param, endo = presets.parameter(case[0]), presets.endoscopy(case[1])
+    want = _scan_parameter_on_h(param, endo)
+    assert want is not None
+    monkeypatch.setattr(endoscopy, "_build_param_h",
+                        lambda param, endo, subset, h: subset)
+    assert endoscopy._find_parameter_on_h(param, endo) == want
+    if case == "gl3-central-first":
+        # the first h of W accepts the central vector alone
+        assert want[1] != endo.H.relative.elements[0]
+
+
 @pytest.mark.parametrize("pname,ename", ECI_PAIRS)
 def test_memo_embedded_data_match_brute_force(pname, ename):
     from rk.endoscopy import _full_levi_weyl

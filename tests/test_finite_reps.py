@@ -161,3 +161,59 @@ def test_root_of_unity_is_canonical():
             got = Cyclo.root_of_unity(Fraction(a, d))
             want = Cyclo(d, [1 if i == a else 0 for i in range(d)])._canonical()
             assert (got.n, got.coeffs) == (want.n, want.coeffs), (a, d)
+
+
+# ---------------------------------------------------------------------------
+# inverses
+
+def _scan_inverses(group):
+    """The product scan the power walk replaces: the first b with a.b = 1."""
+    return {a: next(b for b in group.elements
+                    if group.mul(a, b) == group.identity)
+            for a in group.elements}
+
+
+def _preset_groups():
+    """Every preset's component group with the stabilizers of the weights
+    its classification reaches at height 2, and W(gl4), W(gl5)."""
+    from rk import presets
+    from rk.disconnected import classify_irr, stabilizer_A_lambda
+    holders = [(n, presets.disconnected(n))
+               for n in presets.DISCONNECTED_NAMES]
+    holders += [(n, presets.parameter(n).centralizer)
+                for n in presets.PARAM_NAMES]
+    for name, holder in holders:
+        yield name, holder.pi0, None
+        for pair in classify_irr(holder, 2):
+            yield name, stabilizer_A_lambda(holder, pair.weight), holder.pi0
+    for name in ("gl4", "gl5"):
+        gens = presets.group(name).weyl.generators
+        yield "W(%s)" % name, FiniteGroup.from_matrices(gens), None
+
+
+def test_inverses_match_product_scan():
+    seen = 0
+    for name, group, parent in _preset_groups():
+        assert group._inv == _scan_inverses(group), name
+        if parent is not None:
+            # a subgroup copies its parent's inverses; a fresh scan agrees
+            fresh = FiniteGroup(group.elements, group.mul, group.identity)
+            assert fresh._inv == group._inv, name
+            assert set(group.elements) <= set(parent.elements)
+        seen += 1
+    assert seen > 20
+    for group in (Z2, Z4, Z6, S3, S4, D4):
+        assert group._inv == _scan_inverses(group)
+
+
+def test_inverses_reject_a_non_group():
+    # 2 * 2 = 4 leaves the set
+    with pytest.raises(ValueError, match="element without inverse"):
+        FiniteGroup((1, 2), lambda a, b: a * b, 1)
+    # the powers of 2 mod 4 reach 0 and stay there, never returning to 1
+    with pytest.raises(ValueError, match="element without inverse"):
+        FiniteGroup((0, 1, 2), lambda a, b: a * b % 4, 1)
+    # a 3-cycle without its inverse is not a subgroup of S3
+    three_cycle = perm_mat((1, 2, 0))
+    with pytest.raises(ValueError, match="element without inverse"):
+        S3.subgroup((S3.identity, three_cycle))

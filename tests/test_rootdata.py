@@ -217,6 +217,35 @@ def test_relative_matches_commutation_scan(name):
     assert set(g.relative.elements) == fixed
 
 
+@pytest.mark.parametrize("name", presets.GROUP_NAMES)
+def test_relative_shares_the_split_closure(name):
+    # singleton simple orbits make the restricted reflections the simple
+    # reflections in order, so `relative` is `weyl` itself; either way it
+    # equals a separate closure of the restricted reflections
+    g = presets.group(name)
+    separate = WeylGroup(g.restricted_reflections, g.datum.rank,
+                         g.datum.roots)
+    split = all(len(orb) == 1 for orb in g.simple_orbits)
+    assert split == (name not in ("gl2x2-swap", "u3"))
+    assert (g.relative is g.weyl) == split
+    assert g.relative.words == separate.words
+    assert g.relative.elements == separate.elements
+
+
+@pytest.mark.parametrize("name", ["gl3", "u3"])
+def test_relative_certificate_rejects_wrong_reflections(name, monkeypatch):
+    # gl3 with one simple reflection closes a separate group that is too
+    # small; u3 with both of its absolute simple reflections takes the
+    # shared closure, which is larger than the Galois-fixed subgroup
+    g = presets.group(name)
+    wrong = g.weyl.generators[:1] if name == "gl3" else g.weyl.generators
+    monkeypatch.setattr(ReductiveGroup, "restricted_reflections",
+                        property(lambda self: wrong))
+    with pytest.raises(AssertionError, match="restricted reflections do not "
+                                             "generate"):
+        g.relative
+
+
 def test_relative_faithful_on_fixed_space():
     for name in ("gl3", "gl2x2-swap", "u3", "sp4"):
         g = presets.group(name)

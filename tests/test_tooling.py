@@ -1,16 +1,20 @@
 """Names the benchmark's tracer wraps must keep resolving in `rk`, as a
 kind of object the tracer knows how to wrap, so a change that deletes,
 renames or re-kinds one fails here and not only in traced benchmark
-runs."""
+runs.  Each command loads only the modules it runs."""
 
 import ast
 import importlib
+import json
+import subprocess
+import sys
 from pathlib import Path
 from types import FunctionType
 
 import pytest
 
-TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+ROOT = Path(__file__).resolve().parents[1]
+TRACER = ROOT / "perfbench" / "tracer.py"
 
 
 def _targets():
@@ -34,3 +38,75 @@ def test_traced_name_resolves(layer, path):
     # classmethod's function; anything else (a cached_property, say) it
     # would wrap as a plain function and break
     assert isinstance(vars(owner)[attr], (FunctionType, property, classmethod))
+
+
+# ---------------------------------------------------------------------------
+# modules a command loads
+
+# run `rk.cli.main` on argv[2:] in a fresh interpreter; print the exit
+# code, the report without its timestamp and the loaded module names
+_FRESH_MAIN = """
+import contextlib, io, json, sys
+sys.path.insert(0, sys.argv[1])
+import rk.cli
+out = io.StringIO()
+with contextlib.redirect_stdout(out):
+    code = rk.cli.main(sys.argv[2:])
+report = json.loads(out.getvalue())
+report.pop("generated_at")
+print(json.dumps({"code": code, "report": report,
+                  "modules": sorted(sys.modules)}))
+"""
+
+# the packet, endoscopy and disconnected-group layers and the file format
+BEYOND_WEYL = ("yaml", "rk.endoscopy", "rk.packets", "rk.params",
+               "rk.disconnected", "rk.finite_reps", "rk.cyclotomic")
+
+
+def _fresh_main(*argv):
+    proc = subprocess.run(
+        [sys.executable, "-c", _FRESH_MAIN, str(ROOT / "src"), *argv],
+        capture_output=True, text=True, timeout=600)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout)
+
+
+@pytest.mark.parametrize("argv,absent", [
+    (("examples",), BEYOND_WEYL),
+    (("weyl", "--group", "gl4", "--levi1", "0,2", "--kind", "geometric"),
+     BEYOND_WEYL),
+    (("bset", "--group", "gl2", "--levi", "", "--kappa", "1,0"),
+     BEYOND_WEYL),
+    (("irr", "--group", "o2", "--height", "1"), ("yaml", "rk.endoscopy")),
+    (("packet", "--param", "gl2-triv", "--rho", "1,0", "--fiber"),
+     ("yaml", "rk.endoscopy")),
+], ids=["examples", "weyl", "bset", "irr", "packet"])
+def test_command_loads_only_what_it_runs(argv, absent):
+    run = _fresh_main(*argv)
+    assert run["code"] == 0
+    assert "rk.cli" in run["modules"]
+    assert sorted(set(absent) & set(run["modules"])) == []
+
+
+@pytest.mark.parametrize("kind,name,argv", [
+    ("group", "u3", ("weyl", "--kind", "geometric", "--group")),
+    ("group", "sp4", ("weyl", "--levi1", "0", "--group")),
+    ("parameter", "gl2x2-swap-triv",
+     ("packet", "--enumerate", "--height", "2", "--param")),
+])
+def test_description_file_resolves_like_its_preset(kind, name, argv,
+                                                   tmp_path):
+    from rk import files, presets
+    if kind == "group":
+        tree = files.group_to_tree(presets.group(name))
+    else:
+        param = presets.parameter(name)
+        tree = files.parameter_to_tree(param, param.group.name)
+    path = tmp_path / (name + ".yaml")
+    files.dump_tree(tree, str(path))
+    from_file = _fresh_main(*argv, str(path))
+    from_preset = _fresh_main(*argv, name)
+    assert "yaml" in from_file["modules"]
+    assert "yaml" not in from_preset["modules"]
+    assert from_file["code"] == from_preset["code"] == 0
+    assert from_file["report"] == from_preset["report"]
