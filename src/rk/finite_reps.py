@@ -42,8 +42,7 @@ class CocycleError(ValueError):
 class FiniteGroup:
     """A finite group on hashable element tokens with explicit multiplication."""
 
-    def __init__(self, elements: Sequence, mul: Callable, identity,
-                 _inverses: Optional[Dict] = None):
+    def __init__(self, elements: Sequence, mul: Callable, identity):
         self.elements = tuple(elements)
         self.index = {e: i for i, e in enumerate(self.elements)}
         if len(self.index) != len(self.elements):
@@ -53,13 +52,6 @@ class FiniteGroup:
         self.mul = mul
         self.identity = identity
         self._inv: Dict = {}
-        if _inverses is not None:
-            for a in self.elements:
-                b = _inverses.get(a)
-                if b not in self.index:
-                    raise ValueError("element without inverse; not a group?")
-                self._inv[a] = b
-            return
         # the powers a, a^2, ..., a^o = 1 form a cycle on which the inverse
         # of a^k is a^(o-k)
         for a in self.elements:
@@ -131,9 +123,7 @@ class FiniteGroup:
         return repr(a)
 
     def subgroup(self, elements: Sequence) -> "FiniteGroup":
-        """The subgroup on some of the elements, with this group's inverses."""
-        return FiniteGroup(tuple(elements), self.mul, self.identity,
-                           _inverses=self._inv)
+        return FiniteGroup(tuple(elements), self.mul, self.identity)
 
 
 @dataclass(frozen=True)

@@ -196,9 +196,6 @@ def test_inverses_match_product_scan():
     for name, group, parent in _preset_groups():
         assert group._inv == _scan_inverses(group), name
         if parent is not None:
-            # a subgroup copies its parent's inverses; a fresh scan agrees
-            fresh = FiniteGroup(group.elements, group.mul, group.identity)
-            assert fresh._inv == group._inv, name
             assert set(group.elements) <= set(parent.elements)
         seen += 1
     assert seen > 20
