@@ -88,9 +88,6 @@ class DisconnectedGroupDatum:
 
     # -- Weyl structure -----------------------------------------------------
 
-    def connected_weyl(self) -> WeylGroup:
-        return weyl_group(self.component)
-
     def full_weyl(self) -> WeylGroup:
         d = self.component
         gens = [reflection_matrix(d.roots[i], d.coroots[i])
@@ -142,7 +139,7 @@ def pi0_weyl_split(datum: DisconnectedGroupDatum):
     Certifies the semidirect decomposition of the full Weyl group: trivial
     intersection and generation.
     """
-    wc = datum.connected_weyl()
+    wc = weyl_group(datum.component)
     pi0_mats = tuple(datum.pi0.elements)
     wf = datum.full_weyl()
     inter = set(wc.elements) & set(pi0_mats)

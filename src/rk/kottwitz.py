@@ -64,9 +64,11 @@ def kappa_push(group: ReductiveGroup, b: BElement) -> FgaElement:
 
 def classify(group: ReductiveGroup, b: BElement) -> FrozenSet[int]:
     """The unique parabolic stratum containing b; always equals b.levi for
-    a well-formed element (asserted)."""
-    nu = newton(group, b)
-    stratum = group.facet_of_pairings(group.scaled_simple_pairing(nu))
+    a well-formed element (asserted).  The Newton point's integer
+    numerators over alpha_L's positive denominator have its signs and
+    zeros."""
+    num, _den = group.levi_context(b.levi).newton_scaled(b.kappa)
+    stratum = group.facet_of_pairings(group.scaled_simple_pairing(num))
     if stratum is None:
         raise ValueError("inconsistent element: Newton point not dominant")
     if stratum != b.levi:
@@ -78,12 +80,14 @@ def classify(group: ReductiveGroup, b: BElement) -> FrozenSet[int]:
 def basic_plus_lift(group: ReductiveGroup, levi, kappa: FgaElement) -> BElement:
     """Accept (levi, kappa) iff the Newton point lies in the open facet of
     the corresponding parabolic; otherwise raise WallRejection with the
-    facet actually hit."""
+    facet actually hit.  The test reads the signs of the Newton point's
+    integer numerators; the Fraction point is formed only for a
+    rejection."""
     levi = frozenset(levi)
     ctx = group.levi_context(levi)
-    nu = ctx.newton_point(kappa)
+    num, _den = ctx.newton_scaled(kappa)
     zero, negative = [], []
-    for pos, p in enumerate(group.scaled_simple_pairing(nu)):
+    for pos, p in enumerate(group.scaled_simple_pairing(num)):
         if pos in levi:
             continue
         if p == 0:
@@ -91,7 +95,7 @@ def basic_plus_lift(group: ReductiveGroup, levi, kappa: FgaElement) -> BElement:
         elif p < 0:
             negative.append(pos)
     if zero or negative:
-        raise WallRejection(levi, nu, zero, negative)
+        raise WallRejection(levi, ctx.newton_point(kappa), zero, negative)
     return BElement(levi, kappa)
 
 

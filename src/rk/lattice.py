@@ -20,6 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
 from itertools import product
+from operator import mul
 from typing import Callable, Dict, Iterable, Optional, Sequence, Tuple
 
 Vector = Tuple[int, ...]
@@ -32,10 +33,20 @@ DEFAULT_CLOSURE_CAP = 10**6
 # ---------------------------------------------------------------------------
 # raw tuple-matrix helpers (used pervasively; IntegerMatrix wraps these)
 
+# dot, mat_vec and mat_mul form each entry as sum(map(mul, u, v)): the
+# products and their sum keep the left-to-right order of the plain
+# generator sum, so ints, Fractions and cyclotomics give the same values.
+
+def _check_lengths(rows: Iterable[Sequence], n: int) -> None:
+    for row in rows:
+        if len(row) != n:
+            raise ValueError("dot: length mismatch %d vs %d" % (len(row), n))
+
+
 def dot(u: Sequence, v: Sequence):
     if len(u) != len(v):
         raise ValueError("dot: length mismatch %d vs %d" % (len(u), len(v)))
-    return sum(a * b for a, b in zip(u, v))
+    return sum(map(mul, u, v))
 
 
 def vadd(u: Sequence, v: Sequence) -> tuple:
@@ -64,11 +75,14 @@ def mat_identity(n: int) -> Matrix:
 
 def mat_mul(a: Matrix, b: Matrix) -> Matrix:
     bt = tuple(zip(*b))
-    return tuple(tuple(dot(row, col) for col in bt) for row in a)
+    if bt:
+        _check_lengths(a, len(bt[0]))
+    return tuple(tuple([sum(map(mul, row, col)) for col in bt]) for row in a)
 
 
 def mat_vec(a: Matrix, v: Sequence) -> tuple:
-    return tuple(dot(row, v) for row in a)
+    _check_lengths(a, len(v))
+    return tuple([sum(map(mul, row, v)) for row in a])
 
 
 def mat_transpose(a: Matrix) -> Matrix:

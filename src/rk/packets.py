@@ -119,7 +119,7 @@ def _certify_descent(param: Parameter, cut, lam: Vector,
                                "root; the Levi representation is not a "
                                "character")
     for sol in cut.descent_coords():
-        if sum(Fraction(lam[i]) * sol[i] for i in range(param.dim)) != 0:
+        if dot(lam, sol) != 0:
             raise DescentError("weight does not kill the derived-intersection "
                                "sublattice")
     # stabilizer comparison (the cut component group equals the ambient one)

@@ -28,7 +28,7 @@ from fractions import Fraction
 from functools import cached_property, partial
 from itertools import combinations
 from math import lcm
-from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, Optional, Sequence, Tuple
 
 from .lattice import (
     DEFAULT_CLOSURE_CAP,
@@ -608,12 +608,6 @@ class ReductiveGroup:
         return all(mat_vec(g, x) == tuple(x)
                    for g in self.galois.cochar_generators)
 
-    def simple_pairing(self, x: Sequence) -> Tuple:
-        """<alpha_i, x> for each simple position (constant on Galois orbits
-        when x is a relative point)."""
-        return tuple(dot(self.datum.simple_roots[pos], x)
-                     for pos in range(len(self.datum.simple_indices)))
-
     # -- the integer chamber kernel -------------------------------------------
     #
     # Scaling a rational point by d > 0 keeps the sign of every pairing and
@@ -623,19 +617,28 @@ class ReductiveGroup:
     @staticmethod
     def integer_point(x: Sequence) -> Tuple[int, Vector]:
         """(d, d.x) for d the lcm of the denominators of a rational point."""
-        x = [Fraction(v) for v in x]
+        x = [v if isinstance(v, (int, Fraction)) else Fraction(v) for v in x]
         d = lcm(*(v.denominator for v in x))
         return d, tuple(v.numerator * (d // v.denominator) for v in x)
 
-    def root_pairings(self, xi: Vector) -> List[int]:
-        """<root_i, xi> for every root i of the datum."""
-        return [dot(r, xi) for r in self.datum.roots]
+    def simple_pairing(self, x: Sequence) -> Tuple:
+        """<alpha_i, x> for each simple position (constant on Galois orbits
+        when x is a relative point): ints for an integer point, Fractions
+        otherwise, read from the integer pairings of d.x."""
+        d, xi = self.integer_point(x)
+        pairings = mat_vec(self.datum.simple_roots, xi)
+        if all(isinstance(v, int) for v in x):
+            return pairings
+        return tuple(Fraction(p, d) for p in pairings)
 
-    def scaled_simple_pairing(self, x: Sequence) -> List[int]:
+    def root_pairings(self, xi: Vector) -> Vector:
+        """<root_i, xi> for every root i of the datum."""
+        return mat_vec(self.datum.roots, xi)
+
+    def scaled_simple_pairing(self, x: Sequence) -> Vector:
         """simple_pairing(x) scaled by integer_point's d: the same signs and
         zeros, in integers."""
-        xi = self.integer_point(x)[1]
-        return [dot(a, xi) for a in self.datum.simple_roots]
+        return mat_vec(self.datum.simple_roots, self.integer_point(x)[1])
 
     @staticmethod
     def facet_of_pairings(simple: Sequence[int]) -> Optional[FrozenSet[int]]:
@@ -707,10 +710,6 @@ def weyl_group(datum: BasedRootDatum) -> WeylGroup:
     return WeylGroup(gens, datum.rank, datum.roots)
 
 
-def relative_weyl(group: ReductiveGroup) -> WeylGroup:
-    return group.relative
-
-
 def levi_data(group: ReductiveGroup, subset):
     """(fraktur-A_L basis, X_*(A_L^) basis, X*(Z(L^)^Gamma), alpha_L matrix).
 
@@ -724,7 +723,3 @@ def levi_data(group: ReductiveGroup, subset):
     alpha_matrix = mat_transpose(mat(cols)) if cols else tuple(() for _ in range(n))
     return (ctx.split_center_basis, ctx.dual_split_center_basis,
             ctx.dual_center_characters, alpha_matrix)
-
-
-def standard_parabolics(group: ReductiveGroup) -> Tuple[FrozenSet[int], ...]:
-    return group.standard_levi_subsets()

@@ -220,3 +220,69 @@ def test_kappa_push_transitivity():
         for src, dst in zip(q, q[1:]):
             staged = map_between(src, dst, staged)
         assert staged == direct
+
+
+# ---------------------------------------------------------------------------
+# the integer lift test against the Fraction route it replaced
+
+def _fraction_pairings(group, nu):
+    return [sum(a * b for a, b in zip(root, nu))
+            for root in group.datum.simple_roots]
+
+
+def _lift_reference(group, levi, kappa):
+    levi = frozenset(levi)
+    nu = group.levi_context(levi).newton_point(kappa)
+    zero, negative = [], []
+    for pos, p in enumerate(_fraction_pairings(group, nu)):
+        if pos in levi:
+            continue
+        if p == 0:
+            zero.append(pos)
+        elif p < 0:
+            negative.append(pos)
+    if zero or negative:
+        raise WallRejection(levi, nu, zero, negative)
+    return BElement(levi, kappa)
+
+
+def _classify_reference(group, b):
+    pairings = _fraction_pairings(group, newton(group, b))
+    if any(p < 0 for p in pairings):
+        raise ValueError("inconsistent element: Newton point not dominant")
+    stratum = frozenset(pos for pos, p in enumerate(pairings) if p == 0)
+    if stratum != b.levi:
+        raise ValueError("inconsistent element: Newton stratum %s != levi %s"
+                         % (sorted(stratum), sorted(b.levi)))
+    return stratum
+
+
+def _outcome(f, *args):
+    try:
+        return "accepted", f(*args)
+    except WallRejection as exc:
+        return (WallRejection, str(exc), exc.levi, exc.newton,
+                [type(x) for x in exc.newton], exc.zero_walls,
+                exc.negative_walls)
+    except ValueError as exc:
+        return ValueError, str(exc)
+
+
+@pytest.mark.parametrize("name", ["gl2", "gl3", "sp4", "u3", "gl2x2-swap"])
+def test_lift_and_classify_match_the_fraction_route(name):
+    g = presets.group(name)
+    seen = set()
+    for levi in g.standard_levi_subsets():
+        q = g.levi_context(levi).dual_center_characters
+        for kappa in q.elements_in_box(3):
+            got = _outcome(basic_plus_lift, g, levi, kappa)
+            assert got == _outcome(_lift_reference, g, levi, kappa)
+            b = BElement(levi, kappa)
+            verdict = _outcome(classify, g, b)
+            assert verdict == _outcome(_classify_reference, g, b)
+            seen.add(got[0])
+            seen.add(verdict[1].split()[3] if verdict[0] is ValueError
+                     else "classified")
+    # the lift accepts and rejects; classify agrees and refuses both ways
+    assert seen == {"accepted", WallRejection, "classified", "point",
+                    "stratum"}

@@ -17,6 +17,7 @@ from rk.kottwitz import (
     newton,
 )
 from rk.lattice import (
+    dot,
     mat_identity,
     mat_mul,
     mat_transpose,
@@ -482,3 +483,23 @@ def test_central_character_suite():
         for rho in enumerate_rhos(param, 3):
             out = central_character_square(param, rho)
             assert out["equal"], (param.label, rho.weight)
+
+
+@pytest.mark.parametrize("name", presets.PARAM_NAMES)
+def test_descent_coords_have_the_parameter_length(name):
+    # the descent certificate pairs a weight with each of these vectors by
+    # `dot`, which needs both of length param.dim; the sum it replaced
+    # read the first param.dim entries
+    param = presets.parameter(name)
+    rhos = enumerate_rhos(param, 3)
+    for rho in rhos:
+        enumerate_fiber(param, build_packet_member(param, rho).b)
+    coords = [sol for cut in param._cuts.values()
+              for sol in cut.descent_coords()]
+    assert all(len(sol) == param.dim for sol in coords)
+    for rho in rhos:
+        lam = canonical_rho(param, rho).weight
+        assert len(lam) == param.dim
+        for sol in coords:
+            assert dot(lam, sol) == sum(Fraction(lam[i]) * sol[i]
+                                        for i in range(param.dim))

@@ -1,6 +1,6 @@
-"""Property tests of the two shared routines, `orbit` and `gauss_jordan`,
-and of the code that reads its answers from them, each against a
-brute-force definition.
+"""Property tests of the shared routines, `orbit`, `gauss_jordan` and
+the `dot`/`mat_vec`/`mat_mul` kernel, and of the code that reads its
+answers from them, each against a brute-force definition.
 
 The examples are derandomized and no example database is kept, so the
 suite is deterministic and writes nothing into the checkout.
@@ -8,6 +8,7 @@ suite is deterministic and writes nothing into the checkout.
 
 import tempfile
 from fractions import Fraction
+from functools import partial
 from itertools import combinations, permutations, product
 
 import pytest
@@ -15,15 +16,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.configuration import set_hypothesis_home_dir
 
+from rk.cyclotomic import Cyclo
 from rk.finite_reps import _det_mod, _nullspace_mod, _solve_mod
 from rk.lattice import (
     _snf_raw,
+    dot,
     mat_det,
     mat_identity,
     mat_inverse,
     mat_inverse_int,
     mat_mul,
     mat_transpose,
+    mat_vec,
     orbit,
     solve_rational,
 )
@@ -257,3 +261,106 @@ def test_orbit_is_the_fixed_point_with_parents_first(n, coeffs, seeds):
         with pytest.raises(ValueError, match="exceeded cap of %d elements"
                            % (len(naive) - 1)):
             orbit(seeds, maps, len(naive) - 1)
+
+
+# ---------------------------------------------------------------------------
+# the dot / mat_vec / mat_mul kernel
+
+# the generator-expression definitions the map-based kernel replaced
+def dot_reference(u, v):
+    if len(u) != len(v):
+        raise ValueError("dot: length mismatch %d vs %d" % (len(u), len(v)))
+    return sum(a * b for a, b in zip(u, v))
+
+
+def mat_vec_reference(a, v):
+    return tuple(dot_reference(row, v) for row in a)
+
+
+def mat_mul_reference(a, b):
+    bt = tuple(zip(*b))
+    return tuple(tuple(dot_reference(row, col) for col in bt) for row in a)
+
+
+def typed(x):
+    """x with every scalar paired with its type, so equal results of
+    different types compare unequal."""
+    if isinstance(x, tuple):
+        return tuple(typed(y) for y in x)
+    return type(x), x
+
+
+RATIONAL = st.fractions(-4, 4, max_denominator=4)
+# integer, rational or mixed entries, drawn per example
+KINDS = st.sampled_from([ENTRY, RATIONAL, st.one_of(ENTRY, RATIONAL)])
+
+
+def vectors(entries, n):
+    return st.lists(entries, min_size=n, max_size=n).map(tuple)
+
+
+def raised(f, *args):
+    """The (type, text) of the ValueError f raises, or ("returned", typed
+    result)."""
+    try:
+        return "returned", typed(f(*args))
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+@PROPERTY
+@given(data=st.data(), n=st.integers(0, 5))
+def test_dot_matches_the_generator_sum(data, n):
+    u = data.draw(vectors(data.draw(KINDS), n))
+    v = data.draw(vectors(data.draw(KINDS), n))
+    assert typed(dot(u, v)) == typed(dot_reference(u, v))
+
+
+@PROPERTY
+@given(data=st.data(), rows=st.integers(0, 4), n=st.integers(0, 4))
+def test_mat_vec_matches_the_generator_sums(data, rows, n):
+    a = data.draw(matrices(rows, n, data.draw(KINDS)))
+    v = data.draw(vectors(data.draw(KINDS), n))
+    assert typed(mat_vec(a, v)) == typed(mat_vec_reference(a, v))
+
+
+@PROPERTY
+@given(data=st.data(), rows=st.integers(0, 4), n=st.integers(0, 4),
+       cols=st.integers(0, 4))
+def test_mat_mul_matches_the_generator_sums(data, rows, n, cols):
+    a = data.draw(matrices(rows, n, data.draw(KINDS)))
+    b = data.draw(matrices(n, cols, data.draw(KINDS)))
+    assert typed(mat_mul(a, b)) == typed(mat_mul_reference(a, b))
+
+
+@PROPERTY
+@given(data=st.data())
+def test_kernel_rejects_length_mismatches_like_the_reference(data):
+    entries = data.draw(KINDS)
+    lengths = st.integers(0, 4)
+    u = data.draw(vectors(entries, data.draw(lengths)))
+    v = data.draw(vectors(entries, data.draw(lengths)))
+    assert raised(dot, u, v) == raised(dot_reference, u, v)
+    # rows of independent lengths: the first row that does not fit raises
+    a = tuple(data.draw(st.lists(lengths.flatmap(partial(vectors, entries)),
+                                 max_size=4)))
+    assert raised(mat_vec, a, v) == raised(mat_vec_reference, a, v)
+    b = data.draw(matrices(data.draw(lengths), data.draw(lengths), entries))
+    assert raised(mat_mul, a, b) == raised(mat_mul_reference, a, b)
+    mismatched = [r for r in a if len(r) != len(v)]
+    if mismatched:
+        assert raised(mat_vec, a, v) == (
+            ValueError, "dot: length mismatch %d vs %d"
+            % (len(mismatched[0]), len(v)))
+
+
+def test_kernel_keeps_cyclotomic_sums_in_order():
+    z3, z4 = Cyclo.root_of_unity(Fraction(1, 3)), Cyclo.root_of_unity(
+        Fraction(1, 4))
+    a = ((z3, 1, z4), (Fraction(1, 2), z4, z3))
+    b = ((z4, 2), (z3, z3), (1, Fraction(-1, 3)))
+    v = (z3, z4, 2)
+    for got, want in ((dot(a[0], v), dot_reference(a[0], v)),
+                      (mat_vec(a, v), mat_vec_reference(a, v)),
+                      (mat_mul(a, b), mat_mul_reference(a, b))):
+        assert got == want and repr(got) == repr(want)

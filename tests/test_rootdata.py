@@ -1,7 +1,9 @@
 """Based root data, duality, Weyl groups, relative structure, Levi data."""
 
 import itertools
+import math
 import random
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -29,8 +31,6 @@ from rk.rootdata import (
     WeylGroup,
     dual_datum,
     levi_data,
-    relative_weyl,
-    standard_parabolics,
     weyl_group,
 )
 
@@ -185,7 +185,7 @@ def test_positive_roots_match_sign_solve(name):
 
 def test_relative_trivial_galois_is_full():
     g = presets.group("gl4")
-    assert set(relative_weyl(g).elements) == set(g.weyl.elements)
+    assert set(g.relative.elements) == set(g.weyl.elements)
 
 
 def test_relative_swap_brute_oracle():
@@ -195,7 +195,7 @@ def test_relative_swap_brute_oracle():
     fixed = [m for m in g.weyl.elements
              if mat_mul(swap, m) == mat_mul(m, swap)]
     assert len(fixed) == 2
-    assert set(relative_weyl(g).elements) == set(fixed)
+    assert set(g.relative.elements) == set(fixed)
 
 
 def test_relative_u3_brute_oracle():
@@ -203,7 +203,7 @@ def test_relative_u3_brute_oracle():
     flip = g.galois.char_generators[0]
     fixed = [m for m in g.weyl.elements
              if mat_mul(flip, m) == mat_mul(m, flip)]
-    assert len(relative_weyl(g)) == len(fixed) == 2
+    assert len(g.relative) == len(fixed) == 2
 
 
 @pytest.mark.parametrize("name", presets.GROUP_NAMES)
@@ -255,6 +255,75 @@ def test_relative_faithful_on_fixed_space():
                 continue
             moved = [mat_vec(g.cochar_matrix(m), y) for y in basis]
             assert moved != list(basis)
+
+
+# ---------------------------------------------------------------------------
+# the integer chamber kernel against the Fraction route
+
+def _integer_point_reference(x):
+    x = [Fraction(v) for v in x]
+    d = math.lcm(*(v.denominator for v in x))
+    return d, tuple(v.numerator * (d // v.denominator) for v in x)
+
+
+def _simple_pairing_reference(group, x):
+    return tuple(sum(a * b for a, b in zip(group.datum.simple_roots[pos], x))
+                 for pos in range(len(group.datum.simple_indices)))
+
+
+def _typed(values):
+    return [(type(v), v) for v in values]
+
+
+def _kernel_points(group, rng):
+    """Integer, rational and mixed points, relative or not, and a rational
+    relative point from the fixed cocharacter basis."""
+    n = group.datum.rank
+
+    def rational():
+        return Fraction(rng.randint(-9, 9), rng.randint(1, 6))
+
+    points = [tuple(rng.randint(-5, 5) for _ in range(n)),
+              tuple(rational() for _ in range(n)),
+              tuple(rational() if i % 2 else rng.randint(-5, 5)
+                    for i in range(n)),
+              tuple(Fraction(rng.randint(-5, 5)) for _ in range(n))]
+    x = (Fraction(0),) * n
+    for y in group.fixed_cochar_basis:
+        c = rational()
+        x = tuple(p + c * v for p, v in zip(x, y))
+    return points + [x]
+
+
+@pytest.mark.parametrize("name", presets.GROUP_NAMES)
+def test_simple_pairing_matches_the_fraction_route(name):
+    g = presets.group(name)
+    rng = random.Random(name)
+    points = [p for _ in range(8) for p in _kernel_points(g, rng)]
+    for x in points:
+        assert _typed(g.simple_pairing(x)) == \
+            _typed(_simple_pairing_reference(g, x))
+        (d, xi), (ref_d, ref_xi) = g.integer_point(x), \
+            _integer_point_reference(x)
+        assert (d, _typed(xi)) == (ref_d, _typed(ref_xi))
+    relative = [g.is_relative_point(x) for x in points]
+    assert any(relative)
+    if len(g.fixed_cochar_basis) < g.datum.rank:   # points off A_T exist
+        assert not all(relative)
+
+
+def test_integer_point_converts_other_types_like_fraction():
+    for x in [(0.5, Decimal("1.25"), "2/3"), (True, Fraction(3, 4), -2), ()]:
+        assert ReductiveGroup.integer_point(x) == _integer_point_reference(x)
+    for bad in [("x",), (None,), (1, float("nan"))]:
+        with pytest.raises((TypeError, ValueError)) as got:
+            ReductiveGroup.integer_point(bad)
+        with pytest.raises((TypeError, ValueError)) as want:
+            _integer_point_reference(bad)
+        assert (got.type, str(got.value)) == (want.type, str(want.value))
+    g = presets.group("gl3")
+    with pytest.raises(ValueError, match="dot: length mismatch 3 vs 2"):
+        g.simple_pairing((Fraction(1, 2), 1))
 
 
 # ---------------------------------------------------------------------------
@@ -421,15 +490,15 @@ def test_levi_rejects_non_stable_subset():
 # standard parabolics
 
 def test_parabolics_gl2():
-    assert len(standard_parabolics(presets.group("gl2"))) == 2
+    assert len(presets.group("gl2").standard_levi_subsets()) == 2
 
 
 def test_parabolics_gl3():
-    assert len(standard_parabolics(presets.group("gl3"))) == 4
+    assert len(presets.group("gl3").standard_levi_subsets()) == 4
 
 
 def test_parabolics_gl4():
-    assert len(standard_parabolics(presets.group("gl4"))) == 8
+    assert len(presets.group("gl4").standard_levi_subsets()) == 8
 
 
 def test_parabolics_swap_direct_enumeration_oracle():
@@ -446,7 +515,7 @@ def test_parabolics_swap_direct_enumeration_oracle():
         if moved == original:
             stable.append(frozenset(subset))
     assert sorted(map(sorted, stable)) == [[], [0, 1]]
-    assert sorted(map(sorted, standard_parabolics(g))) == [[], [0, 1]]
+    assert sorted(map(sorted, g.standard_levi_subsets())) == [[], [0, 1]]
 
 
 @pytest.mark.parametrize("name", presets.GROUP_NAMES)
@@ -473,7 +542,7 @@ def test_per_group_data_computed_once(name):
 def test_parabolics_include_extremes():
     for name in ("gl3", "u3", "sp4"):
         g = presets.group(name)
-        subs = standard_parabolics(g)
+        subs = g.standard_levi_subsets()
         assert frozenset() in subs and g.full_subset() in subs
 
 

@@ -1,10 +1,12 @@
 """Names the benchmark's tracer wraps must keep resolving in `rk`, as a
 kind of object the tracer knows how to wrap, so a change that deletes,
 renames or re-kinds one fails here and not only in traced benchmark
-runs.  Each command loads only the modules it runs."""
+runs.  Each command loads only the modules it runs.  One pass of each
+warm benchmark workload reproduces the reference digests."""
 
 import ast
 import importlib
+import importlib.util
 import json
 import subprocess
 import sys
@@ -110,3 +112,38 @@ def test_description_file_resolves_like_its_preset(kind, name, argv,
     assert "yaml" not in from_preset["modules"]
     assert from_file["code"] == from_preset["code"] == 0
     assert from_file["report"] == from_preset["report"]
+
+
+# ---------------------------------------------------------------------------
+# the warm benchmark workloads against their reference digests
+
+@pytest.fixture(scope="module")
+def bench():
+    """perfbench/workloads.py, imported without writing a cache file next
+    to it (its dataclasses need it in sys.modules while it runs)."""
+    name = "_rk_bench_workloads"
+    spec = importlib.util.spec_from_file_location(
+        name, ROOT / "perfbench" / "workloads.py")
+    module = importlib.util.module_from_spec(spec)
+    dont_write, sys.dont_write_bytecode = sys.dont_write_bytecode, True
+    sys.modules[name] = module
+    try:
+        spec.loader.exec_module(module)
+    finally:
+        sys.dont_write_bytecode = dont_write
+        del sys.modules[name]
+    return module
+
+
+@pytest.mark.parametrize("workload", ["chamber", "packet-sweep", "eci"])
+def test_bench_pass_matches_reference(bench, workload, monkeypatch):
+    # one seed-0 pass; every op's output digest must equal the committed
+    # reference, so a change of any output fails here and not only in a
+    # benchmark run
+    monkeypatch.setattr(sys, "path", list(sys.path))   # build() may add src
+    plan = bench.build(workload, bench.DEFAULT_SEED)
+    expected = bench.expected_digests(bench.load_reference(), workload,
+                                      bench.DEFAULT_SEED)
+    got = {op.key: bench.digest(op.run()) for op in plan.ops}
+    assert sorted(got) == sorted(expected)
+    assert sorted(k for k in got if got[k] != expected[k]) == []
