@@ -2,8 +2,12 @@
 
 Values live in Q(zeta_n) and are stored as polynomials in zeta_n reduced
 modulo the n-th cyclotomic polynomial; comparisons lift both operands to
-the lcm conductor.  This is all the character and trace bookkeeping in
-this package ever needs: no floating point, exact equality, and exact
+the lcm conductor.  Sums, products and hashes shrink a value to its
+minimal conductor by relative traces, one prime at a time: x lies in
+Q(zeta_{n/p}) exactly when it equals its trace down to that field divided
+by the degree, and that trace has a closed form on each power of zeta_n.
+This is all the character and trace bookkeeping in this package ever
+needs: no floating point, no linear algebra, exact equality, and exact
 detection of rational values.
 """
 
@@ -12,38 +16,42 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd
-from typing import Tuple
+from typing import List, Optional, Tuple
 
 
 @lru_cache(maxsize=None)
 def cyclotomic_polynomial(n: int) -> Tuple[int, ...]:
     """Coefficients (ascending) of the n-th cyclotomic polynomial."""
-    if n == 1:
-        return (-1, 1)
-    # x^n - 1 divided by the product of Phi_d for proper divisors d
-    poly = [Fraction(-1)] + [Fraction(0)] * (n - 1) + [Fraction(1)]
+    # x^n - 1 divided by the monic Phi_d of each proper divisor d
+    poly = [-1] + [0] * (n - 1) + [1]
     for d in range(1, n):
-        if n % d == 0:
-            div = [Fraction(c) for c in cyclotomic_polynomial(d)]
-            poly = _polydiv_exact(poly, div)
+        if n % d:
+            continue
+        den = cyclotomic_polynomial(d)
+        deg = len(den) - 1
+        quot = [0] * (len(poly) - deg)
+        for k in range(len(quot) - 1, -1, -1):
+            c = quot[k] = poly[k + deg]
+            for i, a in enumerate(den):
+                poly[k + i] -= c * a
+        if any(poly):
+            raise AssertionError("inexact polynomial division")
+        poly = quot
+    return tuple(poly)
+
+
+def prime_factors(n: int) -> List[int]:
+    """The distinct primes dividing n, ascending."""
     out = []
-    for c in poly:
-        if c.denominator != 1:
-            raise AssertionError("cyclotomic polynomial must be integral")
-        out.append(int(c))
-    return tuple(out)
-
-
-def _polydiv_exact(num, den):
-    num = list(num)
-    out = [Fraction(0)] * (len(num) - len(den) + 1)
-    for k in range(len(out) - 1, -1, -1):
-        c = num[k + len(den) - 1] / den[-1]
-        out[k] = c
-        for i, d in enumerate(den):
-            num[k + i] -= c * d
-    if any(x != 0 for x in num):
-        raise AssertionError("inexact polynomial division")
+    d = 2
+    while d * d <= n:
+        if n % d == 0:
+            out.append(d)
+            while n % d == 0:
+                n //= d
+        d += 1
+    if n > 1:
+        out.append(n)
     return out
 
 
@@ -115,16 +123,13 @@ class Cyclo:
             out[i * k] += c
         return Cyclo(n, out)
 
-    def _promote(self, n: int) -> "Cyclo":
-        return Cyclo(n, self.coeffs) if n == self.n else self._lift(n)
-
     def scale(self, c) -> "Cyclo":
         return Cyclo(self.n, [Fraction(c) * x for x in self.coeffs])
 
     def __add__(self, other) -> "Cyclo":
         other = _coerce(other)
         n = _lcm(self.n, other.n)
-        a, b = self._promote(n), other._promote(n)
+        a, b = self._lift(n), other._lift(n)
         return Cyclo(n, [x + y for x, y in zip(a.coeffs, b.coeffs)])._canonical()
 
     __radd__ = __add__
@@ -141,7 +146,7 @@ class Cyclo:
     def __mul__(self, other) -> "Cyclo":
         other = _coerce(other)
         n = _lcm(self.n, other.n)
-        a, b = self._promote(n), other._promote(n)
+        a, b = self._lift(n), other._lift(n)
         prod = [Fraction(0)] * (len(a.coeffs) + len(b.coeffs) - 1)
         for i, x in enumerate(a.coeffs):
             if x == 0:
@@ -170,13 +175,37 @@ class Cyclo:
         """Reduce the conductor to the smallest divisor that carries the value."""
         if self.n == 1:
             return self
-        for d in sorted(_divisors(self.n)):
-            if d == self.n:
-                return self
-            cand = _try_express(self, d)
-            if cand is not None:
-                return cand
-        return self
+        # Q(zeta_a) and Q(zeta_b) meet in Q(zeta_gcd(a,b)): a prime that does
+        # not descend now does not descend from any divisor either
+        x = self
+        for p in prime_factors(self.n):
+            while x.n % p == 0:
+                y = x._descend(p)
+                if y is None:
+                    break
+                x = y
+        return x
+
+    def _descend(self, p: int) -> Optional["Cyclo"]:
+        """This value in Q(zeta_m), m = n/p for a prime p | n, or None."""
+        n, m, cs = self.n, self.n // p, self.coeffs
+        if m % p == 0:
+            # zeta_n^r (r < p) is a basis over Q(zeta_m), zeta_m = zeta_n^p
+            if any(c for i, c in enumerate(cs) if i % p):
+                return None
+            return Cyclo(m, cs[::p])
+        # zeta_n = zeta_m^c * zeta_p^(1/m mod p) with c = 1/p mod m, and the
+        # trace of zeta_p^k down to Q is p - 1 when p | k, else -1; so the
+        # trace of zeta_n^i over the degree p - 1 is zeta_m^(ic) when p | i
+        # and -zeta_m^(ic)/(p - 1) otherwise
+        c = pow(p, -1, m)
+        w = Fraction(-1, p - 1)
+        t = [Fraction(0)] * m
+        for i, x in enumerate(cs):
+            if x:
+                t[i * c % m] += x if i % p == 0 else x * w
+        y = Cyclo(m, t)
+        return y if y._lift(n).coeffs == cs else None
 
     def __eq__(self, other):
         try:
@@ -184,7 +213,7 @@ class Cyclo:
         except TypeError:
             return NotImplemented
         n = _lcm(self.n, other.n)
-        return self._promote(n).coeffs == other._promote(n).coeffs
+        return self._lift(n).coeffs == other._lift(n).coeffs
 
     def __hash__(self):
         c = self._canonical()
@@ -224,12 +253,8 @@ def _lcm(a: int, b: int) -> int:
     return a * b // gcd(a, b)
 
 
-def _divisors(n: int):
-    return [d for d in range(1, n + 1) if n % d == 0]
-
-
 def _reduce_mod_cyclotomic(coeffs, n):
-    phi = [Fraction(c) for c in cyclotomic_polynomial(n)]
+    phi = cyclotomic_polynomial(n)
     cs = list(coeffs)
     deg = len(phi) - 1
     # first reduce zeta^n = 1
@@ -238,32 +263,12 @@ def _reduce_mod_cyclotomic(coeffs, n):
             cs[i - n] += cs[i]
             cs[i] = 0
         cs = cs[:n]
+    # then subtract c*x^(i-deg)*Phi_n for each leading term c*x^i, over the
+    # nonzero terms of Phi_n only
+    terms = [(j - deg, p) for j, p in enumerate(phi) if p]
     for i in range(len(cs) - 1, deg - 1, -1):
         c = cs[i]
         if c:
-            for j, p in enumerate(phi):
-                cs[i - deg + j] -= c * p
+            for j, p in terms:
+                cs[i + j] -= c * p
     return cs[:deg]
-
-
-def _try_express(value: Cyclo, d: int):
-    """Express `value` in Q(zeta_d) if possible (d | value.n), else None."""
-    n = value.n
-    k = n // d
-    # columns: zeta_d^j = zeta_n^{jk} reduced, for j < deg(Phi_d)
-    deg_d = len(cyclotomic_polynomial(d)) - 1
-    deg_n = len(cyclotomic_polynomial(n)) - 1
-    cols = []
-    for j in range(deg_d):
-        e = [Fraction(0)] * (j * k + 1)
-        e[j * k] = Fraction(1)
-        cols.append(tuple(_pad(_reduce_mod_cyclotomic(e, n), deg_n)))
-    from .lattice import solve_rational
-    sol = solve_rational(cols, value.coeffs)
-    if sol is None:
-        return None
-    return Cyclo(d, list(sol))
-
-
-def _pad(cs, length):
-    return list(cs) + [Fraction(0)] * (length - len(cs))

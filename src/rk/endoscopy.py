@@ -93,12 +93,6 @@ class EndoscopicDatum:
         return self.H.weyl.elements
 
 
-def endoscopic_group_from_s(group: ReductiveGroup, s_exponents,
-                            label: str = "") -> EndoscopicDatum:
-    """Build the datum cut out by the integral-pairing sub-system."""
-    return EndoscopicDatum(group, s_exponents, label)
-
-
 # ---------------------------------------------------------------------------
 # membership of s in Levi centralizers
 

@@ -17,10 +17,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from math import gcd, isqrt
 from typing import Callable, Dict, Optional, Sequence, Tuple
 
-from .cyclotomic import Cyclo
+from .cyclotomic import Cyclo, prime_factors
 from .lattice import (
     gauss_jordan,
     mat,
@@ -69,12 +70,12 @@ class FiniteGroup:
 
     @classmethod
     def from_matrices(cls, generators: Sequence, cap: int = 10**6) -> "FiniteGroup":
-        from .lattice import closure
         if not generators:
             raise ValueError("need at least one generator (pass the identity)")
-        order, _ = closure(tuple(generators), cap)
-        n = len(generators[0])
-        return cls(tuple(sorted(order)), mat_mul, mat_identity(n))
+        ident = mat_identity(len(generators[0]))
+        order = orbit((ident,), [partial(mat_mul, b=g) for g in generators],
+                      cap)
+        return cls(tuple(sorted(order)), mat_mul, ident)
 
     def __len__(self):
         return len(self.elements)
@@ -419,22 +420,9 @@ def _pow_elem(group: FiniteGroup, a, t: int):
 
 def _primitive_root_of_unity(p: int, e: int) -> int:
     for g in range(2, p):
-        if all(pow(g, (p - 1) // q, p) != 1 for q in _prime_factors(p - 1)):
+        if all(pow(g, (p - 1) // q, p) != 1 for q in prime_factors(p - 1)):
             return pow(g, (p - 1) // e, p)
     raise AssertionError("no primitive root found")
-
-
-def _prime_factors(n: int):
-    out = set()
-    d = 2
-    while d * d <= n:
-        while n % d == 0:
-            out.add(d)
-            n //= d
-        d += 1
-    if n > 1:
-        out.add(n)
-    return out
 
 
 def _sqrt_mod(a: int, p: int) -> Optional[int]:

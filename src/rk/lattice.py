@@ -504,8 +504,9 @@ class LatticeAction:
 
     def elements(self) -> Tuple[Matrix, ...]:
         if self._elements is None:
-            order = closure(self.generators, self.cap)[0] \
-                if self.generators else ()
+            order = orbit((mat_identity(self.rank),),
+                          [partial(mat_mul, b=g) for g in self.generators],
+                          self.cap) if self.generators else ()
             object.__setattr__(self, "_elements", tuple(order))
         return self._elements
 
@@ -513,10 +514,6 @@ class LatticeAction:
         """The contragredient action on the dual lattice."""
         return LatticeAction(tuple(mat_contragredient(g) for g in self.generators),
                              self.cap)
-
-
-def trivial_action(rank: int) -> LatticeAction:
-    return LatticeAction((mat_identity(rank),))
 
 
 # ---------------------------------------------------------------------------

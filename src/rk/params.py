@@ -283,10 +283,6 @@ class Parameter:
             self._cuts[key] = LeviCut(self, levi, w)
         return self._cuts[key]
 
-    def s_group_levi(self, levi) -> DisconnectedGroupDatum:
-        """The centralizer cut to a Levi, as a disconnected group datum."""
-        return self.levi_cut(levi).disconnected_datum()
-
 
 class LeviCut:
     """The centralizer cut down to a standard Levi (possibly after a

@@ -592,10 +592,6 @@ class ReductiveGroup:
             self._relative = rel
         return self._relative
 
-    def cochar_matrix(self, m: Matrix) -> Matrix:
-        """Action of a Weyl element on the cocharacter lattice."""
-        return self.weyl.contragredient[m]
-
     # -- fixed subspace and chambers ------------------------------------------
 
     @property

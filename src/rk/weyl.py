@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import FrozenSet, Optional, Sequence, Tuple
+from typing import FrozenSet, Sequence, Tuple
 
 from .lattice import (
     Matrix,
@@ -66,12 +66,6 @@ def chamber_locate(group: ReductiveGroup, x: Sequence) -> ChamberWitness:
     image = tuple(Fraction(v, d)
                   for v in mat_vec(rel.contragredient[matrix], xi))
     return ChamberWitness(rel.word(matrix), matrix, levi, image)
-
-
-def stratum_of(group: ReductiveGroup, x: Sequence) -> Optional[FrozenSet[int]]:
-    """The unique parabolic stratum containing a dominant point, or None
-    when the point is not dominant."""
-    return group.facet_of_pairings(group.scaled_simple_pairing(x))
 
 
 def transporter_set(group: ReductiveGroup, levi1, levi2) -> Tuple[Matrix, ...]:

@@ -17,7 +17,6 @@ from rk.endoscopy import (
     FormalDistribution,
     Term,
     eci_both_sides,
-    endoscopic_group_from_s,
     enumerate_embedded,
     indexing_bijection_check,
     jacquet_geometric_terms,

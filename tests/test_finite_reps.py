@@ -17,7 +17,9 @@ from rk.finite_reps import (
     trivialize_cocycle,
     validate_cocycle,
 )
-from rk.lattice import mat
+from rk.lattice import LatticeAction, closure, mat, mat_identity
+
+from oracles import canonical_by_solve
 
 
 def perm_mat(p):
@@ -152,14 +154,26 @@ def test_conjugacy_classes_s3():
     assert classes[0][0] == S3.identity
 
 
+def _root(a, d):
+    """zeta_d^a at conductor d, as written, not reduced to its conductor."""
+    return Cyclo(d, [1 if i == a else 0 for i in range(d)])
+
+
 def test_root_of_unity_is_canonical():
-    # the direct minimal-conductor form against the conductor reduction,
-    # which solves once per proper divisor; orders up to 96 cost twenty
-    # times as much as orders up to 48
-    for d in range(1, 49):
+    # the direct minimal-conductor form against the trace descent
+    for d in range(1, 97):
         for a in range(d):
             got = Cyclo.root_of_unity(Fraction(a, d))
-            want = Cyclo(d, [1 if i == a else 0 for i in range(d)])._canonical()
+            want = _root(a, d)._canonical()
+            assert (got.n, got.coeffs) == (want.n, want.coeffs), (a, d)
+
+
+def test_descent_matches_the_solve_on_roots_of_unity():
+    # the trace descent against one rational solve per divisor
+    for d in range(1, 49):
+        for a in range(d):
+            got = _root(a, d)._canonical()
+            want = canonical_by_solve(_root(a, d))
             assert (got.n, got.coeffs) == (want.n, want.coeffs), (a, d)
 
 
@@ -214,3 +228,56 @@ def test_inverses_reject_a_non_group():
     three_cycle = perm_mat((1, 2, 0))
     with pytest.raises(ValueError, match="element without inverse"):
         S3.subgroup((S3.identity, three_cycle))
+
+
+# ---------------------------------------------------------------------------
+# matrix groups grown by orbit, against the reference closure
+
+def _raised(f, *args):
+    try:
+        f(*args)
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
+def _generator_sets():
+    """The character and cocharacter Galois generators of every preset
+    group, the component generators of every disconnected group, and two
+    Weyl groups."""
+    from rk import presets
+    for name in presets.GROUP_NAMES:
+        galois = presets.group(name).galois
+        yield name, galois.char_generators
+        yield name + "^vee", galois.cochar_generators
+    holders = [(n, presets.disconnected(n))
+               for n in presets.DISCONNECTED_NAMES]
+    holders += [(n, presets.parameter(n).centralizer)
+                for n in presets.PARAM_NAMES]
+    for name, holder in holders:
+        yield name, holder.declared_generators + (
+            mat_identity(holder.component.rank),)
+    # orbits of the basis vectors shorter than the group: a cap between
+    # the two passes the orbit check and is hit by the closure
+    for name in ("gl4", "sp4"):
+        yield "W(%s)" % name, presets.group(name).weyl.generators
+
+
+def test_matrix_groups_match_closure():
+    seen = 0
+    for name, gens in _generator_sets():
+        order = closure(gens)[0]
+        assert LatticeAction(gens).elements() == tuple(order), name
+        assert FiniteGroup.from_matrices(gens).elements == \
+            tuple(sorted(order)), name
+        # one element short of the group: the same rejection, or none
+        # for the trivial group, whose closure inserts nothing
+        cap = len(order) - 1
+        want = _raised(closure, gens, cap)
+        assert want == (None if cap == 0 else
+                        "group closure exceeded cap of %d elements" % cap)
+        assert _raised(FiniteGroup.from_matrices, gens, cap) == want, name
+        assert _raised(lambda: LatticeAction(gens, cap).elements()) == \
+            want, name
+        seen += len(order) > 1
+    assert seen >= 8

@@ -28,7 +28,6 @@ from rk.lattice import (
     mat_vec,
     smith_normal_form,
     solve_integer,
-    trivial_action,
 )
 
 
@@ -224,7 +223,7 @@ ROT3 = mat([[0, -1], [1, -1]])
 
 
 def test_coinvariants_trivial():
-    g = coinvariants(2, trivial_action(2))
+    g = coinvariants(2, LatticeAction((mat_identity(2),)))
     assert g.free_rank == 2 and g.torsion == ()
 
 
@@ -235,13 +234,14 @@ def test_coinvariants_swap():
 
 def test_coinvariants_with_cartan_relations():
     # rank-(n-1) lattice mod the Cartan relations, trivial Galois
-    g = coinvariants(2, trivial_action(2),
+    g = coinvariants(2, LatticeAction((mat_identity(2),)),
                      extra_relations=[(2, -1), (-1, 2)])
     assert g.free_rank == 0 and g.torsion == (3,)
 
 
 def test_invariants_trivial_and_swap():
-    assert invariants_saturated(3, trivial_action(3)) == tuple(mat_identity(3))
+    assert invariants_saturated(3, LatticeAction((mat_identity(3),))) == \
+        tuple(mat_identity(3))
     basis = invariants_saturated(2, LatticeAction((SWAP,)))
     assert basis in (((1, 1),), ((-1, -1),))
 

@@ -56,13 +56,13 @@ def rho_of(param, weight, index=0):
 # centralizer Levi cuts
 
 def test_s_group_levi_at_minimal_levi_is_torus():
-    d = GL4ST.s_group_levi(GL4ST.minimal_levi)
+    d = GL4ST.levi_cut(GL4ST.minimal_levi).disconnected_datum()
     assert d.component.roots == ()
     assert len(d.pi0) == 1
 
 
 def test_s_group_levi_at_full_group():
-    d = GL4ST.s_group_levi(GL4ST.group.full_subset())
+    d = GL4ST.levi_cut(GL4ST.group.full_subset()).disconnected_datum()
     assert set(d.component.roots) == set(GL4ST.roots)
 
 

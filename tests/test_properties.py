@@ -1,6 +1,7 @@
 """Property tests of the shared routines, `orbit`, `gauss_jordan` and
 the `dot`/`mat_vec`/`mat_mul` kernel, and of the code that reads its
-answers from them, each against a brute-force definition.
+answers from them, each against a brute-force definition; and of `Cyclo`
+arithmetic, against the ring axioms and the rational solve it replaced.
 
 The examples are derandomized and no example database is kept, so the
 suite is deterministic and writes nothing into the checkout.
@@ -16,7 +17,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.configuration import set_hypothesis_home_dir
 
-from rk.cyclotomic import Cyclo
+import rk.cyclotomic
+from rk.cyclotomic import Cyclo, cyclotomic_polynomial
 from rk.finite_reps import _det_mod, _nullspace_mod, _solve_mod
 from rk.lattice import (
     _snf_raw,
@@ -31,6 +33,8 @@ from rk.lattice import (
     orbit,
     solve_rational,
 )
+
+from oracles import canonical_by_solve, cyclotomic_polynomial_by_fractions
 
 # Hypothesis caches the literals of the source it imports under its home
 # directory even without an example database; keep that out of the checkout
@@ -364,3 +368,88 @@ def test_kernel_keeps_cyclotomic_sums_in_order():
                       (mat_vec(a, v), mat_vec_reference(a, v)),
                       (mat_mul(a, b), mat_mul_reference(a, b))):
         assert got == want and repr(got) == repr(want)
+
+
+# ---------------------------------------------------------------------------
+# cyclotomic values
+
+RATIONAL = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+
+
+@st.composite
+def cyclo_sums(draw, conductor=None):
+    """A rational sum of n-th roots of unity at conductor n <= 60, written
+    as drawn and not reduced to its own conductor; the exponents are
+    multiples of a drawn proper divisor of n, so the value often lies in
+    a smaller field."""
+    n = conductor or draw(st.integers(1, 60))
+    k = draw(st.sampled_from([d for d in range(1, n) if n % d == 0] or [1]))
+    coeffs = [Fraction(0)] * n
+    for i, q in draw(st.lists(st.tuples(st.integers(0, n // k - 1), RATIONAL),
+                              min_size=1, max_size=6)):
+        coeffs[i * k] += q
+    return Cyclo(n, coeffs)
+
+
+@st.composite
+def cyclo_triples(draw):
+    """Three sums at divisors of one n <= 60, so every lcm stays <= 60."""
+    n = draw(st.integers(1, 60))
+    divisors = [d for d in range(1, n + 1) if n % d == 0]
+    return tuple(draw(cyclo_sums(draw(st.sampled_from(divisors))))
+                 for _ in range(3))
+
+
+def same_form(a, b):
+    return (a.n, a.coeffs) == (b.n, b.coeffs)
+
+
+@PROPERTY
+@given(xyz=cyclo_triples())
+def test_cyclo_ring_axioms(xyz):
+    x, y, z = xyz
+    zero, one = Cyclo.zero(), Cyclo.one()
+    assert x + y == y + x and repr(x + y) == repr(y + x)
+    assert x * y == y * x and repr(x * y) == repr(y * x)
+    assert (x + y) + z == x + (y + z)
+    assert (x * y) * z == x * (y * z)
+    assert x * (y + z) == x * y + x * z
+    assert x + zero == x and x * one == x and x * zero == zero
+    assert (x - x).is_zero() and x + (-x) == zero
+    # sums and products come out at their minimal conductor
+    for v in (x + y, x * y, x - y):
+        assert same_form(v, canonical_by_solve(v))
+
+
+@PROPERTY
+@given(x=cyclo_sums(), k=st.integers(1, 4))
+def test_cyclo_equal_values_hash_alike_across_conductors(x, k):
+    # the same value written at conductor k*n: zeta_n^i = zeta_{kn}^(ki)
+    y = Cyclo(k * x.n, [x.coeffs[i // k] if i % k == 0 else 0
+                        for i in range(k * len(x.coeffs))])
+    assert x == y and hash(x) == hash(y)
+    assert same_form(x._canonical(), y._canonical())
+    assert x.pretty() == y.pretty()
+    assert x + 1 != y
+
+
+@PROPERTY
+@given(x=cyclo_sums())
+def test_cyclo_minimal_conductor_matches_the_solve(x):
+    assert same_form(x._canonical(), canonical_by_solve(x))
+
+
+def test_cyclotomic_polynomial_matches_fraction_division():
+    for n in range(1, 201):
+        assert cyclotomic_polynomial(n) == \
+            cyclotomic_polynomial_by_fractions(n), n
+
+
+def test_cyclotomic_polynomial_raises_on_inexact_division(monkeypatch):
+    # a wrong Phi_2 = x + 2 does not divide (x^4 - 1) / (x - 1); the
+    # uncached body reads Phi_d through the module attribute
+    exact = cyclotomic_polynomial
+    monkeypatch.setattr(rk.cyclotomic, "cyclotomic_polynomial",
+                        lambda d: (2, 1) if d == 2 else exact(d))
+    with pytest.raises(AssertionError, match="inexact polynomial division"):
+        exact.__wrapped__(4)

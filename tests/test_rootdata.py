@@ -115,7 +115,7 @@ def test_weyl_tables_match_fraction_inverse(name):
             assert mat_mul(m, inv) == w.identity
             assert w.contragredient[m] == mat_contragredient(m)
         for m in g.relative.elements:
-            assert g.cochar_matrix(m) == mat_contragredient(m)
+            assert g.weyl.contragredient[m] == mat_contragredient(m)
 
 
 @pytest.mark.parametrize("name", presets.GROUP_NAMES)
@@ -253,7 +253,7 @@ def test_relative_faithful_on_fixed_space():
         for m in g.relative.elements:
             if m == g.relative.identity:
                 continue
-            moved = [mat_vec(g.cochar_matrix(m), y) for y in basis]
+            moved = [mat_vec(g.weyl.contragredient[m], y) for y in basis]
             assert moved != list(basis)
 
 

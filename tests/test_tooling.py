@@ -1,8 +1,9 @@
 """Names the benchmark's tracer wraps must keep resolving in `rk`, as a
 kind of object the tracer knows how to wrap, so a change that deletes,
 renames or re-kinds one fails here and not only in traced benchmark
-runs.  Each command loads only the modules it runs.  One pass of each
-warm benchmark workload reproduces the reference digests."""
+runs.  Each command loads only the modules it runs, and the cyclotomic
+layer loads no other `rk` module.  One pass of each warm benchmark
+workload reproduces the reference digests."""
 
 import ast
 import importlib
@@ -88,6 +89,18 @@ def test_command_loads_only_what_it_runs(argv, absent):
     assert run["code"] == 0
     assert "rk.cli" in run["modules"]
     assert sorted(set(absent) & set(run["modules"])) == []
+
+
+def test_cyclotomic_loads_no_other_rk_module():
+    # the cyclotomic layer stands alone: no linear algebra underneath it
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys; sys.path.insert(0, sys.argv[1]); import rk.cyclotomic; "
+         "print(' '.join(sorted(m for m in sys.modules "
+         "if m == 'rk' or m.startswith('rk.'))))", str(ROOT / "src")],
+        capture_output=True, text=True, timeout=600)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["rk", "rk.cyclotomic"]
 
 
 @pytest.mark.parametrize("kind,name,argv", [

@@ -15,7 +15,6 @@ from rk.weyl import (
     double_coset_reps,
     geometric_lemma_index,
     stabilizer,
-    stratum_of,
     transporter_set,
 )
 
@@ -325,7 +324,7 @@ def test_partition_property(name):
                 for pos in range(len(g.datum.simple_indices)))
             hits += inside
         assert hits == 1
-        assert stratum_of(g, w.image) == w.levi
+        assert g.facet_of_pairings(g.scaled_simple_pairing(w.image)) == w.levi
 
 
 def test_stabilizer_examples():
@@ -448,7 +447,7 @@ def test_chamber_kernel_matches_fraction_path(name):
         assert stabilizer(g, x) == _fraction_stabilizer(g, x)
         facet = _fraction_facet(g, x)
         assert g.dominant(x) == (facet is not None)
-        assert stratum_of(g, x) == facet
+        assert g.facet_of_pairings(g.scaled_simple_pairing(x)) == facet
         if facet is None:
             with pytest.raises(ValueError, match="needs a dominant point"):
                 g.facet_levi(x)
