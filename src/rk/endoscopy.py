@@ -26,7 +26,6 @@ from .lattice import (
     SmithSolver,
     Vector,
     dot,
-    mat,
     mat_mul,
     mat_vec,
 )
@@ -96,21 +95,12 @@ class EndoscopicDatum:
 # ---------------------------------------------------------------------------
 # membership of s in Levi centralizers
 
-def weight_exponent(center_basis: Sequence[Vector], q: Sequence[Fraction],
-                    weight: Sequence[int]) -> Fraction:
-    """Exponent of the evaluation of a center-lattice weight at the torus
-    point with exponents q: extend the weight to the full character
-    lattice and pair.  The pairing runs on q's integer numerators over
-    one denominator d and is reduced mod d."""
-    den, q_num = ReductiveGroup.integer_point(q)
-    return _weight_exponent(SmithSolver(mat(list(center_basis))), q_num, den,
-                            weight)
-
-
 def _weight_exponent(solver: SmithSolver, q_num: Vector, den: int,
                      weight: Sequence[int]) -> Fraction:
-    """`weight_exponent` through a kept factorization of the center basis,
-    for the exponents q_num / den: one integer pairing, reduced mod den."""
+    """Exponent of the evaluation of a center-lattice weight at the torus
+    point with exponents q_num / den: extend the weight to the full
+    character lattice through the kept factorization of the center basis
+    (as rows) and pair, one integer pairing reduced mod den."""
     ext = solver.solve(tuple(weight))
     if ext is None:
         raise EndoscopyError("weight does not extend integrally")
@@ -466,29 +456,32 @@ def regular_part(dist: FormalDistribution) -> FormalDistribution:
 # regular pairing
 
 def _trace_on_levi_module(param: Parameter, levi, w: Matrix, lam_w: Vector,
-                          module_dim: int, conj: Matrix,
+                          module_dim: int, g: Matrix,
                           endo: EndoscopicDatum) -> Cyclo:
-    """Trace of the torus element conj . s on the induced Levi module with
-    one-dimensional highest-weight part lam_w.  conj . s runs as integer
-    numerators mod the one denominator of s, and each weight's root of
-    unity comes from one integer exponent over that denominator."""
+    """Trace of the torus element w . g . s on the induced Levi module with
+    one-dimensional highest-weight part lam_w, a weight on the twisted
+    center w . B.  Extending a weight from w . B and pairing it with
+    w . g . s gives the exponent of extending it from B and pairing it with
+    g . s, so g . s runs through the parameter center's factorization, as
+    integer numerators mod the one denominator of s."""
     cut = param.levi_cut(levi, w)
-    solver = cut.twisted_center_solver
+    solver = param.ctx_M.dual_center_solver
     den = endo.s_den
-    q_c = tuple(x % den for x in mat_vec(conj, endo.s_num))
-    # the element must lie in the twisted parameter center
+    q_g = tuple(x % den for x in mat_vec(g, endo.s_num))
+    # w . g . s lies in the twisted center exactly when g . s lies in the
+    # parameter center
     for z in solver.kernel:
-        if dot(z, q_c) % den != 0:
+        if dot(z, q_g) % den != 0:
             raise EndoscopyError("conjugated torus element left the twisted "
                                  "parameter center")
     # one term per left coset of the stabilizer of lam_w in the cut
     # components, i.e. per point of the orbit of lam_w
-    orbit = {mat_vec(param.char_action(g), lam_w)
-             for g in cut.component_elements}
+    orbit = {mat_vec(param.char_action(c), lam_w)
+             for c in cut.component_elements}
     total = Cyclo.zero()
     for mu in orbit:
         total = total + Cyclo.root_of_unity(
-            _weight_exponent(solver, q_c, den, mu))
+            _weight_exponent(solver, q_g, den, mu))
     return total * module_dim if module_dim != 1 else total
 
 
@@ -514,9 +507,8 @@ def regular_pairing(param: Parameter, member: PacketMember,
     dim = member.rho_module_label[0]
     total = Cyclo.zero()
     for g in reps:
-        conj = mul(w, g)
         total = total + _trace_on_levi_module(
-            param, member.levi, w, lam_w, dim, conj, endo)
+            param, member.levi, w, lam_w, dim, g, endo)
     return total
 
 
@@ -689,11 +681,12 @@ def _expand_levi_token(param: Parameter, b: BElement, w: Matrix,
     if lam_raw is None:
         return
     lam = dominantize(param, lam_raw)
+    identity = param.group.relative.identity
     for module in param.centralizer.stabilizer_modules(lam):
         rho = canonical_rho(param, HighestWeightPair(lam, module))
         member = build_packet_member(param, rho)
         coeff = _trace_on_levi_module(param, member.levi, w, lam_raw,
-                                      module.dim, w, endo)
+                                      module.dim, identity, endo)
         dist.add(Term("member", tuple(sorted(member.levi)), member.key(),
                       endo.label, Fraction(1, 2), sign_token), coeff)
 

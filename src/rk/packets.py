@@ -12,7 +12,6 @@ tripping the two is the correctness check for both.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Dict, FrozenSet, Optional, Tuple
 
 from .disconnected import HighestWeightPair, classify_irr, stabilizer_A_lambda
@@ -25,11 +24,10 @@ from .lattice import (
     mat_mul,
     mat_transpose,
     mat_vec,
-    solve_rational,
 )
 from .params import Parameter
 from .rootdata import ReductiveGroup
-from .weyl import chamber_locate
+from .weyl import chamber_locate, transporter_set
 
 
 class DescentError(AssertionError):
@@ -163,7 +161,6 @@ def _canonical_double_coset(param: Parameter, levi, w: Matrix) -> Matrix:
 def transporter_double_cosets(param: Parameter, levi) -> Tuple[Matrix, ...]:
     """Canonical representatives of W^rel_L \\ W^rel(M, L) / W_phi
     (computed once per (param, levi))."""
-    from .weyl import transporter_set
     levi = frozenset(levi)
     memo = _memo(param)
     if ("cosets", levi) in memo:
@@ -322,11 +319,11 @@ def central_character_square(param: Parameter, rho: HighestWeightPair) -> Dict:
     if "center" not in memo:
         coords = []
         for u in ctx_G.dual_split_center_basis:
-            sol = solve_rational(param.center_basis, u)
+            sol = param.center_solver.solve(u)
             if sol is None:
                 raise AssertionError("global dual center escapes the "
                                      "parameter center")
-            coords.append(tuple(int(Fraction(x)) for x in sol))
+            coords.append(sol)
         memo["center"] = tuple(coords)
     coords = memo["center"]
     lam = canonical_rho(param, rho).weight

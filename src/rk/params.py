@@ -13,7 +13,6 @@ as words in the restricted simple reflections.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import cached_property
 from typing import Dict, FrozenSet, Optional, Sequence, Tuple
 
@@ -26,12 +25,9 @@ from .lattice import (
     dot,
     kernel_basis,
     mat,
-    mat_contragredient,
     mat_identity,
     mat_mul,
-    mat_transpose,
     mat_vec,
-    solve_rational,
     vneg,
     vsub,
 )
@@ -43,11 +39,11 @@ class ParameterError(ValueError):
 
 
 def _is_reflection(d: Matrix) -> bool:
+    """An involution is a reflection exactly when its -1 eigenspace is a
+    line, i.e. when its trace is n - 2."""
     n = len(d)
-    if mat_mul(d, d) != mat_identity(n):
-        return False
-    diff = [vsub(row, ident) for row, ident in zip(d, mat_identity(n))]
-    return len(kernel_basis(mat_transpose(mat(diff)))) == n - 1
+    return mat_mul(d, d) == mat_identity(n) and \
+        sum(d[i][i] for i in range(n)) == n - 2
 
 
 def _simple_positions(roots: Sequence[Vector],
@@ -78,6 +74,12 @@ class Parameter:
         self.ctx_M = group.levi_context(self.minimal_levi)
         self.center_basis = self.ctx_M.dual_split_center_basis
         self.dim = len(self.center_basis)
+        # B as the columns of an n x dim matrix: solve(v) is v's integer
+        # coordinates in B, or None off its span.  B is a saturated kernel
+        # basis, so a lattice vector in the span has integer coordinates.
+        self.center_solver = SmithSolver(tuple(
+            tuple(u[i] for u in self.center_basis)
+            for i in range(group.datum.rank)))
 
         # restricted roots on the split center of the dual Levi
         restricted = {}
@@ -176,21 +178,17 @@ class Parameter:
                 if {rel.perm[m][i] for i in mpos} == mpos}
 
     def _char_action_raw(self, m: Matrix) -> Matrix:
-        cols = []
+        """The contragredient of m on the center span: the transpose of
+        m^-1's matrix in B, whose rows are the coordinates of m^-1 . u."""
+        m_inv = self.group.relative.inverse[m]
+        rows = []
         for u in self.center_basis:
-            sol = solve_rational(self.center_basis, mat_vec(m, u))
-            if sol is None:
+            row = self.center_solver.solve(mat_vec(m_inv, u))
+            if row is None:
                 raise AssertionError("an element permuting the positive roots "
                                      "of M moved the center span")
-            col = []
-            for x in sol:
-                if Fraction(x).denominator != 1:
-                    raise ParameterError("center lattice not stabilized "
-                                         "integrally")
-                col.append(int(x))
-            cols.append(tuple(col))
-        c = mat_transpose(mat(cols))
-        return mat_contragredient(c)
+            rows.append(row)
+        return mat(rows)
 
     def char_action(self, m: Matrix) -> Matrix:
         """Action of an embedded element on the center character lattice."""
@@ -213,19 +211,17 @@ class Parameter:
         if len(ds) > 1:
             raise ParameterError("reflection of root %r is ambiguous" % (alpha,))
         m, d = min(found)
-        # derive the coroot: x - d(x) = <x, coroot> alpha
+        # derive the coroot: x - d(x) = <x, coroot> alpha; d is a reflection
+        # negating alpha, so x - d(x) is a rational multiple of alpha
+        k = next(i for i, a in enumerate(alpha) if a)
         cor = []
         for j in range(self.dim):
             e = tuple(1 if i == j else 0 for i in range(self.dim))
             diff = vsub(e, mat_vec(d, e))
-            sol = solve_rational([alpha], diff)
-            if sol is None:
-                raise ParameterError("realized map is not a reflection "
-                                     "along %r" % (alpha,))
-            c = Fraction(sol[0])
-            if c.denominator != 1:
+            c = diff[k] // alpha[k]
+            if tuple(c * a for a in alpha) != diff:
                 raise ParameterError("coroot of %r is not integral" % (alpha,))
-            cor.append(int(c))
+            cor.append(c)
         return m, tuple(cor)
 
     def _soft_minimality_check(self) -> None:
@@ -294,28 +290,23 @@ class LeviCut:
         self.levi = levi
         group = param.group
         self.w = w if w is not None else group.relative.identity
-        self.twisted_center_basis = tuple(
-            mat_vec(self.w, u) for u in param.center_basis)
+        self.w_inv = group.relative.inverse[self.w]
+        # coordinates in the twisted basis w.B are those of w^-1 . u in B
         ctx_L = group.levi_context(levi)
         coords = []
         for u in ctx_L.dual_split_center_basis:
-            sol = solve_rational(self.twisted_center_basis, u)
+            sol = param.center_solver.solve(mat_vec(self.w_inv, u))
             if sol is None:
                 raise ParameterError("Levi split center does not sit inside "
                                      "the twisted parameter center; is w in "
                                      "the transporter set?")
-            for x in sol:
-                if Fraction(x).denominator != 1:
-                    raise ParameterError("Levi center has non-integral "
-                                         "coordinates")
-            coords.append(tuple(int(x) for x in sol))
+            coords.append(sol)
         self.levi_center_coords = tuple(coords)
         self.roots = tuple(r for r in param.roots
                            if all(dot(r, c) == 0 for c in coords))
         self.positives = tuple(p for p in param.positives if p in set(self.roots))
         rel_levi = set(group.levi_weyl_elements(levi))
         mul = group.relative.mul
-        self.w_inv = group.relative.inverse[self.w]
         self.weyl_elements = tuple(
             g for g in param.wphi_elements
             if mul(mul(self.w, g), self.w_inv) in rel_levi)
@@ -334,16 +325,9 @@ class LeviCut:
                 len(self.connected_weyl_elements) * len(self.component_elements):
             raise ParameterError("Levi cut does not decompose as a semidirect "
                                  "product")
-        self._descent: Optional[Tuple[Tuple[Fraction, ...], ...]] = None
+        self._descent: Optional[Tuple[Vector, ...]] = None
 
-    @cached_property
-    def twisted_center_solver(self) -> SmithSolver:
-        """The Smith factorization of the twisted center basis (as rows),
-        made on first use: integer extensions of center weights and the
-        basis's annihilator."""
-        return SmithSolver(mat(self.twisted_center_basis))
-
-    def descent_coords(self) -> Tuple[Tuple[Fraction, ...], ...]:
+    def descent_coords(self) -> Tuple[Vector, ...]:
         """Coordinates, in the twisted center basis, of a basis of (twisted
         parameter center) cap (saturated span of the Levi's coroot lattice
         on the dual side), i.e. of the cocharacters of the part of the
@@ -351,17 +335,21 @@ class LeviCut:
         descends to a character of the Levi iff it pairs to zero with each.
         Computed once per cut."""
         if self._descent is None:
-            group = self.param.group
+            param = self.param
+            group = param.group
             levi_roots = [group.datum.roots[i] for i in
                           group.levi_context(self.levi).root_indices()]
             kill: Tuple[Vector, ...] = ()
             if levi_roots:
-                perp_center = self.twisted_center_solver.kernel
+                # the annihilator of w.B is w^-T applied to that of B
+                w_dual = group.relative.contragredient[self.w]
+                perp_center = [mat_vec(w_dual, z) for z in
+                               param.ctx_M.dual_center_solver.kernel]
                 perp_levi = kernel_basis(mat(levi_roots))
-                kill = kernel_basis(mat(list(perp_center) + list(perp_levi)))
+                kill = kernel_basis(mat(perp_center + list(perp_levi)))
             coords = []
             for v in kill:
-                sol = solve_rational(self.twisted_center_basis, v)
+                sol = param.center_solver.solve(mat_vec(self.w_inv, v))
                 if sol is None:
                     raise AssertionError("intersection vector escaped the "
                                          "center")

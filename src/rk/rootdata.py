@@ -173,10 +173,6 @@ class BasedRootDatum:
     def positive_root_set(self) -> FrozenSet[int]:
         return self._positive_set
 
-    def cartan_matrix(self) -> Matrix:
-        return mat([[dot(self.roots[i], self.coroots[j])
-                     for j in self.simple_indices] for i in self.simple_indices])
-
     def dual(self) -> "BasedRootDatum":
         """Swap roots with coroots (and the two lattice roles)."""
         return BasedRootDatum(self.rank, self.coroots, self.roots,

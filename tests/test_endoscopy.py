@@ -309,7 +309,7 @@ def test_pairing_representative_independence():
                     continue
                 covered |= {mat_mul(s, g) for s in sub}
                 total = total + _trace_on_levi_module(
-                    GL4ST, m.levi, w, lam_w, 1, mat_mul(w, g), endo)
+                    GL4ST, m.levi, w, lam_w, 1, g, endo)
             assert total == base
 
 
@@ -712,7 +712,7 @@ ECI_HEIGHTS = {("gl2-triv", "gl2-s1"): 6, ("gl2-triv", "gl2-sreg"): 6,
 
 
 def _weight_exponent_fraction(basis, q, weight):
-    """weight_exponent's Fraction formula: a fresh integer extension of the
+    """_weight_exponent's Fraction formula: a fresh integer extension of the
     weight, paired with the Fraction exponents mod 1."""
     from rk.lattice import mat, solve_integer
     ext = solve_integer(mat(list(basis)), tuple(weight))
@@ -721,11 +721,19 @@ def _weight_exponent_fraction(basis, q, weight):
     return sum(Fraction(e) * x for e, x in zip(ext, q)) % 1
 
 
+def _twisted_basis(param, w):
+    """The twisted center basis w.B."""
+    from rk.lattice import mat_vec
+    return tuple(mat_vec(w, u) for u in param.center_basis)
+
+
 def _trace_fraction(param, levi, w, lam_w, module_dim, conj, q):
-    """_trace_on_levi_module's Fraction formula, on the exponents q."""
+    """_trace_on_levi_module's Fraction formula, on the exponents q, for
+    the element conj = w.g: extensions from the twisted basis w.B paired
+    with conj.q."""
     from rk.lattice import dot, kernel_basis, mat, mat_vec
     cut = param.levi_cut(levi, w)
-    basis = cut.twisted_center_basis
+    basis = _twisted_basis(param, w)
     q_c = tuple(Fraction(x) % 1 for x in mat_vec(conj, q))
     for z in kernel_basis(mat(list(basis))):
         if dot(z, q_c) % 1 != 0:
@@ -765,19 +773,19 @@ def test_trace_over_orbit_matches_coset_representatives(ename):
         orbit = {mat_vec(param.char_action(g), lam)
                  for g in cut.component_elements}
         moved += len(orbit) > 1
-        for conj in param.wphi_elements:
+        for g in param.wphi_elements:
             for dim in (1, 2):
                 got = _trace_on_levi_module(param, full, cut.w, lam, dim,
-                                            conj, endo)
+                                            g, endo)
                 assert got == _trace_fraction(param, full, cut.w, lam, dim,
-                                              conj, endo.s)
+                                              g, endo.s)
     assert moved
 
 
 @pytest.mark.parametrize("pname,ename", ECI_PAIRS)
 def test_trace_and_weight_exponent_match_fraction_formulas(pname, ename):
-    from rk.endoscopy import _trace_on_levi_module, weight_exponent
-    from rk.lattice import mat_vec
+    from rk.endoscopy import _trace_on_levi_module, _weight_exponent
+    from rk.lattice import SmithSolver, mat, mat_vec
     from rk.packets import fiber_weight, transporter_double_cosets
     param, endo = presets.parameter(pname), presets.endoscopy(ename)
     mul = param.group.relative.mul
@@ -793,21 +801,24 @@ def test_trace_and_weight_exponent_match_fraction_formulas(pname, ename):
             lam = fiber_weight(param, b, w)
             if lam is None:
                 continue
-            basis = param.levi_cut(b.levi, w).twisted_center_basis
+            basis = _twisted_basis(param, w)
+            solver = SmithSolver(mat(basis))
             for g in param.wphi_elements:
                 conj = mul(w, g)
                 for dim in (1, 2):
                     got = _outcome(_trace_on_levi_module, param, b.levi, w,
-                                   lam, dim, conj, endo)
+                                   lam, dim, g, endo)
                     assert got == _outcome(_trace_fraction, param, b.levi, w,
                                            lam, dim, conj, endo.s)
                     traces += 1
                 q_c = tuple(Fraction(x) % 1 for x in mat_vec(conj, endo.s))
+                q_num = mat_vec(conj, endo.s_num)
                 weights = [mat_vec(param.char_action(c), lam)
                            for c in param.r_elements]
                 weights.append(tuple(rng.randint(-3, 3) for _ in lam))
                 for mu in weights:
-                    got = _outcome(weight_exponent, basis, q_c, mu)
+                    got = _outcome(_weight_exponent, solver, q_num,
+                                   endo.s_den, mu)
                     assert got == _outcome(_weight_exponent_fraction, basis,
                                            q_c, mu)
                     exponents += 1
@@ -822,22 +833,29 @@ def test_center_tests_reject_element_off_the_center():
     endo = EndoscopicDatum(GL4ST.group, (Fraction(1, 2), 0, 0, 0))
     m = build_packet_member(GL4ST, rho_of(GL4ST, (1, 0)))
     w = m.w_class
-    args = (GL4ST, m.levi, w, fiber_weight(GL4ST, m.b, w), 1, w)
-    want = _outcome(_trace_fraction, *args, endo.s)
+    args = (GL4ST, m.levi, w, fiber_weight(GL4ST, m.b, w), 1)
+    want = _outcome(_trace_fraction, *args, w, endo.s)
     assert want == ("raised", "EndoscopyError", "conjugated torus element "
                     "left the twisted parameter center")
-    assert _outcome(_trace_on_levi_module, *args, endo) == want
+    identity = GL4ST.group.relative.identity
+    assert _outcome(_trace_on_levi_module, *args, identity, endo) == want
     with pytest.raises(EndoscopyError, match="split center of the minimal"):
         s_in_levi_check(GL4ST, endo, m.levi)
 
 
 def test_weight_exponent_rejects_non_extendable_weight():
-    from rk.endoscopy import weight_exponent
+    # the basis rows (2, 0), (0, 1) and exponents (1/3, 1/2) = (2, 3) / 6
+    from rk.endoscopy import _weight_exponent
+    from rk.lattice import SmithSolver
+    basis = [(2, 0), (0, 1)]
+    q = (Fraction(1, 3), Fraction(1, 2))
+    solver = SmithSolver(tuple(basis))
     with pytest.raises(EndoscopyError, match="does not extend integrally"):
-        weight_exponent([(2, 0), (0, 1)], (Fraction(1, 3), Fraction(1, 2)),
-                        (1, 0))
-    assert weight_exponent([(2, 0), (0, 1)], (Fraction(1, 3), Fraction(1, 2)),
-                           (4, 3)) == Fraction(1, 6)
+        _weight_exponent(solver, (2, 3), 6, (1, 0))
+    with pytest.raises(EndoscopyError, match="does not extend integrally"):
+        _weight_exponent_fraction(basis, q, (1, 0))
+    assert _weight_exponent(solver, (2, 3), 6, (4, 3)) == Fraction(1, 6) \
+        == _weight_exponent_fraction(basis, q, (4, 3))
 
 
 # ---------------------------------------------------------------------------

@@ -28,6 +28,7 @@ from rk.lattice import (
     mat_vec,
     smith_normal_form,
     solve_integer,
+    solve_rational,
 )
 
 
@@ -166,21 +167,75 @@ def test_kept_dual_center_solver_matches_reference(name):
         _check_solver(solver, mat(ctx.dual_split_center_basis), rng)
 
 
+def _center_columns(param):
+    """The parameter center basis B as the columns of an n x dim matrix."""
+    n = param.group.datum.rank
+    return tuple(tuple(u[i] for u in param.center_basis) for i in range(n))
+
+
+@pytest.mark.parametrize("pname", presets.PARAM_NAMES)
+def test_center_solver_matches_solve_rational(pname):
+    # the one coordinate solver each Parameter keeps of its center basis:
+    # vectors in the span get solve_rational's coordinates, which are
+    # integers because B is saturated; vectors off the span get None
+    param = presets.parameter(pname)
+    solver = param.center_solver
+    cols = _center_columns(param)
+    rng = random.Random(pname)
+    n = param.group.datum.rank
+    outcomes = set()
+    for _ in range(40):
+        x = tuple(rng.randint(-5, 5) for _ in range(param.dim))
+        for v in (mat_vec(cols, x) if param.dim else (0,) * n,
+                  tuple(rng.randint(-5, 5) for _ in range(n))):
+            ref = solve_rational(param.center_basis, v)
+            got = solver.solve(v)
+            assert got == ref
+            assert got is None or all(type(c) is int for c in got)
+            outcomes.add(got is None)
+    assert outcomes == ({True, False} if param.dim < n else {False})
+    _check_solver(solver, cols, rng, 4)
+
+
+def test_center_solver_of_an_empty_basis_is_n_by_zero():
+    # a parameter of sl3 through the whole group, whose dual split center
+    # is trivial: the solver is 2 x 0 and takes only the zero vector
+    from rk.params import Parameter
+    param = Parameter(presets.group("sl3"), frozenset({0, 1}), (), ())
+    assert param.center_basis == () and _center_columns(param) == ((), ())
+    assert param.center_solver.solve((0, 0)) == ()
+    for v in ((1, 0), (0, -3), (2, 2)):
+        assert param.center_solver.solve(v) is None
+        assert solve_rational(param.center_basis, v) is None
+
+
 @pytest.mark.parametrize("pname", presets.PARAM_NAMES)
 def test_kept_twisted_center_solver_matches_reference(pname):
-    # the factorization each LeviCut keeps of its twisted center basis, on
-    # every cut of every transporter element
+    # a cut reads the twisted center basis w.B through w^-1 and the kept
+    # center solver: on every cut of every transporter element, that gives
+    # the reference integer solve in w.B (as columns), the Levi center
+    # coordinates included
     from rk.weyl import transporter_set
     param = presets.parameter(pname)
     group = param.group
     rng = random.Random(pname)
+    n = group.datum.rank
     cuts = 0
     for levi in group.standard_levi_subsets():
         for w in transporter_set(group, param.minimal_levi, levi):
             cut = param.levi_cut(levi, w)
-            solver = cut.twisted_center_solver
-            assert cut.twisted_center_solver is solver
-            _check_solver(solver, mat(cut.twisted_center_basis), rng, 4)
+            twisted = mat_mul(w, _center_columns(param)) if param.dim \
+                else tuple(() for _ in range(n))
+            ctx_L = group.levi_context(levi)
+            assert cut.levi_center_coords == tuple(
+                _solve_reference(twisted, u)
+                for u in ctx_L.dual_split_center_basis)
+            for _ in range(8):
+                x = tuple(rng.randint(-5, 5) for _ in range(param.dim))
+                for v in (mat_vec(twisted, x) if param.dim else (0,) * n,
+                          tuple(rng.randint(-5, 5) for _ in range(n))):
+                    got = param.center_solver.solve(mat_vec(cut.w_inv, v))
+                    assert got == _solve_reference(twisted, v)
             cuts += 1
     assert cuts
 

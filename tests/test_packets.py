@@ -17,11 +17,15 @@ from rk.kottwitz import (
     newton,
 )
 from rk.lattice import (
+    SmithSolver,
     dot,
+    kernel_basis,
+    mat_contragredient,
     mat_identity,
     mat_mul,
     mat_transpose,
     mat_vec,
+    solve_integer,
     solve_rational,
 )
 from rk.packets import (
@@ -37,7 +41,7 @@ from rk.packets import (
     round_trip_check,
     transporter_double_cosets,
 )
-from rk.params import LeviCut, Parameter, ParameterError
+from rk.params import LeviCut, Parameter, ParameterError, _is_reflection
 from rk.weyl import transporter_set
 
 
@@ -73,6 +77,78 @@ def test_s_group_levi_gl4_block_cut():
     assert cut.roots == ()
     full = GL4ST.levi_cut(GL4ST.group.full_subset())
     assert set(full.roots) == set(GL4ST.roots)
+
+
+def _trivial_parameter(name):
+    """The parameter of a split group through its torus whose centralizer
+    is the whole dual group; on sl3 and sl4 the Weyl matrices are not
+    orthogonal, so w^-T differs from w."""
+    g = presets.group(name)
+    d = g.datum
+    return Parameter(g, frozenset(), tuple(d.coroots),
+                     tuple(d.coroots[i] for i in d.positive_root_indices()),
+                     label=name + "-triv")
+
+
+def _sl4_st2():
+    """gl4-st2's shape on sl4: M = {0, 2}, one centralizer root, the coroot
+    of e1 - e3, on a center of rank 1 whose annihilator w^-T moves."""
+    g = presets.group("sl4")
+    d = g.datum
+    s = d.simple_indices
+    c = d.coroots[d.roots.index(tuple(
+        x + y for x, y in zip(d.roots[s[0]], d.roots[s[1]])))]
+    return Parameter(g, frozenset({0, 2}), (c, tuple(-x for x in c)), (c,),
+                     label="sl4-st2")
+
+
+def _cut_parameters():
+    return [presets.parameter(n) for n in presets.PARAM_NAMES] + \
+        [_trivial_parameter(n) for n in ("sl3", "sl4")] + [_sl4_st2()]
+
+
+def _same_lattice(a, b):
+    """Whether the vectors a and b (of one length) span one lattice."""
+    def inside(vs, span):
+        cols = mat_transpose(span) if span else ()
+        return all(solve_integer(cols, v) is not None if span else not any(v)
+                   for v in vs)
+    return inside(a, b) and inside(b, a)
+
+
+@pytest.mark.parametrize("param", _cut_parameters(), ids=lambda p: p.label)
+def test_cut_coordinates_match_the_fraction_definitions(param):
+    # the old definitions: Fraction solves in B for the component action
+    # (then the contragredient), and in the twisted basis w.B, with its own
+    # Smith annihilator, for the Levi center and descent coordinates
+    group = param.group
+    basis = param.center_basis
+    for m, d in param._embedded.items():
+        cols = [solve_rational(basis, mat_vec(m, u)) for u in basis]
+        want = mat_contragredient(mat_transpose(
+            [tuple(int(x) for x in col) for col in cols])) if basis else ()
+        assert d == want, m
+    cuts = 0
+    for levi in group.standard_levi_subsets():
+        for w in transporter_set(group, param.minimal_levi, levi):
+            cut = param.levi_cut(levi, w)
+            twisted = [mat_vec(w, u) for u in basis]
+            ctx_L = group.levi_context(levi)
+            assert cut.levi_center_coords == tuple(
+                tuple(int(x) for x in solve_rational(twisted, u))
+                for u in ctx_L.dual_split_center_basis)
+            levi_roots = [group.datum.roots[i] for i in ctx_L.root_indices()]
+            kill = ()
+            if levi_roots:
+                perp = list(SmithSolver(tuple(twisted)).kernel) + \
+                    list(kernel_basis(tuple(levi_roots)))
+                kill = kernel_basis(tuple(perp))
+            old = [solve_rational(twisted, v) for v in kill]
+            assert all(x.denominator == 1 for sol in old for x in sol)
+            assert _same_lattice(cut.descent_coords(),
+                                 [tuple(int(x) for x in sol) for sol in old])
+            cuts += 1
+    assert cuts
 
 
 _CUT_FIELDS = ("roots", "positives", "weyl_elements", "component_elements",
@@ -152,6 +228,30 @@ def test_parameter_rejects_open_positive_system():
     with pytest.raises(ParameterError):
         Parameter(g, frozenset(), tuple(g.datum.roots),
                   (g.datum.roots[g.datum.simple_indices[0]],))
+
+
+def _is_reflection_by_kernel(d):
+    """The kernel definition of a reflection: an involution fixing a
+    hyperplane, i.e. d - 1 has a kernel of rank n - 1."""
+    n = len(d)
+    if mat_mul(d, d) != mat_identity(n):
+        return False
+    diff = [tuple(a - b for a, b in zip(row, ident))
+            for row, ident in zip(d, mat_identity(n))]
+    return len(kernel_basis(mat_transpose(diff))) == n - 1
+
+
+@pytest.mark.parametrize("name", presets.PARAM_NAMES)
+def test_reflection_trace_test_matches_kernel_definition(name):
+    # every embedded action of every preset, and each negated: the trace
+    # test accepts exactly the involutions the kernel definition accepts
+    param = presets.parameter(name)
+    seen = set()
+    for d in param._embedded.values():
+        for e in (d, tuple(tuple(-x for x in row) for row in d)):
+            seen.add(_is_reflection(e))
+            assert _is_reflection(e) == _is_reflection_by_kernel(e), e
+    assert True in seen or not param.roots
 
 
 def test_char_action_asserts_the_center_span_is_kept():

@@ -66,12 +66,16 @@ def test_dual_sl2_pgl2_pi1_oracle():
         set(zip(pgl2.datum.roots, pgl2.datum.coroots))
 
 
+def _cartan_matrix(datum):
+    return mat([[dot(a, c) for c in datum.simple_coroots]
+                for a in datum.simple_roots])
+
+
 def test_dual_b2_c2_cartan_transpose_oracle():
     sp4 = presets.group("sp4")  # type C2
     dd, _ = dual_datum(sp4.datum, sp4.galois)
-    assert mat_transpose(sp4.datum.cartan_matrix()) == \
-        BasedRootDatum(dd.rank, dd.roots, dd.coroots, dd.simple_indices) \
-        .cartan_matrix()
+    assert mat_transpose(_cartan_matrix(sp4.datum)) == _cartan_matrix(
+        BasedRootDatum(dd.rank, dd.roots, dd.coroots, dd.simple_indices))
 
 
 def test_dual_is_involution():
