@@ -21,12 +21,14 @@ from .cyclotomic import Cyclo
 from .finite_reps import FiniteGroup, Module, simple_modules
 from .lattice import (
     Matrix,
+    SmithSolver,
     Vector,
     dot,
     kernel_basis,
     mat,
     mat_identity,
     mat_mul,
+    mat_transpose,
     mat_vec,
     vadd,
     vsub,
@@ -236,6 +238,7 @@ def weight_multiplicities(datum: BasedRootDatum,
     rho = tuple(sum(Fraction(r[i]) for r in pos) / 2
                 for i in range(datum.rank))
     simples = list(datum.simple_roots)
+    solve = SmithSolver(mat_transpose(mat(simples))).solve
     table: Dict[Vector, int] = {lam: 1}
     lam_rho = vadd(tuple(Fraction(x) for x in lam), rho)
     norm_top = _form_value(bform, lam_rho, lam_rho)
@@ -258,7 +261,7 @@ def weight_multiplicities(datum: BasedRootDatum,
                     if m_up is None:
                         # either outside the computed cone (multiplicity 0)
                         # or not yet reached; both contribute nothing
-                        if not _dominates(lam, up, simples):
+                        if not _dominates(lam, up, solve):
                             break
                         m_up = 0
                     if m_up:
@@ -287,12 +290,13 @@ def weight_multiplicities(datum: BasedRootDatum,
     return WeightMultiplicityTable(lam, table, dim)
 
 
-def _dominates(lam, mu, simples):
-    """mu <= lam in the root order (lam - mu a nonneg rational combination
-    of the simple roots)."""
-    from .lattice import solve_rational
-    diff = vsub(lam, mu)
-    sol = solve_rational(list(simples), diff)
+def _dominates(lam, mu, solve):
+    """mu <= lam in the root order: lam - mu a nonnegative combination of
+    the simple roots, by `solve`, a kept integer factorization of them.
+    Every weight the Freudenthal recursion meets lies in lam minus the root
+    lattice, and the simple roots are independent, so the combination is
+    the unique integer one."""
+    sol = solve(vsub(lam, mu))
     return sol is not None and all(c >= 0 for c in sol)
 
 

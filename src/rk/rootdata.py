@@ -28,6 +28,7 @@ from fractions import Fraction
 from functools import cached_property, partial
 from itertools import combinations
 from math import lcm
+from operator import itemgetter
 from typing import Dict, FrozenSet, Optional, Sequence, Tuple
 
 from .lattice import (
@@ -44,13 +45,13 @@ from .lattice import (
     kernel_basis,
     mat,
     mat_contragredient,
+    mat_det,
     mat_identity,
     mat_inverse,
     mat_mul,
     mat_transpose,
     mat_vec,
     orbit,
-    solve_rational,
     vsub,
 )
 
@@ -113,25 +114,36 @@ class BasedRootDatum:
         # finite type: the closure is capped)
         gens = [reflection_matrix(self.roots[i], self.coroots[i])
                 for i in self.simple_indices]
+        tree: Dict[Vector, Optional[tuple]] = {}
         if gens:
             try:
-                roots = orbit(simples, [partial(mat_vec, g) for g in gens],
-                              10000)
+                tree = orbit(simples, [partial(mat_vec, g) for g in gens],
+                             10000)
             except ValueError:
                 raise DatumError("root closure exploded; datum "
                                  "is not of finite type") from None
-            if roots.keys() != set(self.roots):
+            if tree.keys() != set(self.roots):
                 raise DatumError("roots are not exactly the Weyl orbit of the "
                                  "simple roots")
         elif self.roots:
             raise DatumError("roots present but no simple roots given")
+        if mat_det(mat([[dot(a, b) for b in simples] for a in simples])) == 0:
+            raise DatumError("simple roots are linearly dependent")
+        # simple-root coordinates, unique since the simples are independent,
+        # read off the orbit tree: s_i.b = b - <b, alpha_i^vee> alpha_i
+        coords = {a: tuple(int(p == q) for q in range(len(simples)))
+                  for p, a in enumerate(simples)}
+        for b, parent in tree.items():
+            if parent is not None:
+                q, i = parent
+                c = list(coords[q])
+                c[i] -= dot(q, scoroots[i])
+                coords[b] = tuple(c)
         # signs: every root is a +/- N-combination of simples
         positives = []
         supports = []
         for i, r in enumerate(self.roots):
-            sol = solve_rational([self.roots[s] for s in self.simple_indices], r)
-            if sol is None:
-                raise DatumError("root outside the simple-root span")
+            sol = coords[r]
             pos = all(c >= 0 for c in sol)
             neg = all(c <= 0 for c in sol)
             if not (pos or neg):
@@ -587,6 +599,39 @@ class ReductiveGroup:
                                      "the Galois-fixed Weyl subgroup")
             self._relative = rel
         return self._relative
+
+    # -- root-permutation tables of the chamber kernel -------------------------
+    #
+    # Elements of W^rel act on a point's root-pairing table by permuting it
+    # (Casselman, "Machine calculations in Weyl groups", Invent. Math. 116
+    # (1994)); each table is built on first use and kept.
+
+    @cached_property
+    def ascent_table(self) -> Tuple[Tuple[int, ...], Tuple, int]:
+        """(head root of each simple Galois orbit, (perm[r], perm[r^-1]) for
+        its restricted reflection r, the step bound 4.|W^rel|): what
+        `weyl.chamber_locate` reads."""
+        rel = self.relative
+        simple = self.datum.simple_indices
+        return (tuple(simple[orb[0]] for orb in self.simple_orbits),
+                tuple((rel.perm[r], rel.perm[rel.inverse[r]])
+                      for r in self.restricted_reflections),
+                4 * len(rel.elements))
+
+    @cached_property
+    def stabilizer_table(self) -> Tuple[object, Tuple]:
+        """(getter of a root table's entries at the simple roots, (m, getter
+        of its entries at m's images of the simple roots) for each m of
+        W^rel in order): what `weyl.stabilizer` reads."""
+        rel = self.relative
+        simple = self.datum.simple_indices
+
+        def getter(indices):
+            # itemgetter needs an index; with one it returns the bare entry
+            return itemgetter(*indices) if indices else lambda p: ()
+
+        return getter(simple), tuple(
+            (m, getter([rel.perm[m][i] for i in simple])) for m in rel.elements)
 
     # -- fixed subspace and chambers ------------------------------------------
 

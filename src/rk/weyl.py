@@ -38,31 +38,29 @@ def chamber_locate(group: ReductiveGroup, x: Sequence) -> ChamberWitness:
     Greedy ascent: while some restricted simple pairing is negative,
     apply the lowest-index violated restricted reflection.  The facet
     Levi is independent of the witness; the witness is deterministic.
-    The ascent runs on the integer kernel: reflecting by r permutes the
-    root-pairing table, since <a, r.x> = <r^-1 a, x>, and the image is
-    formed once at the end.
+    The ascent runs on the group's integer ascent table: reflecting by r
+    permutes the root-pairing table, since <a, r.x> = <r^-1 a, x>, and
+    composes the running root permutation with r's; the element is looked
+    up and the image formed once at the end.
     """
     d, xi = group.integer_point(x)
     if not group.is_relative_point(xi):
         raise ValueError("chamber_locate needs a Galois-fixed point")
-    rel = group.relative
-    refl = group.restricted_reflections
-    simple = group.datum.simple_indices
-    heads = [simple[orb[0]] for orb in group.simple_orbits]
+    heads, steps, bound = group.ascent_table
     p = group.root_pairings(xi)
-    word: Tuple[int, ...] = ()
-    matrix = rel.identity
-    while True:
+    run = range(len(p))
+    for _ in range(bound + 1):
         violated = next((oi for oi, h in enumerate(heads) if p[h] < 0), None)
         if violated is None:
             break
-        r = refl[violated]
-        p = [p[j] for j in rel.perm[rel.inverse[r]]]
-        matrix = rel.mul(r, matrix)
-        word = (violated,) + word
-        if len(word) > 4 * len(rel.elements):
-            raise AssertionError("chamber ascent failed to terminate")
-    levi = group.facet_of_pairings([p[i] for i in simple])
+        perm, perm_inv = steps[violated]
+        p = [p[j] for j in perm_inv]
+        run = [perm[j] for j in run]
+    else:
+        raise AssertionError("chamber ascent failed to terminate")
+    rel = group.relative
+    matrix = rel._by_perm[tuple(run)]
+    levi = group.facet_of_pairings([p[i] for i in group.datum.simple_indices])
     image = tuple(Fraction(v, d)
                   for v in mat_vec(rel.contragredient[matrix], xi))
     return ChamberWitness(rel.word(matrix), matrix, levi, image)
@@ -139,18 +137,18 @@ def geometric_lemma_index(group: ReductiveGroup, levi1, levi2):
 def stabilizer(group: ReductiveGroup, x: Sequence):
     """(full stabilizer of x in W^rel, Levi subset it equals when x is
     dominant, else None)."""
-    rel = group.relative
-    simple = group.datum.simple_indices
     # w.x - x lies in the coroot span, where the simple roots pair
     # non-degenerately: w fixes x iff <w(a), x> = <a, x> for every simple a;
-    # the integer kernel's table holds those pairings scaled by d > 0
+    # the integer kernel's table holds those pairings scaled by d > 0, and
+    # the group's stabilizer table reads them off for every element of W^rel
     p = group.root_pairings(group.integer_point(x)[1])
-    elems = tuple(m for m in rel.elements
-                  if all(p[rel.perm[m][i]] == p[i] for i in simple))
-    levi = group.facet_of_pairings([p[i] for i in simple])
-    if levi is not None:
-        expected = set(group.levi_weyl_elements(levi))
-        if set(elems) != expected:
-            raise AssertionError("stabilizer of a dominant point must be the "
-                                 "Weyl group of its facet Levi")
+    at_simple, table = group.stabilizer_table
+    fixed = at_simple(p)
+    elems = tuple(m for m, at in table if at(p) == fixed)
+    levi = group.facet_of_pairings([p[i] for i in group.datum.simple_indices])
+    # both tuples are sorted in the one matrix order and hold no repeats, so
+    # equal tuples are equal sets
+    if levi is not None and elems != group.levi_weyl_elements(levi):
+        raise AssertionError("stabilizer of a dominant point must be the "
+                             "Weyl group of its facet Levi")
     return elems, levi

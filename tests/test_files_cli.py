@@ -189,6 +189,21 @@ def test_cli_group_from_file(tmp_path):
     assert data["count"] >= 1
 
 
+@pytest.mark.parametrize("argv", [
+    ("bset", "--levi", "", "--kappa", "1"),
+    ("weyl", "--levi1", ""),
+], ids=["bset", "weyl"])
+def test_cli_rejects_dependent_simple_roots(argv, tmp_path):
+    # a group file whose simple roots (2) and (-2) are dependent
+    path = tmp_path / "bad.yaml"
+    path.write_text("kind: group\nname: bad\nrank: 1\nroots: [[2], [-2]]\n"
+                    "coroots: [[1], [-1]]\nsimple: [0, 1]\n", encoding="utf-8")
+    proc = _run(*argv, "--group", str(path))
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert proc.stderr == "error: simple roots are linearly dependent\n"
+
+
 @pytest.mark.parametrize("argv,message", [
     (("weyl", "--group", "gl4", "--levi1", "9", "--kind", "transporter"),
      "--levi1: simple position 9 is out of range; valid positions are 0..2"),

@@ -9,6 +9,7 @@ from fractions import Fraction
 import pytest
 
 from rk import presets
+from rk.files import resolve_group
 from rk.lattice import (
     FgaElement,
     closure,
@@ -185,6 +186,64 @@ def test_positive_roots_match_sign_solve(name):
     assert datum.positive_root_set == frozenset(brute)
     dual = datum.dual()
     assert dual.positive_root_indices() == brute
+
+
+# ---------------------------------------------------------------------------
+# simple-root coordinates from the orbit tree against the Fraction solve
+
+def _group_data(name):
+    g = presets.group(name)
+    return [g.datum, g.dual().datum]
+
+
+def _parameter_data(name):
+    # the centralizer datum and the component datum of the cut at every
+    # standard Levi over the minimal one
+    param = presets.parameter(name)
+    return [param.s_datum] + [
+        param.levi_cut(levi).disconnected_datum().component
+        for levi in param.group.standard_levi_subsets()
+        if levi >= param.minimal_levi]
+
+
+def _endoscopy_data(name):
+    endo = presets.endoscopy(name)
+    return [endo.H.datum, endo.H.dual().datum]
+
+
+@pytest.mark.parametrize("family,name", [
+    ("group", n) for n in presets.GROUP_NAMES] + [
+    ("parameter", n) for n in presets.PARAM_NAMES] + [
+    ("endoscopy", n) for n in presets.ENDO_NAMES] + [
+    ("disconnected", n) for n in presets.DISCONNECTED_NAMES])
+def test_root_coordinates_match_sign_solve(family, name):
+    data = {"group": _group_data, "parameter": _parameter_data,
+            "endoscopy": _endoscopy_data,
+            "disconnected": lambda n: [presets.disconnected(n).component],
+            }[family](name)
+    for datum in data:
+        simples = list(datum.simple_roots)
+        sols = [solve_rational(simples, r) for r in datum.roots]
+        assert all(sol is not None for sol in sols)
+        assert tuple(datum.support(i) for i in range(len(sols))) == tuple(
+            frozenset(p for p, c in enumerate(sol) if c) for sol in sols)
+        assert datum.positive_root_indices() == tuple(
+            i for i, sol in enumerate(sols) if all(c >= 0 for c in sol))
+
+
+def test_dependent_simple_roots_are_rejected(tmp_path):
+    # (2) and (-2) both simple: the Cartan checks and the orbit pass, and
+    # before the independence check the chamber ascent never ended
+    args = (1, ((2,), (-2,)), ((1,), (-1,)), (0, 1))
+    with pytest.raises(DatumError, match="^simple roots are linearly "
+                                         "dependent$"):
+        BasedRootDatum(*args)
+    path = tmp_path / "bad.yaml"
+    path.write_text("kind: group\nname: bad\nrank: 1\nroots: [[2], [-2]]\n"
+                    "coroots: [[1], [-1]]\nsimple: [0, 1]\n", encoding="utf-8")
+    with pytest.raises(DatumError, match="^simple roots are linearly "
+                                         "dependent$"):
+        resolve_group(str(path))
 
 
 def test_relative_trivial_galois_is_full():

@@ -43,6 +43,23 @@ def test_traced_name_resolves(layer, path):
     assert isinstance(vars(owner)[attr], (FunctionType, property, classmethod))
 
 
+def test_only_the_lattice_layer_references_solve_rational():
+    # every library coordinate is read from an integer factorization or an
+    # orbit tree; the Fraction solve stays in rk.lattice as the tests'
+    # reference (and the tracer's target)
+    users = []
+    for path in sorted((ROOT / "src" / "rk").glob("*.py")):
+        if path.name == "lattice.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            name = (node.id if isinstance(node, ast.Name) else
+                    node.attr if isinstance(node, ast.Attribute) else
+                    node.name if isinstance(node, ast.alias) else None)
+            if name == "solve_rational":
+                users.append(path.name)
+    assert users == []
+
+
 # ---------------------------------------------------------------------------
 # modules a command loads
 

@@ -349,6 +349,19 @@ def test_stabilizer_matches_facet_levi():
             assert set(elems) == set(g.levi_weyl_elements(levi))
 
 
+def test_stabilizer_certificate_catches_a_wrong_levi_weyl_group():
+    # drop one element from the kept W_L of a facet: the full W^rel scan
+    # no longer matches it, and the W_L certificate must say so
+    g = presets.group("gl3")
+    x = (Fraction(1), Fraction(1), Fraction(0))   # dominant, facet {0}
+    elems, levi = stabilizer(g, x)
+    assert levi == frozenset({0}) and len(elems) == 2
+    g._levi_weyl[levi] = elems[:-1]
+    with pytest.raises(AssertionError, match="^stabilizer of a dominant "
+                       "point must be the Weyl group of its facet Levi$"):
+        stabilizer(g, x)
+
+
 @pytest.mark.parametrize("name", presets.GROUP_NAMES)
 def test_stabilizer_matches_contragredient_scan(name):
     # oracle: w.x == x under the Fraction contragredient, on seeded random
