@@ -211,17 +211,22 @@ def _endoscopy_data(name):
     return [endo.H.datum, endo.H.dual().datum]
 
 
+def _disconnected_data(name):
+    return [presets.disconnected(name).component]
+
+
+_PRESET_DATA = {"group": _group_data, "parameter": _parameter_data,
+                "endoscopy": _endoscopy_data,
+                "disconnected": _disconnected_data}
+
+
 @pytest.mark.parametrize("family,name", [
     ("group", n) for n in presets.GROUP_NAMES] + [
     ("parameter", n) for n in presets.PARAM_NAMES] + [
     ("endoscopy", n) for n in presets.ENDO_NAMES] + [
     ("disconnected", n) for n in presets.DISCONNECTED_NAMES])
 def test_root_coordinates_match_sign_solve(family, name):
-    data = {"group": _group_data, "parameter": _parameter_data,
-            "endoscopy": _endoscopy_data,
-            "disconnected": lambda n: [presets.disconnected(n).component],
-            }[family](name)
-    for datum in data:
+    for datum in _PRESET_DATA[family](name):
         simples = list(datum.simple_roots)
         sols = [solve_rational(simples, r) for r in datum.roots]
         assert all(sol is not None for sol in sols)
@@ -232,8 +237,8 @@ def test_root_coordinates_match_sign_solve(family, name):
 
 
 def test_dependent_simple_roots_are_rejected(tmp_path):
-    # (2) and (-2) both simple: the Cartan checks and the orbit pass, and
-    # before the independence check the chamber ascent never ended
+    # (2) and (-2) both simple pass the Cartan and orbit checks; accepted,
+    # both roots would be positive and the chamber ascent would not end
     args = (1, ((2,), (-2,)), ((1,), (-1,)), (0, 1))
     with pytest.raises(DatumError, match="^simple roots are linearly "
                                          "dependent$"):
