@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
 from .cyclotomic import Cyclo
 from .disconnected import HighestWeightPair
@@ -31,7 +31,7 @@ from .lattice import (
 )
 from .packets import (
     PacketMember,
-    _left_orbit,
+    _double_coset_ids,
     build_packet_member,
     canonical_rho,
     dominantize,
@@ -204,22 +204,30 @@ def enumerate_embedded(param: Parameter, levi,
 
 def _embedded(param: Parameter, levi: FrozenSet[int],
               endo: EndoscopicDatum) -> Tuple[EmbeddedDatum, ...]:
-    group = param.group
-    wl = _full_levi_weyl(param, endo, levi)
-    wh = endo.weyl_h_elements()
-    mul = group.weyl.mul
+    weyl = param.group.weyl
     seen = set()
     out = []
     for w in sorted(_admissible(param, endo)):
-        if w in seen:
+        if weyl.index[w] in seen:
             continue
-        orbit = {mul(mul(l, w), h) for l in wl for h in wh}
+        orbit = _levi_h_double_coset(param, endo, levi, w)
         seen |= orbit
-        rep = min(orbit)
+        rep = weyl.elements[min(orbit)]
         emb = _standardize_embedded(param, endo, levi, rep)
         if emb is not None:
             out.append(emb)
     return tuple(sorted(out, key=lambda e: e.key()))
+
+
+def _levi_h_double_coset(param: Parameter, endo: EndoscopicDatum,
+                         levi: FrozenSet[int], w: Matrix) -> Set[int]:
+    """W_L . w . W_H as a set of ids of the absolute Weyl group."""
+    weyl = param.group.weyl
+    row, index = weyl.row, weyl.index
+    wh = [index[x] for x in endo.weyl_h_elements()]
+    w = index[w]
+    return {x for l in _full_levi_weyl(param, endo, levi)
+            for x in map(row(row(index[l])[w]).__getitem__, wh)}
 
 
 def _cut(group: ReductiveGroup, endo: EndoscopicDatum, levi: FrozenSet[int],
@@ -416,8 +424,9 @@ def _jsonable(x):
 def _phi_tag(param_h: Parameter, w: Matrix) -> Tuple:
     """Canonical label of the twisted parameter: twists agree exactly when
     they differ by the centralizer Weyl group on the right."""
-    mul = param_h.group.relative.mul
-    return min(mul(w, f) for f in param_h.wphi_elements)
+    rel = param_h.group.relative
+    row = rel.row(rel.index[w])
+    return rel.elements[min(row[f] for f in param_h.wphi_ids)]
 
 
 def jacquet_geometric_terms(endo: EndoscopicDatum, emb: EmbeddedDatum,
@@ -494,22 +503,28 @@ def regular_pairing(param: Parameter, member: PacketMember,
     lam_w = fiber_weight(param, member.b, w)
     if lam_w is None:
         raise AssertionError("member weight is not integral on its own coset")
-    cut = param.levi_cut(member.levi, w)
-    sub = set(cut.weyl_elements)
-    mul = param.group.relative.mul
-    reps = []
-    covered = set()
-    for g in param.wphi_elements:
-        if g in covered:
-            continue
-        reps.append(g)
-        covered |= {mul(s, g) for s in sub}
+    reps = _pairing_reps(param, param.levi_cut(member.levi, w))
     dim = member.rho_module_label[0]
     total = Cyclo.zero()
     for g in reps:
         total = total + _trace_on_levi_module(
             param, member.levi, w, lam_w, dim, g, endo)
     return total
+
+
+def _pairing_reps(param: Parameter, cut) -> List[Matrix]:
+    """One element of W_phi per coset W_cut . g of the cut's Weyl group,
+    the first in W_phi's order."""
+    rel = param.group.relative
+    sub = [rel.row(rel.index[s]) for s in cut.weyl_elements]
+    reps = []
+    covered = set()
+    for g, i in zip(param.wphi_elements, param.wphi_ids):
+        if i in covered:
+            continue
+        reps.append(g)
+        covered.update(row[i] for row in sub)
+    return reps
 
 
 # ---------------------------------------------------------------------------
@@ -527,9 +542,11 @@ def indexing_forward(param: Parameter, levi, endo: EndoscopicDatum,
     # the standardized embedding is Int(w_rep) . eta . Int(h_std)^{-1}; its
     # inverse followed by v^{-1} and the de-standardization h^{-1} composes
     # to a map from the Levi center into the parameter center
-    mul = group.weyl.mul
-    composite = mul(mul(h_inverse[h], h_inverse[v]),
-                    mul(emb.h_std, group.weyl.inverse[emb.w_rep]))
+    weyl = group.weyl
+    row, index = weyl.row, weyl.index
+    left = row(index[h_inverse[h]])[index[h_inverse[v]]]
+    right = row(index[emb.h_std])[index[weyl.inverse[emb.w_rep]]]
+    composite = weyl.elements[row(left)[right]]
     basis = group.levi_context(levi).dual_split_center_basis
     reps = _forward_table(param, endo, levi).get(
         tuple(mat_vec(composite, u) for u in basis))
@@ -560,7 +577,10 @@ def _forward_table(param: Parameter, endo: EndoscopicDatum,
 
 
 def _left_coset_rep(group: ReductiveGroup, levi, w: Matrix) -> Matrix:
-    return min(_left_orbit(group, frozenset(levi), w))
+    """min of W^rel_L . w."""
+    rel = group.relative
+    w = rel.index[w]
+    return rel.elements[min(rel.row(l)[w] for l in group.levi_weyl_ids(levi))]
 
 
 def _coset_reps(param: Parameter, endo: EndoscopicDatum,
@@ -607,10 +627,10 @@ def _backward_table(param: Parameter, levi: FrozenSet[int],
     coset representatives of the elements restandardizing the cut of u."""
     group = param.group
     H = endo.H
-    mul = group.weyl.mul
-    wl = _full_levi_weyl(param, endo, levi)
-    u_orbit = {mul(mul(l, u), x) for l in wl for x in endo.weyl_h_elements()}
-    target_emb = next((e for e in embedded if e.w_rep in u_orbit), None)
+    u_orbit = _levi_h_double_coset(param, endo, levi, u)
+    index = group.weyl.index
+    target_emb = next((e for e in embedded if index[e.w_rep] in u_orbit),
+                      None)
     if target_emb is None:
         raise AssertionError("backward twist does not meet any embedded class")
     cut = _cut(group, endo, levi, u)
@@ -760,16 +780,23 @@ def eci_both_sides(param: Parameter, b: BElement,
     }
 
 
+def _phi_cosets(param: Parameter, levi, w: int) -> Set[FrozenSet[int]]:
+    """The right W_phi cosets x . W_phi in W^rel_L . w . W_phi; w and the
+    coset elements are ids of W^rel."""
+    row = param.group.relative.row
+    return {frozenset(map(row(x).__getitem__, param.wphi_ids))
+            for x in _double_coset_ids(param, levi, w)}
+
+
 def _verify_counting(param: Parameter, levi) -> None:
+    """|W^rel_L . w . W_phi / W_phi| = |W^rel_L / W_cut| for every
+    transporter element w, with W_cut the Weyl group of the cut at w."""
     group = param.group
     levi = frozenset(levi)
-    mul = group.relative.mul
+    index = group.relative.index
     left = group.levi_weyl_elements(levi)
     for w in transporter_set(group, param.minimal_levi, levi):
-        orbit = {mul(lw, f) for lw in _left_orbit(group, levi, w)
-                 for f in param.wphi_elements}
-        cosets = {frozenset(mul(x, f) for f in param.wphi_elements)
-                  for x in orbit}
+        cosets = _phi_cosets(param, levi, index[w])
         cut = param.levi_cut(levi, w)
         if len(cosets) * len(cut.weyl_elements) != len(left):
             raise AssertionError("coset counting identity fails")

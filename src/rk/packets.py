@@ -12,7 +12,7 @@ tripping the two is the correctness check for both.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Optional, Tuple
+from typing import Dict, FrozenSet, Optional, Set, Tuple
 
 from .disconnected import HighestWeightPair, classify_irr, stabilizer_A_lambda
 from .finite_reps import Module
@@ -26,7 +26,6 @@ from .lattice import (
     mat_vec,
 )
 from .params import Parameter
-from .rootdata import ReductiveGroup
 from .weyl import chamber_locate, transporter_set
 
 
@@ -132,16 +131,18 @@ def _certify_descent(param: Parameter, cut, lam: Vector,
                            "stabilizer of the weight")
 
 
-def _left_orbit(group: ReductiveGroup, levi, w: Matrix) -> Tuple[Matrix, ...]:
-    """W^rel_L . w, as products in the relative Weyl group."""
-    mul = group.relative.mul
-    return tuple(mul(l, w) for l in group.levi_weyl_elements(levi))
-
-
 def _memo(param: Parameter) -> Dict:
     """This module's per-parameter cache, made on first use; keys are
     ("cosets", L), ("canonical", L, w) and "center"."""
     return vars(param).setdefault("_packets_memo", {})
+
+
+def _double_coset_ids(param: Parameter, levi, w: int) -> Set[int]:
+    """W^rel_L . w . W_phi; w and the result are ids of W^rel."""
+    row = param.group.relative.row
+    phi = param.wphi_ids
+    return {x for lw in param.group.levi_weyl_ids(levi)
+            for x in map(row(row(lw)[w]).__getitem__, phi)}
 
 
 def _canonical_double_coset(param: Parameter, levi, w: Matrix) -> Matrix:
@@ -149,9 +150,9 @@ def _canonical_double_coset(param: Parameter, levi, w: Matrix) -> Matrix:
     memo = _memo(param)
     key = ("canonical", frozenset(levi), w)
     if key not in memo:
-        mul = param.group.relative.mul
-        memo[key] = min(mul(lw, f) for lw in _left_orbit(param.group, levi, w)
-                        for f in param.wphi_elements)
+        rel = param.group.relative
+        memo[key] = rel.elements[min(_double_coset_ids(param, levi,
+                                                       rel.index[w]))]
     return memo[key]
 
 
@@ -165,26 +166,24 @@ def transporter_double_cosets(param: Parameter, levi) -> Tuple[Matrix, ...]:
     memo = _memo(param)
     if ("cosets", levi) in memo:
         return memo["cosets", levi]
-    group = param.group
-    trans = transporter_set(group, param.minimal_levi, levi)
-    mul = group.relative.mul
+    rel = param.group.relative
+    trans = [rel.index[t] for t in
+             transporter_set(param.group, param.minimal_levi, levi)]
     # right stability under W_phi (the transporter is stable by construction)
     tset = set(trans)
     for t in trans:
-        for f in param.wphi_elements:
-            if mul(t, f) not in tset:
-                raise AssertionError("transporter set is not right-stable "
-                                     "under W_phi")
+        if not tset.issuperset(map(rel.row(t).__getitem__, param.wphi_ids)):
+            raise AssertionError("transporter set is not right-stable "
+                                 "under W_phi")
     seen = set()
     reps = []
     for t in trans:
         if t in seen:
             continue
-        orbit = {mul(lt, f) for lt in _left_orbit(group, levi, t)
-                 for f in param.wphi_elements}
+        orbit = _double_coset_ids(param, levi, t)
         seen |= orbit
         reps.append(min(orbit))
-    memo["cosets", levi] = tuple(sorted(reps))
+    memo["cosets", levi] = tuple(rel.elements[i] for i in sorted(reps))
     return memo["cosets", levi]
 
 

@@ -109,8 +109,7 @@ class Parameter:
         # realize each reflection in the relative Weyl group and derive coroots
         self.reflection_realization: Dict[Vector, Matrix] = {}
         self.coroots: Dict[Vector, Vector] = {}
-        for alpha in self.positives:
-            w, cor = self._realize_reflection(alpha)
+        for alpha, (w, cor) in self._realize_reflections().items():
             self.reflection_realization[alpha] = w
             self.coroots[alpha] = cor
             self.coroots[vneg(alpha)] = vneg(cor)
@@ -194,35 +193,46 @@ class Parameter:
         """Action of an embedded element on the center character lattice."""
         return self._embedded[m]
 
-    def _realize_reflection(self, alpha: Vector):
-        found = []
+    def _realize_reflections(self) -> Dict[Vector, Tuple[Matrix, Vector]]:
+        """Positive root -> (m, coroot), with m the least embedded element
+        acting as a reflection that negates the root and permutes the roots.
+        One pass over the embedded elements keys each such reflection by
+        the positive roots it negates."""
+        roots = set(self.roots)
+        found: Dict[Vector, list] = {}
         for m, d in self._embedded.items():
             if not _is_reflection(d):
                 continue
-            if mat_vec(d, alpha) != vneg(alpha):
+            image = {r: mat_vec(d, r) for r in self.roots}
+            if set(image.values()) != roots:
                 continue
-            if {mat_vec(d, r) for r in self.roots} != set(self.roots):
-                continue
-            found.append((m, d))
-        if not found:
-            raise ParameterError("reflection of root %r is not realized in "
-                                 "the relative Weyl group" % (alpha,))
-        ds = {d for _m, d in found}
-        if len(ds) > 1:
-            raise ParameterError("reflection of root %r is ambiguous" % (alpha,))
-        m, d = min(found)
-        # derive the coroot: x - d(x) = <x, coroot> alpha; d is a reflection
-        # negating alpha, so x - d(x) is a rational multiple of alpha
-        k = next(i for i, a in enumerate(alpha) if a)
-        cor = []
-        for j in range(self.dim):
-            e = tuple(1 if i == j else 0 for i in range(self.dim))
-            diff = vsub(e, mat_vec(d, e))
-            c = diff[k] // alpha[k]
-            if tuple(c * a for a in alpha) != diff:
-                raise ParameterError("coroot of %r is not integral" % (alpha,))
-            cor.append(c)
-        return m, tuple(cor)
+            for alpha in self.positives:
+                if image[alpha] == vneg(alpha):
+                    found.setdefault(alpha, []).append((m, d))
+        out = {}
+        for alpha in self.positives:
+            if alpha not in found:
+                raise ParameterError("reflection of root %r is not realized "
+                                     "in the relative Weyl group" % (alpha,))
+            if len({d for _m, d in found[alpha]}) > 1:
+                raise ParameterError("reflection of root %r is ambiguous"
+                                     % (alpha,))
+            m, d = min(found[alpha])
+            # derive the coroot: x - d(x) = <x, coroot> alpha; d is a
+            # reflection negating alpha, so x - d(x) is a rational multiple
+            # of alpha
+            k = next(i for i, a in enumerate(alpha) if a)
+            cor = []
+            for j in range(self.dim):
+                e = tuple(1 if i == j else 0 for i in range(self.dim))
+                diff = vsub(e, mat_vec(d, e))
+                c = diff[k] // alpha[k]
+                if tuple(c * a for a in alpha) != diff:
+                    raise ParameterError("coroot of %r is not integral"
+                                         % (alpha,))
+                cor.append(c)
+            out[alpha] = (m, tuple(cor))
+        return out
 
     def _soft_minimality_check(self) -> None:
         k = self.dim
@@ -235,12 +245,27 @@ class Parameter:
 
     # -- component-group structure --------------------------------------------
 
+    @cached_property
+    def wphi_ids(self) -> Tuple[int, ...]:
+        """`wphi_elements` as ids of W^rel, in the same order."""
+        index = self.group.relative.index
+        return tuple(index[m] for m in self.wphi_elements)
+
+    @cached_property
+    def _r_split(self) -> Tuple[FrozenSet[int], Tuple[Tuple[Matrix, int], ...]]:
+        """(ids of W_phi^o, (r, id of r^-1) for each r of R_phi)."""
+        rel = self.group.relative
+        index = rel.index
+        return (frozenset(index[m] for m in self.wphi_o_elements),
+                tuple((r, index[rel.inverse[r]]) for r in self.r_elements))
+
     def r_component(self, g: Matrix) -> Matrix:
         """The R_phi part of an element of W_phi (unique decomposition)."""
-        o = set(self.wphi_o_elements)
         rel = self.group.relative
-        for r in self.r_elements:
-            if rel.mul(g, rel.inverse[r]) in o:
+        o, split = self._r_split
+        row = rel.row(rel.index[g])
+        for r, r_inv in split:
+            if row[r_inv] in o:
                 return r
         raise ParameterError("element is not in W_phi")
 
@@ -305,11 +330,13 @@ class LeviCut:
         self.roots = tuple(r for r in param.roots
                            if all(dot(r, c) == 0 for c in coords))
         self.positives = tuple(p for p in param.positives if p in set(self.roots))
-        rel_levi = set(group.levi_weyl_elements(levi))
-        mul = group.relative.mul
+        # g lies in the cut when w.g.w^-1 lies in W^rel_L
+        rel = group.relative
+        rel_levi = set(group.levi_weyl_ids(levi))
+        w_row, w_inv = rel.row(rel.index[self.w]), rel.index[self.w_inv]
         self.weyl_elements = tuple(
-            g for g in param.wphi_elements
-            if mul(mul(self.w, g), self.w_inv) in rel_levi)
+            g for g, i in zip(param.wphi_elements, param.wphi_ids)
+            if rel.row(w_row[i])[w_inv] in rel_levi)
         pos_set = set(self.positives)
         comp = []
         for g in self.weyl_elements:

@@ -261,6 +261,26 @@ def dual_datum(datum: BasedRootDatum, action: GaloisAction):
     return dd, action.dual(dd)
 
 
+def _compose(pa: Tuple[int, ...], pb: Tuple[int, ...]) -> Tuple[int, ...]:
+    """The root permutation of a.b from those of a and b."""
+    return tuple([pa[j] for j in pb])
+
+
+class _CayleyRows(dict):
+    """Id -> row of the Cayley table of a group given by the root
+    permutation of each id, each row formed on first use and kept."""
+
+    def __init__(self, perms: Sequence[Tuple[int, ...]]):
+        super().__init__()
+        self.perms = perms
+        self.ids = {p: i for i, p in enumerate(perms)}
+
+    def __missing__(self, a: int) -> Tuple[int, ...]:
+        pa, ids = self.perms[a], self.ids
+        r = self[a] = tuple([ids[_compose(pa, pb)] for pb in self.perms])
+        return r
+
+
 class WeylGroup:
     """A finite matrix group interned by its permutation of the roots, with
     one reduced word per element.
@@ -273,6 +293,12 @@ class WeylGroup:
     generator permutations and multiplies matrices only for new elements.
     `mul` composes two permutations and looks the product up; `inverse[m]`
     and `contragredient[m]` (the action on the dual lattice) are tabulated.
+
+    An element's id is its position in `elements`, which is sorted by
+    matrix, so the order of ids is the order of matrices.  `index` (matrix
+    to id) and the rows of the Cayley table on ids (`row`) are built on
+    first use (Holt-Eick-O'Brien, Handbook of Computational Group Theory,
+    ch. 3), one row at a time, as they are asked for.
     """
 
     def __init__(self, generators: Sequence[Matrix], rank: int,
@@ -290,8 +316,7 @@ class WeylGroup:
         # breadth-first, so every element comes after the prefix of its word
         # and words come out reduced
         tree = orbit((tuple(range(len(roots))),),
-                     [lambda pg, ps=ps: tuple([pg[j] for j in ps])
-                      for ps in gen_perms], cap)
+                     [partial(_compose, pb=ps) for ps in gen_perms], cap)
         self._by_perm: Dict[Tuple[int, ...], Matrix] = {}
         self.words: Dict[Matrix, Tuple[int, ...]] = {}
         for p, parent in tree.items():
@@ -324,8 +349,18 @@ class WeylGroup:
 
     def mul(self, a: Matrix, b: Matrix) -> Matrix:
         """The product a.b of two elements, as a lookup."""
-        pa, pb = self.perm[a], self.perm[b]
-        return self._by_perm[tuple([pa[j] for j in pb])]
+        return self._by_perm[_compose(self.perm[a], self.perm[b])]
+
+    @cached_property
+    def index(self) -> Dict[Matrix, int]:
+        """Element -> id, its position in `elements`."""
+        return {m: i for i, m in enumerate(self.elements)}
+
+    @cached_property
+    def row(self):
+        """row(a)[b] is the id of a.b.  Each row is formed on first use by
+        composing root permutations; a formed row is a dict lookup away."""
+        return _CayleyRows([self.perm[m] for m in self.elements]).__getitem__
 
     def word(self, m: Matrix) -> Tuple[int, ...]:
         return self.words[m]
@@ -515,6 +550,7 @@ class ReductiveGroup:
         self.name = name or datum.name
         self._levi_cache: Dict[FrozenSet[int], LeviContext] = {}
         self._levi_weyl: Dict[FrozenSet[int], Tuple[Matrix, ...]] = {}
+        self._levi_weyl_ids: Dict[FrozenSet[int], Tuple[int, ...]] = {}
         # filled by weyl.transporter_set, keyed by (levi1, levi2)
         self._transporters: Dict[Tuple[FrozenSet[int], FrozenSet[int]],
                                  Tuple[Matrix, ...]] = {}
@@ -641,9 +677,16 @@ class ReductiveGroup:
         action = LatticeAction(self.galois.cochar_generators)
         return invariants_saturated(self.datum.rank, action)
 
+    @cached_property
+    def _moving_cochar_generators(self) -> Tuple[Matrix, ...]:
+        """The cocharacter Galois generators other than the identity (none
+        for a split group)."""
+        ident = mat_identity(self.datum.rank)
+        return tuple(g for g in self.galois.cochar_generators if g != ident)
+
     def is_relative_point(self, x: Sequence) -> bool:
-        return all(mat_vec(g, x) == tuple(x)
-                   for g in self.galois.cochar_generators)
+        x = tuple(x)
+        return all(mat_vec(g, x) == x for g in self._moving_cochar_generators)
 
     # -- the integer chamber kernel -------------------------------------------
     #
@@ -727,6 +770,15 @@ class ReductiveGroup:
                 [r for r, orb in zip(self.restricted_reflections,
                                      self.simple_orbits) if key.issuperset(orb)])
         return self._levi_weyl[key]
+
+    def levi_weyl_ids(self, subset) -> Tuple[int, ...]:
+        """`levi_weyl_elements(subset)` as ids of W^rel, in the same order."""
+        key = frozenset(subset)
+        if key not in self._levi_weyl_ids:
+            index = self.relative.index
+            self._levi_weyl_ids[key] = tuple(
+                index[m] for m in self.levi_weyl_elements(key))
+        return self._levi_weyl_ids[key]
 
     def full_subset(self) -> FrozenSet[int]:
         return frozenset(range(len(self.datum.simple_indices)))

@@ -948,3 +948,63 @@ def test_warm_eci_runs_no_smith_form_or_rational_solve(ename, monkeypatch):
     del calls[:]
     run()
     assert calls == []
+
+
+# ---------------------------------------------------------------------------
+# the coset loops on element ids, against the matrix products they replace
+
+def _pair_groups(pname, ename):
+    """The group and endoscopic sides of a pair, each with its standard
+    Levis."""
+    param, endo = presets.parameter(pname), presets.endoscopy(ename)
+    return [(g, g.standard_levi_subsets()) for g in (param.group, endo.H)]
+
+
+@pytest.mark.parametrize("pname,ename", ECI_PAIRS)
+def test_coset_ids_match_matrix_products(pname, ename):
+    from oracles import (left_coset_rep_by_mul, pairing_reps_by_mul,
+                         phi_cosets_by_mul, phi_tag_by_mul)
+    from rk.endoscopy import (_left_coset_rep, _pairing_reps, _phi_cosets,
+                              _phi_tag)
+    from rk.weyl import transporter_set
+    param, endo, levis = _pair_levis(pname, ename)
+    for group, all_levis in _pair_groups(pname, ename):
+        for levi in all_levis:
+            for w in group.relative.elements:
+                assert _left_coset_rep(group, levi, w) == \
+                    left_coset_rep_by_mul(group, levi, w)
+    param_h = parameter_on_h(param, endo)[0]
+    for w in endo.H.relative.elements:
+        assert _phi_tag(param_h, w) == phi_tag_by_mul(param_h, w)
+    rel = param.group.relative
+    cosets = 0
+    for levi in levis:
+        for w in transporter_set(param.group, param.minimal_levi, levi):
+            got = {frozenset(rel.elements[i] for i in c)
+                   for c in _phi_cosets(param, levi, rel.index[w])}
+            assert got == phi_cosets_by_mul(param, levi, w)
+            cut = param.levi_cut(levi, w)
+            assert _pairing_reps(param, cut) == pairing_reps_by_mul(param, cut)
+            cosets += len(got)
+    assert cosets
+
+
+def test_coset_counting_certificate_catches_a_short_cut(monkeypatch):
+    # a cut whose Weyl group misses one element breaks the counting
+    # identity, and the certificate must say so
+    import copy
+
+    from rk.params import Parameter
+    param, endo = presets.parameter("gl3-triv"), presets.endoscopy("gl3-s1")
+    b = build_packet_member(param, enumerate_rhos(param, 1)[0]).b
+    assert eci_both_sides(param, b, endo)["equal"]
+    levi_cut = Parameter.levi_cut
+
+    def short_cut(self, levi, w=None):
+        cut = copy.copy(levi_cut(self, levi, w))
+        cut.weyl_elements = cut.weyl_elements[:-1]
+        return cut
+
+    monkeypatch.setattr(Parameter, "levi_cut", short_cut)
+    with pytest.raises(AssertionError, match="coset counting identity fails"):
+        eci_both_sides(param, b, endo)

@@ -230,6 +230,76 @@ def test_parameter_rejects_open_positive_system():
                   (g.datum.roots[g.datum.simple_indices[0]],))
 
 
+@pytest.mark.parametrize("param", _cut_parameters(), ids=lambda p: p.label)
+def test_cut_scans_on_ids_match_matrix_products(param):
+    from oracles import cut_weyl_elements_by_mul, r_component_by_mul
+    group = param.group
+    cuts = 0
+    for levi in group.standard_levi_subsets():
+        for w in transporter_set(group, param.minimal_levi, levi):
+            cut = param.levi_cut(levi, w)
+            assert cut.weyl_elements == \
+                cut_weyl_elements_by_mul(param, levi, w)
+            cuts += 1
+    assert cuts
+    for g in param.wphi_elements:
+        assert param.r_component(g) == r_component_by_mul(param, g)
+    outside = [m for m in group.relative.elements
+               if m not in param.wphi_elements]
+    for m in outside[:3]:
+        with pytest.raises(ParameterError, match="not in W_phi"):
+            param.r_component(m)
+
+
+def _transported_parameters():
+    """Every parameter preset and its transport to each endoscopic datum
+    of its group."""
+    from rk.endoscopy import EndoscopyError, parameter_on_h
+    out = []
+    for pname in presets.PARAM_NAMES:
+        param = presets.parameter(pname)
+        out.append(param)
+        for ename in presets.ENDO_NAMES:
+            endo = presets.endoscopy(ename)
+            if endo.group.name == param.group.name:
+                try:
+                    out.append(parameter_on_h(param, endo)[0])
+                except EndoscopyError:
+                    pass
+    return out
+
+
+@pytest.mark.parametrize("param", _transported_parameters(),
+                         ids=lambda p: p.label)
+def test_one_pass_reflections_match_the_per_root_scan(param):
+    from oracles import realize_reflection_by_scan
+    for alpha in param.positives:
+        assert realize_reflection_by_scan(param, alpha) == \
+            (param.reflection_realization[alpha], param.coroots[alpha])
+
+
+def test_reflection_realization_errors():
+    gl2, gl3 = presets.group("gl2"), presets.group("gl3")
+    with pytest.raises(ParameterError, match=r"reflection of root "
+                       r"\(1, 1, -2\) is not realized"):
+        Parameter(gl3, frozenset(), ((1, 1, -2), (-1, -1, 2)), ((1, 1, -2),))
+    with pytest.raises(ParameterError,
+                       match=r"coroot of \(2, -2\) is not integral"):
+        Parameter(gl2, frozenset(), ((2, -2), (-2, 2)), ((2, -2),))
+
+
+def test_reflection_realization_rejects_two_reflections(monkeypatch):
+    # a second involution of trace 0 negating (1, -1) with another fixed
+    # line: two reflections claim one root
+    embedded = Parameter._embedded_center_weyl
+    extra = {((-1, 0), (0, -1)): ((-1, 0), (2, 1))}
+    monkeypatch.setattr(Parameter, "_embedded_center_weyl",
+                        lambda self: {**embedded(self), **extra})
+    with pytest.raises(ParameterError, match="is ambiguous"):
+        Parameter(presets.group("gl2"), frozenset(),
+                  ((1, -1), (-1, 1)), ((1, -1),))
+
+
 def _is_reflection_by_kernel(d):
     """The kernel definition of a reflection: an involution fixing a
     hyperplane, i.e. d - 1 has a kernel of rank n - 1."""

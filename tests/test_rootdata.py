@@ -632,3 +632,41 @@ def test_levi_functoriality_more_presets():
                 lift = ctx_s.dual_center_characters.section(kappa)
                 assert ctx_b.functional_of_kappa(pushed) == \
                     ctx_b.restrict_ambient(lift)
+
+
+# ---------------------------------------------------------------------------
+# element ids and the Cayley rows
+
+def _id_groups():
+    """(label, Weyl group): the absolute and relative Weyl groups of every
+    preset group, of its dual and of each endoscopic preset's H."""
+    groups = []
+    for name in presets.GROUP_NAMES:
+        g = presets.group(name)
+        groups += [(name, g), (name + "^", g.dual())]
+    groups += [("H(%s)" % e, presets.endoscopy(e).H)
+               for e in presets.ENDO_NAMES]
+    # a split group's relative Weyl group is its Weyl group
+    return [(label + kind, getattr(g, kind)) for label, g in groups
+            for kind in ("weyl", "relative")
+            if kind == "weyl" or g.relative is not g.weyl]
+
+
+_ID_GROUPS = _id_groups()
+
+
+@pytest.mark.parametrize("label,weyl", _ID_GROUPS,
+                         ids=[label for label, _w in _ID_GROUPS])
+def test_cayley_rows_match_mul(label, weyl):
+    assert "index" not in vars(weyl) and "row" not in vars(weyl)
+    elements, index = weyl.elements, weyl.index
+    assert [index[m] for m in elements] == list(range(len(weyl)))
+    assert list(elements) == sorted(elements)
+    rows = range(len(weyl))
+    if len(weyl) > 120:
+        rows = random.Random(label).sample(rows, 8)
+    for i in rows:
+        row = weyl.row(i)
+        assert row == tuple(index[weyl.mul(elements[i], b)] for b in elements)
+        assert weyl.row(i) is row
+    assert sorted(weyl.row.__self__) == sorted(rows)

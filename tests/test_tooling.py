@@ -177,3 +177,24 @@ def test_bench_pass_matches_reference(bench, workload, monkeypatch):
     got = {op.key: bench.digest(op.run()) for op in plan.ops}
     assert sorted(got) == sorted(expected)
     assert sorted(k for k in got if got[k] != expected[k]) == []
+
+
+def test_cold_weyl_command_builds_no_element_ids(monkeypatch, capsys):
+    # a cold `rk weyl` reads transporters and descents off root
+    # permutations; the id index and the Cayley rows are for the warm
+    # coset loops, and building them would cost every cold command
+    from rk import cli, rootdata
+    made = []
+    init = rootdata.WeylGroup.__init__
+
+    def recording_init(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        made.append(self)
+
+    monkeypatch.setattr(rootdata.WeylGroup, "__init__", recording_init)
+    assert cli.main(["weyl", "--group", "gl6", "--levi1", "0,2",
+                     "--kind", "double-coset"]) == 0
+    assert json.loads(capsys.readouterr().out)["group"] == "gl6"
+    assert max(len(w) for w in made) == 720
+    for w in made:
+        assert "index" not in vars(w) and "row" not in vars(w)

@@ -484,3 +484,30 @@ def test_chamber_kernel_rejects_non_fixed_point(name):
         break
     else:
         pytest.fail("no unit vector of %s is moved by Galois" % name)
+
+
+@pytest.mark.parametrize("name", presets.GROUP_NAMES)
+def test_relative_point_test_reads_only_moving_generators(name):
+    # the definition tests every cocharacter Galois generator, the identity
+    # a split group stores included
+    g = presets.group(name)
+    n = g.datum.rank
+    gens = g.galois.cochar_generators
+    assert (g._moving_cochar_generators == ()) == g.galois.is_trivial()
+    rng = random.Random(name)
+    points = [tuple(Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+                    for _ in range(n)) for _ in range(20)]
+    points += [tuple(int(i == j) for i in range(n)) for j in range(n)]
+    for x in points:
+        assert g.is_relative_point(x) == \
+            all(mat_vec(h, x) == tuple(x) for h in gens)
+
+
+@pytest.mark.parametrize("name,x", [("u3", (1, 0, 0)),
+                                    ("gl2x2-swap", (1, 0, 0, 0))])
+def test_chamber_locate_rejects_a_point_galois_moves(name, x):
+    g = presets.group(name)
+    assert not g.is_relative_point(x)
+    with pytest.raises(ValueError,
+                       match="chamber_locate needs a Galois-fixed point"):
+        chamber_locate(g, x)
