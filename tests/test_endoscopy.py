@@ -953,13 +953,6 @@ def test_warm_eci_runs_no_smith_form_or_rational_solve(ename, monkeypatch):
 # ---------------------------------------------------------------------------
 # the coset loops on element ids, against the matrix products they replace
 
-def _pair_groups(pname, ename):
-    """The group and endoscopic sides of a pair, each with its standard
-    Levis."""
-    param, endo = presets.parameter(pname), presets.endoscopy(ename)
-    return [(g, g.standard_levi_subsets()) for g in (param.group, endo.H)]
-
-
 @pytest.mark.parametrize("pname,ename", ECI_PAIRS)
 def test_coset_ids_match_matrix_products(pname, ename):
     from oracles import (left_coset_rep_by_mul, pairing_reps_by_mul,
@@ -968,8 +961,8 @@ def test_coset_ids_match_matrix_products(pname, ename):
                               _phi_tag)
     from rk.weyl import transporter_set
     param, endo, levis = _pair_levis(pname, ename)
-    for group, all_levis in _pair_groups(pname, ename):
-        for levi in all_levis:
+    for group in (param.group, endo.H):
+        for levi in group.standard_levi_subsets():
             for w in group.relative.elements:
                 assert _left_coset_rep(group, levi, w) == \
                     left_coset_rep_by_mul(group, levi, w)

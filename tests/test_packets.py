@@ -300,6 +300,19 @@ def test_reflection_realization_rejects_two_reflections(monkeypatch):
                   ((1, -1), (-1, 1)), ((1, -1),))
 
 
+def test_reflection_realization_takes_the_least_element(monkeypatch):
+    # a second element acting by the same reflection, sorting after the
+    # transposition: the realization stays the least one
+    swap = ((0, 1), (1, 0))
+    embedded = Parameter._embedded_center_weyl
+    monkeypatch.setattr(Parameter, "_embedded_center_weyl",
+                        lambda self: {**embedded(self),
+                                      ((1, 0), (0, -1)): swap})
+    param = Parameter(presets.group("gl2"), frozenset(),
+                      ((1, -1), (-1, 1)), ((1, -1),))
+    assert param.reflection_realization[(1, -1)] == swap
+
+
 def _is_reflection_by_kernel(d):
     """The kernel definition of a reflection: an involution fixing a
     hyperplane, i.e. d - 1 has a kernel of rank n - 1."""
