@@ -14,9 +14,10 @@ from __future__ import annotations
 
 import os
 from fractions import Fraction
+from functools import reduce
 from typing import TYPE_CHECKING, Dict, Optional
 
-from .lattice import mat
+from .lattice import mat, mat_identity, mat_mul, orbit
 from .rootdata import BasedRootDatum, GaloisAction, ReductiveGroup
 
 if TYPE_CHECKING:
@@ -51,34 +52,53 @@ def dump_tree(tree: Dict, path: Optional[str] = None) -> str:
     return text
 
 
+def _resolve(ref: str, preset: str, from_tree, unknown: str):
+    """`presets.<preset>(ref)`, else the description file at path `ref`,
+    else ValueError(unknown % ref)."""
+    from . import presets
+    try:
+        return getattr(presets, preset)(ref)
+    except KeyError:
+        pass
+    if os.path.exists(ref):
+        return from_tree(load_tree(ref))
+    raise ValueError(unknown % ref)
+
+
+def _datum_from_tree(tree: Dict) -> BasedRootDatum:
+    return BasedRootDatum(
+        int(tree["rank"]),
+        _as_vectors(tree.get("roots", [])),
+        _as_vectors(tree.get("coroots", [])),
+        tuple(int(i) for i in tree.get("simple", [])),
+        str(tree.get("name", "")))
+
+
+def _datum_to_tree(kind: str, name: str, datum: BasedRootDatum) -> Dict:
+    return {
+        "kind": kind,
+        "name": name,
+        "rank": datum.rank,
+        "roots": [list(r) for r in datum.roots],
+        "coroots": [list(c) for c in datum.coroots],
+        "simple": list(datum.simple_indices),
+    }
+
+
 # ---------------------------------------------------------------------------
 # groups
 
 def group_from_tree(tree: Dict) -> ReductiveGroup:
     if tree.get("kind") != "group":
         raise ValueError("not a group description")
-    datum = BasedRootDatum(
-        int(tree["rank"]),
-        _as_vectors(tree.get("roots", [])),
-        _as_vectors(tree.get("coroots", [])),
-        tuple(int(i) for i in tree.get("simple", [])),
-        str(tree.get("name", "")))
-    galois = None
-    if tree.get("galois"):
-        galois = GaloisAction(datum, tuple(_as_matrix(g)
-                                           for g in tree["galois"]))
+    datum = _datum_from_tree(tree)
+    galois = GaloisAction(datum, tuple(_as_matrix(g)
+                                       for g in tree.get("galois") or ()))
     return ReductiveGroup(datum, galois, name=str(tree.get("name", "")))
 
 
 def group_to_tree(group: ReductiveGroup) -> Dict:
-    tree = {
-        "kind": "group",
-        "name": group.name,
-        "rank": group.datum.rank,
-        "roots": [list(r) for r in group.datum.roots],
-        "coroots": [list(c) for c in group.datum.coroots],
-        "simple": list(group.datum.simple_indices),
-    }
+    tree = _datum_to_tree("group", group.name, group.datum)
     if not group.galois.is_trivial():
         tree["galois"] = [[list(row) for row in g]
                           for g in group.galois.char_generators]
@@ -87,14 +107,8 @@ def group_to_tree(group: ReductiveGroup) -> Dict:
 
 def resolve_group(ref: str) -> ReductiveGroup:
     """A preset name, or a path to a group description file."""
-    from . import presets
-    try:
-        return presets.group(ref)
-    except KeyError:
-        pass
-    if os.path.exists(ref):
-        return group_from_tree(load_tree(ref))
-    raise ValueError("unknown group %r (not a preset, not a file)" % ref)
+    return _resolve(ref, "group", group_from_tree,
+                    "unknown group %r (not a preset, not a file)")
 
 
 # ---------------------------------------------------------------------------
@@ -138,14 +152,8 @@ def parameter_to_tree(param: Parameter, group_ref: str) -> Dict:
 
 
 def resolve_parameter(ref: str):
-    from . import presets
-    try:
-        return presets.parameter(ref)
-    except KeyError:
-        pass
-    if os.path.exists(ref):
-        return parameter_from_tree(load_tree(ref))
-    raise ValueError("unknown parameter %r (not a preset, not a file)" % ref)
+    return _resolve(ref, "parameter", parameter_from_tree,
+                    "unknown parameter %r (not a preset, not a file)")
 
 
 # ---------------------------------------------------------------------------
@@ -170,15 +178,8 @@ def endoscopy_to_tree(endo: EndoscopicDatum, group_ref: str) -> Dict:
 
 
 def resolve_endoscopy(ref: str):
-    from . import presets
-    try:
-        return presets.endoscopy(ref)
-    except KeyError:
-        pass
-    if os.path.exists(ref):
-        return endoscopy_from_tree(load_tree(ref))
-    raise ValueError("unknown endoscopy datum %r (not a preset, not a file)"
-                     % ref)
+    return _resolve(ref, "endoscopy", endoscopy_from_tree,
+                    "unknown endoscopy datum %r (not a preset, not a file)")
 
 
 # ---------------------------------------------------------------------------
@@ -188,54 +189,40 @@ def disconnected_from_tree(tree: Dict) -> DisconnectedGroupDatum:
     from .disconnected import DisconnectedGroupDatum
     if tree.get("kind") != "disconnected":
         raise ValueError("not a disconnected-group description")
-    datum = BasedRootDatum(
-        int(tree["rank"]),
-        _as_vectors(tree.get("roots", [])),
-        _as_vectors(tree.get("coroots", [])),
-        tuple(int(i) for i in tree.get("simple", [])),
-        str(tree.get("name", "")))
+    datum = _datum_from_tree(tree)
     gens = tuple(_as_matrix(g) for g in tree.get("component_generators", []))
     holder = DisconnectedGroupDatum(datum, gens, name=str(tree.get("name", "")))
-    cocycle_rows = tree.get("cocycle", [])
-    if cocycle_rows:
-        table = {}
-        for row in cocycle_rows:
-            wa, wb, expo = row
-            a = _word_to_element(holder, wa)
-            b = _word_to_element(holder, wb)
-            table[(a, b)] = Fraction(str(expo))
-        holder = DisconnectedGroupDatum(datum, gens, cocycle=table,
-                                        name=str(tree.get("name", "")))
-    return holder
+    if not tree.get("cocycle"):
+        return holder
+    # each row is (word, word, exponent), a word being the positions in
+    # `component_generators` whose product is the element
+    def element(word):
+        return reduce(mat_mul, (gens[int(i)] for i in word),
+                      mat_identity(datum.rank))
 
-
-def _word_to_element(holder: DisconnectedGroupDatum, word):
-    from .lattice import mat_identity, mat_mul
-    m = mat_identity(holder.component.rank)
-    for i in word:
-        m = mat_mul(m, holder.declared_generators[int(i)])
-    return m
+    cocycle = {(element(wa), element(wb)): Fraction(str(expo))
+               for wa, wb, expo in tree["cocycle"]}
+    return DisconnectedGroupDatum(datum, gens, cocycle=cocycle,
+                                  name=holder.name)
 
 
 def disconnected_to_tree(holder: DisconnectedGroupDatum) -> Dict:
-    return {
-        "kind": "disconnected",
-        "name": holder.name,
-        "rank": holder.component.rank,
-        "roots": [list(r) for r in holder.component.roots],
-        "coroots": [list(c) for c in holder.component.coroots],
-        "simple": list(holder.component.simple_indices),
-        "component_generators": [[list(row) for row in g]
-                                 for g in holder.declared_generators],
-    }
+    tree = _datum_to_tree("disconnected", holder.name, holder.component)
+    gens = holder.declared_generators
+    tree["component_generators"] = [[list(row) for row in g] for g in gens]
+    if holder.cocycle:
+        # each element's word is read off the orbit tree of the identity
+        # under right multiplication by the generators
+        words = {}
+        for m, link in orbit([mat_identity(holder.component.rank)],
+                             [lambda m, g=g: mat_mul(m, g)
+                              for g in gens]).items():
+            words[m] = [] if link is None else words[link[0]] + [link[1]]
+        tree["cocycle"] = sorted([words[a], words[b], str(v)]
+                                 for (a, b), v in holder.cocycle.items())
+    return tree
 
 
 def resolve_disconnected(ref: str):
-    from . import presets
-    try:
-        return presets.disconnected(ref)
-    except KeyError:
-        pass
-    if os.path.exists(ref):
-        return disconnected_from_tree(load_tree(ref))
-    raise ValueError("unknown disconnected group %r" % ref)
+    return _resolve(ref, "disconnected", disconnected_from_tree,
+                    "unknown disconnected group %r")

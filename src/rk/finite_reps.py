@@ -213,8 +213,10 @@ def _small_generating_set(group: FiniteGroup):
 # ---------------------------------------------------------------------------
 # modular (Dixon) character tables for the general case
 
-def _find_prime(order: int, exponent: int) -> int:
-    p = max(exponent + 1, 3)
+def _find_prime(order: int, exponent: int, classes: int) -> int:
+    """The least prime p = 1 mod the exponent with p > 2*sqrt(order) and
+    p > classes, so that `_charpoly_roots` interpolates at distinct points."""
+    p = max(exponent + 1, classes + 1, 3)
     while p * p <= 4 * order:
         p += 1
     while True:
@@ -291,7 +293,7 @@ def _dixon_characters(group: FiniteGroup) -> Tuple[Dict, ...]:
             class_of[a] = ci
     order = len(group)
     e = group.exponent()
-    p = _find_prime(order, e)
+    p = _find_prime(order, e, r)
     # class multiplication coefficients: A_j[i][k] = #{(x,y) in C_j x C_i :
     # xy = rep_k}; filled by scanning products and dividing by |C_k|
     a_mats = []

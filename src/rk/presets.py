@@ -1,9 +1,11 @@
-"""Built-in group, parameter, and endoscopy presets.
+"""Built-in group, parameter, endoscopy and disconnected-group presets.
 
-Groups: gl1..gl6, sl2..sl4, pgl2, sp4, so4, so6 (split, trivial Galois),
-gl2x2 / gl2x2-swap and u3 (quasi-split with an involution), and the
-norm-one torus pair res-quad-torus.  Parameter bundles reproduce the
-worked examples shipped with the command line tool.
+Each kind is one table from preset name to what builds it, and the name
+lists that `rk examples` prints are the table keys, in table order, so a
+new preset is one row.  Groups: gl1..gl6, sl2..sl4, pgl2, sp4, so4, so6
+(split, trivial Galois), gl2x2 / gl2x2-swap and u3 (quasi-split with an
+involution), and the norm-one torus pair res-quad-torus.  Parameter
+bundles reproduce the worked examples shipped with the command line tool.
 """
 
 from __future__ import annotations
@@ -45,10 +47,6 @@ def _sl_datum(n: int) -> BasedRootDatum:
     return _datum_from_simples(rank, simple_roots, simple_coroots, "sl%d" % n)
 
 
-def _pgl2_datum() -> BasedRootDatum:
-    return BasedRootDatum(1, ((1,), (-1,)), ((2,), (-2,)), (0,), "pgl2")
-
-
 def _datum_from_simples(rank, simple_roots, simple_coroots, name) -> BasedRootDatum:
     """Close the simple roots under their reflections to build the full list."""
     def reflect(i, pair):
@@ -65,20 +63,8 @@ def _datum_from_simples(rank, simple_roots, simple_coroots, name) -> BasedRootDa
     return BasedRootDatum(rank, tuple(roots), tuple(coroots), tuple(simple), name)
 
 
-def _sp4_datum() -> BasedRootDatum:
-    return _datum_from_simples(
-        2, [(1, -1), (0, 2)], [(1, -1), (0, 1)], "sp4")
-
-
-def _so4_datum() -> BasedRootDatum:
-    return _datum_from_simples(
-        2, [(1, -1), (1, 1)], [(1, -1), (1, 1)], "so4")
-
-
-def _so6_datum() -> BasedRootDatum:
-    return _datum_from_simples(
-        3, [(1, -1, 0), (0, 1, -1), (0, 1, 1)],
-        [(1, -1, 0), (0, 1, -1), (0, 1, 1)], "so6")
+def _torus(rank: int, name: str) -> BasedRootDatum:
+    return BasedRootDatum(rank, (), (), (), name)
 
 
 def _gl2x2_datum() -> BasedRootDatum:
@@ -89,113 +75,97 @@ def _gl2x2_datum() -> BasedRootDatum:
 _SWAP4 = mat([[0, 0, 1, 0], [0, 0, 0, 1], [1, 0, 0, 0], [0, 1, 0, 0]])
 _U3_FLIP = mat([[0, 0, -1], [0, -1, 0], [-1, 0, 0]])
 _SWAP2 = mat([[0, 1], [1, 0]])
+_SO6_SIMPLE = [(1, -1, 0), (0, 1, -1), (0, 1, 1)]
+
+# name -> (datum builder, Galois generators on characters)
+_GROUPS = {
+    **{"gl%d" % n: (partial(_gl_datum, n), ()) for n in range(1, 7)},
+    **{"sl%d" % n: (partial(_sl_datum, n), ()) for n in range(2, 5)},
+    "pgl2": (partial(BasedRootDatum, 1, ((1,), (-1,)), ((2,), (-2,)), (0,),
+                     "pgl2"), ()),
+    "sp4": (partial(_datum_from_simples, 2, [(1, -1), (0, 2)],
+                    [(1, -1), (0, 1)], "sp4"), ()),
+    "so4": (partial(_datum_from_simples, 2, [(1, -1), (1, 1)],
+                    [(1, -1), (1, 1)], "so4"), ()),
+    "so6": (partial(_datum_from_simples, 3, _SO6_SIMPLE, _SO6_SIMPLE,
+                    "so6"), ()),
+    "gl2x2": (_gl2x2_datum, ()),
+    "gl2x2-swap": (_gl2x2_datum, (_SWAP4,)),
+    "u3": (partial(_gl_datum, 3), (_U3_FLIP,)),
+    "res-quad-torus": (partial(_torus, 2, "res-quad-torus"), (_SWAP2,)),
+}
+
+# name -> (group, minimal Levi, label, (centralizer roots, positive half)
+# as ambient dual-side vectors, or None for every coroot of the group with
+# its positive half)
+_PARAMS = {
+    "gl2-triv": ("gl2", (), "gl2: 1+1", None),
+    "gl3-triv": ("gl3", (), "gl3: 1+1+1", None),
+    "gl4-triv": ("gl4", (), "gl4: 1+1+1+1", None),
+    "gl4-st2": ("gl4", (0, 2), "gl4: St+St",
+                (((1, 0, -1, 0), (-1, 0, 1, 0)), ((1, 0, -1, 0),))),
+    "sl2-triv": ("sl2", (), "sl2: 1+1", (((1,), (-1,)), ((1,),))),
+    "gl2x2-swap-triv": ("gl2x2-swap", (), "gl2x2-swap: triv", None),
+}
+
+# name -> (group, exponent vector of the torus element s); `<group>-s1`
+# is the trivial datum H = G of every group preset
+_HALF = Fraction(1, 2)
+_ENDOS = {
+    "gl4-splus": ("gl4", (0, 0, _HALF, _HALF)),
+    "gl2-sreg": ("gl2", (0, _HALF)),
+}
+
+# name -> (identity-component datum builder, component generators)
+_DISCONNECTED = {
+    "o2": (partial(_torus, 1, "so2"), (mat([[-1]]),)),
+    "gl1x1-swap": (partial(_torus, 2, "gl1x1"), (_SWAP2,)),
+    "gl2-conn": (partial(_gl_datum, 2), ()),
+    "sl2-conn": (partial(_sl_datum, 2), ()),
+    "sl3-conn": (partial(_sl_datum, 3), ()),
+}
+
+_ALIASES = {"gl2xgl2-swap": "gl2x2-swap"}
+
+GROUP_NAMES: Tuple[str, ...] = tuple(_GROUPS)
+PARAM_NAMES: Tuple[str, ...] = tuple(_PARAMS)
+ENDO_NAMES: Tuple[str, ...] = ("gl2-s1", "gl3-s1", "gl4-s1", "sl2-s1",
+                               "gl2x2-swap-s1", "gl4-splus", "gl2-sreg")
+DISCONNECTED_NAMES: Tuple[str, ...] = tuple(_DISCONNECTED)
+
+
+def _key(name: str) -> str:
+    key = name.lower().replace("_", "-")
+    return _ALIASES.get(key, key)
+
+
+def _row(table, kind: str, name: str):
+    """(canonical name, table row) of a preset name, or KeyError."""
+    key = _key(name)
+    if key not in table:
+        raise KeyError("unknown %s preset %r" % (kind, name))
+    return key, table[key]
 
 
 def group(name: str) -> ReductiveGroup:
     """Build a preset group by name (see GROUP_NAMES)."""
-    key = name.lower().replace("_", "-")
-    if key.startswith("gl") and key[2:].isdigit():
-        n = int(key[2:])
-        if not 1 <= n <= 6:
-            raise KeyError(name)
-        return ReductiveGroup(_gl_datum(n), name="gl%d" % n)
-    if key.startswith("sl") and key[2:].isdigit():
-        n = int(key[2:])
-        if not 2 <= n <= 4:
-            raise KeyError(name)
-        return ReductiveGroup(_sl_datum(n), name="sl%d" % n)
-    if key == "pgl2":
-        return ReductiveGroup(_pgl2_datum(), name="pgl2")
-    if key == "sp4":
-        return ReductiveGroup(_sp4_datum(), name="sp4")
-    if key == "so4":
-        return ReductiveGroup(_so4_datum(), name="so4")
-    if key == "so6":
-        return ReductiveGroup(_so6_datum(), name="so6")
-    if key == "gl2x2":
-        return ReductiveGroup(_gl2x2_datum(), name="gl2x2")
-    if key in ("gl2x2-swap", "gl2xgl2-swap"):
-        datum = _gl2x2_datum()
-        galois = GaloisAction(datum, (_SWAP4,))
-        return ReductiveGroup(datum, galois, name="gl2x2-swap")
-    if key == "u3":
-        datum = _gl_datum(3)
-        galois = GaloisAction(datum, (_U3_FLIP,))
-        return ReductiveGroup(datum, galois, name="u3")
-    if key == "res-quad-torus":
-        datum = BasedRootDatum(2, (), (), (), "res-quad-torus")
-        galois = GaloisAction(datum, (_SWAP2,))
-        return ReductiveGroup(datum, galois, name="res-quad-torus")
-    raise KeyError("unknown group preset %r" % name)
+    key, (build, galois) = _row(_GROUPS, "group", name)
+    datum = build()
+    return ReductiveGroup(datum, GaloisAction(datum, galois), name=key)
 
-
-GROUP_NAMES: Tuple[str, ...] = (
-    "gl1", "gl2", "gl3", "gl4", "gl5", "gl6",
-    "sl2", "sl3", "sl4", "pgl2", "sp4", "so4", "so6",
-    "gl2x2", "gl2x2-swap", "u3", "res-quad-torus",
-)
-
-
-# ---------------------------------------------------------------------------
-# parameter bundles (defined lazily to avoid an import cycle)
 
 def parameter(name: str):
     """Build a preset parameter bundle by name (see PARAM_NAMES)."""
     from .params import Parameter
 
-    key = name.lower().replace("_", "-")
-    if key == "gl2-triv":
-        g = group("gl2")
-        return Parameter(
-            group=g, minimal_levi=frozenset(),
-            sphi_ambient=((1, -1), (-1, 1)),
-            positive_ambient=((1, -1),),
-            r_phi_words=(), label="gl2: 1+1")
-    if key == "gl3-triv":
-        g = group("gl3")
-        return Parameter(
-            group=g, minimal_levi=frozenset(),
-            sphi_ambient=tuple(v for v in g.datum.roots),
-            positive_ambient=tuple(g.datum.roots[i]
-                                   for i in g.datum.positive_root_indices()),
-            r_phi_words=(), label="gl3: 1+1+1")
-    if key == "gl4-triv":
-        g = group("gl4")
-        return Parameter(
-            group=g, minimal_levi=frozenset(),
-            sphi_ambient=tuple(v for v in g.datum.roots),
-            positive_ambient=tuple(g.datum.roots[i]
-                                   for i in g.datum.positive_root_indices()),
-            r_phi_words=(), label="gl4: 1+1+1+1")
-    if key == "gl4-st2":
-        g = group("gl4")
-        return Parameter(
-            group=g, minimal_levi=frozenset({0, 2}),
-            sphi_ambient=((1, 0, -1, 0), (-1, 0, 1, 0)),
-            positive_ambient=((1, 0, -1, 0),),
-            r_phi_words=(), label="gl4: St+St")
-    if key == "sl2-triv":
-        g = group("sl2")
-        return Parameter(
-            group=g, minimal_levi=frozenset(),
-            sphi_ambient=((1,), (-1,)),
-            positive_ambient=((1,),),
-            r_phi_words=(), label="sl2: 1+1")
-    if key == "gl2x2-swap-triv":
-        g = group("gl2x2-swap")
-        return Parameter(
-            group=g, minimal_levi=frozenset(),
-            sphi_ambient=((1, -1, 0, 0), (-1, 1, 0, 0),
-                          (0, 0, 1, -1), (0, 0, -1, 1)),
-            positive_ambient=((1, -1, 0, 0), (0, 0, 1, -1)),
-            r_phi_words=(), label="gl2x2-swap: triv")
-    raise KeyError("unknown parameter preset %r" % name)
-
-
-PARAM_NAMES: Tuple[str, ...] = (
-    "gl2-triv", "gl3-triv", "gl4-triv", "gl4-st2", "sl2-triv",
-    "gl2x2-swap-triv",
-)
+    _, (group_name, levi, label, sphi) = _row(_PARAMS, "parameter", name)
+    g = group(group_name)
+    d = g.datum
+    roots, positive = sphi or (
+        d.coroots, tuple(d.coroots[i] for i in d.positive_root_indices()))
+    return Parameter(group=g, minimal_levi=frozenset(levi),
+                     sphi_ambient=roots, positive_ambient=positive,
+                     r_phi_words=(), label=label)
 
 
 def endoscopy(name: str):
@@ -203,45 +173,19 @@ def endoscopy(name: str):
     `gl4-splus` is s = diag(1,1,-1,-1) inside gl4; `gl2-sreg` is regular."""
     from .endoscopy import EndoscopicDatum
 
-    key = name.lower().replace("_", "-")
+    key = _key(name)
     if key.endswith("-s1"):
         g = group(key[:-3])
-        return EndoscopicDatum(g, (Fraction(0),) * g.datum.rank, label=name)
-    if key == "gl4-splus":
-        g = group("gl4")
-        return EndoscopicDatum(
-            g, (Fraction(0), Fraction(0), Fraction(1, 2), Fraction(1, 2)),
-            label=name)
-    if key == "gl2-sreg":
-        g = group("gl2")
-        return EndoscopicDatum(g, (Fraction(0), Fraction(1, 2)), label=name)
-    raise KeyError("unknown endoscopy preset %r" % name)
+        s = (0,) * g.datum.rank
+    else:
+        _, (group_name, s) = _row(_ENDOS, "endoscopy", name)
+        g = group(group_name)
+    return EndoscopicDatum(g, tuple(map(Fraction, s)), label=name)
 
-
-ENDO_NAMES: Tuple[str, ...] = ("gl2-s1", "gl3-s1", "gl4-s1", "sl2-s1",
-                               "gl2x2-swap-s1", "gl4-splus", "gl2-sreg")
-
-
-# disconnected-group presets used by the representation-theory layer
 
 def disconnected(name: str):
+    """Build a preset disconnected group by name (see DISCONNECTED_NAMES)."""
     from .disconnected import DisconnectedGroupDatum
 
-    key = name.lower().replace("_", "-")
-    if key == "o2":
-        torus = BasedRootDatum(1, (), (), (), "so2")
-        return DisconnectedGroupDatum(torus, (mat([[-1]]),), name="o2")
-    if key == "gl1x1-swap":
-        torus = BasedRootDatum(2, (), (), (), "gl1x1")
-        return DisconnectedGroupDatum(torus, (_SWAP2,), name="gl1x1-swap")
-    if key == "gl2-conn":
-        return DisconnectedGroupDatum(_gl_datum(2), (), name="gl2-conn")
-    if key == "sl2-conn":
-        return DisconnectedGroupDatum(_sl_datum(2), (), name="sl2-conn")
-    if key == "sl3-conn":
-        return DisconnectedGroupDatum(_sl_datum(3), (), name="sl3-conn")
-    raise KeyError("unknown disconnected preset %r" % name)
-
-
-DISCONNECTED_NAMES: Tuple[str, ...] = ("o2", "gl1x1-swap", "gl2-conn",
-                                       "sl2-conn", "sl3-conn")
+    key, (build, gens) = _row(_DISCONNECTED, "disconnected", name)
+    return DisconnectedGroupDatum(build(), gens, name=key)

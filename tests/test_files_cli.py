@@ -3,6 +3,7 @@
 import json
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 
@@ -19,6 +20,7 @@ from rk.files import (
     parameter_from_tree,
     parameter_to_tree,
 )
+from rk.lattice import mat
 
 
 @pytest.mark.parametrize("name", ["gl2", "gl4", "sl3", "sp4",
@@ -60,15 +62,26 @@ def test_endoscopy_file_round_trip(name, tmp_path):
     assert set(e2.H.datum.roots) == set(e.H.datum.roots)
 
 
-@pytest.mark.parametrize("name", ["o2", "gl1x1-swap", "gl2-conn"])
+@pytest.mark.parametrize("name", ["o2", "gl1x1-swap", "gl2-conn",
+                                  "o2-cocycle"])
 def test_disconnected_file_round_trip(name, tmp_path):
-    d = presets.disconnected(name)
+    if name == "o2-cocycle":
+        # the component g = -1 with the cocycle c(g, g) = 1/2, given by the
+        # word g^3; it is written back as the shortest word, g
+        tree = dict(disconnected_to_tree(presets.disconnected("o2")),
+                    cocycle=[[[0, 0, 0], [0], "1/2"]])
+        d = disconnected_from_tree(tree)
+        assert d.cocycle == {(mat([[-1]]), mat([[-1]])): Fraction(1, 2)}
+        assert disconnected_to_tree(d)["cocycle"] == [[[0], [0], "1/2"]]
+    else:
+        d = presets.disconnected(name)
     tree = disconnected_to_tree(d)
     path = tmp_path / "disc.yaml"
     dump_tree(tree, str(path))
     d2 = disconnected_from_tree(load_tree(str(path)))
     assert disconnected_to_tree(d2) == tree
     assert set(d2.pi0.elements) == set(d.pi0.elements)
+    assert d2.cocycle == d.cocycle
 
 
 # ---------------------------------------------------------------------------
@@ -136,6 +149,22 @@ def test_cli_bset_wall_rejection_exit_code():
 def test_cli_irr():
     data = _json_out(_run("irr", "--group", "o2", "--height", "1"))
     assert data["count"] == 3
+
+
+def test_cli_irr_group_with_more_classes_than_the_least_prime(tmp_path):
+    # a torus with component group D4 x Z2 x Z2 (20 classes); its character
+    # table needs a prime above the class count, not only above 2*sqrt(32)
+    path = tmp_path / "d4z2z2.yaml"
+    rotation = [[0, -1, 0, 0], [1, 0, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]
+    flips = [[[-1 if i == j == k else int(i == j) for j in range(4)]
+              for i in range(4)] for k in (1, 2, 3)]
+    dump_tree({"kind": "disconnected", "name": "d4z2z2", "rank": 4,
+               "roots": [], "coroots": [], "simple": [],
+               "component_generators": [rotation] + flips}, str(path))
+    data = _json_out(_run("irr", "--group", str(path), "--height", "0"))
+    assert data["count"] == 20
+    assert sorted(c["module_dim"] for c in data["classes"]) == \
+        [1] * 16 + [2] * 4
 
 
 def test_cli_packet_member():

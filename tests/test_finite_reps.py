@@ -37,6 +37,11 @@ Z4 = FiniteGroup.from_matrices([mat([[0, -1], [1, 0]])])
 Z6 = FiniteGroup.from_matrices([perm_mat((1, 2, 3, 4, 5, 0))])
 D4 = FiniteGroup.from_matrices([mat([[0, -1], [1, 0]]),
                                 mat([[1, 0], [0, -1]])])
+# D4 x Z2 x Z2 on Z^4: order 32 and exponent 4, with 20 classes
+D4Z2Z2 = FiniteGroup.from_matrices(
+    [mat([[0, -1, 0, 0], [1, 0, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]])]
+    + [mat([[-1 if i == j == k else int(i == j) for j in range(4)]
+            for i in range(4)]) for k in (1, 2, 3)])
 
 
 def test_z2_modules():
@@ -85,6 +90,23 @@ def test_orthogonality_rows():
                     total = total + a.chi(g) * b.chi(group.inv(g))
                 expected = n if a.label() == b.label() else 0
                 assert total == Cyclo.from_rational(expected)
+
+
+def test_table_with_more_classes_than_the_least_prime():
+    # order 32 and exponent 4 alone would pick p = 13, at which the
+    # characteristic polynomials of the 20-dimensional class algebra
+    # cannot be interpolated; the prime must exceed the class count too
+    assert len(D4Z2Z2.conjugacy_classes()) == 20
+    table = character_table(D4Z2Z2)
+    degrees = sorted(t[D4Z2Z2.identity].as_rational() for t in table)
+    assert degrees == [1] * 16 + [2] * 4
+    assert sum(d * d for d in degrees) == len(D4Z2Z2)
+    for a in table:
+        for b in table:
+            total = Cyclo.zero()
+            for g in D4Z2Z2.elements:
+                total = total + a[g] * b[D4Z2Z2.inv(g)]
+            assert total == Cyclo.from_rational(len(D4Z2Z2) if a is b else 0)
 
 
 def test_abelian_and_modular_routes_agree():

@@ -1,7 +1,9 @@
 """Property tests of the shared routines, `orbit`, `gauss_jordan` and
 the `dot`/`mat_vec`/`mat_mul` kernel, and of the code that reads its
-answers from them, each against a brute-force definition; and of `Cyclo`
-arithmetic, against the ring axioms and the rational solve it replaced.
+answers from them, each against a brute-force definition; of the integer
+kernel bases read from Smith forms, against the definition of a saturated
+kernel basis; and of `Cyclo` arithmetic, against the ring axioms and the
+rational solve it replaced.
 
 The examples are derandomized and no example database is kept, so the
 suite is deterministic and writes nothing into the checkout.
@@ -11,6 +13,7 @@ import tempfile
 from fractions import Fraction
 from functools import partial
 from itertools import combinations, permutations, product
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -21,8 +24,10 @@ import rk.cyclotomic
 from rk.cyclotomic import Cyclo, cyclotomic_polynomial
 from rk.finite_reps import _det_mod, _nullspace_mod, _solve_mod
 from rk.lattice import (
+    SmithSolver,
     _snf_raw,
     dot,
+    kernel_basis,
     mat_det,
     mat_identity,
     mat_inverse,
@@ -53,9 +58,9 @@ def matrices(rows, cols, entries=ENTRY):
 
 
 @st.composite
-def shaped(draw, max_rows=4, max_cols=4):
+def shaped(draw, max_rows=4, max_cols=4, entries=ENTRY):
     return draw(matrices(draw(st.integers(1, max_rows)),
-                         draw(st.integers(1, max_cols))))
+                         draw(st.integers(1, max_cols)), entries))
 
 
 @st.composite
@@ -166,6 +171,33 @@ def test_snf_raw_is_a_smith_form(a):
     assert all(d >= 0 for d in diag)
     for d, e in zip(diag, diag[1:]):
         assert (e % d == 0) if d else e == 0
+
+
+# ---------------------------------------------------------------------------
+# integer kernels
+
+def _annihilates(a, v):
+    return all(sum(x * y for x, y in zip(row, v)) == 0 for row in a)
+
+
+@PROPERTY
+@given(a=shaped(max_cols=5, entries=st.integers(-6, 6)))
+def test_kernel_bases_are_saturated_kernel_bases(a):
+    n = len(a[0])
+    # every kernel vector in a box, found by brute force
+    small = [v for v in product(range(-3, 4), repeat=n) if _annihilates(a, v)]
+    for basis in (kernel_basis(a), SmithSolver(a).kernel):
+        assert all(len(v) == n and _annihilates(a, v) for v in basis)
+        assert len(basis) == n - rank(a)
+        if basis:
+            # saturated: the maximal minors of the basis are coprime
+            minors = [mat_det(tuple(tuple(v[j] for j in cols) for v in basis))
+                      for cols in combinations(range(n), len(basis))]
+            assert gcd(*minors) == 1
+        for v in small:
+            coords = solve_rational(basis, v)
+            assert coords is not None
+            assert all(c.denominator == 1 for c in coords)
 
 
 # ---------------------------------------------------------------------------

@@ -2,8 +2,10 @@
 kind of object the tracer knows how to wrap, so a change that deletes,
 renames or re-kinds one fails here and not only in traced benchmark
 runs.  Each command loads only the modules it runs, and the cyclotomic
-layer loads no other `rk` module.  One pass of each warm benchmark
-workload reproduces the reference digests."""
+layer loads no other `rk` module.  The preset registry lists, resolves
+and rejects the same names, and every preset resolves like its dumped
+description file.  One pass of each warm benchmark workload reproduces
+the reference digests."""
 
 import ast
 import importlib
@@ -142,6 +144,106 @@ def test_description_file_resolves_like_its_preset(kind, name, argv,
     assert "yaml" not in from_preset["modules"]
     assert from_file["code"] == from_preset["code"] == 0
     assert from_file["report"] == from_preset["report"]
+
+
+# ---------------------------------------------------------------------------
+# the preset registry
+
+# what `rk examples` lists, in order: the benchmark digests this report
+PRESETS = {
+    "group": ("gl1", "gl2", "gl3", "gl4", "gl5", "gl6",
+              "sl2", "sl3", "sl4", "pgl2", "sp4", "so4", "so6",
+              "gl2x2", "gl2x2-swap", "u3", "res-quad-torus"),
+    "parameter": ("gl2-triv", "gl3-triv", "gl4-triv", "gl4-st2", "sl2-triv",
+                  "gl2x2-swap-triv"),
+    "endoscopy": ("gl2-s1", "gl3-s1", "gl4-s1", "sl2-s1", "gl2x2-swap-s1",
+                  "gl4-splus", "gl2-sreg"),
+    "disconnected": ("o2", "gl1x1-swap", "gl2-conn", "sl2-conn", "sl3-conn"),
+}
+
+
+def _to_tree(kind, obj):
+    from rk import files
+    to_tree = getattr(files, kind + "_to_tree")
+    if kind in ("parameter", "endoscopy"):
+        return to_tree(obj, obj.group.name)
+    return to_tree(obj)
+
+
+def test_examples_lists_every_preset_in_order(capsys):
+    from rk import cli, presets
+    assert (presets.GROUP_NAMES, presets.PARAM_NAMES, presets.ENDO_NAMES,
+            presets.DISCONNECTED_NAMES) == tuple(PRESETS.values())
+    assert cli.main(["examples"]) == 0
+    listed = json.loads(capsys.readouterr().out)["presets"]
+    assert listed == {"groups": list(PRESETS["group"]),
+                      "parameters": list(PRESETS["parameter"]),
+                      "endoscopy": list(PRESETS["endoscopy"]),
+                      "disconnected": list(PRESETS["disconnected"])}
+
+
+@pytest.mark.parametrize("kind,name", [
+    (kind, name) for kind, names in PRESETS.items() for name in names])
+def test_preset_resolves_like_its_description_file(kind, name, tmp_path):
+    # in process: the preset, the same name through `rk.files`, and a
+    # description file dumped from the preset give the same tree
+    from rk import files, presets
+    resolve = getattr(files, "resolve_" + kind)
+    tree = _to_tree(kind, getattr(presets, kind)(name))
+    assert _to_tree(kind, resolve(name)) == tree
+    path = tmp_path / (name + ".yaml")
+    files.dump_tree(tree, str(path))
+    assert _to_tree(kind, resolve(str(path))) == tree
+
+
+@pytest.mark.parametrize("kind,alias,name", [
+    ("group", "GL3", "gl3"),
+    ("group", "gl2xgl2-swap", "gl2x2-swap"),
+    ("group", "GL2X2_SWAP", "gl2x2-swap"),
+    ("endoscopy", "GL4_SPLUS", "gl4-splus"),
+    ("disconnected", "O2", "o2"),
+])
+def test_preset_alias_resolves_to_its_preset(kind, alias, name):
+    from rk import presets
+    build = getattr(presets, kind)
+    tree, expected = _to_tree(kind, build(alias)), _to_tree(kind, build(name))
+    if kind == "endoscopy":   # an endoscopic datum keeps the name it was given
+        assert tree.pop("label") == alias
+        expected.pop("label")
+    assert tree == expected
+
+
+@pytest.mark.parametrize("name", PRESETS["group"])
+def test_every_group_preset_has_its_trivial_endoscopic_datum(name):
+    from rk import presets
+    endo = presets.endoscopy(name + "-s1")
+    assert _to_tree("group", endo.group) == \
+        _to_tree("group", presets.group(name))
+    assert endo.s == (0,) * endo.group.datum.rank
+
+
+@pytest.mark.parametrize("kind,name", [
+    ("group", "gl0"), ("group", "gl7"), ("group", "sl1"), ("group", "sl5"),
+    ("group", "foo"), ("endoscopy", "gl7-s1"), ("endoscopy", "foo"),
+    ("parameter", "foo"), ("disconnected", "foo")])
+def test_unknown_preset_raises_key_error(kind, name):
+    from rk import presets
+    with pytest.raises(KeyError):
+        getattr(presets, kind)(name)
+
+
+@pytest.mark.parametrize("kind,message", [
+    ("group", "unknown group 'gl7' (not a preset, not a file)"),
+    ("parameter", "unknown parameter 'gl7' (not a preset, not a file)"),
+    ("endoscopy",
+     "unknown endoscopy datum 'gl7' (not a preset, not a file)"),
+    ("disconnected", "unknown disconnected group 'gl7'"),
+])
+def test_unknown_reference_keeps_its_message(kind, message):
+    from rk import files
+    with pytest.raises(ValueError) as err:
+        getattr(files, "resolve_" + kind)("gl7")
+    assert str(err.value) == message
 
 
 # ---------------------------------------------------------------------------
