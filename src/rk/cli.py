@@ -361,20 +361,26 @@ def main(argv=None) -> int:
         "eci": cmd_eci,
         "examples": cmd_examples,
     }
+    code = 0
     try:
         report = handlers[args.command](args)
     except (WallRejection,) as exc:
-        _emit({"command": args.command, "error": "rejection",
-               "detail": str(exc),
-               "facet": {"zero_walls": sorted(exc.zero_walls),
-                         "negative_walls": sorted(exc.negative_walls)}},
-              args.out or None)
-        return 2
+        report = {"command": args.command, "error": "rejection",
+                  "detail": str(exc),
+                  "facet": {"zero_walls": sorted(exc.zero_walls),
+                            "negative_walls": sorted(exc.negative_walls)}}
+        code = 2
     except Exception as exc:  # deliberate: any failed assertion is exit != 0
         print("error: %s" % exc, file=sys.stderr)
         return 1
-    _emit(report, args.out or None)
-    return 0
+    try:
+        _emit(report, args.out or None)
+    except BrokenPipeError:
+        # the reader closed stdout early (`rk examples | head`); what is
+        # left, and the flush at exit, go to os.devnull
+        sys.stdout = open(os.devnull, "w")
+        return 1
+    return code
 
 
 if __name__ == "__main__":

@@ -24,22 +24,14 @@ from .lattice import (
     SmithSolver,
     Vector,
     dot,
-    kernel_basis,
     mat,
     mat_identity,
-    mat_mul,
     mat_transpose,
     mat_vec,
     vadd,
     vsub,
 )
-from .rootdata import (
-    BasedRootDatum,
-    DatumError,
-    WeylGroup,
-    reflection_matrix,
-    weyl_group,
-)
+from .rootdata import BasedRootDatum, DatumError
 
 
 class UnsupportedTraceError(NotImplementedError):
@@ -88,21 +80,6 @@ class DisconnectedGroupDatum:
             validate_cocycle(self.pi0, self.cocycle)
         self._modules: Dict[Tuple, Tuple[Module, ...]] = {}
 
-    # -- Weyl structure -----------------------------------------------------
-
-    def full_weyl(self) -> WeylGroup:
-        d = self.component
-        gens = [reflection_matrix(d.roots[i], d.coroots[i])
-                for i in d.simple_indices]
-        gens += [g for g in self.pi0.elements if g != self.pi0.identity]
-        # components may act trivially on the roots; the Weyl group fixes
-        # the coroot annihilator, and its component orbit spans it, so the
-        # group acts faithfully on the roots together with that orbit
-        fixed = kernel_basis(mat(d.coroots)) if d.coroots \
-            else mat_identity(d.rank)
-        orbit = {mat_vec(g, v): None for g in self.pi0.elements for v in fixed}
-        return WeylGroup(gens, d.rank, tuple(d.roots) + tuple(orbit))
-
     # -- weights -------------------------------------------------------------
 
     def is_dominant(self, weight: Sequence[int]) -> bool:
@@ -135,29 +112,6 @@ class DisconnectedGroupDatum:
         return mods
 
 
-def pi0_weyl_split(datum: DisconnectedGroupDatum):
-    """(connected Weyl group, component image, verification report).
-
-    Certifies the semidirect decomposition of the full Weyl group: trivial
-    intersection and generation.
-    """
-    wc = weyl_group(datum.component)
-    pi0_mats = tuple(datum.pi0.elements)
-    wf = datum.full_weyl()
-    inter = set(wc.elements) & set(pi0_mats)
-    report = {
-        "connected_order": len(wc),
-        "component_order": len(pi0_mats),
-        "full_order": len(wf),
-        "trivial_intersection": inter == {wc.identity},
-        "generates": len(wf) == len(wc) * len(pi0_mats),
-    }
-    if not (report["trivial_intersection"] and report["generates"]):
-        raise DatumError("component action is inconsistent with a semidirect "
-                         "Weyl decomposition: %r" % (report,))
-    return wc, pi0_mats, report
-
-
 def stabilizer_A_lambda(datum: DisconnectedGroupDatum,
                         weight: Sequence[int]) -> FiniteGroup:
     """The stabilizer of a dominant weight inside the component group."""
@@ -165,7 +119,9 @@ def stabilizer_A_lambda(datum: DisconnectedGroupDatum,
         raise ValueError("stabilizer_A_lambda needs a dominant weight")
     w = tuple(weight)
     fixed = [g for g in datum.pi0.elements if mat_vec(g, w) == w]
-    return datum.pi0.subgroup(fixed)
+    # a weight that every component fixes is stabilized by all of pi0
+    return datum.pi0 if len(fixed) == len(datum.pi0) else \
+        datum.pi0.subgroup(fixed)
 
 
 # ---------------------------------------------------------------------------
@@ -378,9 +334,10 @@ def char_eval(datum: DisconnectedGroupDatum, pair: HighestWeightPair,
         raise UnsupportedTraceError(
             "twisted trace along a nontrivial component needs explicit data")
     total = None
-    for x in cosets:
-        xinv = datum.pi0.inv(x)
-        conj = mat_mul(mat_mul(xinv, component), x)
+    pi0 = datum.pi0
+    # x^-1.c.x lies in pi0, and so in the stabilizer, only if c does
+    for x in (cosets if component in pi0 else ()):
+        conj = pi0.mul(pi0.mul(pi0.inverse[x], component), x)
         if conj not in stab:
             continue
         chi_e = pair.module.chi(conj)

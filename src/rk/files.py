@@ -17,7 +17,7 @@ from fractions import Fraction
 from functools import reduce
 from typing import TYPE_CHECKING, Dict, Optional
 
-from .lattice import mat, mat_identity, mat_mul, orbit
+from .lattice import mat, mat_identity, mat_mul
 from .rootdata import BasedRootDatum, GaloisAction, ReductiveGroup
 
 if TYPE_CHECKING:
@@ -211,14 +211,10 @@ def disconnected_to_tree(holder: DisconnectedGroupDatum) -> Dict:
     gens = holder.declared_generators
     tree["component_generators"] = [[list(row) for row in g] for g in gens]
     if holder.cocycle:
-        # each element's word is read off the orbit tree of the identity
-        # under right multiplication by the generators
-        words = {}
-        for m, link in orbit([mat_identity(holder.component.rank)],
-                             [lambda m, g=g: mat_mul(m, g)
-                              for g in gens]).items():
-            words[m] = [] if link is None else words[link[0]] + [link[1]]
-        tree["cocycle"] = sorted([words[a], words[b], str(v)]
+        # pi0's breadth-first words: pi0 is generated by `gens`, then the
+        # identity, so each is a shortest word in `gens`
+        word = holder.pi0.word
+        tree["cocycle"] = sorted([list(word(a)), list(word(b)), str(v)]
                                  for (a, b), v in holder.cocycle.items())
     return tree
 

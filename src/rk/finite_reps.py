@@ -19,19 +19,21 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
 from math import gcd, isqrt
-from typing import Callable, Dict, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
 from .cyclotomic import Cyclo, prime_factors
 from .lattice import (
+    DEFAULT_CLOSURE_CAP,
+    IntegerMatrix,
+    MatrixGroup,
     gauss_jordan,
     mat,
     mat_det,
     mat_identity,
-    mat_mul,
     mat_transpose,
+    mat_vec,
     orbit,
     smith_normal_form,
-    IntegerMatrix,
     solve_integer,
 )
 
@@ -40,48 +42,28 @@ class CocycleError(ValueError):
     """A 2-cocycle failed validation or could not be trivialized."""
 
 
-class FiniteGroup:
-    """A finite group on hashable element tokens with explicit multiplication."""
-
-    def __init__(self, elements: Sequence, mul: Callable, identity):
-        self.elements = tuple(elements)
-        self.index = {e: i for i, e in enumerate(self.elements)}
-        if len(self.index) != len(self.elements):
-            raise ValueError("duplicate elements")
-        if identity not in self.index:
-            raise ValueError("identity not among the elements")
-        self.mul = mul
-        self.identity = identity
-        self._inv: Dict = {}
-        # the powers a, a^2, ..., a^o = 1 form a cycle on which the inverse
-        # of a^k is a^(o-k)
-        for a in self.elements:
-            if a in self._inv:
-                continue
-            powers = [identity]
-            x = a
-            while x != identity:
-                if x not in self.index or len(powers) == len(self.elements):
-                    raise ValueError("element without inverse; not a group?")
-                powers.append(self.elements[self.index[x]])
-                x = mul(x, a)
-            for k, p in enumerate(powers):
-                self._inv[p] = powers[-k]
+class FiniteGroup(MatrixGroup):
+    """A finite matrix group with the class theory its character tables
+    need: element orders, the exponent, commutativity and conjugacy
+    classes, all read from products in the group's tables."""
 
     @classmethod
-    def from_matrices(cls, generators: Sequence, cap: int = 10**6) -> "FiniteGroup":
+    def from_matrices(cls, generators: Sequence,
+                      cap: int = DEFAULT_CLOSURE_CAP) -> "FiniteGroup":
+        """The group the matrices generate, interned by its permutation of
+        the orbits of the standard basis vectors.  Those orbits span the
+        lattice, so the action on them is faithful, and each is at most as
+        long as the group: capping each orbit on its own rejects exactly
+        the groups of more than `cap` elements."""
         if not generators:
             raise ValueError("need at least one generator (pass the identity)")
-        ident = mat_identity(len(generators[0]))
-        order = orbit((ident,), [partial(mat_mul, b=g) for g in generators],
-                      cap)
-        return cls(tuple(sorted(order)), mat_mul, ident)
-
-    def __len__(self):
-        return len(self.elements)
-
-    def inv(self, a):
-        return self._inv[a]
+        n = len(generators[0])
+        maps = [partial(mat_vec, g) for g in generators]
+        points: Dict = {}
+        for e in mat_identity(n):
+            if e not in points:
+                points.update(orbit((e,), maps, cap))
+        return cls(generators, n, tuple(points), cap)
 
     def order_of(self, a) -> int:
         k = 1
@@ -110,7 +92,7 @@ class FiniteGroup:
         for a in self.elements:
             if a in seen:
                 continue
-            cls_set = {self.mul(self.mul(g, a), self.inv(g))
+            cls_set = {self.mul(self.mul(g, a), self.inverse[g])
                        for g in self.elements}
             seen |= cls_set
             classes.append(tuple(sorted(cls_set, key=self._sort_key)))
@@ -122,9 +104,6 @@ class FiniteGroup:
 
     def _sort_key(self, a):
         return repr(a)
-
-    def subgroup(self, elements: Sequence) -> "FiniteGroup":
-        return FiniteGroup(tuple(elements), self.mul, self.identity)
 
 
 @dataclass(frozen=True)
@@ -203,8 +182,7 @@ def _small_generating_set(group: FiniteGroup):
         if a in generated:
             continue
         gens.append(a)
-        generated = orbit((group.identity,), [
-            lambda x, g=g: group.mul(x, g) for g in gens]).keys()
+        generated = set(group.generated(gens))
         if len(generated) == len(group):
             break
     return gens
@@ -349,7 +327,7 @@ def _dixon_characters(group: FiniteGroup) -> Tuple[Dict, ...]:
             raise AssertionError("eigenvector vanishes on the identity class")
         inv = pow(v[0], -1, p)
         omegas.append(tuple((x * inv) % p for x in v))
-    inv_class = [class_of[group.inv(reps[i])] for i in range(r)]
+    inv_class = [class_of[group.inverse[reps[i]]] for i in range(r)]
     z = _primitive_root_of_unity(p, e)
     chars = []
     for w in omegas:

@@ -1,9 +1,10 @@
 """Exact integer-lattice algebra.
 
 Smith normal form with explicit transformation matrices, finitely
-generated abelian groups presented as cokernels, and invariants /
-coinvariants of finite integer matrix actions.  Everything is computed
-with arbitrary-precision integers (or Fractions where a denominator is
+generated abelian groups presented as cokernels, invariants /
+coinvariants of finite integer matrix actions, and finite matrix groups
+interned by the permutations they make of points.  Everything is exact:
+arbitrary-precision integers (or Fractions where a denominator is
 unavoidable); no floating point is used anywhere in this package.
 
 >>> U, D, V = smith_normal_form(IntegerMatrix.from_rows([[2, 4], [6, 8]]))
@@ -18,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import partial
+from functools import cached_property, partial
 from itertools import product
 from operator import mul
 from typing import Callable, Dict, Iterable, Optional, Sequence, Tuple
@@ -191,10 +192,6 @@ def solve_rational(a_cols: Sequence[Sequence], b: Sequence):
     for row, c in zip(m, pivots):
         x[c] = row[ncols]
     return tuple(x)
-
-
-def in_span(basis: Sequence[Sequence], v: Sequence) -> bool:
-    return solve_rational(basis, v) is not None
 
 
 # ---------------------------------------------------------------------------
@@ -469,6 +466,140 @@ def orbit(seeds: Iterable, maps: Sequence[Callable],
                     raise ValueError(
                         "group closure exceeded cap of %d elements" % cap)
     return tree
+
+
+def _compose(pa: Tuple[int, ...], pb: Tuple[int, ...]) -> Tuple[int, ...]:
+    """The point permutation of a.b from those of a and b."""
+    return tuple([pa[j] for j in pb])
+
+
+class _CayleyRows(dict):
+    """Id -> row of the Cayley table of a group given by the point
+    permutation of each id, each row formed on first use and kept."""
+
+    def __init__(self, perms: Sequence[Tuple[int, ...]]):
+        super().__init__()
+        self.perms = perms
+        self.ids = {p: i for i, p in enumerate(perms)}
+
+    def __missing__(self, a: int) -> Tuple[int, ...]:
+        pa, ids = self.perms[a], self.ids
+        r = self[a] = tuple([ids[_compose(pa, pb)] for pb in self.perms])
+        return r
+
+
+class MatrixGroup:
+    """A finite group of integer matrices interned by the permutation each
+    element makes of a finite point set, with one reduced word per element.
+
+    The group must permute `points` and act on them faithfully; `perm[m]`
+    sends index i to the index of m(points[i]).  The closure composes
+    generator permutations breadth-first, so words come out reduced, and
+    multiplies matrices only for new elements.  `mul` composes two
+    permutations and looks the product up, and `inverse[m]` is tabulated
+    from the inverse permutation.
+
+    An element's id is its position in `elements`, which is sorted by
+    matrix, so the order of ids is the order of matrices.  `index` (matrix
+    to id) and the rows of the Cayley table on ids (`row`) are built on
+    first use (Holt-Eick-O'Brien, Handbook of Computational Group Theory,
+    ch. 3), one row at a time, as they are asked for.
+    """
+
+    def __init__(self, generators: Sequence[Matrix], rank: int,
+                 points: Sequence[Vector], cap: int = DEFAULT_CLOSURE_CAP):
+        self.rank = rank
+        self.generators = tuple(generators)
+        self.identity: Matrix = mat_identity(rank)
+        index = {tuple(x): i for i, x in enumerate(points)}
+        gen_perms = [tuple([index[mat_vec(s, x)] for x in points])
+                     for s in self.generators]
+        if any(len(set(p)) < len(p) for p in gen_perms):
+            raise ValueError("element without inverse; not a group?")
+        tree = orbit((tuple(range(len(points))),),
+                     [partial(_compose, pb=ps) for ps in gen_perms], cap)
+        self._by_perm: Dict[Tuple[int, ...], Matrix] = {}
+        self.words: Dict[Matrix, Tuple[int, ...]] = {}
+        for p, parent in tree.items():
+            h, word = self.identity, ()
+            if parent is not None:
+                g, i = self._by_perm[parent[0]], parent[1]
+                h, word = mat_mul(g, self.generators[i]), self.words[g] + (i,)
+            self._by_perm[p] = h
+            self.words[h] = word
+        self.perm: Dict[Matrix, Tuple[int, ...]] = {
+            m: p for p, m in self._by_perm.items()}
+        self.elements: Tuple[Matrix, ...] = tuple(sorted(self.words))
+        self.inverse: Dict[Matrix, Matrix] = {}
+        for m, p in self.perm.items():
+            q = [0] * len(p)
+            for i, j in enumerate(p):
+                q[j] = i
+            self.inverse[m] = self._by_perm[tuple(q)]
+
+    def __len__(self):
+        return len(self.elements)
+
+    def __contains__(self, m: Matrix):
+        return m in self.inverse
+
+    def mul(self, a: Matrix, b: Matrix) -> Matrix:
+        """The product a.b of two elements, as a lookup."""
+        return self._by_perm[_compose(self.perm[a], self.perm[b])]
+
+    @cached_property
+    def index(self) -> Dict[Matrix, int]:
+        """Element -> id, its position in `elements`."""
+        return {m: i for i, m in enumerate(self.elements)}
+
+    @cached_property
+    def row(self):
+        """row(a)[b] is the id of a.b.  Each row is formed on first use by
+        composing point permutations; a formed row is a dict lookup away."""
+        return _CayleyRows([self.perm[m] for m in self.elements]).__getitem__
+
+    def word(self, m: Matrix) -> Tuple[int, ...]:
+        return self.words[m]
+
+    def from_word(self, word: Sequence[int]) -> Matrix:
+        m = self.identity
+        for i in word:
+            m = self.mul(m, self.generators[i])
+        return m
+
+    def generated(self, gens: Sequence[Matrix]) -> Tuple[Matrix, ...]:
+        """The subgroup generated by some elements, sorted; closed by
+        products (`mul`) inside this group."""
+        return tuple(sorted(orbit((self.identity,),
+                                  [partial(self.mul, b=s) for s in gens])))
+
+    def subgroup(self, elements: Iterable[Matrix]) -> "MatrixGroup":
+        """The subgroup on some elements, which must contain the identity
+        and be closed under products.  It shares this group's generators,
+        words and product tables; its `elements` and `inverse` are its
+        own, and so are its ids and Cayley rows."""
+        keep = set(elements)
+        if self.identity not in keep:
+            raise ValueError("identity not among the elements")
+        if any(self.mul(a, b) not in keep for a in keep for b in keep):
+            # a finite set closed under products holds every power of its
+            # elements; name a power that leaves it, if one does
+            for a in keep:
+                x = a
+                while x != self.identity:
+                    if x not in keep:
+                        raise ValueError(
+                            "element without inverse; not a group?")
+                    x = self.mul(x, a)
+            raise ValueError("elements not closed under products; "
+                             "not a group?")
+        sub = object.__new__(type(self))
+        vars(sub).update(vars(self))
+        vars(sub).pop("index", None)
+        vars(sub).pop("row", None)
+        sub.elements = tuple(sorted(keep))
+        sub.inverse = {m: self.inverse[m] for m in sub.elements}
+        return sub
 
 
 @dataclass(frozen=True)

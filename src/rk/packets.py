@@ -16,12 +16,11 @@ from typing import Dict, FrozenSet, Optional, Set, Tuple
 
 from .disconnected import HighestWeightPair, classify_irr, stabilizer_A_lambda
 from .finite_reps import Module
-from .kottwitz import BElement, WallRejection, basic_plus_lift, encode, kappa_push
+from .kottwitz import BElement, basic_plus_lift, encode, kappa_push
 from .lattice import (
     Matrix,
     Vector,
     dot,
-    mat_mul,
     mat_transpose,
     mat_vec,
 )
@@ -62,12 +61,13 @@ def canonical_rho(param: Parameter, rho: HighestWeightPair) -> HighestWeightPair
     lam_star = datum.canonical_weight(lam)
     if lam_star == lam:
         return rho
-    d_r = next(d for d in datum.pi0.elements if mat_vec(d, lam) == lam_star)
-    d_rinv = datum.pi0.inv(d_r)
+    pi0 = datum.pi0
+    d_r = next(d for d in pi0.elements if mat_vec(d, lam) == lam_star)
+    d_rinv = pi0.inverse[d_r]
     # transported module: chi*(a) = chi(r^-1 a r) on the stabilizer of lam*
     stab_star = stabilizer_A_lambda(datum, lam_star).elements
     old = rho.module.char_dict()
-    char = tuple((a, old[mat_mul(mat_mul(d_rinv, a), d_r)]) for a in stab_star)
+    char = tuple((a, old[pi0.mul(pi0.mul(d_rinv, a), d_r)]) for a in stab_star)
     mod = Module(rho.module.dim, char, rho.module.matrices and char)
     return HighestWeightPair(lam_star, mod)
 

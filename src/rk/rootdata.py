@@ -37,6 +37,7 @@ from .lattice import (
     FgaElement,
     LatticeAction,
     Matrix,
+    MatrixGroup,
     SmithSolver,
     Vector,
     coinvariants,
@@ -261,124 +262,28 @@ def dual_datum(datum: BasedRootDatum, action: GaloisAction):
     return dd, action.dual(dd)
 
 
-def _compose(pa: Tuple[int, ...], pb: Tuple[int, ...]) -> Tuple[int, ...]:
-    """The root permutation of a.b from those of a and b."""
-    return tuple([pa[j] for j in pb])
+class WeylGroup(MatrixGroup):
+    """A group of Weyl elements of a datum, interned by its permutation of
+    the roots, with the action of each element on the dual lattice.
 
-
-class _CayleyRows(dict):
-    """Id -> row of the Cayley table of a group given by the root
-    permutation of each id, each row formed on first use and kept."""
-
-    def __init__(self, perms: Sequence[Tuple[int, ...]]):
-        super().__init__()
-        self.perms = perms
-        self.ids = {p: i for i, p in enumerate(perms)}
-
-    def __missing__(self, a: int) -> Tuple[int, ...]:
-        pa, ids = self.perms[a], self.ids
-        r = self[a] = tuple([ids[_compose(pa, pb)] for pb in self.perms])
-        return r
-
-
-class WeylGroup:
-    """A finite matrix group interned by its permutation of the roots, with
-    one reduced word per element.
-
-    Elements are matrices on the character lattice; `perm[m]` sends index
-    i to the index of m(roots[i]).  The group must permute `roots` and act
-    on them faithfully.  Every group of Weyl elements of a datum does so
-    on its roots: an element fixing every root also fixes the annihilator
-    of the coroots, and the two span the lattice.  The closure composes
-    generator permutations and multiplies matrices only for new elements.
-    `mul` composes two permutations and looks the product up; `inverse[m]`
-    and `contragredient[m]` (the action on the dual lattice) are tabulated.
-
-    An element's id is its position in `elements`, which is sorted by
-    matrix, so the order of ids is the order of matrices.  `index` (matrix
-    to id) and the rows of the Cayley table on ids (`row`) are built on
-    first use (Holt-Eick-O'Brien, Handbook of Computational Group Theory,
-    ch. 3), one row at a time, as they are asked for.
+    Every such group acts faithfully on the roots: an element fixing every
+    root also fixes the annihilator of the coroots, and the two span the
+    lattice.  `contragredient[m]` is m's transpose-inverse; a tabulated
+    matrix that is an element is the element's own object.
     """
 
     def __init__(self, generators: Sequence[Matrix], rank: int,
                  roots: Sequence[Vector], cap: int = DEFAULT_CLOSURE_CAP):
-        self.rank = rank
-        self.generators = tuple(generators)
-        self.identity: Matrix = mat_identity(rank)
-        index = {tuple(r): i for i, r in enumerate(roots)}
         try:
-            gen_perms = [tuple(index[mat_vec(s, r)] for r in roots)
-                         for s in self.generators]
+            super().__init__(generators, rank, roots, cap)
         except KeyError:
             raise DatumError("Weyl generator does not permute the roots") \
                 from None
-        # breadth-first, so every element comes after the prefix of its word
-        # and words come out reduced
-        tree = orbit((tuple(range(len(roots))),),
-                     [partial(_compose, pb=ps) for ps in gen_perms], cap)
-        self._by_perm: Dict[Tuple[int, ...], Matrix] = {}
-        self.words: Dict[Matrix, Tuple[int, ...]] = {}
-        for p, parent in tree.items():
-            h, word = self.identity, ()
-            if parent is not None:
-                g, i = self._by_perm[parent[0]], parent[1]
-                h, word = mat_mul(g, self.generators[i]), self.words[g] + (i,)
-            self._by_perm[p] = h
-            self.words[h] = word
-        self.perm: Dict[Matrix, Tuple[int, ...]] = {
-            m: p for p, m in self._by_perm.items()}
-        self.elements: Tuple[Matrix, ...] = tuple(sorted(self.words))
-        self.inverse: Dict[Matrix, Matrix] = {}
         self.contragredient: Dict[Matrix, Matrix] = {}
-        for m, p in self.perm.items():
-            q = [0] * len(p)
-            for i, j in enumerate(p):
-                q[j] = i
-            self.inverse[m] = self._by_perm[tuple(q)]
-            # tabulated matrices that are elements share the element's object
-            dual = mat_transpose(self.inverse[m])
+        for m, inv in self.inverse.items():
+            dual = mat_transpose(inv)
             self.contragredient[m] = self._by_perm[self.perm[dual]] \
                 if dual in self.perm else dual
-
-    def __len__(self):
-        return len(self.elements)
-
-    def __contains__(self, m: Matrix):
-        return m in self.words
-
-    def mul(self, a: Matrix, b: Matrix) -> Matrix:
-        """The product a.b of two elements, as a lookup."""
-        return self._by_perm[_compose(self.perm[a], self.perm[b])]
-
-    @cached_property
-    def index(self) -> Dict[Matrix, int]:
-        """Element -> id, its position in `elements`."""
-        return {m: i for i, m in enumerate(self.elements)}
-
-    @cached_property
-    def row(self):
-        """row(a)[b] is the id of a.b.  Each row is formed on first use by
-        composing root permutations; a formed row is a dict lookup away."""
-        return _CayleyRows([self.perm[m] for m in self.elements]).__getitem__
-
-    def word(self, m: Matrix) -> Tuple[int, ...]:
-        return self.words[m]
-
-    def from_word(self, word: Sequence[int]) -> Matrix:
-        m = self.identity
-        for i in word:
-            m = self.mul(m, self.generators[i])
-        return m
-
-    def subgroup(self, predicate) -> Tuple[Matrix, ...]:
-        return tuple(m for m in self.elements if predicate(m))
-
-    def generated(self, gens: Sequence[Matrix]) -> Tuple[Matrix, ...]:
-        """The subgroup generated by some elements, sorted; closed by
-        products (`mul`) inside this group."""
-        return tuple(sorted(orbit((self.identity,),
-                                  [partial(self.mul, b=s) for s in gens])))
 
 
 class LeviContext:
@@ -629,8 +534,8 @@ class ReductiveGroup:
                 return all(pg[pm[i]] == pm[pg[i]]
                            for pg in gperms for i in range(len(pm)))
 
-            fixed = set(self.weyl.subgroup(commutes_with_galois))
-            if set(rel.elements) != fixed:
+            if rel.elements != tuple(filter(commutes_with_galois,
+                                            self.weyl.elements)):
                 raise AssertionError("restricted reflections do not generate "
                                      "the Galois-fixed Weyl subgroup")
             self._relative = rel
@@ -798,17 +703,3 @@ def weyl_group(datum: BasedRootDatum) -> WeylGroup:
             for i in datum.simple_indices]
     return WeylGroup(gens, datum.rank, datum.roots)
 
-
-def levi_data(group: ReductiveGroup, subset):
-    """(fraktur-A_L basis, X_*(A_L^) basis, X*(Z(L^)^Gamma), alpha_L matrix).
-
-    alpha_L is returned as the rational matrix sending the functional
-    coordinates on X_*(A_L^) to the point of fraktur-A_L subset X_*(T)_Q.
-    """
-    ctx = group.levi_context(subset)
-    n = group.datum.rank
-    cols = [ctx.alpha(tuple(1 if i == j else 0 for i in range(ctx.dim)))
-            for j in range(ctx.dim)]
-    alpha_matrix = mat_transpose(mat(cols)) if cols else tuple(() for _ in range(n))
-    return (ctx.split_center_basis, ctx.dual_split_center_basis,
-            ctx.dual_center_characters, alpha_matrix)

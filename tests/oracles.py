@@ -6,15 +6,75 @@ divisor of the conductor, cyclotomic polynomials by division over the
 rationals, the Weyl coset loops of the endoscopy and parameter layers by
 matrix products (`WeylGroup.mul`) instead of Cayley rows on element ids,
 and the realization of centralizer reflections by one scan of the
-embedded normalizer per root.
+embedded normalizer per root.  With them are the routines that only the
+tests call: the rational span test, the Levi data as one tuple, and the
+full Weyl group of a disconnected group with its semidirect splitting.
 """
 
 from fractions import Fraction
 from functools import lru_cache
 
 from rk.cyclotomic import Cyclo, _reduce_mod_cyclotomic, cyclotomic_polynomial
-from rk.lattice import mat_vec, solve_rational, vneg, vsub
+from rk.finite_reps import FiniteGroup
+from rk.lattice import (mat, mat_identity, mat_transpose, mat_vec,
+                        solve_rational, vneg, vsub)
 from rk.params import ParameterError, _is_reflection
+from rk.rootdata import DatumError, reflection_matrix, weyl_group
+
+
+def in_span(basis, v) -> bool:
+    return solve_rational(basis, v) is not None
+
+
+def levi_data(group, subset):
+    """(fraktur-A_L basis, X_*(A_L^) basis, X*(Z(L^)^Gamma), alpha_L matrix).
+
+    alpha_L is returned as the rational matrix sending the functional
+    coordinates on X_*(A_L^) to the point of fraktur-A_L subset X_*(T)_Q.
+    """
+    ctx = group.levi_context(subset)
+    n = group.datum.rank
+    cols = [ctx.alpha(tuple(1 if i == j else 0 for i in range(ctx.dim)))
+            for j in range(ctx.dim)]
+    alpha_matrix = mat_transpose(mat(cols)) if cols else tuple(() for _ in range(n))
+    return (ctx.split_center_basis, ctx.dual_split_center_basis,
+            ctx.dual_center_characters, alpha_matrix)
+
+
+# ---------------------------------------------------------------------------
+# the Weyl group of a disconnected group
+
+def full_weyl(datum):
+    """The group generated by the simple reflections of the identity
+    component and the component group, on the character lattice."""
+    d = datum.component
+    gens = [reflection_matrix(d.roots[i], d.coroots[i])
+            for i in d.simple_indices]
+    gens += [g for g in datum.pi0.elements if g != datum.pi0.identity]
+    return FiniteGroup.from_matrices(gens or [mat_identity(d.rank)])
+
+
+def pi0_weyl_split(datum):
+    """(connected Weyl group, component image, verification report).
+
+    Certifies the semidirect decomposition of the full Weyl group: trivial
+    intersection and generation.
+    """
+    wc = weyl_group(datum.component)
+    pi0_mats = tuple(datum.pi0.elements)
+    wf = full_weyl(datum)
+    inter = set(wc.elements) & set(pi0_mats)
+    report = {
+        "connected_order": len(wc),
+        "component_order": len(pi0_mats),
+        "full_order": len(wf),
+        "trivial_intersection": inter == {wc.identity},
+        "generates": len(wf) == len(wc) * len(pi0_mats),
+    }
+    if not (report["trivial_intersection"] and report["generates"]):
+        raise DatumError("component action is inconsistent with a semidirect "
+                         "Weyl decomposition: %r" % (report,))
+    return wc, pi0_mats, report
 
 
 def canonical_by_solve(value: Cyclo) -> Cyclo:

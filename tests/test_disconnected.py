@@ -18,13 +18,14 @@ from rk.disconnected import (
     char_eval,
     classify_irr,
     natural_quotient_rep,
-    pi0_weyl_split,
     stabilizer_A_lambda,
     weight_multiplicities,
     weyl_dimension,
 )
 from rk.lattice import closure, mat, mat_vec
 from rk.rootdata import DatumError
+
+from oracles import full_weyl, pi0_weyl_split
 
 
 O2 = presets.disconnected("o2")
@@ -56,7 +57,7 @@ def test_pi0_split_swap():
 def test_full_weyl_matches_matrix_closure(name):
     # the components may act trivially on the roots (o2 has none); oracle:
     # the matrix-keyed closure of the same generators
-    w = presets.disconnected(name).full_weyl()
+    w = full_weyl(presets.disconnected(name))
     words = closure(w.generators)[1] if w.generators else {w.identity: ()}
     assert w.words == words
 

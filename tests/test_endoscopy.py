@@ -496,7 +496,8 @@ def _scan_parameter_on_h(param, endo):
     """The two-sided `in_span` scan `_find_parameter_on_h` replaces: the
     first (Levi, h) for which h maps the parameter center onto the Levi's
     split center."""
-    from rk.lattice import in_span, mat_vec
+    from rk.lattice import mat_vec
+    from oracles import in_span
     H = endo.H
     center = param.center_basis
     for subset in H.standard_levi_subsets():
@@ -616,7 +617,8 @@ def test_generated_levi_weyl_matches_closure(name):
 def _two_filter_embedded(param):
     """The embedded normalizer by Fraction span containment of the moved
     center basis, then the permutation of M's positive root vectors."""
-    from rk.lattice import in_span, mat_vec
+    from rk.lattice import mat_vec
+    from oracles import in_span
     group, datum = param.group, param.group.datum
     span = param.center_basis
     simples = [datum.simple_roots[pos] for pos in sorted(param.minimal_levi)]
@@ -647,7 +649,8 @@ def _scan_backward(param, levi, endo, param_h, h, embedded, w):
     restandardizing elements found by matrix images over all of W^rel_H."""
     from rk.endoscopy import (_admissible, _full_levi_weyl, _left_coset_rep,
                               indexing_forward)
-    from rk.lattice import in_span, mat_vec
+    from rk.lattice import mat_vec
+    from oracles import in_span
     from rk.weyl import transporter_set
     group, H = param.group, endo.H
     datum = group.datum
@@ -943,7 +946,7 @@ def test_warm_eci_runs_no_smith_form_or_rational_solve(ename, monkeypatch):
             if getattr(module, name, None) is orig:
                 monkeypatch.setattr(module, name, counted)
     lattice.solve_integer(((1,),), (1,))   # the counters are live
-    lattice.in_span(((1,),), (1,))
+    lattice.solve_rational(((1,),), (1,))
     assert calls == list(names)
     del calls[:]
     run()

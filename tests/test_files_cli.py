@@ -1,6 +1,8 @@
 """Description-file round trips and the command-line surface."""
 
+import io
 import json
+import os
 import subprocess
 import sys
 from fractions import Fraction
@@ -102,6 +104,43 @@ def test_cli_examples():
     data = _json_out(_run("examples"))
     assert "gl4-st2" in data["presets"]["parameters"]
     assert data["schema"] == "rk.report.v1"
+
+
+class _ClosedPipe(io.StringIO):
+    """A stdout whose reader has gone: every write fails."""
+
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+
+@pytest.mark.parametrize("argv,code", [
+    (("examples",), 0),
+    # a wall rejection, whose report goes out through the other path
+    (("bset", "--group", "gl2", "--levi", "", "--kappa", "1,1"), 2),
+])
+def test_cli_closed_stdout_exits_1_quietly(argv, code, monkeypatch, capsys):
+    from rk import cli
+    assert cli.main(list(argv)) == code
+    capsys.readouterr()
+    monkeypatch.setattr(sys, "stdout", _ClosedPipe())
+    assert cli.main(list(argv)) == 1
+    assert sys.stdout.name == os.devnull   # the rest, and the exit flush
+    sys.stdout.close()
+    assert capsys.readouterr().err == ""
+
+
+def test_cli_closed_pipe_leaves_no_traceback():
+    # the reader is gone before rk writes: no traceback from the write nor
+    # from the flush at exit
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        proc = subprocess.run([sys.executable, "-m", "rk.cli", "examples"],
+                              stdout=write, stderr=subprocess.PIPE,
+                              text=True, timeout=600)
+    finally:
+        os.close(write)
+    assert (proc.returncode, proc.stderr) == (1, "")
 
 
 def test_cli_weyl_double_coset():

@@ -2,6 +2,7 @@
 abelian and the modular route, cocycle trivialization, and the squared
 dimension identity."""
 
+import hashlib
 from fractions import Fraction
 
 import pytest
@@ -87,7 +88,7 @@ def test_orthogonality_rows():
             for b in mods:
                 total = Cyclo.zero()
                 for g in group.elements:
-                    total = total + a.chi(g) * b.chi(group.inv(g))
+                    total = total + a.chi(g) * b.chi(group.inverse[g])
                 expected = n if a.label() == b.label() else 0
                 assert total == Cyclo.from_rational(expected)
 
@@ -105,8 +106,36 @@ def test_table_with_more_classes_than_the_least_prime():
         for b in table:
             total = Cyclo.zero()
             for g in D4Z2Z2.elements:
-                total = total + a[g] * b[D4Z2Z2.inv(g)]
+                total = total + a[g] * b[D4Z2Z2.inverse[g]]
             assert total == Cyclo.from_rational(len(D4Z2Z2) if a is b else 0)
+
+
+def _weyl_as_finite_group(name):
+    from rk import presets
+    return FiniteGroup.from_matrices(presets.group(name).weyl.generators)
+
+
+def test_weyl_gl6_character_table():
+    # S6: 11 characters, all integer valued, of squared degrees summing to
+    # 720, and orthogonal rows
+    group = _weyl_as_finite_group("gl6")
+    table = character_table(group)
+    assert len(table) == 11
+    rows = [[t[g].as_rational() for g in group.elements] for t in table]
+    assert sum(row[group.index[group.identity]] ** 2 for row in rows) == 720
+    inv = [group.index[group.inverse[g]] for g in group.elements]
+    for i, a in enumerate(rows):
+        for j, b in enumerate(rows):
+            assert sum(x * b[k] for x, k in zip(a, inv)) == \
+                (720 if i == j else 0)
+
+
+def test_weyl_gl5_character_table_pinned():
+    # sha256 of the table's repr as the class-algebra route gave it before
+    # the groups were interned by permutations
+    table = character_table(_weyl_as_finite_group("gl5"))
+    assert hashlib.sha256(repr(table).encode()).hexdigest() == \
+        "a1a622d7c9a0b46c0594758c1e4c53c637f76772442513feb742edf61660823d"
 
 
 def test_abelian_and_modular_routes_agree():
@@ -230,22 +259,22 @@ def _preset_groups():
 def test_inverses_match_product_scan():
     seen = 0
     for name, group, parent in _preset_groups():
-        assert group._inv == _scan_inverses(group), name
+        assert group.inverse == _scan_inverses(group), name
         if parent is not None:
             assert set(group.elements) <= set(parent.elements)
         seen += 1
     assert seen > 20
     for group in (Z2, Z4, Z6, S3, S4, D4):
-        assert group._inv == _scan_inverses(group)
+        assert group.inverse == _scan_inverses(group)
 
 
 def test_inverses_reject_a_non_group():
-    # 2 * 2 = 4 leaves the set
+    # 0 sends the points 1 and 0 to 0
     with pytest.raises(ValueError, match="element without inverse"):
-        FiniteGroup((1, 2), lambda a, b: a * b, 1)
-    # the powers of 2 mod 4 reach 0 and stay there, never returning to 1
+        FiniteGroup.from_matrices([mat([[0]])])
+    # the powers of a projection stay a projection, never returning to 1
     with pytest.raises(ValueError, match="element without inverse"):
-        FiniteGroup((0, 1, 2), lambda a, b: a * b % 4, 1)
+        FiniteGroup.from_matrices([mat([[1, 0], [0, 0]])])
     # a 3-cycle without its inverse is not a subgroup of S3
     three_cycle = perm_mat((1, 2, 0))
     with pytest.raises(ValueError, match="element without inverse"):

@@ -579,7 +579,7 @@ def _r_phi_stabilizer(param, lam):
     """A fresh stabilizer group of lam, filtered from the R_phi images."""
     mats = sorted({param.char_action(r) for r in param.r_elements
                    if mat_vec(param.char_action(r), lam) == lam})
-    return FiniteGroup(tuple(mats), mat_mul, mat_identity(param.dim))
+    return FiniteGroup.from_matrices(mats)
 
 
 def _box_scan_rhos(param, height_bound):

@@ -2,8 +2,10 @@
 the `dot`/`mat_vec`/`mat_mul` kernel, and of the code that reads its
 answers from them, each against a brute-force definition; of the integer
 kernel bases read from Smith forms, against the definition of a saturated
-kernel basis; and of `Cyclo` arithmetic, against the ring axioms and the
-rational solve it replaced.
+kernel basis; of the finite-group core, whose products, inverses, Cayley
+rows, closures and subgroups on point permutations are checked against
+matrix products on random words in every preset's groups; and of `Cyclo`
+arithmetic, against the ring axioms and the rational solve it replaced.
 
 The examples are derandomized and no example database is kept, so the
 suite is deterministic and writes nothing into the checkout.
@@ -11,7 +13,7 @@ suite is deterministic and writes nothing into the checkout.
 
 import tempfile
 from fractions import Fraction
-from functools import partial
+from functools import lru_cache, partial
 from itertools import combinations, permutations, product
 from math import gcd
 
@@ -21,11 +23,14 @@ from hypothesis import strategies as st
 from hypothesis.configuration import set_hypothesis_home_dir
 
 import rk.cyclotomic
+from rk import presets
 from rk.cyclotomic import Cyclo, cyclotomic_polynomial
-from rk.finite_reps import _det_mod, _nullspace_mod, _solve_mod
+from rk.disconnected import classify_irr, stabilizer_A_lambda
+from rk.finite_reps import FiniteGroup, _det_mod, _nullspace_mod, _solve_mod
 from rk.lattice import (
     SmithSolver,
     _snf_raw,
+    closure,
     dot,
     kernel_basis,
     mat_det,
@@ -48,6 +53,8 @@ set_hypothesis_home_dir(_HOME.name)
 
 PROPERTY = settings(derandomize=True, database=None, deadline=None,
                     max_examples=50)
+# one group per case: fewer examples each
+CORE = settings(PROPERTY, max_examples=20)
 
 ENTRY = st.integers(-4, 4)
 
@@ -297,6 +304,104 @@ def test_orbit_is_the_fixed_point_with_parents_first(n, coeffs, seeds):
         with pytest.raises(ValueError, match="exceeded cap of %d elements"
                            % (len(naive) - 1)):
             orbit(seeds, maps, len(naive) - 1)
+
+
+# ---------------------------------------------------------------------------
+# the finite-group core: permutation products against matrix products
+
+CORE_GROUPS = (tuple(("weyl", n) for n in presets.GROUP_NAMES)
+               + tuple(("relative", n) for n in presets.GROUP_NAMES)
+               + tuple(("disconnected", n) for n in presets.DISCONNECTED_NAMES)
+               + tuple(("parameter", n) for n in presets.PARAM_NAMES))
+
+
+@lru_cache(maxsize=None)
+def _preset_groups(kind, name):
+    """A preset's absolute or relative Weyl group; or the component group
+    of a preset holder with its stabilizers of the weights that its
+    classification reaches at height 2."""
+    if kind in ("weyl", "relative"):
+        return (getattr(presets.group(name), kind),)
+    holder = presets.disconnected(name) if kind == "disconnected" \
+        else presets.parameter(name).centralizer
+    return (holder.pi0,) + tuple(
+        stabilizer_A_lambda(holder, w)
+        for w in sorted({pair.weight for pair in classify_irr(holder, 2)}))
+
+
+def core_group(data, kind, name):
+    return data.draw(st.sampled_from(_preset_groups(kind, name)))
+
+
+def elements_of(group):
+    return st.sampled_from(group.elements)
+
+
+@pytest.mark.parametrize("kind,name", CORE_GROUPS)
+@CORE
+@given(data=st.data())
+def test_core_products_and_inverses_are_matrix_products(kind, name, data):
+    group = core_group(data, kind, name)
+    a, b = data.draw(elements_of(group)), data.draw(elements_of(group))
+    assert group.mul(a, b) == mat_mul(a, b)
+    assert group.inverse[a] == mat_inverse_int(a)
+    assert group.row(group.index[a])[group.index[b]] == \
+        group.index[group.mul(a, b)]
+    word = data.draw(st.lists(st.integers(0, len(group.generators) - 1),
+                              max_size=8)) if group.generators else []
+    product = mat_identity(group.rank)
+    for i in word:
+        product = mat_mul(product, group.generators[i])
+    assert group.from_word(word) == product
+    assert group.from_word(group.word(a)) == a
+
+
+def _raised(f, *args):
+    try:
+        f(*args)
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
+@pytest.mark.parametrize("kind,name", CORE_GROUPS)
+@settings(PROPERTY, max_examples=10)
+@given(data=st.data())
+def test_from_matrices_is_the_sorted_closure(kind, name, data):
+    group = core_group(data, kind, name)
+    gens = data.draw(st.lists(elements_of(group), min_size=1, max_size=3))
+    order = closure(gens)[0]
+    # a cap of |G| accepts the group, though its basis orbits may have more
+    # points in all than it has elements
+    assert FiniteGroup.from_matrices(gens, len(order)).elements == \
+        tuple(sorted(order))
+    # one element short: the same rejection, or none for the trivial group
+    cap = len(order) - 1
+    assert _raised(FiniteGroup.from_matrices, gens, cap) == \
+        _raised(closure, gens, cap)
+
+
+@pytest.mark.parametrize("kind,name", CORE_GROUPS)
+@CORE
+@given(data=st.data())
+def test_subgroup_takes_exactly_the_closed_sets(kind, name, data):
+    # a generated subgroup, with one element of the group added or taken
+    # away or not; the set is closed under matrix products or rejected
+    group = core_group(data, kind, name)
+    gens = data.draw(st.lists(elements_of(group), max_size=1 if len(group)
+                              > 48 else 2))
+    members = set(group.generated(gens))
+    members ^= set(data.draw(st.lists(elements_of(group), max_size=1)))
+    closed = all(mat_mul(a, b) in members for a in members for b in members)
+    if group.identity in members and closed:
+        sub = group.subgroup(members)
+        assert sub.elements == tuple(sorted(members))
+        assert sub.inverse == {a: group.inverse[a] for a in sub.elements}
+        assert all(sub.mul(a, b) == mat_mul(a, b)
+                   for a in members for b in members)
+    else:
+        with pytest.raises(ValueError):
+            group.subgroup(members)
 
 
 # ---------------------------------------------------------------------------

@@ -31,9 +31,10 @@ from rk.rootdata import (
     ReductiveGroup,
     WeylGroup,
     dual_datum,
-    levi_data,
     weyl_group,
 )
+
+from oracles import levi_data
 
 
 def test_construction_rejects_bad_pairing():

@@ -1,11 +1,11 @@
 """Names the benchmark's tracer wraps must keep resolving in `rk`, as a
 kind of object the tracer knows how to wrap, so a change that deletes,
 renames or re-kinds one fails here and not only in traced benchmark
-runs.  Each command loads only the modules it runs, and the cyclotomic
-layer loads no other `rk` module.  The preset registry lists, resolves
-and rejects the same names, and every preset resolves like its dumped
-description file.  One pass of each warm benchmark workload reproduces
-the reference digests."""
+runs.  Every name an `rk` module imports is used.  Each command loads
+only the modules it runs, and the cyclotomic layer loads no other `rk`
+module.  The preset registry lists, resolves and rejects the same names,
+and every preset resolves like its dumped description file.  One pass of
+each warm benchmark workload reproduces the reference digests."""
 
 import ast
 import importlib
@@ -60,6 +60,27 @@ def test_only_the_lattice_layer_references_solve_rational():
             if name == "solve_rational":
                 users.append(path.name)
     assert users == []
+
+
+# the benchmark's self-test reads `rk.weyl.mat_mul` to check that the
+# tracer rebinds a copied name and restores it
+UNUSED_IMPORTS_KEPT = {("weyl.py", "mat_mul")}
+
+
+def test_every_imported_name_is_used():
+    unused = set()
+    for path in sorted((ROOT / "src" / "rk").glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    name = alias.asname or alias.name.split(".")[0]
+                    if name not in used:
+                        unused.add((path.name, name))
+    assert unused == UNUSED_IMPORTS_KEPT
 
 
 # ---------------------------------------------------------------------------
