@@ -33,7 +33,6 @@ from .packets import (
     PacketMember,
     _double_coset_ids,
     build_packet_member,
-    canonical_rho,
     dominantize,
     enumerate_fiber,
     fiber_weight,
@@ -703,8 +702,7 @@ def _expand_levi_token(param: Parameter, b: BElement, w: Matrix,
     lam = dominantize(param, lam_raw)
     identity = param.group.relative.identity
     for module in param.centralizer.stabilizer_modules(lam):
-        rho = canonical_rho(param, HighestWeightPair(lam, module))
-        member = build_packet_member(param, rho)
+        member = build_packet_member(param, HighestWeightPair(lam, module))
         coeff = _trace_on_levi_module(param, member.levi, w, lam_raw,
                                       module.dim, identity, endo)
         dist.add(Term("member", tuple(sorted(member.levi)), member.key(),

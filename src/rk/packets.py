@@ -75,38 +75,44 @@ def canonical_rho(param: Parameter, rho: HighestWeightPair) -> HighestWeightPair
 def build_packet_member(param: Parameter, rho: HighestWeightPair) -> PacketMember:
     """The forward construction; see the module docstring.
 
-    Raises DescentError or WallRejection only on internal inconsistencies;
-    for valid parameter data every dominant pair goes through.
+    The chamber witness, the Levi cut, the Kottwitz lift and the Newton
+    check depend on the canonical weight alone and run once per (param,
+    weight); the descent certificate runs on every call.  Raises
+    DescentError or WallRejection only on internal inconsistencies; for
+    valid parameter data every dominant pair goes through.
     """
-    group = param.group
     rho = canonical_rho(param, rho)
     lam = rho.weight
-    x = param.ctx_M.alpha(lam)
-    witness = chamber_locate(group, x)
-    levi = witness.levi
-    w = witness.matrix
+    memo = _memo(param)
+    if ("member", lam) in memo:
+        cut, b, w_class, word = memo["member", lam]
+        _certify_descent(param, cut, lam)
+    else:
+        group = param.group
+        witness = chamber_locate(group, param.ctx_M.alpha(lam))
+        levi = witness.levi
+        w = witness.matrix
+        cut = param.levi_cut(levi, w)
+        _certify_descent(param, cut, lam)
 
-    cut = param.levi_cut(levi, w)
-    _certify_descent(param, cut, lam, rho)
-
-    # kappa from the restriction of the transported weight to the Levi center
-    functional = tuple(dot(lam, c) for c in cut.levi_center_coords)
-    ctx_L = group.levi_context(levi)
-    kappa = ctx_L.kappa_from_functional(functional)
-    b = basic_plus_lift(group, levi, kappa)
-    if ctx_L.newton_point(kappa) != witness.image:
-        raise AssertionError("Newton point disagrees with the chamber image")
-
-    w_class = _canonical_double_coset(param, levi, w)
+        # kappa from the transported weight restricted to the Levi center
+        functional = tuple(dot(lam, c) for c in cut.levi_center_coords)
+        ctx_L = group.levi_context(levi)
+        kappa = ctx_L.kappa_from_functional(functional)
+        b = basic_plus_lift(group, levi, kappa)
+        if ctx_L.newton_point(kappa) != witness.image:
+            raise AssertionError("Newton point disagrees with the chamber "
+                                 "image")
+        w_class = _canonical_double_coset(param, levi, w)
+        word = witness.word
+        memo["member", lam] = cut, b, w_class, word
     return PacketMember(
-        b=b, levi=levi, w_class=w_class, rho_weight=lam,
-        rho_module_label=rho.module.label(),
-        witness_word=witness.word, levi_weight=lam,
-        param_label=param.label)
+        b=b, levi=cut.levi, w_class=w_class, rho_weight=lam,
+        rho_module_label=rho.module.label(), witness_word=word,
+        levi_weight=lam, param_label=param.label)
 
 
-def _certify_descent(param: Parameter, cut, lam: Vector,
-                     rho: HighestWeightPair) -> None:
+def _certify_descent(param: Parameter, cut, lam: Vector) -> None:
     """Descent certificate: the cut highest-weight module is a character
     killing the derived-intersection sublattice, and the two stabilizers
     (in the cut and in the full component group) coincide."""
@@ -133,7 +139,9 @@ def _certify_descent(param: Parameter, cut, lam: Vector,
 
 def _memo(param: Parameter) -> Dict:
     """This module's per-parameter cache, made on first use; keys are
-    ("cosets", L), ("canonical", L, w) and "center"."""
+    ("cosets", L), ("canonical", L, w), "center" and ("member", lambda),
+    the last holding a member's Levi cut, Kottwitz element, coset class
+    and witness word for the canonical weight lambda."""
     return vars(param).setdefault("_packets_memo", {})
 
 
@@ -229,8 +237,8 @@ def enumerate_fiber(param: Parameter, b: BElement) -> Tuple[PacketMember, ...]:
             continue
         lam = dominantize(param, lam_raw)
         for module in param.centralizer.stabilizer_modules(lam):
-            rho = canonical_rho(param, HighestWeightPair(lam, module))
-            member = build_packet_member(param, rho)
+            member = build_packet_member(param,
+                                         HighestWeightPair(lam, module))
             if encode(param.group, member.b) != bkey:
                 raise AssertionError("fiber candidate landed on a different "
                                      "element of the Kottwitz set")
@@ -325,8 +333,7 @@ def central_character_square(param: Parameter, rho: HighestWeightPair) -> Dict:
             coords.append(sol)
         memo["center"] = tuple(coords)
     coords = memo["center"]
-    lam = canonical_rho(param, rho).weight
-    functional = tuple(dot(lam, c) for c in coords)
+    functional = tuple(dot(member.rho_weight, c) for c in coords)
     omega = ctx_G.kappa_from_functional(functional)
     torsion_undetermined = bool(ctx_G.dual_center_characters.torsion)
     equal = omega.free == pushed.free and (

@@ -5,8 +5,9 @@ minimal cyclotomic conductors found by one dense rational solve per
 divisor of the conductor, cyclotomic polynomials by division over the
 rationals, the Weyl coset loops of the endoscopy and parameter layers by
 matrix products (`WeylGroup.mul`) instead of Cayley rows on element ids,
-and the realization of centralizer reflections by one scan of the
-embedded normalizer per root.  With them are the routines that only the
+the realization of centralizer reflections by one scan of the embedded
+normalizer per root, and the packet forward map with every step run on
+every call.  With them are the routines that only the
 tests call: the rational span test, the Levi data as one tuple, and the
 full Weyl group of a disconnected group with its semidirect splitting.
 """
@@ -16,10 +17,14 @@ from functools import lru_cache
 
 from rk.cyclotomic import Cyclo, _reduce_mod_cyclotomic, cyclotomic_polynomial
 from rk.finite_reps import FiniteGroup
-from rk.lattice import (mat, mat_identity, mat_transpose, mat_vec,
+from rk.kottwitz import basic_plus_lift
+from rk.lattice import (dot, mat, mat_identity, mat_transpose, mat_vec,
                         solve_rational, vneg, vsub)
+from rk.packets import (PacketMember, _canonical_double_coset,
+                        _certify_descent, canonical_rho)
 from rk.params import ParameterError, _is_reflection
 from rk.rootdata import DatumError, reflection_matrix, weyl_group
+from rk.weyl import chamber_locate
 
 
 def in_span(basis, v) -> bool:
@@ -232,3 +237,36 @@ def realize_reflection_by_scan(param, alpha):
             raise ParameterError("coroot of %r is not integral" % (alpha,))
         cor.append(c)
     return m, tuple(cor)
+
+
+# ---------------------------------------------------------------------------
+# the packet forward map without its per-weight memo
+
+def build_packet_member_unmemoized(param, rho):
+    """The chamber witness, the Levi cut, the descent certificate, the
+    Kottwitz lift and the Newton check, all on every call."""
+    group = param.group
+    rho = canonical_rho(param, rho)
+    lam = rho.weight
+    x = param.ctx_M.alpha(lam)
+    witness = chamber_locate(group, x)
+    levi = witness.levi
+    w = witness.matrix
+
+    cut = param.levi_cut(levi, w)
+    _certify_descent(param, cut, lam)
+
+    # kappa from the restriction of the transported weight to the Levi center
+    functional = tuple(dot(lam, c) for c in cut.levi_center_coords)
+    ctx_L = group.levi_context(levi)
+    kappa = ctx_L.kappa_from_functional(functional)
+    b = basic_plus_lift(group, levi, kappa)
+    if ctx_L.newton_point(kappa) != witness.image:
+        raise AssertionError("Newton point disagrees with the chamber image")
+
+    w_class = _canonical_double_coset(param, levi, w)
+    return PacketMember(
+        b=b, levi=levi, w_class=w_class, rho_weight=lam,
+        rho_module_label=rho.module.label(),
+        witness_word=witness.word, levi_weight=lam,
+        param_label=param.label)

@@ -1,7 +1,9 @@
 """The forward construction, fibers, round trips, independence of
 choices, and the central-character square."""
 
+import dataclasses
 import itertools
+import random
 from fractions import Fraction
 
 import pytest
@@ -29,6 +31,8 @@ from rk.lattice import (
     solve_rational,
 )
 from rk.packets import (
+    DescentError,
+    PacketMember,
     _canonical_double_coset,
     _memo,
     build_packet_member,
@@ -42,7 +46,7 @@ from rk.packets import (
     transporter_double_cosets,
 )
 from rk.params import LeviCut, Parameter, ParameterError, _is_reflection
-from rk.weyl import transporter_set
+from rk.weyl import chamber_locate, transporter_set
 
 
 GL2 = presets.parameter("gl2-triv")
@@ -639,6 +643,133 @@ def test_stabilizer_modules_once_per_subgroup(name, monkeypatch):
         assert mods is by_stabilizer.setdefault(stab.elements, mods)
         assert mods == simple_modules(stab)
     assert sorted(calls) == sorted(by_stabilizer)
+
+
+# ---------------------------------------------------------------------------
+# the forward map's per-weight memo and its certificates
+
+def _member_weights(param):
+    """The canonical weights the forward map has stored data for, one
+    entry each."""
+    return sorted(key[1] for key in _memo(param)
+                  if isinstance(key, tuple) and key[0] == "member")
+
+
+def _break_descent(monkeypatch, cut, lam, branch):
+    """Make one branch of the descent certificate fail on this cut and
+    weight; returns a fragment of that branch's message."""
+    param = cut.param
+    if branch == "root":
+        moved = next(r for r in param.roots if dot(lam, param.coroots[r]))
+        monkeypatch.setattr(cut, "roots", cut.roots + (moved,))
+        return "Levi-cut root"
+    if branch == "sublattice":
+        monkeypatch.setattr(cut, "descent_coords", lambda: (lam,))
+        return "derived-intersection sublattice"
+    monkeypatch.setattr(cut, "component_elements", ())
+    return "ambient stabilizer"
+
+
+@pytest.mark.parametrize("branch", ["root", "sublattice", "stabilizer"])
+def test_descent_certificate_fires_on_a_hit(branch, monkeypatch):
+    from oracles import build_packet_member_unmemoized
+    param = presets.parameter("gl2-triv")
+    rho = rho_of(param, (1, 0))
+    member = build_packet_member(param, rho)
+    cut = _memo(param)["member", (1, 0)][0]
+    message = _break_descent(monkeypatch, cut, (1, 0), branch)
+    with pytest.raises(DescentError, match=message):
+        build_packet_member(param, rho)
+    assert _member_weights(param) == [(1, 0)]
+    monkeypatch.undo()
+    assert build_packet_member(param, rho) == member == \
+        build_packet_member_unmemoized(presets.parameter("gl2-triv"), rho)
+
+
+@pytest.mark.parametrize("branch", ["root", "sublattice", "stabilizer"])
+def test_descent_certificate_fires_on_a_miss(branch, monkeypatch):
+    param = presets.parameter("gl2-triv")
+    rho = rho_of(param, (1, 0))
+    witness = chamber_locate(param.group, param.ctx_M.alpha((1, 0)))
+    cut = param.levi_cut(witness.levi, witness.matrix)
+    message = _break_descent(monkeypatch, cut, (1, 0), branch)
+    for _ in range(2):
+        with pytest.raises(DescentError, match=message):
+            build_packet_member(param, rho)
+        assert _member_weights(param) == []
+    monkeypatch.undo()
+    build_packet_member(param, rho)
+    assert _member_weights(param) == [(1, 0)]
+
+
+def test_newton_check_fires_on_a_miss(monkeypatch):
+    import rk.packets
+    param = presets.parameter("gl4-st2")
+    rho = rho_of(param, (1, 0))
+
+    def moved(group, x):
+        witness = chamber_locate(group, x)
+        return dataclasses.replace(
+            witness, image=tuple(c + 1 for c in witness.image))
+    monkeypatch.setattr(rk.packets, "chamber_locate", moved)
+    with pytest.raises(AssertionError, match="Newton point disagrees"):
+        build_packet_member(param, rho)
+    assert _member_weights(param) == []
+    monkeypatch.undo()
+    build_packet_member(param, rho)
+    assert _member_weights(param) == [(1, 0)]
+
+
+@pytest.mark.parametrize("name", ORACLE_PARAMS)
+def test_memoized_forward_map_matches_the_reference(name, monkeypatch):
+    # the memo against the forward map that recomputes everything; the
+    # descent certificate runs on every call, the chamber ascent once
+    # per canonical weight
+    import rk.packets
+    from oracles import build_packet_member_unmemoized
+    param = _oracle_parameter(name)
+    rhos = enumerate_rhos(param, 3)
+    want = [build_packet_member_unmemoized(_oracle_parameter(name), rho)
+            for rho in rhos]
+    counts = {"_certify_descent": 0, "chamber_locate": 0}
+
+    def counted(fn_name):
+        real = getattr(rk.packets, fn_name)
+
+        def run(*args):
+            counts[fn_name] += 1
+            return real(*args)
+        return run
+    for fn_name in counts:
+        monkeypatch.setattr(rk.packets, fn_name, counted(fn_name))
+    order = list(range(len(rhos)))
+    rng = random.Random(name)
+    for _ in range(2):
+        rng.shuffle(order)
+        for i in order:
+            got = build_packet_member(param, rhos[i])
+            for f in dataclasses.fields(PacketMember):
+                assert getattr(got, f.name) == getattr(want[i], f.name)
+    weights = sorted({m.rho_weight for m in want})
+    assert _member_weights(param) == weights
+    assert counts == {"_certify_descent": 2 * len(rhos),
+                      "chamber_locate": len(weights)}
+
+
+@pytest.mark.parametrize("name", presets.PARAM_NAMES)
+def test_round_trip_locates_each_canonical_weight_once(name, monkeypatch):
+    import rk.packets
+    param = presets.parameter(name)
+    located = []
+
+    def counted(group, x):
+        located.append(tuple(x))
+        return chamber_locate(group, x)
+    monkeypatch.setattr(rk.packets, "chamber_locate", counted)
+    assert round_trip_check(param, 3)["pass"]
+    weights = _member_weights(param)
+    assert {rho.weight for rho in enumerate_rhos(param, 3)} <= set(weights)
+    assert len(located) == len(set(located)) == len(weights)
 
 
 # ---------------------------------------------------------------------------
