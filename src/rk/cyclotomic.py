@@ -1,12 +1,12 @@
 """Exact arithmetic with rational combinations of roots of unity.
 
 Values live in Q(zeta_n) and are stored as polynomials in zeta_n reduced
-modulo the n-th cyclotomic polynomial; comparisons lift both operands to
-the lcm conductor.  Sums, products and hashes shrink a value to its
-minimal conductor by relative traces, one prime at a time: x lies in
-Q(zeta_{n/p}) exactly when it equals its trace down to that field divided
-by the degree, and that trace has a closed form on each power of zeta_n.
-This is all the character and trace bookkeeping in this package ever
+modulo the n-th cyclotomic polynomial, as integer numerators over one
+common denominator; comparisons lift both operands to the lcm conductor.
+Sums, products and hashes shrink a value to its minimal conductor by
+relative traces, one prime at a time: x lies in Q(zeta_{n/p}) exactly
+when it equals its trace down to that field divided by the degree, and
+that trace has a closed form on each power of zeta_n.  This is all the character and trace bookkeeping in this package ever
 needs: no floating point, no linear algebra, exact equality, and exact
 detection of rational values.
 """
@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd
+from math import gcd, lcm
 from typing import List, Optional, Tuple
 
 
@@ -58,36 +58,44 @@ def prime_factors(n: int) -> List[int]:
 class Cyclo:
     """An element of Q(zeta_n), canonically reduced.
 
+    A value is stored as integer numerators `nums` over one positive
+    denominator `den` with gcd(den, *nums) = 1, a unique form, so equal
+    values at one conductor have equal (nums, den).
+
     >>> Cyclo.root_of_unity(Fraction(1, 2))
     Cyclo(-1)
     >>> (Cyclo.root_of_unity(Fraction(1, 3)) + Cyclo.root_of_unity(Fraction(2, 3))).as_rational()
     Fraction(-1, 1)
     """
 
-    __slots__ = ("n", "coeffs")
+    __slots__ = ("n", "nums", "den")
 
     def __init__(self, n: int, coeffs):
-        deg = len(cyclotomic_polynomial(n)) - 1
-        cs = [Fraction(c) for c in coeffs]
-        if len(cs) > deg:
-            cs = _reduce_mod_cyclotomic(cs, n)
-        cs += [Fraction(0)] * (deg - len(cs))
-        self.n = n
-        self.coeffs = tuple(cs)
+        qs = [Fraction(c) for c in coeffs]
+        den = lcm(*(q.denominator for q in qs))
+        _fill(self, n, [q.numerator * (den // q.denominator) for q in qs],
+              den)
+
+    @property
+    def coeffs(self) -> Tuple[Fraction, ...]:
+        """The power-basis coefficients as Fractions."""
+        return tuple(Fraction(a, self.den) for a in self.nums)
 
     # -- constructors ------------------------------------------------------
 
     @classmethod
     def from_rational(cls, q) -> "Cyclo":
-        return cls(1, [Fraction(q)])
+        if not isinstance(q, (int, Fraction)):
+            q = Fraction(q)
+        return _make(1, [q.numerator], q.denominator)
 
     @classmethod
     def zero(cls) -> "Cyclo":
-        return cls.from_rational(0)
+        return _make(1, [0], 1)
 
     @classmethod
     def one(cls) -> "Cyclo":
-        return cls.from_rational(1)
+        return _make(1, [1], 1)
 
     @classmethod
     def root_of_unity(cls, exponent) -> "Cyclo":
@@ -99,15 +107,15 @@ class Cyclo:
         num //= g
         den //= g
         if den == 1:
-            return cls.from_rational(1)
+            return cls.one()
         # a primitive den-th root of unity has conductor den, except for
         # den = 2 (mod 4): zeta_den^num = -zeta_{den/2}^{(num + den/2)/2}
         sign = 1
         if den % 4 == 2:
             num, den, sign = (num + den // 2) // 2 % (den // 2), den // 2, -1
-        coeffs = [Fraction(0)] * den
-        coeffs[num] = Fraction(sign)
-        return cls(den, coeffs)
+        nums = [0] * den
+        nums[num] = sign
+        return _make(den, nums, 1)
 
     # -- ring structure ------------------------------------------------------
 
@@ -118,19 +126,24 @@ class Cyclo:
             raise ValueError("can only lift to a multiple conductor")
         k = n // self.n
         # zeta_{self.n} = zeta_n^k: re-express with stride k, then reduce
-        out = [Fraction(0)] * (k * (len(self.coeffs) - 1) + 1)
-        for i, c in enumerate(self.coeffs):
-            out[i * k] += c
-        return Cyclo(n, out)
+        out = [0] * (k * (len(self.nums) - 1) + 1)
+        out[::k] = self.nums
+        return _make(n, out, self.den)
 
     def scale(self, c) -> "Cyclo":
-        return Cyclo(self.n, [Fraction(c) * x for x in self.coeffs])
+        if not isinstance(c, (int, Fraction)):
+            c = Fraction(c)
+        a = c.numerator
+        return _make(self.n, [a * x for x in self.nums],
+                     self.den * c.denominator)
 
     def __add__(self, other) -> "Cyclo":
         other = _coerce(other)
-        n = _lcm(self.n, other.n)
+        n = lcm(self.n, other.n)
         a, b = self._lift(n), other._lift(n)
-        return Cyclo(n, [x + y for x, y in zip(a.coeffs, b.coeffs)])._canonical()
+        da, db = a.den, b.den
+        return _make(n, [x * db + y * da for x, y in zip(a.nums, b.nums)],
+                     da * db)._canonical()
 
     __radd__ = __add__
 
@@ -145,31 +158,31 @@ class Cyclo:
 
     def __mul__(self, other) -> "Cyclo":
         other = _coerce(other)
-        n = _lcm(self.n, other.n)
+        n = lcm(self.n, other.n)
         a, b = self._lift(n), other._lift(n)
-        prod = [Fraction(0)] * (len(a.coeffs) + len(b.coeffs) - 1)
-        for i, x in enumerate(a.coeffs):
+        prod = [0] * (len(a.nums) + len(b.nums) - 1)
+        for i, x in enumerate(a.nums):
             if x == 0:
                 continue
-            for j, y in enumerate(b.coeffs):
+            for j, y in enumerate(b.nums):
                 if y:
                     prod[i + j] += x * y
-        return Cyclo(n, prod)._canonical()
+        return _make(n, prod, a.den * b.den)._canonical()
 
     __rmul__ = __mul__
 
     # -- structure queries ----------------------------------------------------
 
     def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
+        return not any(self.nums)
 
     def is_rational(self) -> bool:
-        return all(c == 0 for c in self.coeffs[1:])
+        return not any(self.nums[1:])
 
     def as_rational(self) -> Fraction:
         if not self.is_rational():
             raise ValueError("value is irrational: %r" % (self,))
-        return self.coeffs[0]
+        return Fraction(self.nums[0], self.den)
 
     def _canonical(self) -> "Cyclo":
         """Reduce the conductor to the smallest divisor that carries the value."""
@@ -188,32 +201,34 @@ class Cyclo:
 
     def _descend(self, p: int) -> Optional["Cyclo"]:
         """This value in Q(zeta_m), m = n/p for a prime p | n, or None."""
-        n, m, cs = self.n, self.n // p, self.coeffs
+        n, m, cs = self.n, self.n // p, self.nums
         if m % p == 0:
             # zeta_n^r (r < p) is a basis over Q(zeta_m), zeta_m = zeta_n^p
             if any(c for i, c in enumerate(cs) if i % p):
                 return None
-            return Cyclo(m, cs[::p])
+            return _make(m, cs[::p], self.den)
         # zeta_n = zeta_m^c * zeta_p^(1/m mod p) with c = 1/p mod m, and the
         # trace of zeta_p^k down to Q is p - 1 when p | k, else -1; so the
         # trace of zeta_n^i over the degree p - 1 is zeta_m^(ic) when p | i
-        # and -zeta_m^(ic)/(p - 1) otherwise
+        # and -zeta_m^(ic)/(p - 1) otherwise: scaled by p - 1, integers
         c = pow(p, -1, m)
-        w = Fraction(-1, p - 1)
-        t = [Fraction(0)] * m
+        q = p - 1
+        t = [0] * m
         for i, x in enumerate(cs):
             if x:
-                t[i * c % m] += x if i % p == 0 else x * w
-        y = Cyclo(m, t)
-        return y if y._lift(n).coeffs == cs else None
+                t[i * c % m] += x * q if i % p == 0 else -x
+        y = _make(m, t, self.den * q)
+        z = y._lift(n)
+        return y if z.den == self.den and z.nums == cs else None
 
     def __eq__(self, other):
         try:
             other = _coerce(other)
         except TypeError:
             return NotImplemented
-        n = _lcm(self.n, other.n)
-        return self._lift(n).coeffs == other._lift(n).coeffs
+        n = lcm(self.n, other.n)
+        a, b = self._lift(n), other._lift(n)
+        return a.den == b.den and a.nums == b.nums
 
     def __hash__(self):
         c = self._canonical()
@@ -221,24 +236,53 @@ class Cyclo:
 
     def __repr__(self):
         if self.is_rational():
-            q = self.coeffs[0]
-            return "Cyclo(%s)" % (q if q.denominator != 1 else q.numerator)
+            return "Cyclo(%s)" % _qstr(self.nums[0], self.den)
         terms = []
-        for i, c in enumerate(self.coeffs):
-            if c == 0:
+        for i, a in enumerate(self.nums):
+            if a == 0:
                 continue
             if i == 0:
-                terms.append(str(c))
+                terms.append(_qstr(a, self.den))
             else:
-                terms.append("%s*z%d^%d" % (c, self.n, i))
+                terms.append("%s*z%d^%d" % (_qstr(a, self.den), self.n, i))
         return "Cyclo(%s)" % " + ".join(terms)
 
     def pretty(self) -> str:
         r = self._canonical()
         if r.is_rational():
-            q = r.as_rational()
-            return str(q.numerator) if q.denominator == 1 else str(q)
+            return _qstr(r.nums[0], r.den)
         return repr(r)
+
+
+def _fill(x: Cyclo, n: int, nums, den: int) -> None:
+    """Set x to sum(nums[i] * zeta_n^i) / den (ints, den > 0), reduced
+    modulo Phi_n and by the gcd of den and the numerators."""
+    deg = len(cyclotomic_polynomial(n)) - 1
+    if len(nums) > deg:
+        nums = _reduce_mod_cyclotomic(nums, n)
+    elif len(nums) < deg:
+        nums = list(nums) + [0] * (deg - len(nums))
+    g = gcd(den, *nums)
+    if g != 1:
+        nums = [a // g for a in nums]
+        den //= g
+    x.n = n
+    x.nums = tuple(nums)
+    x.den = den
+
+
+def _make(n: int, nums, den: int) -> Cyclo:
+    x = object.__new__(Cyclo)
+    _fill(x, n, nums, den)
+    return x
+
+
+def _qstr(a: int, den: int) -> str:
+    """str(Fraction(a, den)) without forming the Fraction."""
+    g = gcd(a, den)
+    if g == den:
+        return str(a // g)
+    return "%d/%d" % (a // g, den // g)
 
 
 def _coerce(x) -> Cyclo:
@@ -247,10 +291,6 @@ def _coerce(x) -> Cyclo:
     if isinstance(x, (int, Fraction)):
         return Cyclo.from_rational(x)
     raise TypeError("cannot coerce %r into a cyclotomic value" % (x,))
-
-
-def _lcm(a: int, b: int) -> int:
-    return a * b // gcd(a, b)
 
 
 def _reduce_mod_cyclotomic(coeffs, n):

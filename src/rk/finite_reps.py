@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import partial
+from functools import cached_property, partial
 from math import gcd, isqrt
 from typing import Dict, Optional, Sequence, Tuple
 
@@ -126,6 +126,10 @@ class Module:
 
     def label(self) -> Tuple:
         """Canonical isomorphism-class label (dim plus sorted value reprs)."""
+        return self._label
+
+    @cached_property
+    def _label(self) -> Tuple:
         return (self.dim, tuple(v.pretty() for _e, v in self.character))
 
 

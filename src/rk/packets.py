@@ -139,9 +139,10 @@ def _certify_descent(param: Parameter, cut, lam: Vector) -> None:
 
 def _memo(param: Parameter) -> Dict:
     """This module's per-parameter cache, made on first use; keys are
-    ("cosets", L), ("canonical", L, w), "center" and ("member", lambda),
-    the last holding a member's Levi cut, Kottwitz element, coset class
-    and witness word for the canonical weight lambda."""
+    ("cosets", L), ("canonical", L, w), "center", ("fiber_weight", b, w),
+    holding the weight or None, and ("member", lambda), holding a member's
+    Levi cut, Kottwitz element, coset class and witness word for the
+    canonical weight lambda."""
     return vars(param).setdefault("_packets_memo", {})
 
 
@@ -197,21 +198,27 @@ def transporter_double_cosets(param: Parameter, levi) -> Tuple[Matrix, ...]:
 
 def fiber_weight(param: Parameter, b: BElement, w: Matrix) -> Optional[Vector]:
     """The weight alpha_M^{-1}(w^{-1} . nu(b)) when it is integral, else
-    None (that coset contributes no members).
+    None (that coset contributes no members); computed once per (param,
+    b, w).
 
     Computed in integers: nu(b) as alpha_L's numerators over its one
     denominator d_L, moved by w^T, then alpha_M^{-1}'s integer matrix over
     its one denominator d_M, with a single division by d_L * d_M."""
+    memo = _memo(param)
+    key = ("fiber_weight", b, w)
+    if key in memo:
+        return memo[key]
     nu, den_l = param.group.levi_context(b.levi).newton_scaled(b.kappa)
     moved = mat_vec(mat_transpose(w), nu)  # cochar action of w^{-1}
     image = param.ctx_M.alpha_inv_scaled(moved)
-    if image is None:
-        return None
-    num, den_m = image
-    den = den_l * den_m
-    if any(x % den for x in num):
-        return None
-    return tuple(x // den for x in num)
+    lam = None
+    if image is not None:
+        num, den_m = image
+        den = den_l * den_m
+        if not any(x % den for x in num):
+            lam = tuple(x // den for x in num)
+    memo[key] = lam
+    return lam
 
 
 def dominantize(param: Parameter, lam: Vector) -> Vector:

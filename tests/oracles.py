@@ -1,21 +1,26 @@
 """Reference implementations the oracle tests compare the library with.
 
 They are the code paths the library replaced, kept here unchanged:
-minimal cyclotomic conductors found by one dense rational solve per
+cyclotomic values with Fraction coefficients, minimal cyclotomic
+conductors found by one dense rational solve per
 divisor of the conductor, cyclotomic polynomials by division over the
 rationals, the Weyl coset loops of the endoscopy and parameter layers by
 matrix products (`WeylGroup.mul`) instead of Cayley rows on element ids,
 the realization of centralizer reflections by one scan of the embedded
-normalizer per root, and the packet forward map with every step run on
-every call.  With them are the routines that only the
+normalizer per root, and the packet forward map and its fiber weights
+with every step run on every call.  With them are the routines that only the
 tests call: the rational span test, the Levi data as one tuple, and the
 full Weyl group of a disconnected group with its semidirect splitting.
 """
 
 from fractions import Fraction
 from functools import lru_cache
+from math import gcd
+from math import lcm as _lcm
+from typing import Optional
 
-from rk.cyclotomic import Cyclo, _reduce_mod_cyclotomic, cyclotomic_polynomial
+from rk.cyclotomic import (Cyclo, _reduce_mod_cyclotomic,
+                           cyclotomic_polynomial, prime_factors)
 from rk.finite_reps import FiniteGroup
 from rk.kottwitz import basic_plus_lift
 from rk.lattice import (dot, mat, mat_identity, mat_transpose, mat_vec,
@@ -80,6 +85,203 @@ def pi0_weyl_split(datum):
         raise DatumError("component action is inconsistent with a semidirect "
                          "Weyl decomposition: %r" % (report,))
     return wc, pi0_mats, report
+
+
+# ---------------------------------------------------------------------------
+# cyclotomic values with Fraction coefficients
+
+class FractionCyclo:
+    """An element of Q(zeta_n), canonically reduced, with Fraction
+    coefficients: the class `rk.cyclotomic.Cyclo` replaced, unchanged but
+    for its name (its reprs still read `Cyclo(...)`).
+
+    >>> FractionCyclo.root_of_unity(Fraction(1, 2))
+    Cyclo(-1)
+    """
+
+    __slots__ = ("n", "coeffs")
+
+    def __init__(self, n: int, coeffs):
+        deg = len(cyclotomic_polynomial(n)) - 1
+        cs = [Fraction(c) for c in coeffs]
+        if len(cs) > deg:
+            cs = _reduce_mod_cyclotomic(cs, n)
+        cs += [Fraction(0)] * (deg - len(cs))
+        self.n = n
+        self.coeffs = tuple(cs)
+
+    # -- constructors ------------------------------------------------------
+
+    @classmethod
+    def from_rational(cls, q) -> "FractionCyclo":
+        return cls(1, [Fraction(q)])
+
+    @classmethod
+    def zero(cls) -> "FractionCyclo":
+        return cls.from_rational(0)
+
+    @classmethod
+    def one(cls) -> "FractionCyclo":
+        return cls.from_rational(1)
+
+    @classmethod
+    def root_of_unity(cls, exponent) -> "FractionCyclo":
+        """e^{2 pi i exponent} for a rational exponent."""
+        q = Fraction(exponent)
+        num = q.numerator % q.denominator
+        den = q.denominator
+        g = gcd(num, den) if num else den
+        num //= g
+        den //= g
+        if den == 1:
+            return cls.from_rational(1)
+        # a primitive den-th root of unity has conductor den, except for
+        # den = 2 (mod 4): zeta_den^num = -zeta_{den/2}^{(num + den/2)/2}
+        sign = 1
+        if den % 4 == 2:
+            num, den, sign = (num + den // 2) // 2 % (den // 2), den // 2, -1
+        coeffs = [Fraction(0)] * den
+        coeffs[num] = Fraction(sign)
+        return cls(den, coeffs)
+
+    # -- ring structure ------------------------------------------------------
+
+    def _lift(self, n: int) -> "FractionCyclo":
+        if n == self.n:
+            return self
+        if n % self.n:
+            raise ValueError("can only lift to a multiple conductor")
+        k = n // self.n
+        # zeta_{self.n} = zeta_n^k: re-express with stride k, then reduce
+        out = [Fraction(0)] * (k * (len(self.coeffs) - 1) + 1)
+        for i, c in enumerate(self.coeffs):
+            out[i * k] += c
+        return FractionCyclo(n, out)
+
+    def scale(self, c) -> "FractionCyclo":
+        return FractionCyclo(self.n, [Fraction(c) * x for x in self.coeffs])
+
+    def __add__(self, other) -> "FractionCyclo":
+        other = _coerce_fraction(other)
+        n = _lcm(self.n, other.n)
+        a, b = self._lift(n), other._lift(n)
+        return FractionCyclo(n, [x + y for x, y in zip(a.coeffs, b.coeffs)])._canonical()
+
+    __radd__ = __add__
+
+    def __neg__(self) -> "FractionCyclo":
+        return self.scale(-1)
+
+    def __sub__(self, other) -> "FractionCyclo":
+        return self + (-_coerce_fraction(other))
+
+    def __rsub__(self, other):
+        return _coerce_fraction(other) - self
+
+    def __mul__(self, other) -> "FractionCyclo":
+        other = _coerce_fraction(other)
+        n = _lcm(self.n, other.n)
+        a, b = self._lift(n), other._lift(n)
+        prod = [Fraction(0)] * (len(a.coeffs) + len(b.coeffs) - 1)
+        for i, x in enumerate(a.coeffs):
+            if x == 0:
+                continue
+            for j, y in enumerate(b.coeffs):
+                if y:
+                    prod[i + j] += x * y
+        return FractionCyclo(n, prod)._canonical()
+
+    __rmul__ = __mul__
+
+    # -- structure queries ----------------------------------------------------
+
+    def is_zero(self) -> bool:
+        return all(c == 0 for c in self.coeffs)
+
+    def is_rational(self) -> bool:
+        return all(c == 0 for c in self.coeffs[1:])
+
+    def as_rational(self) -> Fraction:
+        if not self.is_rational():
+            raise ValueError("value is irrational: %r" % (self,))
+        return self.coeffs[0]
+
+    def _canonical(self) -> "FractionCyclo":
+        """Reduce the conductor to the smallest divisor that carries the value."""
+        if self.n == 1:
+            return self
+        # Q(zeta_a) and Q(zeta_b) meet in Q(zeta_gcd(a,b)): a prime that does
+        # not descend now does not descend from any divisor either
+        x = self
+        for p in prime_factors(self.n):
+            while x.n % p == 0:
+                y = x._descend(p)
+                if y is None:
+                    break
+                x = y
+        return x
+
+    def _descend(self, p: int) -> Optional["FractionCyclo"]:
+        """This value in Q(zeta_m), m = n/p for a prime p | n, or None."""
+        n, m, cs = self.n, self.n // p, self.coeffs
+        if m % p == 0:
+            # zeta_n^r (r < p) is a basis over Q(zeta_m), zeta_m = zeta_n^p
+            if any(c for i, c in enumerate(cs) if i % p):
+                return None
+            return FractionCyclo(m, cs[::p])
+        # zeta_n = zeta_m^c * zeta_p^(1/m mod p) with c = 1/p mod m, and the
+        # trace of zeta_p^k down to Q is p - 1 when p | k, else -1; so the
+        # trace of zeta_n^i over the degree p - 1 is zeta_m^(ic) when p | i
+        # and -zeta_m^(ic)/(p - 1) otherwise
+        c = pow(p, -1, m)
+        w = Fraction(-1, p - 1)
+        t = [Fraction(0)] * m
+        for i, x in enumerate(cs):
+            if x:
+                t[i * c % m] += x if i % p == 0 else x * w
+        y = FractionCyclo(m, t)
+        return y if y._lift(n).coeffs == cs else None
+
+    def __eq__(self, other):
+        try:
+            other = _coerce_fraction(other)
+        except TypeError:
+            return NotImplemented
+        n = _lcm(self.n, other.n)
+        return self._lift(n).coeffs == other._lift(n).coeffs
+
+    def __hash__(self):
+        c = self._canonical()
+        return hash((c.n, c.coeffs))
+
+    def __repr__(self):
+        if self.is_rational():
+            q = self.coeffs[0]
+            return "Cyclo(%s)" % (q if q.denominator != 1 else q.numerator)
+        terms = []
+        for i, c in enumerate(self.coeffs):
+            if c == 0:
+                continue
+            if i == 0:
+                terms.append(str(c))
+            else:
+                terms.append("%s*z%d^%d" % (c, self.n, i))
+        return "Cyclo(%s)" % " + ".join(terms)
+
+    def pretty(self) -> str:
+        r = self._canonical()
+        if r.is_rational():
+            q = r.as_rational()
+            return str(q.numerator) if q.denominator == 1 else str(q)
+        return repr(r)
+
+
+def _coerce_fraction(x) -> FractionCyclo:
+    if isinstance(x, FractionCyclo):
+        return x
+    if isinstance(x, (int, Fraction)):
+        return FractionCyclo.from_rational(x)
+    raise TypeError("cannot coerce %r into a cyclotomic value" % (x,))
 
 
 def canonical_by_solve(value: Cyclo) -> Cyclo:
@@ -270,3 +472,18 @@ def build_packet_member_unmemoized(param, rho):
         rho_module_label=rho.module.label(),
         witness_word=witness.word, levi_weight=lam,
         param_label=param.label)
+
+
+def fiber_weight_unmemoized(param, b, w):
+    """The weight alpha_M^{-1}(w^{-1} . nu(b)) when it is integral, else
+    None, computed on every call."""
+    nu, den_l = param.group.levi_context(b.levi).newton_scaled(b.kappa)
+    moved = mat_vec(mat_transpose(w), nu)  # cochar action of w^{-1}
+    image = param.ctx_M.alpha_inv_scaled(moved)
+    if image is None:
+        return None
+    num, den_m = image
+    den = den_l * den_m
+    if any(x % den for x in num):
+        return None
+    return tuple(x // den for x in num)

@@ -11,6 +11,7 @@ from rk.cyclotomic import Cyclo
 from rk.finite_reps import (
     CocycleError,
     FiniteGroup,
+    Module,
     _abelian_characters,
     _dixon_characters,
     character_table,
@@ -77,6 +78,25 @@ def test_sum_of_squares(group):
     mods = simple_modules(group)
     assert sum(m.dim ** 2 for m in mods) == len(group)
     assert len({m.label() for m in mods}) == len(mods)
+
+
+def test_module_label_is_formed_once(monkeypatch):
+    # a frozen module keeps its label: the values are printed on the first
+    # call only, and the label is the dim with the values' pretty forms
+    mods = [Module(m.dim, m.character, m.matrices)
+            for m in simple_modules(S4)]
+    printed = []
+    pretty = Cyclo.pretty
+
+    def counted(value):
+        printed.append(value)
+        return pretty(value)
+    monkeypatch.setattr(Cyclo, "pretty", counted)
+    for _ in range(3):
+        for m in mods:
+            assert m.label() == (m.dim, tuple(pretty(v)
+                                              for _e, v in m.character))
+    assert len(printed) == sum(len(m.character) for m in mods)
 
 
 def test_orthogonality_rows():

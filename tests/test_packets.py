@@ -756,6 +756,64 @@ def test_memoized_forward_map_matches_the_reference(name, monkeypatch):
                       "chamber_locate": len(weights)}
 
 
+def _fiber_weight_inputs(param):
+    """Each element b the forward map hits at height 3, and each
+    basic-plus element on those Levis with functional coordinates in
+    {-1, 0, 1} off the walls, many of them hit by no pair, paired with each transporter
+    element (so every transporter coset) from the minimal Levi to b's
+    Levi."""
+    group = param.group
+    bs = {build_packet_member(param, rho).b
+          for rho in enumerate_rhos(param, 3)}
+    for levi in {b.levi for b in bs}:
+        ctx = group.levi_context(levi)
+        for f in itertools.product((-1, 0, 1), repeat=ctx.dim):
+            try:
+                bs.add(basic_plus_lift(group, levi,
+                                       ctx.kappa_from_functional(f)))
+            except WallRejection:
+                pass
+    return [(b, w) for b in sorted(bs, key=repr)
+            for w in transporter_set(group, param.minimal_levi, b.levi)]
+
+
+def test_memoized_fiber_weight_matches_the_reference(monkeypatch):
+    # the memo against the weight computed on every call, in two shuffled
+    # passes over every parameter preset; integral or not, one entry and
+    # one computation per distinct input
+    import rk.packets
+    from oracles import fiber_weight_unmemoized
+    computed = []
+
+    def counted(m):
+        computed.append(m)
+        return mat_transpose(m)
+    values = []
+    for name in presets.PARAM_NAMES:
+        param = presets.parameter(name)
+        inputs = _fiber_weight_inputs(param)
+        assert {w for b, _w in inputs
+                for w in transporter_double_cosets(param, b.levi)
+                } <= {w for _b, w in inputs}
+        reference = presets.parameter(name)
+        want = {key: fiber_weight_unmemoized(reference, *key)
+                for key in inputs}
+        values.extend(want.values())
+        computed.clear()
+        monkeypatch.setattr(rk.packets, "mat_transpose", counted)
+        rng = random.Random(name)
+        for _ in range(2):
+            rng.shuffle(inputs)
+            for b, w in inputs:
+                assert fiber_weight(param, b, w) == want[b, w], name
+        monkeypatch.undo()
+        entries = {key[1:]: value for key, value in _memo(param).items()
+                   if isinstance(key, tuple) and key[0] == "fiber_weight"}
+        assert entries == want, name
+        assert len(computed) == len(want), name
+    assert None in values and any(v is not None for v in values)
+
+
 @pytest.mark.parametrize("name", presets.PARAM_NAMES)
 def test_round_trip_locates_each_canonical_weight_once(name, monkeypatch):
     import rk.packets

@@ -5,12 +5,14 @@ kernel bases read from Smith forms, against the definition of a saturated
 kernel basis; of the finite-group core, whose products, inverses, Cayley
 rows, closures and subgroups on point permutations are checked against
 matrix products on random words in every preset's groups; and of `Cyclo`
-arithmetic, against the ring axioms and the rational solve it replaced.
+arithmetic, against the ring axioms, the rational solve it replaced and
+the Fraction-coefficient class it replaced.
 
 The examples are derandomized and no example database is kept, so the
 suite is deterministic and writes nothing into the checkout.
 """
 
+import hashlib
 import tempfile
 from fractions import Fraction
 from functools import lru_cache, partial
@@ -44,7 +46,8 @@ from rk.lattice import (
     solve_rational,
 )
 
-from oracles import canonical_by_solve, cyclotomic_polynomial_by_fractions
+from oracles import (FractionCyclo, canonical_by_solve,
+                     cyclotomic_polynomial_by_fractions)
 
 # Hypothesis caches the literals of the source it imports under its home
 # directory even without an example database; keep that out of the checkout
@@ -590,3 +593,117 @@ def test_cyclotomic_polynomial_raises_on_inexact_division(monkeypatch):
                         lambda d: (2, 1) if d == 2 else exact(d))
     with pytest.raises(AssertionError, match="inexact polynomial division"):
         exact.__wrapped__(4)
+
+
+# ---------------------------------------------------------------------------
+# integer numerators against Fraction coefficients
+
+CONDUCTORS = {
+    # p^2 | n: the descent that keeps every p-th coefficient
+    "square": [n for n in range(1, 97)
+               if any(n % (p * p) == 0 for p in range(2, 10))],
+    # n = 2 (mod 4): Q(zeta_n) = Q(zeta_{n/2})
+    "twice-odd": [n for n in range(1, 97) if n % 4 == 2],
+    "any": list(range(1, 97)),
+}
+
+
+@st.composite
+def cyclo_pairs(draw, n):
+    """One value at conductor n <= 96 as the library and the oracle class:
+    integer or Fraction coefficients on n-th roots of unity, as written,
+    with exponents that are multiples of a drawn divisor of n."""
+    k = draw(st.sampled_from([d for d in range(1, n + 1) if n % d == 0]))
+    coeffs = [0] * n
+    for i, q in draw(st.lists(st.tuples(
+            st.integers(0, n // k - 1),
+            st.one_of(st.integers(-3, 3), RATIONAL)), max_size=6)):
+        coeffs[i * k] += q
+    return Cyclo(n, coeffs), FractionCyclo(n, coeffs)
+
+
+@st.composite
+def cyclo_pair_couples(draw, kind):
+    """Two values at divisors of one n drawn from CONDUCTORS[kind]."""
+    n = draw(st.sampled_from(CONDUCTORS[kind]))
+    divisors = [d for d in range(1, n + 1) if n % d == 0]
+    return tuple(draw(cyclo_pairs(draw(st.sampled_from(divisors))))
+                 for _ in range(2))
+
+
+def assert_agrees(new, old):
+    """The library value and the oracle value print, hash and answer
+    every structure query alike, at their own and their minimal
+    conductor."""
+    assert isinstance(new, Cyclo) and isinstance(old, FractionCyclo)
+    for a, b in ((new, old), (new._canonical(), old._canonical())):
+        assert a.n == b.n
+        assert all(type(c) is Fraction for c in a.coeffs)
+        assert a.coeffs == b.coeffs
+        assert repr(a) == repr(b) and a.pretty() == b.pretty()
+        assert hash(a) == hash(b)
+        assert a.is_zero() == b.is_zero()
+        assert a.is_rational() == b.is_rational()
+        if b.is_rational():
+            q = a.as_rational()
+            assert type(q) is Fraction and q == b.as_rational()
+        else:
+            with pytest.raises(ValueError, match="^value is irrational: "):
+                a.as_rational()
+        # the stored form: integer numerators over one reduced denominator
+        assert a.den > 0 and gcd(a.den, *a.nums) == 1
+
+
+@pytest.mark.parametrize("kind", sorted(CONDUCTORS))
+@settings(PROPERTY, max_examples=100)
+@given(q=RATIONAL, m=st.integers(-3, 3), data=st.data())
+def test_cyclo_matches_the_fraction_class(kind, q, m, data):
+    (x, x_old), (y, y_old) = data.draw(cyclo_pair_couples(kind))
+    for new, old in ((x, x_old), (y, y_old), (x + y, x_old + y_old),
+                     (x - y, x_old - y_old), (x * y, x_old * y_old),
+                     (-x, -x_old), (x.scale(q), x_old.scale(q)),
+                     (x.scale(m), x_old.scale(m)), (x + q, x_old + q),
+                     (m - x, m - x_old), (q * y, q * y_old),
+                     (x._lift(2 * x.n), x_old._lift(2 * x.n))):
+        assert_agrees(new, old)
+    assert (x == y) == (x_old == y_old)
+    assert (x == x._lift(3 * x.n)) and hash(x) == hash(x._lift(3 * x.n))
+    assert (x == q) == (x_old == q)
+    assert (x != q) == (x_old != q)
+    assert x.__eq__("x") is NotImplemented
+
+
+def test_cyclo_constructors_match_the_fraction_class():
+    for new, old in ((Cyclo.zero(), FractionCyclo.zero()),
+                     (Cyclo.one(), FractionCyclo.one()),
+                     (Cyclo.from_rational(Fraction(-6, 4)),
+                      FractionCyclo.from_rational(Fraction(-6, 4))),
+                     (Cyclo.from_rational(7), FractionCyclo.from_rational(7)),
+                     (Cyclo(12, ["1/2", 0.25, True]),
+                      FractionCyclo(12, ["1/2", 0.25, True])),
+                     (Cyclo(5, []), FractionCyclo(5, []))):
+        assert_agrees(new, old)
+    with pytest.raises(TypeError):
+        Cyclo(3, [Cyclo.one()])
+    with pytest.raises(ValueError, match="^can only lift to a multiple"):
+        Cyclo.one()._lift(3)._lift(4)
+
+
+# sha256 of one line "a/d repr pretty" per root of unity zeta_d^a with
+# gcd(a, d) = 1 and d <= 96, joined by newlines, taken from the
+# Fraction-coefficient class
+ROOTS_OF_UNITY_SHA256 = (
+    "c7bc177df689250da9bf119f0bfb3e6023cb2d72f0eeda515d6bc2cd22a4522b")
+
+
+def test_roots_of_unity_print_as_before():
+    lines = []
+    for d in range(1, 97):
+        for a in range(d):
+            if gcd(a, d) == 1:
+                z = Cyclo.root_of_unity(Fraction(a, d))
+                assert repr(z) == repr(z._canonical())
+                lines.append("%d/%d %r %s" % (a, d, z, z.pretty()))
+    assert len(lines) == 2806
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert digest == ROOTS_OF_UNITY_SHA256
