@@ -150,8 +150,10 @@ def _memo(param: Parameter, endo: EndoscopicDatum) -> Dict:
     """This module's cache for one (parameter, datum) pair, made on first
     use and kept on the parameter.  Keys: "h" (`parameter_on_h`),
     "admissible", per Levi L ("wl", L), ("embedded", L), ("forward", L)
-    and ("cosets", G or H, L), and per Levi and backward twist u
-    ("backward", L, u).  A computation that raises stores nothing."""
+    and ("cosets", G or H, L), per Levi and backward twist u
+    ("backward", L, u), per indexing input ("indexing", L, h, emb.key(),
+    v), per orbit trace ("trace", L, w, lam_w, g) and per embedded class
+    ("jacquet", emb.key()).  A computation that raises stores nothing."""
     return vars(param).setdefault("_endoscopy_memo", {}).setdefault(endo, {})
 
 
@@ -317,6 +319,7 @@ def _build_param_h(param: Parameter, endo: EndoscopicDatum,
     bh = H.relative.contragredient[h]   # action on the dual side
     sphi_h = []
     pos_h = []
+    positives = set(param.positives)
     for r in param.roots:
         ambients = param.ambient_of_root[r]
         integral = [a for a in ambients if dot(a, endo.s) % 1 == 0]
@@ -326,7 +329,7 @@ def _build_param_h(param: Parameter, endo: EndoscopicDatum,
         if integral:
             moved = [mat_vec(bh, a) for a in integral]
             sphi_h.extend(moved)
-            if r in set(param.positives):
+            if r in positives:
                 pos_h.extend(moved)
     r_words = []
     mul = endo.group.weyl.mul
@@ -369,8 +372,8 @@ class FormalDistribution:
     def add(self, term: Term, coefficient) -> None:
         c = coefficient if isinstance(coefficient, Cyclo) \
             else Cyclo.from_rational(coefficient)
-        cur = self._terms.get(term, Cyclo.zero())
-        new = cur + c
+        cur = self._terms.get(term)
+        new = (Cyclo.zero() if cur is None else cur) + c
         if new.is_zero():
             self._terms.pop(term, None)
         else:
@@ -451,6 +454,17 @@ def jacquet_geometric_terms(endo: EndoscopicDatum, emb: EmbeddedDatum,
     return dist
 
 
+def _geometric_expansion(endo: EndoscopicDatum, emb: EmbeddedDatum,
+                         param_h: Parameter) -> Tuple[Tuple, int]:
+    """The geometric-lemma terms of one embedded class as sorted (term,
+    coefficient) items, and the number of regular terms counted with
+    their coefficients."""
+    terms = jacquet_geometric_terms(endo, emb, param_h)
+    regular = sum(1 for _term, c in regular_part(terms).items()
+                  for _ in range(int(c.as_rational())))
+    return terms.items(), regular
+
+
 def regular_part(dist: FormalDistribution) -> FormalDistribution:
     """Keep exactly the stable (transporter-indexed) terms."""
     out = FormalDistribution()
@@ -471,7 +485,9 @@ def _trace_on_levi_module(param: Parameter, levi, w: Matrix, lam_w: Vector,
     center w . B.  Extending a weight from w . B and pairing it with
     w . g . s gives the exponent of extending it from B and pairing it with
     g . s, so g . s runs through the parameter center's factorization, as
-    integer numerators mod the one denominator of s."""
+    integer numerators mod the one denominator of s.  The orbit sum is
+    kept per (Levi, w, lam_w, g); the center test runs on every call."""
+    levi = frozenset(levi)
     cut = param.levi_cut(levi, w)
     solver = param.ctx_M.dual_center_solver
     den = endo.s_den
@@ -484,12 +500,15 @@ def _trace_on_levi_module(param: Parameter, levi, w: Matrix, lam_w: Vector,
                                  "parameter center")
     # one term per left coset of the stabilizer of lam_w in the cut
     # components, i.e. per point of the orbit of lam_w
-    orbit = {mat_vec(param.char_action(c), lam_w)
-             for c in cut.component_elements}
-    total = Cyclo.zero()
-    for mu in orbit:
-        total = total + Cyclo.root_of_unity(
-            _weight_exponent(solver, q_g, den, mu))
+    def orbit_sum():
+        orbit = {mat_vec(param.char_action(c), lam_w)
+                 for c in cut.component_elements}
+        total = Cyclo.zero()
+        for mu in orbit:
+            total = total + Cyclo.root_of_unity(
+                _weight_exponent(solver, q_g, den, mu))
+        return total
+    total = _cached(param, endo, ("trace", levi, w, lam_w, g), orbit_sum)
     return total * module_dim if module_dim != 1 else total
 
 
@@ -534,9 +553,17 @@ def indexing_forward(param: Parameter, levi, endo: EndoscopicDatum,
                      v: Matrix) -> Matrix:
     """Map (embedded class, Levi coset on the endoscopic side) to the
     corresponding transporter coset on the group side: the unique class
-    whose inverse restricts to the composite center map."""
-    group = param.group
+    whose inverse restricts to the composite center map (computed once
+    per Levi, h, embedded class and v)."""
     levi = frozenset(levi)
+    return _cached(param, endo, ("indexing", levi, h, emb.key(), v),
+                   lambda: _forward_coset(param, levi, endo, h, emb, v))
+
+
+def _forward_coset(param: Parameter, levi: FrozenSet[int],
+                   endo: EndoscopicDatum, h: Matrix, emb: EmbeddedDatum,
+                   v: Matrix) -> Matrix:
+    group = param.group
     h_inverse = endo.H.relative.inverse
     # the standardized embedding is Int(w_rep) . eta . Int(h_std)^{-1}; its
     # inverse followed by v^{-1} and the de-standardization h^{-1} composes
@@ -735,33 +762,33 @@ def eci_both_sides(param: Parameter, b: BElement,
     discarded = FormalDistribution()
     bookkeeping = []
     for emb in embedded:
-        terms = jacquet_geometric_terms(endo, emb, param_h)
-        reg = regular_part(terms)
-        for term, coeff in terms.items():
+        items, expected = _cached(
+            param, endo, ("jacquet", emb.key()),
+            lambda: _geometric_expansion(endo, emb, param_h))
+        nonregular = 0
+        for term, coeff in items:
             if term.kind == "nonregular":
                 discarded.add(term, coeff)
+                nonregular += 1
         # regular stable labels are indexed by transporter double cosets of
         # the endoscopic side; rewrite each through the basic identity and
         # the indexing map, then expand
         h_cosets = _coset_reps(param, endo, endo.H, param_h.minimal_levi,
                                emb.levi_h)
-        if len(reg) and not h_cosets:
+        if expected and not h_cosets:
             raise AssertionError("regular terms without endoscopic cosets")
         count = 0
         for v in h_cosets:
             w = indexing_forward(param, levi, endo, param_h, h, emb, v)
             _expand_levi_token(param, b, w, endo, lhs, sign)
             count += 1
-        expected = sum(1 for term, c in reg.items()
-                       for _ in range(int(c.as_rational())))
         if count != expected:
             raise AssertionError("regular-part count disagrees with the "
                                  "endoscopic coset count")
         bookkeeping.append({
             "embedded": sorted(emb.levi_h),
             "regular_terms": expected,
-            "nonregular_terms": sum(
-                1 for t, _ in terms.items() if t.kind == "nonregular"),
+            "nonregular_terms": nonregular,
         })
     # coefficient bookkeeping invariant: |W_L w W_phi / W_phi| =
     # |W_L / W_{w phi, L}| for every coset
@@ -778,23 +805,22 @@ def eci_both_sides(param: Parameter, b: BElement,
     }
 
 
-def _phi_cosets(param: Parameter, levi, w: int) -> Set[FrozenSet[int]]:
-    """The right W_phi cosets x . W_phi in W^rel_L . w . W_phi; w and the
-    coset elements are ids of W^rel."""
-    row = param.group.relative.row
-    return {frozenset(map(row(x).__getitem__, param.wphi_ids))
-            for x in _double_coset_ids(param, levi, w)}
-
-
 def _verify_counting(param: Parameter, levi) -> None:
     """|W^rel_L . w . W_phi / W_phi| = |W^rel_L / W_cut| for every
-    transporter element w, with W_cut the Weyl group of the cut at w."""
+    transporter element w, with W_cut the Weyl group of the cut at w.  The
+    double coset is a disjoint union of right W_phi cosets of |W_phi|
+    elements each, so their number is its size over |W_phi| (Bjorner-Brenti,
+    Combinatorics of Coxeter Groups, 2.4), with remainder 0."""
     group = param.group
     levi = frozenset(levi)
     index = group.relative.index
     left = group.levi_weyl_elements(levi)
     for w in transporter_set(group, param.minimal_levi, levi):
-        cosets = _phi_cosets(param, levi, index[w])
+        cosets, rest = divmod(len(_double_coset_ids(param, levi, index[w])),
+                              len(param.wphi_ids))
+        if rest:
+            raise AssertionError("double coset is not a union of W_phi "
+                                 "cosets")
         cut = param.levi_cut(levi, w)
-        if len(cosets) * len(cut.weyl_elements) != len(left):
+        if cosets * len(cut.weyl_elements) != len(left):
             raise AssertionError("coset counting identity fails")

@@ -7,8 +7,10 @@ divisor of the conductor, cyclotomic polynomials by division over the
 rationals, the Weyl coset loops of the endoscopy and parameter layers by
 matrix products (`WeylGroup.mul`) instead of Cayley rows on element ids,
 the realization of centralizer reflections by one scan of the embedded
-normalizer per root, and the packet forward map and its fiber weights
-with every step run on every call.  With them are the routines that only the
+normalizer per root, the packet forward map and its fiber weights
+with every step run on every call, and the endoscopy layer's right
+W_phi cosets as sets, indexing map, orbit traces and geometric-lemma
+step, likewise on every call.  With them are the routines that only the
 tests call: the rational span test, the Levi data as one tuple, and the
 full Weyl group of a disconnected group with its semidirect splitting.
 """
@@ -21,12 +23,14 @@ from typing import Optional
 
 from rk.cyclotomic import (Cyclo, _reduce_mod_cyclotomic,
                            cyclotomic_polynomial, prime_factors)
+from rk.endoscopy import (EndoscopyError, _forward_table, _weight_exponent,
+                          jacquet_geometric_terms, regular_part)
 from rk.finite_reps import FiniteGroup
 from rk.kottwitz import basic_plus_lift
 from rk.lattice import (dot, mat, mat_identity, mat_transpose, mat_vec,
                         solve_rational, vneg, vsub)
 from rk.packets import (PacketMember, _canonical_double_coset,
-                        _certify_descent, canonical_rho)
+                        _certify_descent, _double_coset_ids, canonical_rho)
 from rk.params import ParameterError, _is_reflection
 from rk.rootdata import DatumError, reflection_matrix, weyl_group
 from rk.weyl import chamber_locate
@@ -487,3 +491,70 @@ def fiber_weight_unmemoized(param, b, w):
     if any(x % den for x in num):
         return None
     return tuple(x // den for x in num)
+
+
+# ---------------------------------------------------------------------------
+# the endoscopy layer without its per-input memos
+
+def phi_cosets(param, levi, w):
+    """The right W_phi cosets x . W_phi in W^rel_L . w . W_phi; w and the
+    coset elements are ids of W^rel."""
+    row = param.group.relative.row
+    return {frozenset(map(row(x).__getitem__, param.wphi_ids))
+            for x in _double_coset_ids(param, levi, w)}
+
+
+def indexing_forward_unmemoized(param, levi, endo, param_h, h, emb, v):
+    """The group-side coset of (embedded class, endoscopic coset): the
+    composite element and its images of the dual-center basis looked up in
+    the forward table, on every call."""
+    group = param.group
+    levi = frozenset(levi)
+    h_inverse = endo.H.relative.inverse
+    weyl = group.weyl
+    row, index = weyl.row, weyl.index
+    left = row(index[h_inverse[h]])[index[h_inverse[v]]]
+    right = row(index[emb.h_std])[index[weyl.inverse[emb.w_rep]]]
+    composite = weyl.elements[row(left)[right]]
+    basis = group.levi_context(levi).dual_split_center_basis
+    reps = _forward_table(param, endo, levi).get(
+        tuple(mat_vec(composite, u) for u in basis))
+    if not reps:
+        raise AssertionError("indexing construction missed the transporter "
+                             "set")
+    if len(reps) != 1:
+        raise AssertionError("indexing construction produced an ambiguous "
+                             "coset")
+    return next(iter(reps))
+
+
+def trace_on_levi_module_unmemoized(param, levi, w, lam_w, module_dim, g,
+                                    endo):
+    """The trace of w . g . s on the induced Levi module, the orbit sum
+    formed on every call."""
+    cut = param.levi_cut(levi, w)
+    solver = param.ctx_M.dual_center_solver
+    den = endo.s_den
+    q_g = tuple(x % den for x in mat_vec(g, endo.s_num))
+    for z in solver.kernel:
+        if dot(z, q_g) % den != 0:
+            raise EndoscopyError("conjugated torus element left the twisted "
+                                 "parameter center")
+    orbit = {mat_vec(param.char_action(c), lam_w)
+             for c in cut.component_elements}
+    total = Cyclo.zero()
+    for mu in orbit:
+        total = total + Cyclo.root_of_unity(
+            _weight_exponent(solver, q_g, den, mu))
+    return total * module_dim if module_dim != 1 else total
+
+
+def geometric_step_unmemoized(endo, emb, param_h):
+    """The geometric-lemma step of `eci_both_sides` for one embedded
+    class: the terms, their regular part and its count with
+    multiplicity."""
+    terms = jacquet_geometric_terms(endo, emb, param_h)
+    reg = regular_part(terms)
+    expected = sum(1 for term, c in reg.items()
+                   for _ in range(int(c.as_rational())))
+    return terms, reg, expected

@@ -959,9 +959,8 @@ def test_warm_eci_runs_no_smith_form_or_rational_solve(ename, monkeypatch):
 @pytest.mark.parametrize("pname,ename", ECI_PAIRS)
 def test_coset_ids_match_matrix_products(pname, ename):
     from oracles import (left_coset_rep_by_mul, pairing_reps_by_mul,
-                         phi_cosets_by_mul, phi_tag_by_mul)
-    from rk.endoscopy import (_left_coset_rep, _pairing_reps, _phi_cosets,
-                              _phi_tag)
+                         phi_cosets, phi_cosets_by_mul, phi_tag_by_mul)
+    from rk.endoscopy import _left_coset_rep, _pairing_reps, _phi_tag
     from rk.weyl import transporter_set
     param, endo, levis = _pair_levis(pname, ename)
     for group in (param.group, endo.H):
@@ -977,7 +976,7 @@ def test_coset_ids_match_matrix_products(pname, ename):
     for levi in levis:
         for w in transporter_set(param.group, param.minimal_levi, levi):
             got = {frozenset(rel.elements[i] for i in c)
-                   for c in _phi_cosets(param, levi, rel.index[w])}
+                   for c in phi_cosets(param, levi, rel.index[w])}
             assert got == phi_cosets_by_mul(param, levi, w)
             cut = param.levi_cut(levi, w)
             assert _pairing_reps(param, cut) == pairing_reps_by_mul(param, cut)
@@ -1004,3 +1003,262 @@ def test_coset_counting_certificate_catches_a_short_cut(monkeypatch):
     monkeypatch.setattr(Parameter, "levi_cut", short_cut)
     with pytest.raises(AssertionError, match="coset counting identity fails"):
         eci_both_sides(param, b, endo)
+
+
+@pytest.mark.parametrize("pname", presets.PARAM_NAMES)
+def test_coset_count_by_size_matches_the_coset_sets(pname):
+    # the counting certificate divides |W^rel_L . w . W_phi| by |W_phi|;
+    # the quotient is the number of right W_phi cosets formed as sets
+    from oracles import phi_cosets
+    from rk.packets import _double_coset_ids
+    from rk.weyl import transporter_set
+    param = presets.parameter(pname)
+    group, index = param.group, param.group.relative.index
+    checked = 0
+    for levi in group.standard_levi_subsets():
+        if not param.minimal_levi <= levi:
+            continue
+        for w in transporter_set(group, param.minimal_levi, levi):
+            size = len(_double_coset_ids(param, levi, index[w]))
+            count, rest = divmod(size, len(param.wphi_ids))
+            assert rest == 0
+            assert len(phi_cosets(param, levi, index[w])) == count
+            checked += 1
+    assert checked
+
+
+def test_coset_counting_certificate_catches_a_partial_coset(monkeypatch):
+    from rk import endoscopy
+    param, endo = presets.parameter("gl3-triv"), presets.endoscopy("gl3-s1")
+    b = build_packet_member(param, enumerate_rhos(param, 1)[0]).b
+    assert eci_both_sides(param, b, endo)["equal"]
+    ids = endoscopy._double_coset_ids
+
+    def short(param, levi, w):
+        return set(sorted(ids(param, levi, w))[1:])
+
+    monkeypatch.setattr(endoscopy, "_double_coset_ids", short)
+    with pytest.raises(AssertionError,
+                       match="double coset is not a union of W_phi cosets"):
+        eci_both_sides(param, b, endo)
+
+
+# ---------------------------------------------------------------------------
+# the per-input memos of the warm identity against their unmemoized copies
+
+def _memo_keys(param, endo, kind):
+    from rk.endoscopy import _memo
+    return {k for k in _memo(param, endo)
+            if isinstance(k, tuple) and k[0] == kind}
+
+
+def _counted(monkeypatch, module, name):
+    """Wrap module.name so that each call appends its arguments."""
+    calls = []
+    orig = getattr(module, name)
+
+    def wrapper(*args):
+        calls.append(args)
+        return orig(*args)
+    monkeypatch.setattr(module, name, wrapper)
+    return calls
+
+
+def _pair_bs(param, pname, ename):
+    return [build_packet_member(param, rho).b
+            for rho in enumerate_rhos(param, ECI_HEIGHTS[pname, ename])]
+
+
+@pytest.mark.parametrize("pname,ename", ECI_PAIRS)
+def test_memoized_indexing_forward_matches_the_reference(pname, ename,
+                                                          monkeypatch):
+    from oracles import indexing_forward_unmemoized
+    from rk import endoscopy
+    param, endo, levis = _pair_levis(pname, ename)
+    param_h, h = parameter_on_h(param, endo)
+    inputs = [(levi, emb, v) for levi in levis
+              for emb in enumerate_embedded(param, levi, endo)
+              for v in endo.H.relative.elements]
+    computed = _counted(monkeypatch, endoscopy, "_forward_coset")
+    rng = random.Random(pname + ename)
+    stored, raised = set(), 0
+    for _ in range(2):
+        rng.shuffle(inputs)
+        for levi, emb, v in inputs:
+            args = (param, levi, endo, param_h, h, emb, v)
+            got = _outcome(endoscopy.indexing_forward, *args)
+            assert got == _outcome(indexing_forward_unmemoized, *args)
+            if got[0] == "raised":
+                raised += 1
+            else:
+                stored.add(("indexing", levi, h, emb.key(), v))
+    assert stored
+    assert _memo_keys(param, endo, "indexing") == stored
+    # one computation per distinct input; a raise is computed again
+    assert len(computed) == len(stored) + raised
+
+
+@pytest.mark.parametrize("pname,ename", ECI_PAIRS)
+def test_memoized_trace_matches_the_reference(pname, ename, monkeypatch):
+    from oracles import trace_on_levi_module_unmemoized
+    from rk import endoscopy
+    from rk.packets import fiber_weight, transporter_double_cosets
+    param, endo = presets.parameter(pname), presets.endoscopy(ename)
+    inputs = []
+    for b in _pair_bs(param, pname, ename):
+        for w in transporter_double_cosets(param, b.levi):
+            lam = fiber_weight(param, b, w)
+            if lam is not None:
+                inputs += [(b.levi, w, lam, dim, g)
+                           for g in param.wphi_elements for dim in (1, 2)]
+    exponents = _counted(monkeypatch, endoscopy, "_weight_exponent")
+    rng = random.Random(pname + ename)
+    stored = set()
+    for n in range(2):
+        rng.shuffle(inputs)
+        for levi, w, lam, dim, g in inputs:
+            args = (param, levi, w, lam, dim, g, endo)
+            assert endoscopy._trace_on_levi_module(*args) == \
+                trace_on_levi_module_unmemoized(*args)
+            stored.add(("trace", levi, w, lam, g))
+        if n == 0:
+            assert exponents
+            del exponents[:]
+    assert stored
+    # the module dimension multiplies outside the memo, and the second
+    # pass extends no weight
+    assert _memo_keys(param, endo, "trace") == stored
+    assert exponents == []
+
+
+@pytest.mark.parametrize("pname,ename", ECI_PAIRS)
+def test_memoized_geometric_step_matches_the_reference(pname, ename,
+                                                       monkeypatch):
+    from oracles import geometric_step_unmemoized
+    from rk import endoscopy
+    from rk.endoscopy import _memo
+    param, endo = presets.parameter(pname), presets.endoscopy(ename)
+    bs = _pair_bs(param, pname, ename)
+    calls = _counted(monkeypatch, endoscopy, "jacquet_geometric_terms")
+    rng = random.Random(pname + ename)
+    keys = set()
+    for _ in range(2):
+        rng.shuffle(bs)
+        for b in bs:
+            result = eci_both_sides(param, b, endo)
+            param_h = parameter_on_h(param, endo)[0]
+            discarded = FormalDistribution()
+            rows = []
+            for emb in enumerate_embedded(param, b.levi, endo):
+                terms, reg, expected = geometric_step_unmemoized(
+                    endo, emb, param_h)
+                nonregular = [(t, c) for t, c in terms.items()
+                              if t.kind == "nonregular"]
+                for t, c in nonregular:
+                    discarded.add(t, c)
+                rows.append({"embedded": sorted(emb.levi_h),
+                             "regular_terms": expected,
+                             "nonregular_terms": len(nonregular)})
+                key = ("jacquet", emb.key())
+                assert _memo(param, endo)[key] == (terms.items(), expected)
+                assert isinstance(_memo(param, endo)[key][0], tuple)
+                keys.add(key)
+            assert result["embedded"] == rows
+            assert result["discarded_nonregular"] == discarded
+    assert _memo_keys(param, endo, "jacquet") == keys
+    assert sorted(emb.key() for _endo, emb, _param_h in calls) == \
+        sorted(key[1] for key in keys)
+
+
+def test_indexing_failure_stores_nothing(monkeypatch):
+    from rk import endoscopy
+    param, endo, levis = _pair_levis("gl4-st2", "gl4-splus")
+    param_h, h = parameter_on_h(param, endo)
+    levi = levis[0]
+    emb = enumerate_embedded(param, levi, endo)[0]
+    v = endo.H.relative.identity
+    monkeypatch.setattr(endoscopy, "_forward_table",
+                        lambda param, endo, levi: {})
+    for _ in range(2):
+        with pytest.raises(AssertionError,
+                           match="missed the transporter set"):
+            endoscopy.indexing_forward(param, levi, endo, param_h, h, emb, v)
+        assert _memo_keys(param, endo, "indexing") == set()
+
+
+def test_trace_failure_stores_nothing():
+    # the off-center s of test_center_tests_reject_element_off_the_center
+    from rk.endoscopy import _trace_on_levi_module
+    from rk.packets import fiber_weight
+    param = presets.parameter("gl4-st2")
+    endo = EndoscopicDatum(param.group, (Fraction(1, 2), 0, 0, 0))
+    m = build_packet_member(param, rho_of(param, (1, 0)))
+    lam = fiber_weight(param, m.b, m.w_class)
+    for _ in range(2):
+        with pytest.raises(EndoscopyError, match="left the twisted"):
+            _trace_on_levi_module(param, m.levi, m.w_class, lam, 1,
+                                  param.group.relative.identity, endo)
+        assert _memo_keys(param, endo, "trace") == set()
+
+
+def test_trace_center_check_fires_on_a_hit(monkeypatch):
+    from rk.endoscopy import _trace_on_levi_module
+    from rk.packets import fiber_weight
+    param, endo = presets.parameter("gl2-triv"), presets.endoscopy("gl2-sreg")
+    m = build_packet_member(param, rho_of(param, (1, 0)))
+    args = (param, m.levi, m.w_class, fiber_weight(param, m.b, m.w_class), 1,
+            param.group.relative.identity, endo)
+    _trace_on_levi_module(*args)
+    assert len(_memo_keys(param, endo, "trace")) == 1
+    # (0, 1) pairs to 1/2 with s = (0, 1/2)
+    solver = param.ctx_M.dual_center_solver
+    monkeypatch.setattr(solver, "kernel", solver.kernel + ((0, 1),))
+    with pytest.raises(EndoscopyError, match="left the twisted"):
+        _trace_on_levi_module(*args)
+
+
+def test_regular_count_check_fires_on_a_warm_call(monkeypatch):
+    from rk import endoscopy
+    param, endo = presets.parameter("gl4-st2"), presets.endoscopy("gl4-s1")
+    bs = _pair_bs(param, "gl4-st2", "gl4-s1")
+    for b in bs:
+        assert eci_both_sides(param, b, endo)["equal"]
+    reps = endoscopy._coset_reps
+
+    def short(param, endo, group, minimal, levi):
+        out = reps(param, endo, group, minimal, levi)
+        return out[:-1] if group is endo.H and len(out) > 1 else out
+
+    monkeypatch.setattr(endoscopy, "_coset_reps", short)
+    raised = 0
+    for b in bs:
+        try:
+            eci_both_sides(param, b, endo)
+        except AssertionError as exc:
+            assert "regular-part count disagrees" in str(exc)
+            raised += 1
+    assert raised
+
+
+def _described(param, b, endo):
+    result = eci_both_sides(param, b, endo)
+    described = {k: v.describe() if isinstance(v, FormalDistribution) else v
+                 for k, v in result.items()}
+    return described, indexing_bijection_check(param, b.levi, endo)
+
+
+@pytest.mark.parametrize("pname,ename", ECI_PAIRS)
+def test_warm_results_equal_cold_results(pname, ename):
+    endo = presets.endoscopy(ename)
+    warm = presets.parameter(pname)
+    rhos = enumerate_rhos(warm, ECI_HEIGHTS[pname, ename])
+    cold = []
+    for rho in rhos:
+        fresh = presets.parameter(pname)
+        cold.append(_described(fresh, build_packet_member(fresh, rho).b,
+                               endo))
+    bs = [build_packet_member(warm, rho).b for rho in rhos]
+    first = [_described(warm, b, endo) for b in bs]
+    for b in reversed(bs):
+        _described(warm, b, endo)
+    assert [_described(warm, b, endo) for b in bs] == first == cold

@@ -1,7 +1,9 @@
 """Names the benchmark's tracer wraps must keep resolving in `rk`, as a
 kind of object the tracer knows how to wrap, so a change that deletes,
 renames or re-kinds one fails here and not only in traced benchmark
-runs.  Every name an `rk` module imports is used.  Each command loads
+runs.  Every name an `rk` module imports is used, and every key kind
+of the endoscopy memo is listed where the memo is documented.  Each
+command loads
 only the modules it runs, and the cyclotomic layer loads no other `rk`
 module.  The preset registry lists, resolves and rejects the same names,
 and every preset resolves like its dumped description file.  One pass of
@@ -81,6 +83,28 @@ def test_every_imported_name_is_used():
                     if name not in used:
                         unused.add((path.name, name))
     assert unused == UNUSED_IMPORTS_KEPT
+
+
+def test_every_endoscopy_memo_key_kind_is_documented():
+    # the leading string of each `_cached(param, endo, key, compute)` key,
+    # quoted, appears in the `_memo` docstring
+    tree = ast.parse((ROOT / "src" / "rk" / "endoscopy.py")
+                     .read_text(encoding="utf-8"))
+    memo = next(node for node in tree.body
+                if isinstance(node, ast.FunctionDef) and node.name == "_memo")
+    doc = ast.get_docstring(memo)
+    kinds = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) \
+                and node.func.id == "_cached":
+            key = node.args[2]
+            if isinstance(key, ast.Tuple):
+                key = key.elts[0]
+            assert isinstance(key, ast.Constant) and \
+                isinstance(key.value, str), ast.dump(node.args[2])
+            kinds.add(key.value)
+    assert {"indexing", "trace", "jacquet"} <= kinds
+    assert sorted(k for k in kinds if '"%s"' % k not in doc) == []
 
 
 # ---------------------------------------------------------------------------
