@@ -106,19 +106,27 @@ def _weight_exponent(solver: SmithSolver, q_num: Vector, den: int,
     return Fraction(dot(ext, q_num) % den, den)
 
 
-def s_in_levi_check(param: Parameter, endo: EndoscopicDatum, levi) -> Dict:
-    """Certify that the torus element lies in the centralizer cut to the
-    Levi, returning its coordinates as an evaluation rule on the center."""
-    levi = frozenset(levi)
+def _check_s_in_levi(param: Parameter, endo: EndoscopicDatum,
+                     levi: FrozenSet[int]) -> None:
+    """The two membership checks of `s_in_levi_check`, without its
+    coordinate sample."""
     if not param.minimal_levi <= levi:
         raise EndoscopyError("the parameter does not factor through the Levi")
     den, q = endo.s_den, endo.s_num
     # the parameter center basis is the minimal Levi's dual split center
-    solver = param.ctx_M.dual_center_solver
-    for z in solver.kernel:
+    for z in param.ctx_M.dual_center_solver.kernel:
         if dot(z, q) % den != 0:
             raise EndoscopyError("the torus element does not lie in the "
                                  "split center of the minimal dual Levi")
+
+
+def s_in_levi_check(param: Parameter, endo: EndoscopicDatum, levi) -> Dict:
+    """Certify that the torus element lies in the centralizer cut to the
+    Levi, returning its coordinates as an evaluation rule on the center."""
+    levi = frozenset(levi)
+    _check_s_in_levi(param, endo, levi)
+    den, q = endo.s_den, endo.s_num
+    solver = param.ctx_M.dual_center_solver
     sample = {}
     for j in range(param.dim):
         e = tuple(1 if i == j else 0 for i in range(param.dim))
@@ -152,8 +160,9 @@ def _memo(param: Parameter, endo: EndoscopicDatum) -> Dict:
     "admissible", per Levi L ("wl", L), ("embedded", L), ("forward", L)
     and ("cosets", G or H, L), per Levi and backward twist u
     ("backward", L, u), per indexing input ("indexing", L, h, emb.key(),
-    v), per orbit trace ("trace", L, w, lam_w, g) and per embedded class
-    ("jacquet", emb.key()).  A computation that raises stores nothing."""
+    v), per orbit trace ("trace", L, w, lam_w, g), per embedded class
+    ("jacquet", emb.key()) and per Levi token ("token", b, w, sign token).
+    A computation that raises stores nothing."""
     return vars(param).setdefault("_endoscopy_memo", {}).setdefault(endo, {})
 
 
@@ -516,7 +525,7 @@ def regular_pairing(param: Parameter, member: PacketMember,
                     endo: EndoscopicDatum):
     """Coset-averaged trace of the (twisted) endoscopic element on the
     member's Levi module; exact cyclotomic value."""
-    s_in_levi_check(param, endo, member.levi)
+    _check_s_in_levi(param, endo, member.levi)
     w = member.w_class
     lam_w = fiber_weight(param, member.b, w)
     if lam_w is None:
@@ -722,18 +731,29 @@ def _expand_levi_token(param: Parameter, b: BElement, w: Matrix,
                        sign_token: str) -> None:
     """Expand the stable Levi token at a single transporter coset into
     member atoms: one term per stabilizer module, with the single-twist
-    trace as coefficient."""
+    trace as coefficient.  The (term, coefficient) items are computed once
+    per (b, w) and added to `dist` on every call."""
+    items = _cached(param, endo, ("token", b, w, sign_token),
+                    lambda: _levi_token_items(param, b, w, endo, sign_token))
+    for term, coeff in items:
+        dist.add(term, coeff)
+
+
+def _levi_token_items(param: Parameter, b: BElement, w: Matrix,
+                      endo: EndoscopicDatum, sign_token: str) -> Tuple:
     lam_raw = fiber_weight(param, b, w)
     if lam_raw is None:
-        return
+        return ()
     lam = dominantize(param, lam_raw)
     identity = param.group.relative.identity
+    items = []
     for module in param.centralizer.stabilizer_modules(lam):
         member = build_packet_member(param, HighestWeightPair(lam, module))
         coeff = _trace_on_levi_module(param, member.levi, w, lam_raw,
                                       module.dim, identity, endo)
-        dist.add(Term("member", tuple(sorted(member.levi)), member.key(),
-                      endo.label, Fraction(1, 2), sign_token), coeff)
+        items.append((Term("member", tuple(sorted(member.levi)), member.key(),
+                           endo.label, Fraction(1, 2), sign_token), coeff))
+    return tuple(items)
 
 
 def eci_both_sides(param: Parameter, b: BElement,

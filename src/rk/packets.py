@@ -147,11 +147,17 @@ def _memo(param: Parameter) -> Dict:
 
 
 def _double_coset_ids(param: Parameter, levi, w: int) -> Set[int]:
-    """W^rel_L . w . W_phi; w and the result are ids of W^rel."""
+    """W^rel_L . w . W_phi; w and the result are ids of W^rel.  The set is
+    a union of right W_phi cosets, so a left element l . w already in it
+    brings no new element and is skipped."""
     row = param.group.relative.row
     phi = param.wphi_ids
-    return {x for lw in param.group.levi_weyl_ids(levi)
-            for x in map(row(row(lw)[w]).__getitem__, phi)}
+    out: Set[int] = set()
+    for lw in param.group.levi_weyl_ids(levi):
+        x = row(lw)[w]
+        if x not in out:
+            out.update(map(row(x).__getitem__, phi))
+    return out
 
 
 def _canonical_double_coset(param: Parameter, levi, w: Matrix) -> Matrix:

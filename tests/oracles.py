@@ -8,9 +8,10 @@ rationals, the Weyl coset loops of the endoscopy and parameter layers by
 matrix products (`WeylGroup.mul`) instead of Cayley rows on element ids,
 the realization of centralizer reflections by one scan of the embedded
 normalizer per root, the packet forward map and its fiber weights
-with every step run on every call, and the endoscopy layer's right
-W_phi cosets as sets, indexing map, orbit traces and geometric-lemma
-step, likewise on every call.  With them are the routines that only the
+with every step run on every call, the parabolic double coset
+W^rel_L . w . W_phi with every product formed, and the endoscopy layer's
+right W_phi cosets as sets, indexing map, orbit traces, geometric-lemma
+step and Levi-token expansion, likewise on every call.  With them are the routines that only the
 tests call: the rational span test, the Levi data as one tuple, and the
 full Weyl group of a disconnected group with its semidirect splitting.
 """
@@ -23,14 +24,17 @@ from typing import Optional
 
 from rk.cyclotomic import (Cyclo, _reduce_mod_cyclotomic,
                            cyclotomic_polynomial, prime_factors)
-from rk.endoscopy import (EndoscopyError, _forward_table, _weight_exponent,
-                          jacquet_geometric_terms, regular_part)
+from rk.disconnected import HighestWeightPair
+from rk.endoscopy import (EndoscopyError, Term, _forward_table,
+                          _weight_exponent, jacquet_geometric_terms,
+                          regular_part)
 from rk.finite_reps import FiniteGroup
 from rk.kottwitz import basic_plus_lift
 from rk.lattice import (dot, mat, mat_identity, mat_transpose, mat_vec,
                         solve_rational, vneg, vsub)
 from rk.packets import (PacketMember, _canonical_double_coset,
-                        _certify_descent, _double_coset_ids, canonical_rho)
+                        _certify_descent, _double_coset_ids, canonical_rho,
+                        dominantize)
 from rk.params import ParameterError, _is_reflection
 from rk.rootdata import DatumError, reflection_matrix, weyl_group
 from rk.weyl import chamber_locate
@@ -493,6 +497,15 @@ def fiber_weight_unmemoized(param, b, w):
     return tuple(x // den for x in num)
 
 
+def double_coset_ids_by_comprehension(param, levi, w):
+    """W^rel_L . w . W_phi with one product per (l, f) in W^rel_L x W_phi;
+    w and the result are ids of W^rel."""
+    row = param.group.relative.row
+    phi = param.wphi_ids
+    return {x for lw in param.group.levi_weyl_ids(levi)
+            for x in map(row(row(lw)[w]).__getitem__, phi)}
+
+
 # ---------------------------------------------------------------------------
 # the endoscopy layer without its per-input memos
 
@@ -558,3 +571,21 @@ def geometric_step_unmemoized(endo, emb, param_h):
     expected = sum(1 for term, c in reg.items()
                    for _ in range(int(c.as_rational())))
     return terms, reg, expected
+
+
+def expand_levi_token_unmemoized(param, b, w, endo, dist, sign_token):
+    """The Levi token at the transporter coset w expanded into member atoms
+    on every call: the fiber weight, its dominant translate, the forward
+    map of each stabilizer module and the identity-twist trace."""
+    lam_raw = fiber_weight_unmemoized(param, b, w)
+    if lam_raw is None:
+        return
+    lam = dominantize(param, lam_raw)
+    identity = param.group.relative.identity
+    for module in param.centralizer.stabilizer_modules(lam):
+        member = build_packet_member_unmemoized(
+            param, HighestWeightPair(lam, module))
+        coeff = trace_on_levi_module_unmemoized(
+            param, member.levi, w, lam_raw, module.dim, identity, endo)
+        dist.add(Term("member", tuple(sorted(member.levi)), member.key(),
+                      endo.label, Fraction(1, 2), sign_token), coeff)

@@ -1262,3 +1262,174 @@ def test_warm_results_equal_cold_results(pname, ename):
     for b in reversed(bs):
         _described(warm, b, endo)
     assert [_described(warm, b, endo) for b in bs] == first == cold
+
+
+# ---------------------------------------------------------------------------
+# the membership-only s test, the double coset and the Levi-token memo
+
+@pytest.mark.parametrize("pname", presets.PARAM_NAMES)
+def test_s_in_levi_sample_raises_only_off_the_levi(pname):
+    # on a saturated center basis the coordinate sample never raises, so
+    # the membership helper alone keeps every exception of the full check
+    from rk.cli import _group_shape
+    from rk.endoscopy import _check_s_in_levi
+    checked = 0
+    for ename in presets.ENDO_NAMES:
+        param, endo = presets.parameter(pname), presets.endoscopy(ename)
+        if _group_shape(endo.group) != _group_shape(param.group):
+            continue
+        for levi in param.group.standard_levi_subsets():
+            full = _outcome(s_in_levi_check, param, endo, levi)
+            member = _outcome(_check_s_in_levi, param, endo, frozenset(levi))
+            if param.minimal_levi <= levi:
+                assert member is None
+                assert len(full["coordinate_exponents"]) == param.dim
+            else:
+                assert member == full == ("raised", "EndoscopyError",
+                                          "the parameter does not factor "
+                                          "through the Levi")
+            checked += 1
+    assert checked
+
+
+@pytest.mark.parametrize("pname", presets.PARAM_NAMES)
+def test_double_coset_ids_match_the_comprehension(pname):
+    from oracles import double_coset_ids_by_comprehension
+    from rk.packets import _double_coset_ids
+    from rk.weyl import transporter_set
+    param = presets.parameter(pname)
+    group, index = param.group, param.group.relative.index
+    checked = 0
+    for levi in group.standard_levi_subsets():
+        if not param.minimal_levi <= levi:
+            continue
+        for w in transporter_set(group, param.minimal_levi, levi):
+            assert _double_coset_ids(param, levi, index[w]) == \
+                double_coset_ids_by_comprehension(param, levi, index[w])
+            checked += 1
+    assert checked
+
+
+SIGN = "e(G_b)"
+
+
+def _token_dist(items):
+    dist = FormalDistribution()
+    for term, coeff in items:
+        dist.add(term, coeff)
+    return dist
+
+
+@pytest.mark.parametrize("pname,ename", ECI_PAIRS)
+def test_memoized_levi_token_matches_the_reference(pname, ename, monkeypatch):
+    from oracles import expand_levi_token_unmemoized
+    from rk import endoscopy
+    from rk.endoscopy import _memo
+    from rk.packets import fiber_weight
+    from rk.weyl import transporter_set
+    param, endo = presets.parameter(pname), presets.endoscopy(ename)
+    bs = _pair_bs(param, pname, ename)
+    inputs = [(b, w) for b in bs
+              for w in transporter_set(param.group, param.minimal_levi,
+                                       b.levi)]
+    # the twists off the transporter set whose weight is not integral
+    # (gl4-st2 has some) give empty tokens
+    inputs += [(b, w) for b in bs for w in param.group.relative.elements
+               if fiber_weight(param, b, w) is None]
+    computed = _counted(monkeypatch, endoscopy, "_levi_token_items")
+    rng = random.Random(pname + ename)
+    stored = set()
+    for _ in range(2):
+        rng.shuffle(inputs)
+        for b, w in inputs:
+            got, want = FormalDistribution(), FormalDistribution()
+            endoscopy._expand_levi_token(param, b, w, endo, got, SIGN)
+            expand_levi_token_unmemoized(param, b, w, endo, want, SIGN)
+            assert got == want and got.items() == want.items()
+            entry = _memo(param, endo)["token", b, w, SIGN]
+            assert isinstance(entry, tuple)
+            assert _token_dist(entry) == want
+            if fiber_weight(param, b, w) is None:
+                assert entry == ()
+            stored.add(("token", b, w, SIGN))
+    assert any(_memo(param, endo)[key] for key in stored)
+    assert _memo_keys(param, endo, "token") == stored
+    # one expansion per distinct (b, w)
+    assert len(computed) == len(stored)
+
+
+def test_levi_token_failure_stores_nothing(monkeypatch):
+    # the descent certificate fails on a miss of the forward map's memo,
+    # as in test_packets.test_descent_certificate_fires_on_a_miss
+    from oracles import build_packet_member_unmemoized
+    from rk.endoscopy import _expand_levi_token
+    from rk.packets import DescentError
+    from rk.weyl import chamber_locate
+    param, endo = presets.parameter("gl2-triv"), presets.endoscopy("gl2-s1")
+    rho = rho_of(param, (1, 0))
+    m = build_packet_member_unmemoized(param, rho)
+    witness = chamber_locate(param.group, param.ctx_M.alpha((1, 0)))
+    cut = param.levi_cut(witness.levi, witness.matrix)
+    monkeypatch.setattr(cut, "descent_coords", lambda: ((1, 0),))
+    for _ in range(2):
+        dist = FormalDistribution()
+        with pytest.raises(DescentError, match="derived-intersection"):
+            _expand_levi_token(param, m.b, m.w_class, endo, dist, SIGN)
+        assert _memo_keys(param, endo, "token") == set()
+    monkeypatch.undo()
+    _expand_levi_token(param, m.b, m.w_class, endo, dist, SIGN)
+    assert len(_memo_keys(param, endo, "token")) == 1
+
+
+@pytest.mark.parametrize("case", ["descent", "center", "indexing"])
+def test_per_call_checks_fire_on_a_warm_identity(case, monkeypatch):
+    import rk.packets
+    from rk import endoscopy
+    from rk.packets import DescentError
+    param = presets.parameter("gl4-st2")
+    endo = presets.endoscopy("gl4-splus")
+    bs = _pair_bs(param, "gl4-st2", "gl4-splus")
+    for b in bs:
+        assert eci_both_sides(param, b, endo)["equal"]
+    warm = _described(param, bs[0], endo)
+    assert len(_memo_keys(param, endo, "token")) > 1
+    if case == "descent":
+        # the group side runs the forward map on every fiber member
+        def broken(param, cut, lam):
+            raise DescentError("descent certificate broken")
+        monkeypatch.setattr(rk.packets, "_certify_descent", broken)
+        with pytest.raises(DescentError, match="certificate broken"):
+            eci_both_sides(param, bs[0], endo)
+    elif case == "center":
+        # (0, 0, 1, 0) pairs to 1/2 with s = (0, 0, 1/2, 1/2); the
+        # membership test of regular_pairing fires before the trace's own
+        # center test
+        solver = param.ctx_M.dual_center_solver
+        monkeypatch.setattr(solver, "kernel",
+                            solver.kernel + ((0, 0, 1, 0),))
+        with pytest.raises(EndoscopyError,
+                           match="split center of the minimal dual Levi"):
+            eci_both_sides(param, bs[0], endo)
+    else:
+        # the indexing construction runs once per input: an emptied table
+        # leaves the warm identity as it was, and an input the warm pass
+        # did not store still raises and stores nothing
+        monkeypatch.setattr(endoscopy, "_forward_table",
+                            lambda param, endo, levi: {})
+        assert _described(param, bs[0], endo) == warm
+        param_h, h = parameter_on_h(param, endo)
+        stored = _memo_keys(param, endo, "indexing")
+        fresh = [(levi, emb, v) for levi in {b.levi for b in bs}
+                 for emb in enumerate_embedded(param, levi, endo)
+                 for v in endo.H.relative.elements
+                 if ("indexing", levi, h, emb.key(), v) not in stored]
+        assert fresh
+        levi, emb, v = fresh[0]
+        for _ in range(2):
+            with pytest.raises(AssertionError,
+                               match="missed the transporter set"):
+                endoscopy.indexing_forward(param, levi, endo, param_h, h,
+                                           emb, v)
+            assert _memo_keys(param, endo, "indexing") == stored
+    monkeypatch.undo()
+    assert _described(param, bs[0], endo) == warm

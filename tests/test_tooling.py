@@ -2,10 +2,9 @@
 kind of object the tracer knows how to wrap, so a change that deletes,
 renames or re-kinds one fails here and not only in traced benchmark
 runs.  Every name an `rk` module imports is used, and every key kind
-of the endoscopy memo is listed where the memo is documented.  Each
-command loads
-only the modules it runs, and the cyclotomic layer loads no other `rk`
-module.  The preset registry lists, resolves and rejects the same names,
+of the endoscopy and packets memos is listed where the memo is
+documented.  Each command loads only the modules it runs, and the
+cyclotomic layer loads no other `rk` module.  The preset registry lists, resolves and rejects the same names,
 and every preset resolves like its dumped description file.  One pass of
 each warm benchmark workload reproduces the reference digests."""
 
@@ -103,7 +102,55 @@ def test_every_endoscopy_memo_key_kind_is_documented():
             assert isinstance(key, ast.Constant) and \
                 isinstance(key.value, str), ast.dump(node.args[2])
             kinds.add(key.value)
-    assert {"indexing", "trace", "jacquet"} <= kinds
+    assert {"indexing", "trace", "jacquet", "token"} <= kinds
+    assert sorted(k for k in kinds if '"%s"' % k not in doc) == []
+
+
+def test_every_packets_memo_key_kind_is_documented():
+    # the leading string of each key used with `memo = _memo(param)`, as a
+    # subscript or an `in` test, directly or through a name bound to a
+    # tuple, appears quoted in the `_memo` docstring
+    tree = ast.parse((ROOT / "src" / "rk" / "packets.py")
+                     .read_text(encoding="utf-8"))
+    memo = next(node for node in tree.body
+                if isinstance(node, ast.FunctionDef) and node.name == "_memo")
+    doc = ast.get_docstring(memo)
+    kinds = set()
+    for func in ast.walk(tree):
+        if not isinstance(func, ast.FunctionDef):
+            continue
+        names, bound = set(), {}
+        for node in ast.walk(func):
+            if isinstance(node, ast.Assign) and len(node.targets) == 1 \
+                    and isinstance(node.targets[0], ast.Name):
+                value = node.value
+                if isinstance(value, ast.Call) and \
+                        isinstance(value.func, ast.Name) and \
+                        value.func.id == "_memo":
+                    names.add(node.targets[0].id)
+                else:
+                    bound[node.targets[0].id] = value
+        keys = []
+        for node in ast.walk(func):
+            if isinstance(node, ast.Subscript) and \
+                    isinstance(node.value, ast.Name) and \
+                    node.value.id in names:
+                keys.append(node.slice)
+            elif isinstance(node, ast.Compare) and \
+                    isinstance(node.ops[0], (ast.In, ast.NotIn)) and \
+                    isinstance(node.comparators[0], ast.Name) and \
+                    node.comparators[0].id in names:
+                keys.append(node.left)
+        for key in keys:
+            if isinstance(key, ast.Name):
+                key = bound[key.id]
+            if isinstance(key, ast.Tuple):
+                key = key.elts[0]
+            assert isinstance(key, ast.Constant) and \
+                isinstance(key.value, str), ast.dump(key)
+            kinds.add(key.value)
+    assert {"member", "canonical", "cosets", "fiber_weight",
+            "center"} <= kinds
     assert sorted(k for k in kinds if '"%s"' % k not in doc) == []
 
 
