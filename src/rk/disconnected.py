@@ -23,6 +23,7 @@ from .lattice import (
     Matrix,
     SmithSolver,
     Vector,
+    cached,
     dot,
     mat,
     mat_identity,
@@ -78,7 +79,8 @@ class DisconnectedGroupDatum:
         if self.cocycle:
             from .finite_reps import validate_cocycle
             validate_cocycle(self.pi0, self.cocycle)
-        self._modules: Dict[Tuple, Tuple[Module, ...]] = {}
+        #: ("modules", elements): simple modules of that stabilizer in pi0
+        self.memo: Dict = {}
 
     # -- weights -------------------------------------------------------------
 
@@ -94,22 +96,18 @@ class DisconnectedGroupDatum:
         members are dominant together, since the action preserves the base)."""
         return max(self.orbit_of_weight(weight))
 
-    def restricted_cocycle(self, subgroup: FiniteGroup) -> Dict:
-        if not self.cocycle:
-            return {}
-        keep = set(subgroup.elements)
-        return {(a, b): v for (a, b), v in self.cocycle.items()
-                if a in keep and b in keep}
-
     def stabilizer_modules(self, weight: Sequence[int]) -> Tuple[Module, ...]:
         """Simple modules of the twisted algebra of the stabilizer of a
         dominant weight, computed once per stabilizer subgroup."""
         a_lam = stabilizer_A_lambda(self, weight)
-        mods = self._modules.get(a_lam.elements)
-        if mods is None:
-            mods = simple_modules(a_lam, self.restricted_cocycle(a_lam))
-            self._modules[a_lam.elements] = mods
-        return mods
+        return cached(self.memo, ("modules", a_lam.elements),
+                      self._simple_modules, a_lam)
+
+    def _simple_modules(self, a_lam: FiniteGroup) -> Tuple[Module, ...]:
+        keep = set(a_lam.elements)
+        return simple_modules(a_lam, {(a, b): v for (a, b), v in
+                                      self.cocycle.items()
+                                      if a in keep and b in keep})
 
 
 def stabilizer_A_lambda(datum: DisconnectedGroupDatum,

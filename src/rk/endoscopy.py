@@ -25,6 +25,7 @@ from .lattice import (
     Matrix,
     SmithSolver,
     Vector,
+    cached,
     dot,
     mat_mul,
     mat_vec,
@@ -155,31 +156,24 @@ class EmbeddedDatum:
 
 
 def _memo(param: Parameter, endo: EndoscopicDatum) -> Dict:
-    """This module's cache for one (parameter, datum) pair, made on first
-    use and kept on the parameter.  Keys: "h" (`parameter_on_h`),
-    "admissible", per Levi L ("wl", L), ("embedded", L), ("forward", L)
-    and ("cosets", G or H, L), per Levi and backward twist u
-    ("backward", L, u), per indexing input ("indexing", L, h, emb.key(),
-    v), per orbit trace ("trace", L, w, lam_w, g), per embedded class
-    ("jacquet", emb.key()) and per Levi token ("token", b, w, sign token).
-    A computation that raises stores nothing."""
-    return vars(param).setdefault("_endoscopy_memo", {}).setdefault(endo, {})
+    """The (parameter, datum) memo; its kinds are listed at Parameter.memo."""
+    return cached(param.memo, ("endoscopy", endo), dict)
 
 
-def _cached(param: Parameter, endo: EndoscopicDatum, key, compute):
-    memo = _memo(param, endo)
-    if key not in memo:
-        memo[key] = compute()
-    return memo[key]
+def _cached(param: Parameter, endo: EndoscopicDatum, key, compute, *args):
+    return cached(_memo(param, endo), key, compute, *args)
 
 
 def _full_levi_weyl(param: Parameter, endo: EndoscopicDatum,
                     levi: FrozenSet[int]) -> Tuple[Matrix, ...]:
     """W_L inside the absolute Weyl group, from the Levi's simple
     reflections."""
-    weyl = param.group.weyl
-    return _cached(param, endo, ("wl", levi), lambda: weyl.generated(
-        [weyl.generators[pos] for pos in sorted(levi)]))
+    return _cached(param, endo, ("wl", levi), _simple_parabolic,
+                   param.group.weyl, levi)
+
+
+def _simple_parabolic(weyl, levi: FrozenSet[int]):
+    return weyl.generated([weyl.generators[pos] for pos in sorted(levi)])
 
 
 def _admissible(param: Parameter, endo: EndoscopicDatum) -> FrozenSet[Matrix]:
@@ -187,18 +181,20 @@ def _admissible(param: Parameter, endo: EndoscopicDatum) -> FrozenSet[Matrix]:
     every Galois element g some h in W_H makes h.g fix the pulled-back
     parameter center w^-1(X_*(A_M^)).  The products h.g are formed once
     per Galois element."""
-    def scan():
-        weyl = param.group.weyl
-        corrections = [[mat_mul(h, g) for h in endo.weyl_h_elements()]
-                       for g in param.group.galois.char_elements()]
-        out = set()
-        for w in weyl.elements:
-            basis = [mat_vec(weyl.inverse[w], u) for u in param.center_basis]
-            if all(any(all(mat_vec(hg, v) == v for v in basis) for hg in row)
-                   for row in corrections):
-                out.add(w)
-        return frozenset(out)
-    return _cached(param, endo, "admissible", scan)
+    return _cached(param, endo, ("admissible",), _admissible_scan, param, endo)
+
+
+def _admissible_scan(param: Parameter, endo: EndoscopicDatum):
+    weyl = param.group.weyl
+    corrections = [[mat_mul(h, g) for h in endo.weyl_h_elements()]
+                   for g in param.group.galois.char_elements()]
+    out = set()
+    for w in weyl.elements:
+        basis = [mat_vec(weyl.inverse[w], u) for u in param.center_basis]
+        if all(any(all(mat_vec(hg, v) == v for v in basis) for hg in row)
+               for row in corrections):
+            out.add(w)
+    return frozenset(out)
 
 
 def enumerate_embedded(param: Parameter, levi,
@@ -208,8 +204,8 @@ def enumerate_embedded(param: Parameter, levi,
     groups, each standardized inside the endoscopic group (computed once
     per parameter, datum and Levi)."""
     levi = frozenset(levi)
-    return _cached(param, endo, ("embedded", levi),
-                   lambda: _embedded(param, levi, endo))
+    return _cached(param, endo, ("embedded", levi), _embedded, param, levi,
+                   endo)
 
 
 def _embedded(param: Parameter, levi: FrozenSet[int],
@@ -300,7 +296,7 @@ def parameter_on_h(param: Parameter, endo: EndoscopicDatum):
     Returns (param_H, h) with h the standardizing element, computed once
     per parameter and datum.  Raises when the parameter does not factor
     through the endoscopic group at this combinatorial level."""
-    return _cached(param, endo, "h", lambda: _find_parameter_on_h(param, endo))
+    return _cached(param, endo, ("h",), _find_parameter_on_h, param, endo)
 
 
 def _find_parameter_on_h(param: Parameter, endo: EndoscopicDatum):
@@ -507,18 +503,18 @@ def _trace_on_levi_module(param: Parameter, levi, w: Matrix, lam_w: Vector,
         if dot(z, q_g) % den != 0:
             raise EndoscopyError("conjugated torus element left the twisted "
                                  "parameter center")
-    # one term per left coset of the stabilizer of lam_w in the cut
-    # components, i.e. per point of the orbit of lam_w
-    def orbit_sum():
-        orbit = {mat_vec(param.char_action(c), lam_w)
-                 for c in cut.component_elements}
-        total = Cyclo.zero()
-        for mu in orbit:
-            total = total + Cyclo.root_of_unity(
-                _weight_exponent(solver, q_g, den, mu))
-        return total
-    total = _cached(param, endo, ("trace", levi, w, lam_w, g), orbit_sum)
+    total = _cached(param, endo, ("trace", levi, w, lam_w, g), _orbit_sum,
+                    param, cut, solver, lam_w, q_g, den)
     return total * module_dim if module_dim != 1 else total
+
+
+def _orbit_sum(param: Parameter, cut, solver: SmithSolver, lam_w: Vector,
+               q_g: Vector, den: int) -> Cyclo:
+    """One term per point of the orbit of lam_w under the cut components."""
+    orbit = {mat_vec(param.char_action(c), lam_w)
+             for c in cut.component_elements}
+    return sum((Cyclo.root_of_unity(_weight_exponent(solver, q_g, den, mu))
+                for mu in orbit), Cyclo.zero())
 
 
 def regular_pairing(param: Parameter, member: PacketMember,
@@ -566,7 +562,7 @@ def indexing_forward(param: Parameter, levi, endo: EndoscopicDatum,
     per Levi, h, embedded class and v)."""
     levi = frozenset(levi)
     return _cached(param, endo, ("indexing", levi, h, emb.key(), v),
-                   lambda: _forward_coset(param, levi, endo, h, emb, v))
+                   _forward_coset, param, levi, endo, h, emb, v)
 
 
 def _forward_coset(param: Parameter, levi: FrozenSet[int],
@@ -599,16 +595,19 @@ def _forward_table(param: Parameter, endo: EndoscopicDatum,
     """The restriction of cand^-1 to X_*(A_L^) -> the left W^rel_L coset
     representatives of the transporter elements cand with that
     restriction."""
-    def build():
-        group = param.group
-        basis = group.levi_context(levi).dual_split_center_basis
-        table: Dict[Tuple, set] = {}
-        for cand in transporter_set(group, param.minimal_levi, levi):
-            cinv = group.relative.inverse[cand]
-            table.setdefault(tuple(mat_vec(cinv, u) for u in basis),
-                             set()).add(_left_coset_rep(group, levi, cand))
-        return {key: frozenset(reps) for key, reps in table.items()}
-    return _cached(param, endo, ("forward", levi), build)
+    return _cached(param, endo, ("forward", levi), _restriction_table, param,
+                   levi)
+
+
+def _restriction_table(param: Parameter, levi: FrozenSet[int]):
+    group = param.group
+    basis = group.levi_context(levi).dual_split_center_basis
+    table: Dict[Tuple, set] = {}
+    for cand in transporter_set(group, param.minimal_levi, levi):
+        cinv = group.relative.inverse[cand]
+        table.setdefault(tuple(mat_vec(cinv, u) for u in basis),
+                         set()).add(_left_coset_rep(group, levi, cand))
+    return {key: frozenset(reps) for key, reps in table.items()}
 
 
 def _left_coset_rep(group: ReductiveGroup, levi, w: Matrix) -> Matrix:
@@ -623,9 +622,13 @@ def _coset_reps(param: Parameter, endo: EndoscopicDatum,
                 levi: FrozenSet[int]) -> Tuple[Matrix, ...]:
     """Sorted left W^rel_L coset representatives of W^rel(M, L) in the
     group or in the endoscopic group of the pair."""
-    return _cached(param, endo, ("cosets", group, levi), lambda: tuple(sorted(
-        {_left_coset_rep(group, levi, t)
-         for t in transporter_set(group, minimal, levi)})))
+    return _cached(param, endo, ("cosets", group, levi), _left_coset_reps,
+                   group, minimal, levi)
+
+
+def _left_coset_reps(group: ReductiveGroup, minimal, levi):
+    return tuple(sorted({_left_coset_rep(group, levi, t)
+                         for t in transporter_set(group, minimal, levi)}))
 
 
 def indexing_backward(param: Parameter, levi, endo: EndoscopicDatum,
@@ -644,9 +647,9 @@ def indexing_backward(param: Parameter, levi, endo: EndoscopicDatum,
     u = group.weyl.mul(w, endo.H.relative.inverse[h])
     if u not in _admissible(param, endo):
         raise AssertionError("backward twist fails the Galois condition")
-    target_emb, reps = _cached(
-        param, endo, ("backward", levi, u),
-        lambda: _backward_table(param, levi, endo, param_h, embedded, u))
+    target_emb, reps = _cached(param, endo, ("backward", levi, u),
+                               _backward_table, param, levi, endo, param_h,
+                               embedded, u)
     target = _left_coset_rep(group, levi, w)
     matching = [v for v in reps if indexing_forward(
         param, levi, endo, param_h, h, target_emb, v) == target]
@@ -734,7 +737,7 @@ def _expand_levi_token(param: Parameter, b: BElement, w: Matrix,
     trace as coefficient.  The (term, coefficient) items are computed once
     per (b, w) and added to `dist` on every call."""
     items = _cached(param, endo, ("token", b, w, sign_token),
-                    lambda: _levi_token_items(param, b, w, endo, sign_token))
+                    _levi_token_items, param, b, w, endo, sign_token)
     for term, coeff in items:
         dist.add(term, coeff)
 
@@ -782,9 +785,8 @@ def eci_both_sides(param: Parameter, b: BElement,
     discarded = FormalDistribution()
     bookkeeping = []
     for emb in embedded:
-        items, expected = _cached(
-            param, endo, ("jacquet", emb.key()),
-            lambda: _geometric_expansion(endo, emb, param_h))
+        items, expected = _cached(param, endo, ("jacquet", emb.key()),
+                                  _geometric_expansion, endo, emb, param_h)
         nonregular = 0
         for term, coeff in items:
             if term.kind == "nonregular":

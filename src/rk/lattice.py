@@ -30,6 +30,17 @@ Matrix = Tuple[Tuple[int, ...], ...]
 #: safety cap for group closures; exceeding it is an input error
 DEFAULT_CLOSURE_CAP = 10**6
 
+_MISSING = object()
+
+
+def cached(memo: Dict, key, compute: Callable, *args):
+    """memo[key], set to compute(*args) on a miss, by one lookup (a stored
+    None is a hit); a compute that raises stores nothing."""
+    value = memo.get(key, _MISSING)
+    if value is _MISSING:
+        value = memo[key] = compute(*args)
+    return value
+
 
 # ---------------------------------------------------------------------------
 # raw tuple-matrix helpers (used pervasively; IntegerMatrix wraps these)
@@ -627,19 +638,20 @@ class LatticeAction:
             # |G| >= |G.e|: an orbit over the cap rejects the closure too
             orbit((e,), [partial(mat_vec, g) for g in self.generators],
                   self.cap)
-        object.__setattr__(self, "_elements", None)
+        #: ("elements",): the closed group, in discovery order
+        object.__setattr__(self, "memo", {})
 
     @property
     def rank(self) -> int:
         return len(self.generators[0]) if self.generators else 0
 
     def elements(self) -> Tuple[Matrix, ...]:
-        if self._elements is None:
-            order = orbit((mat_identity(self.rank),),
-                          [partial(mat_mul, b=g) for g in self.generators],
-                          self.cap) if self.generators else ()
-            object.__setattr__(self, "_elements", tuple(order))
-        return self._elements
+        return cached(self.memo, ("elements",), self._close)
+
+    def _close(self) -> Tuple[Matrix, ...]:
+        return tuple(orbit((mat_identity(self.rank),),
+                           [partial(mat_mul, b=g) for g in self.generators],
+                           self.cap) if self.generators else ())
 
     def dual(self) -> "LatticeAction":
         """The contragredient action on the dual lattice."""

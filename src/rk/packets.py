@@ -20,6 +20,7 @@ from .kottwitz import BElement, basic_plus_lift, encode, kappa_push
 from .lattice import (
     Matrix,
     Vector,
+    cached,
     dot,
     mat_transpose,
     mat_vec,
@@ -83,9 +84,8 @@ def build_packet_member(param: Parameter, rho: HighestWeightPair) -> PacketMembe
     """
     rho = canonical_rho(param, rho)
     lam = rho.weight
-    memo = _memo(param)
-    if ("member", lam) in memo:
-        cut, b, w_class, word = memo["member", lam]
+    if ("member", lam) in param.memo:
+        cut, b, w_class, word = param.memo["member", lam]
         _certify_descent(param, cut, lam)
     else:
         group = param.group
@@ -105,7 +105,7 @@ def build_packet_member(param: Parameter, rho: HighestWeightPair) -> PacketMembe
                                  "image")
         w_class = _canonical_double_coset(param, levi, w)
         word = witness.word
-        memo["member", lam] = cut, b, w_class, word
+        param.memo["member", lam] = cut, b, w_class, word
     return PacketMember(
         b=b, levi=cut.levi, w_class=w_class, rho_weight=lam,
         rho_module_label=rho.module.label(), witness_word=word,
@@ -137,15 +137,6 @@ def _certify_descent(param: Parameter, cut, lam: Vector) -> None:
                            "stabilizer of the weight")
 
 
-def _memo(param: Parameter) -> Dict:
-    """This module's per-parameter cache, made on first use; keys are
-    ("cosets", L), ("canonical", L, w), "center", ("fiber_weight", b, w),
-    holding the weight or None, and ("member", lambda), holding a member's
-    Levi cut, Kottwitz element, coset class and witness word for the
-    canonical weight lambda."""
-    return vars(param).setdefault("_packets_memo", {})
-
-
 def _double_coset_ids(param: Parameter, levi, w: int) -> Set[int]:
     """W^rel_L . w . W_phi; w and the result are ids of W^rel.  The set is
     a union of right W_phi cosets, so a left element l . w already in it
@@ -162,13 +153,13 @@ def _double_coset_ids(param: Parameter, levi, w: int) -> Set[int]:
 
 def _canonical_double_coset(param: Parameter, levi, w: Matrix) -> Matrix:
     """min of W^rel_L . w . W_phi (computed once per (param, levi, w))."""
-    memo = _memo(param)
-    key = ("canonical", frozenset(levi), w)
-    if key not in memo:
-        rel = param.group.relative
-        memo[key] = rel.elements[min(_double_coset_ids(param, levi,
-                                                       rel.index[w]))]
-    return memo[key]
+    return cached(param.memo, ("canonical", frozenset(levi), w),
+                  _least_in_double_coset, param, levi, w)
+
+
+def _least_in_double_coset(param: Parameter, levi, w: Matrix) -> Matrix:
+    rel = param.group.relative
+    return rel.elements[min(_double_coset_ids(param, levi, rel.index[w]))]
 
 
 # ---------------------------------------------------------------------------
@@ -178,9 +169,11 @@ def transporter_double_cosets(param: Parameter, levi) -> Tuple[Matrix, ...]:
     """Canonical representatives of W^rel_L \\ W^rel(M, L) / W_phi
     (computed once per (param, levi))."""
     levi = frozenset(levi)
-    memo = _memo(param)
-    if ("cosets", levi) in memo:
-        return memo["cosets", levi]
+    return cached(param.memo, ("cosets", levi), _transporter_double_cosets,
+                  param, levi)
+
+
+def _transporter_double_cosets(param: Parameter, levi: FrozenSet[int]):
     rel = param.group.relative
     trans = [rel.index[t] for t in
              transporter_set(param.group, param.minimal_levi, levi)]
@@ -198,8 +191,7 @@ def transporter_double_cosets(param: Parameter, levi) -> Tuple[Matrix, ...]:
         orbit = _double_coset_ids(param, levi, t)
         seen |= orbit
         reps.append(min(orbit))
-    memo["cosets", levi] = tuple(rel.elements[i] for i in sorted(reps))
-    return memo["cosets", levi]
+    return tuple(rel.elements[i] for i in sorted(reps))
 
 
 def fiber_weight(param: Parameter, b: BElement, w: Matrix) -> Optional[Vector]:
@@ -210,10 +202,11 @@ def fiber_weight(param: Parameter, b: BElement, w: Matrix) -> Optional[Vector]:
     Computed in integers: nu(b) as alpha_L's numerators over its one
     denominator d_L, moved by w^T, then alpha_M^{-1}'s integer matrix over
     its one denominator d_M, with a single division by d_L * d_M."""
-    memo = _memo(param)
-    key = ("fiber_weight", b, w)
-    if key in memo:
-        return memo[key]
+    return cached(param.memo, ("fiber_weight", b, w), _fiber_weight,
+                  param, b, w)
+
+
+def _fiber_weight(param: Parameter, b: BElement, w: Matrix):
     nu, den_l = param.group.levi_context(b.levi).newton_scaled(b.kappa)
     moved = mat_vec(mat_transpose(w), nu)  # cochar action of w^{-1}
     image = param.ctx_M.alpha_inv_scaled(moved)
@@ -223,7 +216,6 @@ def fiber_weight(param: Parameter, b: BElement, w: Matrix) -> Optional[Vector]:
         den = den_l * den_m
         if not any(x % den for x in num):
             lam = tuple(x // den for x in num)
-    memo[key] = lam
     return lam
 
 
@@ -335,17 +327,7 @@ def central_character_square(param: Parameter, rho: HighestWeightPair) -> Dict:
     member = build_packet_member(param, rho)
     pushed = kappa_push(group, member.b)
     ctx_G = group.levi_context(group.full_subset())
-    memo = _memo(param)
-    if "center" not in memo:
-        coords = []
-        for u in ctx_G.dual_split_center_basis:
-            sol = param.center_solver.solve(u)
-            if sol is None:
-                raise AssertionError("global dual center escapes the "
-                                     "parameter center")
-            coords.append(sol)
-        memo["center"] = tuple(coords)
-    coords = memo["center"]
+    coords = cached(param.memo, ("center",), _center_coords, param, ctx_G)
     functional = tuple(dot(member.rho_weight, c) for c in coords)
     omega = ctx_G.kappa_from_functional(functional)
     torsion_undetermined = bool(ctx_G.dual_center_characters.torsion)
@@ -357,3 +339,11 @@ def central_character_square(param: Parameter, rho: HighestWeightPair) -> Dict:
         "equal": equal,
         "torsion_undetermined": torsion_undetermined,
     }
+
+
+def _center_coords(param: Parameter, ctx_G) -> Tuple[Vector, ...]:
+    coords = tuple(map(param.center_solver.solve,
+                       ctx_G.dual_split_center_basis))
+    if None in coords:
+        raise AssertionError("global dual center escapes the parameter center")
+    return coords

@@ -22,6 +22,7 @@ from .lattice import (
     Matrix,
     SmithSolver,
     Vector,
+    cached,
     dot,
     kernel_basis,
     mat,
@@ -70,7 +71,16 @@ class Parameter:
         self.minimal_levi = frozenset(minimal_levi)
         self.label = label
         self.tempered = tempered
-        self._cuts: Dict[Tuple[FrozenSet[int], Matrix], LeviCut] = {}
+        #: ("cut", L, w): `levi_cut`; rk.packets: ("cosets", L), ("canonical",
+        #: L, w), ("center",), ("fiber_weight", b, w)* (the weight or None),
+        #: ("member", lambda)* (cut, b, coset class, word); ("endoscopy", E):
+        #: datum E's memo, by rk.endoscopy's kinds ("h",), ("admissible",),
+        #: ("wl", L), ("embedded", L), ("forward", L), ("cosets", G or H, L),
+        #: ("backward", L, u), ("indexing", L, h, emb.key(), v), ("trace", L,
+        #: w, lambda_w, g)*, ("jacquet", emb.key()), ("token", b, w, sign)*.
+        #: *: keyed by a caller's weight or b, so unbounded in a library; the
+        #: CLI runs one command per process, on <= MAX_WEIGHT_BOX weights.
+        self.memo: Dict = {}
         self.ctx_M = group.levi_context(self.minimal_levi)
         self.center_basis = self.ctx_M.dual_split_center_basis
         self.dim = len(self.center_basis)
@@ -293,16 +303,12 @@ class Parameter:
         parameter by w (default identity): the surviving roots, the
         Weyl elements of the cut, and its component structure.
 
-        Returns a LeviCut; requires the Levi to contain w(M).  The cut is
-        built once per (Levi, w) and shared by every caller, so it must not
-        be mutated; a cut that fails validation is not stored, and raises
-        the same ParameterError on every call.
+        Returns a LeviCut, built once per (Levi, w) and shared, so not to be
+        mutated; requires the Levi to contain w(M).
         """
         levi = frozenset(levi)
-        key = (levi, w if w is not None else self.group.relative.identity)
-        if key not in self._cuts:
-            self._cuts[key] = LeviCut(self, levi, w)
-        return self._cuts[key]
+        w = w if w is not None else self.group.relative.identity
+        return cached(self.memo, ("cut", levi, w), LeviCut, self, levi, w)
 
 
 class LeviCut:
@@ -352,7 +358,8 @@ class LeviCut:
                 len(self.connected_weyl_elements) * len(self.component_elements):
             raise ParameterError("Levi cut does not decompose as a semidirect "
                                  "product")
-        self._descent: Optional[Tuple[Vector, ...]] = None
+        #: ("descent",): `descent_coords()`
+        self.memo: Dict = {}
 
     def descent_coords(self) -> Tuple[Vector, ...]:
         """Coordinates, in the twisted center basis, of a basis of (twisted
@@ -361,28 +368,26 @@ class LeviCut:
         center meeting the derived subgroup of the dual Levi.  A weight
         descends to a character of the Levi iff it pairs to zero with each.
         Computed once per cut."""
-        if self._descent is None:
-            param = self.param
-            group = param.group
-            levi_roots = [group.datum.roots[i] for i in
-                          group.levi_context(self.levi).root_indices()]
-            kill: Tuple[Vector, ...] = ()
-            if levi_roots:
-                # the annihilator of w.B is w^-T applied to that of B
-                w_dual = group.relative.contragredient[self.w]
-                perp_center = [mat_vec(w_dual, z) for z in
-                               param.ctx_M.dual_center_solver.kernel]
-                perp_levi = kernel_basis(mat(levi_roots))
-                kill = kernel_basis(mat(perp_center + list(perp_levi)))
-            coords = []
-            for v in kill:
-                sol = param.center_solver.solve(mat_vec(self.w_inv, v))
-                if sol is None:
-                    raise AssertionError("intersection vector escaped the "
-                                         "center")
-                coords.append(sol)
-            self._descent = tuple(coords)
-        return self._descent
+        return cached(self.memo, ("descent",), self._descent_coords)
+
+    def _descent_coords(self) -> Tuple[Vector, ...]:
+        param = self.param
+        group = param.group
+        levi_roots = [group.datum.roots[i] for i in
+                      group.levi_context(self.levi).root_indices()]
+        kill: Tuple[Vector, ...] = ()
+        if levi_roots:
+            # the annihilator of w.B is w^-T applied to that of B
+            w_dual = group.relative.contragredient[self.w]
+            perp_center = [mat_vec(w_dual, z) for z in
+                           param.ctx_M.dual_center_solver.kernel]
+            perp_levi = kernel_basis(mat(levi_roots))
+            kill = kernel_basis(mat(perp_center + list(perp_levi)))
+        coords = tuple(param.center_solver.solve(mat_vec(self.w_inv, v))
+                       for v in kill)
+        if None in coords:
+            raise AssertionError("intersection vector escaped the center")
+        return coords
 
     def disconnected_datum(self) -> DisconnectedGroupDatum:
         param = self.param

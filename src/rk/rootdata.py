@@ -40,6 +40,7 @@ from .lattice import (
     MatrixGroup,
     SmithSolver,
     Vector,
+    cached,
     coinvariants,
     dot,
     invariants_saturated,
@@ -453,39 +454,29 @@ class ReductiveGroup:
         self.datum = datum
         self.galois = galois if galois is not None else GaloisAction(datum)
         self.name = name or datum.name
-        self._levi_cache: Dict[FrozenSet[int], LeviContext] = {}
-        self._levi_weyl: Dict[FrozenSet[int], Tuple[Matrix, ...]] = {}
-        self._levi_weyl_ids: Dict[FrozenSet[int], Tuple[int, ...]] = {}
-        # filled by weyl.transporter_set, keyed by (levi1, levi2)
-        self._transporters: Dict[Tuple[FrozenSet[int], FrozenSet[int]],
-                                 Tuple[Matrix, ...]] = {}
-        self._weyl: Optional[WeylGroup] = None
-        self._restricted: Optional[Tuple[Matrix, ...]] = None
-        self._relative: Optional[WeylGroup] = None
-        self._orbits: Optional[Tuple[Tuple[int, ...], ...]] = None
-        self._standard_levis: Optional[Tuple[FrozenSet[int], ...]] = None
+        #: ("restricted",), ("relative",), ("standard_levis",): the two
+        #: properties and `standard_levi_subsets()`; ("levi", L), ("levi_weyl",
+        #: L), ("levi_weyl_ids", L): `levi_context` and W^rel_L as matrices
+        #: and ids; ("transporters", L1, L2): `weyl.transporter_set`.
+        self.memo: Dict = {}
 
     # -- absolute Weyl group ------------------------------------------------
 
-    @property
+    @cached_property
     def weyl(self) -> WeylGroup:
-        if self._weyl is None:
-            self._weyl = weyl_group(self.datum)
-        return self._weyl
+        return weyl_group(self.datum)
 
     # -- Galois orbit structure on simple positions -------------------------
 
-    @property
+    @cached_property
     def simple_orbits(self) -> Tuple[Tuple[int, ...], ...]:
         """Galois orbits on positions 0..(#simples-1), sorted by least member."""
-        if self._orbits is None:
-            simple = self.datum.simple_indices
-            # each Galois generator's permutation of the simple positions
-            maps = [[simple.index(p[i]) for i in simple].__getitem__
-                    for p in self.galois.root_permutations]
-            self._orbits = tuple(sorted({tuple(sorted(orbit((pos,), maps)))
-                                         for pos in range(len(simple))}))
-        return self._orbits
+        simple = self.datum.simple_indices
+        # each Galois generator's permutation of the simple positions
+        maps = [[simple.index(p[i]) for i in simple].__getitem__
+                for p in self.galois.root_permutations]
+        return tuple(sorted({tuple(sorted(orbit((pos,), maps)))
+                             for pos in range(len(simple))}))
 
     def simple_orbit_of(self, pos: int) -> Tuple[int, ...]:
         for orb in self.simple_orbits:
@@ -499,20 +490,21 @@ class ReductiveGroup:
     def restricted_reflections(self) -> Tuple[Matrix, ...]:
         """One generator per Galois orbit of simples: the longest element of
         the parabolic subgroup the orbit generates."""
-        if self._restricted is None:
-            out = []
-            for orb in self.simple_orbits:
-                gens = [reflection_matrix(self.datum.simple_roots[p],
-                                          self.datum.simple_coroots[p])
-                        for p in orb]
-                sub = WeylGroup(gens, self.datum.rank, self.datum.roots)
-                longest = max(sub.elements, key=lambda m: (len(sub.word(m)), m))
-                if sub.mul(longest, longest) != sub.identity:
-                    raise AssertionError("longest element of an orbit "
-                                         "parabolic must be an involution")
-                out.append(longest)
-            self._restricted = tuple(out)
-        return self._restricted
+        return cached(self.memo, ("restricted",), self._restricted)
+
+    def _restricted(self) -> Tuple[Matrix, ...]:
+        out = []
+        for orb in self.simple_orbits:
+            gens = [reflection_matrix(self.datum.simple_roots[p],
+                                      self.datum.simple_coroots[p])
+                    for p in orb]
+            sub = WeylGroup(gens, self.datum.rank, self.datum.roots)
+            longest = max(sub.elements, key=lambda m: (len(sub.word(m)), m))
+            if sub.mul(longest, longest) != sub.identity:
+                raise AssertionError("longest element of an orbit "
+                                     "parabolic must be an involution")
+            out.append(longest)
+        return tuple(out)
 
     @property
     def relative(self) -> WeylGroup:
@@ -520,26 +512,27 @@ class ReductiveGroup:
         simple reflections (verified against the brute-force fixed set).
         When every simple Galois orbit is a singleton these are the simple
         reflections in order, and the group is `weyl` itself."""
-        if self._relative is None:
-            gens = self.restricted_reflections
-            rel = self.weyl if gens == self.weyl.generators else \
-                WeylGroup(gens, self.datum.rank, self.datum.roots)
-            # g.m.g^-1 lies in W, which acts faithfully on the roots, so m
-            # commutes with g iff their root permutations commute
-            gperms = self.galois.root_permutations
-            perm = self.weyl.perm
+        return cached(self.memo, ("relative",), self._relative)
 
-            def commutes_with_galois(m: Matrix) -> bool:
-                pm = perm[m]
-                return all(pg[pm[i]] == pm[pg[i]]
-                           for pg in gperms for i in range(len(pm)))
+    def _relative(self) -> WeylGroup:
+        gens = self.restricted_reflections
+        rel = self.weyl if gens == self.weyl.generators else \
+            WeylGroup(gens, self.datum.rank, self.datum.roots)
+        # g.m.g^-1 lies in W, which acts faithfully on the roots, so m
+        # commutes with g iff their root permutations commute
+        gperms = self.galois.root_permutations
+        perm = self.weyl.perm
 
-            if rel.elements != tuple(filter(commutes_with_galois,
-                                            self.weyl.elements)):
-                raise AssertionError("restricted reflections do not generate "
-                                     "the Galois-fixed Weyl subgroup")
-            self._relative = rel
-        return self._relative
+        def commutes_with_galois(m: Matrix) -> bool:
+            pm = perm[m]
+            return all(pg[pm[i]] == pm[pg[i]]
+                       for pg in gperms for i in range(len(pm)))
+
+        if rel.elements != tuple(filter(commutes_with_galois,
+                                        self.weyl.elements)):
+            raise AssertionError("restricted reflections do not generate "
+                                 "the Galois-fixed Weyl subgroup")
+        return rel
 
     # -- root-permutation tables of the chamber kernel -------------------------
     #
@@ -648,42 +641,39 @@ class ReductiveGroup:
 
     def levi_context(self, subset) -> LeviContext:
         key = frozenset(subset)
-        if key not in self._levi_cache:
-            self._levi_cache[key] = LeviContext(self, key)
-        return self._levi_cache[key]
+        return cached(self.memo, ("levi", key), LeviContext, self, key)
 
     def standard_levi_subsets(self) -> Tuple[FrozenSet[int], ...]:
         """All Gamma-stable simple subsets (unions of orbits), ordered by
         size then lexicographically; contains the minimal Levi and G."""
-        if self._standard_levis is None:
-            orbits = self.simple_orbits
-            subsets = set()
-            for k in range(len(orbits) + 1):
-                for combo in combinations(orbits, k):
-                    subsets.add(frozenset().union(*combo))
-            self._standard_levis = tuple(
-                sorted(subsets, key=lambda s: (len(s), sorted(s))))
-        return self._standard_levis
+        return cached(self.memo, ("standard_levis",), self._standard_levis)
+
+    def _standard_levis(self) -> Tuple[FrozenSet[int], ...]:
+        orbits = self.simple_orbits
+        subsets = {frozenset().union(*combo) for k in range(len(orbits) + 1)
+                   for combo in combinations(orbits, k)}
+        return tuple(sorted(subsets, key=lambda s: (len(s), sorted(s))))
 
     def levi_weyl_elements(self, subset) -> Tuple[Matrix, ...]:
         """W^rel_L: relative Weyl elements fixing fraktur-A_L pointwise,
         generated by the restricted reflections of the orbits inside L."""
         key = frozenset(subset)
-        if key not in self._levi_weyl:
-            self.levi_context(key)   # rejects a subset that is not a Levi
-            self._levi_weyl[key] = self.relative.generated(
-                [r for r, orb in zip(self.restricted_reflections,
-                                     self.simple_orbits) if key.issuperset(orb)])
-        return self._levi_weyl[key]
+        return cached(self.memo, ("levi_weyl", key), self._levi_weyl, key)
+
+    def _levi_weyl(self, key: FrozenSet[int]) -> Tuple[Matrix, ...]:
+        self.levi_context(key)   # rejects a subset that is not a Levi
+        return self.relative.generated(
+            [r for r, orb in zip(self.restricted_reflections,
+                                 self.simple_orbits) if key.issuperset(orb)])
 
     def levi_weyl_ids(self, subset) -> Tuple[int, ...]:
         """`levi_weyl_elements(subset)` as ids of W^rel, in the same order."""
         key = frozenset(subset)
-        if key not in self._levi_weyl_ids:
-            index = self.relative.index
-            self._levi_weyl_ids[key] = tuple(
-                index[m] for m in self.levi_weyl_elements(key))
-        return self._levi_weyl_ids[key]
+        return cached(self.memo, ("levi_weyl_ids", key), self._levi_ids, key)
+
+    def _levi_ids(self, key: FrozenSet[int]) -> Tuple[int, ...]:
+        index = self.relative.index
+        return tuple(index[m] for m in self.levi_weyl_elements(key))
 
     def full_subset(self) -> FrozenSet[int]:
         return frozenset(range(len(self.datum.simple_indices)))

@@ -15,6 +15,7 @@ from typing import FrozenSet, Sequence, Tuple
 
 from .lattice import (
     Matrix,
+    cached,
     mat_mul,  # noqa: F401 -- perfbench's self-test reads rk.weyl.mat_mul
     mat_vec,
 )
@@ -73,15 +74,17 @@ def transporter_set(group: ReductiveGroup, levi1, levi2) -> Tuple[Matrix, ...]:
     w(A_{L1}) is the split center of w L1 w^-1, and it contains A_{L2}
     exactly when w L1 w^-1 lies in the centralizer L2 of A_{L2}, that is,
     when w sends every root of L1 to a root of L2."""
-    key = (frozenset(levi1), frozenset(levi2))
-    if key not in group._transporters:
-        roots1 = group.levi_context(key[0]).root_indices()
-        roots2 = set(group.levi_context(key[1]).root_indices())
-        rel = group.relative
-        group._transporters[key] = tuple(
-            m for m in rel.elements
-            if all(rel.perm[m][i] in roots2 for i in roots1))
-    return group._transporters[key]
+    levi1, levi2 = frozenset(levi1), frozenset(levi2)
+    return cached(group.memo, ("transporters", levi1, levi2), _transporters,
+                  group, levi1, levi2)
+
+
+def _transporters(group: ReductiveGroup, levi1, levi2) -> Tuple[Matrix, ...]:
+    roots1 = group.levi_context(levi1).root_indices()
+    roots2 = set(group.levi_context(levi2).root_indices())
+    rel = group.relative
+    return tuple(m for m in rel.elements
+                 if all(rel.perm[m][i] in roots2 for i in roots1))
 
 
 def _positive_root_system(group: ReductiveGroup, levi) -> Tuple[int, ...]:

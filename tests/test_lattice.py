@@ -375,3 +375,118 @@ def test_lattice_action_elements_match_closure():
         elems = action.elements()
         assert elems == tuple(closure(action.generators)[0])
         assert action.elements() is elems
+
+
+# ---------------------------------------------------------------------------
+# the per-object memo rule: lattice.cached
+
+def test_cached_stores_nothing_when_compute_raises():
+    memo, calls = {}, []
+
+    def refuse(x):
+        calls.append(x)
+        raise ValueError("refused %d" % x)
+
+    for _ in range(2):
+        with pytest.raises(ValueError, match="^refused 1$"):
+            lattice.cached(memo, ("kind", 1), refuse, 1)
+    assert memo == {} and calls == [1, 1]
+
+
+def test_cached_computes_a_none_result_once():
+    memo, calls = {}, []
+
+    def nothing(*args):
+        calls.append(args)
+
+    for _ in range(3):
+        assert lattice.cached(memo, ("kind", 2), nothing, 2, 3) is None
+    assert calls == [(2, 3)] and memo == {("kind", 2): None}
+
+
+def test_cached_hit_does_not_call_compute():
+    kept = object()
+    memo = {("kind",): kept}
+
+    def unreachable():
+        raise AssertionError("compute called on a hit")
+
+    assert lattice.cached(memo, ("kind",), unreachable) is kept
+    assert lattice.cached(memo, ("sum", 2, 3), int.__add__, 2, 3) == 5
+    assert memo == {("kind",): kept, ("sum", 2, 3): 5}
+
+
+def _fill_group(group):
+    from rk.weyl import transporter_set
+    full = group.full_subset()
+    for levi in group.standard_levi_subsets():
+        group.levi_weyl_ids(levi)
+        transporter_set(group, levi, full)
+
+
+def _fill_parameter(param):
+    from rk.endoscopy import eci_both_sides
+    from rk.packets import (build_packet_member, central_character_square,
+                            enumerate_fiber, enumerate_rhos)
+    for rho in enumerate_rhos(param, 2):
+        member = build_packet_member(param, rho)
+        enumerate_fiber(param, member.b)
+        central_character_square(param, rho)
+    eci_both_sides(param, member.b, _SHARED_ENDO)
+
+
+def _fill_cut(cut):
+    cut.descent_coords()
+
+
+def _fill_datum(datum):
+    from rk.disconnected import classify_irr
+    classify_irr(datum, 2)
+
+
+def _fill_action(action):
+    action.elements()
+
+
+_SHARED_ENDO = presets.endoscopy("gl4-s1")
+
+_OWNERS = {
+    "ReductiveGroup": (lambda: presets.group("sp4"), _fill_group),
+    "Parameter": (lambda: presets.parameter("gl4-st2"), _fill_parameter),
+    "LeviCut": (lambda: presets.parameter("gl4-st2").levi_cut(
+        frozenset({0, 1, 2})), _fill_cut),
+    "DisconnectedGroupDatum": (lambda: presets.disconnected("o2"),
+                               _fill_datum),
+    "LatticeAction": (lambda: LatticeAction(
+        (mat([[0, 1, 0], [1, 0, 0], [0, 0, 1]]),
+         mat([[-1, 0, 0], [0, 1, 0], [0, 0, 1]]))), _fill_action),
+}
+
+
+def _shareable(value):
+    """Values two owners may hold as one object: None and empty tuples."""
+    return value is None or value == ()
+
+
+@pytest.mark.parametrize("owner", sorted(_OWNERS))
+def test_memo_and_values_not_shared_between_owners(owner):
+    # two equal owners built apart, each asked the same questions: their
+    # memos have the same keys and hold no object in common
+    make, fill = _OWNERS[owner]
+    a, b = make(), make()
+    assert type(a).__name__ == owner
+    fill(a)
+    fill(b)
+    assert a.memo is not b.memo
+    assert a.memo.keys() == b.memo.keys()
+    pending, compared = [(a.memo, b.memo)], 0
+    while pending:
+        x, y = pending.pop()
+        for key in x:
+            if isinstance(x[key], dict):
+                assert x[key] is not y[key], key
+                pending.append((x[key], y[key]))
+            elif not _shareable(x[key]):
+                assert x[key] is not y[key], key
+                compared += 1
+    assert compared

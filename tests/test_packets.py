@@ -34,7 +34,6 @@ from rk.packets import (
     DescentError,
     PacketMember,
     _canonical_double_coset,
-    _memo,
     build_packet_member,
     canonical_rho,
     central_character_square,
@@ -159,6 +158,12 @@ _CUT_FIELDS = ("roots", "positives", "weyl_elements", "component_elements",
                "connected_weyl_elements", "levi_center_coords")
 
 
+def _stored_cuts(param):
+    """The parameter's kept Levi cuts, by (Levi, w)."""
+    return {key[1:]: cut for key, cut in param.memo.items()
+            if key[0] == "cut"}
+
+
 @pytest.mark.parametrize("name", presets.PARAM_NAMES)
 def test_cached_cuts_match_fresh_cuts(name):
     # every cut the forward map and the fiber enumeration reach, against a
@@ -166,8 +171,8 @@ def test_cached_cuts_match_fresh_cuts(name):
     param = presets.parameter(name)
     for rho in enumerate_rhos(param, 3):
         enumerate_fiber(param, build_packet_member(param, rho).b)
-    assert param._cuts
-    for (levi, w), cut in param._cuts.items():
+    assert _stored_cuts(param)
+    for (levi, w), cut in _stored_cuts(param).items():
         fresh = LeviCut(param, levi, w)
         for field in _CUT_FIELDS:
             assert getattr(cut, field) == getattr(fresh, field), field
@@ -185,11 +190,11 @@ def test_levi_cut_cache_is_per_instance():
     assert c2 is not c1 and c2.param is p2
     assert p1.component_group() is p1.component_group()
     assert p1.component_group() is not p2.component_group()
-    assert not any(a is b for a in p1._cuts.values()
-                   for b in p2._cuts.values())
+    assert not any(a is b for a in _stored_cuts(p1).values()
+                   for b in _stored_cuts(p2).values())
     assert transporter_double_cosets(p1, full) is not \
         transporter_double_cosets(p2, full)
-    assert _memo(p1) is not _memo(p2)
+    assert p1.memo is not p2.memo
 
 
 def test_failed_levi_cut_is_not_stored():
@@ -200,7 +205,7 @@ def test_failed_levi_cut_is_not_stored():
             GL4ST.levi_cut(frozenset())
         messages.append(str(err.value))
     assert messages[0] == messages[1]
-    assert all(levi != frozenset() for levi, _w in GL4ST._cuts)
+    assert all(levi != frozenset() for levi, _w in _stored_cuts(GL4ST))
 
 
 @pytest.mark.parametrize("name", presets.PARAM_NAMES)
@@ -218,7 +223,7 @@ def test_cached_double_cosets_match_matrix_orbits(name):
         assert transporter_double_cosets(param, levi) is reps
         for t in trans:
             assert _canonical_double_coset(param, levi, t) == brute[t]
-            assert _memo(param)["canonical", levi, t] == brute[t]
+            assert param.memo["canonical", levi, t] == brute[t]
 
 
 def test_parameter_rejects_zero_restriction():
@@ -651,7 +656,7 @@ def test_stabilizer_modules_once_per_subgroup(name, monkeypatch):
 def _member_weights(param):
     """The canonical weights the forward map has stored data for, one
     entry each."""
-    return sorted(key[1] for key in _memo(param)
+    return sorted(key[1] for key in param.memo
                   if isinstance(key, tuple) and key[0] == "member")
 
 
@@ -676,7 +681,7 @@ def test_descent_certificate_fires_on_a_hit(branch, monkeypatch):
     param = presets.parameter("gl2-triv")
     rho = rho_of(param, (1, 0))
     member = build_packet_member(param, rho)
-    cut = _memo(param)["member", (1, 0)][0]
+    cut = param.memo["member", (1, 0)][0]
     message = _break_descent(monkeypatch, cut, (1, 0), branch)
     with pytest.raises(DescentError, match=message):
         build_packet_member(param, rho)
@@ -807,7 +812,7 @@ def test_memoized_fiber_weight_matches_the_reference(monkeypatch):
             for b, w in inputs:
                 assert fiber_weight(param, b, w) == want[b, w], name
         monkeypatch.undo()
-        entries = {key[1:]: value for key, value in _memo(param).items()
+        entries = {key[1:]: value for key, value in param.memo.items()
                    if isinstance(key, tuple) and key[0] == "fiber_weight"}
         assert entries == want, name
         assert len(computed) == len(want), name
@@ -866,7 +871,7 @@ def test_descent_coords_have_the_parameter_length(name):
     rhos = enumerate_rhos(param, 3)
     for rho in rhos:
         enumerate_fiber(param, build_packet_member(param, rho).b)
-    coords = [sol for cut in param._cuts.values()
+    coords = [sol for cut in _stored_cuts(param).values()
               for sol in cut.descent_coords()]
     assert all(len(sol) == param.dim for sol in coords)
     for rho in rhos:

@@ -1,9 +1,9 @@
 """Names the benchmark's tracer wraps must keep resolving in `rk`, as a
 kind of object the tracer knows how to wrap, so a change that deletes,
 renames or re-kinds one fails here and not only in traced benchmark
-runs.  Every name an `rk` module imports is used, and every key kind
-of the endoscopy and packets memos is listed where the memo is
-documented.  Each command loads only the modules it runs, and the
+runs.  Every name an `rk` module imports is used, every per-object
+memo goes through `lattice.cached`, and every key kind is listed in its
+owner's key table.  Each command loads only the modules it runs, and the
 cyclotomic layer loads no other `rk` module.  The preset registry lists, resolves and rejects the same names,
 and every preset resolves like its dumped description file.  One pass of
 each warm benchmark workload reproduces the reference digests."""
@@ -84,74 +84,201 @@ def test_every_imported_name_is_used():
     assert unused == UNUSED_IMPORTS_KEPT
 
 
+# ---------------------------------------------------------------------------
+# per-object memos: one rule, one key table per owner
+
+SRC = ROOT / "src" / "rk"
+
+
+def _module_trees():
+    return {path.name: ast.parse(path.read_text(encoding="utf-8"))
+            for path in sorted(SRC.glob("*.py"))}
+
+
+def _memo_tables():
+    """Owner class -> its key table: the `#:` lines right above the line
+    that gives each instance its `memo`."""
+    tables = {}
+    for path in sorted(SRC.glob("*.py")):
+        lines = path.read_text(encoding="utf-8").splitlines()
+        for cls in ast.walk(ast.parse("\n".join(lines))):
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            for node in ast.walk(cls):
+                made = (isinstance(node, ast.Attribute) and node.attr == "memo"
+                        and isinstance(node.ctx, ast.Store)) or \
+                    (isinstance(node, ast.Call) and
+                     ast.unparse(node.func) == "object.__setattr__" and
+                     ast.literal_eval(node.args[1]) == "memo")
+                if made:
+                    first = node.lineno - 1
+                    while lines[first - 1].strip().startswith("#:"):
+                        first -= 1
+                    tables[cls.name] = " ".join(
+                        line.strip()[2:] for line in
+                        lines[first:node.lineno - 1])
+    return tables
+
+
+def _is_call(node, name):
+    return isinstance(node, ast.Call) and \
+        isinstance(node.func, ast.Name) and node.func.id == name
+
+
+class _MemoKeys(ast.NodeVisitor):
+    """Every memo key of a module, with the class whose key table must list
+    its kind: the key of each `cached(memo, key, ...)` call, of each call
+    of a function that passes its own argument on as such a key (the
+    endoscopy layer's `_cached`), and of each subscript or `in` test of a
+    `memo` attribute."""
+
+    def __init__(self, tree):
+        self.funcs = {f.name: f for f in tree.body
+                      if isinstance(f, ast.FunctionDef)}
+        self.forwarders = {}    # name -> (position of the key, owner)
+        for func in self.funcs.values():
+            for node in ast.walk(func):
+                if _is_call(node, "cached") and \
+                        isinstance(node.args[1], ast.Name):
+                    self.forwarders[func.name] = (
+                        [a.arg for a in func.args.args].index(
+                            node.args[1].id),
+                        self._owner(node.args[0], func, None))
+        self.keys = []          # (owner, key node, source of the use)
+        self.cls = self.func = None
+
+    def _owner(self, memo, func, cls):
+        """`self.memo` belongs to the enclosing class, `x.memo` to the
+        annotated class of argument x, and a call of a function returning
+        `cached(memo, ...)` to the owner of that memo."""
+        if isinstance(memo, ast.Attribute) and memo.attr == "memo" and \
+                isinstance(memo.value, ast.Name) and func is not None:
+            if memo.value.id == "self":
+                return cls
+            return next((ast.unparse(a.annotation) for a in func.args.args
+                         if a.arg == memo.value.id and a.annotation), None)
+        if isinstance(memo, ast.Call) and isinstance(memo.func, ast.Name) \
+                and memo.func.id in self.funcs:
+            inner = self.funcs[memo.func.id]
+            ret = inner.body[-1]
+            if isinstance(ret, ast.Return) and _is_call(ret.value, "cached"):
+                return self._owner(ret.value.args[0], inner, None)
+        return None
+
+    def visit_ClassDef(self, node):
+        outer, self.cls = self.cls, node.name
+        self.generic_visit(node)
+        self.cls = outer
+
+    def visit_FunctionDef(self, node):
+        outer, self.func = self.func, node
+        self.generic_visit(node)
+        self.func = outer
+
+    def _add(self, memo, key, node):
+        self.keys.append((self._owner(memo, self.func, self.cls), key,
+                          ast.unparse(node)))
+
+    def visit_Call(self, node):
+        if _is_call(node, "cached") and \
+                self.func.name not in self.forwarders:
+            self._add(node.args[0], node.args[1], node)
+        elif isinstance(node.func, ast.Name) and \
+                node.func.id in self.forwarders:
+            pos, owner = self.forwarders[node.func.id]
+            self.keys.append((owner, node.args[pos], ast.unparse(node)))
+        self.generic_visit(node)
+
+    def visit_Subscript(self, node):
+        if isinstance(node.value, ast.Attribute) and \
+                node.value.attr == "memo":
+            self._add(node.value, node.slice, node)
+        self.generic_visit(node)
+
+    def visit_Compare(self, node):
+        if isinstance(node.ops[0], (ast.In, ast.NotIn)) and \
+                isinstance(node.comparators[0], ast.Attribute) and \
+                node.comparators[0].attr == "memo":
+            self._add(node.comparators[0], node.left, node)
+        self.generic_visit(node)
+
+
+def _memo_kinds(module):
+    """{owner: kinds} of one module's memo keys; every key is a tuple led
+    by its kind, a string constant."""
+    tree = _module_trees()[module]
+    visitor = _MemoKeys(tree)
+    visitor.visit(tree)
+    kinds = {}
+    for owner, key, call in visitor.keys:
+        assert owner is not None, call
+        assert isinstance(key, ast.Tuple) and key.elts and \
+            isinstance(key.elts[0], ast.Constant) and \
+            isinstance(key.elts[0].value, str), call
+        kinds.setdefault(owner, set()).add(key.elts[0].value)
+    return kinds
+
+
+def _undocumented(kinds):
+    tables = _memo_tables()
+    return sorted((owner, kind) for owner, names in kinds.items()
+                  for kind in names
+                  if '("%s"' % kind not in tables.get(owner, ""))
+
+
 def test_every_endoscopy_memo_key_kind_is_documented():
-    # the leading string of each `_cached(param, endo, key, compute)` key,
-    # quoted, appears in the `_memo` docstring
-    tree = ast.parse((ROOT / "src" / "rk" / "endoscopy.py")
-                     .read_text(encoding="utf-8"))
-    memo = next(node for node in tree.body
-                if isinstance(node, ast.FunctionDef) and node.name == "_memo")
-    doc = ast.get_docstring(memo)
-    kinds = set()
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) \
-                and node.func.id == "_cached":
-            key = node.args[2]
-            if isinstance(key, ast.Tuple):
-                key = key.elts[0]
-            assert isinstance(key, ast.Constant) and \
-                isinstance(key.value, str), ast.dump(node.args[2])
-            kinds.add(key.value)
-    assert {"indexing", "trace", "jacquet", "token"} <= kinds
-    assert sorted(k for k in kinds if '"%s"' % k not in doc) == []
+    # the kind of each key of the per-datum memo (`_cached(param, endo,
+    # key, ...)`) and of the datum's own entry is listed at Parameter.memo
+    kinds = _memo_kinds("endoscopy.py")
+    assert set(kinds) == {"Parameter"}
+    assert {"endoscopy", "indexing", "trace", "jacquet", "token"} <= \
+        kinds["Parameter"]
+    assert _undocumented(kinds) == []
 
 
 def test_every_packets_memo_key_kind_is_documented():
-    # the leading string of each key used with `memo = _memo(param)`, as a
-    # subscript or an `in` test, directly or through a name bound to a
-    # tuple, appears quoted in the `_memo` docstring
-    tree = ast.parse((ROOT / "src" / "rk" / "packets.py")
-                     .read_text(encoding="utf-8"))
-    memo = next(node for node in tree.body
-                if isinstance(node, ast.FunctionDef) and node.name == "_memo")
-    doc = ast.get_docstring(memo)
-    kinds = set()
-    for func in ast.walk(tree):
-        if not isinstance(func, ast.FunctionDef):
-            continue
-        names, bound = set(), {}
-        for node in ast.walk(func):
-            if isinstance(node, ast.Assign) and len(node.targets) == 1 \
-                    and isinstance(node.targets[0], ast.Name):
-                value = node.value
-                if isinstance(value, ast.Call) and \
-                        isinstance(value.func, ast.Name) and \
-                        value.func.id == "_memo":
-                    names.add(node.targets[0].id)
-                else:
-                    bound[node.targets[0].id] = value
-        keys = []
-        for node in ast.walk(func):
-            if isinstance(node, ast.Subscript) and \
-                    isinstance(node.value, ast.Name) and \
-                    node.value.id in names:
-                keys.append(node.slice)
-            elif isinstance(node, ast.Compare) and \
-                    isinstance(node.ops[0], (ast.In, ast.NotIn)) and \
-                    isinstance(node.comparators[0], ast.Name) and \
-                    node.comparators[0].id in names:
-                keys.append(node.left)
-        for key in keys:
-            if isinstance(key, ast.Name):
-                key = bound[key.id]
-            if isinstance(key, ast.Tuple):
-                key = key.elts[0]
-            assert isinstance(key, ast.Constant) and \
-                isinstance(key.value, str), ast.dump(key)
-            kinds.add(key.value)
-    assert {"member", "canonical", "cosets", "fiber_weight",
-            "center"} <= kinds
-    assert sorted(k for k in kinds if '"%s"' % k not in doc) == []
+    # the kind of each key of `cached(param.memo, key, ...)` and of the
+    # forward map's explicit hit test is listed at Parameter.memo
+    kinds = _memo_kinds("packets.py")
+    assert kinds == {"Parameter": {"member", "canonical", "cosets",
+                                   "fiber_weight", "center"}}
+    assert _undocumented(kinds) == []
+
+
+def test_every_memo_key_kind_is_documented_at_its_owner():
+    kinds = {}
+    for module in _module_trees():
+        for owner, names in _memo_kinds(module).items():
+            kinds.setdefault(owner, set()).update(names)
+    assert sorted(kinds) == ["DisconnectedGroupDatum", "LatticeAction",
+                             "LeviCut", "Parameter", "ReductiveGroup"]
+    assert sorted(_memo_tables()) == sorted(kinds)
+    assert _undocumented(kinds) == []
+
+
+def test_no_hand_rolled_per_object_cache():
+    # per-object values are kept by `lattice.cached` or a cached_property:
+    # no `vars(...)` store (the subgroup copy of MatrixGroup's tables is
+    # the one use of `vars`) and no `if self._x is None` lazy field
+    found = []
+    for module, tree in _module_trees().items():
+        allowed = {id(node) for cls in tree.body
+                   if isinstance(cls, ast.ClassDef) and
+                   cls.name == "MatrixGroup"
+                   for func in cls.body
+                   if isinstance(func, ast.FunctionDef) and
+                   func.name == "subgroup" for node in ast.walk(func)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call) and \
+                    ast.unparse(node.func) == "vars" and \
+                    id(node) not in allowed:
+                found.append((module, ast.unparse(node)))
+            if isinstance(node, ast.Compare) and \
+                    isinstance(node.ops[0], (ast.Is, ast.IsNot)) and \
+                    ast.unparse(node.comparators[0]) == "None" and \
+                    ast.unparse(node.left).startswith("self._"):
+                found.append((module, ast.unparse(node)))
+    assert found == []
 
 
 # ---------------------------------------------------------------------------

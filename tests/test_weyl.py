@@ -356,7 +356,8 @@ def test_stabilizer_certificate_catches_a_wrong_levi_weyl_group():
     x = (Fraction(1), Fraction(1), Fraction(0))   # dominant, facet {0}
     elems, levi = stabilizer(g, x)
     assert levi == frozenset({0}) and len(elems) == 2
-    g._levi_weyl[levi] = elems[:-1]
+    assert g.memo["levi_weyl", levi] == elems
+    g.memo["levi_weyl", levi] = elems[:-1]
     with pytest.raises(AssertionError, match="^stabilizer of a dominant "
                        "point must be the Weyl group of its facet Levi$"):
         stabilizer(g, x)
