@@ -356,28 +356,3 @@ def _coset_reps(group: FiniteGroup, subgroup_elements: set):
         reps.append(g)
         covered |= {group.mul(g, h) for h in subgroup_elements}
     return reps
-
-
-# ---------------------------------------------------------------------------
-# descent certificate
-
-def natural_quotient_rep(datum: DisconnectedGroupDatum, pair: HighestWeightPair,
-                         kill_lattice_basis: Sequence[Vector]):
-    """Certify that the highest-weight module is a character of the identity
-    component that kills the given sublattice, and return the descended
-    label.  Raises on failure (which signals a caller bug, not bad input).
-    """
-    lam = pair.weight
-    d = datum.component
-    bform = _invariant_form(d)
-    for i in d.positive_root_indices():
-        if _form_value(bform, lam, d.roots[i]) != 0:
-            raise AssertionError(
-                "descent certificate failed: weight pairs nontrivially with "
-                "a root, so the module is not one-dimensional")
-    for v in kill_lattice_basis:
-        if dot(lam, v) != 0:
-            raise AssertionError(
-                "descent certificate failed: weight does not kill the "
-                "derived-intersection sublattice")
-    return {"weight": lam, "module": pair.module.label(), "descends": True}

@@ -829,20 +829,43 @@ def eci_both_sides(param: Parameter, b: BElement,
 
 def _verify_counting(param: Parameter, levi) -> None:
     """|W^rel_L . w . W_phi / W_phi| = |W^rel_L / W_cut| for every
-    transporter element w, with W_cut the Weyl group of the cut at w.  The
-    double coset is a disjoint union of right W_phi cosets of |W_phi|
-    elements each, so their number is its size over |W_phi| (Bjorner-Brenti,
-    Combinatorics of Coxeter Groups, 2.4), with remainder 0."""
-    group = param.group
+    transporter element w, with W_cut the Weyl group of the cut at w."""
     levi = frozenset(levi)
-    index = group.relative.index
-    left = group.levi_weyl_elements(levi)
-    for w in transporter_set(group, param.minimal_levi, levi):
-        cosets, rest = divmod(len(_double_coset_ids(param, levi, index[w])),
-                              len(param.wphi_ids))
+    left = len(param.group.levi_weyl_elements(levi))
+    for w, cosets in _coset_counts(param, levi):
+        if cosets * len(param.levi_cut(levi, w).weyl_elements) != left:
+            raise AssertionError("coset counting identity fails")
+
+
+def _coset_counts(param: Parameter,
+                  levi: FrozenSet[int]) -> List[Tuple[Matrix, int]]:
+    """(w, number of right W_phi cosets in W^rel_L . w . W_phi) for each
+    transporter element w, building each double coset once.
+
+    The double cosets partition the transporter set T, and each is a
+    disjoint union of right W_phi cosets of |W_phi| elements, so the
+    number is its size over |W_phi| (Bjorner-Brenti, Combinatorics of
+    Coxeter Groups, 2.4).  Certified: each built set lies in T, shares no
+    element with a set built before it and has remainder 0, and together
+    they cover T."""
+    index = param.group.relative.index
+    trans = transporter_set(param.group, param.minimal_levi, levi)
+    ids = [index[w] for w in trans]
+    inside = set(ids)
+    count_of: Dict[int, int] = {}
+    for i in ids:
+        if i in count_of:
+            continue
+        coset = _double_coset_ids(param, levi, i)
+        if not inside.issuperset(coset):
+            raise AssertionError("double coset leaves the transporter set")
+        if not coset.isdisjoint(count_of):
+            raise AssertionError("double cosets overlap")
+        cosets, rest = divmod(len(coset), len(param.wphi_ids))
         if rest:
             raise AssertionError("double coset is not a union of W_phi "
                                  "cosets")
-        cut = param.levi_cut(levi, w)
-        if cosets * len(cut.weyl_elements) != len(left):
-            raise AssertionError("coset counting identity fails")
+        count_of.update(dict.fromkeys(coset, cosets))
+    if len(count_of) != len(inside):
+        raise AssertionError("double cosets do not cover the transporter set")
+    return list(zip(trans, map(count_of.__getitem__, ids)))

@@ -71,13 +71,15 @@ class Parameter:
         self.minimal_levi = frozenset(minimal_levi)
         self.label = label
         self.tempered = tempered
-        #: ("cut", L, w): `levi_cut`; rk.packets: ("cosets", L), ("canonical",
-        #: L, w), ("center",), ("fiber_weight", b, w)* (the weight or None),
-        #: ("member", lambda)* (cut, b, coset class, word); ("endoscopy", E):
-        #: datum E's memo, by rk.endoscopy's kinds ("h",), ("admissible",),
-        #: ("wl", L), ("embedded", L), ("forward", L), ("cosets", G or H, L),
-        #: ("backward", L, u), ("indexing", L, h, emb.key(), v), ("trace", L,
-        #: w, lambda_w, g)*, ("jacquet", emb.key()), ("token", b, w, sign)*.
+        #: ("cut", L, w): `levi_cut`; ("connected", positives): the connected
+        #: Weyl group of every cut with those positives; rk.packets: ("cosets",
+        #: L), ("canonical", L, w), ("center",), ("fiber_weight", b, w)* (the
+        #: weight or None), ("member", lambda)* (cut, b, coset class, word);
+        #: ("endoscopy", E): datum E's memo, by rk.endoscopy's kinds ("h",),
+        #: ("admissible",), ("wl", L), ("embedded", L), ("forward", L),
+        #: ("cosets", G or H, L), ("backward", L, u), ("indexing", L, h,
+        #: emb.key(), v), ("trace", L, w, lambda_w, g)*, ("jacquet",
+        #: emb.key()), ("token", b, w, sign)*.
         #: *: keyed by a caller's weight or b, so unbounded in a library; the
         #: CLI runs one command per process, on <= MAX_WEIGHT_BOX weights.
         self.memo: Dict = {}
@@ -298,6 +300,30 @@ class Parameter:
 
     # -- Levi cuts ---------------------------------------------------------------
 
+    @cached_property
+    def _root_perms(self) -> Dict[Matrix, Tuple[int, ...]]:
+        """Each element g of W_phi -> the permutation of positions in
+        `roots` that char_action(g) makes: i goes to the position of
+        g . roots[i]."""
+        position = {r: i for i, r in enumerate(self.roots)}
+        table = {}
+        for g in self.wphi_elements:
+            d = self.char_action(g)
+            image = tuple(position.get(mat_vec(d, r)) for r in self.roots)
+            if None in image:
+                raise ParameterError("an element of W_phi does not permute "
+                                     "the centralizer roots")
+            table[g] = image
+        return table
+
+    def _reflection_group(self, positives: Tuple[Vector, ...]
+                          ) -> Tuple[Matrix, ...]:
+        """The subgroup of W^rel generated by the realized reflections of
+        some positive roots: the connected Weyl group of every Levi cut
+        with those positives."""
+        return self.group.relative.generated(
+            [self.reflection_realization[p] for p in positives])
+
     def levi_cut(self, levi, w: Optional[Matrix] = None):
         """Data of the centralizer inside a Levi, after conjugating the
         parameter by w (default identity): the surviving roots, the
@@ -343,15 +369,16 @@ class LeviCut:
         self.weyl_elements = tuple(
             g for g, i in zip(param.wphi_elements, param.wphi_ids)
             if rel.row(w_row[i])[w_inv] in rel_levi)
-        pos_set = set(self.positives)
-        comp = []
-        for g in self.weyl_elements:
-            d = param.char_action(g)
-            if {mat_vec(d, p) for p in self.positives} == pos_set:
-                comp.append(g)
-        self.component_elements = tuple(sorted(comp))
-        self.connected_weyl_elements = group.relative.generated(
-            [param.reflection_realization[p] for p in self.positives])
+        # g lies in the component part when it permutes the cut's positives
+        positions = [param.roots.index(p) for p in self.positives]
+        keep = set(positions)
+        perms = param._root_perms
+        self.component_elements = tuple(sorted(
+            g for g in self.weyl_elements
+            if keep.issuperset(map(perms[g].__getitem__, positions))))
+        self.connected_weyl_elements = cached(
+            param.memo, ("connected", self.positives),
+            param._reflection_group, self.positives)
         if set(self.connected_weyl_elements) - set(self.weyl_elements):
             raise ParameterError("Levi-cut reflections escape the Levi")
         if len(self.weyl_elements) != \
@@ -388,15 +415,3 @@ class LeviCut:
         if None in coords:
             raise AssertionError("intersection vector escaped the center")
         return coords
-
-    def disconnected_datum(self) -> DisconnectedGroupDatum:
-        param = self.param
-        ordered = self.roots
-        datum = BasedRootDatum(
-            param.dim, ordered,
-            tuple(param.coroots[r] for r in ordered),
-            _simple_positions(ordered, self.positives),
-            "%s|levi%s" % (param.label or "sphi", sorted(self.levi)))
-        gens = tuple(param.char_action(g) for g in self.component_elements
-                     if g != param.group.relative.identity)
-        return DisconnectedGroupDatum(datum, gens)

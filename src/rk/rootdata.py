@@ -454,10 +454,10 @@ class ReductiveGroup:
         self.datum = datum
         self.galois = galois if galois is not None else GaloisAction(datum)
         self.name = name or datum.name
-        #: ("restricted",), ("relative",), ("standard_levis",): the two
-        #: properties and `standard_levi_subsets()`; ("levi", L), ("levi_weyl",
-        #: L), ("levi_weyl_ids", L): `levi_context` and W^rel_L as matrices
-        #: and ids; ("transporters", L1, L2): `weyl.transporter_set`.
+        #: ("restricted",), ("relative",): the two properties; ("levi", L),
+        #: ("levi_weyl", L), ("levi_weyl_ids", L): `levi_context` and W^rel_L
+        #: as matrices and ids; ("transporters", L1, L2):
+        #: `weyl.transporter_set`.
         self.memo: Dict = {}
 
     # -- absolute Weyl group ------------------------------------------------
@@ -646,8 +646,9 @@ class ReductiveGroup:
     def standard_levi_subsets(self) -> Tuple[FrozenSet[int], ...]:
         """All Gamma-stable simple subsets (unions of orbits), ordered by
         size then lexicographically; contains the minimal Levi and G."""
-        return cached(self.memo, ("standard_levis",), self._standard_levis)
+        return self._standard_levis
 
+    @cached_property
     def _standard_levis(self) -> Tuple[FrozenSet[int], ...]:
         orbits = self.simple_orbits
         subsets = {frozenset().union(*combo) for k in range(len(orbits) + 1)

@@ -9,11 +9,16 @@ matrix products (`WeylGroup.mul`) instead of Cayley rows on element ids,
 the realization of centralizer reflections by one scan of the embedded
 normalizer per root, the packet forward map and its fiber weights
 with every step run on every call, the parabolic double coset
-W^rel_L . w . W_phi with every product formed, and the endoscopy layer's
+W^rel_L . w . W_phi with every product formed, a Levi cut's component
+elements by one `mat_vec` per positive root and its connected Weyl group
+closed for every cut, the coset counting certificate with the double
+coset built for every transporter element, and the endoscopy layer's
 right W_phi cosets as sets, indexing map, orbit traces, geometric-lemma
-step and Levi-token expansion, likewise on every call.  With them are the routines that only the
-tests call: the rational span test, the Levi data as one tuple, and the
-full Weyl group of a disconnected group with its semidirect splitting.
+step and Levi-token expansion, likewise on every call.  With them are the
+routines that only the tests call: the rational span test, the Levi data
+as one tuple, the full Weyl group of a disconnected group with its
+semidirect splitting, a Levi cut as a disconnected group, and the
+descent certificate of a highest-weight module.
 """
 
 from fractions import Fraction
@@ -24,7 +29,8 @@ from typing import Optional
 
 from rk.cyclotomic import (Cyclo, _reduce_mod_cyclotomic,
                            cyclotomic_polynomial, prime_factors)
-from rk.disconnected import HighestWeightPair
+from rk.disconnected import (DisconnectedGroupDatum, HighestWeightPair,
+                             _form_value, _invariant_form)
 from rk.endoscopy import (EndoscopyError, Term, _forward_table,
                           _weight_exponent, jacquet_geometric_terms,
                           regular_part)
@@ -35,9 +41,10 @@ from rk.lattice import (dot, mat, mat_identity, mat_transpose, mat_vec,
 from rk.packets import (PacketMember, _canonical_double_coset,
                         _certify_descent, _double_coset_ids, canonical_rho,
                         dominantize)
-from rk.params import ParameterError, _is_reflection
-from rk.rootdata import DatumError, reflection_matrix, weyl_group
-from rk.weyl import chamber_locate
+from rk.params import ParameterError, _is_reflection, _simple_positions
+from rk.rootdata import (BasedRootDatum, DatumError, reflection_matrix,
+                         weyl_group)
+from rk.weyl import chamber_locate, transporter_set
 
 
 def in_span(basis, v) -> bool:
@@ -401,6 +408,28 @@ def phi_cosets_by_mul(param, levi, w):
     return {frozenset(mul(x, f) for f in param.wphi_elements) for x in orbit}
 
 
+def cut_component_elements_by_mat_vec(cut):
+    """The g of the cut's Weyl group whose action on the center characters
+    sends the cut's positive roots onto themselves, one `mat_vec` per
+    positive root."""
+    param = cut.param
+    pos_set = set(cut.positives)
+    comp = []
+    for g in cut.weyl_elements:
+        d = param.char_action(g)
+        if {mat_vec(d, p) for p in cut.positives} == pos_set:
+            comp.append(g)
+    return tuple(sorted(comp))
+
+
+def cut_connected_weyl_by_closure(cut):
+    """The group the realized reflections of the cut's positive roots
+    generate, closed anew for this cut."""
+    param = cut.param
+    return param.group.relative.generated(
+        [param.reflection_realization[p] for p in cut.positives])
+
+
 def cut_weyl_elements_by_mul(param, levi, w):
     """The g of W_phi with w . g . w^-1 in W^rel_L."""
     rel = param.group.relative
@@ -517,6 +546,28 @@ def phi_cosets(param, levi, w):
             for x in _double_coset_ids(param, levi, w)}
 
 
+def verify_counting_per_element(param, levi):
+    """The coset counting certificate with the double coset built for every
+    transporter element w; returns (w, number of right W_phi cosets in
+    W^rel_L . w . W_phi) for each w, in transporter-set order."""
+    group = param.group
+    levi = frozenset(levi)
+    index = group.relative.index
+    left = group.levi_weyl_elements(levi)
+    counts = []
+    for w in transporter_set(group, param.minimal_levi, levi):
+        cosets, rest = divmod(len(_double_coset_ids(param, levi, index[w])),
+                              len(param.wphi_ids))
+        if rest:
+            raise AssertionError("double coset is not a union of W_phi "
+                                 "cosets")
+        cut = param.levi_cut(levi, w)
+        if cosets * len(cut.weyl_elements) != len(left):
+            raise AssertionError("coset counting identity fails")
+        counts.append((w, cosets))
+    return counts
+
+
 def indexing_forward_unmemoized(param, levi, endo, param_h, h, emb, v):
     """The group-side coset of (embedded class, endoscopic coset): the
     composite element and its images of the dual-center basis looked up in
@@ -589,3 +640,43 @@ def expand_levi_token_unmemoized(param, b, w, endo, dist, sign_token):
             param, member.levi, w, lam_raw, module.dim, identity, endo)
         dist.add(Term("member", tuple(sorted(member.levi)), member.key(),
                       endo.label, Fraction(1, 2), sign_token), coeff)
+
+
+# ---------------------------------------------------------------------------
+# routines only the tests call
+
+def cut_disconnected_datum(cut):
+    """The Levi cut as a disconnected group: its roots and their coroots,
+    with the component elements other than the identity acting through
+    `char_action`."""
+    param = cut.param
+    ordered = cut.roots
+    datum = BasedRootDatum(
+        param.dim, ordered,
+        tuple(param.coroots[r] for r in ordered),
+        _simple_positions(ordered, cut.positives),
+        "%s|levi%s" % (param.label or "sphi", sorted(cut.levi)))
+    gens = tuple(param.char_action(g) for g in cut.component_elements
+                 if g != param.group.relative.identity)
+    return DisconnectedGroupDatum(datum, gens)
+
+
+def natural_quotient_rep(datum, pair, kill_lattice_basis):
+    """Certify that the highest-weight module is a character of the identity
+    component that kills the given sublattice, and return the descended
+    label.  Raises on failure (which signals a caller bug, not bad input).
+    """
+    lam = pair.weight
+    d = datum.component
+    bform = _invariant_form(d)
+    for i in d.positive_root_indices():
+        if _form_value(bform, lam, d.roots[i]) != 0:
+            raise AssertionError(
+                "descent certificate failed: weight pairs nontrivially with "
+                "a root, so the module is not one-dimensional")
+    for v in kill_lattice_basis:
+        if dot(lam, v) != 0:
+            raise AssertionError(
+                "descent certificate failed: weight does not kill the "
+                "derived-intersection sublattice")
+    return {"weight": lam, "module": pair.module.label(), "descends": True}

@@ -17,7 +17,6 @@ from rk.disconnected import (
     UnsupportedTraceError,
     char_eval,
     classify_irr,
-    natural_quotient_rep,
     stabilizer_A_lambda,
     weight_multiplicities,
     weyl_dimension,
@@ -25,7 +24,7 @@ from rk.disconnected import (
 from rk.lattice import closure, mat, mat_vec
 from rk.rootdata import DatumError
 
-from oracles import full_weyl, pi0_weyl_split
+from oracles import full_weyl, natural_quotient_rep, pi0_weyl_split
 
 
 O2 = presets.disconnected("o2")

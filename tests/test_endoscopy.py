@@ -1043,6 +1043,134 @@ def test_coset_counting_certificate_catches_a_partial_coset(monkeypatch):
         eci_both_sides(param, b, endo)
 
 
+def _gl3_one_root():
+    """A gl3 parameter whose centralizer has one root pair: W_phi has order
+    2, so the transporter set of the torus splits into up to three double
+    cosets, of different sizes at the Levis {0} and {1}."""
+    from rk.params import Parameter
+    return Parameter(presets.group("gl3"), frozenset(),
+                     ((1, -1, 0), (-1, 1, 0)), ((1, -1, 0),),
+                     label="gl3: 2+1")
+
+
+@pytest.mark.parametrize("name", presets.PARAM_NAMES + ("gl3: 2+1",))
+def test_coset_counts_match_the_per_element_certificate(name, monkeypatch):
+    # every standard Levi over M: the counts of the one-build-per-double-
+    # coset walk equal those of the certificate that builds the double
+    # coset of every transporter element; the walk builds one set per
+    # double coset, and the identity reads the cut of every element
+    from oracles import verify_counting_per_element
+    from rk import endoscopy
+    from rk.packets import transporter_double_cosets
+    from rk.weyl import transporter_set
+    param = _gl3_one_root() if name == "gl3: 2+1" else \
+        presets.parameter(name)
+    builds = _counted(monkeypatch, endoscopy, "_double_coset_ids")
+    cuts = _counted(monkeypatch, param, "levi_cut")
+    checked = 0
+    for levi in param.group.standard_levi_subsets():
+        if not param.minimal_levi <= levi:
+            continue
+        del builds[:], cuts[:]
+        endoscopy._verify_counting(param, levi)
+        assert len(builds) == len(transporter_double_cosets(param, levi))
+        assert cuts == [(levi, w) for w in
+                        transporter_set(param.group, param.minimal_levi, levi)]
+        assert endoscopy._coset_counts(param, levi) == \
+            verify_counting_per_element(param, levi)
+        checked += 1
+    assert checked
+
+
+def _mutated_builder(monkeypatch, mutate):
+    """Replace the double-coset builder of the counting certificate by
+    mutate(true set, number of this call)."""
+    from rk import endoscopy
+    build = endoscopy._double_coset_ids
+    calls = []
+
+    def wrapper(param, levi, w):
+        calls.append(w)
+        return mutate(build(param, levi, w), len(calls))
+    monkeypatch.setattr(endoscopy, "_double_coset_ids", wrapper)
+
+
+def _outside_coset(param, levi):
+    """Ids of one right W_phi coset of W^rel outside the transporter set."""
+    from rk.weyl import transporter_set
+    rel = param.group.relative
+    inside = {rel.index[t] for t in
+              transporter_set(param.group, param.minimal_levi, levi)}
+    x = min(set(range(len(rel.elements))) - inside)
+    return {rel.row(x)[f] for f in param.wphi_ids}
+
+
+def test_coset_counting_certificate_catches_a_coset_leaving_the_transporters(
+        monkeypatch):
+    from rk.endoscopy import _verify_counting
+    param, levi = presets.parameter("gl4-st2"), frozenset({0, 2})
+    _verify_counting(param, levi)
+    outside = _outside_coset(param, levi)
+    _mutated_builder(monkeypatch, lambda ids, _n: ids | outside)
+    with pytest.raises(AssertionError,
+                       match="double coset leaves the transporter set"):
+        _verify_counting(param, levi)
+
+
+def test_coset_counting_certificate_catches_overlapping_cosets(monkeypatch):
+    # the first build returns one right W_phi coset of its double coset
+    # (inside T, remainder 0); the next build, of an element that coset
+    # missed, returns the whole double coset, which overlaps it
+    from rk.endoscopy import _verify_counting
+    param, levi = presets.parameter("gl4-st2"), frozenset({0, 2})
+    row = param.group.relative.row
+
+    def first_coset_only(ids, n):
+        if n > 1:
+            return ids
+        return {row(min(ids))[f] for f in param.wphi_ids}
+    _mutated_builder(monkeypatch, first_coset_only)
+    with pytest.raises(AssertionError, match="double cosets overlap"):
+        _verify_counting(param, levi)
+
+
+def test_coset_counting_certificate_catches_an_uncovered_transporter(
+        monkeypatch):
+    from rk.endoscopy import _verify_counting
+    param, levi = presets.parameter("gl4-st2"), frozenset({0, 2})
+    _mutated_builder(monkeypatch, lambda _ids, _n: set())
+    with pytest.raises(AssertionError, match="do not cover the transporter"):
+        _verify_counting(param, levi)
+
+
+def test_gl5_members_pass_and_build_one_double_coset_per_call(monkeypatch):
+    # past the presets: the four first height-1 members of the trivial gl5
+    # parameter give an equal identity and a passing indexing check, and
+    # each identity builds the one double coset of its transporter set
+    # once, not once per transporter element
+    from rk import endoscopy
+    from rk.packets import transporter_double_cosets
+    from rk.params import Parameter
+    from rk.weyl import transporter_set
+    # as the gl4-triv preset: M the torus, every coroot a centralizer root
+    g = presets.group("gl5")
+    d = g.datum
+    param = Parameter(g, frozenset(), d.coroots,
+                      tuple(d.coroots[i] for i in d.positive_root_indices()),
+                      label="gl5: 1+1+1+1+1")
+    endo = presets.endoscopy("gl5-s1")
+    calls = _counted(monkeypatch, endoscopy, "_double_coset_ids")
+    for rho in enumerate_rhos(param, 1)[:4]:
+        b = build_packet_member(param, rho).b
+        del calls[:]
+        assert eci_both_sides(param, b, endo)["equal"]
+        assert len(calls) == len(transporter_double_cosets(param, b.levi)) \
+            == 1
+        assert len(transporter_set(param.group, param.minimal_levi,
+                                   b.levi)) == 120
+        assert indexing_bijection_check(param, b.levi, endo)["pass"]
+
+
 # ---------------------------------------------------------------------------
 # the per-input memos of the warm identity against their unmemoized copies
 

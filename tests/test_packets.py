@@ -47,6 +47,8 @@ from rk.packets import (
 from rk.params import LeviCut, Parameter, ParameterError, _is_reflection
 from rk.weyl import chamber_locate, transporter_set
 
+from oracles import cut_disconnected_datum
+
 
 GL2 = presets.parameter("gl2-triv")
 GL4ST = presets.parameter("gl4-st2")
@@ -63,13 +65,13 @@ def rho_of(param, weight, index=0):
 # centralizer Levi cuts
 
 def test_s_group_levi_at_minimal_levi_is_torus():
-    d = GL4ST.levi_cut(GL4ST.minimal_levi).disconnected_datum()
+    d = cut_disconnected_datum(GL4ST.levi_cut(GL4ST.minimal_levi))
     assert d.component.roots == ()
     assert len(d.pi0) == 1
 
 
 def test_s_group_levi_at_full_group():
-    d = GL4ST.levi_cut(GL4ST.group.full_subset()).disconnected_datum()
+    d = cut_disconnected_datum(GL4ST.levi_cut(GL4ST.group.full_subset()))
     assert set(d.component.roots) == set(GL4ST.roots)
 
 
@@ -258,6 +260,41 @@ def test_cut_scans_on_ids_match_matrix_products(param):
     for m in outside[:3]:
         with pytest.raises(ParameterError, match="not in W_phi"):
             param.r_component(m)
+
+
+@pytest.mark.parametrize("param", _cut_parameters(), ids=lambda p: p.label)
+def test_cut_components_match_the_mat_vec_scan_and_closure(param):
+    # every standard Levi over M and transporter element: the permutation
+    # test and the closure kept per positive system give what a mat_vec
+    # scan and a fresh closure give, and cuts with equal positives share
+    # one closure
+    from oracles import (cut_component_elements_by_mat_vec,
+                         cut_connected_weyl_by_closure)
+    group = param.group
+    cuts = 0
+    for levi in group.standard_levi_subsets():
+        if not param.minimal_levi <= levi:
+            continue
+        for w in transporter_set(group, param.minimal_levi, levi):
+            cut = param.levi_cut(levi, w)
+            assert cut.component_elements == \
+                cut_component_elements_by_mat_vec(cut)
+            assert cut.connected_weyl_elements == \
+                cut_connected_weyl_by_closure(cut)
+            assert cut.connected_weyl_elements is \
+                param.memo["connected", cut.positives]
+            cuts += 1
+    assert cuts
+
+
+def test_root_permutation_table_rejects_a_non_permuting_element():
+    param = presets.parameter("gl4-st2")
+    g = next(m for m in param.wphi_elements
+             if m != param.group.relative.identity)
+    d = param.char_action(g)
+    param._embedded[g] = tuple(tuple(2 * x for x in row) for row in d)
+    with pytest.raises(ParameterError, match="does not permute"):
+        param._root_perms
 
 
 def _transported_parameters():

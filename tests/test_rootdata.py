@@ -34,7 +34,7 @@ from rk.rootdata import (
     weyl_group,
 )
 
-from oracles import levi_data
+from oracles import cut_disconnected_datum, levi_data
 
 
 def test_construction_rejects_bad_pairing():
@@ -202,7 +202,7 @@ def _parameter_data(name):
     # standard Levi over the minimal one
     param = presets.parameter(name)
     return [param.s_datum] + [
-        param.levi_cut(levi).disconnected_datum().component
+        cut_disconnected_datum(param.levi_cut(levi)).component
         for levi in param.group.standard_levi_subsets()
         if levi >= param.minimal_levi]
 
