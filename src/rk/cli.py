@@ -54,23 +54,11 @@ def _parse_levi(group, text: str, flag: str):
     if text.upper() == "G":
         return full
     try:
-        subset = frozenset(int(x) for x in text.replace(";", ",").split(","))
+        subset = [int(x) for x in text.replace(";", ",").split(",")]
     except ValueError:
         raise ValueError("%s: %r is not a comma-separated list of simple "
                          "positions" % (flag, text)) from None
-    valid = ("valid positions are 0..%d" % (len(full) - 1) if full
-             else "%s has no simple positions" % group.name)
-    outside = sorted(subset - full)
-    if outside:
-        raise ValueError("%s: simple position %d is out of range; %s"
-                         % (flag, outside[0], valid))
-    for pos in sorted(subset):
-        orbit = group.simple_orbit_of(pos)
-        if not subset.issuperset(orbit):
-            raise ValueError("%s: the subset is not Galois stable: position "
-                             "%d lies in the orbit %s"
-                             % (flag, pos, list(orbit)))
-    return subset
+    return group.checked_levi(subset, flag)
 
 
 def _parse_rho(param, text: str):
@@ -379,6 +367,10 @@ def main(argv=None) -> int:
         # the reader closed stdout early (`rk examples | head`); what is
         # left, and the flush at exit, go to os.devnull
         sys.stdout = open(os.devnull, "w")
+        return 1
+    except OSError as exc:
+        # an --out path that cannot be written
+        print("error: %s" % exc, file=sys.stderr)
         return 1
     return code
 

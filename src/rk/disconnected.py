@@ -348,11 +348,8 @@ def char_eval(datum: DisconnectedGroupDatum, pair: HighestWeightPair,
 
 
 def _coset_reps(group: FiniteGroup, subgroup_elements: set):
-    reps = []
-    covered = set()
-    for g in group.elements:
-        if g in covered:
-            continue
-        reps.append(g)
-        covered |= {group.mul(g, h) for h in subgroup_elements}
-    return reps
+    """The least element of each left coset g . H of a subgroup H."""
+    index = group.index
+    return [group.elements[min(coset)] for coset in group.double_cosets(
+        (index[group.identity],), range(len(group)),
+        [index[h] for h in subgroup_elements])]

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
+from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from .cyclotomic import Cyclo
 from .disconnected import HighestWeightPair
@@ -32,7 +32,6 @@ from .lattice import (
 )
 from .packets import (
     PacketMember,
-    _double_coset_ids,
     build_packet_member,
     dominantize,
     enumerate_fiber,
@@ -165,15 +164,14 @@ def _cached(param: Parameter, endo: EndoscopicDatum, key, compute, *args):
 
 
 def _full_levi_weyl(param: Parameter, endo: EndoscopicDatum,
-                    levi: FrozenSet[int]) -> Tuple[Matrix, ...]:
-    """W_L inside the absolute Weyl group, from the Levi's simple
-    reflections."""
-    return _cached(param, endo, ("wl", levi), _simple_parabolic,
-                   param.group.weyl, levi)
-
-
-def _simple_parabolic(weyl, levi: FrozenSet[int]):
-    return weyl.generated([weyl.generators[pos] for pos in sorted(levi)])
+                    levi: FrozenSet[int]) -> Tuple[Tuple[int, ...], ...]:
+    """The ids of W_L, from the Levi's simple reflections, and of W_H in
+    the absolute Weyl group."""
+    weyl = param.group.weyl
+    gens = [weyl.generators[pos] for pos in sorted(levi)]
+    return _cached(param, endo, ("wl", levi), lambda: tuple(
+        tuple(map(weyl.index.__getitem__, part))
+        for part in (weyl.generated(gens), endo.weyl_h_elements())))
 
 
 def _admissible(param: Parameter, endo: EndoscopicDatum) -> FrozenSet[Matrix]:
@@ -211,29 +209,15 @@ def enumerate_embedded(param: Parameter, levi,
 def _embedded(param: Parameter, levi: FrozenSet[int],
               endo: EndoscopicDatum) -> Tuple[EmbeddedDatum, ...]:
     weyl = param.group.weyl
-    seen = set()
+    wl, wh = _full_levi_weyl(param, endo, levi)
+    admissible = sorted(map(weyl.index.__getitem__, _admissible(param, endo)))
     out = []
-    for w in sorted(_admissible(param, endo)):
-        if weyl.index[w] in seen:
-            continue
-        orbit = _levi_h_double_coset(param, endo, levi, w)
-        seen |= orbit
-        rep = weyl.elements[min(orbit)]
-        emb = _standardize_embedded(param, endo, levi, rep)
+    for coset in weyl.double_cosets(wl, admissible, wh):
+        emb = _standardize_embedded(param, endo, levi,
+                                    weyl.elements[min(coset)])
         if emb is not None:
             out.append(emb)
     return tuple(sorted(out, key=lambda e: e.key()))
-
-
-def _levi_h_double_coset(param: Parameter, endo: EndoscopicDatum,
-                         levi: FrozenSet[int], w: Matrix) -> Set[int]:
-    """W_L . w . W_H as a set of ids of the absolute Weyl group."""
-    weyl = param.group.weyl
-    row, index = weyl.row, weyl.index
-    wh = [index[x] for x in endo.weyl_h_elements()]
-    w = index[w]
-    return {x for l in _full_levi_weyl(param, endo, levi)
-            for x in map(row(row(index[l])[w]).__getitem__, wh)}
 
 
 def _cut(group: ReductiveGroup, endo: EndoscopicDatum, levi: FrozenSet[int],
@@ -539,15 +523,11 @@ def _pairing_reps(param: Parameter, cut) -> List[Matrix]:
     """One element of W_phi per coset W_cut . g of the cut's Weyl group,
     the first in W_phi's order."""
     rel = param.group.relative
-    sub = [rel.row(rel.index[s]) for s in cut.weyl_elements]
-    reps = []
-    covered = set()
-    for g, i in zip(param.wphi_elements, param.wphi_ids):
-        if i in covered:
-            continue
-        reps.append(g)
-        covered.update(row[i] for row in sub)
-    return reps
+    index = rel.index
+    # W_cut lies in W_phi, whose ids ascend, so the first is the least
+    return [rel.elements[min(coset)] for coset in rel.double_cosets(
+        [index[s] for s in cut.weyl_elements], param.wphi_ids,
+        (index[rel.identity],))]
 
 
 # ---------------------------------------------------------------------------
@@ -665,8 +645,9 @@ def _backward_table(param: Parameter, levi: FrozenSet[int],
     coset representatives of the elements restandardizing the cut of u."""
     group = param.group
     H = endo.H
-    u_orbit = _levi_h_double_coset(param, endo, levi, u)
     index = group.weyl.index
+    wl, wh = _full_levi_weyl(param, endo, levi)
+    u_orbit = group.weyl.double_coset(wl, index[u], wh)
     target_emb = next((e for e in embedded if index[e.w_rep] in u_orbit),
                       None)
     if target_emb is None:
@@ -848,15 +829,13 @@ def _coset_counts(param: Parameter,
     Coxeter Groups, 2.4).  Certified: each built set lies in T, shares no
     element with a set built before it and has remainder 0, and together
     they cover T."""
-    index = param.group.relative.index
+    rel = param.group.relative
     trans = transporter_set(param.group, param.minimal_levi, levi)
-    ids = [index[w] for w in trans]
+    ids = [rel.index[w] for w in trans]
     inside = set(ids)
     count_of: Dict[int, int] = {}
-    for i in ids:
-        if i in count_of:
-            continue
-        coset = _double_coset_ids(param, levi, i)
+    for coset in rel.double_cosets(param.group.levi_weyl_ids(levi), ids,
+                                   param.wphi_ids):
         if not inside.issuperset(coset):
             raise AssertionError("double coset leaves the transporter set")
         if not coset.isdisjoint(count_of):

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import FrozenSet, Tuple
+from typing import FrozenSet, List, Tuple
 
 from .lattice import FgaElement, map_between
 from .rootdata import ReductiveGroup
@@ -107,11 +107,36 @@ def encode(group: ReductiveGroup, b: BElement) -> dict:
     }
 
 
-def decode(group: ReductiveGroup, data: dict) -> BElement:
-    levi = frozenset(int(i) for i in data["levi"])
+def decode(group: ReductiveGroup, data) -> BElement:
+    """The element of an `encode` object, read from outside the program:
+    "levi" a list of simple positions, in range and Galois stable, and
+    "kappa" an object of integer lists "free" and "torsion" as long as the
+    Levi's coordinates.  Malformed data raises ValueError naming the
+    field."""
+    if not isinstance(data, dict):
+        raise ValueError("element: expected an object with the fields levi "
+                         "and kappa")
+    levi = group.checked_levi(_integers(data, "levi", "levi"), "levi")
+    kappa = data.get("kappa")
+    if not isinstance(kappa, dict):
+        raise ValueError("kappa: expected an object with the fields free "
+                         "and torsion")
     q = group.levi_context(levi).dual_center_characters
-    kappa = q.element([int(x) for x in data["kappa"]["free"]],
-                      [int(x) for x in data["kappa"]["torsion"]])
-    b = BElement(levi, kappa)
+    coords = []
+    for key, count in (("free", q.free_rank), ("torsion", len(q.torsion))):
+        value = _integers(kappa, key, "kappa." + key)
+        if len(value) != count:
+            raise ValueError("kappa.%s: expected a list of length %d, got %d"
+                             % (key, count, len(value)))
+        coords.append(value)
+    b = BElement(levi, q.element(*coords))
     classify(group, b)
     return b
+
+
+def _integers(data: dict, key: str, field: str) -> List[int]:
+    value = data.get(key)
+    if not isinstance(value, list) or \
+            not all(type(x) is int for x in value):
+        raise ValueError("%s: expected a list of integers" % field)
+    return value

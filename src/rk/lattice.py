@@ -22,7 +22,8 @@ from fractions import Fraction
 from functools import cached_property, partial
 from itertools import product
 from operator import mul
-from typing import Callable, Dict, Iterable, Optional, Sequence, Tuple
+from typing import (Callable, Dict, Iterable, List, Optional, Sequence, Set,
+                    Tuple)
 
 Vector = Tuple[int, ...]
 Matrix = Tuple[Tuple[int, ...], ...]
@@ -568,6 +569,35 @@ class MatrixGroup:
         """row(a)[b] is the id of a.b.  Each row is formed on first use by
         composing point permutations; a formed row is a dict lookup away."""
         return _CayleyRows([self.perm[m] for m in self.elements]).__getitem__
+
+    def double_coset(self, left: Iterable[int], x: int,
+                     right: Sequence[int]) -> Set[int]:
+        """left . x . right, on element ids.
+
+        Here and in `double_cosets`, `left` and `right` are the ids of
+        subgroups.  The set is then a union of right cosets y . right, so a
+        left element l with l . x already in it brings no new element and
+        is skipped (Bjorner-Brenti, Combinatorics of Coxeter Groups, 2.4)."""
+        row = self.row
+        out: Set[int] = set()
+        for a in left:
+            y = row(a)[x]
+            if y not in out:
+                out.update(map(row(y).__getitem__, right))
+        return out
+
+    def double_cosets(self, left: Sequence[int], xs: Iterable[int],
+                      right: Sequence[int]) -> List[Set[int]]:
+        """The double cosets left . x . right that meet `xs`, each built once
+        by `double_coset`, in the order of the first x that meets it."""
+        out: List[Set[int]] = []
+        seen: Set[int] = set()
+        for x in xs:
+            if x not in seen:
+                coset = self.double_coset(left, x, right)
+                seen |= coset
+                out.append(coset)
+        return out
 
     def word(self, m: Matrix) -> Tuple[int, ...]:
         return self.words[m]

@@ -12,7 +12,7 @@ tripping the two is the correctness check for both.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Optional, Set, Tuple
+from typing import Dict, FrozenSet, Optional, Tuple
 
 from .disconnected import HighestWeightPair, classify_irr, stabilizer_A_lambda
 from .finite_reps import Module
@@ -137,29 +137,14 @@ def _certify_descent(param: Parameter, cut, lam: Vector) -> None:
                            "stabilizer of the weight")
 
 
-def _double_coset_ids(param: Parameter, levi, w: int) -> Set[int]:
-    """W^rel_L . w . W_phi; w and the result are ids of W^rel.  The set is
-    a union of right W_phi cosets, so a left element l . w already in it
-    brings no new element and is skipped."""
-    row = param.group.relative.row
-    phi = param.wphi_ids
-    out: Set[int] = set()
-    for lw in param.group.levi_weyl_ids(levi):
-        x = row(lw)[w]
-        if x not in out:
-            out.update(map(row(x).__getitem__, phi))
-    return out
-
-
 def _canonical_double_coset(param: Parameter, levi, w: Matrix) -> Matrix:
-    """min of W^rel_L . w . W_phi (computed once per (param, levi, w))."""
-    return cached(param.memo, ("canonical", frozenset(levi), w),
-                  _least_in_double_coset, param, levi, w)
-
-
-def _least_in_double_coset(param: Parameter, levi, w: Matrix) -> Matrix:
-    rel = param.group.relative
-    return rel.elements[min(_double_coset_ids(param, levi, rel.index[w]))]
+    """min of W^rel_L . w . W_phi, for w in the transporter set; read from
+    the ("cosets", L) entry."""
+    rep = _cosets(param, frozenset(levi))[1].get(w)
+    if rep is None:
+        raise AssertionError("the Weyl element lies outside the transporter "
+                             "set of the Levi")
+    return rep
 
 
 # ---------------------------------------------------------------------------
@@ -168,7 +153,12 @@ def _least_in_double_coset(param: Parameter, levi, w: Matrix) -> Matrix:
 def transporter_double_cosets(param: Parameter, levi) -> Tuple[Matrix, ...]:
     """Canonical representatives of W^rel_L \\ W^rel(M, L) / W_phi
     (computed once per (param, levi))."""
-    levi = frozenset(levi)
+    return _cosets(param, frozenset(levi))[0]
+
+
+def _cosets(param: Parameter, levi: FrozenSet[int]):
+    """(the sorted canonical representatives, each transporter element ->
+    its representative), computed once per (param, levi)."""
     return cached(param.memo, ("cosets", levi), _transporter_double_cosets,
                   param, levi)
 
@@ -183,15 +173,12 @@ def _transporter_double_cosets(param: Parameter, levi: FrozenSet[int]):
         if not tset.issuperset(map(rel.row(t).__getitem__, param.wphi_ids)):
             raise AssertionError("transporter set is not right-stable "
                                  "under W_phi")
-    seen = set()
-    reps = []
-    for t in trans:
-        if t in seen:
-            continue
-        orbit = _double_coset_ids(param, levi, t)
-        seen |= orbit
-        reps.append(min(orbit))
-    return tuple(rel.elements[i] for i in sorted(reps))
+    rep_of: Dict[Matrix, Matrix] = {}
+    for coset in rel.double_cosets(param.group.levi_weyl_ids(levi), trans,
+                                   param.wphi_ids):
+        rep = rel.elements[min(coset)]
+        rep_of.update((rel.elements[i], rep) for i in coset)
+    return tuple(sorted(set(rep_of.values()))), rep_of
 
 
 def fiber_weight(param: Parameter, b: BElement, w: Matrix) -> Optional[Vector]:

@@ -73,13 +73,15 @@ class Parameter:
         self.tempered = tempered
         #: ("cut", L, w): `levi_cut`; ("connected", positives): the connected
         #: Weyl group of every cut with those positives; rk.packets: ("cosets",
-        #: L), ("canonical", L, w), ("center",), ("fiber_weight", b, w)* (the
+        #: L) (the transporter double coset representatives, and each
+        #: transporter element's), ("center",), ("fiber_weight", b, w)* (the
         #: weight or None), ("member", lambda)* (cut, b, coset class, word);
         #: ("endoscopy", E): datum E's memo, by rk.endoscopy's kinds ("h",),
-        #: ("admissible",), ("wl", L), ("embedded", L), ("forward", L),
-        #: ("cosets", G or H, L), ("backward", L, u), ("indexing", L, h,
-        #: emb.key(), v), ("trace", L, w, lambda_w, g)*, ("jacquet",
-        #: emb.key()), ("token", b, w, sign)*.
+        #: ("admissible",), ("wl", L) (the ids of W_L and W_H in W),
+        #: ("embedded", L), ("forward", L), ("cosets", G or H, L),
+        #: ("backward", L, u), ("indexing", L, h, emb.key(), v), ("trace",
+        #: L, w, lambda_w, g)*, ("jacquet", emb.key()), ("token", b, w,
+        #: sign)*.
         #: *: keyed by a caller's weight or b, so unbounded in a library; the
         #: CLI runs one command per process, on <= MAX_WEIGHT_BOX weights.
         self.memo: Dict = {}
@@ -264,22 +266,22 @@ class Parameter:
         return tuple(index[m] for m in self.wphi_elements)
 
     @cached_property
-    def _r_split(self) -> Tuple[FrozenSet[int], Tuple[Tuple[Matrix, int], ...]]:
-        """(ids of W_phi^o, (r, id of r^-1) for each r of R_phi)."""
+    def _r_part(self) -> Dict[int, Matrix]:
+        """The id of o . r -> r, for o in W_phi^o and r in R_phi: W_phi is
+        the disjoint union of the cosets W_phi^o . r."""
         rel = self.group.relative
         index = rel.index
-        return (frozenset(index[m] for m in self.wphi_o_elements),
-                tuple((r, index[rel.inverse[r]]) for r in self.r_elements))
+        o_ids = [index[m] for m in self.wphi_o_elements]
+        identity = (index[rel.identity],)
+        return {i: r for r in self.r_elements
+                for i in rel.double_coset(o_ids, index[r], identity)}
 
     def r_component(self, g: Matrix) -> Matrix:
         """The R_phi part of an element of W_phi (unique decomposition)."""
-        rel = self.group.relative
-        o, split = self._r_split
-        row = rel.row(rel.index[g])
-        for r, r_inv in split:
-            if row[r_inv] in o:
-                return r
-        raise ParameterError("element is not in W_phi")
+        r = self._r_part.get(self.group.relative.index.get(g))
+        if r is None:
+            raise ParameterError("element is not in W_phi")
+        return r
 
     @cached_property
     def centralizer(self) -> DisconnectedGroupDatum:

@@ -29,7 +29,7 @@ from functools import cached_property, partial
 from itertools import combinations
 from math import lcm
 from operator import itemgetter
-from typing import Dict, FrozenSet, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, Iterable, Optional, Sequence, Tuple
 
 from .lattice import (
     DEFAULT_CLOSURE_CAP,
@@ -678,6 +678,27 @@ class ReductiveGroup:
 
     def full_subset(self) -> FrozenSet[int]:
         return frozenset(range(len(self.datum.simple_indices)))
+
+    def checked_levi(self, positions: Iterable[int],
+                     field: str) -> FrozenSet[int]:
+        """The Levi subset of simple positions given from outside the
+        program, checked to be in range and Galois stable; a failed check
+        raises ValueError led by `field`."""
+        subset = frozenset(positions)
+        full = self.full_subset()
+        valid = ("valid positions are 0..%d" % (len(full) - 1) if full
+                 else "%s has no simple positions" % self.name)
+        outside = sorted(subset - full)
+        if outside:
+            raise ValueError("%s: simple position %d is out of range; %s"
+                             % (field, outside[0], valid))
+        for pos in sorted(subset):
+            orbit = self.simple_orbit_of(pos)
+            if not subset.issuperset(orbit):
+                raise ValueError("%s: the subset is not Galois stable: "
+                                 "position %d lies in the orbit %s"
+                                 % (field, pos, list(orbit)))
+        return subset
 
     def dual(self) -> "ReductiveGroup":
         dd, da = dual_datum(self.datum, self.galois)

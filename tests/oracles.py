@@ -39,8 +39,7 @@ from rk.kottwitz import basic_plus_lift
 from rk.lattice import (dot, mat, mat_identity, mat_transpose, mat_vec,
                         solve_rational, vneg, vsub)
 from rk.packets import (PacketMember, _canonical_double_coset,
-                        _certify_descent, _double_coset_ids, canonical_rho,
-                        dominantize)
+                        _certify_descent, canonical_rho, dominantize)
 from rk.params import ParameterError, _is_reflection, _simple_positions
 from rk.rootdata import (BasedRootDatum, DatumError, reflection_matrix,
                          weyl_group)
@@ -543,7 +542,7 @@ def phi_cosets(param, levi, w):
     coset elements are ids of W^rel."""
     row = param.group.relative.row
     return {frozenset(map(row(x).__getitem__, param.wphi_ids))
-            for x in _double_coset_ids(param, levi, w)}
+            for x in double_coset_ids_by_comprehension(param, levi, w)}
 
 
 def verify_counting_per_element(param, levi):
@@ -556,8 +555,9 @@ def verify_counting_per_element(param, levi):
     left = group.levi_weyl_elements(levi)
     counts = []
     for w in transporter_set(group, param.minimal_levi, levi):
-        cosets, rest = divmod(len(_double_coset_ids(param, levi, index[w])),
-                              len(param.wphi_ids))
+        cosets, rest = divmod(
+            len(double_coset_ids_by_comprehension(param, levi, index[w])),
+            len(param.wphi_ids))
         if rest:
             raise AssertionError("double coset is not a union of W_phi "
                                  "cosets")

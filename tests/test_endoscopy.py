@@ -551,9 +551,12 @@ def test_memo_embedded_data_match_brute_force(pname, ename):
         embs = enumerate_embedded(param, levi, endo)
         assert list(embs) == _brute_embedded(param, levi, endo)
         assert enumerate_embedded(param, set(levi), endo) is embs
-        wl = _full_levi_weyl(param, endo, levi)
-        assert set(wl) == _closure_levi_weyl(param.group, levi)
-        assert _full_levi_weyl(param, endo, levi) is wl
+        ids = _full_levi_weyl(param, endo, levi)
+        elements = param.group.weyl.elements
+        wl, wh = ({elements[i] for i in part} for part in ids)
+        assert wl == _closure_levi_weyl(param.group, levi)
+        assert wh == set(endo.weyl_h_elements())
+        assert _full_levi_weyl(param, endo, levi) is ids
 
 
 @pytest.mark.parametrize("pname,ename", ECI_PAIRS)
@@ -661,7 +664,8 @@ def _scan_backward(param, levi, endo, param_h, h, embedded, w):
     if u not in _admissible(param, endo):
         raise AssertionError("backward twist fails the Galois condition")
     cut_roots = {r for r in H.datum.roots if mat_vec(u, r) in levi_roots}
-    wl = _full_levi_weyl(param, endo, levi)
+    wl = [group.weyl.elements[i]
+          for i in _full_levi_weyl(param, endo, levi)[0]]
     u_orbit = {mul(mul(l, u), x) for l in wl for x in endo.weyl_h_elements()}
     target = next((e for e in embedded if e.w_rep in u_orbit), None)
     if target is None:
@@ -1010,34 +1014,29 @@ def test_coset_count_by_size_matches_the_coset_sets(pname):
     # the counting certificate divides |W^rel_L . w . W_phi| by |W_phi|;
     # the quotient is the number of right W_phi cosets formed as sets
     from oracles import phi_cosets
-    from rk.packets import _double_coset_ids
     from rk.weyl import transporter_set
     param = presets.parameter(pname)
-    group, index = param.group, param.group.relative.index
+    group, rel = param.group, param.group.relative
     checked = 0
     for levi in group.standard_levi_subsets():
         if not param.minimal_levi <= levi:
             continue
         for w in transporter_set(group, param.minimal_levi, levi):
-            size = len(_double_coset_ids(param, levi, index[w]))
+            size = len(rel.double_coset(group.levi_weyl_ids(levi),
+                                        rel.index[w], param.wphi_ids))
             count, rest = divmod(size, len(param.wphi_ids))
             assert rest == 0
-            assert len(phi_cosets(param, levi, index[w])) == count
+            assert len(phi_cosets(param, levi, rel.index[w])) == count
             checked += 1
     assert checked
 
 
 def test_coset_counting_certificate_catches_a_partial_coset(monkeypatch):
-    from rk import endoscopy
     param, endo = presets.parameter("gl3-triv"), presets.endoscopy("gl3-s1")
     b = build_packet_member(param, enumerate_rhos(param, 1)[0]).b
     assert eci_both_sides(param, b, endo)["equal"]
-    ids = endoscopy._double_coset_ids
-
-    def short(param, levi, w):
-        return set(sorted(ids(param, levi, w))[1:])
-
-    monkeypatch.setattr(endoscopy, "_double_coset_ids", short)
+    _phi_coset_builds(monkeypatch, param,
+                      lambda ids, _n: set(sorted(ids)[1:]))
     with pytest.raises(AssertionError,
                        match="double coset is not a union of W_phi cosets"):
         eci_both_sides(param, b, endo)
@@ -1065,7 +1064,7 @@ def test_coset_counts_match_the_per_element_certificate(name, monkeypatch):
     from rk.weyl import transporter_set
     param = _gl3_one_root() if name == "gl3: 2+1" else \
         presets.parameter(name)
-    builds = _counted(monkeypatch, endoscopy, "_double_coset_ids")
+    builds = _phi_coset_builds(monkeypatch, param)
     cuts = _counted(monkeypatch, param, "levi_cut")
     checked = 0
     for levi in param.group.standard_levi_subsets():
@@ -1082,17 +1081,25 @@ def test_coset_counts_match_the_per_element_certificate(name, monkeypatch):
     assert checked
 
 
-def _mutated_builder(monkeypatch, mutate):
-    """Replace the double-coset builder of the counting certificate by
-    mutate(true set, number of this call)."""
-    from rk import endoscopy
-    build = endoscopy._double_coset_ids
+def _phi_coset_builds(monkeypatch, param, mutate=None):
+    """Record the x of each double coset left . x . W_phi that the relative
+    Weyl group of the parameter builds with `param.wphi_ids` itself as the
+    right factor (the transporter cosets and the counting certificate; the
+    embedded classes of a datum with W_H = W_phi pass other ids), and,
+    given `mutate`, return mutate(true set, number of this build) in place
+    of the set."""
+    from rk.lattice import MatrixGroup
+    build = MatrixGroup.double_coset
     calls = []
 
-    def wrapper(param, levi, w):
-        calls.append(w)
-        return mutate(build(param, levi, w), len(calls))
-    monkeypatch.setattr(endoscopy, "_double_coset_ids", wrapper)
+    def wrapper(group, left, x, right):
+        out = build(group, left, x, right)
+        if group is not param.group.relative or right is not param.wphi_ids:
+            return out
+        calls.append(x)
+        return mutate(out, len(calls)) if mutate else out
+    monkeypatch.setattr(MatrixGroup, "double_coset", wrapper)
+    return calls
 
 
 def _outside_coset(param, levi):
@@ -1111,7 +1118,7 @@ def test_coset_counting_certificate_catches_a_coset_leaving_the_transporters(
     param, levi = presets.parameter("gl4-st2"), frozenset({0, 2})
     _verify_counting(param, levi)
     outside = _outside_coset(param, levi)
-    _mutated_builder(monkeypatch, lambda ids, _n: ids | outside)
+    _phi_coset_builds(monkeypatch, param, lambda ids, _n: ids | outside)
     with pytest.raises(AssertionError,
                        match="double coset leaves the transporter set"):
         _verify_counting(param, levi)
@@ -1129,7 +1136,7 @@ def test_coset_counting_certificate_catches_overlapping_cosets(monkeypatch):
         if n > 1:
             return ids
         return {row(min(ids))[f] for f in param.wphi_ids}
-    _mutated_builder(monkeypatch, first_coset_only)
+    _phi_coset_builds(monkeypatch, param, first_coset_only)
     with pytest.raises(AssertionError, match="double cosets overlap"):
         _verify_counting(param, levi)
 
@@ -1138,7 +1145,7 @@ def test_coset_counting_certificate_catches_an_uncovered_transporter(
         monkeypatch):
     from rk.endoscopy import _verify_counting
     param, levi = presets.parameter("gl4-st2"), frozenset({0, 2})
-    _mutated_builder(monkeypatch, lambda _ids, _n: set())
+    _phi_coset_builds(monkeypatch, param, lambda _ids, _n: set())
     with pytest.raises(AssertionError, match="do not cover the transporter"):
         _verify_counting(param, levi)
 
@@ -1148,7 +1155,6 @@ def test_gl5_members_pass_and_build_one_double_coset_per_call(monkeypatch):
     # parameter give an equal identity and a passing indexing check, and
     # each identity builds the one double coset of its transporter set
     # once, not once per transporter element
-    from rk import endoscopy
     from rk.packets import transporter_double_cosets
     from rk.params import Parameter
     from rk.weyl import transporter_set
@@ -1159,7 +1165,7 @@ def test_gl5_members_pass_and_build_one_double_coset_per_call(monkeypatch):
                       tuple(d.coroots[i] for i in d.positive_root_indices()),
                       label="gl5: 1+1+1+1+1")
     endo = presets.endoscopy("gl5-s1")
-    calls = _counted(monkeypatch, endoscopy, "_double_coset_ids")
+    calls = _phi_coset_builds(monkeypatch, param)
     for rho in enumerate_rhos(param, 1)[:4]:
         b = build_packet_member(param, rho).b
         del calls[:]
@@ -1423,17 +1429,17 @@ def test_s_in_levi_sample_raises_only_off_the_levi(pname):
 @pytest.mark.parametrize("pname", presets.PARAM_NAMES)
 def test_double_coset_ids_match_the_comprehension(pname):
     from oracles import double_coset_ids_by_comprehension
-    from rk.packets import _double_coset_ids
     from rk.weyl import transporter_set
     param = presets.parameter(pname)
-    group, index = param.group, param.group.relative.index
+    group, rel = param.group, param.group.relative
     checked = 0
     for levi in group.standard_levi_subsets():
         if not param.minimal_levi <= levi:
             continue
         for w in transporter_set(group, param.minimal_levi, levi):
-            assert _double_coset_ids(param, levi, index[w]) == \
-                double_coset_ids_by_comprehension(param, levi, index[w])
+            assert rel.double_coset(group.levi_weyl_ids(levi), rel.index[w],
+                                    param.wphi_ids) == \
+                double_coset_ids_by_comprehension(param, levi, rel.index[w])
             checked += 1
     assert checked
 

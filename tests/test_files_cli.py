@@ -248,6 +248,64 @@ def test_cli_out_file(tmp_path):
     assert data["basic"] is True
 
 
+@pytest.mark.parametrize("target,reason", [
+    ("missing/x.json", "[Errno 2] No such file or directory"),
+    (".", "[Errno 21] Is a directory"),
+], ids=["missing-directory", "a-directory"])
+def test_cli_out_path_that_cannot_be_written(target, reason, tmp_path,
+                                             capsys):
+    # the report is made, but its file cannot be opened: an error line and
+    # exit 1, with no traceback and nothing on stdout
+    from rk import cli
+    path = os.path.join(str(tmp_path), target)
+    argv = ["packet", "--param", "gl2-triv", "--rho", "1,0", "--out", path]
+    assert cli.main(argv) == 1
+    assert capsys.readouterr() == ("", "error: %s: %r\n" % (reason, path))
+
+
+@pytest.mark.parametrize("group,data,message", [
+    ("gl4", [1, 2], "element: expected an object with the fields levi and "
+     "kappa"),
+    ("gl4", {"levi": [9], "kappa": {"free": [0], "torsion": []}},
+     "levi: simple position 9 is out of range; valid positions are 0..2"),
+    ("u3", {"levi": [0], "kappa": {"free": [], "torsion": []}},
+     "levi: the subset is not Galois stable: position 0 lies in the orbit "
+     "[0, 1]"),
+    ("gl4", {"levi": "G", "kappa": {"free": [0], "torsion": []}},
+     "levi: expected a list of integers"),
+    ("gl4", {"levi": [0, 1, 2]}, "kappa: expected an object with the fields "
+     "free and torsion"),
+    ("gl4", {"levi": [0, 1, 2], "kappa": {"free": ["1"], "torsion": []}},
+     "kappa.free: expected a list of integers"),
+    ("gl4", {"levi": [0, 1, 2], "kappa": {"free": [1]}},
+     "kappa.torsion: expected a list of integers"),
+    ("gl4", {"levi": [0, 1, 2], "kappa": {"free": [1, 0], "torsion": []}},
+     "kappa.free: expected a list of length 1, got 2"),
+], ids=["not-an-object", "levi-out-of-range", "levi-not-galois-stable",
+        "levi-not-a-list", "kappa-missing", "kappa-free-not-integers",
+        "kappa-torsion-missing", "kappa-free-wrong-length"])
+def test_cli_rejects_a_malformed_element_file(group, data, message, tmp_path,
+                                              capsys):
+    from rk import cli
+    path = tmp_path / "b.json"
+    path.write_text(json.dumps(data), encoding="utf-8")
+    assert cli.main(["bset", "--group", group, "--b", str(path)]) == 1
+    assert capsys.readouterr() == ("", "error: %s\n" % message)
+
+
+def test_cli_eci_rejects_a_malformed_element_file(tmp_path, capsys):
+    from rk import cli
+    path = tmp_path / "b.json"
+    path.write_text('{"levi": [9], "kappa": {"free": [0], "torsion": []}}',
+                    encoding="utf-8")
+    argv = ["eci", "--param", "gl2-triv", "--endo", "gl2-s1", "--b",
+            str(path)]
+    assert cli.main(argv) == 1
+    assert capsys.readouterr() == (
+        "", "error: levi: simple position 9 is out of range; valid "
+        "positions are 0..0\n")
+
+
 def test_cli_group_from_file(tmp_path):
     g = presets.group("sp4")
     path = tmp_path / "sp4.yaml"

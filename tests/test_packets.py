@@ -225,7 +225,12 @@ def test_cached_double_cosets_match_matrix_orbits(name):
         assert transporter_double_cosets(param, levi) is reps
         for t in trans:
             assert _canonical_double_coset(param, levi, t) == brute[t]
-            assert param.memo["canonical", levi, t] == brute[t]
+            assert param.memo["cosets", levi][1][t] == brute[t]
+        # an element outside the transporter set has no coset to read
+        for m in [m for m in group.relative.elements if m not in brute][:2]:
+            with pytest.raises(AssertionError,
+                               match="outside the transporter set"):
+                _canonical_double_coset(param, levi, m)
 
 
 def test_parameter_rejects_zero_restriction():

@@ -407,6 +407,34 @@ def test_subgroup_takes_exactly_the_closed_sets(kind, name, data):
             group.subgroup(members)
 
 
+@pytest.mark.parametrize("kind,name", CORE_GROUPS)
+@CORE
+@given(data=st.data())
+def test_double_cosets_are_the_matrix_products(kind, name, data):
+    # H . x . K for two generated subgroups H, K: `double_coset` is the set
+    # of matrix products h . x . k, and `double_cosets` gives each distinct
+    # product set once, in the order of the first x that meets it, so the
+    # sets are disjoint and cover the products of every x
+    group = core_group(data, kind, name)
+    size = 1 if len(group) > 48 else 2
+    left, right = (group.generated(data.draw(st.lists(
+        elements_of(group), max_size=size))) for _ in range(2))
+    xs = data.draw(st.lists(elements_of(group), min_size=1, max_size=4))
+    index = group.index
+    left_ids, right_ids = [index[h] for h in left], [index[k] for k in right]
+    products = [{mat_mul(mat_mul(h, x), k) for h in left for k in right}
+                for x in xs]
+    assert {group.elements[i] for i in group.double_coset(
+        left_ids, index[xs[0]], right_ids)} == products[0]
+    firsts = []
+    for p in products:
+        if p not in firsts:
+            firsts.append(p)
+    cosets = group.double_cosets(left_ids, [index[x] for x in xs], right_ids)
+    assert [{group.elements[i] for i in c} for c in cosets] == firsts
+    assert sum(map(len, firsts)) == len(set().union(*products))
+
+
 # ---------------------------------------------------------------------------
 # the dot / mat_vec / mat_mul kernel
 
