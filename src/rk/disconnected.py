@@ -12,7 +12,6 @@ values in cyclotomic fields.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product as iproduct
 from typing import Callable, Dict, Optional, Sequence, Tuple
@@ -22,6 +21,7 @@ from .finite_reps import FiniteGroup, Module, simple_modules
 from .lattice import (
     Matrix,
     SmithSolver,
+    Value,
     Vector,
     cached,
     dot,
@@ -40,12 +40,12 @@ class UnsupportedTraceError(NotImplementedError):
     twisted trace needs explicit data that was not supplied."""
 
 
-@dataclass(frozen=True)
-class HighestWeightPair:
+class HighestWeightPair(Value):
     """(dominant weight, simple module of the twisted stabilizer algebra)."""
 
-    weight: Vector
-    module: Module
+    def __init__(self, weight: Vector, module: Module):
+        object.__setattr__(self, "weight", weight)
+        object.__setattr__(self, "module", module)
 
     def label(self) -> Tuple:
         return (self.weight, self.module.label())

@@ -14,7 +14,6 @@ and coset-averaged trace pairings with exact cyclotomic values.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
@@ -24,6 +23,7 @@ from .kottwitz import BElement
 from .lattice import (
     Matrix,
     SmithSolver,
+    Value,
     Vector,
     cached,
     dot,
@@ -141,14 +141,16 @@ def s_in_levi_check(param: Parameter, endo: EndoscopicDatum, levi) -> Dict:
 # ---------------------------------------------------------------------------
 # embedded endoscopic data
 
-@dataclass(frozen=True)
-class EmbeddedDatum:
+class EmbeddedDatum(Value):
     """An inner class of embedded data: a Weyl twist of the inclusion
     together with the standard Levi of the endoscopic group it selects."""
 
-    w_rep: Matrix            # representative in the full Weyl group
-    h_std: Matrix            # conjugator standardizing the cut Levi (in W_H)
-    levi_h: FrozenSet[int]   # standard Levi subset of H
+    def __init__(self, w_rep: Matrix,  # representative in the full W
+                 h_std: Matrix,  # standardizes the cut Levi (in W_H)
+                 levi_h: FrozenSet[int]):  # standard Levi subset of H
+        object.__setattr__(self, "w_rep", w_rep)
+        object.__setattr__(self, "h_std", h_std)
+        object.__setattr__(self, "levi_h", levi_h)
 
     def key(self):
         return (tuple(sorted(self.levi_h)), self.w_rep)
@@ -337,16 +339,18 @@ def _build_param_h(param: Parameter, endo: EndoscopicDatum,
 # ---------------------------------------------------------------------------
 # formal distributions
 
-@dataclass(frozen=True)
-class Term:
+class Term(Value):
     """One record of a formal distribution."""
 
-    kind: str                 # "member" | "stable" | "nonregular"
-    levi: Tuple[int, ...]
-    param_tag: Tuple
-    s_tag: str
-    delta_twist: Fraction
-    sign_token: str
+    def __init__(self, kind: str,  # "member" | "stable" | "nonregular"
+                 levi: Tuple[int, ...], param_tag: Tuple, s_tag: str,
+                 delta_twist: Fraction, sign_token: str):
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "levi", levi)
+        object.__setattr__(self, "param_tag", param_tag)
+        object.__setattr__(self, "s_tag", s_tag)
+        object.__setattr__(self, "delta_twist", delta_twist)
+        object.__setattr__(self, "sign_token", sign_token)
 
 
 class FormalDistribution:
@@ -377,9 +381,7 @@ class FormalDistribution:
     def __eq__(self, other):
         if not isinstance(other, FormalDistribution):
             return NotImplemented
-        if set(self._terms) != set(other._terms):
-            return False
-        return all(self._terms[t] == other._terms[t] for t in self._terms)
+        return self._terms == other._terms
 
     def __len__(self):
         return len(self._terms)

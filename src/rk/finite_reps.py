@@ -15,7 +15,6 @@ trivialization.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, partial
 from math import gcd, isqrt
@@ -26,6 +25,7 @@ from .lattice import (
     DEFAULT_CLOSURE_CAP,
     IntegerMatrix,
     MatrixGroup,
+    Value,
     gauss_jordan,
     mat,
     mat_det,
@@ -106,14 +106,16 @@ class FiniteGroup(MatrixGroup):
         return repr(a)
 
 
-@dataclass(frozen=True)
-class Module:
+class Module(Value):
     """A simple module given by its exact character (and matrices when
     one-dimensional; higher-dimensional matrices are not materialized)."""
 
-    dim: int
-    character: Tuple[Tuple[object, Cyclo], ...]  # (element, value) pairs
-    matrices: Optional[Tuple] = None
+    def __init__(self, dim: int,
+                 character: Tuple[Tuple[object, Cyclo], ...],  # (g, chi(g))
+                 matrices: Optional[Tuple] = None):
+        object.__setattr__(self, "dim", dim)
+        object.__setattr__(self, "character", character)
+        object.__setattr__(self, "matrices", matrices)
 
     def chi(self, element) -> Cyclo:
         for e, v in self.character:

@@ -11,11 +11,10 @@ on its true stratum instead.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import FrozenSet, List, Tuple
 
-from .lattice import FgaElement, map_between
+from .lattice import FgaElement, Value, map_between
 from .rootdata import ReductiveGroup
 
 
@@ -38,12 +37,12 @@ class WallRejection(ValueError):
         super().__init__(detail)
 
 
-@dataclass(frozen=True)
-class BElement:
+class BElement(Value):
     """A Kottwitz-set element by its complete invariants."""
 
-    levi: FrozenSet[int]
-    kappa: FgaElement
+    def __init__(self, levi: FrozenSet[int], kappa: FgaElement):
+        object.__setattr__(self, "levi", levi)
+        object.__setattr__(self, "kappa", kappa)
 
     def is_basic(self, group: ReductiveGroup) -> bool:
         return self.levi == group.full_subset()

@@ -17,11 +17,10 @@ unavoidable); no floating point is used anywhere in this package.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, partial
 from itertools import product
-from operator import mul
+from operator import attrgetter, mul
 from typing import (Callable, Dict, Iterable, List, Optional, Sequence, Set,
                     Tuple)
 
@@ -41,6 +40,43 @@ def cached(memo: Dict, key, compute: Callable, *args):
     if value is _MISSING:
         value = memo[key] = compute(*args)
     return value
+
+
+class Value:
+    """Base of the frozen value records, in place of a frozen dataclass.
+
+    A record's fields are the positional parameters of its ``__init__``,
+    which sets each with ``object.__setattr__`` and runs the record's
+    checks.  Records compare and hash by (type, field values), print as
+    ``Name(field=value, ...)`` and refuse assignment and deletion.  The
+    values stay inline, with no instance ``__dict__``, so lookups stay as
+    fast as on a dataclass; their tuple and hash are not kept, which would
+    cost every construction or make that ``__dict__``.  Every record has
+    two fields or more (``attrgetter`` of one name gives no tuple).
+    """
+
+    def __init_subclass__(cls):
+        code = cls.__init__.__code__
+        cls._fields = code.co_varnames[1:code.co_argcount]
+        cls._values = attrgetter(*cls._fields)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values(self) == self._values(other)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._values(self))
+
+    def __repr__(self):
+        return "%s(%s)" % (type(self).__qualname__, ", ".join(
+            "%s=%r" % item for item in zip(self._fields, self._values(self))))
+
+    def __setattr__(self, name, value):
+        raise AttributeError("cannot assign to field %r" % name)
+
+    def __delattr__(self, name):
+        raise AttributeError("cannot delete field %r" % name)
 
 
 # ---------------------------------------------------------------------------
@@ -209,15 +245,13 @@ def solve_rational(a_cols: Sequence[Sequence], b: Sequence):
 # ---------------------------------------------------------------------------
 # IntegerMatrix
 
-@dataclass(frozen=True)
-class IntegerMatrix:
+class IntegerMatrix(Value):
     """Dense matrix of arbitrary-precision integers."""
 
-    rows: int
-    cols: int
-    entries: Matrix
-
-    def __post_init__(self):
+    def __init__(self, rows: int, cols: int, entries: Matrix):
+        object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "cols", cols)
+        object.__setattr__(self, "entries", entries)
         if len(self.entries) != self.rows:
             raise ValueError("row count mismatch")
         for r in self.entries:
@@ -643,8 +677,7 @@ class MatrixGroup:
         return sub
 
 
-@dataclass(frozen=True)
-class LatticeAction:
+class LatticeAction(Value):
     """A finite group acting on Z^rank by unimodular matrices.
 
     Finiteness is certified through the orbits of the standard basis
@@ -655,10 +688,10 @@ class LatticeAction:
     no orbit that long is rejected there, by the closure.
     """
 
-    generators: Tuple[Matrix, ...]
-    cap: int = DEFAULT_CLOSURE_CAP
-
-    def __post_init__(self):
+    def __init__(self, generators: Tuple[Matrix, ...],
+                 cap: int = DEFAULT_CLOSURE_CAP):
+        object.__setattr__(self, "generators", generators)
+        object.__setattr__(self, "cap", cap)
         for g in self.generators:
             if len(g) != self.rank or any(len(r) != self.rank for r in g):
                 raise ValueError("action matrices must be square of equal size")
@@ -692,12 +725,12 @@ class LatticeAction:
 # ---------------------------------------------------------------------------
 # finitely generated abelian groups
 
-@dataclass(frozen=True)
-class FgaElement:
+class FgaElement(Value):
     """Element of an FgAbelianGroup in canonical (free, torsion) coordinates."""
 
-    free: Vector
-    torsion: Vector
+    def __init__(self, free: Vector, torsion: Vector):
+        object.__setattr__(self, "free", free)
+        object.__setattr__(self, "torsion", torsion)
 
     def is_zero(self) -> bool:
         return all(x == 0 for x in self.free) and all(x == 0 for x in self.torsion)

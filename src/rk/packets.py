@@ -11,7 +11,6 @@ tripping the two is the correctness check for both.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict, FrozenSet, Optional, Tuple
 
 from .disconnected import HighestWeightPair, classify_irr, stabilizer_A_lambda
@@ -19,6 +18,7 @@ from .finite_reps import Module
 from .kottwitz import BElement, basic_plus_lift, encode, kappa_push
 from .lattice import (
     Matrix,
+    Value,
     Vector,
     cached,
     dot,
@@ -33,18 +33,23 @@ class DescentError(AssertionError):
     """The descent certificate failed; indicates a caller bug."""
 
 
-@dataclass(frozen=True)
-class PacketMember:
+class PacketMember(Value):
     """A packet label with full provenance of its construction."""
 
-    b: BElement
-    levi: FrozenSet[int]
-    w_class: Matrix                    # canonical (W^rel_L, W_phi) coset rep
-    rho_weight: Vector                 # canonical dominant weight
-    rho_module_label: Tuple
-    witness_word: Tuple[int, ...]
-    levi_weight: Vector                # the transported weight lambda_{L,w}
-    param_label: str
+    def __init__(self, b: BElement, levi: FrozenSet[int],
+                 w_class: Matrix,      # canonical (W^rel_L, W_phi) coset rep
+                 rho_weight: Vector,   # canonical dominant weight
+                 rho_module_label: Tuple, witness_word: Tuple[int, ...],
+                 levi_weight: Vector,  # the transported weight lambda_{L,w}
+                 param_label: str):
+        object.__setattr__(self, "b", b)
+        object.__setattr__(self, "levi", levi)
+        object.__setattr__(self, "w_class", w_class)
+        object.__setattr__(self, "rho_weight", rho_weight)
+        object.__setattr__(self, "rho_module_label", rho_module_label)
+        object.__setattr__(self, "witness_word", witness_word)
+        object.__setattr__(self, "levi_weight", levi_weight)
+        object.__setattr__(self, "param_label", param_label)
 
     def key(self) -> Tuple:
         return (tuple(sorted(self.levi)), self.b.kappa.free,

@@ -23,7 +23,6 @@ Matrix conventions, used consistently everywhere:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, partial
 from itertools import combinations
@@ -39,6 +38,7 @@ from .lattice import (
     Matrix,
     MatrixGroup,
     SmithSolver,
+    Value,
     Vector,
     cached,
     coinvariants,
@@ -72,17 +72,17 @@ def reflection_matrix(root: Vector, coroot: Vector) -> Matrix:
     return mat_transpose(mat(cols))
 
 
-@dataclass(frozen=True)
-class BasedRootDatum:
+class BasedRootDatum(Value):
     """A based root datum realized in Z^rank with the dot-product pairing."""
 
-    rank: int
-    roots: Tuple[Vector, ...]
-    coroots: Tuple[Vector, ...]
-    simple_indices: Tuple[int, ...]
-    name: str = ""
-
-    def __post_init__(self):
+    def __init__(self, rank: int, roots: Tuple[Vector, ...],
+                 coroots: Tuple[Vector, ...], simple_indices: Tuple[int, ...],
+                 name: str = ""):
+        object.__setattr__(self, "rank", rank)
+        object.__setattr__(self, "roots", roots)
+        object.__setattr__(self, "coroots", coroots)
+        object.__setattr__(self, "simple_indices", simple_indices)
+        object.__setattr__(self, "name", name)
         if len(self.roots) != len(self.coroots):
             raise DatumError("roots and coroots must be parallel lists")
         for a, av in zip(self.roots, self.coroots):
@@ -194,19 +194,19 @@ class BasedRootDatum:
                               self.name + "^" if self.name else "")
 
 
-@dataclass(frozen=True)
-class GaloisAction:
+class GaloisAction(Value):
     """Finite Galois image acting on the character lattice.
 
     Each generator must preserve the based datum: it permutes the roots,
     permutes the simple roots, and transports coroots compatibly.
     """
 
-    datum: BasedRootDatum
-    generators: Tuple[Matrix, ...] = ()
-    cap: int = DEFAULT_CLOSURE_CAP
-
-    def __post_init__(self):
+    def __init__(self, datum: BasedRootDatum,
+                 generators: Tuple[Matrix, ...] = (),
+                 cap: int = DEFAULT_CLOSURE_CAP):
+        object.__setattr__(self, "datum", datum)
+        object.__setattr__(self, "generators", generators)
+        object.__setattr__(self, "cap", cap)
         n = self.datum.rank
         gens = self.generators or ()
         for g in gens:

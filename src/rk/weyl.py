@@ -9,12 +9,12 @@ sorted canonically and the ascent breaks ties by lowest orbit index.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import FrozenSet, Sequence, Tuple
 
 from .lattice import (
     Matrix,
+    Value,
     cached,
     mat_mul,  # noqa: F401 -- perfbench's self-test reads rk.weyl.mat_mul
     mat_vec,
@@ -22,15 +22,17 @@ from .lattice import (
 from .rootdata import ReductiveGroup
 
 
-@dataclass(frozen=True)
-class ChamberWitness:
+class ChamberWitness(Value):
     """w moving x into the closed dominant chamber, with the unique open
     facet (indexed by its Levi subset) that contains the image."""
 
-    word: Tuple[int, ...]
-    matrix: Matrix            # action on the character lattice
-    levi: FrozenSet[int]
-    image: Tuple[Fraction, ...]
+    def __init__(self, word: Tuple[int, ...],
+                 matrix: Matrix,  # action on the character lattice
+                 levi: FrozenSet[int], image: Tuple[Fraction, ...]):
+        object.__setattr__(self, "word", word)
+        object.__setattr__(self, "matrix", matrix)
+        object.__setattr__(self, "levi", levi)
+        object.__setattr__(self, "image", image)
 
 
 def chamber_locate(group: ReductiveGroup, x: Sequence) -> ChamberWitness:

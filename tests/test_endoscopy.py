@@ -390,6 +390,32 @@ def test_eci_multi_coset_parameter():
     assert len(out["rhs"].items()) == 3
 
 
+def test_regular_u3_galois_condition_rejects_twists():
+    # the regular parameter of u3 with s = (1/2, 0, 1/2): the one input
+    # whose Galois condition rejects a twist (every ECI_PAIRS input admits
+    # all of W), so the backward and forward maps see a proper W(L, H)
+    from rk.endoscopy import _admissible
+    from rk.params import Parameter
+    g = presets.group("u3")
+    param = Parameter(g, frozenset(), (), ())
+    endo = EndoscopicDatum(g, (Fraction(1, 2), 0, Fraction(1, 2)))
+    assert len(_admissible(param, endo)) == 2
+    assert len(g.weyl.elements) == 6
+    for pname, ename in ECI_PAIRS:
+        other = presets.parameter(pname)
+        assert _admissible(other, presets.endoscopy(ename)) == \
+            frozenset(other.group.weyl.elements)
+    levis = g.standard_levi_subsets()
+    assert len(levis) == 2
+    for levi in levis:
+        assert indexing_bijection_check(param, levi, endo)["pass"]
+    rhos = enumerate_rhos(param, 1)
+    assert len(rhos) >= 2
+    for rho in rhos[:2]:
+        b = build_packet_member(param, rho).b
+        assert eci_both_sides(param, b, endo)["equal"]
+
+
 def test_formal_distribution_merging():
     d = FormalDistribution()
     t = Term("stable", (0,), ("x",), "s", Fraction(0), "1")
@@ -400,13 +426,32 @@ def test_formal_distribution_merging():
     assert len(d) == 0
 
 
+def test_formal_distribution_equality():
+    # equal exactly when the same terms carry equal coefficients, however
+    # the sums were built
+    s = Term("stable", (0,), ("x",), "s", Fraction(1, 2), "1")
+    t = Term("stable", (0,), ("x",), "s", Fraction(1, 2), "2")
+
+    def dist(*pairs):
+        d = FormalDistribution()
+        for term, c in pairs:
+            d.add(term, c)
+        return d
+    assert dist((s, 1), (t, 2)) == dist((t, 1), (s, 1), (t, 1))
+    assert dist((s, 1), (t, 2)) != dist((s, 1), (t, 3))
+    assert dist((s, 1)) != dist((s, 1), (t, 1))
+    assert dist((s, 1), (t, 1)) != dist((s, 1))
+    assert dist((s, 1), (t, 1), (t, -1)) == dist((s, 1))
+    assert dist() == FormalDistribution() and dist((s, 1)) != {s: 1}
+
+
 # ---------------------------------------------------------------------------
 # the per-(parameter, datum) memo against uncached computations
 
 ECI_PAIRS = (("gl2-triv", "gl2-s1"), ("gl2-triv", "gl2-sreg"),
              ("sl2-triv", "sl2-s1"), ("gl2x2-swap-triv", "gl2x2-swap-s1"),
              ("gl3-triv", "gl3-s1"), ("gl4-st2", "gl4-s1"),
-             ("gl4-st2", "gl4-splus"))
+             ("gl4-st2", "gl4-splus"), ("gl4-triv", "gl4-splus"))
 
 
 def _pair_levis(pname, ename):
@@ -715,7 +760,7 @@ ECI_HEIGHTS = {("gl2-triv", "gl2-s1"): 6, ("gl2-triv", "gl2-sreg"): 6,
                ("sl2-triv", "sl2-s1"): 5,
                ("gl2x2-swap-triv", "gl2x2-swap-s1"): 3,
                ("gl3-triv", "gl3-s1"): 3, ("gl4-st2", "gl4-s1"): 2,
-               ("gl4-st2", "gl4-splus"): 2}
+               ("gl4-st2", "gl4-splus"): 2, ("gl4-triv", "gl4-splus"): 2}
 
 
 def _weight_exponent_fraction(basis, q, weight):

@@ -1,7 +1,6 @@
 """The forward construction, fibers, round trips, independence of
 choices, and the central-character square."""
 
-import dataclasses
 import itertools
 import random
 from fractions import Fraction
@@ -45,7 +44,7 @@ from rk.packets import (
     transporter_double_cosets,
 )
 from rk.params import LeviCut, Parameter, ParameterError, _is_reflection
-from rk.weyl import chamber_locate, transporter_set
+from rk.weyl import ChamberWitness, chamber_locate, transporter_set
 
 from oracles import cut_disconnected_datum
 
@@ -756,8 +755,8 @@ def test_newton_check_fires_on_a_miss(monkeypatch):
 
     def moved(group, x):
         witness = chamber_locate(group, x)
-        return dataclasses.replace(
-            witness, image=tuple(c + 1 for c in witness.image))
+        return ChamberWitness(witness.word, witness.matrix, witness.levi,
+                              tuple(c + 1 for c in witness.image))
     monkeypatch.setattr(rk.packets, "chamber_locate", moved)
     with pytest.raises(AssertionError, match="Newton point disagrees"):
         build_packet_member(param, rho)
@@ -795,8 +794,8 @@ def test_memoized_forward_map_matches_the_reference(name, monkeypatch):
         rng.shuffle(order)
         for i in order:
             got = build_packet_member(param, rhos[i])
-            for f in dataclasses.fields(PacketMember):
-                assert getattr(got, f.name) == getattr(want[i], f.name)
+            for f in PacketMember._fields:
+                assert getattr(got, f) == getattr(want[i], f)
     weights = sorted({m.rho_weight for m in want})
     assert _member_weights(param) == weights
     assert counts == {"_certify_descent": 2 * len(rhos),

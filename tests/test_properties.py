@@ -6,12 +6,15 @@ kernel basis; of the finite-group core, whose products, inverses, Cayley
 rows, closures and subgroups on point permutations are checked against
 matrix products on random words in every preset's groups; and of `Cyclo`
 arithmetic, against the ring axioms, the rational solve it replaced and
-the Fraction-coefficient class it replaced.
+the Fraction-coefficient class it replaced; and of the value records
+built on `lattice.Value`, against frozen dataclasses with the same
+fields.
 
 The examples are derandomized and no example database is kept, so the
 suite is deterministic and writes nothing into the checkout.
 """
 
+import dataclasses
 import hashlib
 import tempfile
 from fractions import Fraction
@@ -27,9 +30,17 @@ from hypothesis.configuration import set_hypothesis_home_dir
 import rk.cyclotomic
 from rk import presets
 from rk.cyclotomic import Cyclo, cyclotomic_polynomial
-from rk.disconnected import classify_irr, stabilizer_A_lambda
-from rk.finite_reps import FiniteGroup, _det_mod, _nullspace_mod, _solve_mod
+from rk.disconnected import (HighestWeightPair, classify_irr,
+                             stabilizer_A_lambda)
+from rk.endoscopy import (EmbeddedDatum, Term, eci_both_sides,
+                          enumerate_embedded)
+from rk.finite_reps import (FiniteGroup, Module, _det_mod, _nullspace_mod,
+                            _solve_mod)
+from rk.kottwitz import BElement
 from rk.lattice import (
+    FgaElement,
+    IntegerMatrix,
+    LatticeAction,
     SmithSolver,
     _snf_raw,
     closure,
@@ -43,8 +54,12 @@ from rk.lattice import (
     mat_transpose,
     mat_vec,
     orbit,
+    smith_normal_form,
     solve_rational,
 )
+from rk.packets import PacketMember, build_packet_member, enumerate_rhos
+from rk.rootdata import BasedRootDatum, GaloisAction
+from rk.weyl import ChamberWitness, chamber_locate
 
 from oracles import (FractionCyclo, canonical_by_solve,
                      cyclotomic_polynomial_by_fractions)
@@ -735,3 +750,93 @@ def test_roots_of_unity_print_as_before():
     assert len(lines) == 2806
     digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
     assert digest == ROOTS_OF_UNITY_SHA256
+
+
+# ---------------------------------------------------------------------------
+# the value records against the frozen dataclasses they replaced
+
+VALUE_CLASSES = (IntegerMatrix, LatticeAction, FgaElement, BasedRootDatum,
+                 GaloisAction, ChamberWitness, BElement, PacketMember,
+                 HighestWeightPair, Module, EmbeddedDatum, Term)
+VALUE_PAIRS = (("gl2-triv", "gl2-s1"), ("gl4-st2", "gl4-splus"),
+               ("gl2x2-swap-triv", "gl2x2-swap-s1"))
+
+
+@lru_cache(maxsize=None)
+def value_pool():
+    """Instances of every value record, drawn from the presets, by class."""
+    pool = {}
+
+    def add(*records):
+        for r in records:
+            pool.setdefault(type(r), []).append(r)
+    for name in ("gl2", "sl2", "gl3", "sp4", "u3"):
+        group = presets.group(name)
+        galois = group.galois
+        add(group.datum, group.datum.dual(), galois, galois._action,
+            galois._action.dual())
+        for w in group.weyl.elements[:4]:
+            add(IntegerMatrix.from_rows(w), *smith_normal_form(
+                IntegerMatrix.from_rows(w[:-1] or w)))
+    for pname, ename in VALUE_PAIRS:
+        param, endo = presets.parameter(pname), presets.endoscopy(ename)
+        for rho in enumerate_rhos(param, 2)[:4]:
+            member = build_packet_member(param, rho)
+            add(rho, rho.module, member, member.b, member.b.kappa,
+                chamber_locate(param.group, param.ctx_M.alpha(rho.weight)))
+            result = eci_both_sides(param, member.b, endo)
+            for side in ("lhs", "rhs", "discarded_nonregular"):
+                add(*(term for term, _ in result[side].items()))
+            add(*enumerate_embedded(param, member.b.levi, endo))
+    return pool
+
+
+@lru_cache(maxsize=None)
+def dataclass_twin(cls, name=None):
+    return dataclasses.make_dataclass(name or cls.__name__, cls._fields,
+                                      frozen=True)
+
+
+@lru_cache(maxsize=None)
+def value_subclass(cls):
+    return type("Other", (cls,), {})
+
+
+def _hash_outcome(x):
+    try:
+        return hash(x)
+    except TypeError as err:
+        return str(err)
+
+
+def _message(action, *args):
+    with pytest.raises(AttributeError) as err:
+        action(*args)
+    return str(err.value)
+
+
+@pytest.mark.parametrize("cls", VALUE_CLASSES, ids=lambda c: c.__name__)
+@CORE
+@given(data=st.data())
+def test_value_records_behave_as_frozen_dataclasses(cls, data):
+    pool = value_pool()[cls]
+    assert len(pool) >= 2
+    a = data.draw(st.sampled_from(pool))
+    b = data.draw(st.sampled_from(pool))
+    if data.draw(st.booleans()):
+        b = cls(*(getattr(a, f) for f in cls._fields))   # equal, not same
+    twin, other = dataclass_twin(cls), dataclass_twin(cls, "Other")
+    ta, tb, oa, sa = (c(*(getattr(x, f) for f in cls._fields))
+                      for c, x in ((twin, a), (twin, b), (other, a),
+                                   (value_subclass(cls), a)))
+    assert repr(a) == repr(ta) and repr(b) == repr(tb)
+    assert (a == b, a != b, b == a) == (ta == tb, ta != tb, tb == ta)
+    # another class with equal fields compares unequal, both ways
+    assert (a == ta, a != ta, ta == a) == (a == sa, a != sa, sa == a) == \
+        (ta == oa, ta != oa, oa == ta) == (False, True, False)
+    assert _hash_outcome(a) == _hash_outcome(ta)
+    assert _hash_outcome(b) == _hash_outcome(tb)
+    for name in cls._fields + ("extra",):
+        assert _message(setattr, a, name, 0) == _message(setattr, ta, name, 0)
+        assert _message(delattr, a, name) == _message(delattr, ta, name)
+    assert repr(a) == repr(ta)   # the refused writes changed nothing

@@ -311,6 +311,8 @@ print(json.dumps({"code": code, "report": report,
 # the packet, endoscopy and disconnected-group layers and the file format
 BEYOND_WEYL = ("yaml", "rk.endoscopy", "rk.packets", "rk.params",
                "rk.disconnected", "rk.finite_reps", "rk.cyclotomic")
+# no command needs them: the records are `lattice.Value`s, not dataclasses
+COLD_ABSENT = ("dataclasses", "inspect")
 
 
 def _fresh_main(*argv):
@@ -330,12 +332,31 @@ def _fresh_main(*argv):
     (("irr", "--group", "o2", "--height", "1"), ("yaml", "rk.endoscopy")),
     (("packet", "--param", "gl2-triv", "--rho", "1,0", "--fiber"),
      ("yaml", "rk.endoscopy")),
-], ids=["examples", "weyl", "bset", "irr", "packet"])
+    (("eci", "--param", "gl4-st2", "--endo", "gl4-s1", "--rho", "1,0"),
+     ("yaml",)),
+], ids=["examples", "weyl", "bset", "irr", "packet", "eci"])
 def test_command_loads_only_what_it_runs(argv, absent):
     run = _fresh_main(*argv)
     assert run["code"] == 0
     assert "rk.cli" in run["modules"]
-    assert sorted(set(absent) & set(run["modules"])) == []
+    assert sorted(set(absent + COLD_ABSENT) & set(run["modules"])) == []
+
+
+def test_no_module_imports_dataclasses():
+    # the records derive from lattice.Value; importing dataclasses would
+    # bring inspect, ast and dis back onto every cold command
+    found = []
+    for module, tree in _module_trees().items():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            found += [(module, n) for n in names
+                      if n.split(".")[0] == "dataclasses"]
+    assert found == []
 
 
 def test_cyclotomic_loads_no_other_rk_module():
