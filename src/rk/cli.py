@@ -5,6 +5,9 @@ Every command emits a versioned JSON report (stdout by default, or
 code is 0 only when every internal assertion of the requested
 computation passed.  Reports are deterministic up to the timestamp
 field.
+
+Each handler imports the layers it runs, so a command loads only those:
+`rk examples` loads `rk.presets` alone.
 """
 
 from __future__ import annotations
@@ -17,15 +20,6 @@ import time
 from typing import Dict, Optional
 
 from . import presets
-from .files import (
-    resolve_disconnected,
-    resolve_endoscopy,
-    resolve_group,
-    resolve_parameter,
-)
-from .kottwitz import WallRejection, basic_plus_lift, classify, \
-    encode, kappa_push, newton
-from .weyl import double_coset_reps, geometric_lemma_index, transporter_set
 
 SCHEMA = "rk.report.v1"
 
@@ -108,6 +102,8 @@ def _word(group, m):
 
 
 def cmd_weyl(args) -> Dict:
+    from .files import resolve_group
+    from .weyl import double_coset_reps, geometric_lemma_index, transporter_set
     group = resolve_group(args.group)
     levi1 = _parse_levi(group, args.levi1, "--levi1")
     levi2 = levi1 if args.levi2 is None else \
@@ -131,10 +127,12 @@ def cmd_weyl(args) -> Dict:
 
 
 def cmd_bset(args) -> Dict:
+    from .files import resolve_group
+    from .kottwitz import basic_plus_lift, classify, decode, encode, \
+        kappa_push, newton
     group = resolve_group(args.group)
     if args.b:
         with open(args.b, "r", encoding="utf-8") as fh:
-            from .kottwitz import decode
             b = decode(group, json.load(fh))
     else:
         levi = _parse_levi(group, args.levi, "--levi")
@@ -166,6 +164,7 @@ def cmd_bset(args) -> Dict:
 
 def cmd_irr(args) -> Dict:
     from .disconnected import classify_irr
+    from .files import resolve_disconnected
     holder = resolve_disconnected(args.group)
     pairs = classify_irr(holder, args.height)
     out = []
@@ -178,6 +177,7 @@ def cmd_irr(args) -> Dict:
 
 
 def _member_report(param, member) -> Dict:
+    from .kottwitz import encode
     return {
         "b": encode(param.group, member.b),
         "levi": sorted(member.levi),
@@ -191,6 +191,7 @@ def _member_report(param, member) -> Dict:
 
 
 def cmd_packet(args) -> Dict:
+    from .files import resolve_parameter
     from .packets import (build_packet_member, enumerate_fiber,
                           enumerate_rhos, round_trip_check)
     param = resolve_parameter(args.param)
@@ -227,6 +228,8 @@ def _group_shape(group):
 
 def cmd_eci(args) -> Dict:
     from .endoscopy import eci_both_sides, indexing_bijection_check
+    from .files import resolve_endoscopy, resolve_parameter
+    from .kottwitz import decode, encode
     from .packets import build_packet_member
     param = resolve_parameter(args.param)
     endo = resolve_endoscopy(args.endo)
@@ -237,7 +240,6 @@ def cmd_eci(args) -> Dict:
                             endo.group.name))
     if args.b:
         with open(args.b, "r", encoding="utf-8") as fh:
-            from .kottwitz import decode
             b = decode(param.group, json.load(fh))
     elif args.rho or param.dim == 2:
         b = build_packet_member(param,
@@ -352,15 +354,17 @@ def main(argv=None) -> int:
     code = 0
     try:
         report = handlers[args.command](args)
-    except (WallRejection,) as exc:
+    except Exception as exc:  # deliberate: any failed assertion is exit != 0
+        # a WallRejection exists only once a handler has loaded rk.kottwitz
+        kottwitz = sys.modules.get("rk.kottwitz")
+        if kottwitz is None or not isinstance(exc, kottwitz.WallRejection):
+            print("error: %s" % exc, file=sys.stderr)
+            return 1
         report = {"command": args.command, "error": "rejection",
                   "detail": str(exc),
                   "facet": {"zero_walls": sorted(exc.zero_walls),
                             "negative_walls": sorted(exc.negative_walls)}}
         code = 2
-    except Exception as exc:  # deliberate: any failed assertion is exit != 0
-        print("error: %s" % exc, file=sys.stderr)
-        return 1
     try:
         _emit(report, args.out or None)
     except BrokenPipeError:

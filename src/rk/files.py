@@ -1,7 +1,8 @@
-"""Declarative description files (YAML key-value trees) and JSON reports.
+"""Declarative description files (YAML key-value trees): the loaders.
 
-Every loader has a matching serializer and the composition
-parse -> serialize -> parse is the identity on the data it carries.
+The matching writers, with which the tests check that parse -> serialize
+-> parse is the identity on the data each loader carries, live in
+`tests/oracles.py`, since no command writes a description file.
 Group references inside parameter and endoscopy files accept either a
 preset name or a path to a group file.
 
@@ -15,7 +16,7 @@ from __future__ import annotations
 import os
 from fractions import Fraction
 from functools import reduce
-from typing import TYPE_CHECKING, Dict, Optional
+from typing import TYPE_CHECKING, Dict
 
 from .lattice import mat, mat_identity, mat_mul
 from .rootdata import BasedRootDatum, GaloisAction, ReductiveGroup
@@ -43,15 +44,6 @@ def load_tree(path: str) -> Dict:
     return data
 
 
-def dump_tree(tree: Dict, path: Optional[str] = None) -> str:
-    import yaml
-    text = yaml.safe_dump(tree, sort_keys=True, default_flow_style=None)
-    if path:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    return text
-
-
 def _resolve(ref: str, preset: str, from_tree, unknown: str):
     """`presets.<preset>(ref)`, else the description file at path `ref`,
     else ValueError(unknown % ref)."""
@@ -74,17 +66,6 @@ def _datum_from_tree(tree: Dict) -> BasedRootDatum:
         str(tree.get("name", "")))
 
 
-def _datum_to_tree(kind: str, name: str, datum: BasedRootDatum) -> Dict:
-    return {
-        "kind": kind,
-        "name": name,
-        "rank": datum.rank,
-        "roots": [list(r) for r in datum.roots],
-        "coroots": [list(c) for c in datum.coroots],
-        "simple": list(datum.simple_indices),
-    }
-
-
 # ---------------------------------------------------------------------------
 # groups
 
@@ -95,14 +76,6 @@ def group_from_tree(tree: Dict) -> ReductiveGroup:
     galois = GaloisAction(datum, tuple(_as_matrix(g)
                                        for g in tree.get("galois") or ()))
     return ReductiveGroup(datum, galois, name=str(tree.get("name", "")))
-
-
-def group_to_tree(group: ReductiveGroup) -> Dict:
-    tree = _datum_to_tree("group", group.name, group.datum)
-    if not group.galois.is_trivial():
-        tree["galois"] = [[list(row) for row in g]
-                          for g in group.galois.char_generators]
-    return tree
 
 
 def resolve_group(ref: str) -> ReductiveGroup:
@@ -130,27 +103,6 @@ def parameter_from_tree(tree: Dict) -> Parameter:
         tempered=bool(tree.get("tempered", True)))
 
 
-def parameter_to_tree(param: Parameter, group_ref: str) -> Dict:
-    amb = []
-    pos = []
-    for r in param.roots:
-        for a in param.ambient_of_root[r]:
-            amb.append(list(a))
-            if r in set(param.positives):
-                pos.append(list(a))
-    return {
-        "kind": "parameter",
-        "group": group_ref,
-        "label": param.label,
-        "minimal_levi": sorted(param.minimal_levi),
-        "sphi_roots": amb,
-        "sphi_positive": pos,
-        "r_phi_words": [list(param.group.relative.word(r))
-                        for r in param.r_generators],
-        "tempered": param.tempered,
-    }
-
-
 def resolve_parameter(ref: str):
     return _resolve(ref, "parameter", parameter_from_tree,
                     "unknown parameter %r (not a preset, not a file)")
@@ -166,15 +118,6 @@ def endoscopy_from_tree(tree: Dict) -> EndoscopicDatum:
     group = resolve_group(str(tree["group"]))
     s = tuple(Fraction(str(x)) for x in tree["s"])
     return EndoscopicDatum(group, s, label=str(tree.get("label", "")))
-
-
-def endoscopy_to_tree(endo: EndoscopicDatum, group_ref: str) -> Dict:
-    return {
-        "kind": "endoscopy",
-        "group": group_ref,
-        "label": endo.label,
-        "s": [str(x) for x in endo.s],
-    }
 
 
 def resolve_endoscopy(ref: str):
@@ -204,19 +147,6 @@ def disconnected_from_tree(tree: Dict) -> DisconnectedGroupDatum:
                for wa, wb, expo in tree["cocycle"]}
     return DisconnectedGroupDatum(datum, gens, cocycle=cocycle,
                                   name=holder.name)
-
-
-def disconnected_to_tree(holder: DisconnectedGroupDatum) -> Dict:
-    tree = _datum_to_tree("disconnected", holder.name, holder.component)
-    gens = holder.declared_generators
-    tree["component_generators"] = [[list(row) for row in g] for g in gens]
-    if holder.cocycle:
-        # pi0's breadth-first words: pi0 is generated by `gens`, then the
-        # identity, so each is a shortest word in `gens`
-        word = holder.pi0.word
-        tree["cocycle"] = sorted([list(word(a)), list(word(b)), str(v)]
-                                 for (a, b), v in holder.cocycle.items())
-    return tree
 
 
 def resolve_disconnected(ref: str):

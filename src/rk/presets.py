@@ -6,16 +6,26 @@ new preset is one row.  Groups: gl1..gl6, sl2..sl4, pgl2, sp4, so4, so6
 (split, trivial Galois), gl2x2 / gl2x2-swap and u3 (quasi-split with an
 involution), and the norm-one torus pair res-quad-torus.  Parameter
 bundles reproduce the worked examples shipped with the command line tool.
+
+The tables hold literals and builders only: the root-datum and lattice
+layers are imported when a preset is built, so listing the names (`rk
+examples`) loads no other `rk` module.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import partial
-from typing import Tuple
+from typing import TYPE_CHECKING, Tuple
 
-from .lattice import dot, mat, orbit, vscale, vsub
-from .rootdata import BasedRootDatum, GaloisAction, ReductiveGroup
+if TYPE_CHECKING:
+    from .rootdata import BasedRootDatum, ReductiveGroup
+
+
+def _datum(*args) -> BasedRootDatum:
+    """`BasedRootDatum(*args)`, importing the root-datum layer on first use."""
+    from .rootdata import BasedRootDatum
+    return BasedRootDatum(*args)
 
 
 def _gl_datum(n: int) -> BasedRootDatum:
@@ -31,8 +41,7 @@ def _gl_datum(n: int) -> BasedRootDatum:
             coroots.append(v)
             if j == i + 1:
                 simple.append(len(roots) - 1)
-    return BasedRootDatum(n, tuple(roots), tuple(coroots), tuple(simple),
-                          "gl%d" % n)
+    return _datum(n, tuple(roots), tuple(coroots), tuple(simple), "gl%d" % n)
 
 
 def _sl_datum(n: int) -> BasedRootDatum:
@@ -49,6 +58,8 @@ def _sl_datum(n: int) -> BasedRootDatum:
 
 def _datum_from_simples(rank, simple_roots, simple_coroots, name) -> BasedRootDatum:
     """Close the simple roots under their reflections to build the full list."""
+    from .lattice import dot, orbit, vscale, vsub
+
     def reflect(i, pair):
         (r, c), sr, sc = pair, simple_roots[i], simple_coroots[i]
         return vsub(r, vscale(dot(r, sc), sr)), vsub(c, vscale(dot(sr, c), sc))
@@ -60,29 +71,31 @@ def _datum_from_simples(rank, simple_roots, simple_coroots, name) -> BasedRootDa
     roots = sorted(coroot)
     coroots = [coroot[r] for r in roots]
     simple = [roots.index(tuple(r)) for r in simple_roots]
-    return BasedRootDatum(rank, tuple(roots), tuple(coroots), tuple(simple), name)
+    return _datum(rank, tuple(roots), tuple(coroots), tuple(simple), name)
 
 
 def _torus(rank: int, name: str) -> BasedRootDatum:
-    return BasedRootDatum(rank, (), (), (), name)
+    return _datum(rank, (), (), (), name)
 
 
 def _gl2x2_datum() -> BasedRootDatum:
     roots = [(1, -1, 0, 0), (-1, 1, 0, 0), (0, 0, 1, -1), (0, 0, -1, 1)]
-    return BasedRootDatum(4, tuple(roots), tuple(roots), (0, 2), "gl2x2")
+    return _datum(4, tuple(roots), tuple(roots), (0, 2), "gl2x2")
 
 
-_SWAP4 = mat([[0, 0, 1, 0], [0, 0, 0, 1], [1, 0, 0, 0], [0, 1, 0, 0]])
-_U3_FLIP = mat([[0, 0, -1], [0, -1, 0], [-1, 0, 0]])
-_SWAP2 = mat([[0, 1], [1, 0]])
+# Galois and component generators, as the tuples of tuples `lattice.mat`
+# makes
+_SWAP4 = ((0, 0, 1, 0), (0, 0, 0, 1), (1, 0, 0, 0), (0, 1, 0, 0))
+_U3_FLIP = ((0, 0, -1), (0, -1, 0), (-1, 0, 0))
+_SWAP2 = ((0, 1), (1, 0))
 _SO6_SIMPLE = [(1, -1, 0), (0, 1, -1), (0, 1, 1)]
 
 # name -> (datum builder, Galois generators on characters)
 _GROUPS = {
     **{"gl%d" % n: (partial(_gl_datum, n), ()) for n in range(1, 7)},
     **{"sl%d" % n: (partial(_sl_datum, n), ()) for n in range(2, 5)},
-    "pgl2": (partial(BasedRootDatum, 1, ((1,), (-1,)), ((2,), (-2,)), (0,),
-                     "pgl2"), ()),
+    "pgl2": (partial(_datum, 1, ((1,), (-1,)), ((2,), (-2,)), (0,), "pgl2"),
+             ()),
     "sp4": (partial(_datum_from_simples, 2, [(1, -1), (0, 2)],
                     [(1, -1), (0, 1)], "sp4"), ()),
     "so4": (partial(_datum_from_simples, 2, [(1, -1), (1, 1)],
@@ -118,7 +131,7 @@ _ENDOS = {
 
 # name -> (identity-component datum builder, component generators)
 _DISCONNECTED = {
-    "o2": (partial(_torus, 1, "so2"), (mat([[-1]]),)),
+    "o2": (partial(_torus, 1, "so2"), (((-1,),),)),
     "gl1x1-swap": (partial(_torus, 2, "gl1x1"), (_SWAP2,)),
     "gl2-conn": (partial(_gl_datum, 2), ()),
     "sl2-conn": (partial(_sl_datum, 2), ()),
@@ -150,6 +163,7 @@ def _row(table, kind: str, name: str):
 def group(name: str) -> ReductiveGroup:
     """Build a preset group by name (see GROUP_NAMES)."""
     key, (build, galois) = _row(_GROUPS, "group", name)
+    from .rootdata import GaloisAction, ReductiveGroup
     datum = build()
     return ReductiveGroup(datum, GaloisAction(datum, galois), name=key)
 

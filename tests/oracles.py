@@ -17,15 +17,18 @@ right W_phi cosets as sets, indexing map, orbit traces, geometric-lemma
 step and Levi-token expansion, likewise on every call.  With them are the
 routines that only the tests call: the rational span test, the Levi data
 as one tuple, the full Weyl group of a disconnected group with its
-semidirect splitting, a Levi cut as a disconnected group, and the
-descent certificate of a highest-weight module.
+semidirect splitting, a Levi cut as a disconnected group, the
+descent certificate of a highest-weight module, and the description-file
+writers that the round-trip tests compare the loaders of `rk.files`
+with.  The group and disconnected-group preset tables as they were when
+every matrix was made by `lattice.mat` at import stand beside them.
 """
 
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
 from math import gcd
 from math import lcm as _lcm
-from typing import Optional
+from typing import Dict, Optional
 
 from rk.cyclotomic import (Cyclo, _reduce_mod_cyclotomic,
                            cyclotomic_polynomial, prime_factors)
@@ -37,12 +40,12 @@ from rk.endoscopy import (EndoscopyError, Term, _forward_table,
 from rk.finite_reps import FiniteGroup
 from rk.kottwitz import basic_plus_lift
 from rk.lattice import (dot, mat, mat_identity, mat_transpose, mat_vec,
-                        solve_rational, vneg, vsub)
+                        orbit, solve_rational, vneg, vscale, vsub)
 from rk.packets import (PacketMember, _canonical_double_coset,
                         _certify_descent, canonical_rho, dominantize)
 from rk.params import ParameterError, _is_reflection, _simple_positions
-from rk.rootdata import (BasedRootDatum, DatumError, reflection_matrix,
-                         weyl_group)
+from rk.rootdata import (BasedRootDatum, DatumError, GaloisAction,
+                         ReductiveGroup, reflection_matrix, weyl_group)
 from rk.weyl import chamber_locate, transporter_set
 
 
@@ -680,3 +683,179 @@ def natural_quotient_rep(datum, pair, kill_lattice_basis):
                 "descent certificate failed: weight does not kill the "
                 "derived-intersection sublattice")
     return {"weight": lam, "module": pair.module.label(), "descends": True}
+
+
+# ---------------------------------------------------------------------------
+# description-file writers: parse -> serialize -> parse is the identity on
+# the data each loader of `rk.files` carries
+
+def dump_tree(tree: Dict, path: Optional[str] = None) -> str:
+    import yaml
+    text = yaml.safe_dump(tree, sort_keys=True, default_flow_style=None)
+    if path:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    return text
+
+
+def _datum_to_tree(kind: str, name: str, datum: BasedRootDatum) -> Dict:
+    return {
+        "kind": kind,
+        "name": name,
+        "rank": datum.rank,
+        "roots": [list(r) for r in datum.roots],
+        "coroots": [list(c) for c in datum.coroots],
+        "simple": list(datum.simple_indices),
+    }
+
+
+def group_to_tree(group: ReductiveGroup) -> Dict:
+    tree = _datum_to_tree("group", group.name, group.datum)
+    if not group.galois.is_trivial():
+        tree["galois"] = [[list(row) for row in g]
+                          for g in group.galois.char_generators]
+    return tree
+
+
+def parameter_to_tree(param, group_ref: str) -> Dict:
+    amb = []
+    pos = []
+    for r in param.roots:
+        for a in param.ambient_of_root[r]:
+            amb.append(list(a))
+            if r in set(param.positives):
+                pos.append(list(a))
+    return {
+        "kind": "parameter",
+        "group": group_ref,
+        "label": param.label,
+        "minimal_levi": sorted(param.minimal_levi),
+        "sphi_roots": amb,
+        "sphi_positive": pos,
+        "r_phi_words": [list(param.group.relative.word(r))
+                        for r in param.r_generators],
+        "tempered": param.tempered,
+    }
+
+
+def endoscopy_to_tree(endo, group_ref: str) -> Dict:
+    return {
+        "kind": "endoscopy",
+        "group": group_ref,
+        "label": endo.label,
+        "s": [str(x) for x in endo.s],
+    }
+
+
+def disconnected_to_tree(holder: DisconnectedGroupDatum) -> Dict:
+    tree = _datum_to_tree("disconnected", holder.name, holder.component)
+    gens = holder.declared_generators
+    tree["component_generators"] = [[list(row) for row in g] for g in gens]
+    if holder.cocycle:
+        # pi0's breadth-first words: pi0 is generated by `gens`, then the
+        # identity, so each is a shortest word in `gens`
+        word = holder.pi0.word
+        tree["cocycle"] = sorted([list(word(a)), list(word(b)), str(v)]
+                                 for (a, b), v in holder.cocycle.items())
+    return tree
+
+
+# ---------------------------------------------------------------------------
+# the group and disconnected-group preset tables, built at import with
+# `lattice.mat` and `BasedRootDatum` itself
+
+def _preset_gl_datum(n: int) -> BasedRootDatum:
+    roots = []
+    coroots = []
+    simple = []
+    for i in range(n):
+        for j in range(n):
+            if i == j:
+                continue
+            v = tuple(1 if k == i else (-1 if k == j else 0) for k in range(n))
+            roots.append(v)
+            coroots.append(v)
+            if j == i + 1:
+                simple.append(len(roots) - 1)
+    return BasedRootDatum(n, tuple(roots), tuple(coroots), tuple(simple),
+                          "gl%d" % n)
+
+
+def _preset_sl_datum(n: int) -> BasedRootDatum:
+    rank = n - 1
+    cartan = [[2 if i == j else (-1 if abs(i - j) == 1 else 0)
+               for j in range(rank)] for i in range(rank)]
+    simple_roots = [tuple(row) for row in cartan]
+    simple_coroots = [tuple(1 if k == i else 0 for k in range(rank))
+                      for i in range(rank)]
+    return _preset_from_simples(rank, simple_roots, simple_coroots,
+                                "sl%d" % n)
+
+
+def _preset_from_simples(rank, simple_roots, simple_coroots, name):
+    def reflect(i, pair):
+        (r, c), sr, sc = pair, simple_roots[i], simple_coroots[i]
+        return vsub(r, vscale(dot(r, sc), sr)), vsub(c, vscale(dot(sr, c), sc))
+
+    coroot = dict(orbit(
+        zip(map(tuple, simple_roots), map(tuple, simple_coroots)),
+        [partial(reflect, i) for i in range(len(simple_roots))]).keys())
+    roots = sorted(coroot)
+    coroots = [coroot[r] for r in roots]
+    simple = [roots.index(tuple(r)) for r in simple_roots]
+    return BasedRootDatum(rank, tuple(roots), tuple(coroots), tuple(simple),
+                          name)
+
+
+def _preset_torus(rank: int, name: str) -> BasedRootDatum:
+    return BasedRootDatum(rank, (), (), (), name)
+
+
+def _preset_gl2x2_datum() -> BasedRootDatum:
+    roots = [(1, -1, 0, 0), (-1, 1, 0, 0), (0, 0, 1, -1), (0, 0, -1, 1)]
+    return BasedRootDatum(4, tuple(roots), tuple(roots), (0, 2), "gl2x2")
+
+
+_SWAP4 = mat([[0, 0, 1, 0], [0, 0, 0, 1], [1, 0, 0, 0], [0, 1, 0, 0]])
+_U3_FLIP = mat([[0, 0, -1], [0, -1, 0], [-1, 0, 0]])
+_SWAP2 = mat([[0, 1], [1, 0]])
+_SO6_SIMPLE = [(1, -1, 0), (0, 1, -1), (0, 1, 1)]
+
+# name -> (datum builder, Galois generators on characters)
+PRESET_GROUPS = {
+    **{"gl%d" % n: (partial(_preset_gl_datum, n), ()) for n in range(1, 7)},
+    **{"sl%d" % n: (partial(_preset_sl_datum, n), ()) for n in range(2, 5)},
+    "pgl2": (partial(BasedRootDatum, 1, ((1,), (-1,)), ((2,), (-2,)), (0,),
+                     "pgl2"), ()),
+    "sp4": (partial(_preset_from_simples, 2, [(1, -1), (0, 2)],
+                    [(1, -1), (0, 1)], "sp4"), ()),
+    "so4": (partial(_preset_from_simples, 2, [(1, -1), (1, 1)],
+                    [(1, -1), (1, 1)], "so4"), ()),
+    "so6": (partial(_preset_from_simples, 3, _SO6_SIMPLE, _SO6_SIMPLE,
+                    "so6"), ()),
+    "gl2x2": (_preset_gl2x2_datum, ()),
+    "gl2x2-swap": (_preset_gl2x2_datum, (_SWAP4,)),
+    "u3": (partial(_preset_gl_datum, 3), (_U3_FLIP,)),
+    "res-quad-torus": (partial(_preset_torus, 2, "res-quad-torus"),
+                       (_SWAP2,)),
+}
+
+# name -> (identity-component datum builder, component generators)
+PRESET_DISCONNECTED = {
+    "o2": (partial(_preset_torus, 1, "so2"), (mat([[-1]]),)),
+    "gl1x1-swap": (partial(_preset_torus, 2, "gl1x1"), (_SWAP2,)),
+    "gl2-conn": (partial(_preset_gl_datum, 2), ()),
+    "sl2-conn": (partial(_preset_sl_datum, 2), ()),
+    "sl3-conn": (partial(_preset_sl_datum, 3), ()),
+}
+
+
+def preset_group_by_table(name: str) -> ReductiveGroup:
+    build, galois = PRESET_GROUPS[name]
+    datum = build()
+    return ReductiveGroup(datum, GaloisAction(datum, galois), name=name)
+
+
+def preset_disconnected_by_table(name: str) -> DisconnectedGroupDatum:
+    build, gens = PRESET_DISCONNECTED[name]
+    return DisconnectedGroupDatum(build(), gens, name=name)

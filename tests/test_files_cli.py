@@ -12,17 +12,20 @@ import pytest
 from rk import presets
 from rk.files import (
     disconnected_from_tree,
-    disconnected_to_tree,
-    dump_tree,
     endoscopy_from_tree,
-    endoscopy_to_tree,
     group_from_tree,
-    group_to_tree,
     load_tree,
     parameter_from_tree,
-    parameter_to_tree,
 )
 from rk.lattice import mat
+
+from oracles import (
+    disconnected_to_tree,
+    dump_tree,
+    endoscopy_to_tree,
+    group_to_tree,
+    parameter_to_tree,
+)
 
 
 @pytest.mark.parametrize("name", ["gl2", "gl4", "sl3", "sp4",

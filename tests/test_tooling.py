@@ -3,10 +3,13 @@ kind of object the tracer knows how to wrap, so a change that deletes,
 renames or re-kinds one fails here and not only in traced benchmark
 runs.  Every name an `rk` module imports is used, every per-object
 memo goes through `lattice.cached`, and every key kind is listed in its
-owner's key table.  Each command loads only the modules it runs, and the
-cyclotomic layer loads no other `rk` module.  The preset registry lists, resolves and rejects the same names,
-and every preset resolves like its dumped description file.  One pass of
-each warm benchmark workload reproduces the reference digests."""
+owner's key table.  Each command loads only the modules it runs, the
+command line imports its layers in its handlers, and the cyclotomic
+layer and the preset tables load no other `rk` module.  The preset
+registry lists, resolves and rejects the same names, builds the groups
+of its earlier table, and every preset resolves like its dumped
+description file.  One pass of each warm benchmark workload reproduces
+the reference digests."""
 
 import ast
 import importlib
@@ -311,6 +314,9 @@ print(json.dumps({"code": code, "report": report,
 # the packet, endoscopy and disconnected-group layers and the file format
 BEYOND_WEYL = ("yaml", "rk.endoscopy", "rk.packets", "rk.params",
                "rk.disconnected", "rk.finite_reps", "rk.cyclotomic")
+# what a group is built from, and the layers of `weyl` and `bset`
+GROUP_LAYERS = ("rk.lattice", "rk.rootdata", "rk.files", "rk.weyl",
+                "rk.kottwitz")
 # no command needs them: the records are `lattice.Value`s, not dataclasses
 COLD_ABSENT = ("dataclasses", "inspect")
 
@@ -324,12 +330,13 @@ def _fresh_main(*argv):
 
 
 @pytest.mark.parametrize("argv,absent", [
-    (("examples",), BEYOND_WEYL),
+    (("examples",), BEYOND_WEYL + GROUP_LAYERS),
     (("weyl", "--group", "gl4", "--levi1", "0,2", "--kind", "geometric"),
-     BEYOND_WEYL),
+     BEYOND_WEYL + ("rk.kottwitz",)),
     (("bset", "--group", "gl2", "--levi", "", "--kappa", "1,0"),
-     BEYOND_WEYL),
-    (("irr", "--group", "o2", "--height", "1"), ("yaml", "rk.endoscopy")),
+     BEYOND_WEYL + ("rk.weyl",)),
+    (("irr", "--group", "o2", "--height", "1"),
+     ("yaml", "rk.endoscopy", "rk.weyl", "rk.kottwitz")),
     (("packet", "--param", "gl2-triv", "--rho", "1,0", "--fiber"),
      ("yaml", "rk.endoscopy")),
     (("eci", "--param", "gl4-st2", "--endo", "gl4-s1", "--rho", "1,0"),
@@ -359,16 +366,53 @@ def test_no_module_imports_dataclasses():
     assert found == []
 
 
-def test_cyclotomic_loads_no_other_rk_module():
-    # the cyclotomic layer stands alone: no linear algebra underneath it
+def _rk_modules_loaded_by(module):
+    """The `rk` modules a fresh interpreter holds after `import module`."""
     proc = subprocess.run(
         [sys.executable, "-c",
-         "import sys; sys.path.insert(0, sys.argv[1]); import rk.cyclotomic; "
+         "import importlib, sys; sys.path.insert(0, sys.argv[1]); "
+         "importlib.import_module(sys.argv[2]); "
          "print(' '.join(sorted(m for m in sys.modules "
-         "if m == 'rk' or m.startswith('rk.'))))", str(ROOT / "src")],
+         "if m == 'rk' or m.startswith('rk.'))))", str(ROOT / "src"), module],
         capture_output=True, text=True, timeout=600)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == ["rk", "rk.cyclotomic"]
+    return proc.stdout.split()
+
+
+def test_cyclotomic_loads_no_other_rk_module():
+    # the cyclotomic layer stands alone: no linear algebra underneath it
+    assert _rk_modules_loaded_by("rk.cyclotomic") == ["rk", "rk.cyclotomic"]
+
+
+def test_presets_loads_no_other_rk_module():
+    # the preset tables are literals and builders; building a preset loads
+    # the root-datum layer, listing the names does not
+    assert _rk_modules_loaded_by("rk.presets") == ["rk", "rk.presets"]
+
+
+def _module_level_rk_imports(tree):
+    """The `rk` modules a module imports outside its function bodies."""
+    found, todo = set(), list(tree.body)
+    while todo:
+        node = todo.pop()
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        if isinstance(node, ast.Import):
+            found.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            found.add(node.module)
+        elif isinstance(node, ast.ImportFrom):   # relative, inside `rk`
+            found.update(["rk." + node.module] if node.module else
+                         ["rk." + alias.name for alias in node.names])
+        todo.extend(ast.iter_child_nodes(node))
+    return {name for name in found if name.split(".")[0] == "rk"}
+
+
+def test_cli_imports_only_presets_at_module_level():
+    # every other layer is imported by the handler that runs it, so the
+    # command line loads only what the chosen command needs
+    assert _module_level_rk_imports(_module_trees()["cli.py"]) == \
+        {"rk.presets"}
 
 
 @pytest.mark.parametrize("kind,name,argv", [
@@ -379,14 +423,15 @@ def test_cyclotomic_loads_no_other_rk_module():
 ])
 def test_description_file_resolves_like_its_preset(kind, name, argv,
                                                    tmp_path):
-    from rk import files, presets
+    from oracles import dump_tree, group_to_tree, parameter_to_tree
+    from rk import presets
     if kind == "group":
-        tree = files.group_to_tree(presets.group(name))
+        tree = group_to_tree(presets.group(name))
     else:
         param = presets.parameter(name)
-        tree = files.parameter_to_tree(param, param.group.name)
+        tree = parameter_to_tree(param, param.group.name)
     path = tmp_path / (name + ".yaml")
-    files.dump_tree(tree, str(path))
+    dump_tree(tree, str(path))
     from_file = _fresh_main(*argv, str(path))
     from_preset = _fresh_main(*argv, name)
     assert "yaml" in from_file["modules"]
@@ -412,8 +457,8 @@ PRESETS = {
 
 
 def _to_tree(kind, obj):
-    from rk import files
-    to_tree = getattr(files, kind + "_to_tree")
+    import oracles
+    to_tree = getattr(oracles, kind + "_to_tree")
     if kind in ("parameter", "endoscopy"):
         return to_tree(obj, obj.group.name)
     return to_tree(obj)
@@ -431,17 +476,43 @@ def test_examples_lists_every_preset_in_order(capsys):
                       "disconnected": list(PRESETS["disconnected"])}
 
 
+@pytest.mark.parametrize("name", PRESETS["group"])
+def test_group_preset_matches_its_earlier_table(name):
+    # the literal matrices and the builders that import the root-datum
+    # layer on first use give the groups of the table built at import
+    from oracles import PRESET_GROUPS, preset_group_by_table
+    from rk import presets
+    assert tuple(PRESET_GROUPS) == presets.GROUP_NAMES
+    built, expected = presets.group(name), preset_group_by_table(name)
+    assert built.datum == expected.datum
+    assert built.galois.char_generators == expected.galois.char_generators
+    assert built.name == expected.name == name
+
+
+@pytest.mark.parametrize("name", PRESETS["disconnected"])
+def test_disconnected_preset_matches_its_earlier_table(name):
+    from oracles import PRESET_DISCONNECTED, preset_disconnected_by_table
+    from rk import presets
+    assert tuple(PRESET_DISCONNECTED) == presets.DISCONNECTED_NAMES
+    built, expected = presets.disconnected(name), \
+        preset_disconnected_by_table(name)
+    assert built.component == expected.component
+    assert built.declared_generators == expected.declared_generators
+    assert built.name == expected.name == name
+
+
 @pytest.mark.parametrize("kind,name", [
     (kind, name) for kind, names in PRESETS.items() for name in names])
 def test_preset_resolves_like_its_description_file(kind, name, tmp_path):
     # in process: the preset, the same name through `rk.files`, and a
     # description file dumped from the preset give the same tree
+    from oracles import dump_tree
     from rk import files, presets
     resolve = getattr(files, "resolve_" + kind)
     tree = _to_tree(kind, getattr(presets, kind)(name))
     assert _to_tree(kind, resolve(name)) == tree
     path = tmp_path / (name + ".yaml")
-    files.dump_tree(tree, str(path))
+    dump_tree(tree, str(path))
     assert _to_tree(kind, resolve(str(path))) == tree
 
 
