@@ -15,6 +15,7 @@ and coset-averaged trace pairings with exact cyclotomic values.
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import attrgetter
 from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from .cyclotomic import Cyclo
@@ -351,6 +352,13 @@ class Term(Value):
         object.__setattr__(self, "s_tag", s_tag)
         object.__setattr__(self, "delta_twist", delta_twist)
         object.__setattr__(self, "sign_token", sign_token)
+
+    _hashed = attrgetter("kind", "levi", "param_tag", "s_tag", "sign_token")
+
+    def __hash__(self):
+        # delta_twist is a constant per kind, and a Fraction hashes in
+        # Python code; equality still compares all six fields
+        return hash(self._hashed(self))
 
 
 class FormalDistribution:

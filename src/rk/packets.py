@@ -26,6 +26,7 @@ from .lattice import (
     mat_vec,
 )
 from .params import Parameter
+from .rootdata import ScaledPoint
 from .weyl import chamber_locate, transporter_set
 
 
@@ -105,7 +106,14 @@ def build_packet_member(param: Parameter, rho: HighestWeightPair) -> PacketMembe
         ctx_L = group.levi_context(levi)
         kappa = ctx_L.kappa_from_functional(functional)
         b = basic_plus_lift(group, levi, kappa)
-        if ctx_L.newton_point(kappa) != witness.image:
+        # the Newton point nu / e against the image num / den, both over
+        # positive denominators: equal exactly when num.e == nu.den
+        nu, e = ctx_L.newton_scaled(kappa)
+        image = witness.image
+        den, num = (image.scale, image.numerators) \
+            if isinstance(image, ScaledPoint) else group.integer_point(image)
+        if len(num) != len(nu) or \
+                any(x * e != y * den for x, y in zip(num, nu)):
             raise AssertionError("Newton point disagrees with the chamber "
                                  "image")
         w_class = _canonical_double_coset(param, levi, w)

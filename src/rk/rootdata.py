@@ -446,6 +446,21 @@ class LeviContext:
         return self._root_indices
 
 
+class ScaledPoint(tuple):
+    """A rational point carrying the integer chamber kernel of the group
+    that made it.
+
+    The tuple holds the point's Fractions, so it compares, hashes, prints
+    and JSON-encodes as the plain tuple.  For some scale d > 0,
+    `numerators` is the integer point d.x and `pairings` the table
+    <root_i, d.x> over every root of `group`'s datum; a tuple subclass
+    takes no slots, so the three live in the instance dict.
+    `weyl.chamber_locate` returns its image as one, and `group` reads the
+    table back (`pairing_table`, `simple_pairing`) instead of rebuilding
+    it; any other group recomputes.
+    """
+
+
 class ReductiveGroup:
     """A based root datum bundled with a Galois action and derived machinery."""
 
@@ -599,10 +614,21 @@ class ReductiveGroup:
         d = lcm(*(v.denominator for v in x))
         return d, tuple(v.numerator * (d // v.denominator) for v in x)
 
+    def _carries(self, x: Sequence) -> bool:
+        """Whether x is a ScaledPoint of this group: another group's table
+        pairs x with other roots."""
+        return isinstance(x, ScaledPoint) and x.group is self
+
     def simple_pairing(self, x: Sequence) -> Tuple:
         """<alpha_i, x> for each simple position (constant on Galois orbits
         when x is a relative point): ints for an integer point, Fractions
         otherwise, read from the integer pairings of d.x."""
+        if self._carries(x):
+            # the carried table is scaled by the ascent's d, not by the lcm
+            # d' of x's denominators (d' divides d): Fraction(p, d) is the
+            # exact pairing all the same
+            d, p = x.scale, x.pairings
+            return tuple(Fraction(p[i], d) for i in self.datum.simple_indices)
         d, xi = self.integer_point(x)
         pairings = mat_vec(self.datum.simple_roots, xi)
         if all(isinstance(v, int) for v in x):
@@ -612,6 +638,15 @@ class ReductiveGroup:
     def root_pairings(self, xi: Vector) -> Vector:
         """<root_i, xi> for every root i of the datum."""
         return mat_vec(self.datum.roots, xi)
+
+    def pairing_table(self, x: Sequence) -> Vector:
+        """<root_i, d.x> for every root i, for some d > 0: the table a
+        ScaledPoint of this group carries, else computed with d the lcm of
+        x's denominators.  Signs, zeros and equalities between entries do
+        not depend on d."""
+        if self._carries(x):
+            return x.pairings
+        return self.root_pairings(self.integer_point(x)[1])
 
     def scaled_simple_pairing(self, x: Sequence) -> Vector:
         """simple_pairing(x) scaled by integer_point's d: the same signs and

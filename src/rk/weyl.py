@@ -19,7 +19,7 @@ from .lattice import (
     mat_mul,  # noqa: F401 -- perfbench's self-test reads rk.weyl.mat_mul
     mat_vec,
 )
-from .rootdata import ReductiveGroup
+from .rootdata import ReductiveGroup, ScaledPoint
 
 
 class ChamberWitness(Value):
@@ -44,7 +44,8 @@ def chamber_locate(group: ReductiveGroup, x: Sequence) -> ChamberWitness:
     The ascent runs on the group's integer ascent table: reflecting by r
     permutes the root-pairing table, since <a, r.x> = <r^-1 a, x>, and
     composes the running root permutation with r's; the element is looked
-    up and the image formed once at the end.
+    up and the image formed once at the end, as a ScaledPoint that keeps
+    d, d.image and the final table for `stabilizer` and `simple_pairing`.
     """
     d, xi = group.integer_point(x)
     if not group.is_relative_point(xi):
@@ -64,8 +65,11 @@ def chamber_locate(group: ReductiveGroup, x: Sequence) -> ChamberWitness:
     rel = group.relative
     matrix = rel._by_perm[tuple(run)]
     levi = group.facet_of_pairings([p[i] for i in group.datum.simple_indices])
-    image = tuple(Fraction(v, d)
-                  for v in mat_vec(rel.contragredient[matrix], xi))
+    numerators = mat_vec(rel.contragredient[matrix], xi)
+    image = ScaledPoint(Fraction(v, d) for v in numerators)
+    # p is now the root-pairing table of d.image
+    image.group, image.scale, image.numerators, image.pairings = \
+        group, d, numerators, tuple(p)
     return ChamberWitness(rel.word(matrix), matrix, levi, image)
 
 
@@ -144,9 +148,12 @@ def stabilizer(group: ReductiveGroup, x: Sequence):
     dominant, else None)."""
     # w.x - x lies in the coroot span, where the simple roots pair
     # non-degenerately: w fixes x iff <w(a), x> = <a, x> for every simple a;
-    # the integer kernel's table holds those pairings scaled by d > 0, and
-    # the group's stabilizer table reads them off for every element of W^rel
-    p = group.root_pairings(group.integer_point(x)[1])
+    # the integer kernel's table holds those pairings scaled by some d > 0
+    # (a chamber image carries the ascent's d, a multiple of the lcm of its
+    # denominators); a positive factor keeps every equality, sign and zero,
+    # so the test and the facet Levi do not depend on d.  The group's
+    # stabilizer table reads the pairings off for every element of W^rel
+    p = group.pairing_table(x)
     at_simple, table = group.stabilizer_table
     fixed = at_simple(p)
     elems = tuple(m for m, at in table if at(p) == fixed)

@@ -1,0 +1,116 @@
+"""Committed mutation checks: source edits that named tests must catch.
+
+    python tests/mutations.py              # every entry
+    python tests/mutations.py NAME ...     # the named entries only
+
+Each entry of MUTATIONS names one edit of a source file (its `old` text
+must occur exactly once) and the tests that are meant to catch it.  For
+each entry the script copies the checkout's `src` and `tests` into a
+temporary directory, runs those tests there unchanged (they must pass,
+or the check proves nothing), applies the edit and runs them again: the
+mutant is caught when at least one of them fails.  The script prints one
+line per entry and exits 1 when a mutant survives, an edit does not
+apply or a test fails before the edit; else 0.
+
+pytest does not collect this file (its name does not match `test_*.py`),
+so the tier-1 suite does not run it.
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+from typing import NamedTuple, Tuple
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+class Mutation(NamedTuple):
+    name: str
+    path: str                 # relative to the checkout
+    old: str
+    new: str
+    tests: Tuple[str, ...]    # pytest node ids, relative to the checkout
+    why: str
+
+
+MUTATIONS = (
+    Mutation(
+        "carried-table-of-any-group", "src/rk/rootdata.py",
+        "return isinstance(x, ScaledPoint) and x.group is self",
+        "return isinstance(x, ScaledPoint)",
+        ("tests/test_weyl.py::test_chamber_image_of_another_group_is_recomputed",),
+        "a chamber image read as if every group had made it: another "
+        "group's stabilizer indexes past its table or reads other roots"),
+    Mutation(
+        "simple-pairing-drops-the-scale", "src/rk/rootdata.py",
+        "Fraction(p[i], d) for i in self.datum.simple_indices",
+        "Fraction(p[i], 1) for i in self.datum.simple_indices",
+        ("tests/test_properties.py::"
+         "test_chamber_image_answers_like_the_plain_tuple",),
+        "the carried simple pairings returned d times too large"),
+    Mutation(
+        "backward-table-swaps-the-levi-groups", "src/rk/endoscopy.py",
+        "double_coset(wl, index[u], wh)",
+        "double_coset(wh, index[u], wl)",
+        ("tests/test_endoscopy.py::test_indexing_backward_matches_vector_scan",),
+        "the backward indexing table built from W_H . u . W_L instead of "
+        "W_L . u . W_H"),
+)
+
+
+def _copy_checkout(dest: Path) -> None:
+    ignore = shutil.ignore_patterns("__pycache__", "*.pyc", ".pytest_cache")
+    for part in ("src", "tests"):
+        shutil.copytree(ROOT / part, dest / part, ignore=ignore)
+    shutil.copy2(ROOT / "pyproject.toml", dest / "pyproject.toml")
+
+
+def _tests_pass(tree: Path, tests: Tuple[str, ...]) -> bool:
+    env = dict(os.environ, PYTHONPATH=str(tree / "src"),
+               PYTHONDONTWRITEBYTECODE="1")
+    proc = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider",
+         *tests], cwd=tree, env=env, capture_output=True, text=True)
+    return proc.returncode == 0
+
+
+def check(mutation: Mutation) -> str:
+    """'caught', 'SURVIVED', or the reason the check could not run."""
+    with tempfile.TemporaryDirectory(prefix="rk-mutant-") as tmp:
+        tree = Path(tmp)
+        _copy_checkout(tree)
+        if not _tests_pass(tree, mutation.tests):
+            return "NOT RUN: the tests fail before the edit"
+        target = tree / mutation.path
+        text = target.read_text(encoding="utf-8")
+        if text.count(mutation.old) != 1:
+            return "NOT RUN: the old text occurs %d times in %s" % (
+                text.count(mutation.old), mutation.path)
+        target.write_text(text.replace(mutation.old, mutation.new),
+                          encoding="utf-8")
+        return "SURVIVED" if _tests_pass(tree, mutation.tests) else "caught"
+
+
+def main(argv) -> int:
+    chosen = [m for m in MUTATIONS if not argv or m.name in argv]
+    unknown = sorted(set(argv) - {m.name for m in MUTATIONS})
+    if unknown:
+        print("unknown mutation: %s" % ", ".join(unknown), file=sys.stderr)
+        return 2
+    bad = 0
+    for m in chosen:
+        outcome = check(m)
+        bad += outcome != "caught"
+        print("%-40s %s" % (m.name, outcome))
+        if outcome != "caught":
+            print("    %s; tests: %s" % (m.why, " ".join(m.tests)))
+    return 1 if bad else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

@@ -445,6 +445,25 @@ def test_formal_distribution_equality():
     assert dist() == FormalDistribution() and dist((s, 1)) != {s: 1}
 
 
+def test_terms_differing_only_in_delta_twist_stay_apart():
+    # a Term hashes without delta_twist (a constant per kind), so two terms
+    # that differ only there collide in the hash and are told apart by
+    # equality alone
+    s = Term("member", (0,), ("x",), "s", Fraction(1, 2), "1")
+    t = Term("member", (0,), ("x",), "s", Fraction(0), "1")
+    assert hash(s) == hash(t) and s != t
+    d = FormalDistribution()
+    d.add(s, 1)
+    d.add(t, 2)
+    d.add(s, 3)
+    assert len(d) == 2
+    assert [(term.delta_twist, c) for term, c in d.items()] == \
+        [(Fraction(0), Cyclo.from_rational(2)),
+         (Fraction(1, 2), Cyclo.from_rational(4))]
+    d.add(t, -2)
+    assert [term for term, _ in d.items()] == [s]
+
+
 # ---------------------------------------------------------------------------
 # the per-(parameter, datum) memo against uncached computations
 

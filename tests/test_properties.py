@@ -6,9 +6,10 @@ kernel basis; of the finite-group core, whose products, inverses, Cayley
 rows, closures and subgroups on point permutations are checked against
 matrix products on random words in every preset's groups; and of `Cyclo`
 arithmetic, against the ring axioms, the rational solve it replaced and
-the Fraction-coefficient class it replaced; and of the value records
-built on `lattice.Value`, against frozen dataclasses with the same
-fields.
+the Fraction-coefficient class it replaced; of the chamber images that
+carry their root-pairing table, against the plain tuple, which takes the
+recompute path; and of the value records built on `lattice.Value`,
+against frozen dataclasses with the same fields.
 
 The examples are derandomized and no example database is kept, so the
 suite is deterministic and writes nothing into the checkout.
@@ -16,6 +17,7 @@ suite is deterministic and writes nothing into the checkout.
 
 import dataclasses
 import hashlib
+import json
 import tempfile
 from fractions import Fraction
 from functools import lru_cache, partial
@@ -58,8 +60,8 @@ from rk.lattice import (
     solve_rational,
 )
 from rk.packets import PacketMember, build_packet_member, enumerate_rhos
-from rk.rootdata import BasedRootDatum, GaloisAction
-from rk.weyl import ChamberWitness, chamber_locate
+from rk.rootdata import BasedRootDatum, GaloisAction, ScaledPoint
+from rk.weyl import ChamberWitness, chamber_locate, stabilizer
 
 from oracles import (FractionCyclo, canonical_by_solve,
                      cyclotomic_polynomial_by_fractions)
@@ -753,6 +755,50 @@ def test_roots_of_unity_print_as_before():
 
 
 # ---------------------------------------------------------------------------
+# chamber images that carry their root-pairing table, against plain tuples
+
+@st.composite
+def relative_points(draw, group):
+    """Small rational combinations of the Galois-fixed cocharacters, so
+    that points on walls (nontrivial stabilizers) are frequent."""
+    x = tuple(Fraction(0) for _ in range(group.datum.rank))
+    for y in group.fixed_cochar_basis:
+        c = Fraction(draw(st.integers(-6, 6)), draw(st.integers(1, 4)))
+        x = tuple(p + c * v for p, v in zip(x, y))
+    return x
+
+
+def _typed(values):
+    return [(v, type(v)) for v in values]
+
+
+@pytest.mark.parametrize("name", presets.GROUP_NAMES)
+@CORE
+@given(data=st.data())
+def test_chamber_image_answers_like_the_plain_tuple(name, data):
+    # the plain tuple of the same Fractions takes the recompute path
+    g = presets.group(name)
+    witness = chamber_locate(g, data.draw(relative_points(g)))
+    image, plain = witness.image, tuple(witness.image)
+    assert type(image) is ScaledPoint and image.group is g
+    assert image == plain and plain == image and hash(image) == hash(plain)
+    assert repr(image) == repr(plain)
+    assert json.dumps(image, default=str) == json.dumps(plain, default=str)
+    elems, levi = stabilizer(g, image)
+    assert (elems, levi) == stabilizer(g, plain)
+    assert levi == witness.levi
+    assert _typed(g.simple_pairing(image)) == _typed(g.simple_pairing(plain))
+    # the carried kernel is the recomputed one times d / d' for the lcm d'
+    # of the image's denominators, which divides the ascent's d
+    d, xi = g.integer_point(image)
+    k, rest = divmod(image.scale, d)
+    assert k > 0 and rest == 0
+    assert image.numerators == tuple(k * v for v in xi)
+    assert tuple(image.pairings) == \
+        tuple(k * v for v in g.root_pairings(xi))
+
+
+# ---------------------------------------------------------------------------
 # the value records against the frozen dataclasses they replaced
 
 VALUE_CLASSES = (IntegerMatrix, LatticeAction, FgaElement, BasedRootDatum,
@@ -791,10 +837,18 @@ def value_pool():
     return pool
 
 
+# fields a record leaves out of its hash, as `field(hash=False)` does:
+# Term's delta_twist is a constant per kind
+UNHASHED = {Term: ("delta_twist",)}
+
+
 @lru_cache(maxsize=None)
 def dataclass_twin(cls, name=None):
-    return dataclasses.make_dataclass(name or cls.__name__, cls._fields,
-                                      frozen=True)
+    skip = UNHASHED.get(cls, ())
+    return dataclasses.make_dataclass(
+        name or cls.__name__,
+        [(f, object, dataclasses.field(hash=False)) if f in skip else f
+         for f in cls._fields], frozen=True)
 
 
 @lru_cache(maxsize=None)

@@ -18,6 +18,7 @@ import json
 import re
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 from types import FunctionType
 
@@ -620,3 +621,41 @@ def test_cold_weyl_command_builds_no_element_ids(monkeypatch, capsys):
     assert max(len(w) for w in made) == 720
     for w in made:
         assert "index" not in vars(w) and "row" not in vars(w)
+
+
+def test_chamber_image_is_paired_with_the_roots_once(monkeypatch):
+    # chamber_locate ends holding the root-pairing table of its image, and
+    # stabilizer and simple_pairing read it from the image; a plain tuple
+    # of the same Fractions takes the recompute path
+    from rk import presets, weyl
+    from rk.rootdata import ReductiveGroup
+    calls = {"integer_point": 0, "root_pairings": 0}
+    integer_point = ReductiveGroup.integer_point
+    root_pairings = ReductiveGroup.root_pairings
+
+    def counted_integer_point(x):
+        calls["integer_point"] += 1
+        return integer_point(x)
+
+    def counted_root_pairings(self, xi):
+        calls["root_pairings"] += 1
+        return root_pairings(self, xi)
+
+    monkeypatch.setattr(ReductiveGroup, "integer_point",
+                        staticmethod(counted_integer_point))
+    monkeypatch.setattr(ReductiveGroup, "root_pairings",
+                        counted_root_pairings)
+    g = presets.group("gl5")
+    x = tuple(Fraction(v, 3) for v in (4, -7, 0, 2, 4))
+
+    def sequence(as_plain):
+        calls.update(integer_point=0, root_pairings=0)
+        image = weyl.chamber_locate(g, x).image
+        if as_plain:
+            image = tuple(image)
+        weyl.stabilizer(g, image)
+        g.simple_pairing(image)
+        return dict(calls)
+
+    assert sequence(False) == {"integer_point": 1, "root_pairings": 1}
+    assert sequence(True) == {"integer_point": 3, "root_pairings": 2}

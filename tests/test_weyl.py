@@ -383,6 +383,33 @@ def test_stabilizer_matches_contragredient_scan(name):
             assert stabilizer(g, point)[0] == brute
 
 
+@pytest.mark.parametrize("made_by,asked", [
+    ("gl3", "so6"),      # 6 roots against 12
+    ("sl4", "so6"),      # 12 roots each, not the same ones
+    ("gl4", "gl2x2"),    # rank 4, 12 roots against 4
+    ("gl2x2", "gl2x2-swap"),   # the same roots, another Weyl group
+])
+def test_chamber_image_of_another_group_is_recomputed(made_by, asked):
+    # an image carries the root-pairing table of the group that made it;
+    # a group of the same rank recomputes, as for the plain tuple
+    g, h = presets.group(made_by), presets.group(asked)
+    rng = random.Random(made_by + asked)
+    points = [(Fraction(1, 2), Fraction(-3), Fraction(2))] \
+        if made_by == "gl3" else []
+    points += [_random_relative_point(g, rng) for _ in range(20)]
+    for x in points:
+        image = chamber_locate(g, x).image
+        plain = tuple(image)
+        assert image.group is g
+        assert stabilizer(h, image) == stabilizer(h, plain)
+        got, want = h.simple_pairing(image), h.simple_pairing(plain)
+        assert [(v, type(v)) for v in got] == [(v, type(v)) for v in want]
+    # one group is not another instance of the same preset
+    again = presets.group(made_by)
+    assert again is not g
+    assert stabilizer(again, image) == stabilizer(g, plain)
+
+
 # ---------------------------------------------------------------------------
 # the integer chamber kernel against the Fraction path it replaced
 
