@@ -20,6 +20,7 @@ from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from .cyclotomic import Cyclo
 from .disconnected import HighestWeightPair
+from .finite_reps import FiniteGroup
 from .kottwitz import BElement
 from .lattice import (
     Matrix,
@@ -186,9 +187,10 @@ def _admissible(param: Parameter, endo: EndoscopicDatum) -> FrozenSet[Matrix]:
 
 
 def _admissible_scan(param: Parameter, endo: EndoscopicDatum):
-    weyl = param.group.weyl
+    weyl, galois = param.group.weyl, param.group.galois
     corrections = [[mat_mul(h, g) for h in endo.weyl_h_elements()]
-                   for g in param.group.galois.char_elements()]
+                   for g in FiniteGroup.from_matrices(galois.char_generators,
+                                                      galois.cap).elements]
     out = set()
     for w in weyl.elements:
         basis = [mat_vec(weyl.inverse[w], u) for u in param.center_basis]

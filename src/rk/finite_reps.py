@@ -16,22 +16,20 @@ trivialization.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import cached_property, partial
+from functools import cached_property
 from math import gcd, isqrt
 from typing import Dict, Optional, Sequence, Tuple
 
 from .cyclotomic import Cyclo, prime_factors
 from .lattice import (
     DEFAULT_CLOSURE_CAP,
-    IntegerMatrix,
     MatrixGroup,
     Value,
+    basis_orbits,
     gauss_jordan,
     mat,
     mat_det,
-    mat_identity,
     mat_transpose,
-    mat_vec,
     orbit,
     smith_normal_form,
     solve_integer,
@@ -51,19 +49,13 @@ class FiniteGroup(MatrixGroup):
     def from_matrices(cls, generators: Sequence,
                       cap: int = DEFAULT_CLOSURE_CAP) -> "FiniteGroup":
         """The group the matrices generate, interned by its permutation of
-        the orbits of the standard basis vectors.  Those orbits span the
-        lattice, so the action on them is faithful, and each is at most as
-        long as the group: capping each orbit on its own rejects exactly
-        the groups of more than `cap` elements."""
+        the orbits of the standard basis vectors (`lattice.basis_orbits`);
+        the closure rejects a group of more than `cap` elements whose
+        orbits are all within the cap."""
         if not generators:
             raise ValueError("need at least one generator (pass the identity)")
-        n = len(generators[0])
-        maps = [partial(mat_vec, g) for g in generators]
-        points: Dict = {}
-        for e in mat_identity(n):
-            if e not in points:
-                points.update(orbit((e,), maps, cap))
-        return cls(generators, n, tuple(points), cap)
+        return cls(generators, len(generators[0]),
+                   basis_orbits(generators, cap), cap)
 
     def order_of(self, a) -> int:
         k = 1
@@ -159,9 +151,8 @@ def _abelian_characters(group: FiniteGroup) -> Tuple[Dict, ...]:
                 relations.append(tuple(x - y for x, y in zip(w, words[b])))
     cols = mat_transpose(mat(relations)) if relations else \
         tuple(() for _ in gens)
-    pres = IntegerMatrix(len(gens), len(relations), cols)
-    U, D, _V = smith_normal_form(pres)
-    diag = list(D.diagonal()) + [0] * (len(gens) - min(D.rows, D.cols))
+    D, U, _V = smith_normal_form(cols)
+    diag = [D[i][i] if i < len(relations) else 0 for i in range(len(gens))]
     if any(d == 0 for d in diag):
         raise AssertionError("finite abelian group with a free factor?")
     chars = []
@@ -170,7 +161,7 @@ def _abelian_characters(group: FiniteGroup) -> Tuple[Dict, ...]:
     for t in iproduct(*ranges):
         table = {}
         for a in group.elements:
-            y = [sum(U.entries[i][j] * words[a][j] for j in range(len(gens)))
+            y = [sum(U[i][j] * words[a][j] for j in range(len(gens)))
                  for i in range(len(gens))]
             expo = sum(Fraction(ti * yi, d) for ti, yi, d in zip(t, y, diag)
                        if d > 1)
@@ -204,7 +195,7 @@ def _find_prime(order: int, exponent: int, classes: int) -> int:
     while p * p <= 4 * order:
         p += 1
     while True:
-        if p % exponent == 1 and _is_prime(p):
+        if (p - 1) % exponent == 0 and _is_prime(p):
             return p
         p += 1
 

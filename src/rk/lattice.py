@@ -7,9 +7,9 @@ interned by the permutations they make of points.  Everything is exact:
 arbitrary-precision integers (or Fractions where a denominator is
 unavoidable); no floating point is used anywhere in this package.
 
->>> U, D, V = smith_normal_form(IntegerMatrix.from_rows([[2, 4], [6, 8]]))
->>> D.diagonal()
-(2, 4)
+>>> D, U, V = smith_normal_form(((2, 4), (6, 8)))
+>>> D
+((2, 0), (0, 4))
 >>> G = FgAbelianGroup.from_presentation(2, [(2, 0), (0, 3)])
 >>> (G.free_rank, G.torsion)
 (0, (6,))
@@ -80,7 +80,7 @@ class Value:
 
 
 # ---------------------------------------------------------------------------
-# raw tuple-matrix helpers (used pervasively; IntegerMatrix wraps these)
+# tuple-matrix helpers
 
 # dot, mat_vec and mat_mul form each entry as sum(map(mul, u, v)): the
 # products and their sum keep the left-to-right order of the plain
@@ -215,7 +215,7 @@ def mat_inverse(a: Matrix) -> tuple:
 def mat_inverse_int(a: Matrix) -> Matrix:
     """Inverse of a unimodular integer matrix, as an integer matrix: with
     U*A*V = 1 in Smith form, A^-1 = V*U."""
-    D, U, V = _snf_raw(a)
+    D, U, V = smith_normal_form(a)
     diag = {D[i][i] for i in range(len(D))}
     if diag - {1}:
         raise ValueError("matrix is singular" if 0 in diag
@@ -240,57 +240,6 @@ def solve_rational(a_cols: Sequence[Sequence], b: Sequence):
     for row, c in zip(m, pivots):
         x[c] = row[ncols]
     return tuple(x)
-
-
-# ---------------------------------------------------------------------------
-# IntegerMatrix
-
-class IntegerMatrix(Value):
-    """Dense matrix of arbitrary-precision integers."""
-
-    def __init__(self, rows: int, cols: int, entries: Matrix):
-        object.__setattr__(self, "rows", rows)
-        object.__setattr__(self, "cols", cols)
-        object.__setattr__(self, "entries", entries)
-        if len(self.entries) != self.rows:
-            raise ValueError("row count mismatch")
-        for r in self.entries:
-            if len(r) != self.cols:
-                raise ValueError("column count mismatch")
-            for x in r:
-                if not isinstance(x, int):
-                    raise TypeError("entries must be exact integers")
-
-    @classmethod
-    def from_rows(cls, rows: Iterable[Iterable[int]]) -> "IntegerMatrix":
-        m = mat(rows)
-        return cls(len(m), len(m[0]) if m else 0, m)
-
-    @classmethod
-    def identity(cls, n: int) -> "IntegerMatrix":
-        return cls(n, n, mat_identity(n))
-
-    def __mul__(self, other: "IntegerMatrix") -> "IntegerMatrix":
-        if self.cols != other.rows:
-            raise ValueError("dimension mismatch in product")
-        return IntegerMatrix.from_rows(mat_mul(self.entries, other.entries))
-
-    def transpose(self) -> "IntegerMatrix":
-        return IntegerMatrix.from_rows(mat_transpose(self.entries))
-
-    def det(self) -> int:
-        if self.rows != self.cols:
-            raise ValueError("determinant of a non-square matrix")
-        return mat_det(self.entries)
-
-    def diagonal(self) -> Vector:
-        return tuple(self.entries[i][i] for i in range(min(self.rows, self.cols)))
-
-    def column(self, j: int) -> Vector:
-        return tuple(r[j] for r in self.entries)
-
-    def columns(self) -> Tuple[Vector, ...]:
-        return tuple(self.column(j) for j in range(self.cols))
 
 
 # ---------------------------------------------------------------------------
@@ -378,27 +327,23 @@ def _snf_raw(a: Matrix):
     return mat(A), mat(U), mat(V)
 
 
-def smith_normal_form(a: IntegerMatrix):
-    """U, D, V with U*A*V = D diagonal, d_1 | d_2 | ..., U and V unimodular.
+def smith_normal_form(a: Matrix):
+    """(D, U, V) with U*A*V = D diagonal, d_1 | d_2 | ..., U and V
+    unimodular: the one Smith form every factorization goes through.
 
     The factorization is re-verified by exact multiplication on every
     call; a failure would indicate a genuine bug and raises.
     """
-    D, U, V = _snf_raw(a.entries)
-    Um = IntegerMatrix.from_rows(U)
-    Dm = IntegerMatrix.from_rows(D) if D else IntegerMatrix(0, a.cols, ())
-    Vm = IntegerMatrix.from_rows(V) if V else IntegerMatrix(a.cols, a.cols, ())
-    check = mat_mul(mat_mul(U, a.entries), V) if a.rows and a.cols else D
-    if a.rows and a.cols:
-        if check != D:
-            raise AssertionError("SNF verification failed: U*A*V != D")
-        if abs(mat_det(U)) != 1 or abs(mat_det(V)) != 1:
-            raise AssertionError("SNF verification failed: transform not unimodular")
-        diag = [D[i][i] for i in range(min(len(D), len(D[0])))]
-        for i in range(len(diag) - 1):
-            if diag[i] != 0 and diag[i + 1] % diag[i] != 0:
-                raise AssertionError("SNF verification failed: divisibility chain")
-    return Um, Dm, Vm
+    D, U, V = _snf_raw(a)
+    if mat_mul(mat_mul(U, a), V) != D:
+        raise AssertionError("SNF verification failed: U*A*V != D")
+    if abs(mat_det(U)) != 1 or abs(mat_det(V)) != 1:
+        raise AssertionError("SNF verification failed: transform not unimodular")
+    diag = [D[i][i] for i in range(min(len(U), len(V)))]
+    for d, e in zip(diag, diag[1:]):
+        if d != 0 and e % d != 0:
+            raise AssertionError("SNF verification failed: divisibility chain")
+    return D, U, V
 
 
 class SmithSolver:
@@ -413,7 +358,7 @@ class SmithSolver:
     def __init__(self, a: Matrix):
         m = len(a)
         n = len(a[0]) if m else 0
-        D, self._U, self._V = _snf_raw(a)
+        D, self._U, self._V = smith_normal_form(a)
         self._diag = tuple(D[i][i] if i < n else 0 for i in range(m))
         self._cols = n
         rank = sum(1 for d in self._diag if d != 0)
@@ -454,7 +399,7 @@ def is_saturated(basis: Sequence[Vector], ambient_rank: int) -> bool:
     if not basis:
         return True
     cols = mat_transpose(mat(basis))  # ambient_rank x k
-    D, _, _ = _snf_raw(cols)
+    D, _, _ = smith_normal_form(cols)
     k = len(basis)
     return all(D[i][i] == 1 for i in range(min(k, ambient_rank)))
 
@@ -512,6 +457,24 @@ def orbit(seeds: Iterable, maps: Sequence[Callable],
                     raise ValueError(
                         "group closure exceeded cap of %d elements" % cap)
     return tree
+
+
+def basis_orbits(generators: Sequence[Matrix],
+                 cap: int = DEFAULT_CLOSURE_CAP) -> Tuple[Vector, ...]:
+    """The points of the orbits of the standard basis vectors under the
+    group some square matrices generate, in discovery order.
+
+    A group G in GL_n(Z) is finite iff every orbit G.e_i is finite (G
+    embeds in the product of the permutation groups of the orbits), and
+    then acts faithfully on their points, which span the lattice.  Each
+    orbit is at most as long as G and is capped on its own: an orbit of
+    more than `cap` points raises ValueError."""
+    maps = [partial(mat_vec, g) for g in generators]
+    points: Dict[Vector, Optional[tuple]] = {}
+    for e in mat_identity(len(generators[0])):
+        if e not in points:
+            points.update(orbit((e,), maps, cap))
+    return tuple(points)
 
 
 def _compose(pa: Tuple[int, ...], pb: Tuple[int, ...]) -> Tuple[int, ...]:
@@ -677,51 +640,6 @@ class MatrixGroup:
         return sub
 
 
-class LatticeAction(Value):
-    """A finite group acting on Z^rank by unimodular matrices.
-
-    Finiteness is certified through the orbits of the standard basis
-    vectors: G in GL_n(Z) is finite iff every orbit G.e_i is finite (G
-    embeds in the product of the permutation groups of the orbits), so an
-    orbit longer than the cap rejects the action.  The elements are
-    closed lazily, once; a finite group with more than cap elements but
-    no orbit that long is rejected there, by the closure.
-    """
-
-    def __init__(self, generators: Tuple[Matrix, ...],
-                 cap: int = DEFAULT_CLOSURE_CAP):
-        object.__setattr__(self, "generators", generators)
-        object.__setattr__(self, "cap", cap)
-        for g in self.generators:
-            if len(g) != self.rank or any(len(r) != self.rank for r in g):
-                raise ValueError("action matrices must be square of equal size")
-            if abs(mat_det(g)) != 1:
-                raise ValueError("action matrices must have determinant +/-1")
-        for e in mat_identity(self.rank):
-            # |G| >= |G.e|: an orbit over the cap rejects the closure too
-            orbit((e,), [partial(mat_vec, g) for g in self.generators],
-                  self.cap)
-        #: ("elements",): the closed group, in discovery order
-        object.__setattr__(self, "memo", {})
-
-    @property
-    def rank(self) -> int:
-        return len(self.generators[0]) if self.generators else 0
-
-    def elements(self) -> Tuple[Matrix, ...]:
-        return cached(self.memo, ("elements",), self._close)
-
-    def _close(self) -> Tuple[Matrix, ...]:
-        return tuple(orbit((mat_identity(self.rank),),
-                           [partial(mat_mul, b=g) for g in self.generators],
-                           self.cap) if self.generators else ())
-
-    def dual(self) -> "LatticeAction":
-        """The contragredient action on the dual lattice."""
-        return LatticeAction(tuple(mat_contragredient(g) for g in self.generators),
-                             self.cap)
-
-
 # ---------------------------------------------------------------------------
 # finitely generated abelian groups
 
@@ -760,13 +678,14 @@ class FgAbelianGroup:
             pres = mat_transpose(mat(cols))  # ambient_rank x m
         else:
             pres = tuple(() for _ in range(ambient_rank))
-        self.presentation = IntegerMatrix(ambient_rank, len(cols), pres)
+        self.presentation = pres
+        self._shape = (ambient_rank, len(cols))
         if ambient_rank == 0:
             self._U = ()
             self._Uinv = ()
             self._diag = ()
         elif cols:
-            D, U, _V = _snf_raw(pres)
+            D, U, _V = smith_normal_form(pres)
             self._U = U
             self._Uinv = mat_inverse_int(U)
             self._diag = tuple(D[i][i] for i in range(min(ambient_rank, len(cols))))
@@ -801,6 +720,7 @@ class FgAbelianGroup:
         return (isinstance(other, FgAbelianGroup)
                 and self.free_rank == other.free_rank
                 and self.torsion == other.torsion
+                and self._shape == other._shape
                 and self.presentation == other.presentation)
 
     def is_trivial(self) -> bool:
@@ -879,12 +799,12 @@ def map_between(source: FgAbelianGroup, target: FgAbelianGroup,
 # ---------------------------------------------------------------------------
 # invariants and coinvariants
 
-def coinvariants(lattice_rank: int, action: LatticeAction,
+def coinvariants(lattice_rank: int, generators: Sequence[Matrix],
                  extra_relations: Sequence[Vector] = ()) -> FgAbelianGroup:
     """L / <x - g.x>, optionally after further quotienting by extra columns."""
     cols = [tuple(c) for c in extra_relations]
     ident = mat_identity(lattice_rank)
-    for g in action.generators:
+    for g in generators:
         if len(g) != lattice_rank:
             raise ValueError("action rank mismatch")
         diff = [vsub(col_g, col_i) for col_g, col_i
@@ -893,11 +813,12 @@ def coinvariants(lattice_rank: int, action: LatticeAction,
     return FgAbelianGroup.from_presentation(lattice_rank, cols)
 
 
-def invariants_saturated(lattice_rank: int, action: LatticeAction) -> Tuple[Vector, ...]:
+def invariants_saturated(lattice_rank: int,
+                         generators: Sequence[Matrix]) -> Tuple[Vector, ...]:
     """Basis of the saturated fixed sublattice {x : g.x = x for all g}."""
     rows = []
     ident = mat_identity(lattice_rank)
-    for g in action.generators:
+    for g in generators:
         if len(g) != lattice_rank:
             raise ValueError("action rank mismatch")
         for row_g, row_i in zip(g, ident):

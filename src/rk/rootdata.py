@@ -34,12 +34,12 @@ from .lattice import (
     DEFAULT_CLOSURE_CAP,
     FgAbelianGroup,
     FgaElement,
-    LatticeAction,
     Matrix,
     MatrixGroup,
     SmithSolver,
     Value,
     Vector,
+    basis_orbits,
     cached,
     coinvariants,
     dot,
@@ -197,8 +197,11 @@ class BasedRootDatum(Value):
 class GaloisAction(Value):
     """Finite Galois image acting on the character lattice.
 
-    Each generator must preserve the based datum: it permutes the roots,
-    permutes the simple roots, and transports coroots compatibly.
+    Each generator must be unimodular and preserve the based datum: it
+    permutes the roots, permutes the simple roots, and transports coroots
+    compatibly.  Finiteness is certified once, here, by the capped orbits
+    of the basis vectors (`lattice.basis_orbits`); the contragredient
+    generators then generate a group of the same order.
     """
 
     def __init__(self, datum: BasedRootDatum,
@@ -208,17 +211,19 @@ class GaloisAction(Value):
         object.__setattr__(self, "generators", generators)
         object.__setattr__(self, "cap", cap)
         n = self.datum.rank
-        gens = self.generators or ()
-        for g in gens:
+        for g in self.generators:
             if len(g) != n or any(len(row) != n for row in g):
                 raise DatumError("Galois matrix of wrong size")
-        action = LatticeAction(gens or (mat_identity(n),), self.cap)
-        object.__setattr__(self, "_action", action)
+        gens = self.generators or (mat_identity(n),)
+        if any(abs(mat_det(g)) != 1 for g in gens):
+            raise ValueError("action matrices must have determinant +/-1")
+        basis_orbits(gens, self.cap)
+        object.__setattr__(self, "_char_gens", gens)
         object.__setattr__(self, "_dual_gens",
-                           tuple(mat_contragredient(g) for g in action.generators))
+                           tuple(mat_contragredient(g) for g in gens))
         simple_set = set(self.datum.simple_indices)
         perms = []
-        for g, gd in zip(action.generators, self._dual_gens):
+        for g, gd in zip(gens, self._dual_gens):
             perm = []
             for i, r in enumerate(self.datum.roots):
                 img = mat_vec(g, r)
@@ -235,14 +240,11 @@ class GaloisAction(Value):
 
     @property
     def char_generators(self) -> Tuple[Matrix, ...]:
-        return self._action.generators
+        return self._char_gens
 
     @property
     def cochar_generators(self) -> Tuple[Matrix, ...]:
         return self._dual_gens
-
-    def char_elements(self) -> Tuple[Matrix, ...]:
-        return self._action.elements()
 
     def is_trivial(self) -> bool:
         return all(g == mat_identity(self.datum.rank) for g in self.char_generators)
@@ -336,9 +338,8 @@ class LeviContext:
         self.dim = len(self.split_center_basis)
 
         # X*(Z(L^)^Gamma) = (X_*(T) / Levi coroot lattice)_Gamma
-        action = LatticeAction(cochar_gens)
         self.dual_center_characters: FgAbelianGroup = coinvariants(
-            n, action, extra_relations=simple_coroots)
+            n, cochar_gens, extra_relations=simple_coroots)
 
         # pairing matrix P[i][j] = <y_j, u_i>; alpha_L = Y^T P^-1, kept as
         # an integer numerator matrix over one common denominator
@@ -587,8 +588,8 @@ class ReductiveGroup:
     @property
     def fixed_cochar_basis(self) -> Tuple[Vector, ...]:
         """Basis of X_*(A_T) = Gamma-fixed cocharacters (all of X_* if split)."""
-        action = LatticeAction(self.galois.cochar_generators)
-        return invariants_saturated(self.datum.rank, action)
+        return invariants_saturated(self.datum.rank,
+                                    self.galois.cochar_generators)
 
     @cached_property
     def _moving_cochar_generators(self) -> Tuple[Matrix, ...]:

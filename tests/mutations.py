@@ -60,6 +60,73 @@ MUTATIONS = (
         ("tests/test_endoscopy.py::test_indexing_backward_matches_vector_scan",),
         "the backward indexing table built from W_H . u . W_L instead of "
         "W_L . u . W_H"),
+    Mutation(
+        "smith-form-without-product-check", "src/rk/lattice.py",
+        """    if mat_mul(mat_mul(U, a), V) != D:
+        raise AssertionError("SNF verification failed: U*A*V != D")
+""", "",
+        ("tests/test_lattice.py::"
+         "test_smith_form_recheck_runs_on_every_factorization",),
+        "a Smith form returned without checking U*A*V = D"),
+    Mutation(
+        "galois-action-without-determinant-check", "src/rk/rootdata.py",
+        """        if any(abs(mat_det(g)) != 1 for g in gens):
+            raise ValueError("action matrices must have determinant +/-1")
+""", "",
+        ("tests/test_lattice.py::test_lattice_action_rejects_nonunimodular",),
+        "a Galois generator of determinant 2 left to the orbit cap"),
+    Mutation(
+        "counting-without-remainder-check", "src/rk/endoscopy.py",
+        """        if rest:
+            raise AssertionError("double coset is not a union of W_phi "
+                                 "cosets")
+""", "",
+        ("tests/test_endoscopy.py::"
+         "test_coset_counting_certificate_catches_a_partial_coset",),
+        "a double coset counted though it is not a union of W_phi cosets"),
+    Mutation(
+        "regular-pairing-without-s-test", "src/rk/endoscopy.py",
+        """    _check_s_in_levi(param, endo, member.levi)
+    w = member.w_class""", "    w = member.w_class",
+        ("tests/test_endoscopy.py::"
+         "test_per_call_checks_fire_on_a_warm_identity[center]",),
+        "the trace taken without checking that s lies in the split center"),
+    Mutation(
+        "cached-stores-none-first", "src/rk/lattice.py",
+        "        value = memo[key] = compute(*args)",
+        "        memo[key] = None\n        value = memo[key] = compute(*args)",
+        ("tests/test_lattice.py::"
+         "test_cached_stores_nothing_when_compute_raises",),
+        "a compute that raises leaves None behind as a hit"),
+    Mutation(
+        "counting-without-containment-check", "src/rk/endoscopy.py",
+        """        if not inside.issuperset(coset):
+            raise AssertionError("double coset leaves the transporter set")
+""", "",
+        ("tests/test_endoscopy.py::test_coset_counting_certificate_catches_"
+         "a_coset_leaving_the_transporters",),
+        "a double coset counted though it leaves the transporter set"),
+    Mutation(
+        "counting-without-overlap-check", "src/rk/endoscopy.py",
+        """        if not coset.isdisjoint(count_of):
+            raise AssertionError("double cosets overlap")
+""", "",
+        ("tests/test_endoscopy.py::"
+         "test_coset_counting_certificate_catches_overlapping_cosets",),
+        "overlapping double cosets counted twice"),
+    Mutation(
+        "counting-without-cover-check", "src/rk/endoscopy.py",
+        """    if len(count_of) != len(inside):
+        raise AssertionError("double cosets do not cover the transporter set")
+""", "",
+        ("tests/test_endoscopy.py::"
+         "test_coset_counting_certificate_catches_an_uncovered_transporter",),
+        "transporter elements left outside every counted double coset"),
+    Mutation(
+        "double-coset-skips-on-x", "src/rk/lattice.py",
+        "            if y not in out:", "            if x not in out:",
+        ("tests/test_properties.py::test_double_cosets_are_the_matrix_products",),
+        "a double coset cut short to x . right: the skip tests x, not l . x"),
 )
 
 

@@ -416,6 +416,25 @@ def test_regular_u3_galois_condition_rejects_twists():
         assert eci_both_sides(param, b, endo)["equal"]
 
 
+def test_regular_u3_rejects_s_off_the_split_center():
+    # The same parameter with s = (0, 1/2, 0).  The flip (x1, x2, x3) ->
+    # (-x3, -x2, -x1) fixes s mod 1, so s lies in T^Gamma = {x1 = -x3,
+    # x2 in {0, 1/2}}.  The identity component of T^Gamma is A_M^, the
+    # exponents t.(-1, 0, 1) that span the parameter center B, and it has
+    # x2 = 0; the annihilator vector (0, 1, 0) of B pairs with s to 1/2.
+    # So s is not in the split center of the minimal dual Levi, and the
+    # rejection is correct.
+    from rk.params import Parameter
+    g = presets.group("u3")
+    param = Parameter(g, frozenset(), (), ())
+    endo = EndoscopicDatum(g, (0, Fraction(1, 2), 0))
+    assert param.center_basis == ((-1, 0, 1),)
+    b = build_packet_member(param, enumerate_rhos(param, 1)[0]).b
+    with pytest.raises(EndoscopyError, match="^the torus element does not "
+                       "lie in the split center of the minimal dual Levi$"):
+        eci_both_sides(param, b, endo)
+
+
 def test_formal_distribution_merging():
     d = FormalDistribution()
     t = Term("stable", (0,), ("x",), "s", Fraction(0), "1")
@@ -492,16 +511,17 @@ def _brute_embedded(param, levi, endo):
     """The twist classes by matrix products: the Galois condition per w,
     W_L by `closure`, the double-coset orbits by `mat_mul`."""
     from rk.endoscopy import _standardize_embedded
-    from rk.lattice import mat_mul, mat_vec
+    from rk.lattice import closure, mat_mul, mat_vec
     group = param.group
     wh = endo.weyl_h_elements()
+    galois = closure(group.galois.char_generators)[0]
 
     def condition(w):
         winv = group.weyl.inverse[w]
         basis = [mat_vec(winv, u) for u in param.center_basis]
         return all(any(all(mat_vec(mat_mul(h, g), v) == v for v in basis)
                        for h in wh)
-                   for g in group.galois.char_elements())
+                   for g in galois)
 
     wl = _closure_levi_weyl(group, levi)
     seen, out = set(), []

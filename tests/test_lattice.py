@@ -10,19 +10,21 @@ import pytest
 
 import rk.lattice as lattice
 from rk import presets
+from rk.finite_reps import FiniteGroup
 from rk.lattice import (
     FgAbelianGroup,
-    IntegerMatrix,
-    LatticeAction,
     SmithSolver,
+    basis_orbits,
     closure,
     coinvariants,
     invariants_saturated,
     is_saturated,
     kernel_basis,
     mat,
+    mat_contragredient,
     mat_det,
     mat_identity,
+    mat_inverse_int,
     mat_mul,
     mat_transpose,
     mat_vec,
@@ -30,6 +32,7 @@ from rk.lattice import (
     solve_integer,
     solve_rational,
 )
+from rk.rootdata import BasedRootDatum, GaloisAction
 
 
 def test_module_doctests():
@@ -40,27 +43,29 @@ def test_module_doctests():
 # ---------------------------------------------------------------------------
 # Smith normal form
 
+def _diagonal(d):
+    return tuple(d[i][i] for i in range(min(len(d), len(d[0]) if d else 0)))
+
+
 def test_snf_identity():
-    U, D, V = smith_normal_form(IntegerMatrix.identity(2))
-    assert D.diagonal() == (1, 1)
+    D, U, V = smith_normal_form(mat_identity(2))
+    assert _diagonal(D) == (1, 1)
 
 
 def test_snf_gcd_oracle():
     # d1 = gcd of entries, d1*d2 = gcd of 2x2 minors
-    a = IntegerMatrix.from_rows([[2, 4], [6, 8]])
-    _, D, _ = smith_normal_form(a)
+    D, _, _ = smith_normal_form(mat([[2, 4], [6, 8]]))
     entries = [2, 4, 6, 8]
     d1 = 0
     for x in entries:
         d1 = gcd(d1, x)
     minor = abs(2 * 8 - 4 * 6)
-    assert D.diagonal() == (d1, minor // d1) == (2, 4)
+    assert _diagonal(D) == (d1, minor // d1) == (2, 4)
 
 
 def test_snf_zero_matrix():
-    a = IntegerMatrix.from_rows([[0, 0], [0, 0]])
-    _, D, _ = smith_normal_form(a)
-    assert D.diagonal() == (0, 0)
+    D, _, _ = smith_normal_form(mat([[0, 0], [0, 0]]))
+    assert _diagonal(D) == (0, 0)
 
 
 @pytest.mark.parametrize("seed", range(40))
@@ -68,21 +73,48 @@ def test_snf_random_properties(seed):
     rng = random.Random(seed)
     m = rng.randint(1, 5)
     n = rng.randint(1, 5)
-    a = IntegerMatrix.from_rows(
-        [[rng.randint(-9, 9) for _ in range(n)] for _ in range(m)])
-    U, D, V = smith_normal_form(a)
-    assert (U * a * V).entries == D.entries
-    assert abs(U.det()) == 1 and abs(V.det()) == 1
-    diag = [d for d in D.diagonal()]
+    a = mat([[rng.randint(-9, 9) for _ in range(n)] for _ in range(m)])
+    D, U, V = smith_normal_form(a)
+    assert mat_mul(mat_mul(U, a), V) == D
+    assert abs(mat_det(U)) == 1 and abs(mat_det(V)) == 1
+    diag = _diagonal(D)
     for i in range(len(diag) - 1):
         if diag[i]:
             assert diag[i + 1] % diag[i] == 0
         else:
             assert diag[i + 1] == 0
-    for i in range(D.rows):
-        for j in range(D.cols):
+    assert (len(D), len(D[0])) == (m, n)
+    for i in range(m):
+        for j in range(n):
             if i != j:
-                assert D.entries[i][j] == 0
+                assert D[i][j] == 0
+
+
+_raw_snf = lattice._snf_raw
+
+
+def _off_by_one(a):
+    """A wrong factorization: the raw Smith form with d_1 one too large."""
+    D, U, V = _raw_snf(a)
+    return ((D[0][0] + 1,) + D[0][1:],) + D[1:], U, V
+
+
+@pytest.mark.parametrize("call", [
+    lambda: kernel_basis(mat([[1, 2, 3], [2, 4, 6]])),
+    lambda: solve_integer(mat([[2, 0], [0, 3]]), (4, 9)),
+    lambda: is_saturated(((1, 1),), 2),
+    lambda: mat_inverse_int(mat([[2, 1], [1, 1]])),
+    lambda: FgAbelianGroup.from_presentation(2, [(2, 0), (0, 3)]),
+], ids=["kernel_basis", "solve_integer", "is_saturated", "mat_inverse_int",
+        "from_presentation"])
+def test_smith_form_recheck_runs_on_every_factorization(call, monkeypatch):
+    # every factorization goes through smith_normal_form, so a wrong raw
+    # form is caught by its product check wherever it is asked for
+    call()
+    monkeypatch.setattr(lattice, "_snf_raw", _off_by_one)
+    with pytest.raises(AssertionError,
+                       match=r"^SNF verification failed: U\*A\*V != D$"):
+        call()
 
 
 def test_kernel_and_solve():
@@ -278,26 +310,26 @@ ROT3 = mat([[0, -1], [1, -1]])
 
 
 def test_coinvariants_trivial():
-    g = coinvariants(2, LatticeAction((mat_identity(2),)))
+    g = coinvariants(2, (mat_identity(2),))
     assert g.free_rank == 2 and g.torsion == ()
 
 
 def test_coinvariants_swap():
-    g = coinvariants(2, LatticeAction((SWAP,)))
+    g = coinvariants(2, (SWAP,))
     assert g.free_rank == 1 and g.torsion == ()
 
 
 def test_coinvariants_with_cartan_relations():
     # rank-(n-1) lattice mod the Cartan relations, trivial Galois
-    g = coinvariants(2, LatticeAction((mat_identity(2),)),
+    g = coinvariants(2, (mat_identity(2),),
                      extra_relations=[(2, -1), (-1, 2)])
     assert g.free_rank == 0 and g.torsion == (3,)
 
 
 def test_invariants_trivial_and_swap():
-    assert invariants_saturated(3, LatticeAction((mat_identity(3),))) == \
+    assert invariants_saturated(3, (mat_identity(3),)) == \
         tuple(mat_identity(3))
-    basis = invariants_saturated(2, LatticeAction((SWAP,)))
+    basis = invariants_saturated(2, (SWAP,))
     assert basis in (((1, 1),), ((-1, -1),))
 
 
@@ -306,11 +338,11 @@ def test_invariants_rotation_oracle():
     # oracle: the kernel of (g - 1) computed directly
     rows = [(-1, -1), (1, -2)]
     assert kernel_basis(mat(rows)) == ()
-    assert invariants_saturated(2, LatticeAction((ROT3,))) == ()
+    assert invariants_saturated(2, (ROT3,)) == ()
 
 
 def _random_finite_action(rng, rank):
-    # signed permutation matrices always generate finite groups
+    # generators of a finite group: signed permutation matrices
     gens = []
     for _ in range(rng.randint(1, 2)):
         perm = list(range(rank))
@@ -318,7 +350,7 @@ def _random_finite_action(rng, rank):
         signs = [rng.choice((1, -1)) for _ in range(rank)]
         gens.append(mat([[signs[i] if perm[j] == i else 0
                           for j in range(rank)] for i in range(rank)]))
-    return LatticeAction(tuple(gens))
+    return tuple(gens)
 
 
 @pytest.mark.parametrize("seed", range(200))
@@ -327,7 +359,7 @@ def test_coinvariants_invariants_duality(seed):
     rank = rng.randint(1, 6)
     action = _random_finite_action(rng, rank)
     co = coinvariants(rank, action)
-    inv = invariants_saturated(rank, action.dual())
+    inv = invariants_saturated(rank, tuple(map(mat_contragredient, action)))
     assert co.free_rank == len(inv)
 
 
@@ -340,15 +372,24 @@ def test_invariants_output_saturated():
         assert is_saturated(basis, rank)
 
 
+# the finite-group checks that a lattice action gets: GaloisAction
+# validates its generators, FiniteGroup.from_matrices closes them
+
+
+def _torus_action(*generators, cap=100):
+    rank = len(generators[0])
+    return GaloisAction(BasedRootDatum(rank, (), (), ()), generators, cap)
+
+
 def test_lattice_action_rejects_infinite():
-    with pytest.raises(ValueError):
-        LatticeAction((mat([[1, 1], [0, 1]]),), cap=100).elements()
+    with pytest.raises(ValueError, match="exceeded cap of 100"):
+        FiniteGroup.from_matrices((mat([[1, 1], [0, 1]]),), cap=100)
 
 
 def test_lattice_action_rejects_infinite_at_construction():
     # the orbit certificate, without closing the group
     with pytest.raises(ValueError, match="exceeded cap of 100"):
-        LatticeAction((mat([[1, 1], [0, 1]]),), cap=100)
+        _torus_action(mat([[1, 1], [0, 1]]))
 
 
 def test_lattice_action_cap_bounds_orbits_then_closure():
@@ -357,24 +398,29 @@ def test_lattice_action_cap_bounds_orbits_then_closure():
     swap = mat([[0, 1, 0], [1, 0, 0], [0, 0, 1]])
     cycle = mat([[0, 0, 1], [1, 0, 0], [0, 1, 0]])
     sign = mat([[-1, 0, 0], [0, 1, 0], [0, 0, 1]])
-    action = LatticeAction((swap, cycle, sign), cap=10)
+    _torus_action(swap, cycle, sign, cap=10)
+    points = basis_orbits((swap, cycle, sign), 10)
+    assert sorted(points) == sorted(
+        v for e in mat_identity(3) for v in (e, tuple(-x for x in e)))
     with pytest.raises(ValueError, match="exceeded cap of 10"):
-        action.elements()
-    assert len(LatticeAction((swap, cycle, sign), cap=48).elements()) == 48
+        FiniteGroup.from_matrices((swap, cycle, sign), cap=10)
+    assert len(FiniteGroup.from_matrices((swap, cycle, sign), cap=48)) == 48
 
 
 def test_lattice_action_rejects_nonunimodular():
-    with pytest.raises(ValueError):
-        LatticeAction((mat([[2]]),))
+    # without the determinant check the orbit of e_1 under (2) would run
+    # to the cap; the small cap keeps that fast
+    with pytest.raises(ValueError,
+                       match="^action matrices must have determinant"):
+        _torus_action(mat([[2]]))
 
 
 def test_lattice_action_elements_match_closure():
     rng = random.Random(11)
     for _ in range(20):
-        action = _random_finite_action(rng, rng.randint(1, 4))
-        elems = action.elements()
-        assert elems == tuple(closure(action.generators)[0])
-        assert action.elements() is elems
+        gens = _random_finite_action(rng, rng.randint(1, 4))
+        assert FiniteGroup.from_matrices(gens).elements == \
+            tuple(sorted(closure(gens)[0]))
 
 
 # ---------------------------------------------------------------------------
@@ -444,10 +490,6 @@ def _fill_datum(datum):
     classify_irr(datum, 2)
 
 
-def _fill_action(action):
-    action.elements()
-
-
 _SHARED_ENDO = presets.endoscopy("gl4-s1")
 
 _OWNERS = {
@@ -457,9 +499,6 @@ _OWNERS = {
         frozenset({0, 1, 2})), _fill_cut),
     "DisconnectedGroupDatum": (lambda: presets.disconnected("o2"),
                                _fill_datum),
-    "LatticeAction": (lambda: LatticeAction(
-        (mat([[0, 1, 0], [1, 0, 0], [0, 0, 1]]),
-         mat([[-1, 0, 0], [0, 1, 0], [0, 0, 1]]))), _fill_action),
 }
 
 

@@ -41,8 +41,6 @@ from rk.finite_reps import (FiniteGroup, Module, _det_mod, _nullspace_mod,
 from rk.kottwitz import BElement
 from rk.lattice import (
     FgaElement,
-    IntegerMatrix,
-    LatticeAction,
     SmithSolver,
     _snf_raw,
     closure,
@@ -56,7 +54,6 @@ from rk.lattice import (
     mat_transpose,
     mat_vec,
     orbit,
-    smith_normal_form,
     solve_rational,
 )
 from rk.packets import PacketMember, build_packet_member, enumerate_rhos
@@ -801,9 +798,9 @@ def test_chamber_image_answers_like_the_plain_tuple(name, data):
 # ---------------------------------------------------------------------------
 # the value records against the frozen dataclasses they replaced
 
-VALUE_CLASSES = (IntegerMatrix, LatticeAction, FgaElement, BasedRootDatum,
-                 GaloisAction, ChamberWitness, BElement, PacketMember,
-                 HighestWeightPair, Module, EmbeddedDatum, Term)
+VALUE_CLASSES = (FgaElement, BasedRootDatum, GaloisAction, ChamberWitness,
+                 BElement, PacketMember, HighestWeightPair, Module,
+                 EmbeddedDatum, Term)
 VALUE_PAIRS = (("gl2-triv", "gl2-s1"), ("gl4-st2", "gl4-splus"),
                ("gl2x2-swap-triv", "gl2x2-swap-s1"))
 
@@ -818,12 +815,7 @@ def value_pool():
             pool.setdefault(type(r), []).append(r)
     for name in ("gl2", "sl2", "gl3", "sp4", "u3"):
         group = presets.group(name)
-        galois = group.galois
-        add(group.datum, group.datum.dual(), galois, galois._action,
-            galois._action.dual())
-        for w in group.weyl.elements[:4]:
-            add(IntegerMatrix.from_rows(w), *smith_normal_form(
-                IntegerMatrix.from_rows(w[:-1] or w)))
+        add(group.datum, group.datum.dual(), group.galois)
     for pname, ename in VALUE_PAIRS:
         param, endo = presets.parameter(pname), presets.endoscopy(ename)
         for rho in enumerate_rhos(param, 2)[:4]:

@@ -51,6 +51,18 @@ def test_traced_name_resolves(layer, path):
     assert isinstance(vars(owner)[attr], (FunctionType, property, classmethod))
 
 
+def _names(tree):
+    """The identifiers a syntax tree references: names, attributes and
+    imported names."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+        elif isinstance(node, ast.alias):
+            yield node.name
+
+
 def test_only_the_lattice_layer_references_solve_rational():
     # every library coordinate is read from an integer factorization or an
     # orbit tree; the Fraction solve stays in rk.lattice as the tests'
@@ -59,13 +71,24 @@ def test_only_the_lattice_layer_references_solve_rational():
     for path in sorted((ROOT / "src" / "rk").glob("*.py")):
         if path.name == "lattice.py":
             continue
-        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
-            name = (node.id if isinstance(node, ast.Name) else
-                    node.attr if isinstance(node, ast.Attribute) else
-                    node.name if isinstance(node, ast.alias) else None)
-            if name == "solve_rational":
-                users.append(path.name)
+        if "solve_rational" in _names(ast.parse(
+                path.read_text(encoding="utf-8"))):
+            users.append(path.name)
     assert users == []
+
+
+def test_only_smith_normal_form_calls_the_raw_factorization():
+    # every Smith form in the library goes through the re-checked
+    # lattice.smith_normal_form: the one reference to the unchecked
+    # _snf_raw in src/rk is its call there
+    refs, callers = 0, []
+    for path in sorted((ROOT / "src" / "rk").glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        refs += list(_names(tree)).count("_snf_raw")
+        callers += [(path.name, fn.name) for fn in ast.walk(tree)
+                    if isinstance(fn, ast.FunctionDef)
+                    and "_snf_raw" in _names(fn)]
+    assert (refs, callers) == (1, [("lattice.py", "smith_normal_form")])
 
 
 # the benchmark's self-test reads `rk.weyl.mat_mul` to check that the
@@ -257,8 +280,8 @@ def test_every_memo_key_kind_is_documented_at_its_owner():
     for module in _module_trees():
         for owner, names in _memo_kinds(module).items():
             kinds.setdefault(owner, set()).update(names)
-    assert sorted(kinds) == ["DisconnectedGroupDatum", "LatticeAction",
-                             "LeviCut", "Parameter", "ReductiveGroup"]
+    assert sorted(kinds) == ["DisconnectedGroupDatum", "LeviCut",
+                             "Parameter", "ReductiveGroup"]
     tables = _memo_tables()
     assert sorted(tables) == sorted(kinds)
     assert _undocumented(kinds) == []
