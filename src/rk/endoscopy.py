@@ -82,9 +82,6 @@ class EndoscopicDatum:
         # the G root index of each H root
         self.keep: Tuple[int, ...] = tuple(keep)
 
-    def is_trivial(self) -> bool:
-        return all(x == 0 for x in self.s)
-
     def s_conjugate(self, w: Matrix) -> Tuple[Fraction, ...]:
         """Exponents of the w-conjugate of s (action on dual cocharacters)."""
         return tuple(Fraction(x) % 1 for x in mat_vec(w, self.s))

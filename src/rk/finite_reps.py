@@ -99,15 +99,12 @@ class FiniteGroup(MatrixGroup):
 
 
 class Module(Value):
-    """A simple module given by its exact character (and matrices when
-    one-dimensional; higher-dimensional matrices are not materialized)."""
+    """A simple module given by its exact character."""
 
     def __init__(self, dim: int,
-                 character: Tuple[Tuple[object, Cyclo], ...],  # (g, chi(g))
-                 matrices: Optional[Tuple] = None):
+                 character: Tuple[Tuple[object, Cyclo], ...]):  # (g, chi(g))
         object.__setattr__(self, "dim", dim)
         object.__setattr__(self, "character", character)
-        object.__setattr__(self, "matrices", matrices)
 
     def chi(self, element) -> Cyclo:
         for e, v in self.character:
@@ -502,10 +499,7 @@ def simple_modules(group: FiniteGroup, cocycle: Optional[Dict] = None
         dim = int(table[group.identity].as_rational())
         twisted = tuple((a, Cyclo.root_of_unity(beta[a]) * table[a])
                         for a in group.elements)
-        matrices = None
-        if dim == 1:
-            matrices = tuple((a, v) for a, v in twisted)
-        modules.append(Module(dim, twisted, matrices))
+        modules.append(Module(dim, twisted))
     if sum(m.dim ** 2 for m in modules) != len(group):
         raise AssertionError("sum of squared dimensions != group order")
     return tuple(modules)

@@ -10,7 +10,7 @@ unavoidable); no floating point is used anywhere in this package.
 >>> D, U, V = smith_normal_form(((2, 4), (6, 8)))
 >>> D
 ((2, 0), (0, 4))
->>> G = FgAbelianGroup.from_presentation(2, [(2, 0), (0, 3)])
+>>> G = FgAbelianGroup(2, [(2, 0), (0, 3)])
 >>> (G.free_rank, G.torsion)
 (0, (6,))
 """
@@ -658,10 +658,11 @@ class FgAbelianGroup:
     """Z^rank / (column span of a relation matrix).
 
     Elements are carried in coordinates read off from the Smith normal
-    form of the presentation: a free part in Z^free_rank and a torsion
-    part reduced modulo the invariant factors d_1 | d_2 | ... (each >= 2).
+    form U*A*V = D of the presentation A: y = U*v, whose slots with d_i = 0
+    are the free part and whose slots with d_i >= 2 are the torsion part,
+    reduced modulo d_i (d_1 | d_2 | ...); slots with d_i = 1 are dropped.
 
-    >>> G = FgAbelianGroup.from_presentation(2, [(1, -1)])
+    >>> G = FgAbelianGroup(2, [(1, -1)])
     >>> G.free_rank, G.torsion
     (1, ())
     >>> G.element_from_ambient((1, 0)).free
@@ -671,46 +672,23 @@ class FgAbelianGroup:
     def __init__(self, ambient_rank: int, relation_columns: Sequence[Vector]):
         self.ambient_rank = ambient_rank
         cols = [tuple(c) for c in relation_columns]
-        for c in cols:
-            if len(c) != ambient_rank:
-                raise ValueError("relation column of wrong length")
-        if cols:
-            pres = mat_transpose(mat(cols))  # ambient_rank x m
-        else:
-            pres = tuple(() for _ in range(ambient_rank))
-        self.presentation = pres
-        self._shape = (ambient_rank, len(cols))
-        if ambient_rank == 0:
-            self._U = ()
-            self._Uinv = ()
-            self._diag = ()
-        elif cols:
-            D, U, _V = smith_normal_form(pres)
-            self._U = U
-            self._Uinv = mat_inverse_int(U)
-            self._diag = tuple(D[i][i] for i in range(min(ambient_rank, len(cols))))
-        else:
-            self._U = mat_identity(ambient_rank)
-            self._Uinv = mat_identity(ambient_rank)
-            self._diag = ()
-        full = list(self._diag) + [0] * (ambient_rank - len(self._diag))
-        self._slot_kind = []  # 'drop' (d=1), 'torsion' (d>=2), 'free' (d=0)
-        torsion = []
-        for d in full:
-            if d == 1:
-                self._slot_kind.append("drop")
-            elif d == 0:
-                self._slot_kind.append("free")
-            else:
-                self._slot_kind.append("torsion")
-                torsion.append(d)
-        self.torsion: Vector = tuple(torsion)
-        self.free_rank: int = sum(1 for k in self._slot_kind if k == "free")
-
-    @classmethod
-    def from_presentation(cls, ambient_rank: int,
-                          relation_columns: Sequence[Vector]) -> "FgAbelianGroup":
-        return cls(ambient_rank, relation_columns)
+        if any(len(c) != ambient_rank for c in cols):
+            raise ValueError("relation column of wrong length")
+        self._columns = len(cols)
+        # ambient_rank x m, ambient_rank rows of () when m = 0
+        self.presentation: Matrix = tuple(
+            tuple(c[i] for c in cols) for i in range(ambient_rank))
+        D, self._U, _V = smith_normal_form(self.presentation)
+        self._Uinv = mat_inverse_int(self._U)
+        diag = [D[i][i] if i < len(cols) else 0 for i in range(ambient_rank)]
+        self._free = tuple(i for i, d in enumerate(diag) if d == 0)
+        self._torsion = tuple((i, d) for i, d in enumerate(diag) if d > 1)
+        self.torsion: Vector = tuple(d for _i, d in self._torsion)
+        self.free_rank: int = len(self._free)
+        # slot i of a section is entry _place[i] of (0,) + free + torsion
+        kept = self._free + tuple(i for i, _d in self._torsion)
+        self._place = tuple(kept.index(i) + 1 if i in kept else 0
+                            for i in range(ambient_rank))
 
     def __repr__(self):
         parts = ["Z"] * self.free_rank + ["Z/%d" % d for d in self.torsion]
@@ -718,27 +696,16 @@ class FgAbelianGroup:
 
     def __eq__(self, other):
         return (isinstance(other, FgAbelianGroup)
-                and self.free_rank == other.free_rank
-                and self.torsion == other.torsion
-                and self._shape == other._shape
+                and self.ambient_rank == other.ambient_rank
+                and self._columns == other._columns
                 and self.presentation == other.presentation)
-
-    def is_trivial(self) -> bool:
-        return self.free_rank == 0 and not self.torsion
 
     def element_from_ambient(self, v: Sequence[int]) -> FgaElement:
         if len(v) != self.ambient_rank:
             raise ValueError("ambient vector of wrong length")
-        y = mat_vec(self._U, v) if self.ambient_rank else ()
-        free = []
-        tors = []
-        for yi, kind, d in zip(y, self._slot_kind,
-                               list(self._diag) + [0] * self.ambient_rank):
-            if kind == "free":
-                free.append(yi)
-            elif kind == "torsion":
-                tors.append(yi % d)
-        return FgaElement(tuple(free), tuple(tors))
+        y = mat_vec(self._U, v)
+        return FgaElement(tuple([y[i] for i in self._free]),
+                          tuple([y[i] % d for i, d in self._torsion]))
 
     def element(self, free: Sequence[int] = (), torsion: Sequence[int] = ()) -> FgaElement:
         if len(free) != self.free_rank or len(torsion) != len(self.torsion):
@@ -746,36 +713,10 @@ class FgAbelianGroup:
         tors = tuple(t % d for t, d in zip(torsion, self.torsion))
         return FgaElement(tuple(int(x) for x in free), tors)
 
-    def zero(self) -> FgaElement:
-        return FgaElement((0,) * self.free_rank, (0,) * len(self.torsion))
-
     def section(self, e: FgaElement) -> Vector:
         """An ambient representative of `e` (a set-theoretic section)."""
-        y = []
-        fi = ti = 0
-        for kind in self._slot_kind:
-            if kind == "drop":
-                y.append(0)
-            elif kind == "free":
-                y.append(e.free[fi])
-                fi += 1
-            else:
-                y.append(e.torsion[ti])
-                ti += 1
-        return mat_vec(self._Uinv, y) if self.ambient_rank else ()
-
-    def add(self, a: FgaElement, b: FgaElement) -> FgaElement:
-        return FgaElement(vadd(a.free, b.free),
-                          tuple((x + y) % d for x, y, d
-                                in zip(a.torsion, b.torsion, self.torsion)))
-
-    def neg(self, a: FgaElement) -> FgaElement:
-        return FgaElement(vneg(a.free),
-                          tuple((-x) % d for x, d in zip(a.torsion, self.torsion)))
-
-    def scale(self, c: int, a: FgaElement) -> FgaElement:
-        return FgaElement(vscale(c, a.free),
-                          tuple((c * x) % d for x, d in zip(a.torsion, self.torsion)))
+        coords = (0,) + e.free + e.torsion
+        return mat_vec(self._Uinv, [coords[j] for j in self._place])
 
     def elements_in_box(self, radius: int):
         """All elements with free coordinates in [-radius, radius] (exhaustive
@@ -799,30 +740,31 @@ def map_between(source: FgAbelianGroup, target: FgAbelianGroup,
 # ---------------------------------------------------------------------------
 # invariants and coinvariants
 
-def coinvariants(lattice_rank: int, generators: Sequence[Matrix],
-                 extra_relations: Sequence[Vector] = ()) -> FgAbelianGroup:
-    """L / <x - g.x>, optionally after further quotienting by extra columns."""
-    cols = [tuple(c) for c in extra_relations]
-    ident = mat_identity(lattice_rank)
-    for g in generators:
-        if len(g) != lattice_rank:
-            raise ValueError("action rank mismatch")
-        diff = [vsub(col_g, col_i) for col_g, col_i
-                in zip(mat_transpose(g), mat_transpose(ident))]
-        cols.extend(diff)
-    return FgAbelianGroup.from_presentation(lattice_rank, cols)
-
-
-def invariants_saturated(lattice_rank: int,
-                         generators: Sequence[Matrix]) -> Tuple[Vector, ...]:
-    """Basis of the saturated fixed sublattice {x : g.x = x for all g}."""
+def fixed_point_rows(lattice_rank: int,
+                     generators: Sequence[Matrix]) -> List[Vector]:
+    """The rows of g - 1 for each generator g, in order: their common
+    kernel is the fixed sublattice {x : g.x = x for all g}."""
     rows = []
     ident = mat_identity(lattice_rank)
     for g in generators:
         if len(g) != lattice_rank:
             raise ValueError("action rank mismatch")
-        for row_g, row_i in zip(g, ident):
-            rows.append(vsub(row_g, row_i))
+        rows.extend(map(vsub, g, ident))
+    return rows
+
+
+def coinvariants(lattice_rank: int, generators: Sequence[Matrix],
+                 extra_relations: Sequence[Vector] = ()) -> FgAbelianGroup:
+    """L / <x - g.x>, optionally after further quotienting by extra columns.
+    The columns of g - 1 are the rows of g^T - 1."""
+    return FgAbelianGroup(lattice_rank, list(extra_relations) + fixed_point_rows(
+        lattice_rank, [mat_transpose(g) for g in generators]))
+
+
+def invariants_saturated(lattice_rank: int,
+                         generators: Sequence[Matrix]) -> Tuple[Vector, ...]:
+    """Basis of the saturated fixed sublattice {x : g.x = x for all g}."""
+    rows = fixed_point_rows(lattice_rank, generators)
     if not rows:
         return tuple(mat_identity(lattice_rank))
     basis = kernel_basis(mat(rows))

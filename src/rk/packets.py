@@ -75,7 +75,7 @@ def canonical_rho(param: Parameter, rho: HighestWeightPair) -> HighestWeightPair
     stab_star = stabilizer_A_lambda(datum, lam_star).elements
     old = rho.module.char_dict()
     char = tuple((a, old[pi0.mul(pi0.mul(d_rinv, a), d_r)]) for a in stab_star)
-    mod = Module(rho.module.dim, char, rho.module.matrices and char)
+    mod = Module(rho.module.dim, char)
     return HighestWeightPair(lam_star, mod)
 
 
@@ -200,23 +200,20 @@ def fiber_weight(param: Parameter, b: BElement, w: Matrix) -> Optional[Vector]:
     b, w).
 
     Computed in integers: nu(b) as alpha_L's numerators over its one
-    denominator d_L, moved by w^T, then alpha_M^{-1}'s integer matrix over
-    its one denominator d_M, with a single division by d_L * d_M."""
+    denominator d_L, moved by w^T, then restricted to the dual split
+    center of M (alpha_M^{-1} is that restriction), with a single
+    division by d_L."""
     return cached(param.memo, ("fiber_weight", b, w), _fiber_weight,
                   param, b, w)
 
 
 def _fiber_weight(param: Parameter, b: BElement, w: Matrix):
-    nu, den_l = param.group.levi_context(b.levi).newton_scaled(b.kappa)
+    nu, den = param.group.levi_context(b.levi).newton_scaled(b.kappa)
     moved = mat_vec(mat_transpose(w), nu)  # cochar action of w^{-1}
-    image = param.ctx_M.alpha_inv_scaled(moved)
-    lam = None
-    if image is not None:
-        num, den_m = image
-        den = den_l * den_m
-        if not any(x % den for x in num):
-            lam = tuple(x // den for x in num)
-    return lam
+    image = param.ctx_M.alpha_inv(moved)
+    if image is None or any(x % den for x in image):
+        return None
+    return tuple(x // den for x in image)
 
 
 def dominantize(param: Parameter, lam: Vector) -> Vector:

@@ -43,6 +43,7 @@ from .lattice import (
     cached,
     coinvariants,
     dot,
+    fixed_point_rows,
     invariants_saturated,
     kernel_basis,
     mat,
@@ -300,6 +301,11 @@ class LeviContext:
         identity component of the Gamma-fixed dual center.
     dual_center_characters : X*(Z(L^)^Gamma) as an FgAbelianGroup presented
         on X_*(T) = X*(T^).
+
+    alpha_L : X*(A_L^)_Q -> fraktur-A_L is the inverse of the restriction
+    to the dual split center (Kottwitz, Isocrystals with additional
+    structure II, 4), kept as an integer matrix over one denominator;
+    `alpha_inv` is that restriction itself.
     """
 
     def __init__(self, group: "ReductiveGroup", subset: FrozenSet[int]):
@@ -313,25 +319,19 @@ class LeviContext:
         if orbit_union != set(self.subset):
             raise DatumError("Levi subset is not Galois stable")
 
-        char_gens = group.galois.char_generators
         cochar_gens = group.galois.cochar_generators
         simple_roots = [datum.simple_roots[pos] for pos in sorted(self.subset)]
         simple_coroots = [datum.simple_coroots[pos] for pos in sorted(self.subset)]
 
-        # X_*(A_L): Gamma-fixed (cocharacter action), killed by Levi roots
-        rows = list(simple_roots)
-        ident = mat_identity(n)
-        for g in cochar_gens:
-            for row_g, row_i in zip(g, ident):
-                rows.append(vsub(row_g, row_i))
-        self.split_center_basis = kernel_basis(mat(rows))
+        # X_*(A_L): Gamma-fixed (cocharacter action), killed by Levi roots;
+        # its rational span is the common kernel of these rows
+        self._split_rows = mat(simple_roots + fixed_point_rows(n, cochar_gens))
+        self.split_center_basis = kernel_basis(self._split_rows)
 
         # X_*(A_L^): Gamma-fixed (character action), killed by Levi coroots
-        rows = list(simple_coroots)
-        for g in char_gens:
-            for row_g, row_i in zip(g, ident):
-                rows.append(vsub(row_g, row_i))
-        self.dual_split_center_basis = kernel_basis(mat(rows))
+        self.dual_split_center_basis = kernel_basis(mat(
+            simple_coroots
+            + fixed_point_rows(n, group.galois.char_generators)))
 
         if len(self.split_center_basis) != len(self.dual_split_center_basis):
             raise AssertionError("split center ranks disagree across duality")
@@ -374,38 +374,14 @@ class LeviContext:
         return tuple(Fraction(dot(row, c), self._alpha_den)
                      for row in self._alpha_num)
 
-    @cached_property
-    def _alpha_inv_int(self) -> Tuple[Tuple[Vector, ...], Matrix, int]:
-        """(annihilator of Y, N, d) for Y the split-center basis: a point p
-        lies in the split-center space iff z.p = 0 for every annihilator
-        vector z, and then alpha_inv(p) = N.p / d, where the integer matrix
-        N over the one denominator d > 0 is P.(Y^T Y)^-1.Y^T.  Derived on
-        first use."""
-        Y = self.split_center_basis
-        if not Y:
-            return mat_identity(self.group.datum.rank), (), 1
-        gram = mat([[dot(a, b) for b in Y] for a in Y])
-        q = mat_mul(mat_mul(self._P, mat_inverse(gram)), Y)
-        d = lcm(*(x.denominator for row in q for x in row))
-        return (kernel_basis(mat(Y)), tuple(tuple(
-            x.numerator * (d // x.denominator) for x in row) for row in q), d)
-
-    def alpha_inv_scaled(self, point: Sequence) -> Optional[Tuple[Tuple, int]]:
-        """alpha_inv(point) as (N.point, d), integers for an integer point,
-        or None when the point does not lie in the split-center space."""
-        ann, num, den = self._alpha_inv_int
-        if any(dot(z, point) for z in ann):
+    def alpha_inv(self, point: Sequence) -> Optional[Tuple]:
+        """fraktur-A_L -> X*(A_L^)_Q: the restriction of a point of the
+        split-center space (ints for an integer point, Fractions for a
+        Fraction point), or None for a point off that space, which is the
+        common kernel of `_split_rows`."""
+        if any(dot(row, point) for row in self._split_rows):
             return None
-        return mat_vec(num, point), den
-
-    def alpha_inv(self, point: Sequence) -> Tuple:
-        """fraktur-A_L -> X*(A_L^)_Q, exact; raises if point not in the space.
-        The values are the Fractions N.point / d of `alpha_inv_scaled`."""
-        scaled = self.alpha_inv_scaled(point)
-        if scaled is None:
-            raise ValueError("point does not lie in the split-center space")
-        num, den = scaled
-        return tuple(Fraction(x, den) for x in num)
+        return self.restrict_ambient(point)
 
     @cached_property
     def dual_center_solver(self) -> SmithSolver:

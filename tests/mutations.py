@@ -127,6 +127,36 @@ MUTATIONS = (
         "            if y not in out:", "            if x not in out:",
         ("tests/test_properties.py::test_double_cosets_are_the_matrix_products",),
         "a double coset cut short to x . right: the skip tests x, not l . x"),
+    Mutation(
+        "alpha-inv-without-row-test", "src/rk/rootdata.py",
+        """        if any(dot(row, point) for row in self._split_rows):
+            return None
+""", "",
+        ("tests/test_rootdata.py::test_alpha_inv_matches_rational_solve",),
+        "a point off the split-center space restricted as if it lay in it"),
+    Mutation(
+        "element-from-ambient-without-reduction", "src/rk/lattice.py",
+        "[y[i] % d for i, d in self._torsion]",
+        "[y[i] for i, d in self._torsion]",
+        ("tests/test_properties.py::"
+         "test_abelian_group_matches_the_slot_kind_class",),
+        "torsion coordinates left unreduced modulo their invariant factor"),
+    Mutation(
+        "indexing-key-without-v", "src/rk/endoscopy.py",
+        '("indexing", levi, h, emb.key(), v)', '("indexing", levi, h, emb.key())',
+        ("tests/test_endoscopy.py::"
+         "test_memoized_indexing_forward_matches_the_reference",),
+        "one group-side coset kept for every v of an indexing input"),
+    Mutation(
+        "trace-key-without-g", "src/rk/endoscopy.py",
+        '("trace", levi, w, lam_w, g)', '("trace", levi, w, lam_w)',
+        ("tests/test_endoscopy.py::test_memoized_trace_matches_the_reference",),
+        "one orbit trace kept for every g of a (Levi, w, weight)"),
+    Mutation(
+        "levi-weyl-key-collides-with-levi-context", "src/rk/rootdata.py",
+        'cached(self.memo, ("levi_weyl", key)', 'cached(self.memo, ("levi", key)',
+        ("tests/test_rootdata.py::test_levi_weyl_elements_match_definition",),
+        "W^rel_L kept under the key of the Levi's LeviContext"),
 )
 
 

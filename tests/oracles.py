@@ -14,21 +14,24 @@ elements by one `mat_vec` per positive root and its connected Weyl group
 closed for every cut, the coset counting certificate with the double
 coset built for every transporter element, and the endoscopy layer's
 right W_phi cosets as sets, indexing map, orbit traces, geometric-lemma
-step and Levi-token expansion, likewise on every call.  With them are the
-routines that only the tests call: the rational span test, the Levi data
-as one tuple, the full Weyl group of a disconnected group with its
-semidirect splitting, a Levi cut as a disconnected group, the
-descent certificate of a highest-weight module, and the description-file
-writers that the round-trip tests compare the loaders of `rk.files`
-with.  The group and disconnected-group preset tables as they were when
+step and Levi-token expansion, likewise on every call, and the finitely
+generated abelian group with a slot kind per Smith slot and its
+coinvariants, as they were before the group had one construction path.
+With them are the routines that only the tests call: the rational span
+test, the Levi data as one tuple, the full Weyl group of a disconnected
+group with its semidirect splitting, a Levi cut as a disconnected group,
+the descent certificate of a highest-weight module, and the
+description-file writers that the round-trip tests compare the loaders
+of `rk.files` with.  The group and disconnected-group preset tables as they were when
 every matrix was made by `lattice.mat` at import stand beside them.
 """
 
 from fractions import Fraction
 from functools import lru_cache, partial
+from itertools import product
 from math import gcd
 from math import lcm as _lcm
-from typing import Dict, Optional
+from typing import Dict, Optional, Sequence
 
 from rk.cyclotomic import (Cyclo, _reduce_mod_cyclotomic,
                            cyclotomic_polynomial, prime_factors)
@@ -39,8 +42,9 @@ from rk.endoscopy import (EndoscopyError, Term, _forward_table,
                           regular_part)
 from rk.finite_reps import FiniteGroup
 from rk.kottwitz import basic_plus_lift
-from rk.lattice import (dot, mat, mat_identity, mat_transpose, mat_vec,
-                        orbit, solve_rational, vneg, vscale, vsub)
+from rk.lattice import (FgaElement, Matrix, Vector, dot, mat, mat_identity, mat_inverse_int,
+                        mat_transpose, mat_vec, orbit, smith_normal_form,
+                        solve_rational, vadd, vneg, vscale, vsub)
 from rk.packets import (PacketMember, _canonical_double_coset,
                         _certify_descent, canonical_rho, dominantize)
 from rk.params import ParameterError, _is_reflection, _simple_positions
@@ -516,16 +520,12 @@ def build_packet_member_unmemoized(param, rho):
 def fiber_weight_unmemoized(param, b, w):
     """The weight alpha_M^{-1}(w^{-1} . nu(b)) when it is integral, else
     None, computed on every call."""
-    nu, den_l = param.group.levi_context(b.levi).newton_scaled(b.kappa)
+    nu, den = param.group.levi_context(b.levi).newton_scaled(b.kappa)
     moved = mat_vec(mat_transpose(w), nu)  # cochar action of w^{-1}
-    image = param.ctx_M.alpha_inv_scaled(moved)
-    if image is None:
+    image = param.ctx_M.alpha_inv(moved)
+    if image is None or any(x % den for x in image):
         return None
-    num, den_m = image
-    den = den_l * den_m
-    if any(x % den for x in num):
-        return None
-    return tuple(x // den for x in num)
+    return tuple(x // den for x in image)
 
 
 def double_coset_ids_by_comprehension(param, levi, w):
@@ -643,6 +643,161 @@ def expand_levi_token_unmemoized(param, b, w, endo, dist, sign_token):
             param, member.levi, w, lam_raw, module.dim, identity, endo)
         dist.add(Term("member", tuple(sorted(member.levi)), member.key(),
                       endo.label, Fraction(1, 2), sign_token), coeff)
+
+
+# ---------------------------------------------------------------------------
+# finitely generated abelian groups with a slot kind per Smith slot
+
+class FgAbelianGroupBySlotKinds:
+    """Z^rank / (column span of a relation matrix), built on one of three
+    paths (ambient rank 0, relation columns, none) with a slot kind per
+    Smith slot: the finitely generated abelian group of the library
+    before it had one construction path.
+
+    Elements are carried in coordinates read off from the Smith normal
+    form of the presentation: a free part in Z^free_rank and a torsion
+    part reduced modulo the invariant factors d_1 | d_2 | ... (each >= 2).
+
+    >>> G = FgAbelianGroupBySlotKinds(2, [(1, -1)])
+    >>> G.free_rank, G.torsion
+    (1, ())
+    >>> G.element_from_ambient((1, 0)).free
+    (1,)
+    """
+
+    def __init__(self, ambient_rank: int, relation_columns: Sequence[Vector]):
+        self.ambient_rank = ambient_rank
+        cols = [tuple(c) for c in relation_columns]
+        for c in cols:
+            if len(c) != ambient_rank:
+                raise ValueError("relation column of wrong length")
+        if cols:
+            pres = mat_transpose(mat(cols))  # ambient_rank x m
+        else:
+            pres = tuple(() for _ in range(ambient_rank))
+        self.presentation = pres
+        self._shape = (ambient_rank, len(cols))
+        if ambient_rank == 0:
+            self._U = ()
+            self._Uinv = ()
+            self._diag = ()
+        elif cols:
+            D, U, _V = smith_normal_form(pres)
+            self._U = U
+            self._Uinv = mat_inverse_int(U)
+            self._diag = tuple(D[i][i] for i in range(min(ambient_rank, len(cols))))
+        else:
+            self._U = mat_identity(ambient_rank)
+            self._Uinv = mat_identity(ambient_rank)
+            self._diag = ()
+        full = list(self._diag) + [0] * (ambient_rank - len(self._diag))
+        self._slot_kind = []  # 'drop' (d=1), 'torsion' (d>=2), 'free' (d=0)
+        torsion = []
+        for d in full:
+            if d == 1:
+                self._slot_kind.append("drop")
+            elif d == 0:
+                self._slot_kind.append("free")
+            else:
+                self._slot_kind.append("torsion")
+                torsion.append(d)
+        self.torsion: Vector = tuple(torsion)
+        self.free_rank: int = sum(1 for k in self._slot_kind if k == "free")
+
+    @classmethod
+    def from_presentation(cls, ambient_rank: int,
+                          relation_columns: Sequence[Vector]
+                          ) -> "FgAbelianGroupBySlotKinds":
+        return cls(ambient_rank, relation_columns)
+
+    def __repr__(self):
+        parts = ["Z"] * self.free_rank + ["Z/%d" % d for d in self.torsion]
+        return "FgAbelianGroup(%s)" % (" + ".join(parts) if parts else "0")
+
+    def __eq__(self, other):
+        return (isinstance(other, FgAbelianGroupBySlotKinds)
+                and self.free_rank == other.free_rank
+                and self.torsion == other.torsion
+                and self._shape == other._shape
+                and self.presentation == other.presentation)
+
+    def is_trivial(self) -> bool:
+        return self.free_rank == 0 and not self.torsion
+
+    def element_from_ambient(self, v: Sequence[int]) -> FgaElement:
+        if len(v) != self.ambient_rank:
+            raise ValueError("ambient vector of wrong length")
+        y = mat_vec(self._U, v) if self.ambient_rank else ()
+        free = []
+        tors = []
+        for yi, kind, d in zip(y, self._slot_kind,
+                               list(self._diag) + [0] * self.ambient_rank):
+            if kind == "free":
+                free.append(yi)
+            elif kind == "torsion":
+                tors.append(yi % d)
+        return FgaElement(tuple(free), tuple(tors))
+
+    def element(self, free: Sequence[int] = (), torsion: Sequence[int] = ()) -> FgaElement:
+        if len(free) != self.free_rank or len(torsion) != len(self.torsion):
+            raise ValueError("coordinate counts do not match the group shape")
+        tors = tuple(t % d for t, d in zip(torsion, self.torsion))
+        return FgaElement(tuple(int(x) for x in free), tors)
+
+    def zero(self) -> FgaElement:
+        return FgaElement((0,) * self.free_rank, (0,) * len(self.torsion))
+
+    def section(self, e: FgaElement) -> Vector:
+        """An ambient representative of `e` (a set-theoretic section)."""
+        y = []
+        fi = ti = 0
+        for kind in self._slot_kind:
+            if kind == "drop":
+                y.append(0)
+            elif kind == "free":
+                y.append(e.free[fi])
+                fi += 1
+            else:
+                y.append(e.torsion[ti])
+                ti += 1
+        return mat_vec(self._Uinv, y) if self.ambient_rank else ()
+
+    def add(self, a: FgaElement, b: FgaElement) -> FgaElement:
+        return FgaElement(vadd(a.free, b.free),
+                          tuple((x + y) % d for x, y, d
+                                in zip(a.torsion, b.torsion, self.torsion)))
+
+    def neg(self, a: FgaElement) -> FgaElement:
+        return FgaElement(vneg(a.free),
+                          tuple((-x) % d for x, d in zip(a.torsion, self.torsion)))
+
+    def scale(self, c: int, a: FgaElement) -> FgaElement:
+        return FgaElement(vscale(c, a.free),
+                          tuple((c * x) % d for x, d in zip(a.torsion, self.torsion)))
+
+    def elements_in_box(self, radius: int):
+        """All elements with free coordinates in [-radius, radius] (exhaustive
+        over torsion).  Only sensible for small groups; used by tests."""
+        free_ranges = [range(-radius, radius + 1)] * self.free_rank
+        tor_ranges = [range(d) for d in self.torsion]
+        for free in product(*free_ranges):
+            for tors in product(*tor_ranges):
+                yield FgaElement(tuple(free), tuple(tors))
+
+
+def coinvariants_by_slot_kinds(
+        lattice_rank: int, generators: Sequence[Matrix],
+        extra_relations: Sequence[Vector] = ()) -> FgAbelianGroupBySlotKinds:
+    """L / <x - g.x>, optionally after further quotienting by extra columns."""
+    cols = [tuple(c) for c in extra_relations]
+    ident = mat_identity(lattice_rank)
+    for g in generators:
+        if len(g) != lattice_rank:
+            raise ValueError("action rank mismatch")
+        diff = [vsub(col_g, col_i) for col_g, col_i
+                in zip(mat_transpose(g), mat_transpose(ident))]
+        cols.extend(diff)
+    return FgAbelianGroupBySlotKinds.from_presentation(lattice_rank, cols)
 
 
 # ---------------------------------------------------------------------------

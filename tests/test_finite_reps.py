@@ -83,7 +83,7 @@ def test_sum_of_squares(group):
 def test_module_label_is_formed_once(monkeypatch):
     # a frozen module keeps its label: the values are printed on the first
     # call only, and the label is the dim with the values' pretty forms
-    mods = [Module(m.dim, m.character, m.matrices)
+    mods = [Module(m.dim, m.character)
             for m in simple_modules(S4)]
     printed = []
     pretty = Cyclo.pretty

@@ -41,7 +41,8 @@ def test_newton_zero():
         g = presets.group(name)
         for subset in g.standard_levi_subsets():
             ctx = g.levi_context(subset)
-            b = BElement(subset, ctx.dual_center_characters.zero())
+            b = BElement(subset, ctx.dual_center_characters.element_from_ambient(
+                (0,) * g.datum.rank))
             assert newton(g, b) == tuple(Fraction(0)
                                          for _ in range(g.datum.rank))
 
@@ -64,7 +65,8 @@ def test_kappa_push_gl2_quotient_oracle():
 def test_kappa_push_zero():
     g = presets.group("gl3")
     ctx = g.levi_context(frozenset({0}))
-    b = BElement(frozenset({0}), ctx.dual_center_characters.zero())
+    b = BElement(frozenset({0}),
+                 ctx.dual_center_characters.element_from_ambient((0, 0, 0)))
     assert kappa_push(g, b).is_zero()
 
 
@@ -72,7 +74,7 @@ def test_kappa_push_adjoint_rank1_torsion_oracle():
     # rank-1 adjoint datum: pushing the torus generator lands on the
     # nontrivial class of Z/2; oracle = SNF of the A_1 Cartan matrix
     g = presets.group("pgl2")
-    oracle = FgAbelianGroup.from_presentation(1, [(2,)])
+    oracle = FgAbelianGroup(1, [(2,)])
     assert oracle.torsion == (2,)
     ctx_t = g.levi_context(frozenset())
     ctx_g = g.levi_context(g.full_subset())

@@ -104,9 +104,9 @@ def _off_by_one(a):
     lambda: solve_integer(mat([[2, 0], [0, 3]]), (4, 9)),
     lambda: is_saturated(((1, 1),), 2),
     lambda: mat_inverse_int(mat([[2, 1], [1, 1]])),
-    lambda: FgAbelianGroup.from_presentation(2, [(2, 0), (0, 3)]),
+    lambda: FgAbelianGroup(2, [(2, 0), (0, 3)]),
 ], ids=["kernel_basis", "solve_integer", "is_saturated", "mat_inverse_int",
-        "from_presentation"])
+        "FgAbelianGroup"])
 def test_smith_form_recheck_runs_on_every_factorization(call, monkeypatch):
     # every factorization goes through smith_normal_form, so a wrong raw
     # form is caught by its product check wherever it is asked for
@@ -281,23 +281,21 @@ def test_fga_cartan_a_series():
         rank = n - 1
         cartan_cols = [tuple(2 if i == j else (-1 if abs(i - j) == 1 else 0)
                              for i in range(rank)) for j in range(rank)]
-        g = FgAbelianGroup.from_presentation(rank, cartan_cols)
+        g = FgAbelianGroup(rank, cartan_cols)
         assert g.free_rank == 0
         assert g.torsion == (n,)
 
 
 def test_fga_elements_and_section():
-    g = FgAbelianGroup.from_presentation(2, [(2, 0), (0, 3)])
+    g = FgAbelianGroup(2, [(2, 0), (0, 3)])
     assert (g.free_rank, g.torsion) == (0, (6,))
     e = g.element_from_ambient((1, 1))
     back = g.section(e)
     assert g.element_from_ambient(back) == e
-    z = g.add(e, g.neg(e))
-    assert z.is_zero()
 
 
 def test_fga_box_round_trip():
-    g = FgAbelianGroup.from_presentation(3, [(1, -1, 0)])
+    g = FgAbelianGroup(3, [(1, -1, 0)])
     for e in g.elements_in_box(2):
         assert g.element_from_ambient(g.section(e)) == e
 

@@ -2,7 +2,8 @@
 the `dot`/`mat_vec`/`mat_mul` kernel, and of the code that reads its
 answers from them, each against a brute-force definition; of the integer
 kernel bases read from Smith forms, against the definition of a saturated
-kernel basis; of the finite-group core, whose products, inverses, Cayley
+kernel basis; of the finitely generated abelian groups and coinvariants,
+against the class with a slot kind per Smith slot they replaced; of the finite-group core, whose products, inverses, Cayley
 rows, closures and subgroups on point permutations are checked against
 matrix products on random words in every preset's groups; and of `Cyclo`
 arithmetic, against the ring axioms, the rational solve it replaced and
@@ -40,10 +41,12 @@ from rk.finite_reps import (FiniteGroup, Module, _det_mod, _nullspace_mod,
                             _solve_mod)
 from rk.kottwitz import BElement
 from rk.lattice import (
+    FgAbelianGroup,
     FgaElement,
     SmithSolver,
     _snf_raw,
     closure,
+    coinvariants,
     dot,
     kernel_basis,
     mat_det,
@@ -60,7 +63,8 @@ from rk.packets import PacketMember, build_packet_member, enumerate_rhos
 from rk.rootdata import BasedRootDatum, GaloisAction, ScaledPoint
 from rk.weyl import ChamberWitness, chamber_locate, stabilizer
 
-from oracles import (FractionCyclo, canonical_by_solve,
+from oracles import (FgAbelianGroupBySlotKinds, FractionCyclo,
+                     canonical_by_solve, coinvariants_by_slot_kinds,
                      cyclotomic_polynomial_by_fractions)
 
 # Hypothesis caches the literals of the source it imports under its home
@@ -222,6 +226,58 @@ def test_kernel_bases_are_saturated_kernel_bases(a):
             coords = solve_rational(basis, v)
             assert coords is not None
             assert all(c.denominator == 1 for c in coords)
+
+
+# ---------------------------------------------------------------------------
+# finitely generated abelian groups against the slot-kind class
+
+@st.composite
+def presentations(draw):
+    """(ambient rank 0-4, 0-4 relation columns of that length)."""
+    rank = draw(st.integers(0, 4))
+    column = st.lists(st.integers(-6, 6), min_size=rank,
+                      max_size=rank).map(tuple)
+    return rank, draw(st.lists(column, max_size=4))
+
+
+@PROPERTY
+@given(pres=presentations(), data=st.data())
+def test_abelian_group_matches_the_slot_kind_class(pres, data):
+    rank, cols = pres
+    new = FgAbelianGroup(rank, cols)
+    old = FgAbelianGroupBySlotKinds(rank, cols)
+    assert (new.free_rank, new.torsion) == (old.free_rank, old.torsion)
+    vector = st.lists(st.integers(-30, 30), min_size=rank,
+                      max_size=rank).map(tuple)
+    for v in data.draw(st.lists(vector, min_size=1, max_size=5)):
+        e = new.element_from_ambient(v)
+        assert e == old.element_from_ambient(v)
+        assert new.element_from_ambient(new.section(e)) == e
+    # equality against the same columns and against small edits of them
+    edits = [cols, cols[:-1], cols + [(0,) * rank], cols + [(1,) * rank]]
+    if cols and rank:
+        edits.append([(cols[0][0] + 1,) + cols[0][1:]] + cols[1:])
+    for other in edits:
+        assert (new == FgAbelianGroup(rank, other)) == \
+            (old == FgAbelianGroupBySlotKinds(rank, other))
+
+
+@pytest.mark.parametrize("name", presets.GROUP_NAMES)
+def test_coinvariants_match_the_slot_kind_class(name):
+    # every standard Levi's dual-center characters, as LeviContext asks
+    g = presets.group(name)
+    n, gens = g.datum.rank, g.galois.cochar_generators
+    for subset in g.standard_levi_subsets():
+        coroots = [g.datum.simple_coroots[p] for p in sorted(subset)]
+        new = coinvariants(n, gens, coroots)
+        old = coinvariants_by_slot_kinds(n, gens, coroots)
+        assert (new.free_rank, new.torsion, new.presentation) == \
+            (old.free_rank, old.torsion, old.presentation)
+        for v in mat_identity(n) + ((0,) * n, (1,) * n):
+            e = new.element_from_ambient(v)
+            assert e == old.element_from_ambient(v)
+            assert new.section(e) == old.section(e)
+        assert new == g.levi_context(subset).dual_center_characters
 
 
 # ---------------------------------------------------------------------------

@@ -462,7 +462,7 @@ def test_alpha_matches_rational_inverse(name):
 def test_alpha_inv_matches_rational_solve(name):
     # oracle: P . solve_rational(Y, p), the Fraction definition, on seeded
     # integer and Fraction points of the split-center space and on points
-    # moved off it, which raise
+    # moved off it, which give None
     g = presets.group(name)
     n = g.datum.rank
     rng = random.Random(name)
@@ -482,13 +482,9 @@ def test_alpha_inv_matches_rational_solve(name):
                     sol = solve_rational(Y, point)
                     if sol is None:
                         off += 1
-                        with pytest.raises(ValueError, match="does not lie"):
-                            ctx.alpha_inv(point)
-                        assert ctx.alpha_inv_scaled(point) is None
+                        assert ctx.alpha_inv(point) is None
                         continue
-                    got = ctx.alpha_inv(point)
-                    assert got == mat_vec(ctx._P, sol)
-                    assert all(type(x) is Fraction for x in got)
+                    assert ctx.alpha_inv(point) == mat_vec(ctx._P, sol)
     assert off or all(len(g.levi_context(s).split_center_basis) == n
                       for s in g.standard_levi_subsets())
 
@@ -496,10 +492,9 @@ def test_alpha_inv_matches_rational_solve(name):
 def test_alpha_inv_derived_on_first_use():
     g = presets.group("gl3")
     ctx = g.levi_context(frozenset({0}))
-    assert "_alpha_inv_int" not in vars(ctx)
     assert "dual_center_solver" not in vars(ctx)
-    ctx.alpha_inv((1, 1, 0))
-    assert "_alpha_inv_int" in vars(ctx)
+    assert ctx.alpha_inv((1, 1, 0)) == (2, 0)
+    assert "dual_center_solver" not in vars(ctx)
 
 
 @pytest.mark.parametrize("name", presets.GROUP_NAMES)

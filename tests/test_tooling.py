@@ -3,13 +3,14 @@ kind of object the tracer knows how to wrap, so a change that deletes,
 renames or re-kinds one fails here and not only in traced benchmark
 runs.  Every name an `rk` module imports is used, every per-object
 memo goes through `lattice.cached`, and every key kind is listed in its
-owner's key table.  Each command loads only the modules it runs, the
+owner's key table.  Every function and method of `rk` is named by the
+library or the benchmark, or is listed as kept for the tests.  Each command loads only the modules it runs, the
 command line imports its layers in its handlers, and the cyclotomic
 layer and the preset tables load no other `rk` module.  The preset
 registry lists, resolves and rejects the same names, builds the groups
 of its earlier table, and every preset resolves like its dumped
 description file.  One pass of each warm benchmark workload reproduces
-the reference digests."""
+the reference digests, and alpha_L^-1 runs no factorization."""
 
 import ast
 import importlib
@@ -110,6 +111,87 @@ def test_every_imported_name_is_used():
                     if name not in used:
                         unused.add((path.name, name))
     assert unused == UNUSED_IMPORTS_KEPT
+
+
+# the functions and methods defined in src/rk that no code there or in
+# perfbench names: each is kept for the tests, and says why
+TEST_ONLY = {
+    "disconnected.char_eval": "characters of the full centralizer, which "
+                              "no command prints yet",
+    "disconnected.WeightMultiplicityTable.multiplicity":
+        "a single-weight query of the table, for the weight tests",
+    "endoscopy.s_in_levi_check": "the split-center membership of s as a "
+                                 "report, against the per-call check",
+    "lattice.closure": "the matrix closure the group-core tests compare "
+                       "with; the benchmark's tracer still names it",
+    "lattice.solve_rational": "the rational solve of the oracle tests; the "
+                              "benchmark's tracer still names it",
+    "lattice.FgAbelianGroup.elements_in_box": "the acceptance test's "
+                                              "exhaustive element boxes",
+    "params.Parameter.component_group": "pi0 of the centralizer, which the "
+                                        "benchmark's tracer counts",
+    "rootdata.GaloisAction.is_trivial": "the split-group test of the "
+                                        "moving Galois generators",
+    "rootdata.ReductiveGroup.dominant": "the dominance test of the chamber "
+                                        "and lift tests",
+    "rootdata.ReductiveGroup.facet_levi": "the open-facet Levi of the "
+                                          "chamber and lift tests",
+}
+
+
+def _defined_functions():
+    """'module.name' or 'module.Class.name' of every module-level function
+    and method in src/rk, dunder methods aside."""
+    for path in sorted((ROOT / "src" / "rk").glob("*.py")):
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            if isinstance(node, ast.FunctionDef):
+                owner, fns = path.stem, [node]
+            elif isinstance(node, ast.ClassDef):
+                owner, fns = "%s.%s" % (path.stem, node.name), node.body
+            else:
+                continue
+            for fn in fns:
+                if isinstance(fn, ast.FunctionDef) and not (
+                        fn.name.startswith("__") and fn.name.endswith("__")):
+                    yield "%s.%s" % (owner, fn.name)
+
+
+def _referenced_names():
+    """The names src/rk and perfbench reference, with the string constants
+    of src/rk (a preset is reached by getattr on its kind)."""
+    used = set()
+    for path in sorted((ROOT / "src" / "rk").glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        used.update(_names(tree))
+        used.update(n.value for n in ast.walk(tree)
+                    if isinstance(n, ast.Constant) and isinstance(n.value, str))
+    for path in sorted((ROOT / "perfbench").glob("*.py")):
+        used.update(_names(ast.parse(path.read_text(encoding="utf-8"))))
+    return used
+
+
+def test_every_function_is_used_or_kept_for_the_tests():
+    # no unused API: a function nothing in the library or the benchmark
+    # names is listed in TEST_ONLY with its reason, matched by name
+    used = _referenced_names()
+    unreferenced = {q for q in _defined_functions()
+                    if q.rsplit(".", 1)[1] not in used}
+    assert unreferenced == set(TEST_ONLY)
+
+
+def test_an_unreferenced_function_is_reported(tmp_path, monkeypatch):
+    # the scan above sees a new public function that nothing calls
+    (tmp_path / "src" / "rk").mkdir(parents=True)
+    (tmp_path / "perfbench").mkdir()
+    (tmp_path / "src" / "rk" / "extra.py").write_text(
+        "def unheard_of():\n    pass\n\n\ndef used():\n    pass\n\n\n"
+        "class Thing:\n    def method(self):\n        return used()\n")
+    monkeypatch.setattr(sys.modules[__name__], "ROOT", tmp_path)
+    assert set(_defined_functions()) == {"extra.unheard_of", "extra.used",
+                                         "extra.Thing.method"}
+    assert {q for q in _defined_functions()
+            if q.rsplit(".", 1)[1] not in _referenced_names()} == \
+        {"extra.unheard_of", "extra.Thing.method"}
 
 
 # ---------------------------------------------------------------------------
@@ -682,3 +764,34 @@ def test_chamber_image_is_paired_with_the_roots_once(monkeypatch):
 
     assert sequence(False) == {"integer_point": 1, "root_pairings": 1}
     assert sequence(True) == {"integer_point": 3, "root_pairings": 2}
+
+
+def test_alpha_inv_runs_no_factorization(monkeypatch):
+    # alpha_L^-1 is the restriction to the dual split center, and a point
+    # lies in the split-center space when the rows the split-center basis
+    # was solved from vanish on it: on a fresh LeviContext of every preset
+    # it runs no Smith form and no rational inverse
+    from rk import lattice, presets, rootdata
+    calls = {"_snf_raw": 0, "mat_inverse": 0}
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(lattice, "_snf_raw",
+                        counted("_snf_raw", lattice._snf_raw))
+    for module in (lattice, rootdata):
+        monkeypatch.setattr(module, "mat_inverse",
+                            counted("mat_inverse", lattice.mat_inverse))
+    for name in presets.GROUP_NAMES:
+        g = presets.group(name)
+        n = g.datum.rank
+        for subset in g.standard_levi_subsets():
+            ctx = rootdata.LeviContext(g, subset)
+            inside = tuple(map(sum, zip(*ctx.split_center_basis))) or (0,) * n
+            calls.update(_snf_raw=0, mat_inverse=0)
+            assert ctx.alpha_inv(inside) is not None
+            ctx.alpha_inv((1,) + (0,) * (n - 1))
+            assert calls == {"_snf_raw": 0, "mat_inverse": 0}, (name, subset)
