@@ -197,7 +197,7 @@ def cmd_packet(args) -> Dict:
     param = resolve_parameter(args.param)
     report: Dict = {"command": "packet", "group": param.group.name,
                     "param": param.label}
-    if args.rho:
+    if args.rho is not None:
         member = build_packet_member(param, _parse_rho(param, args.rho))
         report["member"] = _member_report(param, member)
         if args.fiber:
@@ -241,9 +241,9 @@ def cmd_eci(args) -> Dict:
     if args.b:
         with open(args.b, "r", encoding="utf-8") as fh:
             b = decode(param.group, json.load(fh))
-    elif args.rho or param.dim == 2:
-        b = build_packet_member(param,
-                                _parse_rho(param, args.rho or "1,0")).b
+    elif args.rho is not None or param.dim == 2:
+        text = "1,0" if args.rho is None else args.rho
+        b = build_packet_member(param, _parse_rho(param, text)).b
     else:
         raise ValueError("eci needs --rho or --b: the default weight 1,0 "
                          "has 2 entries, this parameter needs %d" % param.dim)
@@ -304,7 +304,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("packet", help="packet members and fibers")
     p.add_argument("--param", required=True)
-    p.add_argument("--rho", default="")
+    p.add_argument("--rho")
     p.add_argument("--fiber", action="store_true")
     p.add_argument("--enumerate", action="store_true")
     p.add_argument("--height", type=int, default=2)
@@ -312,7 +312,7 @@ def build_parser() -> argparse.ArgumentParser:
     e = sub.add_parser("eci", help="two-sided regular character identity")
     e.add_argument("--param", required=True)
     e.add_argument("--endo", required=True)
-    e.add_argument("--rho", default="")
+    e.add_argument("--rho")
     e.add_argument("--b", default="")
 
     x = sub.add_parser("examples", help="list shipped presets")

@@ -25,9 +25,8 @@ from .lattice import (
     Vector,
     cached,
     dot,
-    mat,
+    from_columns,
     mat_identity,
-    mat_transpose,
     mat_vec,
     vadd,
     vsub,
@@ -192,7 +191,7 @@ def weight_multiplicities(datum: BasedRootDatum,
     rho = tuple(sum(Fraction(r[i]) for r in pos) / 2
                 for i in range(datum.rank))
     simples = list(datum.simple_roots)
-    solve = SmithSolver(mat_transpose(mat(simples))).solve
+    solve = SmithSolver(from_columns(simples, datum.rank), len(simples)).solve
     table: Dict[Vector, int] = {lam: 1}
     lam_rho = vadd(tuple(Fraction(x) for x in lam), rho)
     norm_top = _form_value(bform, lam_rho, lam_rho)

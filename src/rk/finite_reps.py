@@ -26,10 +26,10 @@ from .lattice import (
     MatrixGroup,
     Value,
     basis_orbits,
+    from_columns,
     gauss_jordan,
     mat,
     mat_det,
-    mat_transpose,
     orbit,
     smith_normal_form,
     solve_integer,
@@ -146,9 +146,8 @@ def _abelian_characters(group: FiniteGroup) -> Tuple[Dict, ...]:
                 words[b] = w
             else:
                 relations.append(tuple(x - y for x, y in zip(w, words[b])))
-    cols = mat_transpose(mat(relations)) if relations else \
-        tuple(() for _ in gens)
-    D, U, _V = smith_normal_form(cols)
+    D, U, _V = smith_normal_form(from_columns(relations, len(gens)),
+                                 len(relations))
     diag = [D[i][i] if i < len(relations) else 0 for i in range(len(gens))]
     if any(d == 0 for d in diag):
         raise AssertionError("finite abelian group with a free factor?")
@@ -454,7 +453,7 @@ def trivialize_cocycle(group: FiniteGroup, cocycle: Dict) -> Dict:
     n_eq = len(rows)
     aug = [row + [big if j == i else 0 for j in range(n_eq)]
            for i, row in enumerate(rows)]
-    sol = solve_integer(mat(aug), tuple(rhs))
+    sol = solve_integer(mat(aug), len(elems) + n_eq, tuple(rhs))
     if sol is None:
         raise CocycleError("cocycle class is not trivializable over the "
                            "roots of unity of its conductor times |A|")

@@ -7,7 +7,7 @@ interned by the permutations they make of points.  Everything is exact:
 arbitrary-precision integers (or Fractions where a denominator is
 unavoidable); no floating point is used anywhere in this package.
 
->>> D, U, V = smith_normal_form(((2, 4), (6, 8)))
+>>> D, U, V = smith_normal_form(((2, 4), (6, 8)), 2)
 >>> D
 ((2, 0), (0, 4))
 >>> G = FgAbelianGroup(2, [(2, 0), (0, 3)])
@@ -138,6 +138,14 @@ def mat_transpose(a: Matrix) -> Matrix:
     return tuple(zip(*a))
 
 
+def from_columns(columns: Iterable[Sequence], nrows: int) -> Matrix:
+    """The nrows x k matrix with the given k columns: nrows rows of ()
+    when there are none, a shape the transpose of no rows cannot give."""
+    cols = [tuple(c) for c in columns]
+    _check_lengths(cols, nrows)
+    return tuple(tuple([c[i] for c in cols]) for i in range(nrows))
+
+
 def mat_det(a: Matrix) -> int:
     """Fraction-free Bareiss determinant."""
     n = len(a)
@@ -215,7 +223,7 @@ def mat_inverse(a: Matrix) -> tuple:
 def mat_inverse_int(a: Matrix) -> Matrix:
     """Inverse of a unimodular integer matrix, as an integer matrix: with
     U*A*V = 1 in Smith form, A^-1 = V*U."""
-    D, U, V = smith_normal_form(a)
+    D, U, V = smith_normal_form(a, len(a))
     diag = {D[i][i] for i in range(len(D))}
     if diag - {1}:
         raise ValueError("matrix is singular" if 0 in diag
@@ -245,9 +253,9 @@ def solve_rational(a_cols: Sequence[Sequence], b: Sequence):
 # ---------------------------------------------------------------------------
 # Smith normal form
 
-def _snf_raw(a: Matrix):
-    m = len(a)
-    n = len(a[0]) if m else 0
+def _snf_raw(a: Matrix, ncols: int):
+    m, n = len(a), ncols
+    _check_lengths(a, n)
     A = [list(r) for r in a]
     U = [list(r) for r in mat_identity(m)]
     V = [list(r) for r in mat_identity(n)]
@@ -327,14 +335,16 @@ def _snf_raw(a: Matrix):
     return mat(A), mat(U), mat(V)
 
 
-def smith_normal_form(a: Matrix):
+def smith_normal_form(a: Matrix, ncols: int):
     """(D, U, V) with U*A*V = D diagonal, d_1 | d_2 | ..., U and V
     unimodular: the one Smith form every factorization goes through.
+    The column count is given, since a matrix with no rows has none to
+    read, and every row must have that length.
 
     The factorization is re-verified by exact multiplication on every
     call; a failure would indicate a genuine bug and raises.
     """
-    D, U, V = _snf_raw(a)
+    D, U, V = _snf_raw(a, ncols)
     if mat_mul(mat_mul(U, a), V) != D:
         raise AssertionError("SNF verification failed: U*A*V != D")
     if abs(mat_det(U)) != 1 or abs(mat_det(V)) != 1:
@@ -347,27 +357,24 @@ def smith_normal_form(a: Matrix):
 
 
 class SmithSolver:
-    """One Smith factorization U*A*V = D of an integer matrix A, kept for
-    many right-hand sides (Cohen, GTM 138, ch. 2).
+    """One Smith factorization U*A*V = D of an m x ncols integer matrix A,
+    kept for many right-hand sides (Cohen, GTM 138, ch. 2).
 
     `solve(b)` is x = V*D^-1*U*b with the divisibility test on every call;
     `kernel` is the saturated basis of the integer kernel of x -> A*x, read
     from the columns of V past the rank.
     """
 
-    def __init__(self, a: Matrix):
-        m = len(a)
-        n = len(a[0]) if m else 0
-        D, self._U, self._V = smith_normal_form(a)
-        self._diag = tuple(D[i][i] if i < n else 0 for i in range(m))
-        self._cols = n
+    def __init__(self, a: Matrix, ncols: int):
+        D, self._U, self._V = smith_normal_form(a, ncols)
+        self._diag = tuple(D[i][i] if i < ncols else 0 for i in range(len(a)))
         rank = sum(1 for d in self._diag if d != 0)
         self.kernel: Tuple[Vector, ...] = tuple(
-            tuple(row[j] for row in self._V) for j in range(rank, n))
+            tuple(row[j] for row in self._V) for j in range(rank, ncols))
 
     def solve(self, b: Sequence[int]):
         """One integer solution x of A*x = b, or None."""
-        y = [0] * self._cols
+        y = [0] * len(self._V)
         for i, (d, x) in enumerate(zip(self._diag, mat_vec(self._U, b))):
             if d == 0:
                 if x != 0:
@@ -376,31 +383,27 @@ class SmithSolver:
                 return None
             else:
                 y[i] = x // d
-        return mat_vec(self._V, y) if self._cols else ()
+        return mat_vec(self._V, y)
 
 
-def kernel_basis(a: Matrix) -> Tuple[Vector, ...]:
-    """Basis of the integer kernel of the column action x -> a*x.
+def kernel_basis(a: Matrix, ncols: int) -> Tuple[Vector, ...]:
+    """Basis of the integer kernel of the column action x -> a*x on
+    Z^ncols (all of it when a has no rows).
 
     The returned basis is saturated (the quotient by its span is free).
     """
-    if not a or not a[0]:
-        return ()
-    return SmithSolver(a).kernel
+    return SmithSolver(a, ncols).kernel
 
 
-def solve_integer(a: Matrix, b: Sequence[int]):
-    """One integer solution x of a*x = b, or None."""
-    return SmithSolver(a).solve(b)
+def solve_integer(a: Matrix, ncols: int, b: Sequence[int]):
+    """One integer solution x in Z^ncols of a*x = b, or None."""
+    return SmithSolver(a, ncols).solve(b)
 
 
 def is_saturated(basis: Sequence[Vector], ambient_rank: int) -> bool:
     """True if the sublattice spanned by `basis` is saturated in Z^rank."""
-    if not basis:
-        return True
-    cols = mat_transpose(mat(basis))  # ambient_rank x k
-    D, _, _ = smith_normal_form(cols)
     k = len(basis)
+    D, _, _ = smith_normal_form(from_columns(basis, ambient_rank), k)
     return all(D[i][i] == 1 for i in range(min(k, ambient_rank)))
 
 
@@ -675,10 +678,8 @@ class FgAbelianGroup:
         if any(len(c) != ambient_rank for c in cols):
             raise ValueError("relation column of wrong length")
         self._columns = len(cols)
-        # ambient_rank x m, ambient_rank rows of () when m = 0
-        self.presentation: Matrix = tuple(
-            tuple(c[i] for c in cols) for i in range(ambient_rank))
-        D, self._U, _V = smith_normal_form(self.presentation)
+        self.presentation: Matrix = from_columns(cols, ambient_rank)
+        D, self._U, _V = smith_normal_form(self.presentation, len(cols))
         self._Uinv = mat_inverse_int(self._U)
         diag = [D[i][i] if i < len(cols) else 0 for i in range(ambient_rank)]
         self._free = tuple(i for i, d in enumerate(diag) if d == 0)
@@ -764,10 +765,8 @@ def coinvariants(lattice_rank: int, generators: Sequence[Matrix],
 def invariants_saturated(lattice_rank: int,
                          generators: Sequence[Matrix]) -> Tuple[Vector, ...]:
     """Basis of the saturated fixed sublattice {x : g.x = x for all g}."""
-    rows = fixed_point_rows(lattice_rank, generators)
-    if not rows:
-        return tuple(mat_identity(lattice_rank))
-    basis = kernel_basis(mat(rows))
+    basis = kernel_basis(mat(fixed_point_rows(lattice_rank, generators)),
+                         lattice_rank)
     if not is_saturated(basis, lattice_rank):
         raise AssertionError("kernel basis unexpectedly non-saturated")
     return basis

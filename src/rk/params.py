@@ -24,6 +24,7 @@ from .lattice import (
     Vector,
     cached,
     dot,
+    from_columns,
     kernel_basis,
     mat,
     mat_identity,
@@ -91,9 +92,8 @@ class Parameter:
         # B as the columns of an n x dim matrix: solve(v) is v's integer
         # coordinates in B, or None off its span.  B is a saturated kernel
         # basis, so a lattice vector in the span has integer coordinates.
-        self.center_solver = SmithSolver(tuple(
-            tuple(u[i] for u in self.center_basis)
-            for i in range(group.datum.rank)))
+        self.center_solver = SmithSolver(
+            from_columns(self.center_basis, group.datum.rank), self.dim)
 
         # restricted roots on the split center of the dual Levi
         restricted = {}
@@ -402,16 +402,15 @@ class LeviCut:
     def _descent_coords(self) -> Tuple[Vector, ...]:
         param = self.param
         group = param.group
+        n = group.datum.rank
         levi_roots = [group.datum.roots[i] for i in
                       group.levi_context(self.levi).root_indices()]
-        kill: Tuple[Vector, ...] = ()
-        if levi_roots:
-            # the annihilator of w.B is w^-T applied to that of B
-            w_dual = group.relative.contragredient[self.w]
-            perp_center = [mat_vec(w_dual, z) for z in
-                           param.ctx_M.dual_center_solver.kernel]
-            perp_levi = kernel_basis(mat(levi_roots))
-            kill = kernel_basis(mat(perp_center + list(perp_levi)))
+        # the annihilator of w.B is w^-T applied to that of B
+        w_dual = group.relative.contragredient[self.w]
+        perp_center = [mat_vec(w_dual, z) for z in
+                       param.ctx_M.dual_center_solver.kernel]
+        perp_levi = kernel_basis(mat(levi_roots), n)
+        kill = kernel_basis(mat(perp_center + list(perp_levi)), n)
         coords = tuple(param.center_solver.solve(mat_vec(self.w_inv, v))
                        for v in kill)
         if None in coords:

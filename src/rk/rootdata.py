@@ -44,6 +44,7 @@ from .lattice import (
     coinvariants,
     dot,
     fixed_point_rows,
+    from_columns,
     invariants_saturated,
     kernel_basis,
     mat,
@@ -55,7 +56,6 @@ from .lattice import (
     mat_transpose,
     mat_vec,
     orbit,
-    vsub,
 )
 
 
@@ -66,11 +66,8 @@ class DatumError(ValueError):
 def reflection_matrix(root: Vector, coroot: Vector) -> Matrix:
     """Matrix of x -> x - <x, coroot> root on the character lattice."""
     n = len(root)
-    cols = []
-    for j in range(n):
-        e = tuple(1 if i == j else 0 for i in range(n))
-        cols.append(vsub(e, tuple(coroot[j] * r for r in root)))
-    return mat_transpose(mat(cols))
+    return tuple(tuple(int(i == j) - coroot[j] * root[i] for j in range(n))
+                 for i in range(n))
 
 
 class BasedRootDatum(Value):
@@ -326,12 +323,12 @@ class LeviContext:
         # X_*(A_L): Gamma-fixed (cocharacter action), killed by Levi roots;
         # its rational span is the common kernel of these rows
         self._split_rows = mat(simple_roots + fixed_point_rows(n, cochar_gens))
-        self.split_center_basis = kernel_basis(self._split_rows)
+        self.split_center_basis = kernel_basis(self._split_rows, n)
 
         # X_*(A_L^): Gamma-fixed (character action), killed by Levi coroots
         self.dual_split_center_basis = kernel_basis(mat(
             simple_coroots
-            + fixed_point_rows(n, group.galois.char_generators)))
+            + fixed_point_rows(n, group.galois.char_generators)), n)
 
         if len(self.split_center_basis) != len(self.dual_split_center_basis):
             raise AssertionError("split center ranks disagree across duality")
@@ -346,8 +343,7 @@ class LeviContext:
         Y = self.split_center_basis
         U = self.dual_split_center_basis
         self._P = mat([[dot(y, u) for y in Y] for u in U])
-        alpha_q = mat_mul(mat_transpose(Y), mat_inverse(self._P)) \
-            if self.dim else tuple(() for _ in range(n))
+        alpha_q = mat_mul(from_columns(Y, n), mat_inverse(self._P))
         self._alpha_den = 1
         for row in alpha_q:
             for x in row:
@@ -388,7 +384,8 @@ class LeviContext:
         """The Smith factorization of the dual split-center basis (as rows),
         made on first use: integer extensions of functionals and the
         basis's annihilator."""
-        return SmithSolver(mat(self.dual_split_center_basis))
+        return SmithSolver(mat(self.dual_split_center_basis),
+                           self.group.datum.rank)
 
     def kappa_from_functional(self, f: Sequence[int]) -> FgaElement:
         """The dual-center character with given free functional (torsion 0).
@@ -398,10 +395,7 @@ class LeviContext:
         Torsion coordinates are normalized to zero (they are not
         determined by a functional).
         """
-        if self.dim:
-            v = self.dual_center_solver.solve(tuple(f))
-        else:
-            v = (0,) * self.group.datum.rank
+        v = self.dual_center_solver.solve(tuple(f))
         if v is None:
             raise ValueError("functional is not integral on X_*(A_L^)")
         e = self.dual_center_characters.element_from_ambient(v)

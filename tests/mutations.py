@@ -38,6 +38,10 @@ class Mutation(NamedTuple):
     why: str
 
 
+#: the test that holds every frozen record to a frozen-dataclass twin
+VALUE_ORACLE = ("tests/test_properties.py::"
+                "test_value_records_behave_as_frozen_dataclasses")
+
 MUTATIONS = (
     Mutation(
         "carried-table-of-any-group", "src/rk/rootdata.py",
@@ -157,6 +161,61 @@ MUTATIONS = (
         'cached(self.memo, ("levi_weyl", key)', 'cached(self.memo, ("levi", key)',
         ("tests/test_rootdata.py::test_levi_weyl_elements_match_definition",),
         "W^rel_L kept under the key of the Levi's LeviContext"),
+    Mutation(
+        "smith-form-infers-the-column-count", "src/rk/lattice.py",
+        "    m, n = len(a), ncols\n",
+        "    m = len(a)\n    n = len(a[0]) if m else 0\n",
+        ("tests/test_elliptic.py::test_elliptic_round_trip",
+         "tests/test_elliptic.py::test_elliptic_eci_against_the_trivial_datum",
+         "tests/test_lattice.py::test_dual_center_annihilator_by_brute_force"),
+        "a matrix with no rows factored as 0 x 0, so the annihilator of an "
+        "empty center basis is 0 where it is all of Z^n"),
+    Mutation(
+        "value-eq-by-isinstance", "src/rk/lattice.py",
+        "        if other.__class__ is self.__class__:",
+        "        if isinstance(other, self.__class__):",
+        (VALUE_ORACLE,),
+        "a record equal to an instance of a subclass with equal fields"),
+    Mutation(
+        "value-hash-drops-a-field", "src/rk/lattice.py",
+        "        return hash(self._values(self))",
+        "        return hash(self._values(self)[1:])",
+        (VALUE_ORACLE,),
+        "a record hashed without its first field"),
+    Mutation(
+        "value-fields-read-in-reverse", "src/rk/lattice.py",
+        "        cls._values = attrgetter(*cls._fields)",
+        "        cls._values = attrgetter(*reversed(cls._fields))",
+        (VALUE_ORACLE,),
+        "a record's values read in reverse field order"),
+    Mutation(
+        "value-assigns-a-non-field-name", "src/rk/lattice.py",
+        """    def __setattr__(self, name, value):
+        raise""",
+        """    def __setattr__(self, name, value):
+        if name not in self._fields:
+            return object.__setattr__(self, name, value)
+        raise""",
+        (VALUE_ORACLE,),
+        "assignment to a name that is not a field let through"),
+    Mutation(
+        "value-without-delattr", "src/rk/lattice.py",
+        """    def __delattr__(self, name):
+        raise AttributeError("cannot delete field %r" % name)
+""", "",
+        (VALUE_ORACLE,),
+        "a record field that can be deleted"),
+    Mutation(
+        "value-repr-by-str", "src/rk/lattice.py",
+        '"%s=%r" % item', '"%s=%s" % item',
+        (VALUE_ORACLE,),
+        "a record printed with str() of its values, not repr()"),
+    Mutation(
+        "term-field-from-the-wrong-argument", "src/rk/endoscopy.py",
+        'object.__setattr__(self, "s_tag", s_tag)',
+        'object.__setattr__(self, "s_tag", sign_token)',
+        ("tests/test_report_corpus.py::test_every_corpus_report_is_unchanged",),
+        "an eci term that carries its sign token as its datum label"),
 )
 
 

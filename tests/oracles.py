@@ -682,7 +682,7 @@ class FgAbelianGroupBySlotKinds:
             self._Uinv = ()
             self._diag = ()
         elif cols:
-            D, U, _V = smith_normal_form(pres)
+            D, U, _V = smith_normal_form(pres, len(cols))
             self._U = U
             self._Uinv = mat_inverse_int(U)
             self._diag = tuple(D[i][i] for i in range(min(ambient_rank, len(cols))))

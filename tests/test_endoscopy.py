@@ -806,7 +806,7 @@ def _weight_exponent_fraction(basis, q, weight):
     """_weight_exponent's Fraction formula: a fresh integer extension of the
     weight, paired with the Fraction exponents mod 1."""
     from rk.lattice import mat, solve_integer
-    ext = solve_integer(mat(list(basis)), tuple(weight))
+    ext = solve_integer(mat(list(basis)), len(q), tuple(weight))
     if ext is None:
         raise EndoscopyError("weight does not extend integrally")
     return sum(Fraction(e) * x for e, x in zip(ext, q)) % 1
@@ -826,7 +826,7 @@ def _trace_fraction(param, levi, w, lam_w, module_dim, conj, q):
     cut = param.levi_cut(levi, w)
     basis = _twisted_basis(param, w)
     q_c = tuple(Fraction(x) % 1 for x in mat_vec(conj, q))
-    for z in kernel_basis(mat(list(basis))):
+    for z in kernel_basis(mat(list(basis)), len(q)):
         if dot(z, q_c) % 1 != 0:
             raise EndoscopyError("conjugated torus element left the twisted "
                                  "parameter center")
@@ -893,7 +893,7 @@ def test_trace_and_weight_exponent_match_fraction_formulas(pname, ename):
             if lam is None:
                 continue
             basis = _twisted_basis(param, w)
-            solver = SmithSolver(mat(basis))
+            solver = SmithSolver(mat(basis), param.group.datum.rank)
             for g in param.wphi_elements:
                 conj = mul(w, g)
                 for dim in (1, 2):
@@ -940,7 +940,7 @@ def test_weight_exponent_rejects_non_extendable_weight():
     from rk.lattice import SmithSolver
     basis = [(2, 0), (0, 1)]
     q = (Fraction(1, 3), Fraction(1, 2))
-    solver = SmithSolver(tuple(basis))
+    solver = SmithSolver(tuple(basis), 2)
     with pytest.raises(EndoscopyError, match="does not extend integrally"):
         _weight_exponent(solver, (2, 3), 6, (1, 0))
     with pytest.raises(EndoscopyError, match="does not extend integrally"):
@@ -1033,7 +1033,7 @@ def test_warm_eci_runs_no_smith_form_or_rational_solve(ename, monkeypatch):
         for module in modules:
             if getattr(module, name, None) is orig:
                 monkeypatch.setattr(module, name, counted)
-    lattice.solve_integer(((1,),), (1,))   # the counters are live
+    lattice.solve_integer(((1,),), 1, (1,))   # the counters are live
     lattice.solve_rational(((1,),), (1,))
     assert calls == list(names)
     del calls[:]

@@ -358,6 +358,8 @@ def test_cli_rejects_bad_levi(argv, message):
 @pytest.mark.parametrize("argv,message", [
     (("packet", "--param", "gl2-triv", "--rho", "1,0,0"),
      "--rho: the weight needs 2 entries, got 3"),
+    (("packet", "--param", "gl2-triv", "--rho", ""),
+     "--rho: the weight needs 2 entries, got 0"),
     (("packet", "--param", "gl2-triv", "--rho", "1,0:5"),
      "--rho: module index 5 is out of range; valid indices are 0..0"),
     (("packet", "--param", "gl2-triv", "--rho=1,a"),
@@ -376,7 +378,7 @@ def test_cli_rejects_bad_levi(argv, message):
     (("bset", "--group", "gl2", "--levi", "", "--kappa", "1,0;;5"),
      "--kappa: '1,0;;5' has 3 ';'-separated parts; expected FREE or "
      "FREE;TORSION"),
-], ids=["wrong-length", "module-out-of-range", "not-integers",
+], ids=["wrong-length", "empty-weight", "module-out-of-range", "not-integers",
         "not-dominant", "eci-wrong-length", "eci-default-wrong-length",
         "kappa-not-integers", "kappa-ambient-not-integers",
         "kappa-extra-part"])

@@ -4,6 +4,7 @@ kernels for invariants, and transpose duality for coinvariants."""
 
 import doctest
 import random
+from itertools import product
 from math import gcd
 
 import pytest
@@ -17,6 +18,9 @@ from rk.lattice import (
     basis_orbits,
     closure,
     coinvariants,
+    dot,
+    from_columns,
+    gauss_jordan,
     invariants_saturated,
     is_saturated,
     kernel_basis,
@@ -48,13 +52,13 @@ def _diagonal(d):
 
 
 def test_snf_identity():
-    D, U, V = smith_normal_form(mat_identity(2))
+    D, U, V = smith_normal_form(mat_identity(2), 2)
     assert _diagonal(D) == (1, 1)
 
 
 def test_snf_gcd_oracle():
     # d1 = gcd of entries, d1*d2 = gcd of 2x2 minors
-    D, _, _ = smith_normal_form(mat([[2, 4], [6, 8]]))
+    D, _, _ = smith_normal_form(mat([[2, 4], [6, 8]]), 2)
     entries = [2, 4, 6, 8]
     d1 = 0
     for x in entries:
@@ -64,7 +68,7 @@ def test_snf_gcd_oracle():
 
 
 def test_snf_zero_matrix():
-    D, _, _ = smith_normal_form(mat([[0, 0], [0, 0]]))
+    D, _, _ = smith_normal_form(mat([[0, 0], [0, 0]]), 2)
     assert _diagonal(D) == (0, 0)
 
 
@@ -74,7 +78,7 @@ def test_snf_random_properties(seed):
     m = rng.randint(1, 5)
     n = rng.randint(1, 5)
     a = mat([[rng.randint(-9, 9) for _ in range(n)] for _ in range(m)])
-    D, U, V = smith_normal_form(a)
+    D, U, V = smith_normal_form(a, n)
     assert mat_mul(mat_mul(U, a), V) == D
     assert abs(mat_det(U)) == 1 and abs(mat_det(V)) == 1
     diag = _diagonal(D)
@@ -93,15 +97,15 @@ def test_snf_random_properties(seed):
 _raw_snf = lattice._snf_raw
 
 
-def _off_by_one(a):
+def _off_by_one(a, ncols):
     """A wrong factorization: the raw Smith form with d_1 one too large."""
-    D, U, V = _raw_snf(a)
+    D, U, V = _raw_snf(a, ncols)
     return ((D[0][0] + 1,) + D[0][1:],) + D[1:], U, V
 
 
 @pytest.mark.parametrize("call", [
-    lambda: kernel_basis(mat([[1, 2, 3], [2, 4, 6]])),
-    lambda: solve_integer(mat([[2, 0], [0, 3]]), (4, 9)),
+    lambda: kernel_basis(mat([[1, 2, 3], [2, 4, 6]]), 3),
+    lambda: solve_integer(mat([[2, 0], [0, 3]]), 2, (4, 9)),
     lambda: is_saturated(((1, 1),), 2),
     lambda: mat_inverse_int(mat([[2, 1], [1, 1]])),
     lambda: FgAbelianGroup(2, [(2, 0), (0, 3)]),
@@ -119,22 +123,21 @@ def test_smith_form_recheck_runs_on_every_factorization(call, monkeypatch):
 
 def test_kernel_and_solve():
     a = mat([[1, 2, 3], [2, 4, 6]])
-    basis = kernel_basis(a)
+    basis = kernel_basis(a, 3)
     assert len(basis) == 2
     for v in basis:
         assert mat_vec(a, v) == (0, 0)
     assert is_saturated(basis, 3)
-    sol = solve_integer(mat([[2, 0], [0, 3]]), (4, 9))
+    sol = solve_integer(mat([[2, 0], [0, 3]]), 2, (4, 9))
     assert sol == (2, 3)
-    assert solve_integer(mat([[2]]), (3,)) is None
+    assert solve_integer(mat([[2]]), 1, (3,)) is None
 
 
-def _solve_reference(a, b):
+def _solve_reference(a, n, b):
     """The definition of solve_integer: a fresh Smith form per call, then
     x = V.D^-1.U.b with the divisibility test."""
     m = len(a)
-    n = len(a[0]) if m else 0
-    D, U, V = lattice._snf_raw(a)
+    D, U, V = lattice._snf_raw(a, n)
     ub = mat_vec(U, b)
     y = [0] * n
     for i in range(m):
@@ -146,63 +149,110 @@ def _solve_reference(a, b):
             if ub[i] % d:
                 return None
             y[i] = ub[i] // d
-    return mat_vec(V, y) if n else ()
+    return mat_vec(V, y)
 
 
-def _kernel_reference(a):
-    """The definition of kernel_basis: the columns of V past the rank."""
-    n = len(a[0]) if a else 0
-    if n == 0:
-        return ()
-    D, _U, V = lattice._snf_raw(a)
+def _kernel_reference(a, n):
+    """The definition of kernel_basis: the columns of V past the rank, so
+    all n of them when a has no rows."""
+    D, _U, V = lattice._snf_raw(a, n)
     rank = sum(1 for i in range(min(len(a), n)) if D[i][i] != 0)
     return tuple(tuple(V[i][j] for i in range(n)) for j in range(rank, n))
 
 
-def _check_solver(solver, a, rng, count=12):
-    """A kept factorization gives the reference kernel, and for seeded
-    right-hand sides (arbitrary ones and images a.x) the reference x or
-    None."""
-    assert solver.kernel == _kernel_reference(a)
-    assert kernel_basis(a) == solver.kernel
-    n = len(a[0]) if a else 0
+def _check_solver(solver, a, n, rng, count=12):
+    """A kept factorization of the m x n matrix a gives the reference
+    kernel, and for seeded right-hand sides (arbitrary ones and images
+    a.x) the reference x or None."""
+    assert solver.kernel == _kernel_reference(a, n)
+    assert kernel_basis(a, n) == solver.kernel
     outcomes = set()
     for _ in range(count):
         x = tuple(rng.randint(-5, 5) for _ in range(n))
         for b in (tuple(rng.randint(-5, 5) for _ in a), mat_vec(a, x)):
             got = solver.solve(b)
-            assert got == _solve_reference(a, b)
-            assert solve_integer(a, b) == got
+            assert got == _solve_reference(a, n, b)
+            assert solve_integer(a, n, b) == got
             outcomes.add(got is None)
     return outcomes
 
 
 def test_smith_solver_matches_reference_random():
+    # shapes with no rows or no columns included
     rng = random.Random(8)
     outcomes = set()
     for _ in range(150):
-        m, n = rng.randint(1, 4), rng.randint(1, 4)
+        m, n = rng.randint(0, 4), rng.randint(0, 4)
         a = mat([[rng.randint(-4, 4) for _ in range(n)] for _ in range(m)])
-        outcomes |= _check_solver(SmithSolver(a), a, rng, 4)
+        outcomes |= _check_solver(SmithSolver(a, n), a, n, rng, 4)
     assert outcomes == {True, False}
+
+
+@pytest.mark.parametrize("m,n", [(0, 0), (0, 3), (2, 0)])
+def test_smith_forms_of_an_empty_shape(m, n):
+    # an m x 0 matrix is m rows of (): every right-hand side in the
+    # image is 0, the kernel is Z^0; a 0 x n matrix has kernel Z^n
+    a = tuple(() for _ in range(m))
+    D, U, V = smith_normal_form(a, n)
+    assert (D, U, V) == (a, mat_identity(m), mat_identity(n))
+    assert kernel_basis(a, n) == tuple(mat_identity(n))
+    assert solve_integer(a, n, (0,) * m) == (0,) * n
+    if m:
+        assert solve_integer(a, n, (1,) + (0,) * (m - 1)) is None
+
+
+def test_smith_form_rejects_a_row_of_another_length():
+    with pytest.raises(ValueError, match="length mismatch 2 vs 3"):
+        smith_normal_form(((1, 2, 3), (4, 5)), 3)
+    with pytest.raises(ValueError, match="length mismatch 3 vs 2"):
+        kernel_basis(((1, 2, 3),), 2)
 
 
 @pytest.mark.parametrize("name", presets.GROUP_NAMES)
 def test_kept_dual_center_solver_matches_reference(name):
     # the factorization each LeviContext keeps of its dual split-center basis
     g = presets.group(name)
+    n = g.datum.rank
     rng = random.Random(name)
     for subset in g.standard_levi_subsets():
         ctx = g.levi_context(subset)
         solver = ctx.dual_center_solver
         assert ctx.dual_center_solver is solver
-        _check_solver(solver, mat(ctx.dual_split_center_basis), rng)
+        _check_solver(solver, mat(ctx.dual_split_center_basis), n, rng)
+
+
+def _rank_over_q(rows, n):
+    return len(gauss_jordan(rows, n, lattice._q_inv, lattice._q_red)[1])
+
+
+@pytest.mark.parametrize("name", presets.GROUP_NAMES)
+def test_dual_center_annihilator_by_brute_force(name):
+    # the kernel a LeviContext keeps is the annihilator of its dual split
+    # center basis B in Z^n, found without a Smith form: it pairs to zero
+    # with B, its rank is n - rank(B) by Gauss-Jordan over Q, and every
+    # integer vector of the box [-1, 1]^n that pairs to zero with B has
+    # integer coordinates in it (solve_rational).  An empty B leaves all
+    # of Z^n, which is what the elliptic parameters need.
+    g = presets.group(name)
+    n = g.datum.rank
+    box = list(product((-1, 0, 1), repeat=n))
+    for subset in g.standard_levi_subsets():
+        ctx = g.levi_context(subset)
+        basis = ctx.dual_split_center_basis
+        kernel = ctx.dual_center_solver.kernel
+        assert all(dot(z, u) == 0 for z in kernel for u in basis)
+        assert len(kernel) == n - _rank_over_q(basis, n)
+        assert _rank_over_q(kernel, n) == len(kernel)
+        for v in box:
+            if all(dot(v, u) == 0 for u in basis):
+                coords = solve_rational(kernel, v)
+                assert coords is not None, (subset, v)
+                assert all(c.denominator == 1 for c in coords), (subset, v)
 
 
 def _center_columns(param):
     """The parameter center basis B as the columns of an n x dim matrix."""
-    n = param.group.datum.rank
-    return tuple(tuple(u[i] for u in param.center_basis) for i in range(n))
+    return from_columns(param.center_basis, param.group.datum.rank)
 
 
 @pytest.mark.parametrize("pname", presets.PARAM_NAMES)
@@ -218,15 +268,14 @@ def test_center_solver_matches_solve_rational(pname):
     outcomes = set()
     for _ in range(40):
         x = tuple(rng.randint(-5, 5) for _ in range(param.dim))
-        for v in (mat_vec(cols, x) if param.dim else (0,) * n,
-                  tuple(rng.randint(-5, 5) for _ in range(n))):
+        for v in (mat_vec(cols, x), tuple(rng.randint(-5, 5) for _ in range(n))):
             ref = solve_rational(param.center_basis, v)
             got = solver.solve(v)
             assert got == ref
             assert got is None or all(type(c) is int for c in got)
             outcomes.add(got is None)
     assert outcomes == ({True, False} if param.dim < n else {False})
-    _check_solver(solver, cols, rng, 4)
+    _check_solver(solver, cols, param.dim, rng, 4)
 
 
 def test_center_solver_of_an_empty_basis_is_n_by_zero():
@@ -256,18 +305,17 @@ def test_kept_twisted_center_solver_matches_reference(pname):
     for levi in group.standard_levi_subsets():
         for w in transporter_set(group, param.minimal_levi, levi):
             cut = param.levi_cut(levi, w)
-            twisted = mat_mul(w, _center_columns(param)) if param.dim \
-                else tuple(() for _ in range(n))
+            twisted = mat_mul(w, _center_columns(param))
             ctx_L = group.levi_context(levi)
             assert cut.levi_center_coords == tuple(
-                _solve_reference(twisted, u)
+                _solve_reference(twisted, param.dim, u)
                 for u in ctx_L.dual_split_center_basis)
             for _ in range(8):
                 x = tuple(rng.randint(-5, 5) for _ in range(param.dim))
-                for v in (mat_vec(twisted, x) if param.dim else (0,) * n,
+                for v in (mat_vec(twisted, x),
                           tuple(rng.randint(-5, 5) for _ in range(n))):
                     got = param.center_solver.solve(mat_vec(cut.w_inv, v))
-                    assert got == _solve_reference(twisted, v)
+                    assert got == _solve_reference(twisted, param.dim, v)
             cuts += 1
     assert cuts
 
@@ -335,7 +383,7 @@ def test_invariants_rotation_oracle():
     # order-3 rotation on the hexagonal lattice has no fixed vectors;
     # oracle: the kernel of (g - 1) computed directly
     rows = [(-1, -1), (1, -2)]
-    assert kernel_basis(mat(rows)) == ()
+    assert kernel_basis(mat(rows), 2) == ()
     assert invariants_saturated(2, (ROT3,)) == ()
 
 

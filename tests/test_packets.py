@@ -20,6 +20,7 @@ from rk.kottwitz import (
 from rk.lattice import (
     SmithSolver,
     dot,
+    from_columns,
     kernel_basis,
     mat_contragredient,
     mat_identity,
@@ -111,12 +112,11 @@ def _cut_parameters():
         [_trivial_parameter(n) for n in ("sl3", "sl4")] + [_sl4_st2()]
 
 
-def _same_lattice(a, b):
-    """Whether the vectors a and b (of one length) span one lattice."""
+def _same_lattice(a, b, n):
+    """Whether the vectors a and b (of length n) span one lattice."""
     def inside(vs, span):
-        cols = mat_transpose(span) if span else ()
-        return all(solve_integer(cols, v) is not None if span else not any(v)
-                   for v in vs)
+        cols = from_columns(span, n)
+        return all(solve_integer(cols, len(span), v) is not None for v in vs)
     return inside(a, b) and inside(b, a)
 
 
@@ -126,6 +126,7 @@ def test_cut_coordinates_match_the_fraction_definitions(param):
     # (then the contragredient), and in the twisted basis w.B, with its own
     # Smith annihilator, for the Levi center and descent coordinates
     group = param.group
+    n = group.datum.rank
     basis = param.center_basis
     for m, d in param._embedded.items():
         cols = [solve_rational(basis, mat_vec(m, u)) for u in basis]
@@ -142,15 +143,14 @@ def test_cut_coordinates_match_the_fraction_definitions(param):
                 tuple(int(x) for x in solve_rational(twisted, u))
                 for u in ctx_L.dual_split_center_basis)
             levi_roots = [group.datum.roots[i] for i in ctx_L.root_indices()]
-            kill = ()
-            if levi_roots:
-                perp = list(SmithSolver(tuple(twisted)).kernel) + \
-                    list(kernel_basis(tuple(levi_roots)))
-                kill = kernel_basis(tuple(perp))
+            perp = list(SmithSolver(tuple(twisted), n).kernel) + \
+                list(kernel_basis(tuple(levi_roots), n))
+            kill = kernel_basis(tuple(perp), n)
             old = [solve_rational(twisted, v) for v in kill]
             assert all(x.denominator == 1 for sol in old for x in sol)
             assert _same_lattice(cut.descent_coords(),
-                                 [tuple(int(x) for x in sol) for sol in old])
+                                 [tuple(int(x) for x in sol) for sol in old],
+                                 param.dim)
             cuts += 1
     assert cuts
 
@@ -371,7 +371,7 @@ def _is_reflection_by_kernel(d):
         return False
     diff = [tuple(a - b for a, b in zip(row, ident))
             for row, ident in zip(d, mat_identity(n))]
-    return len(kernel_basis(mat_transpose(diff))) == n - 1
+    return len(kernel_basis(mat_transpose(diff), n)) == n - 1
 
 
 @pytest.mark.parametrize("name", presets.PARAM_NAMES)

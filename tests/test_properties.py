@@ -190,7 +190,7 @@ def test_mat_inverse_int_rejects_what_it_cannot_invert(a):
 @PROPERTY
 @given(a=shaped())
 def test_snf_raw_is_a_smith_form(a):
-    D, U, V = _snf_raw(a)
+    D, U, V = _snf_raw(a, len(a[0]))
     assert mat_mul(mat_mul(U, a), V) == D
     assert abs(mat_det(U)) == 1 and abs(mat_det(V)) == 1
     assert all(D[i][j] == 0 for i in range(len(D)) for j in range(len(D[0]))
@@ -214,7 +214,7 @@ def test_kernel_bases_are_saturated_kernel_bases(a):
     n = len(a[0])
     # every kernel vector in a box, found by brute force
     small = [v for v in product(range(-3, 4), repeat=n) if _annihilates(a, v)]
-    for basis in (kernel_basis(a), SmithSolver(a).kernel):
+    for basis in (kernel_basis(a, n), SmithSolver(a, n).kernel):
         assert all(len(v) == n and _annihilates(a, v) for v in basis)
         assert len(basis) == n - rank(a)
         if basis:
