@@ -31,7 +31,7 @@ from .lattice import (
     vadd,
     vsub,
 )
-from .rootdata import BasedRootDatum, DatumError
+from .rootdata import BasedRootDatum, GaloisAction
 
 
 class UnsupportedTraceError(NotImplementedError):
@@ -51,29 +51,19 @@ class HighestWeightPair(Value):
 
 
 class DisconnectedGroupDatum:
-    """Identity-component datum plus a base-preserving component action."""
+    """Identity-component datum plus a base-preserving component action,
+    whose generators `rootdata.GaloisAction` checks."""
 
     def __init__(self, identity_component: BasedRootDatum,
                  component_generators: Sequence[Matrix] = (),
                  cocycle: Optional[Dict] = None, name: str = ""):
         self.component = identity_component
         self.name = name
-        n = identity_component.rank
-        gens = tuple(component_generators) or ()
+        gens = tuple(component_generators)
         self.declared_generators = gens
-        for g in gens:
-            if len(g) != n or any(len(r) != n for r in g):
-                raise DatumError("component matrix of wrong size")
-        self.pi0 = FiniteGroup.from_matrices(gens + (mat_identity(n),))
-        simple_set = set(identity_component.simple_indices)
-        for g in self.pi0.elements:
-            for r in identity_component.roots:
-                if not identity_component.is_root(mat_vec(g, r)):
-                    raise DatumError("component action does not permute roots")
-            for i in identity_component.simple_indices:
-                img = mat_vec(g, identity_component.roots[i])
-                if identity_component.root_index(img) not in simple_set:
-                    raise DatumError("component action does not preserve the base")
+        GaloisAction(identity_component, gens)
+        self.pi0 = FiniteGroup.from_matrices(
+            gens + (mat_identity(identity_component.rank),))
         self.cocycle = dict(cocycle) if cocycle else {}
         if self.cocycle:
             from .finite_reps import validate_cocycle

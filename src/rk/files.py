@@ -134,9 +134,6 @@ def disconnected_from_tree(tree: Dict) -> DisconnectedGroupDatum:
         raise ValueError("not a disconnected-group description")
     datum = _datum_from_tree(tree)
     gens = tuple(_as_matrix(g) for g in tree.get("component_generators", []))
-    holder = DisconnectedGroupDatum(datum, gens, name=str(tree.get("name", "")))
-    if not tree.get("cocycle"):
-        return holder
     # each row is (word, word, exponent), a word being the positions in
     # `component_generators` whose product is the element
     def element(word):
@@ -144,9 +141,9 @@ def disconnected_from_tree(tree: Dict) -> DisconnectedGroupDatum:
                       mat_identity(datum.rank))
 
     cocycle = {(element(wa), element(wb)): Fraction(str(expo))
-               for wa, wb, expo in tree["cocycle"]}
+               for wa, wb, expo in tree.get("cocycle") or ()}
     return DisconnectedGroupDatum(datum, gens, cocycle=cocycle,
-                                  name=holder.name)
+                                  name=str(tree.get("name", "")))
 
 
 def resolve_disconnected(ref: str):

@@ -22,7 +22,6 @@ from typing import Dict, Optional, Sequence, Tuple
 
 from .cyclotomic import Cyclo, prime_factors
 from .lattice import (
-    DEFAULT_CLOSURE_CAP,
     MatrixGroup,
     Value,
     basis_orbits,
@@ -46,16 +45,15 @@ class FiniteGroup(MatrixGroup):
     classes, all read from products in the group's tables."""
 
     @classmethod
-    def from_matrices(cls, generators: Sequence,
-                      cap: int = DEFAULT_CLOSURE_CAP) -> "FiniteGroup":
+    def from_matrices(cls, generators: Sequence) -> "FiniteGroup":
         """The group the matrices generate, interned by its permutation of
         the orbits of the standard basis vectors (`lattice.basis_orbits`);
-        the closure rejects a group of more than `cap` elements whose
-        orbits are all within the cap."""
+        the closure rejects a group of more than
+        `lattice.DEFAULT_CLOSURE_CAP` elements whose orbits are all within
+        that bound."""
         if not generators:
             raise ValueError("need at least one generator (pass the identity)")
-        return cls(generators, len(generators[0]),
-                   basis_orbits(generators, cap), cap)
+        return cls(generators, len(generators[0]), basis_orbits(generators))
 
     def order_of(self, a) -> int:
         k = 1

@@ -27,7 +27,8 @@ from typing import (Callable, Dict, Iterable, List, Optional, Sequence, Set,
 Vector = Tuple[int, ...]
 Matrix = Tuple[Tuple[int, ...], ...]
 
-#: safety cap for group closures; exceeding it is an input error
+#: safety cap for group closures and orbits, read when one runs; exceeding
+#: it is an input error
 DEFAULT_CLOSURE_CAP = 10**6
 
 _MISSING = object()
@@ -123,9 +124,8 @@ def mat_identity(n: int) -> Matrix:
 
 
 def mat_mul(a: Matrix, b: Matrix) -> Matrix:
+    _check_lengths(a, len(b))
     bt = tuple(zip(*b))
-    if bt:
-        _check_lengths(a, len(bt[0]))
     return tuple(tuple([sum(map(mul, row, col)) for col in bt]) for row in a)
 
 
@@ -410,12 +410,16 @@ def is_saturated(basis: Sequence[Vector], ambient_rank: int) -> bool:
 # ---------------------------------------------------------------------------
 # finite matrix-group closure
 
-def closure(generators: Sequence[Matrix], cap: int = DEFAULT_CLOSURE_CAP):
+def closure(generators: Sequence[Matrix], cap: Optional[int] = None):
     """Breadth-first closure of a finite matrix group; words come out reduced.
 
     Returns (elements, words) where `elements` is a deterministically
     ordered list and `words[g]` is one shortest word in generator indices.
+    A group of more than `cap` elements (`DEFAULT_CLOSURE_CAP` by default)
+    raises ValueError.
     """
+    if cap is None:
+        cap = DEFAULT_CLOSURE_CAP
     if not generators:
         raise ValueError("closure needs at least the lattice rank; pass identity")
     n = len(generators[0])
@@ -440,14 +444,17 @@ def closure(generators: Sequence[Matrix], cap: int = DEFAULT_CLOSURE_CAP):
 
 
 def orbit(seeds: Iterable, maps: Sequence[Callable],
-          cap: int = DEFAULT_CLOSURE_CAP) -> Dict[object, Optional[tuple]]:
+          cap: Optional[int] = None) -> Dict[object, Optional[tuple]]:
     """Breadth-first orbit of `seeds` under `maps`.
 
     Returns a dict in discovery order that maps each point to (q, i), the
     point q and map index i with maps[i](q) the first image reaching it;
     seeds map to None, so every point's parent comes before it.  An orbit
-    of more than `cap` points raises ValueError.
+    of more than `cap` points (`DEFAULT_CLOSURE_CAP` by default) raises
+    ValueError.
     """
+    if cap is None:
+        cap = DEFAULT_CLOSURE_CAP
     tree: Dict[object, Optional[tuple]] = dict.fromkeys(seeds)
     points = list(tree)
     for q in points:  # the list grows while it is read: a queue
@@ -462,21 +469,19 @@ def orbit(seeds: Iterable, maps: Sequence[Callable],
     return tree
 
 
-def basis_orbits(generators: Sequence[Matrix],
-                 cap: int = DEFAULT_CLOSURE_CAP) -> Tuple[Vector, ...]:
+def basis_orbits(generators: Sequence[Matrix]) -> Tuple[Vector, ...]:
     """The points of the orbits of the standard basis vectors under the
     group some square matrices generate, in discovery order.
 
     A group G in GL_n(Z) is finite iff every orbit G.e_i is finite (G
     embeds in the product of the permutation groups of the orbits), and
     then acts faithfully on their points, which span the lattice.  Each
-    orbit is at most as long as G and is capped on its own: an orbit of
-    more than `cap` points raises ValueError."""
+    orbit is at most as long as G and is capped on its own, by `orbit`."""
     maps = [partial(mat_vec, g) for g in generators]
     points: Dict[Vector, Optional[tuple]] = {}
     for e in mat_identity(len(generators[0])):
         if e not in points:
-            points.update(orbit((e,), maps, cap))
+            points.update(orbit((e,), maps))
     return tuple(points)
 
 
@@ -519,7 +524,7 @@ class MatrixGroup:
     """
 
     def __init__(self, generators: Sequence[Matrix], rank: int,
-                 points: Sequence[Vector], cap: int = DEFAULT_CLOSURE_CAP):
+                 points: Sequence[Vector]):
         self.rank = rank
         self.generators = tuple(generators)
         self.identity: Matrix = mat_identity(rank)
@@ -529,7 +534,7 @@ class MatrixGroup:
         if any(len(set(p)) < len(p) for p in gen_perms):
             raise ValueError("element without inverse; not a group?")
         tree = orbit((tuple(range(len(points))),),
-                     [partial(_compose, pb=ps) for ps in gen_perms], cap)
+                     [partial(_compose, pb=ps) for ps in gen_perms])
         self._by_perm: Dict[Tuple[int, ...], Matrix] = {}
         self.words: Dict[Matrix, Tuple[int, ...]] = {}
         for p, parent in tree.items():

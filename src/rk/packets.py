@@ -26,7 +26,6 @@ from .lattice import (
     mat_vec,
 )
 from .params import Parameter
-from .rootdata import ScaledPoint
 from .weyl import chamber_locate, transporter_set
 
 
@@ -109,9 +108,7 @@ def build_packet_member(param: Parameter, rho: HighestWeightPair) -> PacketMembe
         # the Newton point nu / e against the image num / den, both over
         # positive denominators: equal exactly when num.e == nu.den
         nu, e = ctx_L.newton_scaled(kappa)
-        image = witness.image
-        den, num = (image.scale, image.numerators) \
-            if isinstance(image, ScaledPoint) else group.integer_point(image)
+        den, num = witness.image.scale, witness.image.numerators
         if len(num) != len(nu) or \
                 any(x * e != y * den for x, y in zip(num, nu)):
             raise AssertionError("Newton point disagrees with the chamber "

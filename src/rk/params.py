@@ -33,7 +33,7 @@ from .lattice import (
     vneg,
     vsub,
 )
-from .rootdata import BasedRootDatum, ReductiveGroup
+from .rootdata import BasedRootDatum, GaloisAction, ReductiveGroup
 
 
 class ParameterError(ValueError):
@@ -146,14 +146,10 @@ class Parameter:
                                      "dual split center compatibly")
             r_elems.append(m)
         self.r_generators = tuple(r_elems)
-        for m in self.r_generators:
-            d = self.char_action(m)
-            if {mat_vec(d, r) for r in self.roots} != set(self.roots):
-                raise ParameterError("component generator does not permute "
-                                     "the centralizer roots")
-            if {mat_vec(d, p) for p in self.positives} != set(self.positives):
-                raise ParameterError("component generator does not preserve "
-                                     "the positive system")
+        # R_phi acts on the centralizer datum by automorphisms of it; one
+        # that permutes the simple roots preserves the positive system
+        GaloisAction(self.s_datum,
+                     tuple(self.char_action(m) for m in self.r_generators))
 
         # the full W_phi inside the relative Weyl group
         refl = [self.reflection_realization[a] for a in self.positives]

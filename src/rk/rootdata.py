@@ -31,7 +31,6 @@ from operator import itemgetter
 from typing import Dict, FrozenSet, Iterable, Optional, Sequence, Tuple
 
 from .lattice import (
-    DEFAULT_CLOSURE_CAP,
     FgAbelianGroup,
     FgaElement,
     Matrix,
@@ -60,7 +59,8 @@ from .lattice import (
 
 
 class DatumError(ValueError):
-    """Raised when a based root datum or Galois action fails validation."""
+    """Raised when a based root datum or a finite action on it fails
+    validation."""
 
 
 def reflection_matrix(root: Vector, coroot: Vector) -> Matrix:
@@ -193,46 +193,48 @@ class BasedRootDatum(Value):
 
 
 class GaloisAction(Value):
-    """Finite Galois image acting on the character lattice.
+    """A finite group of automorphisms of a based datum, given by matrices
+    on the character lattice: the Galois image of a group, the component
+    action of a disconnected group, or R_phi on a centralizer datum.
 
-    Each generator must be unimodular and preserve the based datum: it
-    permutes the roots, permutes the simple roots, and transports coroots
+    This is the one check that some matrices generate such a group.  Each
+    generator must be unimodular and preserve the based datum: it permutes
+    the roots, permutes the simple roots, and transports coroots
     compatibly.  Finiteness is certified once, here, by the capped orbits
     of the basis vectors (`lattice.basis_orbits`); the contragredient
     generators then generate a group of the same order.
     """
 
     def __init__(self, datum: BasedRootDatum,
-                 generators: Tuple[Matrix, ...] = (),
-                 cap: int = DEFAULT_CLOSURE_CAP):
+                 generators: Tuple[Matrix, ...] = ()):
         object.__setattr__(self, "datum", datum)
         object.__setattr__(self, "generators", generators)
-        object.__setattr__(self, "cap", cap)
         n = self.datum.rank
         for g in self.generators:
             if len(g) != n or any(len(row) != n for row in g):
-                raise DatumError("Galois matrix of wrong size")
+                raise DatumError("action matrix of wrong size")
         gens = self.generators or (mat_identity(n),)
         if any(abs(mat_det(g)) != 1 for g in gens):
             raise ValueError("action matrices must have determinant +/-1")
-        basis_orbits(gens, self.cap)
+        basis_orbits(gens)
         object.__setattr__(self, "_char_gens", gens)
-        object.__setattr__(self, "_dual_gens",
-                           tuple(mat_contragredient(g) for g in gens))
         simple_set = set(self.datum.simple_indices)
         perms = []
-        for g, gd in zip(gens, self._dual_gens):
+        for g in gens:
+            # g^-T sends coroot i to coroot j exactly when g^T sends j to i
+            gt = mat_transpose(g)
             perm = []
             for i, r in enumerate(self.datum.roots):
                 img = mat_vec(g, r)
                 if not self.datum.is_root(img):
-                    raise DatumError("Galois generator does not permute roots")
+                    raise DatumError("action generator does not permute roots")
                 j = self.datum.root_index(img)
-                if mat_vec(gd, self.datum.coroots[i]) != self.datum.coroots[j]:
-                    raise DatumError("Galois generator breaks root/coroot pairing")
+                if mat_vec(gt, self.datum.coroots[j]) != self.datum.coroots[i]:
+                    raise DatumError("action generator breaks root/coroot "
+                                     "pairing")
                 perm.append(j)
             if any(perm[i] not in simple_set for i in self.datum.simple_indices):
-                raise DatumError("Galois generator does not permute simples")
+                raise DatumError("action generator does not permute simples")
             perms.append(tuple(perm))
         object.__setattr__(self, "_root_perms", tuple(perms))
 
@@ -240,9 +242,10 @@ class GaloisAction(Value):
     def char_generators(self) -> Tuple[Matrix, ...]:
         return self._char_gens
 
-    @property
+    @cached_property
     def cochar_generators(self) -> Tuple[Matrix, ...]:
-        return self._dual_gens
+        """The contragredient generators, formed on first use."""
+        return tuple(mat_contragredient(g) for g in self._char_gens)
 
     def is_trivial(self) -> bool:
         return all(g == mat_identity(self.datum.rank) for g in self.char_generators)
@@ -254,7 +257,7 @@ class GaloisAction(Value):
 
     def dual(self, dual_datum: BasedRootDatum) -> "GaloisAction":
         """Transport to the dual datum (contragredient matrices)."""
-        return GaloisAction(dual_datum, self._dual_gens, self.cap)
+        return GaloisAction(dual_datum, self.cochar_generators)
 
 
 def dual_datum(datum: BasedRootDatum, action: GaloisAction):
@@ -274,9 +277,9 @@ class WeylGroup(MatrixGroup):
     """
 
     def __init__(self, generators: Sequence[Matrix], rank: int,
-                 roots: Sequence[Vector], cap: int = DEFAULT_CLOSURE_CAP):
+                 roots: Sequence[Vector]):
         try:
-            super().__init__(generators, rank, roots, cap)
+            super().__init__(generators, rank, roots)
         except KeyError:
             raise DatumError("Weyl generator does not permute the roots") \
                 from None
@@ -479,14 +482,12 @@ class ReductiveGroup:
         return cached(self.memo, ("restricted",), self._restricted)
 
     def _restricted(self) -> Tuple[Matrix, ...]:
+        weyl = self.weyl
         out = []
         for orb in self.simple_orbits:
-            gens = [reflection_matrix(self.datum.simple_roots[p],
-                                      self.datum.simple_coroots[p])
-                    for p in orb]
-            sub = WeylGroup(gens, self.datum.rank, self.datum.roots)
-            longest = max(sub.elements, key=lambda m: (len(sub.word(m)), m))
-            if sub.mul(longest, longest) != sub.identity:
+            sub = weyl.generated([weyl.generators[p] for p in orb])
+            longest = max(sub, key=lambda m: len(weyl.word(m)))
+            if weyl.mul(longest, longest) != weyl.identity:
                 raise AssertionError("longest element of an orbit "
                                      "parabolic must be an involution")
             out.append(longest)

@@ -80,6 +80,23 @@ MUTATIONS = (
         ("tests/test_lattice.py::test_lattice_action_rejects_nonunimodular",),
         "a Galois generator of determinant 2 left to the orbit cap"),
     Mutation(
+        "component-group-without-action-check", "src/rk/disconnected.py",
+        "        GaloisAction(identity_component, gens)\n", "",
+        ("tests/test_disconnected.py::"
+         "test_pi0_rejects_a_generator_of_determinant_2",
+         "tests/test_disconnected.py::"
+         "test_pi0_rejects_a_generator_that_breaks_the_coroots"),
+        "component generators closed unchecked: a determinant-2 generator "
+        "left to the orbit cap, a broken coroot pairing let through"),
+    Mutation(
+        "r-phi-without-action-check", "src/rk/params.py",
+        """        GaloisAction(self.s_datum,
+                     tuple(self.char_action(m) for m in self.r_generators))
+""", "",
+        ("tests/test_packets.py::"
+         "test_r_phi_word_breaking_the_positive_system_is_rejected",),
+        "an R_phi word that breaks the positive system let through"),
+    Mutation(
         "counting-without-remainder-check", "src/rk/endoscopy.py",
         """        if rest:
             raise AssertionError("double coset is not a union of W_phi "

@@ -10,7 +10,7 @@ import pytest
 
 from rk import presets
 from rk.cyclotomic import Cyclo
-from rk import disconnected
+from rk import disconnected, lattice
 from rk.disconnected import (
     DisconnectedGroupDatum,
     HighestWeightPair,
@@ -22,7 +22,7 @@ from rk.disconnected import (
     weyl_dimension,
 )
 from rk.lattice import closure, mat, mat_vec
-from rk.rootdata import DatumError
+from rk.rootdata import BasedRootDatum, DatumError
 
 from oracles import full_weyl, natural_quotient_rep, pi0_weyl_split
 
@@ -66,6 +66,26 @@ def test_pi0_rejects_base_breaking():
     bad = mat([[0, 1], [1, 0]])  # sends the positive root to its negative
     with pytest.raises(DatumError):
         DisconnectedGroupDatum(datum, (bad,))
+
+
+def test_pi0_rejects_a_generator_of_determinant_2(monkeypatch):
+    # the determinant check comes first; without it the orbit 1, 2, 4, ...
+    # of e_1 runs to the closure cap, which the small cap keeps fast
+    monkeypatch.setattr(lattice, "DEFAULT_CLOSURE_CAP", 100)
+    torus = BasedRootDatum(1, (), (), ())
+    with pytest.raises(ValueError,
+                       match="^action matrices must have determinant"):
+        DisconnectedGroupDatum(torus, (mat([[2]]),))
+
+
+def test_pi0_rejects_a_generator_that_breaks_the_coroots():
+    # g = [[1, 1], [0, -1]] has order 2 and fixes the root (1, 0), so it
+    # permutes the roots and the base; its contragredient g^T sends the
+    # coroot (2, 0) to (2, 2), which is not a coroot
+    datum = BasedRootDatum(2, ((1, 0), (-1, 0)), ((2, 0), (-2, 0)), (0,))
+    with pytest.raises(DatumError,
+                       match="^action generator breaks root/coroot pairing$"):
+        DisconnectedGroupDatum(datum, (mat([[1, 1], [0, -1]]),))
 
 
 @pytest.mark.parametrize("holder,lam,expected", [

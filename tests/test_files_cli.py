@@ -209,6 +209,20 @@ def test_cli_irr_group_with_more_classes_than_the_least_prime(tmp_path):
         [1] * 16 + [2] * 4
 
 
+def test_cli_irr_rejects_a_component_generator_of_determinant_2(tmp_path):
+    # the basis orbit 1, 2, 4, ... of (2) is infinite; the determinant check
+    # rejects the file before any orbit runs, so the timeout is never near
+    path = tmp_path / "det2.yaml"
+    dump_tree({"kind": "disconnected", "name": "det2", "rank": 1,
+               "roots": [], "coroots": [], "simple": [],
+               "component_generators": [[[2]]]}, str(path))
+    proc = subprocess.run([sys.executable, "-m", "rk.cli", "irr", "--group",
+                           str(path), "--height", "1"],
+                          capture_output=True, text=True, timeout=20)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (
+        1, "", "error: action matrices must have determinant +/-1\n")
+
+
 def test_cli_packet_member():
     data = _json_out(_run("packet", "--param", "gl2-triv",
                           "--rho", "1,0", "--fiber"))

@@ -19,6 +19,7 @@ from rk.finite_reps import (
     trivialize_cocycle,
     validate_cocycle,
 )
+from rk import lattice
 from rk.lattice import closure, mat, mat_identity
 
 from oracles import canonical_by_solve
@@ -337,7 +338,7 @@ def _generator_sets():
         yield "W(%s)" % name, presets.group(name).weyl.generators
 
 
-def test_matrix_groups_match_closure():
+def test_matrix_groups_match_closure(monkeypatch):
     seen = 0
     for name, gens in _generator_sets():
         order = closure(gens)[0]
@@ -349,6 +350,8 @@ def test_matrix_groups_match_closure():
         want = _raised(closure, gens, cap)
         assert want == (None if cap == 0 else
                         "group closure exceeded cap of %d elements" % cap)
-        assert _raised(FiniteGroup.from_matrices, gens, cap) == want, name
+        with monkeypatch.context() as patch:
+            patch.setattr(lattice, "DEFAULT_CLOSURE_CAP", cap)
+            assert _raised(FiniteGroup.from_matrices, gens) == want, name
         seen += len(order) > 1
     assert seen >= 8

@@ -208,6 +208,18 @@ def test_smith_form_rejects_a_row_of_another_length():
         kernel_basis(((1, 2, 3),), 2)
 
 
+def test_mat_mul_checks_the_inner_dimension_for_every_shape():
+    # a right factor with no columns still has rows to count: 1 x 2 times
+    # 1 x 0 and 1 x 1 times 0 x 0 do not multiply
+    with pytest.raises(ValueError, match="length mismatch 2 vs 1"):
+        mat_mul(((1, 2),), ((),))
+    with pytest.raises(ValueError, match="length mismatch 1 vs 0"):
+        mat_mul(((1,),), ())
+    assert mat_mul(((1, 2),), ((), ())) == ((),)
+    assert mat_mul(((), ()), ()) == ((), ())
+    assert mat_mul((), ((1, 2),)) == ()
+
+
 @pytest.mark.parametrize("name", presets.GROUP_NAMES)
 def test_kept_dual_center_solver_matches_reference(name):
     # the factorization each LeviContext keeps of its dual split-center basis
@@ -422,40 +434,45 @@ def test_invariants_output_saturated():
 # validates its generators, FiniteGroup.from_matrices closes them
 
 
-def _torus_action(*generators, cap=100):
+def _torus_action(*generators):
     rank = len(generators[0])
-    return GaloisAction(BasedRootDatum(rank, (), (), ()), generators, cap)
+    return GaloisAction(BasedRootDatum(rank, (), (), ()), generators)
 
 
-def test_lattice_action_rejects_infinite():
+def test_lattice_action_rejects_infinite(monkeypatch):
+    monkeypatch.setattr(lattice, "DEFAULT_CLOSURE_CAP", 100)
     with pytest.raises(ValueError, match="exceeded cap of 100"):
-        FiniteGroup.from_matrices((mat([[1, 1], [0, 1]]),), cap=100)
+        FiniteGroup.from_matrices((mat([[1, 1], [0, 1]]),))
 
 
-def test_lattice_action_rejects_infinite_at_construction():
+def test_lattice_action_rejects_infinite_at_construction(monkeypatch):
     # the orbit certificate, without closing the group
+    monkeypatch.setattr(lattice, "DEFAULT_CLOSURE_CAP", 100)
     with pytest.raises(ValueError, match="exceeded cap of 100"):
         _torus_action(mat([[1, 1], [0, 1]]))
 
 
-def test_lattice_action_cap_bounds_orbits_then_closure():
+def test_lattice_action_cap_bounds_orbits_then_closure(monkeypatch):
     # the hyperoctahedral group of rank 3 (48 elements, orbits of size 6)
     # fits a cap of 10 orbit-wise and is rejected when closed
     swap = mat([[0, 1, 0], [1, 0, 0], [0, 0, 1]])
     cycle = mat([[0, 0, 1], [1, 0, 0], [0, 1, 0]])
     sign = mat([[-1, 0, 0], [0, 1, 0], [0, 0, 1]])
-    _torus_action(swap, cycle, sign, cap=10)
-    points = basis_orbits((swap, cycle, sign), 10)
+    monkeypatch.setattr(lattice, "DEFAULT_CLOSURE_CAP", 10)
+    _torus_action(swap, cycle, sign)
+    points = basis_orbits((swap, cycle, sign))
     assert sorted(points) == sorted(
         v for e in mat_identity(3) for v in (e, tuple(-x for x in e)))
     with pytest.raises(ValueError, match="exceeded cap of 10"):
-        FiniteGroup.from_matrices((swap, cycle, sign), cap=10)
-    assert len(FiniteGroup.from_matrices((swap, cycle, sign), cap=48)) == 48
+        FiniteGroup.from_matrices((swap, cycle, sign))
+    monkeypatch.setattr(lattice, "DEFAULT_CLOSURE_CAP", 48)
+    assert len(FiniteGroup.from_matrices((swap, cycle, sign))) == 48
 
 
-def test_lattice_action_rejects_nonunimodular():
+def test_lattice_action_rejects_nonunimodular(monkeypatch):
     # without the determinant check the orbit of e_1 under (2) would run
     # to the cap; the small cap keeps that fast
+    monkeypatch.setattr(lattice, "DEFAULT_CLOSURE_CAP", 100)
     with pytest.raises(ValueError,
                        match="^action matrices must have determinant"):
         _torus_action(mat([[2]]))

@@ -45,6 +45,7 @@ from rk.packets import (
     transporter_double_cosets,
 )
 from rk.params import LeviCut, Parameter, ParameterError, _is_reflection
+from rk.rootdata import DatumError, ScaledPoint
 from rk.weyl import ChamberWitness, chamber_locate, transporter_set
 
 from oracles import cut_disconnected_datum
@@ -299,6 +300,28 @@ def test_root_permutation_table_rejects_a_non_permuting_element():
     param._embedded[g] = tuple(tuple(2 * x for x in row) for row in d)
     with pytest.raises(ParameterError, match="does not permute"):
         param._root_perms
+
+
+def test_r_phi_word_breaking_the_positive_system_is_rejected():
+    # centralizer roots A1 x A1 = {+-(e1 - e2), +-(e3 - e4)} on the gl4
+    # torus: the block swap (13)(24) keeps the positive system and
+    # reversal (14)(23) sends e1 - e2 to the negative root e4 - e3.  The
+    # reversal is still a root permutation, and W_phi = D4 then splits as
+    # <(12), (34)> . <(14)(23)>, so only the positive-system check of the
+    # R_phi action rejects it
+    group = presets.group("gl4")
+    roots = ((1, -1, 0, 0), (-1, 1, 0, 0), (0, 0, 1, -1), (0, 0, -1, 1))
+    rel = group.relative
+
+    def word(image):
+        return rel.word(next(m for m in rel.elements
+                             if mat_vec(m, (1, 2, 3, 4)) == image))
+
+    kept = Parameter(group, (), roots, roots[::2], (word((3, 4, 1, 2)),))
+    assert (len(kept.wphi_elements), len(kept.r_elements)) == (8, 2)
+    with pytest.raises(DatumError,
+                       match="^action generator does not permute simples$"):
+        Parameter(group, (), roots, roots[::2], (word((4, 3, 2, 1)),))
 
 
 def _transported_parameters():
@@ -755,8 +778,14 @@ def test_newton_check_fires_on_a_miss(monkeypatch):
 
     def moved(group, x):
         witness = chamber_locate(group, x)
+        # the image moved by 1 in each coordinate, with the scaled
+        # numerators the Newton check reads
+        d = witness.image.scale
+        image = ScaledPoint(c + 1 for c in witness.image)
+        image.scale = d
+        image.numerators = tuple(v + d for v in witness.image.numerators)
         return ChamberWitness(witness.word, witness.matrix, witness.levi,
-                              tuple(c + 1 for c in witness.image))
+                              image)
     monkeypatch.setattr(rk.packets, "chamber_locate", moved)
     with pytest.raises(AssertionError, match="Newton point disagrees"):
         build_packet_member(param, rho)

@@ -31,6 +31,7 @@ from hypothesis import strategies as st
 from hypothesis.configuration import set_hypothesis_home_dir
 
 import rk.cyclotomic
+import rk.lattice as lattice
 from rk import presets
 from rk.cyclotomic import Cyclo, cyclotomic_polynomial
 from rk.disconnected import (HighestWeightPair, classify_irr,
@@ -444,14 +445,18 @@ def test_from_matrices_is_the_sorted_closure(kind, name, data):
     group = core_group(data, kind, name)
     gens = data.draw(st.lists(elements_of(group), min_size=1, max_size=3))
     order = closure(gens)[0]
-    # a cap of |G| accepts the group, though its basis orbits may have more
-    # points in all than it has elements
-    assert FiniteGroup.from_matrices(gens, len(order)).elements == \
-        tuple(sorted(order))
-    # one element short: the same rejection, or none for the trivial group
     cap = len(order) - 1
-    assert _raised(FiniteGroup.from_matrices, gens, cap) == \
-        _raised(closure, gens, cap)
+    with pytest.MonkeyPatch.context() as patch:
+        # a cap of |G| accepts the group, though its basis orbits may have
+        # more points in all than it has elements
+        patch.setattr(lattice, "DEFAULT_CLOSURE_CAP", len(order))
+        assert FiniteGroup.from_matrices(gens).elements == \
+            tuple(sorted(order))
+        # one element short: the same rejection, or none for the trivial
+        # group
+        patch.setattr(lattice, "DEFAULT_CLOSURE_CAP", cap)
+        assert _raised(FiniteGroup.from_matrices, gens) == \
+            _raised(closure, gens, cap)
 
 
 @pytest.mark.parametrize("kind,name", CORE_GROUPS)
@@ -520,6 +525,12 @@ def mat_vec_reference(a, v):
 
 
 def mat_mul_reference(a, b):
+    # the inner dimension is checked for every shape, a right factor with
+    # no columns too
+    for row in a:
+        if len(row) != len(b):
+            raise ValueError("dot: length mismatch %d vs %d"
+                             % (len(row), len(b)))
     bt = tuple(zip(*b))
     return tuple(tuple(dot_reference(row, col) for col in bt) for row in a)
 
