@@ -244,6 +244,9 @@ def cmd_eci(args) -> Dict:
     elif args.rho is not None or param.dim == 2:
         text = "1,0" if args.rho is None else args.rho
         b = build_packet_member(param, _parse_rho(param, text)).b
+    elif param.dim == 0:
+        raise ValueError("eci needs --rho or --b: the center is 0-dimensional,"
+                         ' and --rho "" asks for the empty weight')
     else:
         raise ValueError("eci needs --rho or --b: the default weight 1,0 "
                          "has 2 entries, this parameter needs %d" % param.dim)

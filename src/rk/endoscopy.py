@@ -226,7 +226,7 @@ def _cut(group: ReductiveGroup, endo: EndoscopicDatum, levi: FrozenSet[int],
          u: Matrix) -> FrozenSet[int]:
     """The H roots, as H root indices, that u in the Weyl group of G sends
     into the Levi."""
-    inside = set(group.levi_context(levi).root_indices())
+    inside = set(group.levi_context(levi).root_indices)
     perm = group.weyl.perm[u]
     return frozenset(j for j, i in enumerate(endo.keep) if perm[i] in inside)
 
@@ -239,23 +239,16 @@ def _standardize_embedded(param: Parameter, endo: EndoscopicDatum,
     datum of the Levi (never happens for admissible twists, asserted)."""
     H = endo.H
     cut = _cut(param.group, endo, levi, w)
+    levi_of = {H.levi_context(s).root_indices: s
+               for s in H.standard_levi_subsets()}
     for h in H.weyl.elements:
-        perm = H.weyl.perm[h]
-        subset = _standard_levi_with_roots(H, {perm[j] for j in cut})
-        if subset is None:
-            continue
-        _assert_endoscopic_cut(param.group, endo, levi, w, cut)
-        return EmbeddedDatum(w, h, subset)
+        subset = levi_of.get(tuple(sorted(map(H.weyl.perm[h].__getitem__,
+                                              cut))))
+        if subset is not None:
+            _assert_endoscopic_cut(param.group, endo, levi, w, cut)
+            return EmbeddedDatum(w, h, subset)
     raise AssertionError("endoscopic Levi cut is not conjugate to a "
                          "standard Levi")
-
-
-def _standard_levi_with_roots(H: ReductiveGroup,
-                              roots: FrozenSet[int]) -> Optional[FrozenSet[int]]:
-    for subset in H.standard_levi_subsets():
-        if set(H.levi_context(subset).root_indices()) == roots:
-            return subset
-    return None
 
 
 def _assert_endoscopic_cut(group, endo, levi, w, cut) -> None:
@@ -263,7 +256,7 @@ def _assert_endoscopic_cut(group, endo, levi, w, cut) -> None:
     Levi at the twisted torus element."""
     q_w = endo.s_conjugate(w)
     datum = group.datum
-    expected = {i for i in group.levi_context(levi).root_indices()
+    expected = {i for i in group.levi_context(levi).root_indices
                 if dot(datum.coroots[i], q_w) % 1 == 0}
     perm = group.weyl.perm[w]
     if {perm[endo.keep[j]] for j in cut} != expected:
@@ -290,14 +283,12 @@ def _find_parameter_on_h(param: Parameter, endo: EndoscopicDatum):
     center_span = param.center_basis
     for subset in H.standard_levi_subsets():
         ctx = H.levi_context(subset)
-        if len(ctx.dual_split_center_basis) != len(center_span):
+        if ctx.dim != len(center_span):
             continue
-        # h.(center) lies in the target's span when it is orthogonal to
-        # the annihilator; equal lengths of independent bases give equality
-        annihilator = ctx.dual_center_solver.kernel
+        # equal lengths of independent bases give equal spans
         for h in H.relative.elements:
-            if all(dot(mat_vec(h, u), k) == 0
-                   for u in center_span for k in annihilator):
+            if all(ctx.in_dual_split_span(mat_vec(h, u))
+                   for u in center_span):
                 return _build_param_h(param, endo, subset, h), h
     raise EndoscopyError("the parameter center is not conjugate to the "
                          "split center of a standard Levi of the endoscopic "
@@ -323,7 +314,7 @@ def _build_param_h(param: Parameter, endo: EndoscopicDatum,
             if r in positives:
                 pos_h.extend(moved)
     r_words = []
-    mul = endo.group.weyl.mul
+    mul = param.group.weyl.mul   # h, R_phi and h^-1 all lie in W(G)
     for relt in param.r_generators:
         moved = mul(mul(h, relt), H.relative.inverse[h])
         if moved not in H.relative.words:
@@ -332,8 +323,7 @@ def _build_param_h(param: Parameter, endo: EndoscopicDatum,
         r_words.append(H.relative.word(moved))
     return Parameter(H, subset, tuple(sphi_h), tuple(pos_h),
                      tuple(r_words),
-                     label="%s|%s" % (param.label, endo.label),
-                     tempered=param.tempered)
+                     label="%s|%s" % (param.label, endo.label))
 
 
 # ---------------------------------------------------------------------------
@@ -603,7 +593,8 @@ def _left_coset_rep(group: ReductiveGroup, levi, w: Matrix) -> Matrix:
     """min of W^rel_L . w."""
     rel = group.relative
     w = rel.index[w]
-    return rel.elements[min(rel.row(l)[w] for l in group.levi_weyl_ids(levi))]
+    return rel.elements[min(rel.row(l)[w]
+                            for l in group.levi_context(levi).weyl_ids)]
 
 
 def _coset_reps(param: Parameter, endo: EndoscopicDatum,
@@ -662,7 +653,7 @@ def _backward_table(param: Parameter, levi: FrozenSet[int],
     if target_emb is None:
         raise AssertionError("backward twist does not meet any embedded class")
     cut = _cut(group, endo, levi, u)
-    h_l_roots = set(H.levi_context(target_emb.levi_h).root_indices())
+    h_l_roots = set(H.levi_context(target_emb.levi_h).root_indices)
     # hp must transport the endoscopic minimal center over the cut one
     perm = H.relative.perm
     candidates = [hp for hp in transporter_set(H, param_h.minimal_levi,
@@ -841,8 +832,8 @@ def _coset_counts(param: Parameter,
     ids = [rel.index[w] for w in trans]
     inside = set(ids)
     count_of: Dict[int, int] = {}
-    for coset in rel.double_cosets(param.group.levi_weyl_ids(levi), ids,
-                                   param.wphi_ids):
+    for coset in rel.double_cosets(param.group.levi_context(levi).weyl_ids,
+                                   ids, param.wphi_ids):
         if not inside.issuperset(coset):
             raise AssertionError("double coset leaves the transporter set")
         if not coset.isdisjoint(count_of):

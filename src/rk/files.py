@@ -19,7 +19,8 @@ from functools import reduce
 from typing import TYPE_CHECKING, Dict
 
 from .lattice import mat, mat_identity, mat_mul
-from .rootdata import BasedRootDatum, GaloisAction, ReductiveGroup
+from .rootdata import (BasedRootDatum, GaloisAction, ReductiveGroup,
+                       check_action_shapes)
 
 if TYPE_CHECKING:
     from .disconnected import DisconnectedGroupDatum
@@ -99,8 +100,7 @@ def parameter_from_tree(tree: Dict) -> Parameter:
         positive_ambient=_as_vectors(tree.get("sphi_positive", [])),
         r_phi_words=tuple(tuple(int(i) for i in w)
                           for w in tree.get("r_phi_words", [])),
-        label=str(tree.get("label", "")),
-        tempered=bool(tree.get("tempered", True)))
+        label=str(tree.get("label", "")))
 
 
 def resolve_parameter(ref: str):
@@ -134,6 +134,7 @@ def disconnected_from_tree(tree: Dict) -> DisconnectedGroupDatum:
         raise ValueError("not a disconnected-group description")
     datum = _datum_from_tree(tree)
     gens = tuple(_as_matrix(g) for g in tree.get("component_generators", []))
+    check_action_shapes(datum.rank, gens)   # before the cocycle's products
     # each row is (word, word, exponent), a word being the positions in
     # `component_generators` whose product is the element
     def element(word):

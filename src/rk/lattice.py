@@ -50,10 +50,10 @@ class Value:
     which sets each with ``object.__setattr__`` and runs the record's
     checks.  Records compare and hash by (type, field values), print as
     ``Name(field=value, ...)`` and refuse assignment and deletion.  The
-    values stay inline, with no instance ``__dict__``, so lookups stay as
-    fast as on a dataclass; their tuple and hash are not kept, which would
-    cost every construction or make that ``__dict__``.  Every record has
-    two fields or more (``attrgetter`` of one name gives no tuple).
+    fields, and any table ``__init__`` derives, live in the instance
+    ``__dict__`` as on a dataclass; their tuple and hash are formed per use,
+    as keeping them would cost every construction.  Every record has two
+    fields or more (``attrgetter`` of one name gives no tuple).
     """
 
     def __init_subclass__(cls):

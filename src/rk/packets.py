@@ -184,8 +184,8 @@ def _transporter_double_cosets(param: Parameter, levi: FrozenSet[int]):
             raise AssertionError("transporter set is not right-stable "
                                  "under W_phi")
     rep_of: Dict[Matrix, Matrix] = {}
-    for coset in rel.double_cosets(param.group.levi_weyl_ids(levi), trans,
-                                   param.wphi_ids):
+    for coset in rel.double_cosets(param.group.levi_context(levi).weyl_ids,
+                                   trans, param.wphi_ids):
         rep = rel.elements[min(coset)]
         rep_of.update((rel.elements[i], rep) for i in coset)
     return tuple(sorted(set(rep_of.values()))), rep_of

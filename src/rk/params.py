@@ -67,11 +67,10 @@ class Parameter:
                  sphi_ambient: Sequence[Vector],
                  positive_ambient: Sequence[Vector],
                  r_phi_words: Sequence[Sequence[int]] = (),
-                 label: str = "", tempered: bool = True):
+                 label: str = ""):
         self.group = group
         self.minimal_levi = frozenset(minimal_levi)
         self.label = label
-        self.tempered = tempered
         #: ("cut", L, w): `levi_cut`; ("connected", positives): the connected
         #: Weyl group of every cut with those positives; rk.packets: ("cosets",
         #: L) (the transporter double coset representatives, and each
@@ -181,8 +180,7 @@ class Parameter:
         Gamma and permutes M's coroots, so it preserves the Gamma-fixed
         annihilator of those coroots (`_char_action_raw` asserts this)."""
         rel = self.group.relative
-        positives = self.group.datum.positive_root_set
-        mpos = {i for i in self.ctx_M.root_indices() if i in positives}
+        mpos = set(self.ctx_M.positive_root_indices)
         return {m: self._char_action_raw(m) for m in rel.elements
                 if {rel.perm[m][i] for i in mpos} == mpos}
 
@@ -245,13 +243,11 @@ class Parameter:
         return out
 
     def _soft_minimality_check(self) -> None:
-        k = self.dim
         for subset in self.group.standard_levi_subsets():
-            if subset < self.minimal_levi:
-                sub_dim = self.group.levi_context(subset).dim
-                if sub_dim <= k:
-                    raise ParameterError("a proper Levi of the minimal Levi "
-                                         "has a split center no bigger")
+            if subset < self.minimal_levi and \
+                    self.group.levi_context(subset).dim <= self.dim:
+                raise ParameterError("a proper Levi of the minimal Levi has "
+                                     "a split center no bigger")
 
     # -- component-group structure --------------------------------------------
 
@@ -362,7 +358,7 @@ class LeviCut:
         self.positives = tuple(p for p in param.positives if p in set(self.roots))
         # g lies in the cut when w.g.w^-1 lies in W^rel_L
         rel = group.relative
-        rel_levi = set(group.levi_weyl_ids(levi))
+        rel_levi = set(group.levi_context(levi).weyl_ids)
         w_row, w_inv = rel.row(rel.index[self.w]), rel.index[self.w_inv]
         self.weyl_elements = tuple(
             g for g, i in zip(param.wphi_elements, param.wphi_ids)
@@ -400,7 +396,7 @@ class LeviCut:
         group = param.group
         n = group.datum.rank
         levi_roots = [group.datum.roots[i] for i in
-                      group.levi_context(self.levi).root_indices()]
+                      group.levi_context(self.levi).root_indices]
         # the annihilator of w.B is w^-T applied to that of B
         w_dual = group.relative.contragredient[self.w]
         perp_center = [mat_vec(w_dual, z) for z in

@@ -192,6 +192,13 @@ class BasedRootDatum(Value):
                               self.name + "^" if self.name else "")
 
 
+def check_action_shapes(rank: int, generators: Sequence[Matrix]) -> None:
+    """Raise DatumError unless every generator is a rank x rank matrix."""
+    if any(len(g) != rank or any(len(row) != rank for row in g)
+           for g in generators):
+        raise DatumError("action matrix of wrong size")
+
+
 class GaloisAction(Value):
     """A finite group of automorphisms of a based datum, given by matrices
     on the character lattice: the Galois image of a group, the component
@@ -210,9 +217,7 @@ class GaloisAction(Value):
         object.__setattr__(self, "datum", datum)
         object.__setattr__(self, "generators", generators)
         n = self.datum.rank
-        for g in self.generators:
-            if len(g) != n or any(len(row) != n for row in g):
-                raise DatumError("action matrix of wrong size")
+        check_action_shapes(n, self.generators)
         gens = self.generators or (mat_identity(n),)
         if any(abs(mat_det(g)) != 1 for g in gens):
             raise ValueError("action matrices must have determinant +/-1")
@@ -244,8 +249,10 @@ class GaloisAction(Value):
 
     @cached_property
     def cochar_generators(self) -> Tuple[Matrix, ...]:
-        """The contragredient generators, formed on first use."""
-        return tuple(mat_contragredient(g) for g in self._char_gens)
+        """The contragredient generators (the identity is its own)."""
+        ident = mat_identity(self.datum.rank)
+        return tuple(g if g == ident else mat_contragredient(g)
+                     for g in self._char_gens)
 
     def is_trivial(self) -> bool:
         return all(g == mat_identity(self.datum.rank) for g in self.char_generators)
@@ -291,76 +298,109 @@ class WeylGroup(MatrixGroup):
 
 
 class LeviContext:
-    """All per-Levi data derived from a Gamma-stable simple subset.
+    """One standard Levi L, given by a Gamma-stable simple subset.
 
-    Attributes
-    ----------
-    split_center_basis : basis of X_*(A_L), the rational points of the
-        split center of the Levi on the group side.
-    dual_split_center_basis : basis of X_*(A_L^), the cocharacters of the
-        identity component of the Gamma-fixed dual center.
-    dual_center_characters : X*(Z(L^)^Gamma) as an FgAbelianGroup presented
-        on X_*(T) = X*(T^).
-
-    alpha_L : X*(A_L^)_Q -> fraktur-A_L is the inverse of the restriction
-    to the dual split center (Kottwitz, Isocrystals with additional
-    structure II, 4), kept as an integer matrix over one denominator;
-    `alpha_inv` is that restriction itself.
+    Building it checks the subset and lists L's roots (`root_indices`,
+    those supported in the subset) and the positive ones.  The rest is
+    computed on first read and kept: W^rel_L for the Weyl layer; for the
+    Kottwitz layer the split centers X_*(A_L) and X_*(A_L^) (the identity
+    component of the Gamma-fixed dual center), X*(Z(L^)^Gamma) presented
+    on X_*(T) = X*(T^), and alpha_L: X*(A_L^)_Q -> fraktur-A_L, the inverse
+    of the restriction `alpha_inv` (Kottwitz, Isocrystals with additional
+    structure II, 4), over one denominator.
     """
 
     def __init__(self, group: "ReductiveGroup", subset: FrozenSet[int]):
         self.group = group
         self.subset = frozenset(subset)
-        datum = group.datum
-        n = datum.rank
-        orbit_union = set()
-        for pos in self.subset:
-            orbit_union.update(group.simple_orbit_of(pos))
-        if orbit_union != set(self.subset):
+        if not all(self.subset.issuperset(group.simple_orbit_of(pos))
+                   for pos in self.subset):
             raise DatumError("Levi subset is not Galois stable")
+        datum = group.datum
+        self.root_indices = tuple(i for i in range(len(datum.roots))
+                                  if datum.support(i) <= self.subset)
+        self.positive_root_indices = tuple(
+            i for i in self.root_indices if i in datum.positive_root_set)
 
-        cochar_gens = group.galois.cochar_generators
-        simple_roots = [datum.simple_roots[pos] for pos in sorted(self.subset)]
-        simple_coroots = [datum.simple_coroots[pos] for pos in sorted(self.subset)]
+    @cached_property
+    def weyl_elements(self) -> Tuple[Matrix, ...]:
+        """W^rel_L: relative Weyl elements fixing fraktur-A_L pointwise,
+        generated by the restricted reflections of the orbits inside L."""
+        group = self.group
+        return group.relative.generated(
+            [r for r, orb in zip(group.restricted_reflections,
+                                 group.simple_orbits)
+             if self.subset.issuperset(orb)])
 
-        # X_*(A_L): Gamma-fixed (cocharacter action), killed by Levi roots;
-        # its rational span is the common kernel of these rows
-        self._split_rows = mat(simple_roots + fixed_point_rows(n, cochar_gens))
-        self.split_center_basis = kernel_basis(self._split_rows, n)
+    @cached_property
+    def weyl_ids(self) -> Tuple[int, ...]:
+        """`weyl_elements` as ids of W^rel, in the same order."""
+        index = self.group.relative.index
+        return tuple(index[m] for m in self.weyl_elements)
 
-        # X_*(A_L^): Gamma-fixed (character action), killed by Levi coroots
-        self.dual_split_center_basis = kernel_basis(mat(
-            simple_coroots
-            + fixed_point_rows(n, group.galois.char_generators)), n)
+    def _simple(self, vectors) -> list:
+        return [vectors[pos] for pos in sorted(self.subset)]
 
-        if len(self.split_center_basis) != len(self.dual_split_center_basis):
+    @cached_property
+    def _split_rows(self) -> Matrix:
+        """X_*(A_L) is Gamma-fixed (cocharacter action) and killed by the
+        Levi roots; its rational span is the common kernel of these rows."""
+        group = self.group
+        return mat(self._simple(group.datum.simple_roots) + fixed_point_rows(
+            group.datum.rank, group.galois.cochar_generators))
+
+    @cached_property
+    def _dual_split_rows(self) -> Matrix:
+        """The same for X_*(A_L^): the character action, the coroots."""
+        group = self.group
+        return mat(self._simple(group.datum.simple_coroots) + fixed_point_rows(
+            group.datum.rank, group.galois.char_generators))
+
+    @cached_property
+    def _center_bases(self) -> Tuple[Tuple[Vector, ...], Tuple[Vector, ...]]:
+        """(X_*(A_L), X_*(A_L^)), whose ranks must agree."""
+        n = self.group.datum.rank
+        split = kernel_basis(self._split_rows, n)
+        dual = kernel_basis(self._dual_split_rows, n)
+        if len(split) != len(dual):
             raise AssertionError("split center ranks disagree across duality")
-        self.dim = len(self.split_center_basis)
+        return split, dual
 
-        # X*(Z(L^)^Gamma) = (X_*(T) / Levi coroot lattice)_Gamma
-        self.dual_center_characters: FgAbelianGroup = coinvariants(
-            n, cochar_gens, extra_relations=simple_coroots)
+    split_center_basis = cached_property(lambda self: self._center_bases[0])
+    dual_split_center_basis = cached_property(
+        lambda self: self._center_bases[1])
+    dim = cached_property(lambda self: len(self._center_bases[0]))
 
-        # pairing matrix P[i][j] = <y_j, u_i>; alpha_L = Y^T P^-1, kept as
-        # an integer numerator matrix over one common denominator
-        Y = self.split_center_basis
-        U = self.dual_split_center_basis
-        self._P = mat([[dot(y, u) for y in Y] for u in U])
-        alpha_q = mat_mul(from_columns(Y, n), mat_inverse(self._P))
-        self._alpha_den = 1
-        for row in alpha_q:
-            for x in row:
-                self._alpha_den = lcm(self._alpha_den, x.denominator)
-        self._alpha_num = tuple(tuple(int(x * self._alpha_den) for x in row)
-                                for row in alpha_q)
-        self._root_indices = tuple(i for i in range(len(datum.roots))
-                                   if datum.support(i) <= self.subset)
+    @cached_property
+    def dual_center_characters(self) -> FgAbelianGroup:
+        """X*(Z(L^)^Gamma) = (X_*(T) / Levi coroot lattice)_Gamma."""
+        group = self.group
+        return coinvariants(
+            group.datum.rank, group.galois.cochar_generators,
+            extra_relations=self._simple(group.datum.simple_coroots))
 
-    # -- coordinate maps ---------------------------------------------------
+    @cached_property
+    def _P(self) -> Matrix:
+        """The pairing matrix P[i][j] = <y_j, u_i>."""
+        return mat([[dot(y, u) for y in self.split_center_basis]
+                    for u in self.dual_split_center_basis])
+
+    @cached_property
+    def _alpha(self) -> Tuple[Matrix, int]:
+        """alpha_L = Y^T P^-1 as (integer numerators, one denominator)."""
+        alpha_q = mat_mul(from_columns(self.split_center_basis,
+                                       self.group.datum.rank),
+                          mat_inverse(self._P))
+        den = lcm(*(x.denominator for row in alpha_q for x in row))
+        return tuple(tuple(int(x * den) for x in row) for row in alpha_q), den
 
     def restrict_ambient(self, v: Sequence) -> Tuple:
         """Functional coordinates of an X*(T^)-vector on X_*(A_L^)."""
         return tuple(dot(v, u) for u in self.dual_split_center_basis)
+
+    def in_dual_split_span(self, v: Sequence[int]) -> bool:
+        """Whether an X*(T^)-vector lies in the span of X_*(A_L^) over Q."""
+        return not any(dot(row, v) for row in self._dual_split_rows)
 
     def functional_of_kappa(self, kappa: FgaElement) -> Tuple:
         """The free functional on X_*(A_L^) attached to a dual-center character."""
@@ -370,8 +410,8 @@ class LeviContext:
         """X*(A_L^)_Q -> fraktur-A_L: the inverse of the restriction map."""
         if len(c) != self.dim:
             raise ValueError("functional of wrong length")
-        return tuple(Fraction(dot(row, c), self._alpha_den)
-                     for row in self._alpha_num)
+        num, den = self._alpha
+        return tuple(Fraction(dot(row, c), den) for row in num)
 
     def alpha_inv(self, point: Sequence) -> Optional[Tuple]:
         """fraktur-A_L -> X*(A_L^)_Q: the restriction of a point of the
@@ -407,17 +447,12 @@ class LeviContext:
     def newton_scaled(self, kappa: FgaElement) -> Tuple[Vector, int]:
         """newton_point(kappa) as integer numerators over alpha_L's one
         denominator."""
-        return (mat_vec(self._alpha_num, self.functional_of_kappa(kappa)),
-                self._alpha_den)
+        num, den = self._alpha
+        return mat_vec(num, self.functional_of_kappa(kappa)), den
 
     def newton_point(self, kappa: FgaElement) -> Tuple:
         """alpha_L of (the rational restriction of) a dual-center character."""
         return self.alpha(self.functional_of_kappa(kappa))
-
-    def root_indices(self) -> Tuple[int, ...]:
-        """Indices of the ambient roots belonging to this Levi: those whose
-        support lies in the Levi's simple subset."""
-        return self._root_indices
 
 
 class ScaledPoint(tuple):
@@ -443,10 +478,8 @@ class ReductiveGroup:
         self.datum = datum
         self.galois = galois if galois is not None else GaloisAction(datum)
         self.name = name or datum.name
-        #: ("restricted",), ("relative",): the two properties; ("levi", L),
-        #: ("levi_weyl", L), ("levi_weyl_ids", L): `levi_context` and W^rel_L
-        #: as matrices and ids; ("transporters", L1, L2):
-        #: `weyl.transporter_set`.
+        #: ("restricted",), ("relative",): the two properties; ("levi", L):
+        #: `levi_context`; ("transporters", L1, L2): `weyl.transporter_set`.
         self.memo: Dict = {}
 
     # -- absolute Weyl group ------------------------------------------------
@@ -663,25 +696,7 @@ class ReductiveGroup:
         return tuple(sorted(subsets, key=lambda s: (len(s), sorted(s))))
 
     def levi_weyl_elements(self, subset) -> Tuple[Matrix, ...]:
-        """W^rel_L: relative Weyl elements fixing fraktur-A_L pointwise,
-        generated by the restricted reflections of the orbits inside L."""
-        key = frozenset(subset)
-        return cached(self.memo, ("levi_weyl", key), self._levi_weyl, key)
-
-    def _levi_weyl(self, key: FrozenSet[int]) -> Tuple[Matrix, ...]:
-        self.levi_context(key)   # rejects a subset that is not a Levi
-        return self.relative.generated(
-            [r for r, orb in zip(self.restricted_reflections,
-                                 self.simple_orbits) if key.issuperset(orb)])
-
-    def levi_weyl_ids(self, subset) -> Tuple[int, ...]:
-        """`levi_weyl_elements(subset)` as ids of W^rel, in the same order."""
-        key = frozenset(subset)
-        return cached(self.memo, ("levi_weyl_ids", key), self._levi_ids, key)
-
-    def _levi_ids(self, key: FrozenSet[int]) -> Tuple[int, ...]:
-        index = self.relative.index
-        return tuple(index[m] for m in self.levi_weyl_elements(key))
+        return self.levi_context(subset).weyl_elements
 
     def full_subset(self) -> FrozenSet[int]:
         return frozenset(range(len(self.datum.simple_indices)))

@@ -86,17 +86,11 @@ def transporter_set(group: ReductiveGroup, levi1, levi2) -> Tuple[Matrix, ...]:
 
 
 def _transporters(group: ReductiveGroup, levi1, levi2) -> Tuple[Matrix, ...]:
-    roots1 = group.levi_context(levi1).root_indices()
-    roots2 = set(group.levi_context(levi2).root_indices())
+    roots1 = group.levi_context(levi1).root_indices
+    roots2 = set(group.levi_context(levi2).root_indices)
     rel = group.relative
     return tuple(m for m in rel.elements
                  if all(rel.perm[m][i] in roots2 for i in roots1))
-
-
-def _positive_root_system(group: ReductiveGroup, levi) -> Tuple[int, ...]:
-    positives = group.datum.positive_root_set
-    return tuple(i for i in group.levi_context(levi).root_indices()
-                 if i in positives)
 
 
 def _sends_positively(group: ReductiveGroup, m: Matrix,
@@ -110,8 +104,8 @@ def double_coset_reps(group: ReductiveGroup, levi1, levi2) -> Tuple[Matrix, ...]
     """W^rel[L1, L2]: transporter elements sending L1-positives and, inversely,
     L2-positives to positive roots.  A complete, minimal set of
     representatives of W^rel_{L2} \\ W^rel(L1, L2)."""
-    pos1 = _positive_root_system(group, levi1)
-    pos2 = _positive_root_system(group, levi2)
+    pos1 = group.levi_context(levi1).positive_root_indices
+    pos2 = group.levi_context(levi2).positive_root_indices
     inverse = group.relative.inverse
     out = []
     for m in transporter_set(group, levi1, levi2):
@@ -129,10 +123,9 @@ def geometric_lemma_index(group: ReductiveGroup, levi1, levi2):
     w(L1) cap L2).
     """
     rel = group.relative
-    pos1 = _positive_root_system(group, levi1)
-    pos2 = _positive_root_system(group, levi2)
-    idx1 = set(group.levi_context(levi1).root_indices())
-    idx2 = set(group.levi_context(levi2).root_indices())
+    ctx1, ctx2 = group.levi_context(levi1), group.levi_context(levi2)
+    pos1, pos2 = ctx1.positive_root_indices, ctx2.positive_root_indices
+    idx1, idx2 = set(ctx1.root_indices), set(ctx2.root_indices)
     out = []
     for m in rel.elements:
         minv = rel.inverse[m]

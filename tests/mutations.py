@@ -174,10 +174,20 @@ MUTATIONS = (
         ("tests/test_endoscopy.py::test_memoized_trace_matches_the_reference",),
         "one orbit trace kept for every g of a (Levi, w, weight)"),
     Mutation(
-        "levi-weyl-key-collides-with-levi-context", "src/rk/rootdata.py",
-        'cached(self.memo, ("levi_weyl", key)', 'cached(self.memo, ("levi", key)',
+        "levi-weyl-from-all-reflections", "src/rk/rootdata.py",
+        "             if self.subset.issuperset(orb)])",
+        "             ])",
         ("tests/test_rootdata.py::test_levi_weyl_elements_match_definition",),
-        "W^rel_L kept under the key of the Levi's LeviContext"),
+        "W^rel_L generated by the restricted reflections of every orbit, "
+        "not only of those inside the Levi: W^rel for every Levi"),
+    Mutation(
+        "split-centers-without-duality-check", "src/rk/rootdata.py",
+        """        if len(split) != len(dual):
+            raise AssertionError("split center ranks disagree across duality")
+""", "",
+        ("tests/test_rootdata.py::"
+         "test_reading_a_split_center_basis_runs_the_duality_check",),
+        "split-center bases of different ranks read as if they were dual"),
     Mutation(
         "smith-form-infers-the-column-count", "src/rk/lattice.py",
         "    m, n = len(a), ncols\n",

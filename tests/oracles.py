@@ -533,7 +533,7 @@ def double_coset_ids_by_comprehension(param, levi, w):
     w and the result are ids of W^rel."""
     row = param.group.relative.row
     phi = param.wphi_ids
-    return {x for lw in param.group.levi_weyl_ids(levi)
+    return {x for lw in param.group.levi_context(levi).weyl_ids
             for x in map(row(row(lw)[w]).__getitem__, phi)}
 
 
@@ -889,7 +889,6 @@ def parameter_to_tree(param, group_ref: str) -> Dict:
         "sphi_positive": pos,
         "r_phi_words": [list(param.group.relative.word(r))
                         for r in param.r_generators],
-        "tempered": param.tempered,
     }
 
 

@@ -571,7 +571,7 @@ def test_memo_parameter_on_h_matches_fresh(pname, ename):
     fresh_param_h, fresh_h = _find_parameter_on_h(param, endo)
     assert fresh_param_h is not param_h and fresh_h == h
     for field in ("minimal_levi", "roots", "positives", "coroots",
-                  "r_generators", "center_basis", "label", "tempered"):
+                  "r_generators", "center_basis", "label"):
         assert getattr(param_h, field) == getattr(fresh_param_h, field), field
     assert parameter_on_h(param, endo)[0] is param_h
 
@@ -1106,7 +1106,7 @@ def test_coset_count_by_size_matches_the_coset_sets(pname):
         if not param.minimal_levi <= levi:
             continue
         for w in transporter_set(group, param.minimal_levi, levi):
-            size = len(rel.double_coset(group.levi_weyl_ids(levi),
+            size = len(rel.double_coset(group.levi_context(levi).weyl_ids,
                                         rel.index[w], param.wphi_ids))
             count, rest = divmod(size, len(param.wphi_ids))
             assert rest == 0
@@ -1521,8 +1521,8 @@ def test_double_coset_ids_match_the_comprehension(pname):
         if not param.minimal_levi <= levi:
             continue
         for w in transporter_set(group, param.minimal_levi, levi):
-            assert rel.double_coset(group.levi_weyl_ids(levi), rel.index[w],
-                                    param.wphi_ids) == \
+            ids = group.levi_context(levi).weyl_ids
+            assert rel.double_coset(ids, rel.index[w], param.wphi_ids) == \
                 double_coset_ids_by_comprehension(param, levi, rel.index[w])
             checked += 1
     assert checked

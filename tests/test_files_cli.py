@@ -223,6 +223,32 @@ def test_cli_irr_rejects_a_component_generator_of_determinant_2(tmp_path):
         1, "", "error: action matrices must have determinant +/-1\n")
 
 
+def test_cli_irr_rejects_a_wrong_size_generator_before_its_cocycle(tmp_path):
+    # the cocycle word multiplies the 2 x 2 generator on a rank-1 datum; the
+    # size is named before any product, where `dot` would have failed
+    path = tmp_path / "size.yaml"
+    dump_tree({"kind": "disconnected", "name": "size", "rank": 1,
+               "roots": [], "coroots": [], "simple": [],
+               "component_generators": [[[0, 1], [1, 0]]],
+               "cocycle": [[[0], [0], "1/2"]]}, str(path))
+    proc = _run("irr", "--group", str(path), "--height", "1")
+    assert (proc.returncode, proc.stdout, proc.stderr) == (
+        1, "", "error: action matrix of wrong size\n")
+
+
+def test_cli_eci_names_the_empty_weight_of_a_0_dimensional_center(tmp_path):
+    # an elliptic sl2 parameter has an empty center basis, so the default
+    # weight 1,0 cannot apply; the message says how to ask for the empty one
+    path = tmp_path / "sl2-ell.yaml"
+    path.write_text("kind: parameter\ngroup: sl2\nminimal_levi: [0]\n")
+    proc = _run("eci", "--param", str(path), "--endo", "sl2-s1")
+    assert (proc.returncode, proc.stdout, proc.stderr) == (
+        1, "", 'error: eci needs --rho or --b: the center is 0-dimensional, '
+        'and --rho "" asks for the empty weight\n')
+    assert _json_out(_run("eci", "--param", str(path), "--endo", "sl2-s1",
+                          "--rho", ""))["pass"] is True
+
+
 def test_cli_packet_member():
     data = _json_out(_run("packet", "--param", "gl2-triv",
                           "--rho", "1,0", "--fiber"))

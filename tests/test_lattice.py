@@ -529,7 +529,7 @@ def _fill_group(group):
     from rk.weyl import transporter_set
     full = group.full_subset()
     for levi in group.standard_levi_subsets():
-        group.levi_weyl_ids(levi)
+        assert group.levi_context(levi).weyl_ids
         transporter_set(group, levi, full)
 
 

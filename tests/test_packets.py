@@ -143,7 +143,7 @@ def test_cut_coordinates_match_the_fraction_definitions(param):
             assert cut.levi_center_coords == tuple(
                 tuple(int(x) for x in solve_rational(twisted, u))
                 for u in ctx_L.dual_split_center_basis)
-            levi_roots = [group.datum.roots[i] for i in ctx_L.root_indices()]
+            levi_roots = [group.datum.roots[i] for i in ctx_L.root_indices]
             perp = list(SmithSolver(tuple(twisted), n).kernel) + \
                 list(kernel_basis(tuple(levi_roots), n))
             kill = kernel_basis(tuple(perp), n)

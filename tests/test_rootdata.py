@@ -28,6 +28,7 @@ from rk.rootdata import (
     BasedRootDatum,
     DatumError,
     GaloisAction,
+    LeviContext,
     ReductiveGroup,
     WeylGroup,
     dual_datum,
@@ -497,6 +498,34 @@ def test_alpha_inv_derived_on_first_use():
     assert "dual_center_solver" not in vars(ctx)
 
 
+def test_levi_context_builds_only_its_roots():
+    # the Weyl layer reads the roots; W^rel_L and the Kottwitz data wait
+    # for their first read
+    g = presets.group("gl3")
+    ctx = g.levi_context(frozenset({0}))
+    assert sorted(vars(ctx)) == ["group", "positive_root_indices",
+                                 "root_indices", "subset"]
+    assert len(ctx.weyl_elements) == 2 and "_center_bases" not in vars(ctx)
+
+
+def test_reading_a_split_center_basis_runs_the_duality_check():
+    # one more independent row on the dual side drops its rank from 2 to 1:
+    # each read built on the two bases must name the mismatch
+    g = presets.group("gl3")
+    reads = (lambda c: c.split_center_basis,
+             lambda c: c.dual_split_center_basis,
+             lambda c: c.dim,
+             lambda c: c.alpha_inv((1, 1, 0)),
+             lambda c: c.newton_point(
+                 c.dual_center_characters.element_from_ambient((1, 0, 0))))
+    for read in reads:
+        ctx = LeviContext(g, frozenset({0}))
+        ctx._dual_split_rows += ((1, 0, 0),)
+        with pytest.raises(AssertionError, match="^split center ranks "
+                           "disagree across duality$"):
+            read(ctx)
+
+
 @pytest.mark.parametrize("name", presets.GROUP_NAMES)
 def test_root_indices_match_span_scan(name):
     g = presets.group(name)
@@ -506,8 +535,9 @@ def test_root_indices_match_span_scan(name):
         simples = [d.simple_roots[pos] for pos in sorted(subset)]
         brute = tuple(i for i, r in enumerate(d.roots)
                       if simples and solve_rational(simples, r) is not None)
-        assert ctx.root_indices() == brute
-        assert ctx.root_indices() is ctx.root_indices()
+        assert ctx.root_indices == brute
+        assert ctx.positive_root_indices == tuple(
+            i for i in brute if i in d.positive_root_set)
 
 
 def test_levi_functoriality_nested():

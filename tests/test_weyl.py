@@ -349,6 +349,28 @@ def test_stabilizer_matches_facet_levi():
             assert set(elems) == set(g.levi_weyl_elements(levi))
 
 
+@pytest.mark.parametrize("name", ["gl4", "sp4", "so6", "gl2x2-swap", "u3",
+                                  "res-quad-torus"])
+def test_weyl_layer_runs_no_smith_form(name, monkeypatch):
+    # transporters, double cosets and the geometric lemma read a Levi's
+    # roots and W^rel; its split centers are for the Kottwitz layer
+    from rk import lattice
+    calls = []
+    snf_raw = lattice._snf_raw
+
+    def counted(*args):
+        calls.append(args)
+        return snf_raw(*args)
+
+    monkeypatch.setattr(lattice, "_snf_raw", counted)
+    g = presets.group(name)
+    for l1, l2 in itertools.product(g.standard_levi_subsets(), repeat=2):
+        transporter_set(g, l1, l2)
+        double_coset_reps(g, l1, l2)
+        geometric_lemma_index(g, l1, l2)
+    assert calls == []
+
+
 def test_stabilizer_certificate_catches_a_wrong_levi_weyl_group():
     # drop one element from the kept W_L of a facet: the full W^rel scan
     # no longer matches it, and the W_L certificate must say so
@@ -356,8 +378,9 @@ def test_stabilizer_certificate_catches_a_wrong_levi_weyl_group():
     x = (Fraction(1), Fraction(1), Fraction(0))   # dominant, facet {0}
     elems, levi = stabilizer(g, x)
     assert levi == frozenset({0}) and len(elems) == 2
-    assert g.memo["levi_weyl", levi] == elems
-    g.memo["levi_weyl", levi] = elems[:-1]
+    ctx = g.levi_context(levi)
+    assert ctx.weyl_elements == elems
+    ctx.weyl_elements = elems[:-1]
     with pytest.raises(AssertionError, match="^stabilizer of a dominant "
                        "point must be the Weyl group of its facet Levi$"):
         stabilizer(g, x)
