@@ -533,8 +533,7 @@ def _pairing_reps(param: Parameter, cut) -> List[Matrix]:
 # the indexing bijection
 
 def indexing_forward(param: Parameter, levi, endo: EndoscopicDatum,
-                     param_h: Parameter, h: Matrix, emb: EmbeddedDatum,
-                     v: Matrix) -> Matrix:
+                     h: Matrix, emb: EmbeddedDatum, v: Matrix) -> Matrix:
     """Map (embedded class, Levi coset on the endoscopic side) to the
     corresponding transporter coset on the group side: the unique class
     whose inverse restricts to the composite center map (computed once
@@ -632,7 +631,7 @@ def indexing_backward(param: Parameter, levi, endo: EndoscopicDatum,
                                embedded, u)
     target = _left_coset_rep(group, levi, w)
     matching = [v for v in reps if indexing_forward(
-        param, levi, endo, param_h, h, target_emb, v) == target]
+        param, levi, endo, h, target_emb, v) == target]
     if not matching:
         raise AssertionError("backward construction does not invert forward")
     return target_emb, min(matching)
@@ -682,7 +681,7 @@ def indexing_bijection_check(param: Parameter, levi,
     image = []
     table = []
     for emb, v in lhs:
-        w = indexing_forward(param, levi, endo, param_h, h, emb, v)
+        w = indexing_forward(param, levi, endo, h, emb, v)
         image.append(w)
         table.append({
             "embedded_levi": sorted(emb.levi_h),
@@ -780,7 +779,7 @@ def eci_both_sides(param: Parameter, b: BElement,
             raise AssertionError("regular terms without endoscopic cosets")
         count = 0
         for v in h_cosets:
-            w = indexing_forward(param, levi, endo, param_h, h, emb, v)
+            w = indexing_forward(param, levi, endo, h, emb, v)
             _expand_levi_token(param, b, w, endo, lhs, sign)
             count += 1
         if count != expected:

@@ -221,19 +221,26 @@ def mat_inverse(a: Matrix) -> tuple:
 
 
 def mat_inverse_int(a: Matrix) -> Matrix:
-    """Inverse of a unimodular integer matrix, as an integer matrix: with
-    U*A*V = 1 in Smith form, A^-1 = V*U."""
-    D, U, V = smith_normal_form(a, len(a))
-    diag = {D[i][i] for i in range(len(D))}
-    if diag - {1}:
-        raise ValueError("matrix is singular" if 0 in diag
-                         else "matrix is not unimodular")
-    return mat_mul(V, U)
+    """Inverse of a unimodular integer matrix, as an integer matrix: the
+    rational inverse, integral exactly when det A = +/-1, checked exactly."""
+    _check_lengths(a, len(a))
+    inverse = mat_inverse(a)
+    if any(x.denominator != 1 for row in inverse for x in row):
+        raise ValueError("matrix is not unimodular")
+    inverse = tuple(tuple([int(x) for x in row]) for row in inverse)
+    if mat_mul(a, inverse) != mat_identity(len(a)):
+        raise AssertionError("inverse verification failed: A*A^-1 != 1")
+    return inverse
 
 
 def mat_contragredient(a: Matrix) -> Matrix:
     """Transpose-inverse: the induced action on the dual lattice."""
     return mat_transpose(mat_inverse_int(a))
+
+
+def row_rank(rows: Sequence[Sequence], ncols: int) -> int:
+    """The rank over Q of some rows of length ncols."""
+    return len(gauss_jordan(rows, ncols, _q_inv, _q_red)[1])
 
 
 def solve_rational(a_cols: Sequence[Sequence], b: Sequence):
@@ -657,9 +664,6 @@ class FgaElement(Value):
     def __init__(self, free: Vector, torsion: Vector):
         object.__setattr__(self, "free", free)
         object.__setattr__(self, "torsion", torsion)
-
-    def is_zero(self) -> bool:
-        return all(x == 0 for x in self.free) and all(x == 0 for x in self.torsion)
 
 
 class FgAbelianGroup:

@@ -167,7 +167,6 @@ class Parameter:
                                  "product of its connected part and R_phi")
         if set(self.wphi_o_elements) & set(self.r_elements) != {rel.identity}:
             raise ParameterError("connected part meets R_phi nontrivially")
-        self._soft_minimality_check()
 
     # -- ambient embedding ---------------------------------------------------
 
@@ -241,13 +240,6 @@ class Parameter:
                 cor.append(c)
             out[alpha] = (m, tuple(cor))
         return out
-
-    def _soft_minimality_check(self) -> None:
-        for subset in self.group.standard_levi_subsets():
-            if subset < self.minimal_levi and \
-                    self.group.levi_context(subset).dim <= self.dim:
-                raise ParameterError("a proper Levi of the minimal Levi has "
-                                     "a split center no bigger")
 
     # -- component-group structure --------------------------------------------
 

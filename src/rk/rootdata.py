@@ -55,6 +55,7 @@ from .lattice import (
     mat_transpose,
     mat_vec,
     orbit,
+    row_rank,
 )
 
 
@@ -249,10 +250,8 @@ class GaloisAction(Value):
 
     @cached_property
     def cochar_generators(self) -> Tuple[Matrix, ...]:
-        """The contragredient generators (the identity is its own)."""
-        ident = mat_identity(self.datum.rank)
-        return tuple(g if g == ident else mat_contragredient(g)
-                     for g in self._char_gens)
+        """The contragredient generators."""
+        return tuple(map(mat_contragredient, self._char_gens))
 
     def is_trivial(self) -> bool:
         return all(g == mat_identity(self.datum.rank) for g in self.char_generators)
@@ -357,19 +356,26 @@ class LeviContext:
             group.datum.rank, group.galois.char_generators))
 
     @cached_property
+    def dim(self) -> int:
+        """dim A_L = rank - rank_Q(`_split_rows`), read without a basis."""
+        n = self.group.datum.rank
+        return n - row_rank(self._split_rows, n)
+
+    @cached_property
     def _center_bases(self) -> Tuple[Tuple[Vector, ...], Tuple[Vector, ...]]:
-        """(X_*(A_L), X_*(A_L^)), whose ranks must agree."""
+        """(X_*(A_L), X_*(A_L^)), both of rank `dim`."""
         n = self.group.datum.rank
         split = kernel_basis(self._split_rows, n)
         dual = kernel_basis(self._dual_split_rows, n)
         if len(split) != len(dual):
             raise AssertionError("split center ranks disagree across duality")
+        if len(split) != self.dim:
+            raise AssertionError("split center basis disagrees with dim")
         return split, dual
 
     split_center_basis = cached_property(lambda self: self._center_bases[0])
     dual_split_center_basis = cached_property(
         lambda self: self._center_bases[1])
-    dim = cached_property(lambda self: len(self._center_bases[0]))
 
     @cached_property
     def dual_center_characters(self) -> FgAbelianGroup:
@@ -721,10 +727,6 @@ class ReductiveGroup:
                                  "position %d lies in the orbit %s"
                                  % (field, pos, list(orbit)))
         return subset
-
-    def dual(self) -> "ReductiveGroup":
-        dd, da = dual_datum(self.datum, self.galois)
-        return ReductiveGroup(dd, da, (self.name + "^") if self.name else "")
 
 
 # ---------------------------------------------------------------------------

@@ -189,6 +189,36 @@ MUTATIONS = (
          "test_reading_a_split_center_basis_runs_the_duality_check",),
         "split-center bases of different ranks read as if they were dual"),
     Mutation(
+        "levi-dim-off-by-one", "src/rk/rootdata.py",
+        "        return n - row_rank(self._split_rows, n)\n",
+        "        return n - row_rank(self._split_rows, n) + 1\n",
+        ("tests/test_rootdata.py::"
+         "test_levi_dim_is_the_rank_of_both_split_centers",),
+        "dim A_L read one too large from the rows of the split center"),
+    Mutation(
+        "split-centers-without-rank-check", "src/rk/rootdata.py",
+        """        if len(split) != self.dim:
+            raise AssertionError("split center basis disagrees with dim")
+""", "",
+        ("tests/test_rootdata.py::"
+         "test_reading_a_split_center_basis_checks_its_rational_rank",),
+        "split-center bases read though their rank is not dim"),
+    Mutation(
+        "inverse-without-integrality-check", "src/rk/lattice.py",
+        """    if any(x.denominator != 1 for row in inverse for x in row):
+        raise ValueError("matrix is not unimodular")
+""", "",
+        ("tests/test_lattice.py::"
+         "test_mat_inverse_int_rejects_what_is_not_unimodular",),
+        "a rational inverse with a denominator truncated to integers"),
+    Mutation(
+        "inverse-without-product-check", "src/rk/lattice.py",
+        """    if mat_mul(a, inverse) != mat_identity(len(a)):
+        raise AssertionError("inverse verification failed: A*A^-1 != 1")
+""", "",
+        ("tests/test_lattice.py::test_mat_inverse_int_checks_its_product",),
+        "a unimodular inverse returned without checking A*A^-1 = 1"),
+    Mutation(
         "smith-form-infers-the-column-count", "src/rk/lattice.py",
         "    m, n = len(a), ncols\n",
         "    m = len(a)\n    n = len(a[0]) if m else 0\n",

@@ -14,9 +14,11 @@ elements by one `mat_vec` per positive root and its connected Weyl group
 closed for every cut, the coset counting certificate with the double
 coset built for every transporter element, and the endoscopy layer's
 right W_phi cosets as sets, indexing map, orbit traces, geometric-lemma
-step and Levi-token expansion, likewise on every call, and the finitely
+step and Levi-token expansion, likewise on every call, the finitely
 generated abelian group with a slot kind per Smith slot and its
-coinvariants, as they were before the group had one construction path.
+coinvariants, as they were before the group had one construction path,
+and the inverse of a unimodular matrix by a second Smith form, as it was
+before it became the checked rational inverse.
 With them are the routines that only the tests call: the rational span
 test, the Levi data as one tuple, the full Weyl group of a disconnected
 group with its semidirect splitting, a Levi cut as a disconnected group,
@@ -42,9 +44,10 @@ from rk.endoscopy import (EndoscopyError, Term, _forward_table,
                           regular_part)
 from rk.finite_reps import FiniteGroup
 from rk.kottwitz import basic_plus_lift
-from rk.lattice import (FgaElement, Matrix, Vector, dot, mat, mat_identity, mat_inverse_int,
-                        mat_transpose, mat_vec, orbit, smith_normal_form,
-                        solve_rational, vadd, vneg, vscale, vsub)
+from rk.lattice import (FgaElement, Matrix, Vector, dot, mat, mat_identity,
+                        mat_mul, mat_transpose, mat_vec, orbit,
+                        smith_normal_form, solve_rational, vadd, vneg, vscale,
+                        vsub)
 from rk.packets import (PacketMember, _canonical_double_coset,
                         _certify_descent, canonical_rho, dominantize)
 from rk.params import ParameterError, _is_reflection, _simple_positions
@@ -571,7 +574,7 @@ def verify_counting_per_element(param, levi):
     return counts
 
 
-def indexing_forward_unmemoized(param, levi, endo, param_h, h, emb, v):
+def indexing_forward_unmemoized(param, levi, endo, h, emb, v):
     """The group-side coset of (embedded class, endoscopic coset): the
     composite element and its images of the dual-center basis looked up in
     the forward table, on every call."""
@@ -646,6 +649,20 @@ def expand_levi_token_unmemoized(param, b, w, endo, dist, sign_token):
 
 
 # ---------------------------------------------------------------------------
+# the unimodular inverse by a second Smith form
+
+def mat_inverse_int_by_smith_form(a: Matrix) -> Matrix:
+    """Inverse of a unimodular integer matrix, as an integer matrix: with
+    U*A*V = 1 in Smith form, A^-1 = V*U."""
+    D, U, V = smith_normal_form(a, len(a))
+    diag = {D[i][i] for i in range(len(D))}
+    if diag - {1}:
+        raise ValueError("matrix is singular" if 0 in diag
+                         else "matrix is not unimodular")
+    return mat_mul(V, U)
+
+
+# ---------------------------------------------------------------------------
 # finitely generated abelian groups with a slot kind per Smith slot
 
 class FgAbelianGroupBySlotKinds:
@@ -684,7 +701,7 @@ class FgAbelianGroupBySlotKinds:
         elif cols:
             D, U, _V = smith_normal_form(pres, len(cols))
             self._U = U
-            self._Uinv = mat_inverse_int(U)
+            self._Uinv = mat_inverse_int_by_smith_form(U)
             self._diag = tuple(D[i][i] for i in range(min(ambient_rank, len(cols))))
         else:
             self._U = mat_identity(ambient_rank)

@@ -647,13 +647,13 @@ def test_memo_embedded_data_match_brute_force(pname, ename):
 def test_memo_forward_table_matches_transporter_scan(pname, ename):
     from rk.endoscopy import indexing_forward
     param, endo, levis = _pair_levis(pname, ename)
-    param_h, h = parameter_on_h(param, endo)
+    _param_h, h = parameter_on_h(param, endo)
     checked = 0
     for levi in levis:
         for emb in enumerate_embedded(param, levi, endo):
             for v in endo.H.relative.elements:
-                got = _outcome(indexing_forward, param, levi, endo, param_h,
-                               h, emb, v)
+                got = _outcome(indexing_forward, param, levi, endo, h, emb,
+                               v)
                 assert got == _outcome(_scan_forward, param, levi, endo, h,
                                        emb, v)
                 checked += got[0] != "raised"
@@ -767,7 +767,7 @@ def _scan_backward(param, levi, endo, param_h, h, embedded, w):
                              "endoscopic side")
     matching = [v for v in {_left_coset_rep(H, target.levi_h, c)
                             for c in candidates}
-                if indexing_forward(param, levi, endo, param_h, h, target, v)
+                if indexing_forward(param, levi, endo, h, target, v)
                 == _left_coset_rep(group, levi, w)]
     if not matching:
         raise AssertionError("backward construction does not invert forward")
@@ -1293,7 +1293,7 @@ def test_memoized_indexing_forward_matches_the_reference(pname, ename,
     from oracles import indexing_forward_unmemoized
     from rk import endoscopy
     param, endo, levis = _pair_levis(pname, ename)
-    param_h, h = parameter_on_h(param, endo)
+    _param_h, h = parameter_on_h(param, endo)
     inputs = [(levi, emb, v) for levi in levis
               for emb in enumerate_embedded(param, levi, endo)
               for v in endo.H.relative.elements]
@@ -1303,7 +1303,7 @@ def test_memoized_indexing_forward_matches_the_reference(pname, ename,
     for _ in range(2):
         rng.shuffle(inputs)
         for levi, emb, v in inputs:
-            args = (param, levi, endo, param_h, h, emb, v)
+            args = (param, levi, endo, h, emb, v)
             got = _outcome(endoscopy.indexing_forward, *args)
             assert got == _outcome(indexing_forward_unmemoized, *args)
             if got[0] == "raised":
@@ -1400,7 +1400,7 @@ def test_indexing_failure_stores_nothing(monkeypatch):
     for _ in range(2):
         with pytest.raises(AssertionError,
                            match="missed the transporter set"):
-            endoscopy.indexing_forward(param, levi, endo, param_h, h, emb, v)
+            endoscopy.indexing_forward(param, levi, endo, h, emb, v)
         assert _memo_keys(param, endo, "indexing") == set()
 
 
@@ -1635,7 +1635,7 @@ def test_per_call_checks_fire_on_a_warm_identity(case, monkeypatch):
         monkeypatch.setattr(endoscopy, "_forward_table",
                             lambda param, endo, levi: {})
         assert _described(param, bs[0], endo) == warm
-        param_h, h = parameter_on_h(param, endo)
+        _param_h, h = parameter_on_h(param, endo)
         stored = _memo_keys(param, endo, "indexing")
         fresh = [(levi, emb, v) for levi in {b.levi for b in bs}
                  for emb in enumerate_embedded(param, levi, endo)
@@ -1646,8 +1646,7 @@ def test_per_call_checks_fire_on_a_warm_identity(case, monkeypatch):
         for _ in range(2):
             with pytest.raises(AssertionError,
                                match="missed the transporter set"):
-                endoscopy.indexing_forward(param, levi, endo, param_h, h,
-                                           emb, v)
+                endoscopy.indexing_forward(param, levi, endo, h, emb, v)
             assert _memo_keys(param, endo, "indexing") == stored
     monkeypatch.undo()
     assert _described(param, bs[0], endo) == warm

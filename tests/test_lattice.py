@@ -107,10 +107,8 @@ def _off_by_one(a, ncols):
     lambda: kernel_basis(mat([[1, 2, 3], [2, 4, 6]]), 3),
     lambda: solve_integer(mat([[2, 0], [0, 3]]), 2, (4, 9)),
     lambda: is_saturated(((1, 1),), 2),
-    lambda: mat_inverse_int(mat([[2, 1], [1, 1]])),
     lambda: FgAbelianGroup(2, [(2, 0), (0, 3)]),
-], ids=["kernel_basis", "solve_integer", "is_saturated", "mat_inverse_int",
-        "FgAbelianGroup"])
+], ids=["kernel_basis", "solve_integer", "is_saturated", "FgAbelianGroup"])
 def test_smith_form_recheck_runs_on_every_factorization(call, monkeypatch):
     # every factorization goes through smith_normal_form, so a wrong raw
     # form is caught by its product check wherever it is asked for
@@ -119,6 +117,28 @@ def test_smith_form_recheck_runs_on_every_factorization(call, monkeypatch):
     with pytest.raises(AssertionError,
                        match=r"^SNF verification failed: U\*A\*V != D$"):
         call()
+
+
+def test_mat_inverse_int_checks_its_product(monkeypatch):
+    # the inverse is the rational one, checked by A*A^-1 = 1: a wrong
+    # rational inverse, integral all the same, is not returned
+    a = mat([[2, 1], [1, 1]])
+    assert mat_inverse_int(a) == ((1, -1), (-1, 2))
+    monkeypatch.setattr(lattice, "mat_inverse", lambda a: ((1, 1), (-1, 2)))
+    with pytest.raises(AssertionError, match=r"^inverse verification failed: "
+                       r"A\*A\^-1 != 1$"):
+        mat_inverse_int(a)
+
+
+@pytest.mark.parametrize("a,message", [
+    (((2,),), "matrix is not unimodular"),
+    (((2, 1), (1, 2)), "matrix is not unimodular"),
+    (((1, 2), (2, 4)), "matrix is singular"),
+    (((1, 2),), "dot: length mismatch 2 vs 1"),
+], ids=["det-2", "det-3", "singular", "not-square"])
+def test_mat_inverse_int_rejects_what_is_not_unimodular(a, message):
+    with pytest.raises(ValueError, match="^%s$" % message):
+        mat_inverse_int(a)
 
 
 def test_kernel_and_solve():

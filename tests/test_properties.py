@@ -1,9 +1,11 @@
-"""Property tests of the shared routines, `orbit`, `gauss_jordan` and
-the `dot`/`mat_vec`/`mat_mul` kernel, and of the code that reads its
-answers from them, each against a brute-force definition; of the integer
-kernel bases read from Smith forms, against the definition of a saturated
-kernel basis; of the finitely generated abelian groups and coinvariants,
-against the class with a slot kind per Smith slot they replaced; of the finite-group core, whose products, inverses, Cayley
+"""Property tests of the shared routines, `orbit`, `gauss_jordan` and the
+`dot`/`mat_vec`/`mat_mul` kernel, and of the code that reads its answers
+from them, each against a brute-force definition; of the unimodular
+inverse, against the Smith-form inverse it replaced; of the integer
+kernel bases read from Smith forms, against the definition of a
+saturated kernel basis; of the finitely generated abelian groups and
+coinvariants, against the class with a slot kind per Smith slot they
+replaced; of the finite-group core, whose products, inverses, Cayley
 rows, closures and subgroups on point permutations are checked against
 matrix products on random words in every preset's groups; and of `Cyclo`
 arithmetic, against the ring axioms, the rational solve it replaced and
@@ -26,7 +28,7 @@ from itertools import combinations, permutations, product
 from math import gcd
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.configuration import set_hypothesis_home_dir
 
@@ -66,7 +68,8 @@ from rk.weyl import ChamberWitness, chamber_locate, stabilizer
 
 from oracles import (FgAbelianGroupBySlotKinds, FractionCyclo,
                      canonical_by_solve, coinvariants_by_slot_kinds,
-                     cyclotomic_polynomial_by_fractions)
+                     cyclotomic_polynomial_by_fractions,
+                     mat_inverse_int_by_smith_form)
 
 # Hypothesis caches the literals of the source it imports under its home
 # directory even without an example database; keep that out of the checkout
@@ -186,6 +189,43 @@ def test_mat_inverse_int_rejects_what_it_cannot_invert(a):
         return
     with pytest.raises(ValueError, match=message):
         mat_inverse_int(a)
+
+
+@st.composite
+def off_unimodular(draw, max_n=4):
+    """A unimodular matrix with one row doubled (determinant +/-2) or
+    replaced by a multiple of a row, zero when it is the same row
+    (singular)."""
+    m = [list(r) for r in draw(unimodular(max_n))]
+    n = len(m)
+    i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+    if draw(st.booleans()):
+        m[i] = [2 * x for x in m[i]]
+    else:
+        c = draw(st.integers(-2, 2)) if i != j else 0
+        m[i] = [c * x for x in m[j]]
+    return tuple(tuple(r) for r in m)
+
+
+def _inverse_or_message(inverse, a):
+    try:
+        return inverse(a)
+    except ValueError as exc:
+        return str(exc)
+
+
+@PROPERTY
+@given(a=st.one_of(unimodular(), off_unimodular(), square()))
+@example(a=()).via("the empty matrix")
+@example(a=((1, 2),)).via("a row longer than the matrix is tall")
+@example(a=((2,),)).via("determinant 2")
+def test_mat_inverse_int_matches_the_smith_form_inverse(a):
+    # the checked rational inverse answers as the Smith-form inverse it
+    # replaced: the same integer matrix or the same message
+    got = _inverse_or_message(mat_inverse_int, a)
+    assert got == _inverse_or_message(mat_inverse_int_by_smith_form, a)
+    if not isinstance(got, str):
+        assert all(type(x) is int for row in got for x in row)
 
 
 @PROPERTY

@@ -195,7 +195,7 @@ def test_positive_roots_match_sign_solve(name):
 
 def _group_data(name):
     g = presets.group(name)
-    return [g.datum, g.dual().datum]
+    return [g.datum, dual_datum(g.datum, g.galois)[0]]
 
 
 def _parameter_data(name):
@@ -210,7 +210,7 @@ def _parameter_data(name):
 
 def _endoscopy_data(name):
     endo = presets.endoscopy(name)
-    return [endo.H.datum, endo.H.dual().datum]
+    return [endo.H.datum, dual_datum(endo.H.datum, endo.H.galois)[0]]
 
 
 def _disconnected_data(name):
@@ -514,7 +514,6 @@ def test_reading_a_split_center_basis_runs_the_duality_check():
     g = presets.group("gl3")
     reads = (lambda c: c.split_center_basis,
              lambda c: c.dual_split_center_basis,
-             lambda c: c.dim,
              lambda c: c.alpha_inv((1, 1, 0)),
              lambda c: c.newton_point(
                  c.dual_center_characters.element_from_ambient((1, 0, 0))))
@@ -524,6 +523,67 @@ def test_reading_a_split_center_basis_runs_the_duality_check():
         with pytest.raises(AssertionError, match="^split center ranks "
                            "disagree across duality$"):
             read(ctx)
+
+
+def test_reading_a_split_center_basis_checks_its_rational_rank():
+    # dim is read from the rows over Q, the bases from Smith forms: a dim
+    # one too large is named when the bases are built on top of it
+    g = presets.group("gl3")
+    ctx = LeviContext(g, frozenset({0}))
+    assert ctx.dim == 2
+    vars(ctx)["dim"] = 3
+    with pytest.raises(AssertionError,
+                       match="^split center basis disagrees with dim$"):
+        ctx.split_center_basis
+
+
+#: every group preset, and H of every endoscopy preset and of the trivial
+#: datum <group>-s1 of each group, which the elliptic tests take
+LEVI_GROUPS = [("group", name) for name in presets.GROUP_NAMES] + [
+    ("endo", name) for name in dict.fromkeys(
+        presets.ENDO_NAMES + tuple(g + "-s1" for g in presets.GROUP_NAMES))]
+
+
+def _levi_group(kind, name):
+    return presets.group(name) if kind == "group" else \
+        presets.endoscopy(name).H
+
+
+@pytest.mark.parametrize("kind,name", LEVI_GROUPS)
+def test_levi_dim_is_the_rank_of_both_split_centers(kind, name, monkeypatch):
+    # dim, read from the rows over Q, runs no Smith form and builds no
+    # basis, and it is the rank of the two bases built later
+    from rk import lattice
+    calls = []
+    snf_raw = lattice._snf_raw
+
+    def counted(*args):
+        calls.append(args)
+        return snf_raw(*args)
+
+    monkeypatch.setattr(lattice, "_snf_raw", counted)
+    g = _levi_group(kind, name)
+    for subset in g.standard_levi_subsets():
+        ctx = LeviContext(g, subset)
+        dim = ctx.dim
+        assert calls == [] and "_center_bases" not in vars(ctx)
+        assert dim == len(ctx.split_center_basis) == \
+            len(ctx.dual_split_center_basis)
+        calls.clear()
+
+
+@pytest.mark.parametrize("kind,name", LEVI_GROUPS)
+def test_levi_dim_drops_along_every_proper_inclusion(kind, name):
+    # for each Galois orbit O of simple positions, the Gamma-average of a
+    # vector pairing 1 with O and 0 with the other simples is a fixed
+    # cocharacter killed by the simples outside O, so dim A_S > dim A_M for
+    # every proper standard S < M: a proper Levi of a parameter's minimal
+    # Levi never has a split center as small
+    g = _levi_group(kind, name)
+    dims = {s: g.levi_context(s).dim for s in g.standard_levi_subsets()}
+    for small, big in itertools.permutations(dims, 2):
+        if small < big:
+            assert dims[small] > dims[big], (sorted(small), sorted(big))
 
 
 @pytest.mark.parametrize("name", presets.GROUP_NAMES)
@@ -669,7 +729,8 @@ def _id_groups():
     groups = []
     for name in presets.GROUP_NAMES:
         g = presets.group(name)
-        groups += [(name, g), (name + "^", g.dual())]
+        dual = ReductiveGroup(*dual_datum(g.datum, g.galois))
+        groups += [(name, g), (name + "^", dual)]
     groups += [("H(%s)" % e, presets.endoscopy(e).H)
                for e in presets.ENDO_NAMES]
     # a split group's relative Weyl group is its Weyl group

@@ -4,13 +4,15 @@ renames or re-kinds one fails here and not only in traced benchmark
 runs.  Every name an `rk` module imports is used, every per-object
 memo goes through `lattice.cached`, and every key kind is listed in its
 owner's key table.  Every function and method of `rk` is named by the
-library or the benchmark, or is listed as kept for the tests.  Each command loads only the modules it runs, the
-command line imports its layers in its handlers, and the cyclotomic
-layer and the preset tables load no other `rk` module.  The preset
-registry lists, resolves and rejects the same names, builds the groups
-of its earlier table, and every preset resolves like its dumped
-description file.  One pass of each warm benchmark workload reproduces
-the reference digests, and alpha_L^-1 runs no factorization."""
+library or the benchmark, or is listed as kept for the tests, and a
+name two of them share is listed as checked.  Each command loads only
+the modules it runs, the command line imports its layers in its
+handlers, and the cyclotomic layer and the preset tables load no other
+`rk` module.  The preset registry lists, resolves and rejects the same
+names, builds the groups of its earlier table, and every preset resolves
+like its dumped description file.  One pass of each warm benchmark workload reproduces
+the reference digests, alpha_L^-1 runs no factorization, and a command
+runs no more Smith forms than its pinned count."""
 
 import ast
 import importlib
@@ -170,9 +172,37 @@ def _referenced_names():
     return used
 
 
+# the bare names two or more functions or methods of src/rk share: the
+# scan matches a name, so a caller of one hides the other, and each
+# definition was checked by hand to have callers of its own
+CHECKED_COLLISIONS = {
+    "dual": "BasedRootDatum.dual and GaloisAction.dual, both called by "
+            "rootdata.dual_datum",
+    "is_dominant": "DisconnectedGroupDatum's in rk.disconnected, "
+                   "Parameter's in rk.packets and rk.cli",
+    "items": "WeightMultiplicityTable's in rk.disconnected, "
+             "FormalDistribution's in rk.endoscopy",
+    "key": "EmbeddedDatum's in the endoscopy memo keys, PacketMember's in "
+           "the packet tables",
+    "label": "Module's in rk.packets and rk.cli, HighestWeightPair's in "
+             "rk.disconnected",
+    "_coset_reps": "one module-level function each in rk.disconnected and "
+                   "rk.endoscopy, called in its own module",
+}
+
+
+def _collisions():
+    """The bare names defined more than once among `_defined_functions`."""
+    names = [q.rsplit(".", 1)[1] for q in _defined_functions()]
+    return {n for n in names if names.count(n) > 1}
+
+
 def test_every_function_is_used_or_kept_for_the_tests():
     # no unused API: a function nothing in the library or the benchmark
-    # names is listed in TEST_ONLY with its reason, matched by name
+    # names is listed in TEST_ONLY with its reason, matched by name; a
+    # name defined twice is matched by the callers of either, so a new one
+    # must be checked and listed in CHECKED_COLLISIONS
+    assert _collisions() == set(CHECKED_COLLISIONS)
     used = _referenced_names()
     unreferenced = {q for q in _defined_functions()
                     if q.rsplit(".", 1)[1] not in used}
@@ -192,6 +222,18 @@ def test_an_unreferenced_function_is_reported(tmp_path, monkeypatch):
     assert {q for q in _defined_functions()
             if q.rsplit(".", 1)[1] not in _referenced_names()} == \
         {"extra.unheard_of", "extra.Thing.method"}
+
+
+def test_a_name_defined_twice_is_reported(tmp_path, monkeypatch):
+    # a method named like another is seen as a collision, even when the
+    # other one has callers and this one has none
+    (tmp_path / "src" / "rk").mkdir(parents=True)
+    (tmp_path / "src" / "rk" / "extra.py").write_text(
+        "class A:\n    def dual(self):\n        pass\n\n\n"
+        "class B:\n    def dual(self):\n        return A().dual()\n\n\n"
+        "def once():\n    pass\n")
+    monkeypatch.setattr(sys.modules[__name__], "ROOT", tmp_path)
+    assert _collisions() == {"dual"}
 
 
 # ---------------------------------------------------------------------------
@@ -764,6 +806,38 @@ def test_chamber_image_is_paired_with_the_roots_once(monkeypatch):
 
     assert sequence(False) == {"integer_point": 1, "root_pairings": 1}
     assert sequence(True) == {"integer_point": 3, "root_pairings": 2}
+
+
+#: Smith forms a command runs in a fresh process state, at most: each one
+#: an integer answer (a split-centre basis, a centre solver, a descent
+#: kernel, a coinvariant group), none a rank or a unimodular inverse
+SMITH_FORMS_PER_COMMAND = [
+    (("eci", "--param", "gl4-st2", "--endo", "gl4-s1", "--rho", "1,0"), 10),
+    (("eci", "--param", "gl4-st2", "--endo", "gl4-splus", "--rho", "1,0"),
+     10),
+    (("packet", "--param", "gl4-st2", "--enumerate", "--height", "3"), 13),
+    (("packet", "--param", "gl2-triv", "--rho", "1,0", "--fiber"), 7),
+    (("weyl", "--group", "gl4", "--levi1", "0,2", "--kind", "geometric"), 0),
+]
+
+
+@pytest.mark.parametrize("argv,most", SMITH_FORMS_PER_COMMAND,
+                         ids=[" ".join(argv[:5])
+                              for argv, _ in SMITH_FORMS_PER_COMMAND])
+def test_command_runs_at_most_its_smith_forms(argv, most, monkeypatch):
+    # every preset builds its groups afresh, so a command run in this
+    # process starts as cold as in its own
+    from rk import cli, lattice
+    calls = []
+    snf_raw = lattice._snf_raw
+
+    def counted(*args):
+        calls.append(args)
+        return snf_raw(*args)
+
+    monkeypatch.setattr(lattice, "_snf_raw", counted)
+    assert cli.main(list(argv)) == 0
+    assert len(calls) <= most
 
 
 def test_alpha_inv_runs_no_factorization(monkeypatch):
