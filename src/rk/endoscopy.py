@@ -35,9 +35,9 @@ from .lattice import (
 from .packets import (
     PacketMember,
     build_packet_member,
-    dominantize,
     enumerate_fiber,
     fiber_weight,
+    fiber_weights,
 )
 from .params import Parameter, _simple_positions
 from .rootdata import BasedRootDatum, GaloisAction, ReductiveGroup
@@ -722,10 +722,10 @@ def _expand_levi_token(param: Parameter, b: BElement, w: Matrix,
 
 def _levi_token_items(param: Parameter, b: BElement, w: Matrix,
                       endo: EndoscopicDatum, sign_token: str) -> Tuple:
-    lam_raw = fiber_weight(param, b, w)
-    if lam_raw is None:
+    weights = fiber_weights(param, b, w)
+    if weights is None:
         return ()
-    lam = dominantize(param, lam_raw)
+    lam_raw, lam = weights
     identity = param.group.relative.identity
     items = []
     for module in param.centralizer.stabilizer_modules(lam):

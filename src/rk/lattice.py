@@ -221,16 +221,44 @@ def mat_inverse(a: Matrix) -> tuple:
 
 
 def mat_inverse_int(a: Matrix) -> Matrix:
-    """Inverse of a unimodular integer matrix, as an integer matrix: the
-    rational inverse, integral exactly when det A = +/-1, checked exactly."""
+    """Inverse of a unimodular integer matrix, as an integer matrix: d * A^-1
+    from `_scaled_inverse`, integral exactly when d = +/-det A is +/-1,
+    checked exactly."""
     _check_lengths(a, len(a))
-    inverse = mat_inverse(a)
-    if any(x.denominator != 1 for row in inverse for x in row):
+    d, scaled = _scaled_inverse(a)
+    if abs(d) != 1:
         raise ValueError("matrix is not unimodular")
-    inverse = tuple(tuple([int(x) for x in row]) for row in inverse)
+    inverse = tuple(tuple([d * x for x in row]) for row in scaled)
     if mat_mul(a, inverse) != mat_identity(len(a)):
         raise AssertionError("inverse verification failed: A*A^-1 != 1")
     return inverse
+
+
+def _scaled_inverse(a: Matrix) -> Tuple[int, Matrix]:
+    """(d, d * A^-1) for a square integer matrix A, with d = +/-det A, by
+    Gauss-Jordan elimination of [A | 1] in integers.  Each step pivots on
+    the least nonzero entry of its column, so on +/-1 where there is one,
+    and updates every other row by Bareiss's rule (x * p - f * y) / p',
+    p' the previous pivot; each such division is exact.  Raises
+    ValueError("matrix is singular")."""
+    n = len(a)
+    m = [list(row) + [int(i == j) for j in range(n)]
+         for i, row in enumerate(a)]
+    prev = 1
+    for k in range(n):
+        piv = min((i for i in range(k, n) if m[i][k]),
+                  key=lambda i: abs(m[i][k]), default=None)
+        if piv is None:
+            raise ValueError("matrix is singular")
+        m[k], m[piv] = m[piv], m[k]
+        row = m[k]
+        p = row[k]
+        for i in range(n):
+            f = m[i][k]
+            if i != k and (f or p != prev):
+                m[i] = [(x * p - f * y) // prev for x, y in zip(m[i], row)]
+        prev = p
+    return prev, tuple(tuple(row[n:]) for row in m)
 
 
 def mat_contragredient(a: Matrix) -> Matrix:

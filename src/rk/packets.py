@@ -125,23 +125,19 @@ def build_packet_member(param: Parameter, rho: HighestWeightPair) -> PacketMembe
 def _certify_descent(param: Parameter, cut, lam: Vector) -> None:
     """Descent certificate: the cut highest-weight module is a character
     killing the derived-intersection sublattice, and the two stabilizers
-    (in the cut and in the full component group) coincide."""
-    for beta in cut.roots:
-        if dot(lam, param.coroots[beta]) != 0:
-            raise DescentError("weight pairs nontrivially with a Levi-cut "
-                               "root; the Levi representation is not a "
-                               "character")
+    (in the cut and in the full component group) coincide.  Reads the
+    cut's coroot and component-action tables."""
+    if any(mat_vec(cut.root_coroots, lam)):
+        raise DescentError("weight pairs nontrivially with a Levi-cut "
+                           "root; the Levi representation is not a "
+                           "character")
     for sol in cut.descent_coords():
         if dot(lam, sol) != 0:
             raise DescentError("weight does not kill the derived-intersection "
                                "sublattice")
     # stabilizer comparison (the cut component group equals the ambient one)
     amb = set(stabilizer_A_lambda(param.centralizer, lam).elements)
-    cut_stab = set()
-    for g in cut.component_elements:
-        d = param.char_action(g)
-        if mat_vec(d, lam) == lam:
-            cut_stab.add(param.char_action(param.r_component(g)))
+    cut_stab = {r for d, r in cut.component_actions if mat_vec(d, lam) == lam}
     if amb != cut_stab:
         raise DescentError("Levi-cut stabilizer does not match the ambient "
                            "stabilizer of the weight")
@@ -193,24 +189,32 @@ def _transporter_double_cosets(param: Parameter, levi: FrozenSet[int]):
 
 def fiber_weight(param: Parameter, b: BElement, w: Matrix) -> Optional[Vector]:
     """The weight alpha_M^{-1}(w^{-1} . nu(b)) when it is integral, else
-    None (that coset contributes no members); computed once per (param,
-    b, w).
+    None (that coset contributes no members)."""
+    weights = fiber_weights(param, b, w)
+    return weights and weights[0]
+
+
+def fiber_weights(param: Parameter, b: BElement, w: Matrix
+                  ) -> Optional[Tuple[Vector, Vector]]:
+    """(`fiber_weight`, its dominant translate) when the weight is
+    integral, else None; computed once per (param, b, w).
 
     Computed in integers: nu(b) as alpha_L's numerators over its one
     denominator d_L, moved by w^T, then restricted to the dual split
     center of M (alpha_M^{-1} is that restriction), with a single
     division by d_L."""
-    return cached(param.memo, ("fiber_weight", b, w), _fiber_weight,
+    return cached(param.memo, ("fiber_weight", b, w), _fiber_weights,
                   param, b, w)
 
 
-def _fiber_weight(param: Parameter, b: BElement, w: Matrix):
+def _fiber_weights(param: Parameter, b: BElement, w: Matrix):
     nu, den = param.group.levi_context(b.levi).newton_scaled(b.kappa)
     moved = mat_vec(mat_transpose(w), nu)  # cochar action of w^{-1}
     image = param.ctx_M.alpha_inv(moved)
     if image is None or any(x % den for x in image):
         return None
-    return tuple(x // den for x in image)
+    lam = tuple(x // den for x in image)
+    return lam, dominantize(param, lam)
 
 
 def dominantize(param: Parameter, lam: Vector) -> Vector:
@@ -229,16 +233,15 @@ def enumerate_fiber(param: Parameter, b: BElement) -> Tuple[PacketMember, ...]:
     weight is integral.  Every candidate is re-verified through the
     forward construction (an empty result is a valid outcome)."""
     members: Dict[Tuple, PacketMember] = {}
-    bkey = encode(param.group, b)
     for w in transporter_double_cosets(param, b.levi):
-        lam_raw = fiber_weight(param, b, w)
-        if lam_raw is None:
+        weights = fiber_weights(param, b, w)
+        if weights is None:
             continue
-        lam = dominantize(param, lam_raw)
+        lam = weights[1]
         for module in param.centralizer.stabilizer_modules(lam):
             member = build_packet_member(param,
                                          HighestWeightPair(lam, module))
-            if encode(param.group, member.b) != bkey:
+            if member.b != b:
                 raise AssertionError("fiber candidate landed on a different "
                                      "element of the Kottwitz set")
             if member.w_class != _canonical_double_coset(param, b.levi, w):
@@ -316,15 +319,14 @@ def central_character_square(param: Parameter, rho: HighestWeightPair) -> Dict:
 
     When the dual-center character group has torsion, the component
     action on the module is not determined by this datum; the comparison
-    is then restricted to the free parts and flagged."""
-    group = param.group
+    is then restricted to the free parts and flagged.  The forward map
+    (and so its descent certificate) runs on every call; both sides
+    depend on the canonical weight alone and are computed once per
+    (param, weight)."""
     member = build_packet_member(param, rho)
-    pushed = kappa_push(group, member.b)
-    ctx_G = group.levi_context(group.full_subset())
-    coords = cached(param.memo, ("center",), _center_coords, param, ctx_G)
-    functional = tuple(dot(member.rho_weight, c) for c in coords)
-    omega = ctx_G.kappa_from_functional(functional)
-    torsion_undetermined = bool(ctx_G.dual_center_characters.torsion)
+    pushed, omega, torsion_undetermined = cached(
+        param.memo, ("square", member.rho_weight), _square_sides, param,
+        member)
     equal = omega.free == pushed.free and (
         torsion_undetermined or omega.torsion == pushed.torsion)
     return {
@@ -333,6 +335,16 @@ def central_character_square(param: Parameter, rho: HighestWeightPair) -> Dict:
         "equal": equal,
         "torsion_undetermined": torsion_undetermined,
     }
+
+
+def _square_sides(param: Parameter, member: PacketMember):
+    group = param.group
+    pushed = kappa_push(group, member.b)
+    ctx_G = group.levi_context(group.full_subset())
+    coords = cached(param.memo, ("center",), _center_coords, param, ctx_G)
+    functional = tuple(dot(member.rho_weight, c) for c in coords)
+    omega = ctx_G.kappa_from_functional(functional)
+    return pushed, omega, bool(ctx_G.dual_center_characters.torsion)
 
 
 def _center_coords(param: Parameter, ctx_G) -> Tuple[Vector, ...]:

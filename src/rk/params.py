@@ -75,7 +75,9 @@ class Parameter:
         #: Weyl group of every cut with those positives; rk.packets: ("cosets",
         #: L) (the transporter double coset representatives, and each
         #: transporter element's), ("center",), ("fiber_weight", b, w)* (the
-        #: weight or None), ("member", lambda)* (cut, b, coset class, word);
+        #: weight and its dominant translate, or None), ("member", lambda)*
+        #: (cut, b, coset class, word), ("square", lambda)* (kappa pushed to
+        #: G, the central character, whether torsion is undetermined);
         #: ("endoscopy", E): datum E's memo, by rk.endoscopy's kinds ("h",),
         #: ("admissible",), ("wl", L) (the ids of W_L and W_H in W),
         #: ("embedded", L), ("forward", L), ("cosets", G or H, L),
@@ -371,6 +373,13 @@ class LeviCut:
                 len(self.connected_weyl_elements) * len(self.component_elements):
             raise ParameterError("Levi cut does not decompose as a semidirect "
                                  "product")
+        # the tables the descent certificate reads on every forward-map
+        # call: a row per cut root (its coroot), and a pair per component
+        # element g (its action, the action of its R_phi part)
+        self.root_coroots = mat(param.coroots[r] for r in self.roots)
+        self.component_actions = tuple(
+            (param.char_action(g), param.char_action(param.r_component(g)))
+            for g in self.component_elements)
         #: ("descent",): `descent_coords()`
         self.memo: Dict = {}
 

@@ -205,12 +205,12 @@ MUTATIONS = (
         "split-center bases read though their rank is not dim"),
     Mutation(
         "inverse-without-integrality-check", "src/rk/lattice.py",
-        """    if any(x.denominator != 1 for row in inverse for x in row):
+        """    if abs(d) != 1:
         raise ValueError("matrix is not unimodular")
 """, "",
         ("tests/test_lattice.py::"
          "test_mat_inverse_int_rejects_what_is_not_unimodular",),
-        "a rational inverse with a denominator truncated to integers"),
+        "a scaled inverse d * A^-1 with |d| > 1 returned as the inverse"),
     Mutation(
         "inverse-without-product-check", "src/rk/lattice.py",
         """    if mat_mul(a, inverse) != mat_identity(len(a)):
@@ -267,6 +267,22 @@ MUTATIONS = (
         '"%s=%r" % item', '"%s=%s" % item',
         (VALUE_ORACLE,),
         "a record printed with str() of its values, not repr()"),
+    Mutation(
+        "descent-table-drops-a-row", "src/rk/params.py",
+        "mat(param.coroots[r] for r in self.roots)",
+        "mat(param.coroots[r] for r in self.roots[1:])",
+        ("tests/test_packets.py::"
+         "test_descent_tables_raise_as_the_per_call_loops[gl2-triv]",),
+        "a Levi cut's coroot table without the row of its first root"),
+    Mutation(
+        "fiber-without-element-check", "src/rk/packets.py",
+        """            if member.b != b:
+                raise AssertionError("fiber candidate landed on a different "
+                                     "element of the Kottwitz set")
+""", "",
+        ("tests/test_packets.py::"
+         "test_fiber_check_catches_a_candidate_on_another_element",),
+        "a fiber candidate kept though its member lies over another b"),
     Mutation(
         "term-field-from-the-wrong-argument", "src/rk/endoscopy.py",
         'object.__setattr__(self, "s_tag", s_tag)',

@@ -8,7 +8,11 @@ rationals, the Weyl coset loops of the endoscopy and parameter layers by
 matrix products (`WeylGroup.mul`) instead of Cayley rows on element ids,
 the realization of centralizer reflections by one scan of the embedded
 normalizer per root, the packet forward map and its fiber weights
-with every step run on every call, the parabolic double coset
+with every step run on every call, the descent certificate reading a
+coroot per cut root and the component actions per call, the fiber
+enumeration with its dominant weights formed and its elements compared
+by `encode` on every call, the central-character square solved on every
+call, the parabolic double coset
 W^rel_L . w . W_phi with every product formed, a Levi cut's component
 elements by one `mat_vec` per positive root and its connected Weyl group
 closed for every cut, the coset counting certificate with the double
@@ -17,12 +21,14 @@ right W_phi cosets as sets, indexing map, orbit traces, geometric-lemma
 step and Levi-token expansion, likewise on every call, the finitely
 generated abelian group with a slot kind per Smith slot and its
 coinvariants, as they were before the group had one construction path,
-and the inverse of a unimodular matrix by a second Smith form, as it was
-before it became the checked rational inverse.
+and the inverse of a unimodular matrix by a second Smith form and as
+the checked rational inverse, as it was before each of the two later
+forms.
 With them are the routines that only the tests call: the rational span
 test, the Levi data as one tuple, the full Weyl group of a disconnected
 group with its semidirect splitting, a Levi cut as a disconnected group,
-the descent certificate of a highest-weight module, and the
+the descent certificate of a highest-weight module, a gl3 parameter
+whose transporter sets split into several double cosets, and the
 description-file writers that the round-trip tests compare the loaders
 of `rk.files` with.  The group and disconnected-group preset tables as they were when
 every matrix was made by `lattice.mat` at import stand beside them.
@@ -35,22 +41,26 @@ from math import gcd
 from math import lcm as _lcm
 from typing import Dict, Optional, Sequence
 
+from rk import presets
 from rk.cyclotomic import (Cyclo, _reduce_mod_cyclotomic,
                            cyclotomic_polynomial, prime_factors)
 from rk.disconnected import (DisconnectedGroupDatum, HighestWeightPair,
-                             _form_value, _invariant_form)
+                             _form_value, _invariant_form,
+                             stabilizer_A_lambda)
 from rk.endoscopy import (EndoscopyError, Term, _forward_table,
                           _weight_exponent, jacquet_geometric_terms,
                           regular_part)
 from rk.finite_reps import FiniteGroup
-from rk.kottwitz import basic_plus_lift
-from rk.lattice import (FgaElement, Matrix, Vector, dot, mat, mat_identity,
-                        mat_mul, mat_transpose, mat_vec, orbit,
-                        smith_normal_form, solve_rational, vadd, vneg, vscale,
-                        vsub)
-from rk.packets import (PacketMember, _canonical_double_coset,
-                        _certify_descent, canonical_rho, dominantize)
-from rk.params import ParameterError, _is_reflection, _simple_positions
+from rk.kottwitz import basic_plus_lift, encode, kappa_push
+from rk.lattice import (FgaElement, Matrix, Vector, _check_lengths, dot, mat,
+                        mat_identity, mat_inverse, mat_mul, mat_transpose,
+                        mat_vec, orbit, smith_normal_form, solve_rational,
+                        vadd, vneg, vscale, vsub)
+from rk.packets import (DescentError, PacketMember, _canonical_double_coset,
+                        _center_coords, _certify_descent, canonical_rho,
+                        dominantize, transporter_double_cosets)
+from rk.params import (Parameter, ParameterError, _is_reflection,
+                       _simple_positions)
 from rk.rootdata import (BasedRootDatum, DatumError, GaloisAction,
                          ReductiveGroup, reflection_matrix, weyl_group)
 from rk.weyl import chamber_locate, transporter_set
@@ -531,6 +541,85 @@ def fiber_weight_unmemoized(param, b, w):
     return tuple(x // den for x in image)
 
 
+def certify_descent_per_call(param, cut, lam):
+    """The descent certificate with a coroot looked up per cut root and two
+    `char_action`s per component element, on every call."""
+    for beta in cut.roots:
+        if dot(lam, param.coroots[beta]) != 0:
+            raise DescentError("weight pairs nontrivially with a Levi-cut "
+                               "root; the Levi representation is not a "
+                               "character")
+    for sol in cut.descent_coords():
+        if dot(lam, sol) != 0:
+            raise DescentError("weight does not kill the derived-intersection "
+                               "sublattice")
+    # stabilizer comparison (the cut component group equals the ambient one)
+    amb = set(stabilizer_A_lambda(param.centralizer, lam).elements)
+    cut_stab = set()
+    for g in cut.component_elements:
+        d = param.char_action(g)
+        if mat_vec(d, lam) == lam:
+            cut_stab.add(param.char_action(param.r_component(g)))
+    if amb != cut_stab:
+        raise DescentError("Levi-cut stabilizer does not match the ambient "
+                           "stabilizer of the weight")
+
+
+def enumerate_fiber_per_call(param, b):
+    """All packet members over b, each weight made dominant on every call
+    and each member's element compared with b by its `encode` dict."""
+    members = {}
+    bkey = encode(param.group, b)
+    for w in transporter_double_cosets(param, b.levi):
+        lam_raw = fiber_weight_unmemoized(param, b, w)
+        if lam_raw is None:
+            continue
+        lam = dominantize(param, lam_raw)
+        for module in param.centralizer.stabilizer_modules(lam):
+            member = build_packet_member_unmemoized(
+                param, HighestWeightPair(lam, module))
+            if encode(param.group, member.b) != bkey:
+                raise AssertionError("fiber candidate landed on a different "
+                                     "element of the Kottwitz set")
+            if member.w_class != _canonical_double_coset(param, b.levi, w):
+                raise AssertionError("fiber candidate landed in a different "
+                                     "transporter coset")
+            if member.key() in members:
+                raise AssertionError("fiber enumeration produced a duplicate")
+            members[member.key()] = member
+    return tuple(sorted(members.values(), key=lambda m: m.key()))
+
+
+def central_character_square_per_call(param, rho):
+    """Both sides of the compatibility square, each pushed, solved and
+    compared on every call."""
+    group = param.group
+    member = build_packet_member_unmemoized(param, rho)
+    pushed = kappa_push(group, member.b)
+    ctx_G = group.levi_context(group.full_subset())
+    coords = _center_coords(param, ctx_G)
+    functional = tuple(dot(member.rho_weight, c) for c in coords)
+    omega = ctx_G.kappa_from_functional(functional)
+    torsion_undetermined = bool(ctx_G.dual_center_characters.torsion)
+    equal = omega.free == pushed.free and (
+        torsion_undetermined or omega.torsion == pushed.torsion)
+    return {
+        "omega": omega,
+        "kappa_push": pushed,
+        "equal": equal,
+        "torsion_undetermined": torsion_undetermined,
+    }
+
+
+def gl3_one_root():
+    """A gl3 parameter whose centralizer has one root pair: W_phi has order
+    2, so the transporter set of the torus splits into up to three double
+    cosets, of different sizes at the Levis {0} and {1}."""
+    return Parameter(presets.group("gl3"), frozenset(),
+                     ((1, -1, 0), (-1, 1, 0)), ((1, -1, 0),),
+                     label="gl3: 2+1")
+
+
 def double_coset_ids_by_comprehension(param, levi, w):
     """W^rel_L . w . W_phi with one product per (l, f) in W^rel_L x W_phi;
     w and the result are ids of W^rel."""
@@ -649,7 +738,7 @@ def expand_levi_token_unmemoized(param, b, w, endo, dist, sign_token):
 
 
 # ---------------------------------------------------------------------------
-# the unimodular inverse by a second Smith form
+# the unimodular inverse by a second Smith form, then by a rational inverse
 
 def mat_inverse_int_by_smith_form(a: Matrix) -> Matrix:
     """Inverse of a unimodular integer matrix, as an integer matrix: with
@@ -660,6 +749,19 @@ def mat_inverse_int_by_smith_form(a: Matrix) -> Matrix:
         raise ValueError("matrix is singular" if 0 in diag
                          else "matrix is not unimodular")
     return mat_mul(V, U)
+
+
+def mat_inverse_int_by_rational_inverse(a: Matrix) -> Matrix:
+    """Inverse of a unimodular integer matrix, as an integer matrix: the
+    rational inverse, integral exactly when det A = +/-1, checked exactly."""
+    _check_lengths(a, len(a))
+    inverse = mat_inverse(a)
+    if any(x.denominator != 1 for row in inverse for x in row):
+        raise ValueError("matrix is not unimodular")
+    inverse = tuple(tuple([int(x) for x in row]) for row in inverse)
+    if mat_mul(a, inverse) != mat_identity(len(a)):
+        raise AssertionError("inverse verification failed: A*A^-1 != 1")
+    return inverse
 
 
 # ---------------------------------------------------------------------------

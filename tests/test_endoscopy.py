@@ -1126,27 +1126,17 @@ def test_coset_counting_certificate_catches_a_partial_coset(monkeypatch):
         eci_both_sides(param, b, endo)
 
 
-def _gl3_one_root():
-    """A gl3 parameter whose centralizer has one root pair: W_phi has order
-    2, so the transporter set of the torus splits into up to three double
-    cosets, of different sizes at the Levis {0} and {1}."""
-    from rk.params import Parameter
-    return Parameter(presets.group("gl3"), frozenset(),
-                     ((1, -1, 0), (-1, 1, 0)), ((1, -1, 0),),
-                     label="gl3: 2+1")
-
-
 @pytest.mark.parametrize("name", presets.PARAM_NAMES + ("gl3: 2+1",))
 def test_coset_counts_match_the_per_element_certificate(name, monkeypatch):
     # every standard Levi over M: the counts of the one-build-per-double-
     # coset walk equal those of the certificate that builds the double
     # coset of every transporter element; the walk builds one set per
     # double coset, and the identity reads the cut of every element
-    from oracles import verify_counting_per_element
+    from oracles import gl3_one_root, verify_counting_per_element
     from rk import endoscopy
     from rk.packets import transporter_double_cosets
     from rk.weyl import transporter_set
-    param = _gl3_one_root() if name == "gl3: 2+1" else \
+    param = gl3_one_root() if name == "gl3: 2+1" else \
         presets.parameter(name)
     builds = _phi_coset_builds(monkeypatch, param)
     cuts = _counted(monkeypatch, param, "levi_cut")

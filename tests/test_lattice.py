@@ -120,11 +120,13 @@ def test_smith_form_recheck_runs_on_every_factorization(call, monkeypatch):
 
 
 def test_mat_inverse_int_checks_its_product(monkeypatch):
-    # the inverse is the rational one, checked by A*A^-1 = 1: a wrong
-    # rational inverse, integral all the same, is not returned
+    # the inverse is the eliminated one, checked by A*A^-1 = 1: a wrong
+    # elimination result, integral and with d = 1 all the same, is not
+    # returned
     a = mat([[2, 1], [1, 1]])
     assert mat_inverse_int(a) == ((1, -1), (-1, 2))
-    monkeypatch.setattr(lattice, "mat_inverse", lambda a: ((1, 1), (-1, 2)))
+    monkeypatch.setattr(lattice, "_scaled_inverse",
+                        lambda a: (1, ((1, 1), (-1, 2))))
     with pytest.raises(AssertionError, match=r"^inverse verification failed: "
                        r"A\*A\^-1 != 1$"):
         mat_inverse_int(a)

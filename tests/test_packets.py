@@ -34,6 +34,7 @@ from rk.packets import (
     DescentError,
     PacketMember,
     _canonical_double_coset,
+    _certify_descent,
     build_packet_member,
     canonical_rho,
     central_character_square,
@@ -157,7 +158,8 @@ def test_cut_coordinates_match_the_fraction_definitions(param):
 
 
 _CUT_FIELDS = ("roots", "positives", "weyl_elements", "component_elements",
-               "connected_weyl_elements", "levi_center_coords")
+               "connected_weyl_elements", "levi_center_coords",
+               "root_coroots", "component_actions")
 
 
 def _stored_cuts(param):
@@ -726,16 +728,18 @@ def _member_weights(param):
 
 def _break_descent(monkeypatch, cut, lam, branch):
     """Make one branch of the descent certificate fail on this cut and
-    weight; returns a fragment of that branch's message."""
+    weight, by breaking the per-cut table that branch reads; returns a
+    fragment of that branch's message."""
     param = cut.param
     if branch == "root":
         moved = next(r for r in param.roots if dot(lam, param.coroots[r]))
-        monkeypatch.setattr(cut, "roots", cut.roots + (moved,))
+        monkeypatch.setattr(cut, "root_coroots",
+                            cut.root_coroots + (param.coroots[moved],))
         return "Levi-cut root"
     if branch == "sublattice":
         monkeypatch.setattr(cut, "descent_coords", lambda: (lam,))
         return "derived-intersection sublattice"
-    monkeypatch.setattr(cut, "component_elements", ())
+    monkeypatch.setattr(cut, "component_actions", ())
     return "ambient stabilizer"
 
 
@@ -855,7 +859,8 @@ def _fiber_weight_inputs(param):
 def test_memoized_fiber_weight_matches_the_reference(monkeypatch):
     # the memo against the weight computed on every call, in two shuffled
     # passes over every parameter preset; integral or not, one entry and
-    # one computation per distinct input
+    # one computation per distinct input, the entry holding the weight
+    # and its dominant translate
     import rk.packets
     from oracles import fiber_weight_unmemoized
     computed = []
@@ -884,7 +889,9 @@ def test_memoized_fiber_weight_matches_the_reference(monkeypatch):
         monkeypatch.undo()
         entries = {key[1:]: value for key, value in param.memo.items()
                    if isinstance(key, tuple) and key[0] == "fiber_weight"}
-        assert entries == want, name
+        assert entries == {
+            key: lam and (lam, dominantize(reference, lam))
+            for key, lam in want.items()}, name
         assert len(computed) == len(want), name
     assert None in values and any(v is not None for v in values)
 
@@ -903,6 +910,148 @@ def test_round_trip_locates_each_canonical_weight_once(name, monkeypatch):
     weights = _member_weights(param)
     assert {rho.weight for rho in enumerate_rhos(param, 3)} <= set(weights)
     assert len(located) == len(set(located)) == len(weights)
+
+
+# ---------------------------------------------------------------------------
+# the warm packet path against its per-call forms
+
+WARM_PARAMS = ORACLE_PARAMS + ("gl3: 2+1",)
+
+
+def _warm_parameter(name):
+    from oracles import gl3_one_root
+    return gl3_one_root() if name == "gl3: 2+1" else _oracle_parameter(name)
+
+
+def _outcome(certify, param, cut, lam):
+    """None when the certificate passes, else its exception's type and
+    message."""
+    try:
+        certify(param, cut, lam)
+    except Exception as exc:
+        return type(exc), str(exc)
+    return None
+
+
+@pytest.mark.parametrize("name", WARM_PARAMS)
+def test_warm_square_and_fiber_match_the_per_call_forms(name):
+    # the square read per weight and the fiber's dominant weight read per
+    # (b, w), against the forms that compute both on every call, in two
+    # passes (the second one all hits)
+    from oracles import (central_character_square_per_call,
+                         enumerate_fiber_per_call)
+    param, reference = _warm_parameter(name), _warm_parameter(name)
+    rhos = enumerate_rhos(param, 3)
+    for _ in range(2):
+        for rho in rhos:
+            assert central_character_square(param, rho) == \
+                central_character_square_per_call(reference, rho)
+            b = build_packet_member(param, rho).b
+            assert [m.key() for m in enumerate_fiber(param, b)] == \
+                [m.key() for m in enumerate_fiber_per_call(reference, b)]
+    if name == "gl3: 2+1":
+        assert any(len(transporter_double_cosets(param, levi)) > 1
+                   for levi, _w in _stored_cuts(param))
+
+
+@pytest.mark.parametrize("name", WARM_PARAMS)
+def test_descent_tables_raise_as_the_per_call_loops(name):
+    # every cut the round trip reaches, with every weight of a box that
+    # holds weights of other cuts and non-dominant ones: the certificate
+    # on the per-cut tables passes, or raises the same message, exactly
+    # when the loops it replaced do; the tables hold one coroot per cut
+    # root and one action pair per component element
+    from oracles import certify_descent_per_call
+    param = _warm_parameter(name)
+    assert round_trip_check(param, 2)["pass"]
+    cuts = _stored_cuts(param).values()
+    seen = set()
+    for cut in cuts:
+        assert cut.root_coroots == tuple(param.coroots[r] for r in cut.roots)
+        assert cut.component_actions == tuple(
+            (param.char_action(g), param.char_action(param.r_component(g)))
+            for g in cut.component_elements)
+        for lam in itertools.product(range(-1, 3), repeat=param.dim):
+            got = _outcome(_certify_descent, param, cut, lam)
+            assert got == _outcome(certify_descent_per_call, param, cut, lam)
+            seen.add(got and got[1].split(";")[0])
+    assert {None, "weight pairs nontrivially with a Levi-cut root",
+            "stabilizer_A_lambda needs a dominant weight"} <= seen, seen
+    if name == "block+flip":
+        assert {"weight does not kill the derived-intersection sublattice",
+                "Levi-cut stabilizer does not match the ambient stabilizer "
+                "of the weight"} <= seen, seen
+
+
+@pytest.mark.parametrize("branch", ["root", "sublattice", "stabilizer"])
+def test_descent_certificate_fires_on_a_warm_square(branch, monkeypatch):
+    # a square read from its ("square", lambda) entry still runs the
+    # forward map, so a broken cut table raises there too
+    param = presets.parameter("gl2-triv")
+    rho = rho_of(param, (1, 0))
+    want = central_character_square(param, rho)
+    assert ("square", (1, 0)) in param.memo
+    cut = param.memo["member", (1, 0)][0]
+    message = _break_descent(monkeypatch, cut, (1, 0), branch)
+    for _ in range(2):
+        with pytest.raises(DescentError, match=message):
+            central_character_square(param, rho)
+    monkeypatch.undo()
+    assert central_character_square(param, rho) == want
+
+
+@pytest.mark.parametrize("name", presets.PARAM_NAMES)
+def test_warm_square_and_fiber_solve_once_per_input(name, monkeypatch):
+    # three passes of the square and of the fiber of every pair to height
+    # 3: kappa_from_functional runs once per weight the forward map builds
+    # and once per weight squared, dominantize once per (b, w) of an
+    # integral fiber weight
+    import rk.packets
+    from rk.rootdata import LeviContext
+    calls = {"kappa_from_functional": 0, "dominantize": 0}
+
+    def counted(name, fn):
+        def run(*args):
+            calls[name] += 1
+            return fn(*args)
+        return run
+    monkeypatch.setattr(LeviContext, "kappa_from_functional", counted(
+        "kappa_from_functional", LeviContext.kappa_from_functional))
+    monkeypatch.setattr(rk.packets, "dominantize",
+                        counted("dominantize", dominantize))
+    param = presets.parameter(name)
+    rhos = enumerate_rhos(param, 3)
+    for _ in range(3):
+        for rho in rhos:
+            central_character_square(param, rho)
+            enumerate_fiber(param, build_packet_member(param, rho).b)
+
+    def entries(kind):
+        return [value for key, value in param.memo.items()
+                if isinstance(key, tuple) and key[0] == kind]
+    squared = {canonical_rho(param, rho).weight for rho in rhos}
+    assert len(entries("square")) == len(squared)
+    assert calls["kappa_from_functional"] == \
+        len(entries("member")) + len(squared)
+    assert calls["dominantize"] == \
+        sum(value is not None for value in entries("fiber_weight")) > 0
+
+
+def test_fiber_check_catches_a_candidate_on_another_element(monkeypatch):
+    # a fiber weight whose member lies over another element b is caught
+    # by comparing the member's element with b
+    import rk.packets
+    from oracles import enumerate_fiber_per_call
+    param = presets.parameter("gl2-triv")
+    b = build_packet_member(param, rho_of(param, (0, 0))).b
+    assert build_packet_member(param, rho_of(param, (1, 0))).b != b
+    monkeypatch.setattr(rk.packets, "fiber_weights",
+                        lambda param, b, w: ((1, 0), (1, 0)))
+    with pytest.raises(AssertionError, match="^fiber candidate landed on a "
+                       "different element of the Kottwitz set$"):
+        enumerate_fiber(param, b)
+    monkeypatch.undo()
+    assert enumerate_fiber(param, b) == enumerate_fiber_per_call(param, b)
 
 
 # ---------------------------------------------------------------------------

@@ -69,6 +69,7 @@ from rk.weyl import ChamberWitness, chamber_locate, stabilizer
 from oracles import (FgAbelianGroupBySlotKinds, FractionCyclo,
                      canonical_by_solve, coinvariants_by_slot_kinds,
                      cyclotomic_polynomial_by_fractions,
+                     mat_inverse_int_by_rational_inverse,
                      mat_inverse_int_by_smith_form)
 
 # Hypothesis caches the literals of the source it imports under its home
@@ -224,6 +225,22 @@ def test_mat_inverse_int_matches_the_smith_form_inverse(a):
     # replaced: the same integer matrix or the same message
     got = _inverse_or_message(mat_inverse_int, a)
     assert got == _inverse_or_message(mat_inverse_int_by_smith_form, a)
+    if not isinstance(got, str):
+        assert all(type(x) is int for row in got for x in row)
+
+
+@PROPERTY
+@given(a=st.one_of(unimodular(), off_unimodular(), square()))
+@example(a=()).via("the empty matrix")
+@example(a=((1, 2),)).via("a row longer than the matrix is tall")
+@example(a=((0, 1), (1, 0))).via("no pivot on the diagonal")
+@example(a=((2, 3), (3, 5))).via("no unit pivot in the first column")
+@example(a=((2, 1), (1, 2))).via("determinant 3")
+def test_mat_inverse_int_matches_the_rational_inverse(a):
+    # the fraction-free elimination answers as the checked rational
+    # inverse it replaced: the same integer matrix or the same message
+    got = _inverse_or_message(mat_inverse_int, a)
+    assert got == _inverse_or_message(mat_inverse_int_by_rational_inverse, a)
     if not isinstance(got, str):
         assert all(type(x) is int for row in got for x in row)
 

@@ -393,7 +393,7 @@ def test_every_packets_memo_key_kind_is_documented():
     # forward map's explicit hit test is listed at Parameter.memo
     kinds = _memo_kinds("packets.py")
     assert kinds == {"Parameter": {"member", "cosets", "fiber_weight",
-                                   "center"}}
+                                   "center", "square"}}
     assert _undocumented(kinds) == []
 
 
