@@ -69,7 +69,7 @@ def _parse_rho(param, text: str):
     if len(weight) != param.dim:
         raise ValueError("--rho: the weight needs %d entries, got %d"
                          % (param.dim, len(weight)))
-    if not param.is_dominant(weight):
+    if not param.centralizer.is_dominant(weight):
         raise ValueError("--rho: the weight %s is not dominant"
                          % ",".join(map(str, weight)))
     mods = param.centralizer.stabilizer_modules(weight)

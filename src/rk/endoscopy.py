@@ -86,9 +86,6 @@ class EndoscopicDatum:
         """Exponents of the w-conjugate of s (action on dual cocharacters)."""
         return tuple(Fraction(x) % 1 for x in mat_vec(w, self.s))
 
-    def weyl_h_elements(self) -> Tuple[Matrix, ...]:
-        return self.H.weyl.elements
-
 
 # ---------------------------------------------------------------------------
 # membership of s in Levi centralizers
@@ -172,7 +169,7 @@ def _full_levi_weyl(param: Parameter, endo: EndoscopicDatum,
     gens = [weyl.generators[pos] for pos in sorted(levi)]
     return _cached(param, endo, ("wl", levi), lambda: tuple(
         tuple(map(weyl.index.__getitem__, part))
-        for part in (weyl.generated(gens), endo.weyl_h_elements())))
+        for part in (weyl.generated(gens), endo.H.weyl.elements)))
 
 
 def _admissible(param: Parameter, endo: EndoscopicDatum) -> FrozenSet[Matrix]:
@@ -185,7 +182,7 @@ def _admissible(param: Parameter, endo: EndoscopicDatum) -> FrozenSet[Matrix]:
 
 def _admissible_scan(param: Parameter, endo: EndoscopicDatum):
     weyl, galois = param.group.weyl, param.group.galois
-    corrections = [[mat_mul(h, g) for h in endo.weyl_h_elements()]
+    corrections = [[mat_mul(h, g) for h in endo.H.weyl.elements]
                    for g in FiniteGroup.from_matrices(
                        galois.char_generators).elements]
     out = set()
@@ -557,7 +554,7 @@ def _forward_coset(param: Parameter, levi: FrozenSet[int],
     right = row(index[emb.h_std])[index[weyl.inverse[emb.w_rep]]]
     composite = weyl.elements[row(left)[right]]
     basis = group.levi_context(levi).dual_split_center_basis
-    reps = _forward_table(param, endo, levi).get(
+    reps = _forward_table(param, levi).get(
         tuple(mat_vec(composite, u) for u in basis))
     if not reps:
         raise AssertionError("indexing construction missed the transporter "
@@ -568,46 +565,25 @@ def _forward_coset(param: Parameter, levi: FrozenSet[int],
     return next(iter(reps))
 
 
-def _forward_table(param: Parameter, endo: EndoscopicDatum,
+def _forward_table(param: Parameter,
                    levi: FrozenSet[int]) -> Dict[Tuple, FrozenSet[Matrix]]:
     """The restriction of cand^-1 to X_*(A_L^) -> the left W^rel_L coset
     representatives of the transporter elements cand with that
-    restriction."""
-    return _cached(param, endo, ("forward", levi), _restriction_table, param,
-                   levi)
+    restriction; built once per (param, levi), for every datum."""
+    return cached(param.memo, ("forward", levi), _restriction_table, param,
+                  levi)
 
 
 def _restriction_table(param: Parameter, levi: FrozenSet[int]):
     group = param.group
     basis = group.levi_context(levi).dual_split_center_basis
+    cosets = param.transporter_cosets(levi)
     table: Dict[Tuple, set] = {}
-    for cand in transporter_set(group, param.minimal_levi, levi):
+    for cand in cosets.elements:
         cinv = group.relative.inverse[cand]
         table.setdefault(tuple(mat_vec(cinv, u) for u in basis),
-                         set()).add(_left_coset_rep(group, levi, cand))
+                         set()).add(cosets.left_rep[cand])
     return {key: frozenset(reps) for key, reps in table.items()}
-
-
-def _left_coset_rep(group: ReductiveGroup, levi, w: Matrix) -> Matrix:
-    """min of W^rel_L . w."""
-    rel = group.relative
-    w = rel.index[w]
-    return rel.elements[min(rel.row(l)[w]
-                            for l in group.levi_context(levi).weyl_ids)]
-
-
-def _coset_reps(param: Parameter, endo: EndoscopicDatum,
-                group: ReductiveGroup, minimal: FrozenSet[int],
-                levi: FrozenSet[int]) -> Tuple[Matrix, ...]:
-    """Sorted left W^rel_L coset representatives of W^rel(M, L) in the
-    group or in the endoscopic group of the pair."""
-    return _cached(param, endo, ("cosets", group, levi), _left_coset_reps,
-                   group, minimal, levi)
-
-
-def _left_coset_reps(group: ReductiveGroup, minimal, levi):
-    return tuple(sorted({_left_coset_rep(group, levi, t)
-                         for t in transporter_set(group, minimal, levi)}))
 
 
 def indexing_backward(param: Parameter, levi, endo: EndoscopicDatum,
@@ -629,7 +605,7 @@ def indexing_backward(param: Parameter, levi, endo: EndoscopicDatum,
     target_emb, reps = _cached(param, endo, ("backward", levi, u),
                                _backward_table, param, levi, endo, param_h,
                                embedded, u)
-    target = _left_coset_rep(group, levi, w)
+    target = param.transporter_cosets(levi).left_rep.get(w)
     matching = [v for v in reps if indexing_forward(
         param, levi, endo, h, target_emb, v) == target]
     if not matching:
@@ -655,14 +631,14 @@ def _backward_table(param: Parameter, levi: FrozenSet[int],
     h_l_roots = set(H.levi_context(target_emb.levi_h).root_indices)
     # hp must transport the endoscopic minimal center over the cut one
     perm = H.relative.perm
-    candidates = [hp for hp in transporter_set(H, param_h.minimal_levi,
-                                               target_emb.levi_h)
+    h_cosets = param_h.transporter_cosets(target_emb.levi_h)
+    candidates = [hp for hp in h_cosets.elements
                   if {perm[hp][j] for j in cut} == h_l_roots]
     if not candidates:
         raise AssertionError("no restandardizing element found on the "
                              "endoscopic side")
     return target_emb, tuple(sorted(
-        {_left_coset_rep(H, target_emb.levi_h, c) for c in candidates}))
+        {h_cosets.left_rep[c] for c in candidates}))
 
 
 def indexing_bijection_check(param: Parameter, levi,
@@ -674,10 +650,9 @@ def indexing_bijection_check(param: Parameter, levi,
     levi = frozenset(levi)
     param_h, h = parameter_on_h(param, endo)
     embedded = enumerate_embedded(param, levi, endo)
-    rhs = list(_coset_reps(param, endo, group, param.minimal_levi, levi))
+    rhs = list(param.transporter_cosets(levi).left_reps)
     lhs = [(emb, v) for emb in embedded
-           for v in _coset_reps(param, endo, endo.H, param_h.minimal_levi,
-                                emb.levi_h)]
+           for v in param_h.transporter_cosets(emb.levi_h).left_reps]
     image = []
     table = []
     for emb, v in lhs:
@@ -773,8 +748,7 @@ def eci_both_sides(param: Parameter, b: BElement,
         # regular stable labels are indexed by transporter double cosets of
         # the endoscopic side; rewrite each through the basic identity and
         # the indexing map, then expand
-        h_cosets = _coset_reps(param, endo, endo.H, param_h.minimal_levi,
-                               emb.levi_h)
+        h_cosets = param_h.transporter_cosets(emb.levi_h).left_reps
         if expected and not h_cosets:
             raise AssertionError("regular terms without endoscopic cosets")
         count = 0
@@ -807,41 +781,11 @@ def eci_both_sides(param: Parameter, b: BElement,
 
 def _verify_counting(param: Parameter, levi) -> None:
     """|W^rel_L . w . W_phi / W_phi| = |W^rel_L / W_cut| for every
-    transporter element w, with W_cut the Weyl group of the cut at w."""
+    transporter element w, with W_cut the Weyl group of the cut at w; the
+    left side is the certified `count` of `Parameter.transporter_cosets`."""
     levi = frozenset(levi)
     left = len(param.group.levi_weyl_elements(levi))
-    for w, cosets in _coset_counts(param, levi):
-        if cosets * len(param.levi_cut(levi, w).weyl_elements) != left:
+    for w, count in param.transporter_cosets(levi).count.items():
+        if count * len(param.levi_cut(levi, w).weyl_elements) != left:
             raise AssertionError("coset counting identity fails")
 
-
-def _coset_counts(param: Parameter,
-                  levi: FrozenSet[int]) -> List[Tuple[Matrix, int]]:
-    """(w, number of right W_phi cosets in W^rel_L . w . W_phi) for each
-    transporter element w, building each double coset once.
-
-    The double cosets partition the transporter set T, and each is a
-    disjoint union of right W_phi cosets of |W_phi| elements, so the
-    number is its size over |W_phi| (Bjorner-Brenti, Combinatorics of
-    Coxeter Groups, 2.4).  Certified: each built set lies in T, shares no
-    element with a set built before it and has remainder 0, and together
-    they cover T."""
-    rel = param.group.relative
-    trans = transporter_set(param.group, param.minimal_levi, levi)
-    ids = [rel.index[w] for w in trans]
-    inside = set(ids)
-    count_of: Dict[int, int] = {}
-    for coset in rel.double_cosets(param.group.levi_context(levi).weyl_ids,
-                                   ids, param.wphi_ids):
-        if not inside.issuperset(coset):
-            raise AssertionError("double coset leaves the transporter set")
-        if not coset.isdisjoint(count_of):
-            raise AssertionError("double cosets overlap")
-        cosets, rest = divmod(len(coset), len(param.wphi_ids))
-        if rest:
-            raise AssertionError("double coset is not a union of W_phi "
-                                 "cosets")
-        count_of.update(dict.fromkeys(coset, cosets))
-    if len(count_of) != len(inside):
-        raise AssertionError("double cosets do not cover the transporter set")
-    return list(zip(trans, map(count_of.__getitem__, ids)))

@@ -15,7 +15,7 @@ from typing import Dict, FrozenSet, Optional, Tuple
 
 from .disconnected import HighestWeightPair, classify_irr, stabilizer_A_lambda
 from .finite_reps import Module
-from .kottwitz import BElement, basic_plus_lift, encode, kappa_push
+from .kottwitz import BElement, basic_plus_lift, kappa_push
 from .lattice import (
     Matrix,
     Value,
@@ -26,7 +26,7 @@ from .lattice import (
     mat_vec,
 )
 from .params import Parameter
-from .weyl import chamber_locate, transporter_set
+from .weyl import chamber_locate
 
 
 class DescentError(AssertionError):
@@ -61,9 +61,9 @@ def canonical_rho(param: Parameter, rho: HighestWeightPair) -> HighestWeightPair
     the lexicographically greatest weight in the component orbit, with the
     module transported along the conjugation that achieves it."""
     lam = rho.weight
-    if not param.is_dominant(lam):
-        raise ValueError("canonical_rho needs a dominant weight")
     datum = param.centralizer
+    if not datum.is_dominant(lam):
+        raise ValueError("canonical_rho needs a dominant weight")
     lam_star = datum.canonical_weight(lam)
     if lam_star == lam:
         return rho
@@ -144,9 +144,8 @@ def _certify_descent(param: Parameter, cut, lam: Vector) -> None:
 
 
 def _canonical_double_coset(param: Parameter, levi, w: Matrix) -> Matrix:
-    """min of W^rel_L . w . W_phi, for w in the transporter set; read from
-    the ("cosets", L) entry."""
-    rep = _cosets(param, frozenset(levi))[1].get(w)
+    """min of W^rel_L . w . W_phi, for w in the transporter set."""
+    rep = param.transporter_cosets(levi).rep.get(w)
     if rep is None:
         raise AssertionError("the Weyl element lies outside the transporter "
                              "set of the Levi")
@@ -159,32 +158,7 @@ def _canonical_double_coset(param: Parameter, levi, w: Matrix) -> Matrix:
 def transporter_double_cosets(param: Parameter, levi) -> Tuple[Matrix, ...]:
     """Canonical representatives of W^rel_L \\ W^rel(M, L) / W_phi
     (computed once per (param, levi))."""
-    return _cosets(param, frozenset(levi))[0]
-
-
-def _cosets(param: Parameter, levi: FrozenSet[int]):
-    """(the sorted canonical representatives, each transporter element ->
-    its representative), computed once per (param, levi)."""
-    return cached(param.memo, ("cosets", levi), _transporter_double_cosets,
-                  param, levi)
-
-
-def _transporter_double_cosets(param: Parameter, levi: FrozenSet[int]):
-    rel = param.group.relative
-    trans = [rel.index[t] for t in
-             transporter_set(param.group, param.minimal_levi, levi)]
-    # right stability under W_phi (the transporter is stable by construction)
-    tset = set(trans)
-    for t in trans:
-        if not tset.issuperset(map(rel.row(t).__getitem__, param.wphi_ids)):
-            raise AssertionError("transporter set is not right-stable "
-                                 "under W_phi")
-    rep_of: Dict[Matrix, Matrix] = {}
-    for coset in rel.double_cosets(param.group.levi_context(levi).weyl_ids,
-                                   trans, param.wphi_ids):
-        rep = rel.elements[min(coset)]
-        rep_of.update((rel.elements[i], rep) for i in coset)
-    return tuple(sorted(set(rep_of.values()))), rep_of
+    return param.transporter_cosets(levi).reps
 
 
 def fiber_weight(param: Parameter, b: BElement, w: Matrix) -> Optional[Vector]:
@@ -221,7 +195,7 @@ def dominantize(param: Parameter, lam: Vector) -> Vector:
     """The unique dominant weight in the connected-Weyl orbit."""
     for g in param.wphi_o_elements:
         cand = mat_vec(param.char_action(g), lam)
-        if param.is_dominant(cand):
+        if param.centralizer.is_dominant(cand):
             return cand
     raise AssertionError("no dominant translate found; connected Weyl "
                          "enumeration is broken")
@@ -273,7 +247,7 @@ def round_trip_check(param: Parameter, height_bound: int) -> Dict:
     for rho in enumerate_rhos(param, height_bound):
         member = build_packet_member(param, rho)
         total += 1
-        bkey = _b_key(param, member.b)
+        bkey = _b_key(member.b)
         slot = built.setdefault(bkey, {})
         if member.key() in slot:
             return {"pass": False, "reason": "two pairs collided on one "
@@ -300,10 +274,8 @@ def round_trip_check(param: Parameter, height_bound: int) -> Dict:
     return {"pass": True, "pairs": total, "fibers": fibers_checked}
 
 
-def _b_key(param: Parameter, b: BElement) -> Tuple:
-    e = encode(param.group, b)
-    return (tuple(e["levi"]), tuple(e["kappa"]["free"]),
-            tuple(e["kappa"]["torsion"]))
+def _b_key(b: BElement) -> Tuple:
+    return (tuple(sorted(b.levi)), b.kappa.free, b.kappa.torsion)
 
 
 def _key_weight(member_key: Tuple) -> Vector:

@@ -33,7 +33,8 @@ from .lattice import (
     vneg,
     vsub,
 )
-from .rootdata import BasedRootDatum, GaloisAction, ReductiveGroup
+from .rootdata import BasedRootDatum, ReductiveGroup
+from .weyl import transporter_set
 
 
 class ParameterError(ValueError):
@@ -71,19 +72,18 @@ class Parameter:
         self.group = group
         self.minimal_levi = frozenset(minimal_levi)
         self.label = label
-        #: ("cut", L, w): `levi_cut`; ("connected", positives): the connected
-        #: Weyl group of every cut with those positives; rk.packets: ("cosets",
-        #: L) (the transporter double coset representatives, and each
-        #: transporter element's), ("center",), ("fiber_weight", b, w)* (the
-        #: weight and its dominant translate, or None), ("member", lambda)*
-        #: (cut, b, coset class, word), ("square", lambda)* (kappa pushed to
-        #: G, the central character, whether torsion is undetermined);
-        #: ("endoscopy", E): datum E's memo, by rk.endoscopy's kinds ("h",),
-        #: ("admissible",), ("wl", L) (the ids of W_L and W_H in W),
-        #: ("embedded", L), ("forward", L), ("cosets", G or H, L),
-        #: ("backward", L, u), ("indexing", L, h, emb.key(), v), ("trace",
-        #: L, w, lambda_w, g)*, ("jacquet", emb.key()), ("token", b, w,
-        #: sign)*.
+        #: ("cut", L, w): `levi_cut`; ("cosets", L): `transporter_cosets`;
+        #: ("connected", positives): the connected Weyl group of every cut
+        #: with those positives; rk.packets: ("center",), ("fiber_weight",
+        #: b, w)* (the weight and its dominant translate, or None),
+        #: ("member", lambda)* (cut, b, coset class, word), ("square",
+        #: lambda)* (kappa pushed to G, the central character, whether
+        #: torsion is undetermined); rk.endoscopy: ("forward", L) (the
+        #: indexing restriction table); ("endoscopy", E): datum E's memo, by
+        #: rk.endoscopy's kinds ("h",), ("admissible",), ("wl", L) (the ids
+        #: of W_L and W_H in W), ("embedded", L), ("backward", L, u),
+        #: ("indexing", L, h, emb.key(), v), ("trace", L, w, lambda_w, g)*,
+        #: ("jacquet", emb.key()), ("token", b, w, sign)*.
         #: *: keyed by a caller's weight or b, so unbounded in a library; the
         #: CLI runs one command per process, on <= MAX_WEIGHT_BOX weights.
         self.memo: Dict = {}
@@ -147,10 +147,11 @@ class Parameter:
                                      "dual split center compatibly")
             r_elems.append(m)
         self.r_generators = tuple(r_elems)
-        # R_phi acts on the centralizer datum by automorphisms of it; one
-        # that permutes the simple roots preserves the positive system
-        GaloisAction(self.s_datum,
-                     tuple(self.char_action(m) for m in self.r_generators))
+        # S_phi; its GaloisAction checks that R_phi acts on the centralizer
+        # datum by automorphisms permuting the simple roots (and so the
+        # positive system)
+        self.centralizer = DisconnectedGroupDatum(self.s_datum, tuple(
+            self.char_action(m) for m in self.r_generators))
 
         # the full W_phi inside the relative Weyl group
         refl = [self.reflection_realization[a] for a in self.positives]
@@ -269,22 +270,9 @@ class Parameter:
             raise ParameterError("element is not in W_phi")
         return r
 
-    @cached_property
-    def centralizer(self) -> DisconnectedGroupDatum:
-        """S_phi as a disconnected group on the center characters: the
-        identity-component datum with R_phi acting through char_action.
-        Built once; its stabilizer module tables are shared by every
-        caller."""
-        return DisconnectedGroupDatum(
-            self.s_datum,
-            tuple(self.char_action(r) for r in self.r_generators))
-
     def component_group(self) -> FiniteGroup:
         """pi0 of the centralizer as a matrix group on the center characters."""
         return self.centralizer.pi0
-
-    def is_dominant(self, lam: Sequence[int]) -> bool:
-        return all(dot(lam, self.coroots[p]) >= 0 for p in self.positives)
 
     # -- Levi cuts ---------------------------------------------------------------
 
@@ -323,6 +311,64 @@ class Parameter:
         levi = frozenset(levi)
         w = w if w is not None else self.group.relative.identity
         return cached(self.memo, ("cut", levi, w), LeviCut, self, levi, w)
+
+    def transporter_cosets(self, levi) -> "TransporterCosets":
+        """The `TransporterCosets` of a standard Levi containing M, built
+        once per Levi and shared, so not to be mutated."""
+        levi = frozenset(levi)
+        return cached(self.memo, ("cosets", levi), TransporterCosets, self,
+                      levi)
+
+
+class TransporterCosets:
+    """The transporter set T = W^rel(M, L) (`elements`) cut into the left
+    cosets W^rel_L . t, which index the endoscopic indexing bijection, and
+    the double cosets W^rel_L . t . W_phi, which index the fiber over
+    (L, kappa), both certified when built (Bjorner-Brenti, Combinatorics
+    of Coxeter Groups, 2.4): `left_rep[t]` is min(W^rel_L . t), `rep[t]`
+    min(W^rel_L . t . W_phi), `left_reps` and `reps` their sorted values,
+    and `count[t]` the number of right W_phi cosets in the double coset."""
+
+    def __init__(self, param: Parameter, levi: FrozenSet[int]):
+        group = param.group
+        rel = group.relative
+        self.elements = transporter_set(group, param.minimal_levi, levi)
+        levi_ids = group.levi_context(levi).weyl_ids
+        self.left_rep = _coset_partition(
+            rel, self.elements, levi_ids, (rel.index[rel.identity],))[0]
+        self.rep, self.count = _coset_partition(
+            rel, self.elements, levi_ids, param.wphi_ids)
+        self.left_reps = tuple(sorted(set(self.left_rep.values())))
+        self.reps = tuple(sorted(set(self.rep.values())))
+
+
+def _coset_partition(rel, elements: Sequence[Matrix], left: Sequence[int],
+                     right: Sequence[int]):
+    """(t -> min of left . t . right, t -> |left . t . right| / |right|) on
+    a union T of such double cosets, each built once on ids.  Certified:
+    each lies in T, meets no set built before it and has remainder 0 by
+    |right|, and together they cover T."""
+    ids = [rel.index[t] for t in elements]
+    inside = set(ids)
+    built = rel.double_cosets(left, ids, right)
+    count_of: Dict[int, int] = {}
+    for coset in built:
+        if not inside.issuperset(coset):
+            raise AssertionError("double coset leaves the transporter set")
+        if not coset.isdisjoint(count_of):
+            raise AssertionError("double cosets overlap")
+        cosets, rest = divmod(len(coset), len(right))
+        if rest:
+            raise AssertionError("double coset is not a union of W_phi "
+                                 "cosets")
+        count_of.update(dict.fromkeys(coset, cosets))
+    if len(count_of) != len(inside):
+        raise AssertionError("double cosets do not cover the transporter set")
+    rep_of: Dict[int, Matrix] = {}
+    for coset in built:
+        rep_of.update(dict.fromkeys(coset, rel.elements[min(coset)]))
+    return ({t: rep_of[i] for t, i in zip(elements, ids)},
+            {t: count_of[i] for t, i in zip(elements, ids)})
 
 
 class LeviCut:

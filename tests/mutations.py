@@ -89,15 +89,14 @@ MUTATIONS = (
         "component generators closed unchecked: a determinant-2 generator "
         "left to the orbit cap, a broken coroot pairing let through"),
     Mutation(
-        "r-phi-without-action-check", "src/rk/params.py",
-        """        GaloisAction(self.s_datum,
-                     tuple(self.char_action(m) for m in self.r_generators))
-""", "",
+        "r-phi-without-action-check", "src/rk/disconnected.py",
+        "        GaloisAction(identity_component, gens)\n", "",
         ("tests/test_packets.py::"
          "test_r_phi_word_breaking_the_positive_system_is_rejected",),
-        "an R_phi word that breaks the positive system let through"),
+        "an R_phi word that breaks the positive system let through: the "
+        "parameter's check is the one its centralizer runs when it is built"),
     Mutation(
-        "counting-without-remainder-check", "src/rk/endoscopy.py",
+        "counting-without-remainder-check", "src/rk/params.py",
         """        if rest:
             raise AssertionError("double coset is not a union of W_phi "
                                  "cosets")
@@ -120,7 +119,7 @@ MUTATIONS = (
          "test_cached_stores_nothing_when_compute_raises",),
         "a compute that raises leaves None behind as a hit"),
     Mutation(
-        "counting-without-containment-check", "src/rk/endoscopy.py",
+        "counting-without-containment-check", "src/rk/params.py",
         """        if not inside.issuperset(coset):
             raise AssertionError("double coset leaves the transporter set")
 """, "",
@@ -128,7 +127,7 @@ MUTATIONS = (
          "a_coset_leaving_the_transporters",),
         "a double coset counted though it leaves the transporter set"),
     Mutation(
-        "counting-without-overlap-check", "src/rk/endoscopy.py",
+        "counting-without-overlap-check", "src/rk/params.py",
         """        if not coset.isdisjoint(count_of):
             raise AssertionError("double cosets overlap")
 """, "",
@@ -136,13 +135,21 @@ MUTATIONS = (
          "test_coset_counting_certificate_catches_overlapping_cosets",),
         "overlapping double cosets counted twice"),
     Mutation(
-        "counting-without-cover-check", "src/rk/endoscopy.py",
+        "counting-without-cover-check", "src/rk/params.py",
         """    if len(count_of) != len(inside):
         raise AssertionError("double cosets do not cover the transporter set")
 """, "",
         ("tests/test_endoscopy.py::"
          "test_coset_counting_certificate_catches_an_uncovered_transporter",),
         "transporter elements left outside every counted double coset"),
+    Mutation(
+        "left-cosets-without-containment-check", "src/rk/params.py",
+        """        if not inside.issuperset(coset):
+            raise AssertionError("double coset leaves the transporter set")
+""", "",
+        ("tests/test_endoscopy.py::"
+         "test_left_coset_partition_is_certified[leaving]",),
+        "a left coset W^rel_L . t kept though it leaves the transporter set"),
     Mutation(
         "double-coset-skips-on-x", "src/rk/lattice.py",
         "            if y not in out:", "            if x not in out:",

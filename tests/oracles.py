@@ -16,8 +16,12 @@ call, the parabolic double coset
 W^rel_L . w . W_phi with every product formed, a Levi cut's component
 elements by one `mat_vec` per positive root and its connected Weyl group
 closed for every cut, the coset counting certificate with the double
-coset built for every transporter element, and the endoscopy layer's
-right W_phi cosets as sets, indexing map, orbit traces, geometric-lemma
+coset built for every transporter element, the three routines that
+formed the transporter cosets that `params.TransporterCosets` replaced (the
+double coset representatives with their right-stability check, the
+double coset counts with their four checks, and the least element of a
+left coset by one Cayley row per element of W^rel_L), and the endoscopy
+layer's right W_phi cosets as sets, indexing map, orbit traces, geometric-lemma
 step and Levi-token expansion, likewise on every call, the finitely
 generated abelian group with a slot kind per Smith slot and its
 coinvariants, as they were before the group had one construction path,
@@ -663,6 +667,59 @@ def verify_counting_per_element(param, levi):
     return counts
 
 
+def transporter_double_cosets_by_rows(param, levi):
+    """(the sorted canonical representatives of W^rel_L \\ T / W_phi,
+    each transporter element -> its representative), with T checked to be
+    right-stable under W_phi element by element."""
+    rel = param.group.relative
+    trans = [rel.index[t] for t in
+             transporter_set(param.group, param.minimal_levi, levi)]
+    tset = set(trans)
+    for t in trans:
+        if not tset.issuperset(map(rel.row(t).__getitem__, param.wphi_ids)):
+            raise AssertionError("transporter set is not right-stable "
+                                 "under W_phi")
+    rep_of = {}
+    for coset in rel.double_cosets(param.group.levi_context(levi).weyl_ids,
+                                   trans, param.wphi_ids):
+        rep = rel.elements[min(coset)]
+        rep_of.update((rel.elements[i], rep) for i in coset)
+    return tuple(sorted(set(rep_of.values()))), rep_of
+
+
+def coset_counts_by_double_cosets(param, levi):
+    """(w, number of right W_phi cosets in W^rel_L . w . W_phi) for each
+    transporter element w, in transporter-set order, building each double
+    coset once and checking containment, overlap, remainder and cover."""
+    rel = param.group.relative
+    trans = transporter_set(param.group, param.minimal_levi, levi)
+    ids = [rel.index[w] for w in trans]
+    inside = set(ids)
+    count_of = {}
+    for coset in rel.double_cosets(param.group.levi_context(levi).weyl_ids,
+                                   ids, param.wphi_ids):
+        if not inside.issuperset(coset):
+            raise AssertionError("double coset leaves the transporter set")
+        if not coset.isdisjoint(count_of):
+            raise AssertionError("double cosets overlap")
+        cosets, rest = divmod(len(coset), len(param.wphi_ids))
+        if rest:
+            raise AssertionError("double coset is not a union of W_phi "
+                                 "cosets")
+        count_of.update(dict.fromkeys(coset, cosets))
+    if len(count_of) != len(inside):
+        raise AssertionError("double cosets do not cover the transporter set")
+    return list(zip(trans, map(count_of.__getitem__, ids)))
+
+
+def left_coset_rep_by_rows(group, levi, w):
+    """min of W^rel_L . w, one Cayley row per element of W^rel_L."""
+    rel = group.relative
+    w = rel.index[w]
+    return rel.elements[min(rel.row(l)[w]
+                            for l in group.levi_context(levi).weyl_ids)]
+
+
 def indexing_forward_unmemoized(param, levi, endo, h, emb, v):
     """The group-side coset of (embedded class, endoscopic coset): the
     composite element and its images of the dual-center basis looked up in
@@ -676,7 +733,7 @@ def indexing_forward_unmemoized(param, levi, endo, h, emb, v):
     right = row(index[emb.h_std])[index[weyl.inverse[emb.w_rep]]]
     composite = weyl.elements[row(left)[right]]
     basis = group.levi_context(levi).dual_split_center_basis
-    reps = _forward_table(param, endo, levi).get(
+    reps = _forward_table(param, levi).get(
         tuple(mat_vec(composite, u) for u in basis))
     if not reps:
         raise AssertionError("indexing construction missed the transporter "

@@ -225,9 +225,10 @@ def test_cached_double_cosets_match_matrix_orbits(name):
         reps = transporter_double_cosets(param, levi)
         assert reps == tuple(sorted(set(brute.values())))
         assert transporter_double_cosets(param, levi) is reps
+        assert param.memo["cosets", levi] is param.transporter_cosets(levi)
         for t in trans:
             assert _canonical_double_coset(param, levi, t) == brute[t]
-            assert param.memo["cosets", levi][1][t] == brute[t]
+            assert param.memo["cosets", levi].rep[t] == brute[t]
         # an element outside the transporter set has no coset to read
         for m in [m for m in group.relative.elements if m not in brute][:2]:
             with pytest.raises(AssertionError,
@@ -324,6 +325,25 @@ def test_r_phi_word_breaking_the_positive_system_is_rejected():
     with pytest.raises(DatumError,
                        match="^action generator does not permute simples$"):
         Parameter(group, (), roots, roots[::2], (word((4, 3, 2, 1)),))
+
+
+def test_parameter_checks_its_r_phi_action_once(monkeypatch):
+    # the centralizer is built with the parameter, and its GaloisAction is
+    # the one check of R_phi's action on the centralizer datum
+    import rk.disconnected
+    import rk.params
+    checked = []
+    action = rk.disconnected.GaloisAction
+
+    def counted(datum, generators=()):
+        checked.append((datum, generators))
+        return action(datum, generators)
+    monkeypatch.setattr(rk.disconnected, "GaloisAction", counted)
+    monkeypatch.setattr(rk.params, "GaloisAction", counted, raising=False)
+    param = _component_parameter()
+    assert "centralizer" in vars(param)
+    assert checked == [(param.s_datum, param.centralizer.declared_generators)]
+    assert len(param.r_generators) == 1
 
 
 def _transported_parameters():
@@ -663,7 +683,7 @@ def _box_scan_rhos(param, height_bound):
     seen = set()
     out = []
     for lam in itertools.product(range(height_bound + 1), repeat=param.dim):
-        if not param.is_dominant(lam):
+        if not param.centralizer.is_dominant(lam):
             continue
         canon = max(mat_vec(param.char_action(r), lam)
                     for r in param.r_elements)
@@ -707,7 +727,7 @@ def test_stabilizer_modules_once_per_subgroup(name, monkeypatch):
     datum = param.centralizer
     by_stabilizer = {}
     for lam in itertools.product(range(3), repeat=param.dim):
-        if not param.is_dominant(lam):
+        if not param.centralizer.is_dominant(lam):
             continue
         mods = datum.stabilizer_modules(lam)
         stab = _r_phi_stabilizer(param, lam)

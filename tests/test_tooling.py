@@ -178,16 +178,12 @@ def _referenced_names():
 CHECKED_COLLISIONS = {
     "dual": "BasedRootDatum.dual and GaloisAction.dual, both called by "
             "rootdata.dual_datum",
-    "is_dominant": "DisconnectedGroupDatum's in rk.disconnected, "
-                   "Parameter's in rk.packets and rk.cli",
     "items": "WeightMultiplicityTable's in rk.disconnected, "
              "FormalDistribution's in rk.endoscopy",
     "key": "EmbeddedDatum's in the endoscopy memo keys, PacketMember's in "
            "the packet tables",
     "label": "Module's in rk.packets and rk.cli, HighestWeightPair's in "
              "rk.disconnected",
-    "_coset_reps": "one module-level function each in rk.disconnected and "
-                   "rk.endoscopy, called in its own module",
 }
 
 
@@ -383,17 +379,26 @@ def test_every_endoscopy_memo_key_kind_is_documented():
     # key, ...)`) and of the datum's own entry is listed at Parameter.memo
     kinds = _memo_kinds("endoscopy.py")
     assert set(kinds) == {"Parameter"}
-    assert {"endoscopy", "indexing", "trace", "jacquet", "token"} <= \
-        kinds["Parameter"]
+    assert {"endoscopy", "forward", "indexing", "trace", "jacquet",
+            "token"} <= kinds["Parameter"]
     assert _undocumented(kinds) == []
+    # the transporter cosets and the forward table depend on the parameter
+    # and the Levi alone, so no datum keeps its own copy
+    tree = _module_trees()["endoscopy.py"]
+    visitor = _MemoKeys(tree)
+    visitor.visit(tree)
+    per_datum = {key.elts[0].value for _owner, key, call in visitor.keys
+                 if call.startswith("_cached(")}
+    assert "indexing" in per_datum
+    assert not {"cosets", "forward"} & per_datum
 
 
 def test_every_packets_memo_key_kind_is_documented():
     # the kind of each key of `cached(param.memo, key, ...)` and of the
     # forward map's explicit hit test is listed at Parameter.memo
     kinds = _memo_kinds("packets.py")
-    assert kinds == {"Parameter": {"member", "cosets", "fiber_weight",
-                                   "center", "square"}}
+    assert kinds == {"Parameter": {"member", "fiber_weight", "center",
+                                   "square"}}
     assert _undocumented(kinds) == []
 
 
