@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from operator import attrgetter
-from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, List, Sequence, Tuple
 
 from .cyclotomic import Cyclo
 from .disconnected import HighestWeightPair
@@ -104,8 +104,9 @@ def _weight_exponent(solver: SmithSolver, q_num: Vector, den: int,
 
 def _check_s_in_levi(param: Parameter, endo: EndoscopicDatum,
                      levi: FrozenSet[int]) -> None:
-    """The two membership checks of `s_in_levi_check`, without its
-    coordinate sample."""
+    """Certify that the torus element lies in the centralizer cut to the
+    Levi: the parameter factors through the Levi, and s lies in the split
+    center of the minimal dual Levi."""
     if not param.minimal_levi <= levi:
         raise EndoscopyError("the parameter does not factor through the Levi")
     den, q = endo.s_den, endo.s_num
@@ -114,24 +115,6 @@ def _check_s_in_levi(param: Parameter, endo: EndoscopicDatum,
         if dot(z, q) % den != 0:
             raise EndoscopyError("the torus element does not lie in the "
                                  "split center of the minimal dual Levi")
-
-
-def s_in_levi_check(param: Parameter, endo: EndoscopicDatum, levi) -> Dict:
-    """Certify that the torus element lies in the centralizer cut to the
-    Levi, returning its coordinates as an evaluation rule on the center."""
-    levi = frozenset(levi)
-    _check_s_in_levi(param, endo, levi)
-    den, q = endo.s_den, endo.s_num
-    solver = param.ctx_M.dual_center_solver
-    sample = {}
-    for j in range(param.dim):
-        e = tuple(1 if i == j else 0 for i in range(param.dim))
-        sample[e] = _weight_exponent(solver, q, den, e)
-    return {
-        "levi": sorted(levi),
-        "component": "identity",
-        "coordinate_exponents": sample,
-    }
 
 
 # ---------------------------------------------------------------------------
@@ -152,32 +135,13 @@ class EmbeddedDatum(Value):
         return (tuple(sorted(self.levi_h)), self.w_rep)
 
 
-def _memo(param: Parameter, endo: EndoscopicDatum) -> Dict:
-    """The (parameter, datum) memo; its kinds are listed at Parameter.memo."""
-    return cached(param.memo, ("endoscopy", endo), dict)
-
-
-def _cached(param: Parameter, endo: EndoscopicDatum, key, compute, *args):
-    return cached(_memo(param, endo), key, compute, *args)
-
-
-def _full_levi_weyl(param: Parameter, endo: EndoscopicDatum,
-                    levi: FrozenSet[int]) -> Tuple[Tuple[int, ...], ...]:
-    """The ids of W_L, from the Levi's simple reflections, and of W_H in
-    the absolute Weyl group."""
-    weyl = param.group.weyl
-    gens = [weyl.generators[pos] for pos in sorted(levi)]
-    return _cached(param, endo, ("wl", levi), lambda: tuple(
-        tuple(map(weyl.index.__getitem__, part))
-        for part in (weyl.generated(gens), endo.H.weyl.elements)))
-
-
 def _admissible(param: Parameter, endo: EndoscopicDatum) -> FrozenSet[Matrix]:
     """W(L, H), the twists w in W satisfying the Galois condition: for
     every Galois element g some h in W_H makes h.g fix the pulled-back
     parameter center w^-1(X_*(A_M^)).  The products h.g are formed once
     per Galois element."""
-    return _cached(param, endo, ("admissible",), _admissible_scan, param, endo)
+    return cached(param.memo, ("admissible", endo), _admissible_scan, param,
+                  endo)
 
 
 def _admissible_scan(param: Parameter, endo: EndoscopicDatum):
@@ -201,22 +165,27 @@ def enumerate_embedded(param: Parameter, levi,
     groups, each standardized inside the endoscopic group (computed once
     per parameter, datum and Levi)."""
     levi = frozenset(levi)
-    return _cached(param, endo, ("embedded", levi), _embedded, param, levi,
-                   endo)
+    return cached(param.memo, ("embedded", endo, levi), _embedded, param,
+                  levi, endo)[0]
 
 
 def _embedded(param: Parameter, levi: FrozenSet[int],
-              endo: EndoscopicDatum) -> Tuple[EmbeddedDatum, ...]:
+              endo: EndoscopicDatum):
+    """The sorted embedded classes, and the id in W of each element of
+    their double cosets W_L . w . W_H -> its class."""
     weyl = param.group.weyl
-    wl, wh = _full_levi_weyl(param, endo, levi)
-    admissible = sorted(map(weyl.index.__getitem__, _admissible(param, endo)))
-    out = []
+    index = weyl.index
+    wl = [index[x] for x in weyl.generated(
+        [weyl.generators[pos] for pos in sorted(levi)])]
+    wh = [index[x] for x in endo.H.weyl.elements]
+    admissible = sorted(map(index.__getitem__, _admissible(param, endo)))
+    out, class_of = [], {}
     for coset in weyl.double_cosets(wl, admissible, wh):
         emb = _standardize_embedded(param, endo, levi,
                                     weyl.elements[min(coset)])
-        if emb is not None:
-            out.append(emb)
-    return tuple(sorted(out, key=lambda e: e.key()))
+        out.append(emb)
+        class_of.update(dict.fromkeys(coset, emb))
+    return tuple(sorted(out, key=EmbeddedDatum.key)), class_of
 
 
 def _cut(group: ReductiveGroup, endo: EndoscopicDatum, levi: FrozenSet[int],
@@ -229,11 +198,10 @@ def _cut(group: ReductiveGroup, endo: EndoscopicDatum, levi: FrozenSet[int],
 
 
 def _standardize_embedded(param: Parameter, endo: EndoscopicDatum,
-                          levi: FrozenSet[int],
-                          w: Matrix) -> Optional[EmbeddedDatum]:
+                          levi: FrozenSet[int], w: Matrix) -> EmbeddedDatum:
     """Cut the endoscopic group by the twisted Levi and conjugate the cut
-    to a standard Levi of H; None when the cut cannot be an endoscopic
-    datum of the Levi (never happens for admissible twists, asserted)."""
+    to a standard Levi of H; raises when the cut cannot be an endoscopic
+    datum of the Levi (never happens for admissible twists)."""
     H = endo.H
     cut = _cut(param.group, endo, levi, w)
     levi_of = {H.levi_context(s).root_indices: s
@@ -272,7 +240,7 @@ def parameter_on_h(param: Parameter, endo: EndoscopicDatum):
     Returns (param_H, h) with h the standardizing element, computed once
     per parameter and datum.  Raises when the parameter does not factor
     through the endoscopic group at this combinatorial level."""
-    return _cached(param, endo, ("h",), _find_parameter_on_h, param, endo)
+    return cached(param.memo, ("h", endo), _find_parameter_on_h, param, endo)
 
 
 def _find_parameter_on_h(param: Parameter, endo: EndoscopicDatum):
@@ -483,8 +451,8 @@ def _trace_on_levi_module(param: Parameter, levi, w: Matrix, lam_w: Vector,
         if dot(z, q_g) % den != 0:
             raise EndoscopyError("conjugated torus element left the twisted "
                                  "parameter center")
-    total = _cached(param, endo, ("trace", levi, w, lam_w, g), _orbit_sum,
-                    param, cut, solver, lam_w, q_g, den)
+    total = cached(param.memo, ("trace", endo, levi, w, lam_w, g),
+                   _orbit_sum, param, cut, solver, lam_w, q_g, den)
     return total * module_dim if module_dim != 1 else total
 
 
@@ -530,20 +498,21 @@ def _pairing_reps(param: Parameter, cut) -> List[Matrix]:
 # the indexing bijection
 
 def indexing_forward(param: Parameter, levi, endo: EndoscopicDatum,
-                     h: Matrix, emb: EmbeddedDatum, v: Matrix) -> Matrix:
+                     emb: EmbeddedDatum, v: Matrix) -> Matrix:
     """Map (embedded class, Levi coset on the endoscopic side) to the
     corresponding transporter coset on the group side: the unique class
     whose inverse restricts to the composite center map (computed once
-    per Levi, h, embedded class and v)."""
+    per Levi, embedded class and v)."""
     levi = frozenset(levi)
-    return _cached(param, endo, ("indexing", levi, h, emb.key(), v),
-                   _forward_coset, param, levi, endo, h, emb, v)
+    return cached(param.memo, ("indexing", endo, levi, emb.key(), v),
+                  _forward_coset, param, levi, endo, emb, v)
 
 
 def _forward_coset(param: Parameter, levi: FrozenSet[int],
-                   endo: EndoscopicDatum, h: Matrix, emb: EmbeddedDatum,
+                   endo: EndoscopicDatum, emb: EmbeddedDatum,
                    v: Matrix) -> Matrix:
     group = param.group
+    h = parameter_on_h(param, endo)[1]
     h_inverse = endo.H.relative.inverse
     # the standardized embedding is Int(w_rep) . eta . Int(h_std)^{-1}; its
     # inverse followed by v^{-1} and the de-standardization h^{-1} composes
@@ -587,51 +556,44 @@ def _restriction_table(param: Parameter, levi: FrozenSet[int]):
 
 
 def indexing_backward(param: Parameter, levi, endo: EndoscopicDatum,
-                      param_h: Parameter, h: Matrix,
-                      embedded: Sequence[EmbeddedDatum],
                       w: Matrix):
     """Map a transporter coset back to (embedded class, endoscopic coset):
     twist the inclusion by w against the standardizer, restandardize, and
-    read off the correcting element.  `embedded` is
-    `enumerate_embedded(param, levi, endo)`; the restandardizing data of
-    the twist are built once per (Levi, twist), and the Galois condition
-    and the forward check run on every call."""
-    group = param.group
+    read off the correcting element.  The restandardizing data of the
+    twist are built once per (Levi, twist), and the Galois condition and
+    the forward check run on every call."""
     levi = frozenset(levi)
+    h = parameter_on_h(param, endo)[1]
     # w and h^-1 lie in W^rel and W^rel_H, both inside the absolute W
-    u = group.weyl.mul(w, endo.H.relative.inverse[h])
+    u = param.group.weyl.mul(w, endo.H.relative.inverse[h])
     if u not in _admissible(param, endo):
         raise AssertionError("backward twist fails the Galois condition")
-    target_emb, reps = _cached(param, endo, ("backward", levi, u),
-                               _backward_table, param, levi, endo, param_h,
-                               embedded, u)
+    target_emb, reps = cached(param.memo, ("backward", endo, levi, u),
+                              _backward_table, param, levi, endo, u)
     target = param.transporter_cosets(levi).left_rep.get(w)
     matching = [v for v in reps if indexing_forward(
-        param, levi, endo, h, target_emb, v) == target]
+        param, levi, endo, target_emb, v) == target]
     if not matching:
         raise AssertionError("backward construction does not invert forward")
     return target_emb, min(matching)
 
 
 def _backward_table(param: Parameter, levi: FrozenSet[int],
-                    endo: EndoscopicDatum, param_h: Parameter,
-                    embedded: Sequence[EmbeddedDatum], u: Matrix):
+                    endo: EndoscopicDatum, u: Matrix):
     """The embedded class that W_L . u . W_H meets, and the left W^rel_H
     coset representatives of the elements restandardizing the cut of u."""
     group = param.group
     H = endo.H
-    index = group.weyl.index
-    wl, wh = _full_levi_weyl(param, endo, levi)
-    u_orbit = group.weyl.double_coset(wl, index[u], wh)
-    target_emb = next((e for e in embedded if index[e.w_rep] in u_orbit),
-                      None)
+    target_emb = cached(param.memo, ("embedded", endo, levi), _embedded,
+                        param, levi, endo)[1].get(group.weyl.index[u])
     if target_emb is None:
         raise AssertionError("backward twist does not meet any embedded class")
     cut = _cut(group, endo, levi, u)
     h_l_roots = set(H.levi_context(target_emb.levi_h).root_indices)
     # hp must transport the endoscopic minimal center over the cut one
     perm = H.relative.perm
-    h_cosets = param_h.transporter_cosets(target_emb.levi_h)
+    h_cosets = parameter_on_h(param, endo)[0].transporter_cosets(
+        target_emb.levi_h)
     candidates = [hp for hp in h_cosets.elements
                   if {perm[hp][j] for j in cut} == h_l_roots]
     if not candidates:
@@ -648,7 +610,7 @@ def indexing_bijection_check(param: Parameter, levi,
     with the explicit maps mutually inverse."""
     group = param.group
     levi = frozenset(levi)
-    param_h, h = parameter_on_h(param, endo)
+    param_h = parameter_on_h(param, endo)[0]
     embedded = enumerate_embedded(param, levi, endo)
     rhs = list(param.transporter_cosets(levi).left_reps)
     lhs = [(emb, v) for emb in embedded
@@ -656,7 +618,7 @@ def indexing_bijection_check(param: Parameter, levi,
     image = []
     table = []
     for emb, v in lhs:
-        w = indexing_forward(param, levi, endo, h, emb, v)
+        w = indexing_forward(param, levi, endo, emb, v)
         image.append(w)
         table.append({
             "embedded_levi": sorted(emb.levi_h),
@@ -667,7 +629,7 @@ def indexing_bijection_check(param: Parameter, levi,
     # indexing_backward raises unless the forward map sends its result to
     # the coset of w, which is w itself: w is a coset representative
     for w in rhs:
-        indexing_backward(param, levi, endo, param_h, h, embedded, w)
+        indexing_backward(param, levi, endo, w)
     return {
         "pass": forward_bijective,
         "lhs_size": len(lhs),
@@ -689,8 +651,8 @@ def _expand_levi_token(param: Parameter, b: BElement, w: Matrix,
     member atoms: one term per stabilizer module, with the single-twist
     trace as coefficient.  The (term, coefficient) items are computed once
     per (b, w) and added to `dist` on every call."""
-    items = _cached(param, endo, ("token", b, w, sign_token),
-                    _levi_token_items, param, b, w, endo, sign_token)
+    items = cached(param.memo, ("token", endo, b, w, sign_token),
+                   _levi_token_items, param, b, w, endo, sign_token)
     for term, coeff in items:
         dist.add(term, coeff)
 
@@ -732,14 +694,13 @@ def eci_both_sides(param: Parameter, b: BElement,
         rhs.add(Term("member", tuple(sorted(levi)), member.key(),
                      endo.label, Fraction(1, 2), sign), coeff)
     # ---- endoscopic side ---------------------------------------------------
-    param_h, h = parameter_on_h(param, endo)
-    embedded = enumerate_embedded(param, levi, endo)
+    param_h = parameter_on_h(param, endo)[0]
     lhs = FormalDistribution()
     discarded = FormalDistribution()
     bookkeeping = []
-    for emb in embedded:
-        items, expected = _cached(param, endo, ("jacquet", emb.key()),
-                                  _geometric_expansion, endo, emb, param_h)
+    for emb in enumerate_embedded(param, levi, endo):
+        items, expected = cached(param.memo, ("jacquet", endo, emb.key()),
+                                 _geometric_expansion, endo, emb, param_h)
         nonregular = 0
         for term, coeff in items:
             if term.kind == "nonregular":
@@ -753,7 +714,7 @@ def eci_both_sides(param: Parameter, b: BElement,
             raise AssertionError("regular terms without endoscopic cosets")
         count = 0
         for v in h_cosets:
-            w = indexing_forward(param, levi, endo, h, emb, v)
+            w = indexing_forward(param, levi, endo, emb, v)
             _expand_levi_token(param, b, w, endo, lhs, sign)
             count += 1
         if count != expected:

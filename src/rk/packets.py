@@ -131,7 +131,7 @@ def _certify_descent(param: Parameter, cut, lam: Vector) -> None:
         raise DescentError("weight pairs nontrivially with a Levi-cut "
                            "root; the Levi representation is not a "
                            "character")
-    for sol in cut.descent_coords():
+    for sol in cut.descent_coords:
         if dot(lam, sol) != 0:
             raise DescentError("weight does not kill the derived-intersection "
                                "sublattice")

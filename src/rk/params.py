@@ -74,16 +74,17 @@ class Parameter:
         self.label = label
         #: ("cut", L, w): `levi_cut`; ("cosets", L): `transporter_cosets`;
         #: ("connected", positives): the connected Weyl group of every cut
-        #: with those positives; rk.packets: ("center",), ("fiber_weight",
+        #: with those positives (`wphi_o_elements` for all); rk.packets: ("center",), ("fiber_weight",
         #: b, w)* (the weight and its dominant translate, or None),
         #: ("member", lambda)* (cut, b, coset class, word), ("square",
         #: lambda)* (kappa pushed to G, the central character, whether
         #: torsion is undetermined); rk.endoscopy: ("forward", L) (the
-        #: indexing restriction table); ("endoscopy", E): datum E's memo, by
-        #: rk.endoscopy's kinds ("h",), ("admissible",), ("wl", L) (the ids
-        #: of W_L and W_H in W), ("embedded", L), ("backward", L, u),
-        #: ("indexing", L, h, emb.key(), v), ("trace", L, w, lambda_w, g)*,
-        #: ("jacquet", emb.key()), ("token", b, w, sign)*.
+        #: indexing restriction table), and per datum E ("h", E),
+        #: ("admissible", E), ("embedded", E, L) (the classes, and the id
+        #: of each element of their double cosets -> its class),
+        #: ("backward", E, L, u), ("indexing", E, L, emb.key(), v),
+        #: ("trace", E, L, w, lambda_w, g)*, ("jacquet", E, emb.key()),
+        #: ("token", E, b, w, sign)*.
         #: *: keyed by a caller's weight or b, so unbounded in a library; the
         #: CLI runs one command per process, on <= MAX_WEIGHT_BOX weights.
         self.memo: Dict = {}
@@ -161,7 +162,9 @@ class Parameter:
             if m not in self._embedded:
                 raise ParameterError("centralizer Weyl group escapes the "
                                      "embedded normalizer image")
-        self.wphi_o_elements: Tuple[Matrix, ...] = rel.generated(refl)
+        self.wphi_o_elements: Tuple[Matrix, ...] = cached(
+            self.memo, ("connected", self.positives), self._reflection_group,
+            self.positives)
         self.r_elements: Tuple[Matrix, ...] = rel.generated(
             self.r_generators)
         if len(self.wphi_elements) != \
@@ -426,9 +429,8 @@ class LeviCut:
         self.component_actions = tuple(
             (param.char_action(g), param.char_action(param.r_component(g)))
             for g in self.component_elements)
-        #: ("descent",): `descent_coords()`
-        self.memo: Dict = {}
 
+    @cached_property
     def descent_coords(self) -> Tuple[Vector, ...]:
         """Coordinates, in the twisted center basis, of a basis of (twisted
         parameter center) cap (saturated span of the Levi's coroot lattice
@@ -436,9 +438,6 @@ class LeviCut:
         center meeting the derived subgroup of the dual Levi.  A weight
         descends to a character of the Levi iff it pairs to zero with each.
         Computed once per cut."""
-        return cached(self.memo, ("descent",), self._descent_coords)
-
-    def _descent_coords(self) -> Tuple[Vector, ...]:
         param = self.param
         group = param.group
         n = group.datum.rank

@@ -59,11 +59,19 @@ MUTATIONS = (
         "the carried simple pairings returned d times too large"),
     Mutation(
         "backward-table-swaps-the-levi-groups", "src/rk/endoscopy.py",
-        "double_coset(wl, index[u], wh)",
-        "double_coset(wh, index[u], wl)",
+        "double_cosets(wl, admissible, wh)",
+        "double_cosets(wh, admissible, wl)",
         ("tests/test_endoscopy.py::test_indexing_backward_matches_vector_scan",),
-        "the backward indexing table built from W_H . u . W_L instead of "
-        "W_L . u . W_H"),
+        "the embedded partition the backward table reads built from "
+        "W_H . u . W_L instead of W_L . u . W_H"),
+    Mutation(
+        "embedded-map-to-the-first-class", "src/rk/endoscopy.py",
+        "class_of.update(dict.fromkeys(coset, emb))",
+        "class_of.update(dict.fromkeys(coset, out[0]))",
+        ("tests/test_endoscopy.py::"
+         "test_stored_class_map_matches_the_double_coset_scan",),
+        "every double coset's ids mapped to the first class built, so a "
+        "backward twist restandardizes against the wrong class"),
     Mutation(
         "smith-form-without-product-check", "src/rk/lattice.py",
         """    if mat_mul(mat_mul(U, a), V) != D:
@@ -171,15 +179,21 @@ MUTATIONS = (
         "torsion coordinates left unreduced modulo their invariant factor"),
     Mutation(
         "indexing-key-without-v", "src/rk/endoscopy.py",
-        '("indexing", levi, h, emb.key(), v)', '("indexing", levi, h, emb.key())',
+        '("indexing", endo, levi, emb.key(), v)',
+        '("indexing", endo, levi, emb.key())',
         ("tests/test_endoscopy.py::"
          "test_memoized_indexing_forward_matches_the_reference",),
         "one group-side coset kept for every v of an indexing input"),
     Mutation(
         "trace-key-without-g", "src/rk/endoscopy.py",
-        '("trace", levi, w, lam_w, g)', '("trace", levi, w, lam_w)',
+        '("trace", endo, levi, w, lam_w, g)', '("trace", endo, levi, w, lam_w)',
         ("tests/test_endoscopy.py::test_memoized_trace_matches_the_reference",),
         "one orbit trace kept for every g of a (Levi, w, weight)"),
+    Mutation(
+        "endoscopy-key-without-datum", "src/rk/endoscopy.py",
+        'cached(param.memo, ("h", endo),', 'cached(param.memo, ("h",),',
+        ("tests/test_endoscopy.py::test_one_parameter_serves_two_data",),
+        "one endoscopic-side parameter kept for every datum of a parameter"),
     Mutation(
         "levi-weyl-from-all-reflections", "src/rk/rootdata.py",
         "             if self.subset.issuperset(orb)])",

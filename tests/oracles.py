@@ -22,7 +22,9 @@ double coset representatives with their right-stability check, the
 double coset counts with their four checks, and the least element of a
 left coset by one Cayley row per element of W^rel_L), and the endoscopy
 layer's right W_phi cosets as sets, indexing map, orbit traces, geometric-lemma
-step and Levi-token expansion, likewise on every call, the finitely
+step and Levi-token expansion, likewise on every call, the embedded class
+of a backward twist found by building its double coset and scanning the
+classes, the finitely
 generated abelian group with a slot kind per Smith slot and its
 coinvariants, as they were before the group had one construction path,
 and the inverse of a unimodular matrix by a second Smith form and as
@@ -31,7 +33,8 @@ forms.
 With them are the routines that only the tests call: the rational span
 test, the Levi data as one tuple, the full Weyl group of a disconnected
 group with its semidirect splitting, a Levi cut as a disconnected group,
-the descent certificate of a highest-weight module, a gl3 parameter
+the descent certificate of a highest-weight module, the membership of
+s in a Levi with its coordinate sample, a gl3 parameter
 whose transporter sets split into several double cosets, and the
 description-file writers that the round-trip tests compare the loaders
 of `rk.files` with.  The group and disconnected-group preset tables as they were when
@@ -51,9 +54,10 @@ from rk.cyclotomic import (Cyclo, _reduce_mod_cyclotomic,
 from rk.disconnected import (DisconnectedGroupDatum, HighestWeightPair,
                              _form_value, _invariant_form,
                              stabilizer_A_lambda)
-from rk.endoscopy import (EndoscopyError, Term, _forward_table,
-                          _weight_exponent, jacquet_geometric_terms,
-                          regular_part)
+from rk.endoscopy import (EndoscopyError, Term, _check_s_in_levi,
+                          _forward_table, _weight_exponent,
+                          enumerate_embedded, jacquet_geometric_terms,
+                          parameter_on_h, regular_part)
 from rk.finite_reps import FiniteGroup
 from rk.kottwitz import basic_plus_lift, encode, kappa_push
 from rk.lattice import (FgaElement, Matrix, Vector, _check_lengths, dot, mat,
@@ -553,7 +557,7 @@ def certify_descent_per_call(param, cut, lam):
             raise DescentError("weight pairs nontrivially with a Levi-cut "
                                "root; the Levi representation is not a "
                                "character")
-    for sol in cut.descent_coords():
+    for sol in cut.descent_coords:
         if dot(lam, sol) != 0:
             raise DescentError("weight does not kill the derived-intersection "
                                "sublattice")
@@ -720,12 +724,13 @@ def left_coset_rep_by_rows(group, levi, w):
                             for l in group.levi_context(levi).weyl_ids)]
 
 
-def indexing_forward_unmemoized(param, levi, endo, h, emb, v):
+def indexing_forward_unmemoized(param, levi, endo, emb, v):
     """The group-side coset of (embedded class, endoscopic coset): the
     composite element and its images of the dual-center basis looked up in
     the forward table, on every call."""
     group = param.group
     levi = frozenset(levi)
+    h = parameter_on_h(param, endo)[1]
     h_inverse = endo.H.relative.inverse
     weyl = group.weyl
     row, index = weyl.row, weyl.index
@@ -742,6 +747,42 @@ def indexing_forward_unmemoized(param, levi, endo, h, emb, v):
         raise AssertionError("indexing construction produced an ambiguous "
                              "coset")
     return next(iter(reps))
+
+
+def embedded_classes_by_double_coset(param, levi, endo, twists):
+    """For each twist u, the embedded class whose representative lies in
+    W_L . u . W_H: the double coset built for u and the classes scanned in
+    order; None when none does.  The ids of W_L and W_H are formed once."""
+    weyl = param.group.weyl
+    index = weyl.index
+    wl = [index[x] for x in weyl.generated(
+        [weyl.generators[pos] for pos in sorted(levi)])]
+    wh = [index[x] for x in endo.H.weyl.elements]
+    embedded = enumerate_embedded(param, levi, endo)
+    out = []
+    for u in twists:
+        u_orbit = weyl.double_coset(wl, index[u], wh)
+        out.append(next((e for e in embedded if index[e.w_rep] in u_orbit),
+                        None))
+    return out
+
+
+def s_in_levi_check(param, endo, levi) -> Dict:
+    """Certify that the torus element lies in the centralizer cut to the
+    Levi, returning its coordinates as an evaluation rule on the center."""
+    levi = frozenset(levi)
+    _check_s_in_levi(param, endo, levi)
+    den, q = endo.s_den, endo.s_num
+    solver = param.ctx_M.dual_center_solver
+    sample = {}
+    for j in range(param.dim):
+        e = tuple(1 if i == j else 0 for i in range(param.dim))
+        sample[e] = _weight_exponent(solver, q, den, e)
+    return {
+        "levi": sorted(levi),
+        "component": "identity",
+        "coordinate_exponents": sample,
+    }
 
 
 def trace_on_levi_module_unmemoized(param, levi, w, lam_w, module_dim, g,

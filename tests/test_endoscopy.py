@@ -23,13 +23,14 @@ from rk.endoscopy import (
     parameter_on_h,
     regular_pairing,
     regular_part,
-    s_in_levi_check,
 )
 from rk.packets import (
     build_packet_member,
     enumerate_fiber,
     enumerate_rhos,
 )
+
+from oracles import s_in_levi_check
 
 
 GL2 = presets.parameter("gl2-triv")
@@ -484,7 +485,7 @@ def test_terms_differing_only_in_delta_twist_stay_apart():
 
 
 # ---------------------------------------------------------------------------
-# the per-(parameter, datum) memo against uncached computations
+# the endoscopy memo entries against uncached computations
 
 ECI_PAIRS = (("gl2-triv", "gl2-s1"), ("gl2-triv", "gl2-sreg"),
              ("sl2-triv", "sl2-s1"), ("gl2x2-swap-triv", "gl2x2-swap-s1"),
@@ -629,18 +630,21 @@ def test_find_parameter_on_h_matches_in_span_scan(case, monkeypatch):
 
 @pytest.mark.parametrize("pname,ename", ECI_PAIRS)
 def test_memo_embedded_data_match_brute_force(pname, ename):
-    from rk.endoscopy import _full_levi_weyl
+    from rk.endoscopy import _admissible
     param, endo, levis = _pair_levis(pname, ename)
+    weyl = param.group.weyl
     for levi in levis:
         embs = enumerate_embedded(param, levi, endo)
         assert list(embs) == _brute_embedded(param, levi, endo)
         assert enumerate_embedded(param, set(levi), endo) is embs
-        ids = _full_levi_weyl(param, endo, levi)
-        elements = param.group.weyl.elements
-        wl, wh = ({elements[i] for i in part} for part in ids)
-        assert wl == _closure_levi_weyl(param.group, levi)
-        assert wh == set(endo.H.weyl.elements)
-        assert _full_levi_weyl(param, endo, levi) is ids
+        classes, class_of = param.memo["embedded", endo, levi]
+        assert classes is embs
+        assert set(class_of.values()) == set(embs)
+        # the map covers W_L . w . W_H for every admissible w, by products
+        left = {weyl.mul(l, w) for l in _closure_levi_weyl(param.group, levi)
+                for w in _admissible(param, endo)}
+        assert set(class_of) == {weyl.index[weyl.mul(x, h)] for x in left
+                                 for h in endo.H.weyl.elements}
 
 
 @pytest.mark.parametrize("pname,ename", ECI_PAIRS)
@@ -652,30 +656,39 @@ def test_memo_forward_table_matches_transporter_scan(pname, ename):
     for levi in levis:
         for emb in enumerate_embedded(param, levi, endo):
             for v in endo.H.relative.elements:
-                got = _outcome(indexing_forward, param, levi, endo, h, emb,
-                               v)
+                got = _outcome(indexing_forward, param, levi, endo, emb, v)
                 assert got == _outcome(_scan_forward, param, levi, endo, h,
                                        emb, v)
                 checked += got[0] != "raised"
     assert checked
 
 
+def _datum_entries(param, endo):
+    """The entries of `param.memo` kept for one endoscopic datum, keyed by
+    their kind and the rest of the key after the datum."""
+    return {(key[0],) + key[2:]: value for key, value in param.memo.items()
+            if len(key) > 1 and key[1] is endo}
+
+
 def test_memo_not_shared_between_objects():
-    from rk.endoscopy import _memo
+    # two equal data on two equal parameters: each (parameter, datum) has
+    # its own entries, of the same keys, sharing no value
     p1, p2 = presets.parameter("gl4-st2"), presets.parameter("gl4-st2")
     e1, e2 = presets.endoscopy("gl4-s1"), presets.endoscopy("gl4-s1")
     levi = frozenset({0, 2})
-    memos = [_memo(p, e) for p in (p1, p2) for e in (e1, e2)]
-    assert len({id(m) for m in memos}) == 4
-    ons = [parameter_on_h(p, e)[0] for p in (p1, p2) for e in (e1, e2)]
+    pairs = [(p, e) for p in (p1, p2) for e in (e1, e2)]
+    ons = [parameter_on_h(p, e)[0] for p, e in pairs]
     assert len({id(x) for x in ons}) == 4
-    embs = [enumerate_embedded(p, levi, e) for p in (p1, p2) for e in (e1, e2)]
+    embs = [enumerate_embedded(p, levi, e) for p, e in pairs]
     assert len({id(x) for x in embs}) == 4
     assert all(x == embs[0] for x in embs)
+    entries = [_datum_entries(p, e) for p, e in pairs]
+    assert set(entries[0]) == {("h",), ("admissible",), ("embedded", levi)}
+    for key in entries[0]:
+        assert len({id(x[key]) for x in entries}) == 4
 
 
 def test_memo_stores_no_failed_parameter_on_h():
-    from rk.endoscopy import _memo
     param = presets.parameter("gl4-st2")
     endo = presets.endoscopy("gl2x2-swap-s1")
     messages = []
@@ -685,7 +698,7 @@ def test_memo_stores_no_failed_parameter_on_h():
         messages.append(str(info.value))
     assert messages[0] == messages[1]
     assert "does not factor through" in messages[0]
-    assert _memo(param, endo) == {}
+    assert _datum_entries(param, endo) == {}
 
 
 @pytest.mark.parametrize("name", presets.GROUP_NAMES)
@@ -734,7 +747,7 @@ def test_embedded_normalizer_matches_two_filter_scan(pname):
 def _scan_backward(param, levi, endo, param_h, h, embedded, w):
     """`indexing_backward` with the cut roots as vectors and the
     restandardizing elements found by matrix images over all of W^rel_H."""
-    from rk.endoscopy import _admissible, _full_levi_weyl, indexing_forward
+    from rk.endoscopy import _admissible, indexing_forward
     from rk.lattice import mat_vec
     from oracles import in_span, left_coset_rep_by_rows
     from rk.weyl import transporter_set
@@ -747,8 +760,7 @@ def _scan_backward(param, levi, endo, param_h, h, embedded, w):
     if u not in _admissible(param, endo):
         raise AssertionError("backward twist fails the Galois condition")
     cut_roots = {r for r in H.datum.roots if mat_vec(u, r) in levi_roots}
-    wl = [group.weyl.elements[i]
-          for i in _full_levi_weyl(param, endo, levi)[0]]
+    wl = _closure_levi_weyl(group, levi)
     u_orbit = {mul(mul(l, u), x) for l in wl for x in endo.H.weyl.elements}
     target = next((e for e in embedded if e.w_rep in u_orbit), None)
     if target is None:
@@ -766,7 +778,7 @@ def _scan_backward(param, levi, endo, param_h, h, embedded, w):
                              "endoscopic side")
     matching = [v for v in {left_coset_rep_by_rows(H, target.levi_h, c)
                             for c in candidates}
-                if indexing_forward(param, levi, endo, h, target, v)
+                if indexing_forward(param, levi, endo, target, v)
                 == left_coset_rep_by_rows(group, levi, w)]
     if not matching:
         raise AssertionError("backward construction does not invert forward")
@@ -782,8 +794,7 @@ def test_indexing_backward_matches_vector_scan(pname, ename):
     for levi in levis:
         embedded = enumerate_embedded(param, levi, endo)
         for w in param.group.relative.elements:
-            got = _outcome(indexing_backward, param, levi, endo, param_h, h,
-                           embedded, w)
+            got = _outcome(indexing_backward, param, levi, endo, w)
             assert got == _outcome(_scan_backward, param, levi, endo,
                                    param_h, h, embedded, w)
             checked += got[0] != "raised"
@@ -963,40 +974,69 @@ def _admissible_twists(param, endo, levi, w_list):
 
 @pytest.mark.parametrize("pname,ename", ECI_PAIRS)
 def test_backward_table_built_once_per_twist(pname, ename):
-    from rk.endoscopy import _memo, indexing_backward
+    from rk.endoscopy import indexing_backward
     param, endo, levis = _pair_levis(pname, ename)
-    param_h, h = parameter_on_h(param, endo)
     checked = 0
     for levi in levis:
-        embedded = enumerate_embedded(param, levi, endo)
         for w, u in _admissible_twists(param, endo, levi,
                                        param.group.relative.elements):
-            first = _outcome(indexing_backward, param, levi, endo, param_h,
-                             h, embedded, w)
+            first = _outcome(indexing_backward, param, levi, endo, w)
             if first[0] == "raised":
                 continue
-            table = _memo(param, endo)[("backward", levi, u)]
-            again = indexing_backward(param, levi, endo, param_h, h,
-                                      embedded, w)
+            table = param.memo["backward", endo, levi, u]
+            again = indexing_backward(param, levi, endo, w)
             assert again == first and again[0] is table[0]
-            assert _memo(param, endo)[("backward", levi, u)] is table
+            assert param.memo["backward", endo, levi, u] is table
             checked += 1
     assert checked
 
 
 def test_backward_table_failed_build_stores_nothing():
-    from rk.endoscopy import _memo, indexing_backward
+    # an emptied id -> class map leaves the twist without a class
+    from rk.endoscopy import indexing_backward
     param, endo, levis = _pair_levis("gl4-st2", "gl4-splus")
-    param_h, h = parameter_on_h(param, endo)
     levi = levis[0]
     w, u = next(_admissible_twists(param, endo, levi,
                                    param.group.relative.elements))
+    enumerate_embedded(param, levi, endo)
+    param.memo["embedded", endo, levi][1].clear()
     for _ in range(2):
         with pytest.raises(AssertionError,
                            match="backward twist does not meet any embedded "
                                  "class"):
-            indexing_backward(param, levi, endo, param_h, h, (), w)
-        assert ("backward", levi, u) not in _memo(param, endo)
+            indexing_backward(param, levi, endo, w)
+        assert ("backward", endo, levi, u) not in param.memo
+
+
+def _class_map_inputs():
+    """(parameter name, datum name) for every ECI preset pair, and
+    ("ell " + group, group + "-s1") for the elliptic parameter of every
+    group preset against the trivial datum."""
+    return ECI_PAIRS + tuple(("ell " + g, g + "-s1")
+                             for g in presets.GROUP_NAMES)
+
+
+@pytest.mark.parametrize("pname,ename", _class_map_inputs())
+def test_stored_class_map_matches_the_double_coset_scan(pname, ename):
+    # the id -> class map the backward table reads, against the lookup it
+    # replaced: build W_L . u . W_H and scan the classes, for every
+    # admissible u and every standard Levi over M
+    from oracles import embedded_classes_by_double_coset
+    from rk.endoscopy import _admissible
+    param, endo = _coset_input(pname), presets.endoscopy(ename)
+    index = param.group.weyl.index
+    twists = sorted(_admissible(param, endo))
+    checked = 0
+    for levi in param.group.standard_levi_subsets():
+        if not param.minimal_levi <= levi:
+            continue
+        wants = embedded_classes_by_double_coset(param, levi, endo, twists)
+        class_of = param.memo["embedded", endo, levi][1]
+        for u, want in zip(twists, wants):
+            assert want is not None
+            assert class_of[index[u]] is want
+            checked += 1
+    assert checked
 
 
 # ---------------------------------------------------------------------------
@@ -1366,9 +1406,7 @@ def test_gl5_members_pass_and_build_one_double_coset_per_levi(monkeypatch):
 # the per-input memos of the warm identity against their unmemoized copies
 
 def _memo_keys(param, endo, kind):
-    from rk.endoscopy import _memo
-    return {k for k in _memo(param, endo)
-            if isinstance(k, tuple) and k[0] == kind}
+    return {k for k in _datum_entries(param, endo) if k[0] == kind}
 
 
 def _counted(monkeypatch, module, name):
@@ -1394,7 +1432,6 @@ def test_memoized_indexing_forward_matches_the_reference(pname, ename,
     from oracles import indexing_forward_unmemoized
     from rk import endoscopy
     param, endo, levis = _pair_levis(pname, ename)
-    _param_h, h = parameter_on_h(param, endo)
     inputs = [(levi, emb, v) for levi in levis
               for emb in enumerate_embedded(param, levi, endo)
               for v in endo.H.relative.elements]
@@ -1404,13 +1441,13 @@ def test_memoized_indexing_forward_matches_the_reference(pname, ename,
     for _ in range(2):
         rng.shuffle(inputs)
         for levi, emb, v in inputs:
-            args = (param, levi, endo, h, emb, v)
+            args = (param, levi, endo, emb, v)
             got = _outcome(endoscopy.indexing_forward, *args)
             assert got == _outcome(indexing_forward_unmemoized, *args)
             if got[0] == "raised":
                 raised += 1
             else:
-                stored.add(("indexing", levi, h, emb.key(), v))
+                stored.add(("indexing", levi, emb.key(), v))
     assert stored
     assert _memo_keys(param, endo, "indexing") == stored
     # one computation per distinct input; a raise is computed again
@@ -1455,7 +1492,6 @@ def test_memoized_geometric_step_matches_the_reference(pname, ename,
                                                        monkeypatch):
     from oracles import geometric_step_unmemoized
     from rk import endoscopy
-    from rk.endoscopy import _memo
     param, endo = presets.parameter(pname), presets.endoscopy(ename)
     bs = _pair_bs(param, pname, ename)
     calls = _counted(monkeypatch, endoscopy, "jacquet_geometric_terms")
@@ -1479,8 +1515,9 @@ def test_memoized_geometric_step_matches_the_reference(pname, ename,
                              "regular_terms": expected,
                              "nonregular_terms": len(nonregular)})
                 key = ("jacquet", emb.key())
-                assert _memo(param, endo)[key] == (terms.items(), expected)
-                assert isinstance(_memo(param, endo)[key][0], tuple)
+                entry = _datum_entries(param, endo)[key]
+                assert entry == (terms.items(), expected)
+                assert isinstance(entry[0], tuple)
                 keys.add(key)
             assert result["embedded"] == rows
             assert result["discarded_nonregular"] == discarded
@@ -1492,7 +1529,6 @@ def test_memoized_geometric_step_matches_the_reference(pname, ename,
 def test_indexing_failure_stores_nothing(monkeypatch):
     from rk import endoscopy
     param, endo, levis = _pair_levis("gl4-st2", "gl4-splus")
-    param_h, h = parameter_on_h(param, endo)
     levi = levis[0]
     emb = enumerate_embedded(param, levi, endo)[0]
     v = endo.H.relative.identity
@@ -1500,7 +1536,7 @@ def test_indexing_failure_stores_nothing(monkeypatch):
     for _ in range(2):
         with pytest.raises(AssertionError,
                            match="missed the transporter set"):
-            endoscopy.indexing_forward(param, levi, endo, h, emb, v)
+            endoscopy.indexing_forward(param, levi, endo, emb, v)
         assert _memo_keys(param, endo, "indexing") == set()
 
 
@@ -1580,6 +1616,22 @@ def test_warm_results_equal_cold_results(pname, ename):
     assert [_described(warm, b, endo) for b in bs] == first == cold
 
 
+def test_one_parameter_serves_two_data():
+    # one gl4-st2 parameter runs both gl4 data in turn, twice: each
+    # answer is the one a fresh parameter gives for that datum alone
+    pname = "gl4-st2"
+    warm = presets.parameter(pname)
+    rhos = enumerate_rhos(warm, 2)
+    for _ in range(2):
+        for ename in ("gl4-s1", "gl4-splus"):
+            endo = presets.endoscopy(ename)
+            for rho in rhos:
+                fresh = presets.parameter(pname)
+                assert _described(warm, build_packet_member(warm, rho).b,
+                                  endo) == \
+                    _described(fresh, build_packet_member(fresh, rho).b, endo)
+
+
 # ---------------------------------------------------------------------------
 # the membership-only s test, the double coset and the Levi-token memo
 
@@ -1640,7 +1692,6 @@ def _token_dist(items):
 def test_memoized_levi_token_matches_the_reference(pname, ename, monkeypatch):
     from oracles import expand_levi_token_unmemoized
     from rk import endoscopy
-    from rk.endoscopy import _memo
     from rk.packets import fiber_weight
     from rk.weyl import transporter_set
     param, endo = presets.parameter(pname), presets.endoscopy(ename)
@@ -1662,13 +1713,13 @@ def test_memoized_levi_token_matches_the_reference(pname, ename, monkeypatch):
             endoscopy._expand_levi_token(param, b, w, endo, got, SIGN)
             expand_levi_token_unmemoized(param, b, w, endo, want, SIGN)
             assert got == want and got.items() == want.items()
-            entry = _memo(param, endo)["token", b, w, SIGN]
+            entry = param.memo["token", endo, b, w, SIGN]
             assert isinstance(entry, tuple)
             assert _token_dist(entry) == want
             if fiber_weight(param, b, w) is None:
                 assert entry == ()
             stored.add(("token", b, w, SIGN))
-    assert any(_memo(param, endo)[key] for key in stored)
+    assert any(_datum_entries(param, endo)[key] for key in stored)
     assert _memo_keys(param, endo, "token") == stored
     # one expansion per distinct (b, w)
     assert len(computed) == len(stored)
@@ -1686,7 +1737,7 @@ def test_levi_token_failure_stores_nothing(monkeypatch):
     m = build_packet_member_unmemoized(param, rho)
     witness = chamber_locate(param.group, param.ctx_M.alpha((1, 0)))
     cut = param.levi_cut(witness.levi, witness.matrix)
-    monkeypatch.setattr(cut, "descent_coords", lambda: ((1, 0),))
+    monkeypatch.setattr(cut, "descent_coords", ((1, 0),))
     for _ in range(2):
         dist = FormalDistribution()
         with pytest.raises(DescentError, match="derived-intersection"):
@@ -1733,18 +1784,17 @@ def test_per_call_checks_fire_on_a_warm_identity(case, monkeypatch):
         monkeypatch.setattr(endoscopy, "_forward_table",
                             lambda param, levi: {})
         assert _described(param, bs[0], endo) == warm
-        _param_h, h = parameter_on_h(param, endo)
         stored = _memo_keys(param, endo, "indexing")
         fresh = [(levi, emb, v) for levi in {b.levi for b in bs}
                  for emb in enumerate_embedded(param, levi, endo)
                  for v in endo.H.relative.elements
-                 if ("indexing", levi, h, emb.key(), v) not in stored]
+                 if ("indexing", levi, emb.key(), v) not in stored]
         assert fresh
         levi, emb, v = fresh[0]
         for _ in range(2):
             with pytest.raises(AssertionError,
                                match="missed the transporter set"):
-                endoscopy.indexing_forward(param, levi, endo, h, emb, v)
+                endoscopy.indexing_forward(param, levi, endo, emb, v)
             assert _memo_keys(param, endo, "indexing") == stored
     monkeypatch.undo()
     assert _described(param, bs[0], endo) == warm

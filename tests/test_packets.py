@@ -150,7 +150,7 @@ def test_cut_coordinates_match_the_fraction_definitions(param):
             kill = kernel_basis(tuple(perp), n)
             old = [solve_rational(twisted, v) for v in kill]
             assert all(x.denominator == 1 for sol in old for x in sol)
-            assert _same_lattice(cut.descent_coords(),
+            assert _same_lattice(cut.descent_coords,
                                  [tuple(int(x) for x in sol) for sol in old],
                                  param.dim)
             cuts += 1
@@ -180,7 +180,7 @@ def test_cached_cuts_match_fresh_cuts(name):
         fresh = LeviCut(param, levi, w)
         for field in _CUT_FIELDS:
             assert getattr(cut, field) == getattr(fresh, field), field
-        assert cut.descent_coords() == fresh.descent_coords()
+        assert cut.descent_coords == fresh.descent_coords
         assert param.levi_cut(levi, w) is cut
 
 
@@ -275,11 +275,12 @@ def test_cut_components_match_the_mat_vec_scan_and_closure(param):
     # every standard Levi over M and transporter element: the permutation
     # test and the closure kept per positive system give what a mat_vec
     # scan and a fresh closure give, and cuts with equal positives share
-    # one closure
+    # one closure; a cut keeping every positive shares the parameter's own
+    # connected part of W_phi
     from oracles import (cut_component_elements_by_mat_vec,
                          cut_connected_weyl_by_closure)
     group = param.group
-    cuts = 0
+    cuts = shared = 0
     for levi in group.standard_levi_subsets():
         if not param.minimal_levi <= levi:
             continue
@@ -291,8 +292,11 @@ def test_cut_components_match_the_mat_vec_scan_and_closure(param):
                 cut_connected_weyl_by_closure(cut)
             assert cut.connected_weyl_elements is \
                 param.memo["connected", cut.positives]
+            if cut.positives == param.positives:
+                assert cut.connected_weyl_elements is param.wphi_o_elements
+                shared += 1
             cuts += 1
-    assert cuts
+    assert cuts and shared
 
 
 def test_root_permutation_table_rejects_a_non_permuting_element():
@@ -757,7 +761,7 @@ def _break_descent(monkeypatch, cut, lam, branch):
                             cut.root_coroots + (param.coroots[moved],))
         return "Levi-cut root"
     if branch == "sublattice":
-        monkeypatch.setattr(cut, "descent_coords", lambda: (lam,))
+        monkeypatch.setattr(cut, "descent_coords", (lam,))
         return "derived-intersection sublattice"
     monkeypatch.setattr(cut, "component_actions", ())
     return "ambient stabilizer"
@@ -1112,7 +1116,7 @@ def test_descent_coords_have_the_parameter_length(name):
     for rho in rhos:
         enumerate_fiber(param, build_packet_member(param, rho).b)
     coords = [sol for cut in _stored_cuts(param).values()
-              for sol in cut.descent_coords()]
+              for sol in cut.descent_coords]
     assert all(len(sol) == param.dim for sol in coords)
     for rho in rhos:
         lam = canonical_rho(param, rho).weight

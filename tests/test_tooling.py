@@ -122,8 +122,6 @@ TEST_ONLY = {
                               "no command prints yet",
     "disconnected.WeightMultiplicityTable.multiplicity":
         "a single-weight query of the table, for the weight tests",
-    "endoscopy.s_in_levi_check": "the split-center membership of s as a "
-                                 "report, against the per-call check",
     "lattice.closure": "the matrix closure the group-core tests compare "
                        "with; the benchmark's tracer still names it",
     "lattice.solve_rational": "the rational solve of the oracle tests; the "
@@ -275,42 +273,23 @@ def _is_call(node, name):
 
 class _MemoKeys(ast.NodeVisitor):
     """Every memo key of a module, with the class whose key table must list
-    its kind: the key of each `cached(memo, key, ...)` call, of each call
-    of a function that passes its own argument on as such a key (the
-    endoscopy layer's `_cached`), and of each subscript or `in` test of a
-    `memo` attribute."""
+    its kind: the key of each `cached(memo, key, ...)` call and of each
+    subscript or `in` test of a `memo` attribute."""
 
-    def __init__(self, tree):
-        self.funcs = {f.name: f for f in tree.body
-                      if isinstance(f, ast.FunctionDef)}
-        self.forwarders = {}    # name -> (position of the key, owner)
-        for func in self.funcs.values():
-            for node in ast.walk(func):
-                if _is_call(node, "cached") and \
-                        isinstance(node.args[1], ast.Name):
-                    self.forwarders[func.name] = (
-                        [a.arg for a in func.args.args].index(
-                            node.args[1].id),
-                        self._owner(node.args[0], func, None))
+    def __init__(self):
         self.keys = []          # (owner, key node, source of the use)
         self.cls = self.func = None
 
-    def _owner(self, memo, func, cls):
+    def _owner(self, memo):
         """`self.memo` belongs to the enclosing class, `x.memo` to the
-        annotated class of argument x, and a call of a function returning
-        `cached(memo, ...)` to the owner of that memo."""
+        annotated class of argument x."""
         if isinstance(memo, ast.Attribute) and memo.attr == "memo" and \
-                isinstance(memo.value, ast.Name) and func is not None:
+                isinstance(memo.value, ast.Name) and self.func is not None:
             if memo.value.id == "self":
-                return cls
-            return next((ast.unparse(a.annotation) for a in func.args.args
+                return self.cls
+            return next((ast.unparse(a.annotation)
+                         for a in self.func.args.args
                          if a.arg == memo.value.id and a.annotation), None)
-        if isinstance(memo, ast.Call) and isinstance(memo.func, ast.Name) \
-                and memo.func.id in self.funcs:
-            inner = self.funcs[memo.func.id]
-            ret = inner.body[-1]
-            if isinstance(ret, ast.Return) and _is_call(ret.value, "cached"):
-                return self._owner(ret.value.args[0], inner, None)
         return None
 
     def visit_ClassDef(self, node):
@@ -324,17 +303,11 @@ class _MemoKeys(ast.NodeVisitor):
         self.func = outer
 
     def _add(self, memo, key, node):
-        self.keys.append((self._owner(memo, self.func, self.cls), key,
-                          ast.unparse(node)))
+        self.keys.append((self._owner(memo), key, ast.unparse(node)))
 
     def visit_Call(self, node):
-        if _is_call(node, "cached") and \
-                self.func.name not in self.forwarders:
+        if _is_call(node, "cached"):
             self._add(node.args[0], node.args[1], node)
-        elif isinstance(node.func, ast.Name) and \
-                node.func.id in self.forwarders:
-            pos, owner = self.forwarders[node.func.id]
-            self.keys.append((owner, node.args[pos], ast.unparse(node)))
         self.generic_visit(node)
 
     def visit_Subscript(self, node):
@@ -354,9 +327,8 @@ class _MemoKeys(ast.NodeVisitor):
 def _memo_kinds(module):
     """{owner: kinds} of one module's memo keys; every key is a tuple led
     by its kind, a string constant."""
-    tree = _module_trees()[module]
-    visitor = _MemoKeys(tree)
-    visitor.visit(tree)
+    visitor = _MemoKeys()
+    visitor.visit(_module_trees()[module])
     kinds = {}
     for owner, key, call in visitor.keys:
         assert owner is not None, call
@@ -375,22 +347,22 @@ def _undocumented(kinds):
 
 
 def test_every_endoscopy_memo_key_kind_is_documented():
-    # the kind of each key of the per-datum memo (`_cached(param, endo,
-    # key, ...)`) and of the datum's own entry is listed at Parameter.memo
+    # the kind of each key of `cached(param.memo, key, ...)` is listed at
+    # Parameter.memo
     kinds = _memo_kinds("endoscopy.py")
-    assert set(kinds) == {"Parameter"}
-    assert {"endoscopy", "forward", "indexing", "trace", "jacquet",
-            "token"} <= kinds["Parameter"]
+    assert kinds == {"Parameter": {"h", "admissible", "embedded", "backward",
+                                   "indexing", "trace", "jacquet", "token",
+                                   "forward"}}
     assert _undocumented(kinds) == []
-    # the transporter cosets and the forward table depend on the parameter
-    # and the Levi alone, so no datum keeps its own copy
-    tree = _module_trees()["endoscopy.py"]
-    visitor = _MemoKeys(tree)
-    visitor.visit(tree)
-    per_datum = {key.elts[0].value for _owner, key, call in visitor.keys
-                 if call.startswith("_cached(")}
-    assert "indexing" in per_datum
-    assert not {"cosets", "forward"} & per_datum
+    # every key but the forward table's, which depends on the parameter and
+    # the Levi alone, has the datum second, so two data never share an entry
+    visitor = _MemoKeys()
+    visitor.visit(_module_trees()["endoscopy.py"])
+    for _owner, key, call in visitor.keys:
+        if key.elts[0].value == "forward":
+            assert ast.unparse(key) == "('forward', levi)", call
+        else:
+            assert ast.unparse(key.elts[1]) == "endo", call
 
 
 def test_every_packets_memo_key_kind_is_documented():
@@ -409,8 +381,8 @@ def test_every_memo_key_kind_is_documented_at_its_owner():
     for module in _module_trees():
         for owner, names in _memo_kinds(module).items():
             kinds.setdefault(owner, set()).update(names)
-    assert sorted(kinds) == ["DisconnectedGroupDatum", "LeviCut",
-                             "Parameter", "ReductiveGroup"]
+    assert sorted(kinds) == ["DisconnectedGroupDatum", "Parameter",
+                             "ReductiveGroup"]
     tables = _memo_tables()
     assert sorted(tables) == sorted(kinds)
     assert _undocumented(kinds) == []
