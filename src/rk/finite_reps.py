@@ -1,10 +1,11 @@
 """Simple modules of (possibly twisted) finite group algebras.
 
-Character tables are computed exactly: abelian groups through a Smith
-normal form of their relation lattice, nonabelian ones through the
+Character tables are computed exactly: abelian groups from a triangular
+presentation (greedy generators, each with its least power that falls
+back into the span of the earlier ones), nonabelian ones through the
 modular class-algebra method (split the class-multiplication matrices
 over a suitable prime field, then lift eigenvalue data to exact
-cyclotomic values through the power map).
+cyclotomic values along the powers of each class representative).
 
 Twisted group algebras are handled by explicit coboundary search: a
 2-cocycle valued in roots of unity is trivialized whenever its class
@@ -17,7 +18,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cached_property
-from math import gcd, isqrt
+from math import gcd, isqrt, lcm
 from typing import Dict, Optional, Sequence, Tuple
 
 from .cyclotomic import Cyclo, prime_factors
@@ -25,12 +26,10 @@ from .lattice import (
     MatrixGroup,
     Value,
     basis_orbits,
-    from_columns,
+    dot,
     gauss_jordan,
     mat,
     mat_det,
-    orbit,
-    smith_normal_form,
     solve_integer,
 )
 
@@ -41,8 +40,8 @@ class CocycleError(ValueError):
 
 class FiniteGroup(MatrixGroup):
     """A finite matrix group with the class theory its character tables
-    need: element orders, the exponent, commutativity and conjugacy
-    classes, all read from products in the group's tables."""
+    need: element orders, commutativity and conjugacy classes, all read
+    from products in the group's tables."""
 
     @classmethod
     def from_matrices(cls, generators: Sequence) -> "FiniteGroup":
@@ -62,13 +61,6 @@ class FiniteGroup(MatrixGroup):
             x = self.mul(x, a)
             k += 1
         return k
-
-    def exponent(self) -> int:
-        e = 1
-        for a in self.elements:
-            o = self.order_of(a)
-            e = e * o // gcd(e, o)
-        return e
 
     def is_abelian(self) -> bool:
         return all(self.mul(a, b) == self.mul(b, a)
@@ -123,60 +115,48 @@ class Module(Value):
 
 
 # ---------------------------------------------------------------------------
-# abelian character tables through SNF
+# abelian character tables from a triangular presentation
 
 def _abelian_characters(group: FiniteGroup) -> Tuple[Dict, ...]:
-    gens = _small_generating_set(group)
-    if not gens:
-        return ({group.identity: Cyclo.one()},)
-    # word map Z^g -> group and Schreier generators of the relation lattice:
-    # one relation per edge a -> a.g_i off the breadth-first tree, in the
-    # order the tree was grown
-    maps = [lambda a, g=g: group.mul(a, g) for g in gens]
-    tree = orbit((group.identity,), maps)
-    words = {group.identity: (0,) * len(gens)}
-    relations = []
-    for a in tree:
-        for i, f in enumerate(maps):
-            b = f(a)
-            w = tuple(x + (1 if j == i else 0) for j, x in enumerate(words[a]))
-            if tree[b] == (a, i):
-                words[b] = w
-            else:
-                relations.append(tuple(x - y for x, y in zip(w, words[b])))
-    D, U, _V = smith_normal_form(from_columns(relations, len(gens)),
-                                 len(relations))
-    diag = [D[i][i] if i < len(relations) else 0 for i in range(len(gens))]
-    if any(d == 0 for d in diag):
-        raise AssertionError("finite abelian group with a free factor?")
-    chars = []
-    from itertools import product as iproduct
-    ranges = [range(d) for d in diag]
-    for t in iproduct(*ranges):
-        table = {}
-        for a in group.elements:
-            y = [sum(U[i][j] * words[a][j] for j in range(len(gens)))
-                 for i in range(len(gens))]
-            expo = sum(Fraction(ti * yi, d) for ti, yi, d in zip(t, y, diag)
-                       if d > 1)
-            table[a] = Cyclo.root_of_unity(expo)
-        chars.append(table)
-    if len(chars) != len(group):
-        raise AssertionError("abelian character count mismatch")
-    return tuple(chars)
-
-
-def _small_generating_set(group: FiniteGroup):
-    gens = []
-    generated = {group.identity}
-    for a in sorted(group.elements, key=group._sort_key):
-        if a in generated:
+    """Characters read off a triangular presentation.  Walking the elements
+    in `_sort_key` order, each one outside the span so far is the next
+    generator g_i, and m_i its least power back in the span; `words[a]`
+    holds the exponents of a = g_1^e_1...g_k^e_k, 0 <= e_i < m_i.  A
+    character sends g_i to zeta_n^x_i (n = |G|) with m_i.x_i = x(g_i^m_i)
+    mod n, which leaves m_i choices.  Asserted: the words cover G, so the
+    k relations span the relation lattice, and every character is
+    multiplicative on every generator."""
+    n = len(group)
+    words, gens, xs = {group.identity: ()}, [], [()]
+    for g in sorted(group.elements, key=group._sort_key):
+        if g in words:
             continue
-        gens.append(a)
-        generated = set(group.generated(gens))
-        if len(generated) == len(group):
-            break
-    return gens
+        powers, x = [group.identity], g
+        while x not in words:
+            powers.append(x)
+            x = group.mul(x, g)
+        m, back = len(powers), words[x]
+        xs = [y + ((dot(back, y) // m + t * (n // m)) % n,)
+              for y in xs for t in range(m)]
+        gens.append(g)
+        words = {group.mul(a, p): w + (e,)
+                 for a, w in words.items() for e, p in enumerate(powers)}
+    if len(words) != n:
+        raise AssertionError("abelian normal forms do not cover the group")
+    if len(xs) != n:
+        raise AssertionError("abelian character count mismatch")
+    elements = list(words)
+    position = {a: i for i, a in enumerate(elements)}
+    steps = [[position[group.mul(a, g)] for a in elements] for g in gens]
+    roots = [Cyclo.root_of_unity(Fraction(j, n)) for j in range(n)]
+    chars = []
+    for x in xs:
+        values = [dot(words[a], x) % n for a in elements]
+        if any(values[b] != (v + xi) % n for xi, step in zip(x, steps)
+               for v, b in zip(values, step)):
+            raise AssertionError("abelian character is not multiplicative")
+        chars.append({a: roots[v] for a, v in zip(elements, values)})
+    return tuple(chars)
 
 
 # ---------------------------------------------------------------------------
@@ -261,7 +241,16 @@ def _dixon_characters(group: FiniteGroup) -> Tuple[Dict, ...]:
         for a in c:
             class_of[a] = ci
     order = len(group)
-    e = group.exponent()
+    # each representative's powers, walked once: walks[i][t] is the class
+    # of reps[i]^t, and len(walks[i]) is the order of reps[i]
+    walks = []
+    for rep in reps:
+        walk, x = [], group.identity
+        while not walk or x != group.identity:
+            walk.append(class_of[x])
+            x = group.mul(x, rep)
+        walks.append(walk)
+    e = lcm(*map(len, walks))
     p = _find_prime(order, e, r)
     # class multiplication coefficients: A_j[i][k] = #{(x,y) in C_j x C_i :
     # xy = rep_k}; filled by scanning products and dividing by |C_k|
@@ -336,16 +325,14 @@ def _dixon_characters(group: FiniteGroup) -> Tuple[Dict, ...]:
         chi_p = [(d * w[i] * pow(len(classes[i]), -1, p)) % p for i in range(r)]
         # lift to cyclotomics through the power map
         table = {}
-        for i in range(r):
-            ei = group.order_of(reps[i])
+        for i, walk in enumerate(walks):
+            ei = len(walk)
             zi = pow(z, e // ei, p)
             val = Cyclo.zero()
             for m_ in range(ei):
                 acc = 0
-                g = reps[i]
-                for t in range(ei):
-                    ct = chi_p[class_of[_pow_elem(group, reps[i], t)]]
-                    acc = (acc + ct * pow(zi, (-m_ * t) % ei, p)) % p
+                for t, ct in enumerate(walk):
+                    acc = (acc + chi_p[ct] * pow(zi, (-m_ * t) % ei, p)) % p
                 am = (acc * pow(ei, -1, p)) % p
                 if am > order:
                     raise AssertionError("eigenvalue multiplicity out of range")
@@ -379,13 +366,6 @@ def _solve_mod(aug, k, p):
     x = [0] * k
     for row, c in zip(m, pivots):
         x[c] = row[k]
-    return x
-
-
-def _pow_elem(group: FiniteGroup, a, t: int):
-    x = group.identity
-    for _ in range(t):
-        x = group.mul(x, a)
     return x
 
 

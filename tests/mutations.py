@@ -310,6 +310,20 @@ MUTATIONS = (
         'object.__setattr__(self, "s_tag", sign_token)',
         ("tests/test_report_corpus.py::test_every_corpus_report_is_unchanged",),
         "an eci term that carries its sign token as its datum label"),
+    Mutation(
+        "abelian-character-without-back-word", "src/rk/finite_reps.py",
+        "(dot(back, y) // m + t * (n // m)) % n",
+        "(t * (n // m)) % n",
+        ("tests/test_finite_reps.py::test_abelian_and_modular_routes_agree",),
+        "a generator's value chosen as if its m-th power were the "
+        "identity, ignoring the word of g^m in the earlier generators"),
+    Mutation(
+        "dixon-power-walk-from-rep", "src/rk/finite_reps.py",
+        "walk, x = [], group.identity",
+        "walk, x = [], rep",
+        ("tests/test_finite_reps.py::test_abelian_and_modular_routes_agree",),
+        "a class representative's powers walked from rep, not from the "
+        "identity, so every order is one short"),
 )
 
 

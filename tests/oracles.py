@@ -27,11 +27,12 @@ of a backward twist found by building its double coset and scanning the
 classes, the finitely
 generated abelian group with a slot kind per Smith slot and its
 coinvariants, as they were before the group had one construction path,
-and the inverse of a unimodular matrix by a second Smith form and as
+the inverse of a unimodular matrix by a second Smith form and as
 the checked rational inverse, as it was before each of the two later
-forms.
-With them are the routines that only the tests call: the rational span
-test, the Levi data as one tuple, the full Weyl group of a disconnected
+forms, and the characters of an abelian group through the Smith form of
+its Schreier relations on a greedily chosen generating set.
+With them are the routines that only the tests call: the coordinate
+sign flips generating (Z/2)^k, the rational span test, the Levi data as one tuple, the full Weyl group of a disconnected
 group with its semidirect splitting, a Levi cut as a disconnected group,
 the descent certificate of a highest-weight module, the membership of
 s in a Levi with its coordinate sample, a gl3 parameter
@@ -60,10 +61,11 @@ from rk.endoscopy import (EndoscopyError, Term, _check_s_in_levi,
                           parameter_on_h, regular_part)
 from rk.finite_reps import FiniteGroup
 from rk.kottwitz import basic_plus_lift, encode, kappa_push
-from rk.lattice import (FgaElement, Matrix, Vector, _check_lengths, dot, mat,
-                        mat_identity, mat_inverse, mat_mul, mat_transpose,
-                        mat_vec, orbit, smith_normal_form, solve_rational,
-                        vadd, vneg, vscale, vsub)
+from rk.lattice import (FgaElement, Matrix, Vector, _check_lengths, dot,
+                        from_columns, mat, mat_identity, mat_inverse,
+                        mat_mul, mat_transpose, mat_vec, orbit,
+                        smith_normal_form, solve_rational, vadd, vneg,
+                        vscale, vsub)
 from rk.packets import (DescentError, PacketMember, _canonical_double_coset,
                         _center_coords, _certify_descent, canonical_rho,
                         dominantize, transporter_double_cosets)
@@ -1018,7 +1020,72 @@ def coinvariants_by_slot_kinds(
 
 
 # ---------------------------------------------------------------------------
+# abelian character tables through the Smith form of the Schreier relations
+
+def abelian_characters_by_smith_form(group: FiniteGroup):
+    gens = small_generating_set(group)
+    if not gens:
+        return ({group.identity: Cyclo.one()},)
+    # word map Z^g -> group and Schreier generators of the relation lattice:
+    # one relation per edge a -> a.g_i off the breadth-first tree, in the
+    # order the tree was grown
+    maps = [lambda a, g=g: group.mul(a, g) for g in gens]
+    tree = orbit((group.identity,), maps)
+    words = {group.identity: (0,) * len(gens)}
+    relations = []
+    for a in tree:
+        for i, f in enumerate(maps):
+            b = f(a)
+            w = tuple(x + (1 if j == i else 0) for j, x in enumerate(words[a]))
+            if tree[b] == (a, i):
+                words[b] = w
+            else:
+                relations.append(tuple(x - y for x, y in zip(w, words[b])))
+    D, U, _V = smith_normal_form(from_columns(relations, len(gens)),
+                                 len(relations))
+    diag = [D[i][i] if i < len(relations) else 0 for i in range(len(gens))]
+    if any(d == 0 for d in diag):
+        raise AssertionError("finite abelian group with a free factor?")
+    chars = []
+    ranges = [range(d) for d in diag]
+    for t in product(*ranges):
+        table = {}
+        for a in group.elements:
+            y = [sum(U[i][j] * words[a][j] for j in range(len(gens)))
+                 for i in range(len(gens))]
+            expo = sum(Fraction(ti * yi, d) for ti, yi, d in zip(t, y, diag)
+                       if d > 1)
+            table[a] = Cyclo.root_of_unity(expo)
+        chars.append(table)
+    if len(chars) != len(group):
+        raise AssertionError("abelian character count mismatch")
+    return tuple(chars)
+
+
+def small_generating_set(group: FiniteGroup):
+    gens = []
+    generated = {group.identity}
+    for a in sorted(group.elements, key=group._sort_key):
+        if a in generated:
+            continue
+        gens.append(a)
+        generated = set(group.generated(gens))
+        if len(generated) == len(group):
+            break
+    return gens
+
+
+# ---------------------------------------------------------------------------
 # routines only the tests call
+
+def sign_flips(rank: int):
+    """The coordinate sign flips of Z^rank, generating (Z/2)^rank: the
+    component group of O(2)^rank acting on its identity component's
+    torus."""
+    return [tuple(tuple(-1 if i == j == k else int(i == j)
+                        for j in range(rank)) for i in range(rank))
+            for k in range(rank)]
+
 
 def cut_disconnected_datum(cut):
     """The Levi cut as a disconnected group: its roots and their coroots,

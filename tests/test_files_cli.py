@@ -25,6 +25,7 @@ from oracles import (
     endoscopy_to_tree,
     group_to_tree,
     parameter_to_tree,
+    sign_flips,
 )
 
 
@@ -500,3 +501,32 @@ def test_cli_accepts_negative_values(argv, code):
     got = _report(_run(*argv))
     assert got[0] == code
     assert got == _report(_run(*joined))
+
+
+def _sign_flip_torus_tree(rank):
+    """The rank-k torus with its k coordinate sign flips as components:
+    the identity component of O(2)^k, with component group (Z/2)^k."""
+    return {"kind": "disconnected", "name": "t%d-flips" % rank,
+            "rank": rank, "roots": [], "coroots": [], "simple": [],
+            "component_generators": [[list(row) for row in g]
+                                     for g in sign_flips(rank)]}
+
+
+@pytest.mark.parametrize("rank,classes,stdout", [
+    (6, 64, "e48ff810c48c65c26baeeb7657ca336df43fdd70a879072672c100d36fc5afbf"),
+    (7, 128,
+     "4adee33702e504d8170c7008bf229a52afaac9c45987859b13b4fa18c1eb48a2"),
+])
+def test_cli_irr_on_sign_flip_torus(rank, classes, stdout, tmp_path, capsys):
+    # one character per element of (Z/2)^k; the stdout digest
+    # (`generated_at` blanked) is the report the Smith-form route gave
+    from rk import cli
+    from make_report_corpus import digest
+    path = str(tmp_path / "torus.yaml")
+    dump_tree(_sign_flip_torus_tree(rank), path)
+    code = cli.main(["irr", "--group", path, "--height", "0"])
+    out, err = capsys.readouterr()
+    assert code == 0
+    assert len(json.loads(out)["classes"]) == classes
+    assert digest(code, out.encode(), err.encode()) == {
+        "exit": 0, "stdout": stdout, "stderr": digest(0, b"", b"")["stderr"]}

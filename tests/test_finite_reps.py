@@ -22,7 +22,7 @@ from rk.finite_reps import (
 from rk import lattice
 from rk.lattice import closure, mat, mat_identity
 
-from oracles import canonical_by_solve
+from oracles import canonical_by_solve, sign_flips
 
 
 def perm_mat(p):
@@ -40,6 +40,10 @@ Z4 = FiniteGroup.from_matrices([mat([[0, -1], [1, 0]])])
 Z6 = FiniteGroup.from_matrices([perm_mat((1, 2, 3, 4, 5, 0))])
 D4 = FiniteGroup.from_matrices([mat([[0, -1], [1, 0]]),
                                 mat([[1, 0], [0, -1]])])
+Z2Z2 = FiniteGroup.from_matrices(sign_flips(2))
+Z2Z2Z2 = FiniteGroup.from_matrices(sign_flips(3))
+Z4Z2 = FiniteGroup.from_matrices([mat([[0, -1, 0], [1, 0, 0], [0, 0, 1]]),
+                                  mat([[1, 0, 0], [0, 1, 0], [0, 0, -1]])])
 # D4 x Z2 x Z2 on Z^4: order 32 and exponent 4, with 20 classes
 D4Z2Z2 = FiniteGroup.from_matrices(
     [mat([[0, -1, 0, 0], [1, 0, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]])]
@@ -163,7 +167,7 @@ def test_abelian_and_modular_routes_agree():
     # run the nonabelian machinery on abelian groups and compare; the
     # trivial group has exponent 1, where every prime is 1 mod the exponent
     trivial = FiniteGroup.from_matrices([mat_identity(1)])
-    for group in (Z4, trivial):
+    for group in (Z4, Z6, Z2Z2, Z4Z2, Z2Z2Z2, trivial):
         fast = {frozenset((repr(k), repr(v)) for k, v in t.items())
                 for t in _abelian_characters(group)}
         slow = {frozenset((repr(k), repr(v)) for k, v in t.items())

@@ -7,7 +7,8 @@ saturated kernel basis; of the finitely generated abelian groups and
 coinvariants, against the class with a slot kind per Smith slot they
 replaced; of the finite-group core, whose products, inverses, Cayley
 rows, closures and subgroups on point permutations are checked against
-matrix products on random words in every preset's groups; and of `Cyclo`
+matrix products on random words in every preset's groups; of the abelian
+character tables, against the Smith-form route they replaced; and of `Cyclo`
 arithmetic, against the ring axioms, the rational solve it replaced and
 the Fraction-coefficient class it replaced; of the chamber images that
 carry their root-pairing table, against the plain tuple, which takes the
@@ -40,8 +41,8 @@ from rk.disconnected import (HighestWeightPair, classify_irr,
                              stabilizer_A_lambda)
 from rk.endoscopy import (EmbeddedDatum, Term, eci_both_sides,
                           enumerate_embedded)
-from rk.finite_reps import (FiniteGroup, Module, _det_mod, _nullspace_mod,
-                            _solve_mod)
+from rk.finite_reps import (FiniteGroup, Module, _abelian_characters,
+                            _det_mod, _nullspace_mod, _solve_mod)
 from rk.kottwitz import BElement
 from rk.lattice import (
     FgAbelianGroup,
@@ -67,10 +68,11 @@ from rk.rootdata import BasedRootDatum, GaloisAction, ScaledPoint
 from rk.weyl import ChamberWitness, chamber_locate, stabilizer
 
 from oracles import (FgAbelianGroupBySlotKinds, FractionCyclo,
-                     canonical_by_solve, coinvariants_by_slot_kinds,
+                     abelian_characters_by_smith_form, canonical_by_solve,
+                     coinvariants_by_slot_kinds,
                      cyclotomic_polynomial_by_fractions,
                      mat_inverse_int_by_rational_inverse,
-                     mat_inverse_int_by_smith_form)
+                     mat_inverse_int_by_smith_form, sign_flips)
 
 # Hypothesis caches the literals of the source it imports under its home
 # directory even without an example database; keep that out of the checkout
@@ -565,6 +567,45 @@ def test_double_cosets_are_the_matrix_products(kind, name, data):
     cosets = group.double_cosets(left_ids, [index[x] for x in xs], right_ids)
     assert [{group.elements[i] for i in c} for c in cosets] == firsts
     assert sum(map(len, firsts)) == len(set().union(*products))
+
+
+# ---------------------------------------------------------------------------
+# abelian character tables against the Smith-form route they replaced
+
+def block_cycles(orders):
+    """One cyclic shift per order, each of its own block of coordinates:
+    block permutation matrices generating the product of cyclic groups."""
+    rank, gens, start = sum(orders), [], 0
+    for m in orders:
+        p = list(range(rank))
+        p[start:start + m] = [start + (i + 1) % m for i in range(m)]
+        gens.append(tuple(tuple(int(p[j] == i) for j in range(rank))
+                          for i in range(rank)))
+        start += m
+    return gens
+
+
+@st.composite
+def abelian_generators(draw):
+    if draw(st.booleans()):
+        return block_cycles(draw(st.lists(st.integers(1, 6), min_size=1,
+                                          max_size=3)))
+    return sign_flips(draw(st.integers(1, 5)))
+
+
+def character_maps(chars):
+    return {frozenset((repr(a), repr(v)) for a, v in t.items())
+            for t in chars}
+
+
+@CORE
+@given(gens=abelian_generators())
+def test_abelian_characters_match_the_smith_form_route(gens):
+    group = FiniteGroup.from_matrices(gens)
+    chars = _abelian_characters(group)
+    assert len(chars) == len(group)
+    assert character_maps(chars) == \
+        character_maps(abelian_characters_by_smith_form(group))
 
 
 # ---------------------------------------------------------------------------

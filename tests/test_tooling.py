@@ -795,6 +795,7 @@ SMITH_FORMS_PER_COMMAND = [
     (("packet", "--param", "gl4-st2", "--enumerate", "--height", "3"), 13),
     (("packet", "--param", "gl2-triv", "--rho", "1,0", "--fiber"), 7),
     (("weyl", "--group", "gl4", "--levi1", "0,2", "--kind", "geometric"), 0),
+    (("irr", "--group", "o2", "--height", "1"), 0),
 ]
 
 
